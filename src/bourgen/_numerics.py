@@ -2,6 +2,8 @@
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .errors import RangeError
+
 
 def cumulative_simpson_anchored(y, x, anchor_index=0):
     """Cumulative integral of samples y over grid x, zero at x[anchor_index].
@@ -19,6 +21,22 @@ def cumulative_simpson_anchored(y, x, anchor_index=0):
     else:
         out = cumulative_simpson(y, x=x, initial=0.0)
     return out - out[anchor_index]
+
+
+def distinct_values(x):
+    """Sorted distinct values of the array x, and for every element of x
+    the index of its value among them (an index array of x's shape)."""
+    values, index = np.unique(x, return_inverse=True)
+    return values, index.reshape(np.shape(x))
+
+
+def require_s_in_range(s, s_range, label):
+    """Raise RangeError naming the first element of the array s (C order)
+    outside s_range, widened by 1e-12 at both ends."""
+    lo, hi = s_range
+    outside = ~((lo - 1e-12 <= s) & (s <= hi + 1e-12))
+    if np.any(outside):
+        raise RangeError(f"s = {s[outside][0]:.6g} outside {label} {s_range}")
 
 
 def relative_step(x, h):

@@ -26,13 +26,16 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from ._numerics import cumulative_simpson_anchored
+from ._numerics import (
+    cumulative_simpson_anchored,
+    distinct_values,
+    require_s_in_range,
+)
 from .errors import (
     ConfigError,
     GridMismatchError,
     NonConstantVolumeError,
     RadicandNegativeError,
-    RangeError,
     RectExitError,
     StepTooLargeError,
 )
@@ -110,13 +113,6 @@ class ProfileCurve:
     params: BourParams
     U: GeneratrixMetric
     anchor_index: int
-
-    @property
-    def samples(self):
-        return np.column_stack([self.s, self.x1, self.x2, self.omega, self.theta])
-
-    def theta_spline(self):
-        return CubicHermiteSpline(self.s, self.theta, self.theta_prime)
 
     def position_derivatives(self):
         """(x1'(s), x2'(s)) at the nodes via the inverse-chart Jacobian."""
@@ -239,7 +235,7 @@ class SurfaceMember:
     The third component is affine in t with slope 1/m.  When a frame and
     generatrix are attached, positions are re-solved exactly at any s;
     otherwise (e.g. after JSON round-trip) cubic Hermite interpolation of
-    the stored samples is used.
+    the stored samples is used.  Both take arrays of s.
     """
 
     def __init__(self, s, x1, x2, x1p, x2p, theta, theta_prime, omega,
@@ -269,21 +265,40 @@ class SurfaceMember:
         self._x1_spline = CubicHermiteSpline(self.s, self.x1, self.x1p)
         self._x2_spline = CubicHermiteSpline(self.s, self.x2, self.x2p)
 
-    def V(self, s):
-        return float(self._V_spline(s))
-
     def position(self, s):
-        if self.frame is not None and self.U is not None:
-            w = self.m * self.U(s)
-            return self.frame.invert(w, float(self._theta_spline(s)))
-        return float(self._x1_spline(s)), float(self._x2_spline(s))
+        """(x1(s), x2(s)) at every element of s (numpy scalars for a
+        scalar s).
+
+        With a frame and generatrix attached, each element is re-solved:
+        the frame inverts (m U(s), theta(s)) one value at a time, so
+        scalar frames (built-in or Newton) serve arrays too.
+        """
+        s = np.asarray(s, dtype=float)
+        if self.frame is None or self.U is None:
+            return self._x1_spline(s)[()], self._x2_spline(s)[()]
+        theta = self._theta_spline(s)
+        x1 = np.empty(s.shape)
+        x2 = np.empty(s.shape)
+        for k, (sk, tk) in enumerate(zip(s.ravel().tolist(),
+                                         theta.ravel().tolist())):
+            x1.flat[k], x2.flat[k] = self.frame.invert(self.m * self.U(sk), tk)
+        return x1[()], x2[()]
 
     def map(self, s, t):
-        lo, hi = self.s_range
-        if not (lo - 1e-12 <= s <= hi + 1e-12):
-            raise RangeError(f"s = {s:.6g} outside member range {self.s_range}")
-        p1, p2 = self.position(s)
-        return (p1, p2, t / self.m + self.V(s))
+        """psi_m(s, t) = (x1(s), x2(s), t/m + V(s)) at broadcastable s, t.
+
+        Returns the three components as arrays of the broadcast shape
+        (numpy scalars for scalar s and t).  Positions and V(s) are
+        evaluated once per distinct value of s, since they do not depend
+        on t.  Every s must lie in the member range, else RangeError.
+        """
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.asarray(t, dtype=float))
+        require_s_in_range(s, self.s_range, "member range")
+        values, index = distinct_values(s)
+        p1, p2 = self.position(values)
+        return (p1[index][()], p2[index][()],
+                (t / self.m + self._V_spline(values)[index])[()])
 
     # -- serialization -------------------------------------------------------
 
@@ -421,34 +436,46 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
 
 def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, n_scan=2001,
                      step=None, pullback_steps=20):
-    """Largest prefix [s0, s*] of s_range on which the profile radicand
+    """First interval [s_lo, s_hi] of s_range on which the profile radicand
     |grad omega|^2(mU, theta_ref) - m^2 U'^2 stays nonnegative.
 
-    Dense-grid scan.  When the range is shrunk and ``step`` is given, the
-    upper end is pulled back ``pullback_steps`` integrator steps from the
-    radicand zero: theta(s) has a square-root branch point there, and a
-    fixed-step integrator needs the radicand bounded away from zero to
-    keep its order.  Gradient norms are evaluated at theta_ref (exact for
-    the built-in frames, whose norms do not depend on theta).
+    Dense-grid scan.  When s0 itself is feasible, s_lo = s0 and the
+    interval is the largest feasible prefix; otherwise s_lo moves up to
+    the first feasible scan sample.  When an end is cut and ``step`` is
+    given, it is pulled inward ``pullback_steps`` integrator steps from
+    the radicand zero (onto the grid s0 + k step): theta(s) has a
+    square-root branch point there, and a fixed-step integrator needs the
+    radicand bounded away from zero to keep its order.  Gradient norms are
+    evaluated at theta_ref (exact for the built-in frames, whose norms do
+    not depend on theta).
     """
     s0, s1 = s_range
     ss = np.linspace(s0, s1, n_scan)
-    hi = None
+    lo = hi = None
     for s in ss:
         w = m * U(s)
-        if not frame.contains(w, theta_ref):
+        feasible = frame.contains(w, theta_ref) and not (
+            frame.grad_omega_sq(w, theta_ref) - (m * U.derivative(s)) ** 2
+            <= -RADICAND_CLAMP)
+        if feasible:
+            if lo is None:
+                lo = s
+            hi = s
+        elif lo is not None:
             break
-        rad = frame.grad_omega_sq(w, theta_ref) - (m * U.derivative(s)) ** 2
-        if rad <= -RADICAND_CLAMP:
-            break
-        hi = s
-    if hi is None or hi <= s0:
+    if lo is None or hi <= lo:
         raise RadicandNegativeError(
             f"no feasible s interval from {s0:.6g} at m = {m:g}", s=s0)
+    if lo > s0:
+        if step is not None:
+            lo = s0 + math.ceil((lo - s0) / step + pullback_steps) * step
+        lo = float(lo)
+    else:
+        lo = s0
     if hi < s1 and step is not None:
         hi = s0 + math.floor((hi - s0) / step - pullback_steps) * step
-        if hi <= s0:
-            raise RadicandNegativeError(
-                f"feasible interval from {s0:.6g} at m = {m:g} is shorter "
-                "than the integrator pullback; reduce the step", s=s0)
-    return (s0, float(min(hi, s1)))
+    if hi <= lo:
+        raise RadicandNegativeError(
+            f"feasible interval from {lo:.6g} at m = {m:g} is shorter "
+            "than the integrator pullback; reduce the step", s=lo)
+    return (lo, float(min(hi, s1)))

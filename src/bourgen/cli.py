@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -163,12 +162,11 @@ def write_obj(member, space, path, s_count=41, t_count=41, t_range=(0.0, 1.0)):
     """
     s_values = np.linspace(member.s_range[0], member.s_range[1], s_count)
     t_values = np.linspace(t_range[0], t_range[1], t_count)
+    grid = member.map(s_values[:, None], t_values)
     lines = [f"# bourgen member m={member.m:.17g}"]
-    for s in s_values:
-        for t in t_values:
-            p = member.map(float(s), float(t))
-            x, y, z = spaces.mesh_xyz(space, p)
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for p in zip(*(c.ravel().tolist() for c in grid)):
+        x, y, z = spaces.mesh_xyz(space, p)
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
     for i in range(s_count - 1):
         for j in range(t_count - 1):
             v00 = i * t_count + j + 1
@@ -219,8 +217,7 @@ def _process_member(cfg, U, frame, m, out_dir):
                                        member.s, anchor=anchor_s)
     cross = verify.cross_check(closed, member)
     result["cross_check"] = cross.to_dict()
-    result["cross_check_passed"] = bool(
-        max(cross.rho_dev, cross.angle_dev) <= cfg.cross_tol)
+    result["cross_check_passed"] = cross.passed(cfg.cross_tol)
 
     h = cfg.fd_step
     s_grid = np.linspace(s_range[0] + 2 * h, s_range[1] - 2 * h, cfg.s_count)
@@ -254,11 +251,8 @@ def run(cfg, out_dir, strict=False):
               else "csv",
               "seed": cfg.seed,
               "members": []}
-    with ThreadPoolExecutor(max_workers=min(4, len(cfg.m_values))) as pool:
-        futures = [pool.submit(_process_member, cfg, U, frame, m, out_dir)
-                   for m in cfg.m_values]
-        for fut in futures:
-            report["members"].append(fut.result())
+    for m in cfg.m_values:
+        report["members"].append(_process_member(cfg, U, frame, m, out_dir))
     report["all_passed"] = bool(all(r["passed"] for r in report["members"]))
     _write_json(report, out_dir / "report.json")
     for r in report["members"]:

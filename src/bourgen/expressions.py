@@ -250,10 +250,6 @@ class Expression:
         return tuple(_eval_dual(self.ast, b, name)[1]
                      for name in self.variables)
 
-    def eval_with_derivative(self, *args, var=None):
-        seed = var if var is not None else self.variables[0]
-        return _eval_dual(self.ast, self._bindings(args), seed)
-
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables!r})"
 

@@ -11,13 +11,16 @@ orthogonal to the orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._numerics import cumulative_simpson_anchored
-from .errors import DegenerateParametrizationError, RangeError
+from ._numerics import (
+    cumulative_simpson_anchored,
+    distinct_values,
+    require_s_in_range,
+)
+from .errors import DegenerateParametrizationError
 
 _POSITIVITY_PROBES = 256
 
@@ -164,11 +167,12 @@ class GeneratrixMetric:
 
 @dataclass(frozen=True)
 class NaturalParameters:
-    """Result of the natural-parameter extraction."""
+    """Result of the natural-parameter extraction.  The three maps are
+    monotone-cubic interpolants that take scalars or arrays."""
 
-    s_of_u: Callable[[float], float]
-    u_of_s: Callable[[float], float]
-    t_shift: Callable[[float], float]  # function of u; v = t - t_shift(u)
+    s_of_u: PchipInterpolator
+    u_of_s: PchipInterpolator
+    t_shift: PchipInterpolator  # function of u; v = t - t_shift(u)
     U: GeneratrixMetric
     u_samples: np.ndarray
     s_samples: np.ndarray
@@ -194,15 +198,12 @@ def to_natural(coeffs, eta=1e-10):
     s = cumulative_simpson_anchored(np.sqrt(speed_sq), coeffs.u, 0)
     if not np.all(np.diff(s) > 0):
         raise DegenerateParametrizationError("arc length failed to increase")
-    s_of_u = PchipInterpolator(coeffs.u, s)
-    u_of_s = PchipInterpolator(s, coeffs.u)
     shift = cumulative_simpson_anchored(F / G, coeffs.u, 0)
-    t_shift = PchipInterpolator(coeffs.u, shift)
     U = GeneratrixMetric.from_samples(s, np.sqrt(G))
     return NaturalParameters(
-        s_of_u=lambda u: float(s_of_u(u)),
-        u_of_s=lambda x: float(u_of_s(x)),
-        t_shift=lambda u: float(t_shift(u)),
+        s_of_u=PchipInterpolator(coeffs.u, s),
+        u_of_s=PchipInterpolator(s, coeffs.u),
+        t_shift=PchipInterpolator(coeffs.u, shift),
         U=U, u_samples=coeffs.u.copy(), s_samples=s)
 
 
@@ -224,8 +225,13 @@ class ReparametrizedSurface:
         self.s_range = (float(nat.s_samples[0]), float(nat.s_samples[-1]))
 
     def map(self, s, t):
-        if not (self.s_range[0] - 1e-12 <= s <= self.s_range[1] + 1e-12):
-            raise RangeError(f"s = {s:.6g} outside {self.s_range}")
-        u = self.nat.u_of_s(s)
-        return (float(self._sx1(u)), float(self._sx2(u)),
-                float(self._sx3(u)) + t - self.nat.t_shift(u))
+        """The natural-coordinate map at broadcastable s, t, with the same
+        array protocol as SurfaceMember.map: interpolants are evaluated
+        once per distinct s."""
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.asarray(t, dtype=float))
+        require_s_in_range(s, self.s_range, "surface range")
+        values, index = distinct_values(s)
+        u = self.nat.u_of_s(values)
+        return (self._sx1(u)[index][()], self._sx2(u)[index][()],
+                (self._sx3(u)[index] + t - self.nat.t_shift(u)[index])[()])

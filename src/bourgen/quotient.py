@@ -265,11 +265,22 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
         return np.array([omega.gradient_at(x1, x2, fd_step),
                          theta.gradient_at(x1, x2, fd_step)])
 
+    # one-entry memo of the latest inversion, ((w, t), point) in a single
+    # tuple: the profile right-hand side asks for both gradient norms at
+    # the same (w, t)
+    last = ((None, None), None)
+
     def invert(w, t):
+        nonlocal last
+        key, point = last
+        if key == (w, t):
+            return point
         d2 = (seed_arr[:, 0] - w) ** 2 + (seed_arr[:, 1] - t) ** 2
         seed = seed_arr[int(np.argmin(d2)), 2:]
-        return newton_invert(forward, fwd_jac, (w, t), seed,
-                             tol=newton_tol, maxiter=newton_maxiter)
+        point = newton_invert(forward, fwd_jac, (w, t), seed,
+                              tol=newton_tol, maxiter=newton_maxiter)
+        last = ((w, t), point)
+        return point
 
     def grad_omega_sq(w, t):
         p = invert(w, t)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_run_demo_catenoid(tmp_path):
 
 
 def test_runs_are_byte_identical(tmp_path):
-    # two members, so the concurrent path is covered as well
+    # two members, so the member loop and the report order are covered
     cfg = _family_config(m_values=[1.0, 1.25])
     outputs = []
     for name in ("a", "b"):
@@ -187,3 +188,28 @@ def test_csv_generatrix_config(tmp_path):
     code = main(["family", "--config", _write_cfg(tmp_path, cfg, "csv"),
                  "--out", str(tmp_path / "out"), "--strict"])
     assert code == 0
+
+
+def test_lower_end_cut_when_s0_infeasible(tmp_path):
+    # at m = 1.25 the radicand 1 - m^2 U'^2 of U = sqrt(s^2+1) is negative
+    # for |s| > 4/3, so both ends of [-2, 2] are cut
+    cfg = _family_config(m_values=[1, 0.8, 1.25], s_range=[-2, 2])
+    del cfg["step"], cfg["anchor"]
+    out = tmp_path / "out"
+    code = main(["family", "--config", _write_cfg(tmp_path, cfg, "cut"),
+                 "--out", str(out), "--strict"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [r["m"] for r in report["members"]] == [1.0, 0.8, 1.25]
+    assert [r["shrunk"] for r in report["members"]] == [False, False, True]
+    lo, hi = report["members"][2]["s_range"]
+    assert -4 / 3 < lo < -1.2 and 1.2 < hi < 4 / 3
+
+
+def test_feasible_range_unchanged_when_s0_feasible(rotational_frame):
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (-1.0, 2.0))
+    # s0 = -1 feasible: only the upper end moves, on the grid from s0
+    lo, hi = bg.feasible_s_range(U, 1.25, rotational_frame, (-1.0, 2.0),
+                                 step=0.005)
+    assert lo == -1.0
+    assert hi == -1.0 + (math.floor((4 / 3 + 1.0) / 0.005 - 1e-6) - 20) * 0.005

@@ -248,3 +248,32 @@ def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta):
     assert np.isclose(traced_theta(x1, x2), t, atol=1e-9)
     assert frame.grad_omega_sq(w, t) > 0
     assert frame.grad_theta_sq(w, t) > 0
+
+
+def test_newton_frame_inverts_once_per_rhs(helicoidal_chart, monkeypatch):
+    # a fresh frame, so no earlier inversion sits in its memo
+    frame = bg.build_frame(
+        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        rect=((1.05, 3.0), (-2.0, 2.0)),
+        seed_box=((0.2, 3.0), (-2.5, 2.5)))
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
+    params = bg.BourParams(m=1.0, s_range=(0.5, 2.0), step=0.01)
+    calls = []
+    newton = bg.quotient.newton_invert
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(bg.quotient, "newton_invert", counted)
+    rhs = bg.ode_rhs(1.0, 0.3, U, params, frame)
+    assert len(calls) == 1
+    # the memoized value is the one an uncached evaluation gives
+    w = U(1.0)
+    go, gt = frame.grad_omega_sq(w, 0.3), frame.grad_theta_sq(w, 0.3)
+    frame.invert(w + 0.1, 0.0)
+    assert frame.grad_omega_sq(w, 0.3) == go
+    frame.invert(w + 0.1, 0.0)
+    assert frame.grad_theta_sq(w, 0.3) == gt
+    rad = go - (U.derivative(1.0)) ** 2
+    assert rhs == math.sqrt(gt) * math.sqrt(rad) / math.sqrt(go)

@@ -83,6 +83,25 @@ def test_cross_check_helicoid_exact(helicoid_member):
     assert cc.v_dev < 1e-12
 
 
+def test_cross_check_gates_v_dev(bcv_member):
+    spec = bcv_member.space
+    closed = bg.bcv_closed_form(bcv_member.U, bcv_member.m, bcv_member.epsilon,
+                                spec.kappa, spec.tau, spec.a, bcv_member.s)
+    assert bg.cross_check(closed, bcv_member).passed(1e-5)
+    # a non-affine error in V alone: radius and angle still agree
+    s = bcv_member.s
+    bad = bg.SurfaceMember(
+        s=s, x1=bcv_member.x1, x2=bcv_member.x2, x1p=bcv_member.x1p,
+        x2p=bcv_member.x2p, theta=bcv_member.theta,
+        theta_prime=bcv_member.theta_prime, omega=bcv_member.omega,
+        V=bcv_member.V_samples + 1e-4 * s * s, Vp=bcv_member.V_prime + 2e-4 * s,
+        m=bcv_member.m, epsilon=bcv_member.epsilon, space=spec, U=bcv_member.U)
+    cc = bg.cross_check(closed, bad)
+    assert max(cc.rho_dev, cc.angle_dev) <= 1e-5
+    assert np.isclose(cc.v_dev, 1e-4, rtol=1e-3)
+    assert not cc.passed(1e-5)
+
+
 def test_cross_check_grid_mismatch(helicoid_member):
     U = helicoid_member.U
     closed = bg.r3_closed_form(U, 1.0, 1, 1.0, helicoid_member.s[:-1])
