@@ -1,4 +1,6 @@
 """Small shared numerical helpers."""
+import math
+
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
@@ -21,6 +23,59 @@ def cumulative_simpson_anchored(y, x, anchor_index=0):
     else:
         out = cumulative_simpson(y, x=x, initial=0.0)
     return out - out[anchor_index]
+
+
+# math functions that also take arrays, with math's rounding and failures
+# element by element: numpy's own sqrt, sin and cos round as math's do; its
+# exp, log, sinh and cosh do not, so those call math once per element.
+
+def sqrt(x):
+    """math.sqrt(x); elementwise for an array."""
+    if not isinstance(x, np.ndarray):
+        return math.sqrt(x)
+    if np.any(x < 0.0):
+        raise ValueError("math domain error")
+    return np.sqrt(x)
+
+
+def _finite_domain(scalar, vectorized):
+    def fn(x):
+        if not isinstance(x, np.ndarray):
+            return scalar(x)
+        if np.any(np.isinf(x)):
+            raise ValueError("math domain error")
+        return vectorized(x)
+    fn.__doc__ = f"math.{scalar.__name__}(x); elementwise for an array."
+    return fn
+
+
+def _per_element(scalar):
+    ufunc = np.frompyfunc(scalar, 1, 1)
+
+    def fn(x):
+        if not isinstance(x, np.ndarray):
+            return scalar(x)
+        return ufunc(x).astype(float)
+    fn.__doc__ = f"math.{scalar.__name__}(x); elementwise for an array."
+    return fn
+
+
+sin = _finite_domain(math.sin, np.sin)
+cos = _finite_domain(math.cos, np.cos)
+exp = _per_element(math.exp)
+log = _per_element(math.log)
+sinh = _per_element(math.sinh)
+cosh = _per_element(math.cosh)
+
+
+def square(x):
+    """x ** 2; elementwise for an array, with the same rounding.
+
+    numpy squares an array by multiplication, which differs from libm's
+    pow(x, 2) in the last bit for some x; np.float_power calls pow, as
+    Python's float power does.
+    """
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
 def distinct_values(x):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ from ._numerics import (
     cumulative_simpson_anchored,
     distinct_values,
     require_s_in_range,
+    square,
 )
 from .errors import (
     ConfigError,
@@ -115,17 +117,19 @@ class ProfileCurve:
     anchor_index: int
 
     def position_derivatives(self):
-        """(x1'(s), x2'(s)) at the nodes via the inverse-chart Jacobian."""
-        n = len(self.s)
-        d1 = np.empty(n)
-        d2 = np.empty(n)
-        m = self.params.m
-        for k in range(n):
-            J = self.frame.invert_jacobian(self.omega[k], self.theta[k])
-            vel = J @ np.array([m * self.U.derivative(self.s[k]),
-                                self.theta_prime[k]])
-            d1[k], d2[k] = vel
-        return d1, d2
+        """(x1'(s), x2'(s)) at the nodes via the inverse-chart Jacobian,
+        computed once per profile."""
+        return self._velocity
+
+    @cached_property
+    def _velocity(self):
+        J = self.frame.elementwise(self.frame.invert_jacobian, self.omega,
+                                   self.theta)
+        rates = np.stack([self.params.m * self.U.derivative(self.s),
+                          self.theta_prime], axis=-1)
+        # one stacked matmul: each product rounds as the per-point J @ v
+        vel = (J @ rates[:, :, None])[:, :, 0]
+        return vel[:, 0], vel[:, 1]
 
 
 def _stage_rhs(s, theta, U, params, frame):
@@ -145,7 +149,9 @@ def integrate_profile(U, params, frame, theta0=0.0):
     theta takes the value theta0 at the anchor (default: the lower end of
     s_range); integration sweeps outward in both directions.  omega(s) is
     imposed exactly as m U(s); positions come from the frame inversion at
-    every node.
+    every node.  A theta-free frame has every right-hand side value
+    evaluated in one array call (``_theta_free_sweeps``), with the same
+    values and the same first failure as the sequential sweeps.
     """
     s0, s1 = params.s_range
     anchor = params.anchor if params.anchor is not None else s0
@@ -157,17 +163,32 @@ def integrate_profile(U, params, frame, theta0=0.0):
     if k_hi - k_lo < 10:
         raise ConfigError("fewer than 10 steps across s_range")
     s = anchor + h * np.arange(k_lo, k_hi + 1)
-    n = len(s)
     ia = -k_lo  # anchor index
+    sweeps = _theta_free_sweeps if frame.theta_free else _sequential_sweeps
+    theta, theta_p = sweeps(s, ia, theta0, U, params, frame)
+    omega = params.m * U(s)
+    x1, x2 = frame.elementwise(frame.invert, omega, theta)
+    return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega, theta=theta,
+                        theta_prime=theta_p, frame=frame, params=params,
+                        U=U, anchor_index=ia)
+
+
+def _sweep_steps(n, ia, h):
+    """(direction, step, node indices k) of the two sweeps from the anchor,
+    in integration order; each step goes from node k - direction to k."""
+    return [(+1, +1 * h, np.arange(ia + 1, n)),
+            (-1, -1 * h, np.arange(ia - 1, -1, -1))]
+
+
+def _sequential_sweeps(s, ia, theta0, U, params, frame):
+    """theta and theta' at the nodes, one scalar right-hand side at a time."""
+    n = len(s)
     theta = np.empty(n)
     theta_p = np.empty(n)
     theta[ia] = theta0
     theta_p[ia] = ode_rhs(s[ia], theta0, U, params, frame)
-
-    def sweep(direction):
-        step = direction * h
-        rng = range(ia + 1, n) if direction > 0 else range(ia - 1, -1, -1)
-        for k in rng:
+    for direction, step, ks in _sweep_steps(n, ia, params.step):
+        for k in ks:
             sk = s[k - direction]
             yk = theta[k - direction]
             f1 = theta_p[k - direction]
@@ -180,18 +201,89 @@ def integrate_profile(U, params, frame, theta0=0.0):
                 y_next = yk + step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
             theta[k] = y_next
             theta_p[k] = ode_rhs(s[k], y_next, U, params, frame)
+    return theta, theta_p
 
-    sweep(+1)
-    sweep(-1)
 
-    omega = params.m * np.array([U(x) for x in s])
-    x1 = np.empty(n)
-    x2 = np.empty(n)
-    for k in range(n):
-        x1[k], x2[k] = frame.invert(omega[k], theta[k])
-    return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega, theta=theta,
-                        theta_prime=theta_p, frame=frame, params=params,
-                        U=U, anchor_index=ia)
+def _theta_free_rhs(s, U, params, frame):
+    """ode_rhs at an array of s for a theta-free frame, whose right-hand
+    side does not depend on theta: one array call of U, U' and the frame.
+
+    Returns (values, omega, radicand-negative mask).  Where omega leaves
+    the rectangle or the radicand is negative the value is a placeholder;
+    the caller raises there before the value is used.
+    """
+    Uv, dU = U.table(s)
+    w = params.m * Uv
+    (w0, w1), _ = frame.rect
+    inside = (w0 <= w) & (w <= w1)
+    go = np.ones_like(w)
+    gt = np.ones_like(w)
+    go[inside] = frame.grad_omega_sq(w[inside], 0.0)
+    gt[inside] = frame.grad_theta_sq(w[inside], 0.0)
+    rad = go - square(params.m * dU)
+    negative = rad <= -RADICAND_CLAMP
+    rad[(np.abs(rad) < RADICAND_CLAMP) | negative] = 0.0
+    values = (params.epsilon * frame.branch_sign
+              * np.sqrt(gt) * np.sqrt(rad) / np.sqrt(go))
+    return values, w, negative
+
+
+def _theta_free_sweeps(s, ia, theta0, U, params, frame):
+    """The sweeps of ``_sequential_sweeps`` for a theta-free frame.
+
+    Every abscissa the loop evaluates (nodes, sk + step/2 and sk + step,
+    formed with the loop's arithmetic) goes through one array call; the
+    stage combinations accumulate along each sweep with np.cumsum, which
+    adds in sequence.  The rectangle and radicand checks of every
+    evaluation are then made in integration order, and the first failure
+    is raised by replaying that scalar evaluation.
+    """
+    n = len(s)
+    rk4 = params.integrator != "euler"
+    steps = _sweep_steps(n, ia, params.step)
+    abscissae = [s]
+    for direction, step, ks in steps:
+        if rk4:
+            sk = s[ks - direction]
+            abscissae += [sk + step / 2, sk + step]
+    sigma = np.concatenate(abscissae)
+    F, w, negative = _theta_free_rhs(sigma, U, params, frame)
+    theta = np.empty(n)
+    theta[ia] = theta0
+    # evaluations in integration order: (abscissa index, theta, is a stage)
+    order = [(np.array([ia]), theta[ia:ia + 1], np.array([False]))]
+    offset = n
+    for direction, step, ks in steps:
+        prev = ks - direction
+        f1 = F[prev]
+        if rk4:
+            count = len(ks)
+            half = np.arange(offset, offset + count)
+            full = half + count
+            offset += 2 * count
+            f2 = f3 = F[half]
+            f4 = F[full]
+            increments = step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        else:
+            increments = step * f1
+        theta[ks] = np.cumsum(np.concatenate([[theta[ia]], increments]))[1:]
+        yk = theta[prev]
+        if rk4:
+            order.append((np.stack([half, half, full, ks], axis=-1).ravel(),
+                          np.stack([yk + step / 2 * f1, yk + step / 2 * f2,
+                                    yk + step * f3, theta[ks]], axis=-1).ravel(),
+                          np.tile([True, True, True, False], count)))
+        else:
+            order.append((ks, theta[ks], np.zeros(len(ks), dtype=bool)))
+    index, thetas, stage = (np.concatenate(parts) for parts in zip(*order))
+    failed = ~frame.contains(w[index], thetas) | negative[index]
+    if failed.any():
+        j = int(np.argmax(failed))
+        replay = _stage_rhs if stage[j] else ode_rhs
+        replay(sigma[index[j]], thetas[j], U, params, frame)
+        raise AssertionError(f"array and scalar right-hand sides disagree "
+                             f"at s = {sigma[index[j]]:.6g}")
+    return theta, F[:n]
 
 
 @dataclass(frozen=True)
@@ -218,12 +310,10 @@ def vertical_quadrature(profile, chart, params, U):
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise GridMismatchError("profile grid must be uniform")
     d1, d2 = profile.position_derivatives()
-    m2U2 = (params.m * np.array([U(x) for x in s])) ** 2
-    integrand = np.empty(len(s))
-    for k in range(len(s)):
-        g13 = chart.g13(profile.x1[k], profile.x2[k])
-        g23 = chart.g23(profile.x1[k], profile.x2[k])
-        integrand[k] = -(d1[k] * g13 + d2[k] * g23) / m2U2[k]
+    m2U2 = (params.m * U(s)) ** 2
+    g13 = profile.frame.elementwise(chart.g13, profile.x1, profile.x2)
+    g23 = profile.frame.elementwise(chart.g23, profile.x1, profile.x2)
+    integrand = -(d1 * g13 + d2 * g23) / m2U2
     V = cumulative_simpson_anchored(integrand, s, profile.anchor_index)
     return VerticalShift(s=s, values=V, prime=integrand,
                          spline=CubicHermiteSpline(s, V, integrand))
@@ -270,19 +360,16 @@ class SurfaceMember:
         scalar s).
 
         With a frame and generatrix attached, each element is re-solved:
-        the frame inverts (m U(s), theta(s)) one value at a time, so
-        scalar frames (built-in or Newton) serve arrays too.
+        the frame inverts (m U(s), theta(s)), in one array call for a
+        theta-free frame.
         """
         s = np.asarray(s, dtype=float)
         if self.frame is None or self.U is None:
             return self._x1_spline(s)[()], self._x2_spline(s)[()]
-        theta = self._theta_spline(s)
-        x1 = np.empty(s.shape)
-        x2 = np.empty(s.shape)
-        for k, (sk, tk) in enumerate(zip(s.ravel().tolist(),
-                                         theta.ravel().tolist())):
-            x1.flat[k], x2.flat[k] = self.frame.invert(self.m * self.U(sk), tk)
-        return x1[()], x2[()]
+        omega = self.m * self.U(s.ravel())
+        theta = self._theta_spline(s.ravel())
+        x1, x2 = self.frame.elementwise(self.frame.invert, omega, theta)
+        return x1.reshape(s.shape)[()], x2.reshape(s.shape)[()]
 
     def map(self, s, t):
         """psi_m(s, t) = (x1(s), x2(s), t/m + V(s)) at broadcastable s, t.
@@ -447,22 +534,20 @@ def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, n_scan=2001,
     square-root branch point there, and a fixed-step integrator needs the
     radicand bounded away from zero to keep its order.  Gradient norms are
     evaluated at theta_ref (exact for the built-in frames, whose norms do
-    not depend on theta).
+    not depend on theta).  The whole scan is one array evaluation.
     """
     s0, s1 = s_range
     ss = np.linspace(s0, s1, n_scan)
+    Uv, dU = U.table(ss)
+    w = m * Uv
+    feasible = frame.contains(w, theta_ref)
+    go = frame.elementwise(frame.grad_omega_sq, w[feasible], theta_ref)
+    feasible[feasible] = ~(go - square(m * dU[feasible]) <= -RADICAND_CLAMP)
     lo = hi = None
-    for s in ss:
-        w = m * U(s)
-        feasible = frame.contains(w, theta_ref) and not (
-            frame.grad_omega_sq(w, theta_ref) - (m * U.derivative(s)) ** 2
-            <= -RADICAND_CLAMP)
-        if feasible:
-            if lo is None:
-                lo = s
-            hi = s
-        elif lo is not None:
-            break
+    if feasible.any():
+        first = int(np.argmax(feasible))
+        run = np.append(feasible[first:], False)
+        lo, hi = ss[first], ss[first + int(np.argmin(run)) - 1]
     if lo is None or hi <= lo:
         raise RadicandNegativeError(
             f"no feasible s interval from {s0:.6g} at m = {m:g}", s=s0)

@@ -47,7 +47,8 @@ def as_invariant(f, name=""):
 class AdaptedChart3:
     """Ambient 3-metric in symmetry-adapted coordinates.
 
-    Coefficients are callables of (x1, x2); ``domain`` is a predicate for
+    Coefficients are callables of (x1, x2) that take floats or arrays
+    (``metric_at`` evaluates whole grids); ``domain`` is a predicate for
     the regular region; ``d_g33`` is an optional analytic gradient of g33
     used to sharpen volume-function derivatives.
     """
@@ -65,21 +66,31 @@ class AdaptedChart3:
     # -- evaluation ---------------------------------------------------------
 
     def require_in_domain(self, p):
+        """Raise DomainError unless p = (x1, x2) lies in the domain; for
+        arrays x1, x2, name the first point (C order) outside it."""
         x1, x2 = p
-        if not self.domain(x1, x2):
-            raise DomainError(f"{self.label}: point {p!r} outside chart domain")
+        inside = self.domain(x1, x2)
+        if isinstance(inside, np.ndarray):
+            if inside.all():
+                return
+            k = np.argmin(inside)
+            p = tuple(np.broadcast_to(x, inside.shape).flat[k] for x in p)
+        elif inside:
+            return
+        raise DomainError(f"{self.label}: point {p!r} outside chart domain")
 
     def metric_at(self, p):
-        """Symmetric 3x3 matrix [g_ij] at p = (x1, x2)."""
+        """Symmetric 3x3 matrix [g_ij] at p = (x1, x2); for arrays x1, x2
+        of one shape, an array of that shape of 3x3 matrices."""
         self.require_in_domain(p)
         x1, x2 = p
-        m = np.empty((3, 3))
-        m[0, 0] = self.g11(x1, x2)
-        m[0, 1] = m[1, 0] = self.g12(x1, x2)
-        m[0, 2] = m[2, 0] = self.g13(x1, x2)
-        m[1, 1] = self.g22(x1, x2)
-        m[1, 2] = m[2, 1] = self.g23(x1, x2)
-        m[2, 2] = self.g33(x1, x2)
+        m = np.empty(np.shape(x1) + (3, 3))
+        m[..., 0, 0] = self.g11(x1, x2)
+        m[..., 0, 1] = m[..., 1, 0] = self.g12(x1, x2)
+        m[..., 0, 2] = m[..., 2, 0] = self.g13(x1, x2)
+        m[..., 1, 1] = self.g22(x1, x2)
+        m[..., 1, 2] = m[..., 2, 1] = self.g23(x1, x2)
+        m[..., 2, 2] = self.g33(x1, x2)
         return m
 
     def inverse_metric_at(self, p):

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import bour, natural, spaces, verify
 from .errors import BourgenError, ConfigError
-from .expressions import parse_expression
+from .expressions import Expression, parse_expression
 from .natural import GeneratrixMetric, LiftedCurve
 
 DEMOS = {
@@ -60,7 +61,7 @@ class RunConfig:
     """Validated run configuration (see README for the JSON schema)."""
 
     space: spaces.SpaceSpec
-    generatrix: object  # GeneratrixMetric factory input
+    generatrix: object  # expression text, parsed on construction; or {"csv": path}
     m_values: list
     epsilon: int = 1
     s_range: tuple = (0.0, 1.0)
@@ -76,6 +77,14 @@ class RunConfig:
     fd_step: float = 1e-5
     auto_shrink: bool = True
     seed: int = 20240901
+
+    def __post_init__(self):
+        # an expression is parsed here, once; report.json keeps its text
+        if isinstance(self.generatrix, str):
+            try:
+                self.generatrix = parse_expression(self.generatrix)
+            except BourgenError as exc:
+                raise ConfigError(f"generatrix does not parse: {exc}")
 
     @classmethod
     def from_dict(cls, d):
@@ -117,21 +126,12 @@ class RunConfig:
             raise ConfigError("grid counts must be at least 2")
         if not cfg.s_range[0] < cfg.s_range[1]:
             raise ConfigError("empty s_range")
-        if isinstance(gen, str):
-            try:
-                parse_expression(gen)
-            except BourgenError as exc:
-                raise ConfigError(f"generatrix does not parse: {exc}")
         return cfg
 
     def make_generatrix(self):
         gen = self.generatrix
-        if isinstance(gen, str):
-            try:
-                expr = parse_expression(gen)
-            except BourgenError as exc:
-                raise ConfigError(f"generatrix does not parse: {exc}")
-            return GeneratrixMetric.from_expression(expr, self.s_range)
+        if isinstance(gen, Expression):
+            return GeneratrixMetric.from_expression(gen, self.s_range)
         if isinstance(gen, dict) and "csv" in gen:
             U = GeneratrixMetric.from_csv(gen["csv"])
             sys.stderr.write(
@@ -167,15 +167,25 @@ def write_obj(member, space, path, s_count=41, t_count=41, t_range=(0.0, 1.0)):
     for p in zip(*(c.ravel().tolist() for c in grid)):
         x, y, z = spaces.mesh_xyz(space, p)
         lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    Path(path).write_text("".join(line + "\n" for line in lines)
+                          + _obj_faces(s_count, t_count))
+
+
+@lru_cache(maxsize=4)
+def _obj_faces(s_count, t_count):
+    """The face lines of a row-major (s_count, t_count) vertex grid, two
+    triangles per cell, each line ending in a newline: the same for every
+    member of a grid size, so built once."""
+    lines = []
     for i in range(s_count - 1):
         for j in range(t_count - 1):
             v00 = i * t_count + j + 1
             v10 = (i + 1) * t_count + j + 1
             v11 = (i + 1) * t_count + j + 2
             v01 = i * t_count + j + 2
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            lines.append(f"f {v00} {v10} {v11}\n")
+            lines.append(f"f {v00} {v11} {v01}\n")
+    return "".join(lines)
 
 
 def _write_json(payload, path):
@@ -247,8 +257,8 @@ def run(cfg, out_dir, strict=False):
     U = cfg.make_generatrix()
     frame = spaces.builtin_frame(cfg.space)
     report = {"space": cfg.space.to_dict(),
-              "generatrix": cfg.generatrix if isinstance(cfg.generatrix, str)
-              else "csv",
+              "generatrix": cfg.generatrix.text
+              if isinstance(cfg.generatrix, Expression) else "csv",
               "seed": cfg.seed,
               "members": []}
     for m in cfg.m_values:

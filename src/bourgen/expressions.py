@@ -11,11 +11,13 @@ sinh, exp, log.
 
 Derivatives are produced by forward-mode differentiation: every node is
 evaluated on (value, derivative) pairs, so U'(s) is exact up to rounding.
+The same walk evaluates floats or whole arrays of arguments.
 """
 from __future__ import annotations
 
-import math
+import numpy as np
 
+from ._numerics import cos, cosh, exp, log, sin, sinh, sqrt
 from .errors import ParseError
 
 FUNCTIONS = ("sqrt", "sin", "cos", "cosh", "sinh", "exp", "log")
@@ -168,27 +170,108 @@ class _Parser:
             expected=("number", "s", "function", "(", "unary -"))
 
 
+# Array evaluation keeps the rounding of the scalar path element by
+# element: the functions come from _numerics, and powers go through
+# np.float_power, which calls libm pow as Python's float power does.
+# Every failure the scalar path raises (a math domain error, a division by
+# zero, an overflowing power) is raised for arrays too, never turned into
+# a NaN.
+
+def _is_array(x):
+    return isinstance(x, np.ndarray)
+
+
+def _div(a, b):
+    """a / b; a zero divisor raises for arrays as it does for floats."""
+    if (_is_array(a) or _is_array(b)) and np.any(b == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+_NO_REAL_POWER = "negative number cannot be raised to a fractional power"
+
+
+def _pow(b, e):
+    """b ** e with Python's float power, elementwise for arrays; a negative
+    base with a fractional exponent has no real value and raises."""
+    if not (_is_array(b) or _is_array(e)):
+        v = b ** e
+        if isinstance(v, complex):
+            raise ValueError(_NO_REAL_POWER)
+        return v
+    v = np.float_power(b, e)
+    finite = np.isfinite(b) & np.isfinite(e)
+    if np.any(finite & (b == 0.0) & (e < 0.0)):
+        raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+    if np.any(finite & (b < 0.0) & (e != np.floor(e))):
+        raise ValueError(_NO_REAL_POWER)
+    if np.any(finite & np.isinf(v)):
+        raise OverflowError("numerical result out of range")
+    return v
+
+
+def _piecewise(cond, if_true, if_false, *args):
+    """Elementwise ``if_true(*args) if cond else if_false(*args)``.
+
+    For an array ``cond`` each branch sees only its own elements (array
+    arguments are masked, scalars passed as they are), so a branch raises
+    only where the scalar evaluation would.
+    """
+    if not _is_array(cond):
+        return if_true(*args) if cond else if_false(*args)
+    out = np.empty(cond.shape)
+    for branch, mask in ((if_true, cond), (if_false, ~cond)):
+        if mask.any():
+            out[mask] = branch(*(a[mask] if _is_array(a) else a for a in args))
+    return out
+
+
+def _zero(*args):
+    return 0.0
+
+
+def _sqrt_rule(d, r):
+    return _div(d, 2.0 * r)
+
+
+def _power_rule(v, b, e, db, de):
+    # pure power: d(b^c) = c b^(c-1) b'
+    return _piecewise(db != 0.0, lambda b, e, db: e * _pow(b, e - 1.0) * db,
+                      _zero, b, e, db)
+
+
+def _exponential_rule(v, b, e, db, de):
+    if np.any(b <= 0.0):
+        raise ValueError("b^e with variable exponent needs b > 0")
+    return v * (de * log(b) + e * db / b)
+
+
 def _dual_call(name, v, d):
     if name == "sqrt":
-        r = math.sqrt(v)
-        return r, d / (2.0 * r) if d != 0.0 else 0.0
+        r = sqrt(v)
+        return r, _piecewise(d != 0.0, _sqrt_rule, _zero, d, r)
     if name == "sin":
-        return math.sin(v), d * math.cos(v)
+        return sin(v), d * cos(v)
     if name == "cos":
-        return math.cos(v), -d * math.sin(v)
+        return cos(v), -d * sin(v)
     if name == "cosh":
-        return math.cosh(v), d * math.sinh(v)
+        return cosh(v), d * sinh(v)
     if name == "sinh":
-        return math.sinh(v), d * math.cosh(v)
+        return sinh(v), d * cosh(v)
     if name == "exp":
-        e = math.exp(v)
+        e = exp(v)
         return e, d * e
     if name == "log":
-        return math.log(v), d / v
+        return log(v), d / v
     raise ValueError(f"unknown function {name}")
 
 
 def _eval_dual(node, bindings, seed):
+    """(value, derivative along ``seed``) of the AST in one walk.
+
+    Bindings are floats, or arrays of one shape; constant subtrees stay
+    floats either way.
+    """
     kind = node[0]
     if kind == "num":
         return node[1], 0.0
@@ -209,15 +292,11 @@ def _eval_dual(node, bindings, seed):
     if kind == "*":
         return lv * rv, ld * rv + lv * rd
     if kind == "/":
-        return lv / rv, (ld * rv - lv * rd) / (rv * rv)
+        return _div(lv, rv), _div(ld * rv - lv * rd, rv * rv)
     if kind == "^":
-        v = lv ** rv
-        if rd == 0.0:
-            # pure power: d(b^c) = c b^(c-1) b'
-            return v, rv * lv ** (rv - 1.0) * ld if ld != 0.0 else 0.0
-        if lv <= 0.0:
-            raise ValueError("b^e with variable exponent needs b > 0")
-        return v, v * (rd * math.log(lv) + rv * ld / lv)
+        v = _pow(lv, rv)
+        return v, _piecewise(rd == 0.0, _power_rule, _exponential_rule,
+                             v, lv, rv, ld, rd)
     raise ValueError(f"bad AST node {kind}")
 
 
@@ -225,30 +304,44 @@ class Expression:
     """A parsed scalar expression with exact forward-mode derivatives.
 
     Arguments bind positionally to ``variables`` (default: the single
-    variable s)."""
+    variable s).  Floats give floats; arrays (broadcast together) give
+    arrays of their shape, equal element by element to the float results.
+    """
 
     def __init__(self, text, variables=("s",)):
         self.text = text
         self.variables = tuple(variables)
         self.ast = _Parser(text, self.variables).parse()
 
-    def _bindings(self, args):
+    def _dual(self, args, seed):
         if len(args) != len(self.variables):
             raise TypeError(f"expression takes {len(self.variables)} "
                             f"argument(s) {self.variables}, got {len(args)}")
-        return {name: float(v) for name, v in zip(self.variables, args)}
+        if all(np.ndim(v) == 0 for v in args):
+            return _eval_dual(self.ast, {name: float(v) for name, v in
+                                         zip(self.variables, args)}, seed)
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+        # IEEE overflow and NaN stay silent, as for floats; the failures
+        # floats raise are checked explicitly
+        with np.errstate(all="ignore"):
+            v, d = _eval_dual(self.ast, dict(zip(self.variables, arrays)), seed)
+        shape = arrays[0].shape
+        return (np.array(np.broadcast_to(v, shape), dtype=float),
+                np.array(np.broadcast_to(d, shape), dtype=float))
 
     def __call__(self, *args):
-        return _eval_dual(self.ast, self._bindings(args), None)[0]
+        return self._dual(args, None)[0]
 
     def derivative(self, *args, var=None):
-        seed = var if var is not None else self.variables[0]
-        return _eval_dual(self.ast, self._bindings(args), seed)[1]
+        return self.dual(*args, var=var)[1]
+
+    def dual(self, *args, var=None):
+        """(value, derivative along ``var``, default the first variable),
+        from one walk of the expression."""
+        return self._dual(args, var if var is not None else self.variables[0])
 
     def gradient(self, *args):
-        b = self._bindings(args)
-        return tuple(_eval_dual(self.ast, b, name)[1]
-                     for name in self.variables)
+        return tuple(self._dual(args, name)[1] for name in self.variables)
 
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables!r})"

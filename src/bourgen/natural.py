@@ -96,7 +96,9 @@ class GeneratrixMetric:
 
     Carries an exact or approximate derivative; sampled tables use
     monotone-cubic (PCHIP) interpolation, so derivative-based radicand
-    checks are then approximate.
+    checks are then approximate.  U and U' take a float or an array of s;
+    expression and table generatrices evaluate arrays in one call, with
+    the values of the float calls.
     """
 
     def __init__(self, U, dU, s_range, representation="callable", source=None):
@@ -108,17 +110,28 @@ class GeneratrixMetric:
         self.representation = representation
         self.source = source
         probes = np.linspace(*self.s_range, _POSITIVITY_PROBES)
-        vals = np.array([self._U(s) for s in probes])
+        vals = self._array(self._U, probes)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             bad = probes[int(np.argmin(vals))]
             raise ValueError(f"U(s) must be positive and finite on s_range; "
-                             f"U({bad:.6g}) = {self._U(bad):.6g}")
+                             f"U({bad:.6g}) = {self(bad):.6g}")
+
+    def _array(self, fn, s):
+        """fn at every element of the array s: one call, unless U is a
+        plain callable, which is called per element."""
+        if self.representation != "callable":
+            return fn(s)
+        return np.array([fn(x) for x in s.ravel()]).reshape(s.shape)
 
     def __call__(self, s):
-        return float(self._U(s))
+        if np.ndim(s) == 0:
+            return float(self._U(s))
+        return self._array(self._U, np.asarray(s, dtype=float)).astype(float)
 
     def derivative(self, s):
-        return float(self._dU(s))
+        if np.ndim(s) == 0:
+            return float(self._dU(s))
+        return self._array(self._dU, np.asarray(s, dtype=float)).astype(float)
 
     @classmethod
     def from_expression(cls, expression, s_range):
@@ -143,8 +156,7 @@ class GeneratrixMetric:
         if not np.all(np.diff(s) > 0):
             raise ValueError("sample grid must be strictly increasing")
         spline = PchipInterpolator(s, values)
-        dspline = spline.derivative()
-        return cls(U=lambda x: float(spline(x)), dU=lambda x: float(dspline(x)),
+        return cls(U=spline, dU=spline.derivative(),
                    s_range=(s[0], s[-1]), representation="table",
                    source=(s.copy(), values.copy()))
 
@@ -155,14 +167,16 @@ class GeneratrixMetric:
 
     def to_csv(self, path, n=201):
         s = np.linspace(*self.s_range, n)
-        vals = [self(x) for x in s]
-        np.savetxt(path, np.column_stack([s, vals]), delimiter=",",
+        np.savetxt(path, np.column_stack([s, self(s)]), delimiter=",",
                    header="s,U", comments="")
 
     def table(self, s_grid):
+        """(U, U') at every element of s_grid, as arrays; an expression
+        gives both from one walk."""
         s_grid = np.asarray(s_grid, dtype=float)
-        return (np.array([self(x) for x in s_grid]),
-                np.array([self.derivative(x) for x in s_grid]))
+        if self.representation == "expression":
+            return self._U.dual(s_grid)
+        return self(s_grid), self.derivative(s_grid)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,10 @@ class QuotientFrame:
     absolute values, so screw charts with negative pitch set -1 here to
     keep the branch labels aligned with the closed-form quadratures
     (epsilon = +1 always means increasing screw angle).
+    ``theta_free`` marks a frame whose gradient norms depend on omega
+    alone and whose callables, chart and invariant gradients take arrays;
+    only ``spaces.builtin_frame`` sets it.  Other frames (Newton inversion,
+    traced invariants) are evaluated one point at a time, by ``elementwise``.
     """
 
     chart: AdaptedChart3
@@ -115,10 +119,32 @@ class QuotientFrame:
     rect: tuple
     label: str = "frame"
     branch_sign: int = 1
+    theta_free: bool = False
+
+    def elementwise(self, fn, a, b):
+        """fn(a, b) at every element of the broadcast arrays a, b, for fn a
+        callable of this frame or of its chart.
+
+        One call for a theta-free frame; otherwise one call per element,
+        with the results stacked into arrays of the broadcast shape (a
+        tuple result becomes a tuple of arrays, an array result gains the
+        leading shape).
+        """
+        if self.theta_free:
+            return fn(a, b)
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        rows = [fn(x, y) for x, y in zip(a.ravel(), b.ravel())]
+        if rows and isinstance(rows[0], tuple):
+            return tuple(np.array(col, dtype=float).reshape(a.shape)
+                         for col in zip(*rows))
+        out = np.array(rows, dtype=float)
+        return out.reshape(a.shape + out.shape[1:])
 
     def contains(self, w, t):
+        """Whether (w, t) lies in the rectangle; elementwise for arrays."""
         (w0, w1), (t0, t1) = self.rect
-        return w0 <= w <= w1 and t0 <= t <= t1
+        return (w0 <= w) & (w <= w1) & (t0 <= t) & (t <= t1)
 
     def require_in_rect(self, w, t):
         if not self.contains(w, t):
@@ -127,20 +153,29 @@ class QuotientFrame:
                 f"declared rectangle {self.rect}")
 
     def forward_jacobian(self, x1, x2, step=DEFAULT_FD_STEP):
-        """d(omega, theta)/d(x1, x2) at a point of the orbit space."""
+        """d(omega, theta)/d(x1, x2) at a point of the orbit space (for
+        arrays of points, an array of 2x2 matrices)."""
         dw = self.omega.gradient_at(x1, x2, step)
         dt = self.theta.gradient_at(x1, x2, step)
-        return np.array([dw, dt])
+        rows = np.broadcast_arrays(*dw, *dt)
+        return np.stack(rows, axis=-1).reshape(rows[0].shape + (2, 2))
 
     def invert_jacobian(self, w, t, step=DEFAULT_FD_STEP):
-        """d(x1, x2)/d(omega, theta) at (w, t), via the forward gradients."""
+        """d(x1, x2)/d(omega, theta) at (w, t), via the forward gradients
+        (for arrays, one matrix per point)."""
         x1, x2 = self.invert(w, t)
         fj = self.forward_jacobian(x1, x2, step)
-        det = fj[0, 0] * fj[1, 1] - fj[0, 1] * fj[1, 0]
-        if abs(det) < 1e-14:
+        a, b, c, d = fj[..., 0, 0], fj[..., 0, 1], fj[..., 1, 0], fj[..., 1, 1]
+        det = a * d - b * c
+        singular = np.abs(det) < 1e-14
+        if np.any(singular):
+            k = np.argmax(singular)
+            w, t = (np.broadcast_to(v, det.shape).flat[k] for v in (w, t))
             raise RankDeficiencyError(
                 f"{self.label}: forward Jacobian singular at ({w:.6g}, {t:.6g})")
-        return np.array([[fj[1, 1], -fj[0, 1]], [-fj[1, 0], fj[0, 0]]]) / det
+        inverse = np.stack([np.stack([d, -b], axis=-1),
+                            np.stack([-c, a], axis=-1)], axis=-2)
+        return inverse / det[..., None, None]
 
     def dump_grid(self, path, shape=(21, 21)):
         """Write a JSON debugging grid of (omega, theta, x1, x2) tuples."""

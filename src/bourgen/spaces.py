@@ -14,6 +14,11 @@ Built-in frames carry analytic volume gradients, analytic inversion of
 polar angle atan2(x2, x1) (gauge "angle"): unlike the ratio x2/x1 it has
 no pole when a profile winds past the x2-axis.  The ratio gauge is also
 available; both produce identical surfaces.
+
+Chart coefficients, invariant gradients and frame callables take floats
+or arrays,
+and give arrays equal element by element to the float results (see
+``_numerics.square``).
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from ._numerics import cumulative_simpson_anchored
+from ._numerics import cos, cumulative_simpson_anchored, sin, sqrt, square
 from .chart import AdaptedChart3, InvariantFunction
 from .errors import DomainViolationError, SpecError
 from .quotient import QuotientFrame
@@ -107,15 +112,15 @@ def make_chart(spec):
         return (2.0 * x1 * d_r2, 2.0 * x2 * d_r2)
 
     return AdaptedChart3(
-        g11=lambda x1, x2: (1.0 + tau**2 * x2 * x2) / B_of(x1 * x1 + x2 * x2) ** 2,
-        g12=lambda x1, x2: -x1 * x2 * tau**2 / B_of(x1 * x1 + x2 * x2) ** 2,
+        g11=lambda x1, x2: (1.0 + tau**2 * x2 * x2) / square(B_of(x1 * x1 + x2 * x2)),
+        g12=lambda x1, x2: -x1 * x2 * tau**2 / square(B_of(x1 * x1 + x2 * x2)),
         g13=lambda x1, x2: (tau * C_of(x1 * x1 + x2 * x2) - 1.0) * x2
-        / B_of(x1 * x1 + x2 * x2) ** 2,
-        g22=lambda x1, x2: (1.0 + tau**2 * x1 * x1) / B_of(x1 * x1 + x2 * x2) ** 2,
+        / square(B_of(x1 * x1 + x2 * x2)),
+        g22=lambda x1, x2: (1.0 + tau**2 * x1 * x1) / square(B_of(x1 * x1 + x2 * x2)),
         g23=lambda x1, x2: -(tau * C_of(x1 * x1 + x2 * x2) - 1.0) * x1
-        / B_of(x1 * x1 + x2 * x2) ** 2,
-        g33=lambda x1, x2: (C_of(x1 * x1 + x2 * x2) ** 2 + x1 * x1 + x2 * x2)
-        / B_of(x1 * x1 + x2 * x2) ** 2,
+        / square(B_of(x1 * x1 + x2 * x2)),
+        g33=lambda x1, x2: (square(C_of(x1 * x1 + x2 * x2)) + x1 * x1 + x2 * x2)
+        / square(B_of(x1 * x1 + x2 * x2)),
         domain=lambda x1, x2: B_of(x1 * x1 + x2 * x2) > 0.0,
         label=f"bcv(kappa={kappa:g},tau={tau:g},a={a:g})",
         d_g33=d_g33)
@@ -147,7 +152,7 @@ def _bcv_delta(w, kappa, tau, a):
 
 
 def _bcv_denominator(w, kappa, tau, a):
-    return (1.0 + math.sqrt(_bcv_delta(w, kappa, tau, a))) ** 2 \
+    return square(1.0 + sqrt(_bcv_delta(w, kappa, tau, a))) \
         - 4.0 * tau**2 * w * w
 
 
@@ -186,7 +191,9 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
     """Quotient frame of a built-in space with analytic inversion.
 
     ``gauge`` selects the transverse invariant: "angle" (polar angle,
-    default) or "ratio" (x2/x1).  The rectangle defaults to a generous
+    default) or "ratio" (x2/x1).  In the angle gauge, and always for the
+    rotational space, both gradient norms depend on omega alone: the frame
+    is theta-free.  The rectangle defaults to a generous
     window above |a| (for BCV, the validated window of the closed-form
     inversion).
     """
@@ -207,14 +214,14 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
             grad_theta_sq=lambda w, t: 1.0,
             invert=lambda w, t: (w, t),
             rect=(tuple(omega_range), tuple(theta_range)),
-            label=f"{chart.label}/frame")
+            label=f"{chart.label}/frame", theta_free=True)
 
     if spec.kind == "euclidean_helicoidal":
         if omega_range is None:
             omega_range = (abs(a) * (1.0 + 1e-12) + 1e-12, abs(a) + 100.0)
 
         def r_of(w):
-            return math.sqrt(w * w - a * a)
+            return sqrt(w * w - a * a)
 
         def grad_omega_sq(w, t):
             return (w * w - a * a) / (w * w)
@@ -230,19 +237,19 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
             _validate_bcv_range(spec, omega_range)
 
         def r_of(w):
-            return math.sqrt(_bcv_r2(w, kappa, tau, a))
+            return sqrt(_bcv_r2(w, kappa, tau, a))
 
         def grad_omega_sq(w, t):
             D = _bcv_delta(w, kappa, tau, a)
-            sD = math.sqrt(D)
+            sD = sqrt(D)
             den = _bcv_denominator(w, kappa, tau, a)
-            return D * (w * w - a * a) * den / (w * w * (1.0 - 2.0 * a * tau + sD) ** 2)
+            return D * (w * w - a * a) * den / (w * w * square(1.0 - 2.0 * a * tau + sD))
 
         def grad_angle_sq(w, t):
             D = _bcv_delta(w, kappa, tau, a)
-            sD = math.sqrt(D)
+            sD = sqrt(D)
             den = _bcv_denominator(w, kappa, tau, a)
-            return w * w * (1.0 - 2.0 * a * tau + sD) ** 2 / (
+            return w * w * square(1.0 - 2.0 * a * tau + sD) / (
                 a * a * (w * w - a * a) * den)
 
     if gauge == "angle":
@@ -251,15 +258,15 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
 
         def invert(w, t):
             r = r_of(w)
-            return (r * math.cos(t), r * math.sin(t))
+            return (r * cos(t), r * sin(t))
     else:
         theta = theta_ratio_fn()
 
         def grad_theta_sq(w, t):
-            return grad_angle_sq(w, t) * (1.0 + t * t) ** 2
+            return grad_angle_sq(w, t) * square(1.0 + t * t)
 
         def invert(w, t):
-            x1 = r_of(w) / math.sqrt(1.0 + t * t)
+            x1 = r_of(w) / sqrt(1.0 + t * t)
             return (x1, t * x1)
 
     return QuotientFrame(
@@ -267,7 +274,7 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
         invert=invert, rect=(tuple(omega_range), tuple(theta_range)),
         label=f"{chart.label}/frame[{gauge}]",
-        branch_sign=1 if a >= 0 else -1)
+        branch_sign=1 if a >= 0 else -1, theta_free=gauge == "angle")
 
 
 def _validate_bcv_range(spec, omega_range, n=512):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from ._numerics import unwrap_angles
+from ._numerics import square, unwrap_angles
 from .errors import GridMismatchError, RangeError
 
 
@@ -35,11 +35,11 @@ def _first_forms(chart, member, s, t, h):
     """(E, F, G) of the member map at the broadcast points (s, t), as
     arrays of their shape, by central differences of step h.
 
-    The whole stencil comes from five array calls of ``member.map``.  Each
-    point pairs its difference vectors with the ambient metric at its foot
-    point, treating the map components as chart coordinates; consecutive
-    points with the same foot (a t-row of a member grid) share one metric
-    evaluation.
+    The whole stencil comes from five array calls of ``member.map``, and
+    the ambient metric at every foot point from one array call of
+    ``chart.metric_at``, treating the map components as chart coordinates.
+    The pairings are stacked matmuls, whose products round as the
+    per-point ``a @ g @ a`` does.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
@@ -57,19 +57,12 @@ def _first_forms(chart, member, s, t, h):
     p0 = at(s, t)
     psi_s = (at(s + h, t) - at(s - h, t)) / (2 * h)
     psi_t = (at(s, t + h) - at(s, t - h)) / (2 * h)
-    E = np.empty(s.shape)
-    F = np.empty(s.shape)
-    G = np.empty(s.shape)
-    foot = None
-    for i in np.ndindex(s.shape):
-        if foot != (p0[i][0], p0[i][1]):
-            foot = (p0[i][0], p0[i][1])
-            g = chart.metric_at(foot)
-        a, b = psi_s[i], psi_t[i]
-        ag = a @ g
-        E[i] = ag @ a
-        F[i] = ag @ b
-        G[i] = b @ g @ b
+    g = chart.metric_at((p0[..., 0], p0[..., 1]))
+    sg = psi_s[..., None, :] @ g
+    tg = psi_t[..., None, :] @ g
+    E = (sg @ psi_s[..., :, None])[..., 0, 0]
+    F = (sg @ psi_t[..., :, None])[..., 0, 0]
+    G = (tg @ psi_t[..., :, None])[..., 0, 0]
     return E, F, G
 
 
@@ -123,7 +116,7 @@ def isometry_report(chart, member, U, grid, tol=1e-5, h=1e-5):
     """
     s_values, t_values = (np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
     E, F, G = _first_forms(chart, member, s_values[:, None], t_values, h)
-    U2 = np.array([U(s) ** 2 for s in s_values])[:, None]
+    U2 = square(U(s_values))[:, None]
     devs = np.stack([np.abs(E - 1.0), np.abs(F), np.abs(G - U2)], axis=-1)
     max_E, max_F, max_G = devs.max(axis=(0, 1))
     i, j, q = np.unravel_index(np.argmax(devs), devs.shape)
