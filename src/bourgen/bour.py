@@ -149,9 +149,9 @@ def integrate_profile(U, params, frame, theta0=0.0):
     theta takes the value theta0 at the anchor (default: the lower end of
     s_range); integration sweeps outward in both directions.  omega(s) is
     imposed exactly as m U(s); positions come from the frame inversion at
-    every node.  A theta-free frame has every right-hand side value
-    evaluated in one array call (``_theta_free_sweeps``), with the same
-    values and the same first failure as the sequential sweeps.
+    every node.  For a theta-free frame every right-hand side value comes
+    from one array call (``_tabulated_rhs``); the sweeps are the same
+    sequential loop for every frame.
     """
     s0, s1 = params.s_range
     anchor = params.anchor if params.anchor is not None else s0
@@ -164,8 +164,10 @@ def integrate_profile(U, params, frame, theta0=0.0):
         raise ConfigError("fewer than 10 steps across s_range")
     s = anchor + h * np.arange(k_lo, k_hi + 1)
     ia = -k_lo  # anchor index
-    sweeps = _theta_free_sweeps if frame.theta_free else _sequential_sweeps
-    theta, theta_p = sweeps(s, ia, theta0, U, params, frame)
+    abscissae = _abscissae(s, ia, params)
+    rhs = (_tabulated_rhs if frame.theta_free else _scalar_rhs)(
+        abscissae, U, params, frame)
+    theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
     omega = params.m * U(s)
     x1, x2 = frame.elementwise(frame.invert, omega, theta)
     return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega, theta=theta,
@@ -173,48 +175,64 @@ def integrate_profile(U, params, frame, theta0=0.0):
                         U=U, anchor_index=ia)
 
 
-def _sweep_steps(n, ia, h):
-    """(direction, step, node indices k) of the two sweeps from the anchor,
-    in integration order; each step goes from node k - direction to k."""
-    return [(+1, +1 * h, np.arange(ia + 1, n)),
-            (-1, -1 * h, np.arange(ia - 1, -1, -1))]
+def _abscissae(s, ia, params):
+    """The s values at which the sweeps evaluate the right-hand side,
+    indexed [row, k] by the node k that a step reaches: row 0 is s[k],
+    and for RK4 rows 1 and 2 are the stage points s[k - d] + step / 2 and
+    s[k - d] + step of the step from k - d to k (d = +1 above the anchor,
+    -1 below; column ia repeats s[ia])."""
+    if params.integrator == "euler":
+        return s[None, :]
+    k = np.arange(len(s))
+    direction = np.sign(k - ia)
+    step = direction * params.step
+    sk = s[k - direction]
+    return np.stack([s, sk + step / 2, sk + step])
 
 
-def _sequential_sweeps(s, ia, theta0, U, params, frame):
-    """theta and theta' at the nodes, one scalar right-hand side at a time."""
-    n = len(s)
-    theta = np.empty(n)
-    theta_p = np.empty(n)
-    theta[ia] = theta0
-    theta_p[ia] = ode_rhs(s[ia], theta0, U, params, frame)
-    for direction, step, ks in _sweep_steps(n, ia, params.step):
-        for k in ks:
-            sk = s[k - direction]
+def _sweeps(n, ia, theta0, rhs, params):
+    """theta and theta' at the n nodes, sweeping outward from the anchor
+    one step at a time; rhs(row, k, theta) is the right-hand side at the
+    abscissa [row, k] of ``_abscissae``."""
+    theta = [0.0] * n
+    theta_p = [0.0] * n
+    theta[ia] = float(theta0)
+    theta_p[ia] = rhs(0, ia, theta0)
+    for direction in (+1, -1):
+        step = direction * params.step
+        for k in range(ia + 1, n) if direction > 0 else range(ia - 1, -1, -1):
             yk = theta[k - direction]
             f1 = theta_p[k - direction]
             if params.integrator == "euler":
                 y_next = yk + step * f1
             else:
-                f2 = _stage_rhs(sk + step / 2, yk + step / 2 * f1, U, params, frame)
-                f3 = _stage_rhs(sk + step / 2, yk + step / 2 * f2, U, params, frame)
-                f4 = _stage_rhs(sk + step, yk + step * f3, U, params, frame)
+                f2 = rhs(1, k, yk + step / 2 * f1)
+                f3 = rhs(1, k, yk + step / 2 * f2)
+                f4 = rhs(2, k, yk + step * f3)
                 y_next = yk + step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
             theta[k] = y_next
-            theta_p[k] = ode_rhs(s[k], y_next, U, params, frame)
-    return theta, theta_p
+            theta_p[k] = rhs(0, k, y_next)
+    return np.array(theta), np.array(theta_p)
 
 
-def _theta_free_rhs(s, U, params, frame):
-    """ode_rhs at an array of s for a theta-free frame, whose right-hand
-    side does not depend on theta: one array call of U, U' and the frame.
+def _scalar_rhs(abscissae, U, params, frame):
+    """rhs for ``_sweeps``, one scalar evaluation per call: ode_rhs at the
+    nodes, _stage_rhs at the RK4 stages."""
+    def rhs(row, k, theta):
+        evaluate = _stage_rhs if row else ode_rhs
+        return evaluate(abscissae[row, k], theta, U, params, frame)
+    return rhs
 
-    Returns (values, omega, radicand-negative mask).  Where omega leaves
-    the rectangle or the radicand is negative the value is a placeholder;
-    the caller raises there before the value is used.
-    """
-    Uv, dU = U.table(s)
+
+def _tabulated_rhs(abscissae, U, params, frame):
+    """rhs for ``_sweeps`` on a theta-free frame, whose right-hand side
+    does not depend on theta: every value comes from one array call of U,
+    U' and the frame.  Where (omega, theta) leaves the rectangle or the
+    radicand is negative, the scalar evaluation is made instead, and
+    raises the error of the sequential order."""
+    Uv, dU = U.table(abscissae)
     w = params.m * Uv
-    (w0, w1), _ = frame.rect
+    (w0, w1), (t0, t1) = frame.rect
     inside = (w0 <= w) & (w <= w1)
     go = np.ones_like(w)
     gt = np.ones_like(w)
@@ -225,65 +243,16 @@ def _theta_free_rhs(s, U, params, frame):
     rad[(np.abs(rad) < RADICAND_CLAMP) | negative] = 0.0
     values = (params.epsilon * frame.branch_sign
               * np.sqrt(gt) * np.sqrt(rad) / np.sqrt(go))
-    return values, w, negative
+    # nested lists: the sweeps read one element per call
+    usable = (inside & ~negative).tolist()
+    values = values.tolist()
+    scalar = _scalar_rhs(abscissae, U, params, frame)
 
-
-def _theta_free_sweeps(s, ia, theta0, U, params, frame):
-    """The sweeps of ``_sequential_sweeps`` for a theta-free frame.
-
-    Every abscissa the loop evaluates (nodes, sk + step/2 and sk + step,
-    formed with the loop's arithmetic) goes through one array call; the
-    stage combinations accumulate along each sweep with np.cumsum, which
-    adds in sequence.  The rectangle and radicand checks of every
-    evaluation are then made in integration order, and the first failure
-    is raised by replaying that scalar evaluation.
-    """
-    n = len(s)
-    rk4 = params.integrator != "euler"
-    steps = _sweep_steps(n, ia, params.step)
-    abscissae = [s]
-    for direction, step, ks in steps:
-        if rk4:
-            sk = s[ks - direction]
-            abscissae += [sk + step / 2, sk + step]
-    sigma = np.concatenate(abscissae)
-    F, w, negative = _theta_free_rhs(sigma, U, params, frame)
-    theta = np.empty(n)
-    theta[ia] = theta0
-    # evaluations in integration order: (abscissa index, theta, is a stage)
-    order = [(np.array([ia]), theta[ia:ia + 1], np.array([False]))]
-    offset = n
-    for direction, step, ks in steps:
-        prev = ks - direction
-        f1 = F[prev]
-        if rk4:
-            count = len(ks)
-            half = np.arange(offset, offset + count)
-            full = half + count
-            offset += 2 * count
-            f2 = f3 = F[half]
-            f4 = F[full]
-            increments = step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
-        else:
-            increments = step * f1
-        theta[ks] = np.cumsum(np.concatenate([[theta[ia]], increments]))[1:]
-        yk = theta[prev]
-        if rk4:
-            order.append((np.stack([half, half, full, ks], axis=-1).ravel(),
-                          np.stack([yk + step / 2 * f1, yk + step / 2 * f2,
-                                    yk + step * f3, theta[ks]], axis=-1).ravel(),
-                          np.tile([True, True, True, False], count)))
-        else:
-            order.append((ks, theta[ks], np.zeros(len(ks), dtype=bool)))
-    index, thetas, stage = (np.concatenate(parts) for parts in zip(*order))
-    failed = ~frame.contains(w[index], thetas) | negative[index]
-    if failed.any():
-        j = int(np.argmax(failed))
-        replay = _stage_rhs if stage[j] else ode_rhs
-        replay(sigma[index[j]], thetas[j], U, params, frame)
-        raise AssertionError(f"array and scalar right-hand sides disagree "
-                             f"at s = {sigma[index[j]]:.6g}")
-    return theta, F[:n]
+    def rhs(row, k, theta):
+        if usable[row][k] and t0 <= theta <= t1:
+            return values[row][k]
+        return scalar(row, k, theta)
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -534,15 +503,24 @@ def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, n_scan=2001,
     square-root branch point there, and a fixed-step integrator needs the
     radicand bounded away from zero to keep its order.  Gradient norms are
     evaluated at theta_ref (exact for the built-in frames, whose norms do
-    not depend on theta).  The whole scan is one array evaluation.
+    not depend on theta).  U and U' are evaluated on the whole scan in
+    one array call, and so are the gradient norms of a theta-free frame;
+    any other frame is solved one sample at a time, in order, and no
+    further than the end of the first feasible run.
     """
     s0, s1 = s_range
     ss = np.linspace(s0, s1, n_scan)
     Uv, dU = U.table(ss)
     w = m * Uv
     feasible = frame.contains(w, theta_ref)
-    go = frame.elementwise(frame.grad_omega_sq, w[feasible], theta_ref)
-    feasible[feasible] = ~(go - square(m * dU[feasible]) <= -RADICAND_CLAMP)
+    block = n_scan if frame.theta_free else 1
+    for start in range(0, n_scan, block):
+        part = start + np.flatnonzero(feasible[start:start + block])
+        go = frame.elementwise(frame.grad_omega_sq, w[part], theta_ref)
+        feasible[part] = ~(go - square(m * dU[part]) <= -RADICAND_CLAMP)
+        seen = feasible[:start + block]
+        if seen.any() and not seen[np.argmax(seen):].all():
+            break  # the first feasible run has ended
     lo = hi = None
     if feasible.any():
         first = int(np.argmax(feasible))

@@ -104,10 +104,11 @@ class QuotientFrame:
     absolute values, so screw charts with negative pitch set -1 here to
     keep the branch labels aligned with the closed-form quadratures
     (epsilon = +1 always means increasing screw angle).
-    ``theta_free`` marks a frame whose gradient norms depend on omega
-    alone and whose callables, chart and invariant gradients take arrays;
-    only ``spaces.builtin_frame`` sets it.  Other frames (Newton inversion,
-    traced invariants) are evaluated one point at a time, by ``elementwise``.
+    ``theta_free`` marks a built-in frame whose gradient norms depend on
+    omega alone; only ``spaces.builtin_frame`` sets it.  Such a frame's
+    callables, chart and invariant gradients also take arrays, so the flag
+    is what ``elementwise`` tests.  Other frames (the ratio gauge, Newton
+    inversion, traced invariants) are evaluated one point at a time.
     """
 
     chart: AdaptedChart3

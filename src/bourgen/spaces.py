@@ -15,10 +15,10 @@ polar angle atan2(x2, x1) (gauge "angle"): unlike the ratio x2/x1 it has
 no pole when a profile winds past the x2-axis.  The ratio gauge is also
 available; both produce identical surfaces.
 
-Chart coefficients, invariant gradients and frame callables take floats
-or arrays,
-and give arrays equal element by element to the float results (see
-``_numerics.square``).
+Chart coefficients, invariant gradients and the callables of theta-free
+frames take floats or arrays, and give arrays equal element by element to
+the float results (see ``_numerics.square``); ratio-gauge frames are
+called one point at a time.
 """
 from __future__ import annotations
 
@@ -263,10 +263,10 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
         theta = theta_ratio_fn()
 
         def grad_theta_sq(w, t):
-            return grad_angle_sq(w, t) * square(1.0 + t * t)
+            return grad_angle_sq(w, t) * (1.0 + t * t) ** 2
 
         def invert(w, t):
-            x1 = r_of(w) / sqrt(1.0 + t * t)
+            x1 = r_of(w) / math.sqrt(1.0 + t * t)
             return (x1, t * x1)
 
     return QuotientFrame(

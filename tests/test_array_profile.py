@@ -1,6 +1,7 @@
 """The array profile pipeline: array evaluation of expressions, profiles,
 feasibility scans and vertical quadratures gives, to the bit, what the
 sequential scalar loops give, and fails where and how they fail."""
+import dataclasses
 import json
 import math
 
@@ -240,31 +241,61 @@ def test_vertical_quadrature_equals_sequential_loop(case):
     assert _same(V.prime, integrand)
 
 
+def _reference_range(U, m, frame, s_range, theta_ref, step):
+    """feasible_s_range from the sequential scan; None where it raises."""
+    lo, hi = _reference_feasible(U, m, frame, s_range, theta_ref, step)
+    if lo is None or hi <= lo:
+        return None
+    s0, s1 = s_range
+    if lo > s0:
+        lo = float(s0 + math.ceil((lo - s0) / step + 20) * step)
+    else:
+        lo = s0
+    if hi < s1:
+        hi = s0 + math.floor((hi - s0) / step - 20) * step
+    return None if hi <= lo else (lo, float(min(hi, s1)))
+
+
+def _feasible_or_none(*args, **kwargs):
+    try:
+        return bg.feasible_s_range(*args, **kwargs)
+    except RadicandNegativeError:
+        return None
+
+
 def test_feasible_s_range_equals_sequential_scan(case):
     frame, U, params, theta0 = case
     m, s_range, step = params.m, U.s_range, params.step
     for factor in (1.0, 1.3, 1.8):
-        try:
-            got = bg.feasible_s_range(U, m * factor, frame, s_range,
-                                      theta_ref=theta0, step=step)
-        except RadicandNegativeError:
-            got = None
-        lo, hi = _reference_feasible(U, m * factor, frame, s_range, theta0,
-                                     step)
-        if lo is None or hi <= lo:
-            assert got is None
-            continue
-        s0, s1 = s_range
-        if lo > s0:
-            lo = float(s0 + math.ceil((lo - s0) / step + 20) * step)
-        else:
-            lo = s0
-        if hi < s1:
-            hi = s0 + math.floor((hi - s0) / step - 20) * step
-        if hi <= lo:
-            assert got is None
-        else:
-            assert got == (lo, float(min(hi, s1)))
+        got = _feasible_or_none(U, m * factor, frame, s_range,
+                                theta_ref=theta0, step=step)
+        assert got == _reference_range(U, m * factor, frame, s_range, theta0,
+                                       step)
+
+
+def test_feasible_s_range_solves_newton_frame_only_up_to_the_run(
+        helicoidal_chart):
+    # at m = 1.5 the radicand turns negative near s = 1.116, while omega
+    # stays inside the rectangle up to s = sqrt(2): the scan solves the
+    # frame at the same samples as the sequential scan, none past the run
+    frame = bg.build_frame(
+        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        rect=((1.05, 3.0), (-2.0, 2.0)),
+        seed_box=((0.2, 3.0), (-2.5, 2.5)))
+    solved = []
+
+    def counted(w, t):
+        solved.append(w)
+        return frame.grad_omega_sq(w, t)
+
+    counting = dataclasses.replace(frame, grad_omega_sq=counted)
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
+    got = _feasible_or_none(U, 1.5, counting, U.s_range, step=0.002)
+    got_solved, solved[:] = list(solved), []
+    assert got == _reference_range(U, 1.5, counting, U.s_range, 0.0, 0.002)
+    assert got_solved == solved
+    # the cut end, pulled 20 steps of 0.002 in from the radicand zero
+    assert 1.11 - 0.04 < got[1] < 1.116 - 0.04
 
 
 def _first_error(fn):
