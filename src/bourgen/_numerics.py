@@ -95,7 +95,10 @@ def require_s_in_range(s, s_range, label):
 
 
 def relative_step(x, h):
-    """Central-difference step scaled as h * max(1, |x|)."""
+    """Central-difference step scaled as h * max(1, |x|); elementwise for
+    an array."""
+    if isinstance(x, np.ndarray):
+        return h * np.maximum(1.0, np.abs(x))
     return h * max(1.0, abs(x))
 
 

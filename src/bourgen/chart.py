@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import central_gradient2, relative_step
+from ._numerics import central_gradient2, relative_step, sqrt
 from .errors import DomainError, SingularMetricError
 
 DEFAULT_FD_STEP = 1e-6
@@ -104,13 +104,21 @@ class AdaptedChart3:
         return np.linalg.inv(m)
 
     def volume_at(self, p):
-        """sqrt(g33) at p: the length of the symmetry generator."""
+        """sqrt(g33) at p: the length of the symmetry generator; for arrays
+        x1, x2, an array of their shape, and an error naming the first
+        point (C order) where g33 is not positive."""
         self.require_in_domain(p)
         x1, x2 = p
         g33 = self.g33(x1, x2)
-        if g33 <= 0.0:
+        first, where = g33, p
+        if isinstance(x1, np.ndarray):
+            g33 = np.broadcast_to(g33, x1.shape)
+            k = np.argmax(g33 <= 0.0)  # the first nonpositive one, if any
+            first = g33.flat[k]
+            where = tuple(np.broadcast_to(x, x1.shape).flat[k] for x in p)
+        if first <= 0.0:
             raise SingularMetricError(
-                f"{self.label}: g33 = {g33:.3e} at {p!r} is not positive")
+                f"{self.label}: g33 = {first:.3e} at {where!r} is not positive")
         return np.sqrt(g33)
 
     def volume_fn(self):
@@ -123,7 +131,7 @@ class AdaptedChart3:
 
             def grad(x1, x2):
                 d1, d2 = d_g33(x1, x2)
-                w = np.sqrt(g33(x1, x2))
+                w = sqrt(g33(x1, x2))
                 return d1 / (2.0 * w), d2 / (2.0 * w)
 
         return InvariantFunction(
@@ -137,13 +145,14 @@ def invariant_pairing(chart, f, h, p, step=DEFAULT_FD_STEP):
     Only the upper 2x2 block of the inverse metric enters because both
     functions are independent of x3.  Gradients use analytic hooks when
     the functions carry them, otherwise central differences with relative
-    step ``step``.
+    step ``step``; when h is f, its gradient is taken once.
     """
     x1, x2 = p
+    same = h is f
     f = as_invariant(f)
-    h = as_invariant(h)
+    h = f if same else as_invariant(h)
     # the FD stencil must stay inside the domain
-    for fun in (f, h):
+    for fun in (f,) if same else (f, h):
         if fun.gradient is None:
             h1 = relative_step(x1, step)
             h2 = relative_step(x2, step)
@@ -153,7 +162,7 @@ def invariant_pairing(chart, f, h, p, step=DEFAULT_FD_STEP):
                         f"{chart.label}: finite-difference stencil at {p!r} exits domain")
     ginv = chart.inverse_metric_at(p)
     df = np.array(f.gradient_at(x1, x2, step))
-    dh = np.array(h.gradient_at(x1, x2, step))
+    dh = df if same else np.array(h.gradient_at(x1, x2, step))
     return float(df @ ginv[:2, :2] @ dh)
 
 

@@ -210,10 +210,14 @@ def _process_member(cfg, U, frame, m, out_dir):
                                         theta_ref=cfg.theta0, step=cfg.step)
         result["s_range"] = list(s_range)
         result["shrunk"] = s_range != cfg.s_range
+    anchor = cfg.anchor
+    if anchor is not None and not s_range[0] <= anchor <= s_range[1]:
+        # the member is anchored at s0 instead; only then is the key written
+        result["anchor_dropped"] = anchor
+        anchor = None
     params = bour.BourParams(m=m, s_range=s_range, step=cfg.step,
                              epsilon=cfg.epsilon, integrator=cfg.integrator,
-                             anchor=cfg.anchor if cfg.anchor is not None
-                             and s_range[0] <= cfg.anchor <= s_range[1] else None)
+                             anchor=anchor)
     member = bour.generate_member(U, params, frame, cfg.theta0, space=cfg.space)
 
     # closed form + cross-check (every built-in space has one)

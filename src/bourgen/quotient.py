@@ -11,6 +11,7 @@ arc-length Cauchy data on a curve transversal to them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,7 +34,9 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 def _inverse_block2(chart, x1, x2):
-    """Upper 2x2 block of the inverse metric, by cofactors (fast path)."""
+    """Upper 2x2 block of the inverse metric, by cofactors (fast path); for
+    arrays x1, x2, elementwise, naming the first point (C order) where the
+    metric is singular."""
     g11 = chart.g11(x1, x2)
     g12 = chart.g12(x1, x2)
     g13 = chart.g13(x1, x2)
@@ -43,14 +46,24 @@ def _inverse_block2(chart, x1, x2):
     det = (g11 * (g22 * g33 - g23 * g23)
            - g12 * (g12 * g33 - g23 * g13)
            + g13 * (g12 * g23 - g22 * g13))
-    if det <= 0.0 or not np.isfinite(det):
-        raise SingularMetricError(
-            f"{chart.label}: metric determinant {det:.3e} at "
-            f"({x1!r}, {x2!r}) is not positive")
+    if isinstance(det, np.ndarray):
+        singular = ~((0.0 < det) & (det < math.inf))
+        if singular.any():
+            k = np.argmax(singular)
+            x1, x2 = (np.broadcast_to(x, det.shape).flat[k] for x in (x1, x2))
+            _raise_singular(chart, det.flat[k], x1, x2)
+    elif not 0.0 < det < math.inf:
+        _raise_singular(chart, det, x1, x2)
     b11 = (g22 * g33 - g23 * g23) / det
     b12 = -(g12 * g33 - g13 * g23) / det
     b22 = (g11 * g33 - g13 * g13) / det
     return b11, b12, b22
+
+
+def _raise_singular(chart, det, x1, x2):
+    raise SingularMetricError(
+        f"{chart.label}: metric determinant {det:.3e} at "
+        f"({x1!r}, {x2!r}) is not positive")
 
 
 @dataclass(frozen=True)
@@ -375,6 +388,15 @@ def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
+# Relative padding of the crossing prefilter's boxes.  The full crossing
+# test accepts trace and polyline parameters up to 1e-9 outside [0, 1]: a
+# crossing it reports lies within 1e-9 step lengths of the step's box and
+# within 1e-9 segment lengths of the polyline's box, up to rounding.
+# Padding by 1e-6 of those lengths, and the polyline's box also by 1e-6 of
+# its coordinate scale for the rounding, leaves a thousandfold margin.
+_BOX_PAD = 1e-6
+
+
 class TracedInvariant:
     """Invariant function produced by the method of characteristics.
 
@@ -386,6 +408,11 @@ class TracedInvariant:
     the crossing by Newton iteration, so values are smooth in x up to
     integrator error (a precomputed trace grid supplies fallbacks,
     diagnostics and the JSON dump).
+
+    Evaluation steps on scalars and runs the full polyline crossing test
+    only on steps whose box meets the polyline's box; the trace grid
+    advances every Cauchy row, both ways, as one array.  Both give the
+    bits of a per-point trace with a crossing test at every step.
     """
 
     gradient = None  # finite differences apply
@@ -403,29 +430,64 @@ class TracedInvariant:
         self.min_angle = float(min_angle)
         self.grad_floor = float(grad_floor)
         self._omega = chart.volume_fn()
+        # the dense Cauchy polyline that traces are tested against: arc
+        # values, points, segments, and the padded box (lo1, hi1, lo2, hi2)
+        # of the crossing prefilter
+        self._poly_sig = np.linspace(0.0, cauchy.length, 512)
+        self._poly_pts = np.array([cauchy.point_at(s) for s in self._poly_sig])
+        self._poly_segs = np.diff(self._poly_pts, axis=0)
+        pad = _BOX_PAD * (np.max(np.hypot(*self._poly_segs.T))
+                          + np.max(np.abs(self._poly_pts)))
+        lo = self._poly_pts.min(axis=0) - pad
+        hi = self._poly_pts.max(axis=0) + pad
+        self._poly_box = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
         self._check_transversality()
         self._trace_grid()
 
     # -- characteristic field ------------------------------------------------
 
-    def _field(self, x):
-        """Horizontal projection of grad(omega): the characteristic velocity."""
-        x1, x2 = x
-        if not self.chart.domain(x1, x2):
+    def _field(self, x1, x2, frozen=None):
+        """Horizontal projection of grad(omega) at (x1, x2): the
+        characteristic velocity (a1, a2).
+
+        On scalars, raises DomainError outside the chart domain and
+        DegenerateGradientError where |grad omega| is below the floor.  On
+        (J,) arrays, ``frozen`` is a boolean (J,) mask: frozen rows are not
+        evaluated and get velocity 0, and each row where the scalar call
+        would raise is evaluated no further than that check and is frozen
+        in place.
+        """
+        if frozen is not None:
+            rows = np.flatnonzero(~frozen)
+            inside = self.chart.domain(x1[rows], x2[rows])
+            rows = rows[np.broadcast_to(inside, rows.shape)]
+            x1, x2 = x1[rows], x2[rows]
+        elif not self.chart.domain(x1, x2):
             raise DomainError(
                 f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
         b11, b12, b22 = _inverse_block2(self.chart, x1, x2)
         d1, d2 = self._omega.gradient_at(x1, x2)
-        a = np.array([b11 * d1 + b12 * d2, b12 * d1 + b22 * d2])
-        if a[0] * d1 + a[1] * d2 < self.grad_floor ** 2:
-            raise DegenerateGradientError(
-                f"|grad omega| below {self.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
-        return a
+        a1 = b11 * d1 + b12 * d2
+        a2 = b12 * d1 + b22 * d2
+        degenerate = a1 * d1 + a2 * d2 < self.grad_floor ** 2
+        if frozen is None:
+            if degenerate:
+                raise DegenerateGradientError(
+                    f"|grad omega| below {self.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
+            return a1, a2
+        a1, a2, live, rows = np.broadcast_arrays(
+            a1, a2, np.logical_not(degenerate), rows)
+        frozen[:] = True
+        frozen[rows[live]] = False
+        v1, v2 = np.zeros(frozen.shape), np.zeros(frozen.shape)
+        v1[rows[live]] = a1[live]
+        v2[rows[live]] = a2[live]
+        return v1, v2
 
     def _check_transversality(self):
         for sigma in self.sigmas:
             p = self.cauchy.point_at(sigma)
-            a = self._field(p)
+            a = np.array(self._field(*p))
             t = self.cauchy.tangent_at(sigma)
             sin_angle = abs(_cross2(a, t)) / (np.linalg.norm(a) * np.linalg.norm(t))
             if sin_angle < np.sin(self.min_angle):
@@ -433,51 +495,78 @@ class TracedInvariant:
                     f"Cauchy curve tangent to a characteristic at arc length "
                     f"{sigma:.6g} (|sin angle| = {sin_angle:.2e})")
 
-    def _rk4_step(self, x, h, sign):
+    def _rk4_step(self, x1, x2, h, sign, frozen=None):
+        """One classical RK4 step of the flow of sign * field from (x1, x2).
+
+        x1, x2 are scalars, or (J,) arrays of rows with ``frozen`` their
+        mask (see ``_field``; the returned point of a frozen row means
+        nothing) and ``sign`` a scalar or a (J,) array.  The arithmetic is
+        x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.
+        """
         f = self._field
-        k1 = sign * f(x)
-        k2 = sign * f(x + 0.5 * h * k1)
-        k3 = sign * f(x + 0.5 * h * k2)
-        k4 = sign * f(x + h * k3)
-        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        g = 0.5 * h
+        a1, a2 = f(x1, x2, frozen)
+        k11, k12 = sign * a1, sign * a2
+        a1, a2 = f(x1 + g * k11, x2 + g * k12, frozen)
+        k21, k22 = sign * a1, sign * a2
+        a1, a2 = f(x1 + g * k21, x2 + g * k22, frozen)
+        k31, k32 = sign * a1, sign * a2
+        a1, a2 = f(x1 + h * k31, x2 + h * k32, frozen)
+        k41, k42 = sign * a1, sign * a2
+        c = h / 6.0
+        return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
+                x2 + c * (k12 + 2 * k22 + 2 * k32 + k42))
 
     def _trace_grid(self):
+        """Trace the characteristic through every Cauchy node n_steps each
+        way: grid_points[j, n + k] is row j after k steps forward and
+        grid_points[j, n - k] after k steps back.  All rows of both ways
+        advance as one array; a row whose stage leaves the domain or
+        degenerates stays frozen where it is (harmless for bracketing)."""
         n = self.n_steps
         J = len(self.sigmas)
+        x0 = np.array([self.cauchy.point_at(sigma) for sigma in self.sigmas])
+        sign = np.repeat([1.0, -1.0], J)
+        x1, x2 = np.tile(x0[:, 0], 2), np.tile(x0[:, 1], 2)
+        frozen = np.zeros(2 * J, dtype=bool)
         pts = np.empty((J, 2 * n + 1, 2))
-        for j, sigma in enumerate(self.sigmas):
-            x0 = self.cauchy.point_at(sigma)
-            pts[j, n] = x0
-            for sign, direction in ((+1.0, +1), (-1.0, -1)):
-                x = x0.copy()
-                for k in range(1, n + 1):
-                    # characteristics may leave the domain before n steps;
-                    # freeze the row there (harmless for bracketing)
-                    try:
-                        x = self._rk4_step(x, self.step, sign)
-                    except (DomainError, DegenerateGradientError):
-                        pass
-                    pts[j, n + direction * k] = x
+        pts[:, n] = x0
+        for k in range(1, n + 1):
+            y1, y2 = self._rk4_step(x1, x2, self.step, sign, frozen)
+            x1 = np.where(frozen, x1, y1)
+            x2 = np.where(frozen, x2, y2)
+            pts[:, n + k] = np.column_stack([x1[:J], x2[:J]])
+            pts[:, n - k] = np.column_stack([x1[J:], x2[J:]])
         self.grid_points = pts
-        self.grid_omega = np.array(
-            [[self.chart.volume_at(p) for p in row] for row in pts])
+        self.grid_omega = self.chart.volume_at((pts[..., 0], pts[..., 1]))
         self._flat = pts.reshape(-1, 2)
         self._flat_k = np.tile(np.arange(2 * n + 1), J)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _crossing_from(self, x, sign):
-        """Trace the characteristic from x until it crosses the Cauchy
-        polyline; returns (x_prev, x_next, sigma0, u0) with the crossing
-        bracketed in the last step, or None."""
+    def _box_meets(self, a1, a2, b1, b2):
+        """Whether the padded box of the step from (a1, a2) to (b1, b2)
+        meets the padded box of the Cauchy polyline.  When it does not, the
+        full crossing test of the step finds nothing."""
+        lo1, hi1, lo2, hi2 = self._poly_box
+        pad = _BOX_PAD * (abs(b1 - a1) + abs(b2 - a2))
+        return (min(a1, b1) - pad <= hi1 and max(a1, b1) + pad >= lo1
+                and min(a2, b2) - pad <= hi2 and max(a2, b2) + pad >= lo2)
+
+    def _crossing_from(self, x1, x2, sign):
+        """Trace the characteristic from (x1, x2) on scalars until it
+        crosses the Cauchy polyline; returns (x_prev, x_next, sigma0, u0)
+        with the crossing bracketed in the last step, or None.  Only steps
+        whose box meets the polyline's go through the full test."""
         h = self.step
-        x_prev = np.asarray(x, dtype=float)
         for _ in range(self.n_steps):
-            x_next = self._rk4_step(x_prev, h, sign)
-            hit = self._segment_crossing(x_prev, x_next)
-            if hit is not None:
-                return (x_prev, x_next) + hit
-            x_prev = x_next
+            y1, y2 = self._rk4_step(x1, x2, h, sign)
+            if self._box_meets(x1, x2, y1, y2):
+                a, b = np.array([x1, x2]), np.array([y1, y2])
+                hit = self._segment_crossing(a, b)
+                if hit is not None:
+                    return (a, b) + hit
+            x1, x2 = y1, y2
         return None
 
     def _segment_crossing(self, a, b):
@@ -520,30 +609,12 @@ class TracedInvariant:
         d = self._poly_pts - x
         return float(np.sqrt(np.min(np.einsum("ij,ij->i", d, d))))
 
-    @property
-    def _poly_pts(self):
-        if not hasattr(self, "_poly_cache"):
-            sig = np.linspace(0.0, self.cauchy.length, 512)
-            pts = np.array([self.cauchy.point_at(s) for s in sig])
-            self._poly_cache = (sig, pts, np.diff(pts, axis=0))
-        return self._poly_cache[1]
-
-    @property
-    def _poly_sig(self):
-        _ = self._poly_pts
-        return self._poly_cache[0]
-
-    @property
-    def _poly_segs(self):
-        _ = self._poly_pts
-        return self._poly_cache[2]
-
     def _refine_crossing(self, x_a, x_b, sign, sig0, u0):
         """Newton solve for the exact (trace parameter, sigma) crossing of
         the Hermite-interpolated trace step [x_a, x_b] with the curve."""
         h = self.step
-        va = sign * self._field(x_a)
-        vb = sign * self._field(x_b)
+        va = sign * np.array(self._field(*x_a))
+        vb = sign * np.array(self._field(*x_b))
 
         def trace(u):  # cubic Hermite on [0, 1]
             u2, u3 = u * u, u * u * u
@@ -602,7 +673,7 @@ class TracedInvariant:
         first = self._preferred_sign(x)
         for sign in (first, -first):
             try:
-                hit = self._crossing_from(x, sign)
+                hit = self._crossing_from(*x.tolist(), sign)
             except (DomainError, DegenerateGradientError):
                 hit = None
             if hit is not None:

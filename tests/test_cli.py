@@ -206,6 +206,23 @@ def test_lower_end_cut_when_s0_infeasible(tmp_path):
     assert -4 / 3 < lo < -1.2 and 1.2 < hi < 4 / 3
 
 
+def test_dropped_anchor_is_reported(tmp_path):
+    # at m = 1.25 the range is cut to about (-4/3, 4/3): the anchor 1.9
+    # falls out, and that member is anchored at its s0 instead
+    cfg = _family_config(m_values=[1, 1.25], s_range=[-2, 2], anchor=1.9)
+    out = tmp_path / "out"
+    code = main(["family", "--config", _write_cfg(tmp_path, cfg, "anchor"),
+                 "--out", str(out), "--strict"])
+    assert code == 0
+    kept, dropped = json.loads((out / "report.json").read_text())["members"]
+    assert "anchor_dropped" not in kept
+    assert dropped["anchor_dropped"] == 1.9
+    member = json.loads((out / "member_m1p25.json").read_text())
+    assert member["metadata"]["anchor"] == dropped["s_range"][0]
+    assert json.loads((out / "member_m1.json").read_text())[
+        "metadata"]["anchor"] == 1.9
+
+
 def test_feasible_range_unchanged_when_s0_feasible(rotational_frame):
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (-1.0, 2.0))
     # s0 = -1 feasible: only the upper end moves, on the grid from s0

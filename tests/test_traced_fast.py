@@ -1,0 +1,262 @@
+"""The fast characteristic tracer: scalar stepping with the crossing
+prefilter, the one-array grid trace and the self-pairing give, to the bit,
+what the per-point trace with a crossing test at every step gives, and
+fail where and how it fails."""
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bourgen as bg
+from bourgen import quotient
+from bourgen.chart import invariant_pairing
+from bourgen.errors import (
+    DegenerateGradientError,
+    DomainError,
+    SingularMetricError,
+)
+
+
+def _same(a, b):
+    """Equal shapes and bytes: the same floats to the bit."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-point trace on 2-vectors, every step tested against
+# the whole polyline, every grid row traced on its own
+# ---------------------------------------------------------------------------
+
+def _ref_field(tr, x):
+    x1, x2 = x
+    if not tr.chart.domain(x1, x2):
+        raise DomainError(
+            f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
+    b11, b12, b22 = quotient._inverse_block2(tr.chart, x1, x2)
+    d1, d2 = tr._omega.gradient_at(x1, x2)
+    a = np.array([b11 * d1 + b12 * d2, b12 * d1 + b22 * d2])
+    if a[0] * d1 + a[1] * d2 < tr.grad_floor ** 2:
+        raise DegenerateGradientError(
+            f"|grad omega| below {tr.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
+    return a
+
+
+def _ref_rk4_step(tr, x, h, sign):
+    k1 = sign * _ref_field(tr, x)
+    k2 = sign * _ref_field(tr, x + 0.5 * h * k1)
+    k3 = sign * _ref_field(tr, x + 0.5 * h * k2)
+    k4 = sign * _ref_field(tr, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _ref_crossing_from(tr, x, sign):
+    x_prev = np.asarray(x, dtype=float)
+    for _ in range(tr.n_steps):
+        x_next = _ref_rk4_step(tr, x_prev, tr.step, sign)
+        hit = tr._segment_crossing(x_prev, x_next)
+        if hit is not None:
+            return (x_prev, x_next) + hit
+        x_prev = x_next
+    return None
+
+
+def _ref_value(tr, x1, x2):
+    x = np.array([x1, x2], dtype=float)
+    if tr._on_curve_distance(x) < 1e-12:
+        return tr._proj_sigma(x)
+    first = tr._preferred_sign(x)
+    for sign in (first, -first):
+        try:
+            hit = _ref_crossing_from(tr, x, sign)
+        except (DomainError, DegenerateGradientError):
+            hit = None
+        if hit is not None:
+            x_a, x_b, sig0, u0 = hit
+            return tr._refine_crossing(x_a, x_b, sign, sig0, u0)
+    raise DomainError(
+        f"point ({x1:.6g}, {x2:.6g}) is outside the swept region of the "
+        "characteristic grid")
+
+
+def _ref_grid(tr):
+    n = tr.n_steps
+    pts = np.empty((len(tr.sigmas), 2 * n + 1, 2))
+    for j, sigma in enumerate(tr.sigmas):
+        x0 = tr.cauchy.point_at(sigma)
+        pts[j, n] = x0
+        for sign, direction in ((+1.0, +1), (-1.0, -1)):
+            x = x0.copy()
+            for k in range(1, n + 1):
+                try:
+                    x = _ref_rk4_step(tr, x, tr.step, sign)
+                except (DomainError, DegenerateGradientError):
+                    pass
+                pts[j, n + direction * k] = x
+    omega = np.array([[tr.chart.volume_at(p) for p in row] for row in pts])
+    return pts, omega
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (DomainError, DegenerateGradientError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# traced invariants under test
+# ---------------------------------------------------------------------------
+
+def _radial_chart():
+    return bg.AdaptedChart3(
+        g11=lambda a, b: 1.0, g12=lambda a, b: 0.0, g13=lambda a, b: 0.0,
+        g22=lambda a, b: 1.0, g23=lambda a, b: 0.0,
+        g33=lambda a, b: a * a + b * b,
+        domain=lambda a, b: a * a + b * b > 1e-4, label="radial")
+
+
+def _unit_arc():
+    return bg.CauchyCurve(
+        point=lambda sig: np.array([math.cos(sig - 0.75), math.sin(sig - 0.75)]),
+        length=1.5)
+
+
+CASES = {
+    # the flat helicoidal segment of test_quotient
+    "helicoidal": lambda: bg.solve_orthogonal_invariant(
+        bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0)),
+        bg.line_segment((1.0, -0.6), (1.0, 0.6)),
+        np.linspace(0.0, 1.2, 61), n_steps=220),
+    # the arc curve of test_quotient, on a chart without d_g33
+    "arc": lambda: bg.solve_orthogonal_invariant(
+        _radial_chart(), _unit_arc(), np.linspace(0, 1.5, 41), n_steps=150),
+    # a slanted segment on a BCV chart
+    "bcv": lambda: bg.solve_orthogonal_invariant(
+        bg.make_chart(bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0)),
+        bg.line_segment((0.6, -0.4), (0.7, 0.4)),
+        np.linspace(0.0, 0.8, 41), n_steps=120),
+}
+
+
+@functools.cache
+def _traced(name):
+    return CASES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_matches_unfiltered_trace(name):
+    tr = _traced(name)
+    rng = np.random.default_rng(5)
+    points = list(tr.sample_swept(rng, 8))
+    # on the curve: nodes of the polyline and between them
+    points += [tr.cauchy.point_at(s) for s in (0.0, 0.37, tr.cauchy.length)]
+    # outside the swept region, where both signs fail
+    points += [(5.0, 4.9), (-3.0, 0.2), (0.05, -2.5)]
+    failed = 0
+    for x1, x2 in points:
+        x1, x2 = float(x1), float(x2)
+        got = _outcome(tr.value, x1, x2)
+        want = _outcome(_ref_value, tr, x1, x2)
+        assert got[0] == want[0], (name, x1, x2, got, want)
+        if got[0] == "value":
+            assert _same(got[1], want[1]), (name, x1, x2, got, want)
+        else:
+            assert got[1] == want[1]
+            failed += 1
+    assert failed >= 2
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_grid_matches_per_row_loop(name):
+    tr = _traced(name)
+    pts, omega = _ref_grid(tr)
+    assert _same(tr.grid_points, pts)
+    assert _same(tr.grid_omega, omega)
+
+
+def test_trace_grid_freezes_rows_leaving_the_domain():
+    # characteristics of the rotational chart run along x1; tracing back
+    # from x1 = 0.5 by 0.02 per step leaves x1 > 0 after about 25 steps
+    chart = bg.make_chart(bg.SpaceSpec("euclidean_rotational"))
+    tr = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((0.5, -0.5), (0.5, 0.5)),
+        np.linspace(0.0, 1.0, 11), step=0.02, n_steps=60)
+    pts, omega = _ref_grid(tr)
+    assert _same(tr.grid_points, pts)
+    assert _same(tr.grid_omega, omega)
+    back = tr.grid_points[:, :tr.n_steps]   # k = n .. 1 steps back
+    assert np.all(back[:, 0] == back[:, 30])  # frozen well before step 30
+    assert np.all(back[:, 0, 0] > 0.0)
+    assert np.all(tr.grid_points[:, -1, 0] > 1.6)  # forward rows run on
+
+
+def test_array_volume_names_first_nonpositive_g33():
+    chart = bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0))
+    x1 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x2 = np.zeros((2, 2))
+    shifted = bg.AdaptedChart3(
+        g11=chart.g11, g12=chart.g12, g13=chart.g13, g22=chart.g22,
+        g23=chart.g23, g33=lambda a, b: 6.0 - a * a, label="shifted")
+    assert _same(chart.volume_at((x1, x2)),
+                 [[chart.volume_at((a, b)) for a, b in zip(r1, r2)]
+                  for r1, r2 in zip(x1, x2)])
+    with pytest.raises(SingularMetricError, match=r"g33 = -3\.000e\+00 .*3\.0"):
+        shifted.volume_at((x1, x2))
+
+
+# ---------------------------------------------------------------------------
+# the crossing prefilter
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prefilter_cases():
+    return [bg.solve_orthogonal_invariant(
+                bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0)),
+                bg.line_segment((1.0, -0.6), (1.0, 0.6)),
+                np.linspace(0.0, 1.2, 5), n_steps=4),
+            bg.solve_orthogonal_invariant(
+                _radial_chart(), _unit_arc(), np.linspace(0, 1.5, 5), n_steps=4)]
+
+
+_coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(which=st.integers(0, 1), node=st.integers(0, 511),
+       offset=st.tuples(_coordinate, _coordinate),
+       scale=st.integers(-14, 0), step=st.tuples(_coordinate, _coordinate),
+       step_scale=st.integers(-6, 0))
+def test_rejected_step_never_crosses(prefilter_cases, which, node, offset,
+                                     scale, step, step_scale):
+    # steps start near a polyline node, at distances down to rounding
+    tr = prefilter_cases[which]
+    a = tr._poly_pts[node] + np.array(offset) * 10.0 ** scale
+    b = a + np.array(step) * 10.0 ** step_scale
+    if not tr._box_meets(*a.tolist(), *b.tolist()):
+        assert tr._segment_crossing(a, b) is None
+
+# ---------------------------------------------------------------------------
+# the self-pairing
+# ---------------------------------------------------------------------------
+
+def test_self_pairing_takes_one_gradient(monkeypatch):
+    tr = _traced("helicoidal")
+    calls = []
+    value = tr.value
+
+    def counted(x1, x2):
+        calls.append((x1, x2))
+        return value(x1, x2)
+
+    monkeypatch.setattr(tr, "value", counted)
+    p = (1.3, 0.4)
+    same = invariant_pairing(tr.chart, tr, tr, p, step=1e-5)
+    assert len(calls) == 4
+    calls.clear()
+    twin = invariant_pairing(tr.chart, tr, lambda x1, x2: tr(x1, x2), p,
+                             step=1e-5)
+    assert len(calls) == 8
+    assert _same(same, twin)
