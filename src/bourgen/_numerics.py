@@ -27,7 +27,8 @@ def cumulative_simpson_anchored(y, x, anchor_index=0):
 
 # math functions that also take arrays, with math's rounding and failures
 # element by element: numpy's own sqrt, sin and cos round as math's do; its
-# exp, log, sinh and cosh do not, so those call math once per element.
+# exp, log, sinh, cosh, hypot and arctan2 do not, so those call math once
+# per element.
 
 def sqrt(x):
     """math.sqrt(x); elementwise for an array."""
@@ -49,14 +50,15 @@ def _finite_domain(scalar, vectorized):
     return fn
 
 
-def _per_element(scalar):
-    ufunc = np.frompyfunc(scalar, 1, 1)
+def _per_element(scalar, nin=1):
+    ufunc = np.frompyfunc(scalar, nin, 1)
 
-    def fn(x):
-        if not isinstance(x, np.ndarray):
-            return scalar(x)
-        return ufunc(x).astype(float)
-    fn.__doc__ = f"math.{scalar.__name__}(x); elementwise for an array."
+    def fn(*args):
+        if not any(isinstance(x, np.ndarray) for x in args):
+            return scalar(*args)
+        return ufunc(*args).astype(float)
+    fn.__doc__ = (f"math.{scalar.__name__}; elementwise (broadcast) when an "
+                  "argument is an array.")
     return fn
 
 
@@ -66,6 +68,8 @@ exp = _per_element(math.exp)
 log = _per_element(math.log)
 sinh = _per_element(math.sinh)
 cosh = _per_element(math.cosh)
+hypot = _per_element(math.hypot, 2)
+atan2 = _per_element(math.atan2, 2)
 
 
 def square(x):

@@ -257,15 +257,12 @@ def _tabulated_rhs(abscissae, U, params, frame):
 
 @dataclass(frozen=True)
 class VerticalShift:
-    """The s-part V(s) of the member's flow coordinate, with samples."""
+    """Samples of the s-part V(s) of the member's flow coordinate and of
+    its derivative."""
 
     s: np.ndarray
     values: np.ndarray
     prime: np.ndarray
-    spline: object
-
-    def __call__(self, s):
-        return float(self.spline(s))
 
 
 def vertical_quadrature(profile, chart, params, U):
@@ -284,8 +281,7 @@ def vertical_quadrature(profile, chart, params, U):
     g23 = profile.frame.elementwise(chart.g23, profile.x1, profile.x2)
     integrand = -(d1 * g13 + d2 * g23) / m2U2
     V = cumulative_simpson_anchored(integrand, s, profile.anchor_index)
-    return VerticalShift(s=s, values=V, prime=integrand,
-                         spline=CubicHermiteSpline(s, V, integrand))
+    return VerticalShift(s=s, values=V, prime=integrand)
 
 
 class SurfaceMember:
@@ -298,8 +294,8 @@ class SurfaceMember:
     """
 
     def __init__(self, s, x1, x2, x1p, x2p, theta, theta_prime, omega,
-                 V, Vp, m, epsilon, profile=None, U=None, frame=None,
-                 space=None, metadata=None):
+                 V, Vp, m, epsilon, U=None, frame=None, space=None,
+                 metadata=None):
         self.s = np.asarray(s, dtype=float)
         self.x1 = np.asarray(x1, dtype=float)
         self.x2 = np.asarray(x2, dtype=float)
@@ -312,7 +308,6 @@ class SurfaceMember:
         self.V_prime = np.asarray(Vp, dtype=float)
         self.m = float(m)
         self.epsilon = int(epsilon)
-        self.profile = profile
         self.U = U
         self.frame = frame
         self.space = space
@@ -432,8 +427,8 @@ def assemble_member(profile, V, params, *, space=None, chart_label=None):
         s=profile.s, x1=profile.x1, x2=profile.x2, x1p=d1, x2p=d2,
         theta=profile.theta, theta_prime=profile.theta_prime,
         omega=profile.omega, V=V.values, Vp=V.prime,
-        m=params.m, epsilon=params.epsilon, profile=profile, U=profile.U,
-        frame=profile.frame, space=space, metadata=meta)
+        m=params.m, epsilon=params.epsilon, U=profile.U, frame=profile.frame,
+        space=space, metadata=meta)
 
 
 def generate_member(U, params, frame, theta0=0.0, *, space=None):
@@ -455,7 +450,7 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
         c1, c2 = profile_curve.x1, profile_curve.x2
     else:
         s, c1, c2 = (np.asarray(a, dtype=float) for a in profile_curve)
-    w = np.array([chart.volume_at((c1[k], c2[k])) for k in range(len(s))])
+    w = chart.volume_at((c1, c2))
     spread = np.max(np.abs(w - np.mean(w)))
     if spread > tol * max(1.0, np.mean(np.abs(w))):
         raise NonConstantVolumeError(
@@ -477,9 +472,7 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
             raise ValueError(
                 f"input curve is not unit speed in the quotient metric "
                 f"(speed^2 = {speed:.4g} at s = {s[k]:.6g})")
-    integrand = np.array([
-        -(d1[k] * chart.g13(c1[k], c2[k]) + d2[k] * chart.g23(c1[k], c2[k]))
-        for k in range(len(s))])
+    integrand = -(d1 * chart.g13(c1, c2) + d2 * chart.g23(c1, c2))
     V = cumulative_simpson_anchored(integrand, s, 0)
     U = GeneratrixMetric.from_callable(lambda _s: 1.0, (s[0], s[-1]),
                                        dU=lambda _s: 0.0)

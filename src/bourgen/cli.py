@@ -88,12 +88,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        try:
-            space = spaces.SpaceSpec.from_dict(d["space"])
-        except KeyError:
-            raise ConfigError("config needs a 'space' entry")
-        except BourgenError as exc:
-            raise ConfigError(str(exc))
+        space = _space_entry(d)
         gen = d.get("generatrix")
         if gen is None:
             raise ConfigError("config needs a 'generatrix' entry")
@@ -131,7 +126,10 @@ class RunConfig:
     def make_generatrix(self):
         gen = self.generatrix
         if isinstance(gen, Expression):
-            return GeneratrixMetric.from_expression(gen, self.s_range)
+            try:
+                return GeneratrixMetric.from_expression(gen, self.s_range)
+            except ValueError as exc:
+                raise ConfigError(f"generatrix: {exc}")
         if isinstance(gen, dict) and "csv" in gen:
             U = GeneratrixMetric.from_csv(gen["csv"])
             sys.stderr.write(
@@ -140,6 +138,16 @@ class RunConfig:
             return U
         raise ConfigError("generatrix must be an expression string or "
                           "{'csv': path}")
+
+
+def _space_entry(d):
+    """The SpaceSpec of a config's 'space' entry."""
+    try:
+        return spaces.SpaceSpec.from_dict(d["space"])
+    except KeyError:
+        raise ConfigError("config needs a 'space' entry")
+    except BourgenError as exc:
+        raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +170,11 @@ def write_obj(member, space, path, s_count=41, t_count=41, t_range=(0.0, 1.0)):
     """
     s_values = np.linspace(member.s_range[0], member.s_range[1], s_count)
     t_values = np.linspace(t_range[0], t_range[1], t_count)
-    grid = member.map(s_values[:, None], t_values)
-    lines = [f"# bourgen member m={member.m:.17g}"]
-    for p in zip(*(c.ravel().tolist() for c in grid)):
-        x, y, z = spaces.mesh_xyz(space, p)
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    Path(path).write_text("".join(line + "\n" for line in lines)
+    xyz = spaces.mesh_xyz(space, member.map(s_values[:, None], t_values))
+    vertices = "".join(
+        f"v {x:.17g} {y:.17g} {z:.17g}\n"
+        for x, y, z in zip(*(c.ravel().tolist() for c in xyz)))
+    Path(path).write_text(f"# bourgen member m={member.m:.17g}\n" + vertices
                           + _obj_faces(s_count, t_count))
 
 
@@ -312,9 +319,11 @@ def _apply_overrides(cfg, args):
 def _cmd_natural(args):
     with open(args.config) as fh:
         raw = json.load(fh)
-    space = spaces.SpaceSpec.from_dict(raw["space"])
-    chart = spaces.make_chart(space)
-    curve = LiftedCurve.from_csv(args.curve)
+    chart = spaces.make_chart(_space_entry(raw))
+    try:
+        curve = LiftedCurve.from_csv(args.curve)
+    except ValueError as exc:
+        raise ConfigError(f"curve {args.curve}: {exc}")
     coeffs = natural.pullback_coefficients(chart, curve)
     nat = natural.to_natural(coeffs)
     out = Path(args.out)

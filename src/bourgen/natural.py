@@ -74,21 +74,17 @@ def pullback_coefficients(chart, curve):
     """E = g(c', c'), F = g(c', X), G = g(X, X) along the lifted curve.
 
     Derivatives are finite differences on the sample grid (central in the
-    interior, one-sided at the ends).
+    interior, one-sided at the ends).  The metric along the whole curve
+    comes from one array call of ``chart.metric_at``, and the pairings are
+    stacked matmuls, which round as the per-point ``v @ g @ v`` does.
     """
-    du = [np.gradient(arr, curve.u, edge_order=2)
-          for arr in (curve.x1, curve.x2, curve.x3)]
-    n = len(curve.u)
-    E = np.empty(n)
-    F = np.empty(n)
-    G = np.empty(n)
-    for k in range(n):
-        g = chart.metric_at((curve.x1[k], curve.x2[k]))
-        v = np.array([du[0][k], du[1][k], du[2][k]])
-        E[k] = v @ g @ v
-        F[k] = v @ g[:, 2]
-        G[k] = g[2, 2]
-    return PullbackCoefficients(u=curve.u.copy(), E=E, F=F, G=G)
+    v = np.stack([np.gradient(arr, curve.u, edge_order=2)
+                  for arr in (curve.x1, curve.x2, curve.x3)], axis=-1)
+    g = chart.metric_at((curve.x1, curve.x2))
+    vg = v[:, None, :] @ g
+    return PullbackCoefficients(u=curve.u.copy(),
+                                E=(vg @ v[:, :, None])[:, 0, 0],
+                                F=vg[:, 0, 2], G=g[:, 2, 2])
 
 
 class GeneratrixMetric:

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from ._numerics import cos, cumulative_simpson_anchored, sin, sqrt, square
+from ._numerics import (
+    atan2,
+    cos,
+    cumulative_simpson_anchored,
+    hypot,
+    sin,
+    sqrt,
+    square,
+)
 from .chart import AdaptedChart3, InvariantFunction
 from .errors import DomainViolationError, SpecError
 from .quotient import QuotientFrame
@@ -160,28 +168,62 @@ def _bcv_r2(w, kappa, tau, a):
     return 4.0 * (w * w - a * a) / _bcv_denominator(w, kappa, tau, a)
 
 
+# The conditions of the closed-form BCV frame, in the order they are
+# checked at an omega sample: (condition name, quantity that must be > 0).
+_BCV_CONDITIONS = (("Delta > 0", "discriminant"),
+                   ("denominator > 0", "(1+sqrt(Delta))^2 - 4 tau^2 omega^2"),
+                   ("r^2 > 0", "inverted radius"),
+                   ("B > 0", "B"))
+
+
+def _first_nonpositive(values):
+    """Index of the first element <= 0 of the 1-d array values, or its
+    length when there is none."""
+    bad = values <= 0
+    return int(np.argmax(bad)) if bad.any() else len(values)
+
+
+def _require_positive(values, s_grid, label, condition):
+    """Raise DomainViolationError at the first sample where values <= 0."""
+    k = _first_nonpositive(values)
+    if k < len(values):
+        raise DomainViolationError(
+            f"{label} = {values[k]:.3e} <= 0 at s = {s_grid[k]:.6g}",
+            s=float(s_grid[k]), condition=condition)
+
+
+def _bcv_valid_prefix(spec, ws):
+    """(k, condition): the closed-form frame of a BCV space is valid at the
+    omega samples ws[:k], and ``condition`` (an entry of _BCV_CONDITIONS)
+    is the first one failing at ws[k]; None when k = len(ws).
+
+    Each condition is evaluated on the prefix where the earlier ones
+    hold, so no value is taken outside its domain.
+    """
+    a, kappa, tau = spec.a, spec.kappa, spec.tau
+    cuts = [_first_nonpositive(_bcv_delta(ws, kappa, tau, a))]
+    w = ws[:cuts[-1]]
+    den = _bcv_denominator(w, kappa, tau, a)
+    cuts.append(_first_nonpositive(den))
+    w, den = w[:cuts[-1]], den[:cuts[-1]]
+    r2 = 4.0 * (w * w - a * a) / den
+    cuts.append(_first_nonpositive(r2))
+    cuts.append(_first_nonpositive(1.0 + 0.25 * kappa * r2[:cuts[-1]]))
+    k = cuts[-1]
+    return k, None if k == len(ws) else _BCV_CONDITIONS[cuts.index(k)]
+
+
 def bcv_valid_omega_range(spec, probe_hi=None, n=2048):
     """Largest omega interval above |a| on which the closed-form frame of a
     BCV space is valid (positive discriminant, denominator, radius, B)."""
-    a, kappa, tau = spec.a, spec.kappa, spec.tau
-    lo = abs(a) * (1.0 + 1e-9) + 1e-12
-    hi = probe_hi if probe_hi is not None else abs(a) + 20.0
+    lo = abs(spec.a) * (1.0 + 1e-9) + 1e-12
+    hi = probe_hi if probe_hi is not None else abs(spec.a) + 20.0
     ws = np.linspace(lo, hi, n)
-    last = None
-    for w in ws:
-        D = _bcv_delta(w, kappa, tau, a)
-        if D <= 0:
-            break
-        den = _bcv_denominator(w, kappa, tau, a)
-        if den <= 0:
-            break
-        r2 = 4.0 * (w * w - a * a) / den
-        if r2 <= 0 or 1.0 + 0.25 * kappa * r2 <= 0:
-            break
-        last = w
-    if last is None:
+    k, _ = _bcv_valid_prefix(spec, ws)
+    if k == 0:
         raise DomainViolationError(
             f"no valid omega interval above |a| for {spec}", condition="omega range")
+    last = ws[k - 1]
     margin = 1e-3 * (last - lo) if last > lo else 0.0
     return (lo, float(last - margin))
 
@@ -278,26 +320,13 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
 
 
 def _validate_bcv_range(spec, omega_range, n=512):
-    a, kappa, tau = spec.a, spec.kappa, spec.tau
-    for w in np.linspace(omega_range[0], omega_range[1], n):
-        D = _bcv_delta(w, kappa, tau, a)
-        if D <= 0:
-            raise DomainViolationError(
-                f"discriminant not positive at omega = {w:.6g}", s=w,
-                condition="Delta > 0")
-        den = _bcv_denominator(w, kappa, tau, a)
-        if den <= 0:
-            raise DomainViolationError(
-                f"(1+sqrt(Delta))^2 - 4 tau^2 omega^2 not positive at "
-                f"omega = {w:.6g}", s=w, condition="denominator > 0")
-        r2 = 4.0 * (w * w - a * a) / den
-        if r2 <= 0:
-            raise DomainViolationError(
-                f"inverted radius not positive at omega = {w:.6g}", s=w,
-                condition="r^2 > 0")
-        if 1.0 + 0.25 * kappa * r2 <= 0:
-            raise DomainViolationError(
-                f"B not positive at omega = {w:.6g}", s=w, condition="B > 0")
+    ws = np.linspace(omega_range[0], omega_range[1], n)
+    k, failed = _bcv_valid_prefix(spec, ws)
+    if failed is not None:
+        condition, quantity = failed
+        raise DomainViolationError(
+            f"{quantity} not positive at omega = {ws[k]:.6g}", s=ws[k],
+            condition=condition)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +335,25 @@ def _validate_bcv_range(spec, omega_range, n=512):
 
 def to_ambient_coords(spec, p):
     """Printed coordinate change of the space: cartesian (x, y, z) for the
-    Euclidean kinds, cylindrical (r, azimuth, z) for BCV."""
+    Euclidean kinds, cylindrical (r, azimuth, z) for BCV.  p = (x1, x2, x3)
+    holds floats or arrays of one shape; arrays give arrays equal element
+    by element to the float results."""
     x1, x2, x3 = p
     if spec.kind == "euclidean_helicoidal":
-        return (x1 * math.cos(x3) + x2 * math.sin(x3),
-                x2 * math.cos(x3) - x1 * math.sin(x3),
-                spec.a * x3)
+        c, s = cos(x3), sin(x3)
+        return (x1 * c + x2 * s, x2 * c - x1 * s, spec.a * x3)
     if spec.kind == "euclidean_rotational":
         # adapted (r, z, azimuth) -> cartesian
-        return (x1 * math.cos(x3), x1 * math.sin(x3), x2)
-    r = math.hypot(x1, x2)
-    return (r, x3 + math.atan2(x2, x1), spec.a * x3)
+        return (x1 * cos(x3), x1 * sin(x3), x2)
+    return (hypot(x1, x2), x3 + atan2(x2, x1), spec.a * x3)
 
 
 def mesh_xyz(spec, p):
-    """Cartesian embedding used for mesh export."""
+    """Cartesian embedding used for mesh export; floats or arrays, as
+    ``to_ambient_coords``."""
     if spec.kind == "bcv_helicoidal":
         r, th, z = to_ambient_coords(spec, p)
-        return (r * math.cos(th), r * math.sin(th), z)
+        return (r * cos(th), r * sin(th), z)
     return to_ambient_coords(spec, p)
 
 
@@ -349,30 +379,16 @@ def _clamp_radicand(values, s_grid, condition):
 
 
 @dataclass(frozen=True)
-class FamilySpace:
-    """Space parameters of a closed-form family.
-
-    Unlike SpaceSpec this allows a = 0 for the screw kinds: the printed
-    quadratures survive that limit (rotational members), even though the
-    corresponding adapted chart does not."""
-
-    kind: str
-    a: float = 0.0
-    kappa: float = 0.0
-    tau: float = 0.0
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a, "kappa": self.kappa,
-                "tau": self.tau}
-
-
-@dataclass(frozen=True)
 class ClosedFormFamily:
     """One member of a closed-form screw family: radius rho(s), screw
     angle lam(s), and the s-part Vclosed(s) of the flow parameter, all
-    anchored to zero at the anchor sample."""
+    anchored to zero at the anchor sample.  ``kind`` and ``a`` name the
+    space; unlike SpaceSpec, a = 0 is allowed for the screw kinds: the
+    printed quadratures survive that limit (rotational members), even
+    though the corresponding adapted chart does not."""
 
-    space: FamilySpace
+    kind: str
+    a: float
     m: float
     epsilon: int
     s_grid: np.ndarray
@@ -387,9 +403,9 @@ class ClosedFormFamily:
     def surface_point(self, s, t):
         """Cylindrical-coordinate surface point of the printed display."""
         v = t / self.m + float(self.Vclosed(s))
-        if self.space.kind == "bcv_helicoidal":
-            return (float(self.rho(s)), v, -float(self.lam(s)) + self.space.a * v)
-        return (float(self.rho(s)), v, float(self.lam(s)) + self.space.a * v)
+        if self.kind == "bcv_helicoidal":
+            return (float(self.rho(s)), v, -float(self.lam(s)) + self.a * v)
+        return (float(self.rho(s)), v, float(self.lam(s)) + self.a * v)
 
 
 def _anchor_index(s_grid, anchor):
@@ -410,11 +426,7 @@ def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
     Uv, dUv = U.table(s_grid)
     mU2 = (m * Uv) ** 2
     gap = mU2 - a * a
-    if np.any(gap <= 0):
-        k = int(np.argmax(gap <= 0))
-        raise DomainViolationError(
-            f"m^2 U^2 - a^2 = {gap[k]:.3e} <= 0 at s = {s_grid[k]:.6g}",
-            s=float(s_grid[k]), condition="m^2 U^2 - a^2 > 0")
+    _require_positive(gap, s_grid, "m^2 U^2 - a^2", "m^2 U^2 - a^2 > 0")
     R = _clamp_radicand(mU2 * (1.0 - (m * dUv) ** 2) - a * a, s_grid,
                         "m^2 U^2 (1 - m^2 U'^2) - a^2")
     sqrtR = np.sqrt(R)
@@ -426,9 +438,8 @@ def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
     V = cumulative_simpson_anchored(V_prime, s_grid, k0)
     rho_prime = m * m * Uv * dUv / rho
     return ClosedFormFamily(
-        space=FamilySpace("euclidean_helicoidal", a=a) if a != 0.0
-        else FamilySpace("euclidean_rotational"),
-        m=m, epsilon=epsilon, s_grid=s_grid,
+        kind="euclidean_helicoidal" if a != 0.0 else "euclidean_rotational",
+        a=a, m=m, epsilon=epsilon, s_grid=s_grid,
         rho_samples=rho, lam_samples=lam, V_samples=V,
         rho=CubicHermiteSpline(s_grid, rho, rho_prime),
         lam=CubicHermiteSpline(s_grid, lam, lam_prime),
@@ -449,31 +460,15 @@ def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
     Uv, dUv = U.table(s_grid)
     w = m * Uv
     Delta = (1.0 - 2.0 * a * tau) ** 2 + (4.0 * tau**2 - kappa) * (w * w - a * a)
-    if np.any(Delta <= 0):
-        k = int(np.argmax(Delta <= 0))
-        raise DomainViolationError(
-            f"Delta = {Delta[k]:.3e} <= 0 at s = {s_grid[k]:.6g}",
-            s=float(s_grid[k]), condition="Delta > 0")
+    _require_positive(Delta, s_grid, "Delta", "Delta > 0")
     sD = np.sqrt(Delta)
     den = (1.0 + sD) ** 2 - 4.0 * tau**2 * w * w
-    if np.any(den <= 0):
-        k = int(np.argmax(den <= 0))
-        raise DomainViolationError(
-            f"(1+sqrt(Delta))^2 - 4 tau^2 m^2 U^2 = {den[k]:.3e} <= 0 at "
-            f"s = {s_grid[k]:.6g}", s=float(s_grid[k]), condition="denominator > 0")
+    _require_positive(den, s_grid, "(1+sqrt(Delta))^2 - 4 tau^2 m^2 U^2",
+                      "denominator > 0")
     gap = w * w - a * a
-    if np.any(gap <= 0):
-        k = int(np.argmax(gap <= 0))
-        raise DomainViolationError(
-            f"m^2 U^2 - a^2 = {gap[k]:.3e} <= 0 at s = {s_grid[k]:.6g}",
-            s=float(s_grid[k]), condition="m^2 U^2 - a^2 > 0")
+    _require_positive(gap, s_grid, "m^2 U^2 - a^2", "m^2 U^2 - a^2 > 0")
     rho2 = 4.0 * gap / den
-    B = 1.0 + 0.25 * kappa * rho2
-    if np.any(B <= 0):
-        k = int(np.argmax(B <= 0))
-        raise DomainViolationError(
-            f"B = {B[k]:.3e} <= 0 at s = {s_grid[k]:.6g}",
-            s=float(s_grid[k]), condition="B > 0")
+    _require_positive(1.0 + 0.25 * kappa * rho2, s_grid, "B", "B > 0")
     inner = _clamp_radicand(
         rho2 - m**4 * Uv**2 * dUv**2 * (4.0 + kappa * rho2) ** 2 / (16.0 * Delta),
         s_grid, "rho^2 - m^4 U^2 U'^2 (4+kappa rho^2)^2/(16 Delta)")
@@ -491,8 +486,7 @@ def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
     drho2 = (8.0 * w * m * dUv * den - 4.0 * gap * dden) / den**2
     rho_prime = drho2 / (2.0 * rho)
     return ClosedFormFamily(
-        space=FamilySpace("bcv_helicoidal", a=a, kappa=kappa, tau=tau),
-        m=m, epsilon=epsilon, s_grid=s_grid,
+        kind="bcv_helicoidal", a=a, m=m, epsilon=epsilon, s_grid=s_grid,
         rho_samples=rho, lam_samples=lam, V_samples=V,
         rho=CubicHermiteSpline(s_grid, rho, rho_prime),
         lam=CubicHermiteSpline(s_grid, lam, lam_prime),

@@ -173,8 +173,8 @@ def cross_check(closed, generic):
         raise GridMismatchError("closed-form family and member use different s grids")
     if closed.m != generic.m or closed.epsilon != generic.epsilon:
         raise GridMismatchError("closed-form family and member disagree on (m, epsilon)")
-    kind = closed.space.kind
-    a = closed.space.a
+    kind = closed.kind
+    a = closed.a
     k0 = closed.anchor_index
     if kind != "euclidean_rotational" and a == 0.0:
         raise GridMismatchError(

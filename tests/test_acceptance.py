@@ -223,7 +223,7 @@ def _rerun_with_measured_generatrix(member, frame, spec, dense=16001):
     as a sampled generatrix, and re-integrate with m = 1."""
     lo, hi = member.s_range
     s_dense = np.linspace(lo, hi, dense)
-    w = np.array([frame.chart.volume_at(member.position(x)) for x in s_dense])
+    w = frame.chart.volume_at(member.position(s_dense))
     U_meas = bg.GeneratrixMetric.from_samples(s_dense, w / member.m)
     anchor = member.metadata["anchor"]
     params = bg.BourParams(m=1.0, s_range=(lo, hi), step=member.metadata["step"],

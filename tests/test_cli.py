@@ -230,3 +230,43 @@ def test_feasible_range_unchanged_when_s0_feasible(rotational_frame):
                                  step=0.005)
     assert lo == -1.0
     assert hi == -1.0 + (math.floor((4 / 3 + 1.0) / 0.005 - 1e-6) - 20) * 0.005
+
+
+def _exit_and_error(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_nonpositive_generatrix_is_a_config_error(tmp_path, capsys):
+    cfg = _family_config(generatrix="s", s_range=[-1.0, 1.0])
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "neg"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith("error: ConfigError: ") and "positive" in err
+
+
+def test_natural_config_without_space_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    code, err = _exit_and_error(capsys, [
+        "natural", "--config", str(cfg_path), "--curve",
+        str(tmp_path / "curve.csv"), "--out", str(tmp_path / "nat")])
+    assert code == 1
+    assert err == "error: ConfigError: config needs a 'space' entry\n"
+
+
+def test_natural_curve_with_repeated_u_is_a_config_error(tmp_path, capsys):
+    u = np.array([0.5, 1.0, 1.0, 1.5, 2.0])
+    curve_path = tmp_path / "curve.csv"
+    np.savetxt(curve_path, np.column_stack([u, u, 0 * u, 0 * u]),
+               delimiter=",", header="u,x1,x2,x3", comments="")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"space": {"kind": "euclidean_helicoidal", "a": 1.0}}))
+    code, err = _exit_and_error(capsys, [
+        "natural", "--config", str(cfg_path), "--curve", str(curve_path),
+        "--out", str(tmp_path / "nat")])
+    assert code == 1
+    assert err.startswith("error: ConfigError: ")
+    assert "strictly increasing" in err
