@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from ._numerics import (
     require_s_in_range,
     square,
 )
+from ._text import json_text
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -384,8 +386,7 @@ class SurfaceMember:
         return d
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        Path(path).write_text(json_text(self.to_dict()))
 
     @classmethod
     def from_dict(cls, d):

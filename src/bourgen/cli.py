@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import bour, natural, spaces, verify
+from ._text import json_text, rows_text, write_csv
 from .errors import BourgenError, ConfigError
 from .expressions import Expression, parse_expression
 from .natural import GeneratrixMetric, LiftedCurve
@@ -131,13 +132,35 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"generatrix: {exc}")
         if isinstance(gen, dict) and "csv" in gen:
-            U = GeneratrixMetric.from_csv(gen["csv"])
+            try:
+                U = GeneratrixMetric.from_csv(gen["csv"])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"generatrix {gen['csv']}: {exc}")
             sys.stderr.write(
                 "note: CSV generatrix uses monotone-cubic interpolation with "
                 "interpolated U'; radicand checks are approximate\n")
             return U
         raise ConfigError("generatrix must be an expression string or "
                           "{'csv': path}")
+
+
+def _load_config(path):
+    """The JSON document in a config file; a missing or malformed file is a
+    ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config: {exc}")
+
+
+def _load_member(path):
+    """The SurfaceMember in a member file; a missing or malformed file is a
+    ConfigError."""
+    try:
+        return bour.SurfaceMember.from_json(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"member: {exc}")
 
 
 def _space_entry(d):
@@ -155,11 +178,9 @@ def _space_entry(d):
 # ---------------------------------------------------------------------------
 
 def write_profile_csv(member, path):
-    rows = np.column_stack([
+    write_csv(path, "s,x1,x2,omega,theta,V", [
         member.s, member.x1, member.x2, member.omega, member.theta,
         member.V_samples])
-    np.savetxt(path, rows, delimiter=",",
-               header="s,x1,x2,omega,theta,V", comments="")
 
 
 def write_obj(member, space, path, s_count=41, t_count=41, t_range=(0.0, 1.0)):
@@ -171,11 +192,11 @@ def write_obj(member, space, path, s_count=41, t_count=41, t_range=(0.0, 1.0)):
     s_values = np.linspace(member.s_range[0], member.s_range[1], s_count)
     t_values = np.linspace(t_range[0], t_range[1], t_count)
     xyz = spaces.mesh_xyz(space, member.map(s_values[:, None], t_values))
-    vertices = "".join(
-        f"v {x:.17g} {y:.17g} {z:.17g}\n"
-        for x, y, z in zip(*(c.ravel().tolist() for c in xyz)))
-    Path(path).write_text(f"# bourgen member m={member.m:.17g}\n" + vertices
-                          + _obj_faces(s_count, t_count))
+    with open(path, "w") as fh:
+        fh.write(f"# bourgen member m={member.m:.17g}\n")
+        fh.write(rows_text("v %.17g %.17g %.17g\n",
+                           [c.ravel() for c in xyz]))
+        fh.write(_obj_faces(s_count, t_count))
 
 
 @lru_cache(maxsize=4)
@@ -196,9 +217,7 @@ def _obj_faces(s_count, t_count):
 
 
 def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text(payload, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +311,7 @@ def run(cfg, out_dir, strict=False):
 # ---------------------------------------------------------------------------
 
 def _cmd_family(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    cfg = _apply_overrides(RunConfig.from_dict(raw), args)
+    cfg = _apply_overrides(RunConfig.from_dict(_load_config(args.config)), args)
     code, _ = run(cfg, args.out, strict=args.strict)
     return code
 
@@ -317,12 +334,10 @@ def _apply_overrides(cfg, args):
 
 
 def _cmd_natural(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    chart = spaces.make_chart(_space_entry(raw))
+    chart = spaces.make_chart(_space_entry(_load_config(args.config)))
     try:
         curve = LiftedCurve.from_csv(args.curve)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"curve {args.curve}: {exc}")
     coeffs = natural.pullback_coefficients(chart, curve)
     nat = natural.to_natural(coeffs)
@@ -346,7 +361,7 @@ def _cmd_natural(args):
 
 
 def _cmd_verify(args):
-    member = bour.SurfaceMember.from_json(args.member)
+    member = _load_member(args.member)
     if member.space is None:
         raise ConfigError("member file carries no space spec; cannot rebuild "
                           "the chart for verification")
@@ -368,7 +383,7 @@ def _cmd_verify(args):
 
 
 def _cmd_mesh(args):
-    member = bour.SurfaceMember.from_json(args.member)
+    member = _load_member(args.member)
     if member.space is None:
         raise ConfigError("member file carries no space spec; cannot embed")
     out = Path(args.out)

@@ -20,6 +20,7 @@ from ._numerics import (
     distinct_values,
     require_s_in_range,
 )
+from ._text import write_csv
 from .errors import DegenerateParametrizationError
 
 _POSITIVITY_PROBES = 256
@@ -53,8 +54,7 @@ class LiftedCurve:
         return cls(u=data[:, 0], x1=data[:, 1], x2=data[:, 2], x3=data[:, 3])
 
     def to_csv(self, path):
-        data = np.column_stack([self.u, self.x1, self.x2, self.x3])
-        np.savetxt(path, data, delimiter=",", header="u,x1,x2,x3", comments="")
+        write_csv(path, "u,x1,x2,x3", [self.u, self.x1, self.x2, self.x3])
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,6 @@ class PullbackCoefficients:
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
-
-    def rows(self):
-        return list(zip(self.u, self.E, self.F, self.G))
 
 
 def pullback_coefficients(chart, curve):
@@ -163,8 +160,7 @@ class GeneratrixMetric:
 
     def to_csv(self, path, n=201):
         s = np.linspace(*self.s_range, n)
-        np.savetxt(path, np.column_stack([s, self(s)]), delimiter=",",
-                   header="s,U", comments="")
+        write_csv(path, "s,U", [s, self(s)])
 
     def table(self, s_grid):
         """(U, U') at every element of s_grid, as arrays; an expression

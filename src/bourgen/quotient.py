@@ -10,13 +10,14 @@ arc-length Cauchy data on a curve transversal to them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._text import json_text
 from .chart import DEFAULT_FD_STEP, AdaptedChart3, InvariantFunction, as_invariant
 from .errors import (
     DegenerateGradientError,
@@ -203,8 +204,7 @@ class QuotientFrame:
                 rows.append([float(w), float(t), float(x1), float(x2)])
         payload = {"label": self.label, "columns": ["omega", "theta", "x1", "x2"],
                    "rows": rows}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        Path(path).write_text(json_text(payload))
         return payload
 
 
@@ -694,17 +694,14 @@ class TracedInvariant:
 
     def dump_grid(self, path):
         """JSON debugging dump: rows of (omega, theta, x1, x2)."""
-        rows = []
-        J, K, _ = self.grid_points.shape
-        for j in range(J):
-            for k in range(K):
-                x1, x2 = self.grid_points[j, k]
-                rows.append([float(self.grid_omega[j, k]), float(self.sigmas[j]),
-                             float(x1), float(x2)])
+        K = self.grid_points.shape[1]
+        rows = np.column_stack([
+            self.grid_omega.ravel(), np.repeat(self.sigmas, K),
+            self.grid_points[..., 0].ravel(),
+            self.grid_points[..., 1].ravel()]).tolist()
         payload = {"label": self.name, "columns": ["omega", "theta", "x1", "x2"],
                    "rows": rows}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        Path(path).write_text(json_text(payload))
         return payload
 
 

@@ -270,3 +270,53 @@ def test_natural_curve_with_repeated_u_is_a_config_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ConfigError: ")
     assert "strictly increasing" in err
+
+
+def test_missing_csv_generatrix_is_a_config_error(tmp_path, capsys):
+    cfg = _family_config(generatrix={"csv": str(tmp_path / "missing.csv")})
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "missing"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith("error: ConfigError: generatrix ")
+    assert "missing.csv" in err
+
+
+def test_unsorted_csv_generatrix_is_a_config_error(tmp_path, capsys):
+    s = np.array([-1.0, 0.0, -0.5, 0.5, 1.0])
+    np.savetxt(tmp_path / "U.csv", np.column_stack([s, np.sqrt(s * s + 1)]),
+               delimiter=",", header="s,U", comments="")
+    cfg = _family_config(generatrix={"csv": str(tmp_path / "U.csv")})
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "unsorted"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith("error: ConfigError: generatrix ")
+    assert "strictly increasing" in err
+
+
+def test_natural_missing_curve_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"space": {"kind": "euclidean_helicoidal", "a": 1.0}}))
+    code, err = _exit_and_error(capsys, [
+        "natural", "--config", str(cfg_path), "--curve",
+        str(tmp_path / "missing.csv"), "--out", str(tmp_path / "nat")])
+    assert code == 1
+    assert err.startswith("error: ConfigError: curve ")
+    assert "missing.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--config", "{missing}"],
+    ["natural", "--config", "{missing}", "--curve", "{missing}"],
+    ["verify", "{missing}"],
+    ["mesh", "{missing}"],
+])
+def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    code, err = _exit_and_error(capsys, [
+        a.format(missing=missing) for a in argv] + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    assert err.startswith("error: ConfigError: ")
+    assert "missing.json" in err and err.count("\n") == 1

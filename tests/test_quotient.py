@@ -236,12 +236,18 @@ def test_traced_dump_grid(tmp_path, traced_theta):
     assert len(payload["rows"]) == 61 * (2 * 220 + 1)
 
 
-def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta):
+@pytest.fixture(scope="module")
+def traced_frame(helicoidal_chart, traced_theta):
+    return bg.build_frame(helicoidal_chart, traced_theta,
+                          rect=((1.3, 1.8), (0.3, 0.9)),
+                          seed_box=((0.9, 1.5), (-0.3, 0.4)),
+                          seed_counts=(8, 8))
+
+
+def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,
+                                       traced_frame):
     # a traced invariant can back a generic frame end to end
-    frame = bg.build_frame(helicoidal_chart, traced_theta,
-                           rect=((1.3, 1.8), (0.3, 0.9)),
-                           seed_box=((0.9, 1.5), (-0.3, 0.4)),
-                           seed_counts=(8, 8))
+    frame = traced_frame
     w, t = 1.5, 0.55
     x1, x2 = frame.invert(w, t)
     assert np.isclose(helicoidal_chart.volume_at((x1, x2)), w, atol=1e-9)
@@ -277,3 +283,32 @@ def test_newton_frame_inverts_once_per_rhs(helicoidal_chart, monkeypatch):
     assert frame.grad_theta_sq(w, 0.3) == gt
     rad = go - (U.derivative(1.0)) ** 2
     assert rhs == math.sqrt(gt) * math.sqrt(rad) / math.sqrt(go)
+
+
+def test_traced_frame_member_matches_closed_form(helicoidal_chart,
+                                                 helicoidal_spec, traced_frame):
+    # the paper's general case end to end: a member integrated on a Newton
+    # frame over the characteristic-traced theta is the flat screw member
+    # of the closed form.  Its gauge is theta = x2/x1 + 0.6, not the polar
+    # angle, so the angle is compared through that map.
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.2)
+    member = bg.generate_member(U, params, traced_frame, theta0=0.31,
+                                space=helicoidal_spec)
+    tol = 1e-5  # the isometry and cross-check defaults of a run config
+    report = bg.isometry_report(
+        helicoidal_chart, member, U,
+        (np.linspace(1.2 + 2e-5, 1.7 - 2e-5, 5), np.linspace(0.0, 1.0, 5)),
+        tol=tol)
+    assert report.passed, report.to_dict()
+
+    closed = bg.r3_closed_form(U, 0.72, 1, 1.0, member.s, anchor=1.2)
+    assert np.max(np.abs(np.hypot(member.x1, member.x2)
+                         - closed.rho_samples)) <= tol
+    cc = bg.cross_check(closed, member)
+    assert cc.passed(tol), cc.to_dict()
+    # the polar angle through the traced gauge, against lam / a (a = 1)
+    phi = np.arctan(member.theta - 0.6)
+    assert np.allclose(member.theta, member.x2 / member.x1 + 0.6,
+                       rtol=0, atol=tol)
+    assert np.max(np.abs((phi - phi[0]) - closed.lam_samples)) <= tol
