@@ -333,6 +333,12 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
+def _given(value, default):
+    """A command-line override, or the default when it was not given (an
+    explicit 0 is an override)."""
+    return default if value is None else value
+
+
 def _cmd_natural(args):
     chart = spaces.make_chart(_space_entry(_load_config(args.config)))
     try:
@@ -345,10 +351,10 @@ def _cmd_natural(args):
     out.mkdir(parents=True, exist_ok=True)
     nat.U.to_csv(out / "generatrix.csv")
     surface = natural.ReparametrizedSurface(curve, nat)
-    h = 1e-5
+    h = _given(args.fd_step, 1e-5)
     s_grid = np.linspace(nat.s_samples[0] + 2 * h, nat.s_samples[-1] - 2 * h, 15)
     rep = verify.isometry_report(chart, surface, nat.U, (s_grid, [0.0, 0.5]),
-                                 tol=args.tol or 1e-5, h=h)
+                                 tol=_given(args.tol, 1e-5), h=h)
     payload = {"s_range": [float(nat.s_samples[0]), float(nat.s_samples[-1])],
                "isometry": rep.to_dict()}
     _write_json(payload, out / "natural_report.json")
@@ -368,11 +374,11 @@ def _cmd_verify(args):
     if member.U is None:
         raise ConfigError("member file carries no generatrix")
     chart = spaces.make_chart(member.space)
-    h = args.fd_step or 1e-5
+    h = _given(args.fd_step, 1e-5)
     s_grid = np.linspace(member.s_range[0] + 2 * h, member.s_range[1] - 2 * h, 15)
     rep = verify.isometry_report(chart, member, member.U, (s_grid,
                                                            np.linspace(0, 1, 7)),
-                                 tol=args.tol or 1e-5, h=h)
+                                 tol=_given(args.tol, 1e-5), h=h)
     print(f"member m={member.m:g}: "
           f"{'pass' if rep.passed else 'FAIL'} "
           f"(max devs E {rep.max_E_dev:.3e}, F {rep.max_F_dev:.3e}, "

@@ -121,8 +121,9 @@ class QuotientFrame:
     ``theta_free`` marks a built-in frame whose gradient norms depend on
     omega alone; only ``spaces.builtin_frame`` sets it.  Such a frame's
     callables, chart and invariant gradients also take arrays, so the flag
-    is what ``elementwise`` tests.  Other frames (the ratio gauge, Newton
-    inversion, traced invariants) are evaluated one point at a time.
+    is what ``elementwise`` tests.  Other frames (the ratio gauge, and
+    ``build_frame``'s Newton and characteristic frames) are evaluated one
+    point at a time.
     """
 
     chart: AdaptedChart3
@@ -264,14 +265,23 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
                 jacobian_floor=1e-8, label=None):
     """Construct a QuotientFrame from an invariant theta on a chart.
 
-    ``seed_box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi)) samples the orbit
-    space: the seed grid provides Newton starting points and the
-    rank check of the forward map.  Gradient norms are computed through
-    the pairing of the chart and re-expressed as functions of
+    For a ``TracedInvariant`` theta the frame is the characteristic frame
+    of ``_characteristic_frame``: ``seed_box``, ``seed_counts`` and the
+    ``newton_*`` options are accepted but not used.
+
+    For any other theta, ``seed_box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi))
+    samples the orbit space: the seed grid provides Newton starting points
+    and the rank check of the forward map.  Gradient norms are computed
+    through the pairing of the chart and re-expressed as functions of
     (omega, theta) via the inverse map.
     """
     from .chart import invariant_pairing  # local import to avoid cycle noise
 
+    label = label or f"{chart.label}/frame"
+    if isinstance(theta, TracedInvariant):
+        return _characteristic_frame(chart, theta, rect, fd_step=fd_step,
+                                     jacobian_floor=jacobian_floor,
+                                     label=label)
     omega = chart.volume_fn()
     theta = as_invariant(theta, name="theta")
 
@@ -342,8 +352,68 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
     return QuotientFrame(
         chart=chart, omega=omega, theta=theta,
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
-        invert=invert, rect=rect,
-        label=label or f"{chart.label}/frame")
+        invert=invert, rect=rect, label=label)
+
+
+def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
+                          label):
+    """QuotientFrame of a traced theta, built on the characteristics.
+
+    theta is constant along a characteristic and omega strictly monotone,
+    so the point (w, t) is one trace from the Cauchy point at arc length t
+    to the level omega = w (``TracedInvariant.level_point``), with a
+    one-entry memo for the two norms of a right-hand side.
+    |grad omega|^2 is the chart's pairing at that point.  In the
+    orthogonal pair the quotient metric is dw^2 / |grad omega|^2 +
+    dt^2 / |grad theta|^2, so |grad theta|^2 = 1 / q(dx/dt, dx/dt) with
+    dx/dt at fixed omega the central difference of two more level traces
+    from t -+ 1e-6 max(1, |t|) (one-sided, of second order, within that
+    step of an end of the arc range).  A q(dx/dt, dx/dt) that collapses
+    below jacobian_floor^2 raises RankDeficiencyError.
+    """
+    from .chart import invariant_pairing
+
+    omega = chart.volume_fn()
+    q = quotient_metric(chart)
+    length = traced.cauchy.length
+    last = ((None, None), None)
+
+    def invert(w, t):
+        nonlocal last
+        key, point = last
+        if key == (w, t):
+            return point
+        point = traced.level_point(w, t)
+        last = ((w, t), point)
+        return point
+
+    def grad_omega_sq(w, t):
+        return invariant_pairing(chart, omega, omega, invert(w, t), step=fd_step)
+
+    def grad_theta_sq(w, t):
+        p = np.array(invert(w, t))
+        h = 1e-6 * max(1.0, abs(t))
+        level = lambda sigma: np.array(traced.level_point(w, sigma))
+        if t - h < 0.0:
+            t2 = t + 2.0 * h
+            v = (4.0 * level(t + h) - 3.0 * p - level(t2)) / (t2 - t)
+        elif t + h > length:
+            t2 = t - 2.0 * h
+            v = (4.0 * level(t - h) - 3.0 * p - level(t2)) / (t2 - t)
+        else:
+            v = (level(t + h) - level(t - h)) / (2.0 * h)
+        qvv = float(v @ q.matrix_at(p) @ v)
+        if not jacobian_floor ** 2 < qvv < math.inf:
+            raise RankDeficiencyError(
+                f"{label}: |dx/dtheta|^2 = {qvv:.3e} at fixed omega at "
+                f"(omega, theta) = ({w:.6g}, {t:.6g}): neighbouring "
+                "characteristics meet")
+        return 1.0 / qvv
+
+    return QuotientFrame(
+        chart=chart, omega=omega, theta=as_invariant(traced, name="theta"),
+        grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
+        invert=invert, rect=rect, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +465,12 @@ def _cross2(u, v):
 # Padding by 1e-6 of those lengths, and the polyline's box also by 1e-6 of
 # its coordinate scale for the rounding, leaves a thousandfold margin.
 _BOX_PAD = 1e-6
+# Newton iterations of the partial step that lands a trace on a level.  The
+# linear guess is off by O(step^2) and each iteration squares the error up
+# to the O(step^4) gap between the RK4 step's rate and the flow's, so two
+# or three suffice; the loop also ends at the first iteration that does
+# not come closer.
+_LAND_MAXITER = 20
 
 
 class TracedInvariant:
@@ -657,6 +733,63 @@ class TracedInvariant:
                 f"characteristic meets the data curve outside its arc range "
                 f"(sigma = {sig:.6g})")
         return float(np.clip(sig, 0.0, self.cauchy.length))
+
+    def level_point(self, w, sigma):
+        """The point where the characteristic through the Cauchy point at
+        arc length sigma meets the level omega = w.
+
+        omega is strictly monotone along the flow (d omega / d tau =
+        |grad omega|^2), so the trace runs from the data point in the
+        direction sign(w - omega) until omega passes w, and a last partial
+        RK4 step, its length solved by Newton's method in the flow time,
+        lands on the level.  Raises DomainError for sigma outside
+        [0, length], for a level not reached within n_steps steps and for
+        a trace that leaves the domain.
+        """
+        if not 0.0 <= sigma <= self.cauchy.length:
+            raise DomainError(
+                f"arc length {sigma:.6g} outside the data curve's range "
+                f"[0, {self.cauchy.length:.6g}]")
+        x1, x2 = self.cauchy.point_at(sigma).tolist()
+        w_x = self.chart.volume_at((x1, x2))
+        if w_x == w:
+            return x1, x2
+        sign = 1.0 if w > w_x else -1.0
+        for _ in range(self.n_steps):
+            y1, y2 = self._rk4_step(x1, x2, self.step, sign)
+            w_y = self.chart.volume_at((y1, y2))
+            if sign * (w_y - w) >= 0.0:
+                return self._land(x1, x2, sign, w, w_x, w_y)
+            x1, x2, w_x = y1, y2, w_y
+        raise DomainError(
+            f"the characteristic from arc length {sigma:.6g} does not reach "
+            f"omega = {w:.6g} within {self.n_steps} steps")
+
+    def _land(self, x1, x2, sign, w, w_x, w_y):
+        """The RK4 step from (x1, x2) whose end lies on the level omega = w,
+        which a full step from there reaches (w_x and w_y are omega at the
+        start and at the end of the full step).  Newton's method on the
+        step length stays in [0, step], where the root is bracketed, and
+        stops within 1e-15 of w relative, or, where finite-difference
+        gradients leave omega noisier than that, at the end of the step
+        that came closest."""
+        step = self.step
+        h = step * (w - w_x) / (w_y - w_x)
+        tol = 1e-15 * max(1.0, abs(w))
+        best = None
+        for _ in range(_LAND_MAXITER):
+            y1, y2 = self._rk4_step(x1, x2, h, sign)
+            r = self.chart.volume_at((y1, y2)) - w
+            if best is not None and abs(r) >= abs(best[2]):
+                break
+            best = (y1, y2, r)
+            if abs(r) <= tol:
+                break
+            # d omega / d h along the flow of sign * field: sign |grad omega|^2
+            a1, a2 = self._field(y1, y2)
+            d1, d2 = self._omega.gradient_at(y1, y2)
+            h = min(max(h - r / (sign * (a1 * d1 + a2 * d2)), 0.0), step)
+        return best[0], best[1]
 
     def _preferred_sign(self, x):
         d = self._flat - np.asarray(x)

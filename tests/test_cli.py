@@ -118,7 +118,18 @@ def test_verify_and_mesh_subcommands(tmp_path):
     assert (tmp_path / "mesh" / "member_m1.obj").exists()
 
 
-def test_natural_subcommand(tmp_path, helicoidal_chart):
+def test_verify_tol_zero_is_an_override(tmp_path, capsys):
+    # an explicit 0 is a tolerance, not "use the default"
+    code, _ = run(RunConfig.from_dict(_family_config()), tmp_path / "out")
+    assert code == 0
+    member_path = str(tmp_path / "out" / "member_m1.json")
+    assert main(["verify", member_path, "--strict"]) == 0
+    capsys.readouterr()
+    assert main(["verify", member_path, "--strict", "--tol", "0"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _meridian_inputs(tmp_path):
     u = np.linspace(0.5, 2.0, 801)
     curve = bg.LiftedCurve(u=u, x1=u, x2=np.zeros_like(u), x3=np.zeros_like(u))
     curve_path = tmp_path / "curve.csv"
@@ -126,8 +137,28 @@ def test_natural_subcommand(tmp_path, helicoidal_chart):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"space": {"kind": "euclidean_helicoidal", "a": 1.0}}))
-    code = main(["natural", "--config", str(cfg_path), "--curve",
-                 str(curve_path), "--out", str(tmp_path / "nat"), "--strict"])
+    return ["--config", str(cfg_path), "--curve", str(curve_path)]
+
+
+def test_natural_passes_fd_step_and_tol(tmp_path, monkeypatch):
+    seen = []
+    report = bg.verify.isometry_report
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["tol"], kwargs["h"]))
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(bg.verify, "isometry_report", spy)
+    code = main(["natural", *_meridian_inputs(tmp_path), "--out",
+                 str(tmp_path / "nat"), "--strict", "--tol", "0",
+                 "--fd-step", "2e-5"])
+    assert seen == [(0.0, 2e-5)]
+    assert code == 2
+
+
+def test_natural_subcommand(tmp_path, helicoidal_chart):
+    code = main(["natural", *_meridian_inputs(tmp_path), "--out",
+                 str(tmp_path / "nat"), "--strict"])
     assert code == 0
     gen = np.loadtxt(tmp_path / "nat" / "generatrix.csv", delimiter=",",
                      skiprows=1)

@@ -312,3 +312,31 @@ def test_traced_frame_member_matches_closed_form(helicoidal_chart,
     assert np.allclose(member.theta, member.x2 / member.x1 + 0.6,
                        rtol=0, atol=tol)
     assert np.max(np.abs((phi - phi[0]) - closed.lam_samples)) <= tol
+
+
+def test_traced_frame_member_at_fine_step(helicoidal_chart, helicoidal_spec,
+                                          traced_frame):
+    # the member above at a tenth of its step, which the characteristic
+    # frame makes affordable: the same 1e-5 tolerances, on a grid inset by
+    # 2h as before
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.005, anchor=1.2)
+    member = bg.generate_member(U, params, traced_frame, theta0=0.31,
+                                space=helicoidal_spec)
+    assert len(member.s) == 101
+    tol = 1e-5
+    report = bg.isometry_report(
+        helicoidal_chart, member, U,
+        (np.linspace(1.2 + 2e-5, 1.7 - 2e-5, 5), np.linspace(0.0, 1.0, 5)),
+        tol=tol)
+    assert report.passed, report.to_dict()
+
+    closed = bg.r3_closed_form(U, 0.72, 1, 1.0, member.s, anchor=1.2)
+    assert np.max(np.abs(np.hypot(member.x1, member.x2)
+                         - closed.rho_samples)) <= tol
+    cc = bg.cross_check(closed, member)
+    assert cc.passed(tol), cc.to_dict()
+    phi = np.arctan(member.theta - 0.6)
+    assert np.allclose(member.theta, member.x2 / member.x1 + 0.6,
+                       rtol=0, atol=tol)
+    assert np.max(np.abs((phi - phi[0]) - closed.lam_samples)) <= tol
