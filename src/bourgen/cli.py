@@ -7,8 +7,9 @@ Subcommands:
     verify    re-check a serialized member JSON
     mesh      re-export a serialized member as an OBJ mesh
 
-Exit status: 0 on success, 2 when --strict and a verification fails,
-1 on configuration or domain errors (single-line diagnostic on stderr).
+Exit status: 0 on success, 2 when --strict and a verification fails or on
+a usage error, 1 on configuration or domain errors (single-line diagnostic
+on stderr).
 """
 from __future__ import annotations
 
@@ -93,29 +94,30 @@ class RunConfig:
         gen = d.get("generatrix")
         if gen is None:
             raise ConfigError("config needs a 'generatrix' entry")
-        m_values = [float(m) for m in d.get("m_values", [1.0])]
-        if any(m <= 0 for m in m_values):
+        m_values = _entry(d, "m_values", [1.0], _numbers)
+        if any(not m > 0 for m in m_values):
             raise ConfigError("m must be positive")
         if len(set(m_values)) != len(m_values):
             raise ConfigError("m values must be distinct")
-        grid = d.get("grid", {})
-        tol = d.get("tolerances", {})
+        grid = _entry(d, "grid", {}, _object)
+        tol = _entry(d, "tolerances", {}, _object)
         cfg = cls(
             space=space, generatrix=gen, m_values=m_values,
-            epsilon=int(d.get("epsilon", 1)),
-            s_range=tuple(float(x) for x in d.get("s_range", (0.0, 1.0))),
-            step=float(d.get("step", 0.005)),
-            anchor=None if d.get("anchor") is None else float(d["anchor"]),
-            theta0=float(d.get("theta0", 0.0)),
+            epsilon=_entry(d, "epsilon", 1, int),
+            s_range=_entry(d, "s_range", (0.0, 1.0), _pair),
+            step=_entry(d, "step", 0.005, float),
+            anchor=None if d.get("anchor") is None
+            else _entry(d, "anchor", None, float),
+            theta0=_entry(d, "theta0", 0.0, float),
             integrator=str(d.get("integrator", "rk4")),
-            s_count=int(grid.get("s_count", 21)),
-            t_count=int(grid.get("t_count", 21)),
-            t_range=tuple(float(x) for x in grid.get("t_range", (0.0, 1.0))),
-            isometry_tol=float(tol.get("isometry", 1e-5)),
-            cross_tol=float(tol.get("cross_check", 1e-5)),
-            fd_step=float(tol.get("fd_step", 1e-5)),
+            s_count=_entry(grid, "grid.s_count", 21, int),
+            t_count=_entry(grid, "grid.t_count", 21, int),
+            t_range=_entry(grid, "grid.t_range", (0.0, 1.0), _pair),
+            isometry_tol=_entry(tol, "tolerances.isometry", 1e-5, float),
+            cross_tol=_entry(tol, "tolerances.cross_check", 1e-5, float),
+            fd_step=_entry(tol, "tolerances.fd_step", 1e-5, float),
             auto_shrink=bool(d.get("auto_shrink", True)),
-            seed=int(d.get("seed", 20240901)))
+            seed=_entry(d, "seed", 20240901, int))
         if cfg.epsilon not in (1, -1):
             raise ConfigError("epsilon must be +1 or -1")
         if cfg.s_count < 2 or cfg.t_count < 2:
@@ -145,13 +147,17 @@ class RunConfig:
 
 
 def _load_config(path):
-    """The JSON document in a config file; a missing or malformed file is a
-    ConfigError."""
+    """The JSON object in a config file; a missing or malformed file, or a
+    document that is not an object, is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config: the document must be a JSON object, "
+                          f"not {type(doc).__name__}")
+    return doc
 
 
 def _load_member(path):
@@ -165,12 +171,52 @@ def _load_member(path):
 
 def _space_entry(d):
     """The SpaceSpec of a config's 'space' entry."""
-    try:
-        return spaces.SpaceSpec.from_dict(d["space"])
-    except KeyError:
+    if "space" not in d:
         raise ConfigError("config needs a 'space' entry")
+    space = _entry(d, "space", None, _object)
+    if "kind" not in space:
+        raise ConfigError("space needs a 'kind' entry")
+    try:
+        return spaces.SpaceSpec(kind=space["kind"],
+                                a=_entry(space, "space.a", 0.0, float),
+                                kappa=_entry(space, "space.kappa", 0.0, float),
+                                tau=_entry(space, "space.tau", 0.0, float))
     except BourgenError as exc:
         raise ConfigError(str(exc))
+
+
+def _entry(d, name, default, convert):
+    """convert(d[key]), with key the last dotted part of name, or
+    convert(default) when the key is absent; a value that convert rejects
+    is a ConfigError naming the entry and what it must be."""
+    value = d.get(name.rpartition(".")[2], default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {_WHAT[convert]}, not {value!r}")
+
+
+def _object(value):
+    if not isinstance(value, dict):
+        raise TypeError
+    return value
+
+
+def _numbers(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError
+    return [float(x) for x in value]
+
+
+def _pair(value):
+    pair = _numbers(value)
+    if len(pair) != 2:
+        raise ValueError
+    return tuple(pair)
+
+
+_WHAT = {float: "a number", int: "an integer", _object: "an object",
+         _numbers: "a list of numbers", _pair: "a list of two numbers"}
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +369,12 @@ def _cmd_demo(args):
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "step", None) is not None:
+    if args.step is not None:
         cfg.step = args.step
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         cfg.isometry_tol = args.tol
         cfg.cross_tol = args.tol
-    if getattr(args, "fd_step", None) is not None:
+    if args.fd_step is not None:
         cfg.fd_step = args.fd_step
     return cfg
 
@@ -407,42 +453,50 @@ def build_parser():
                     "screw-invariant surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 2 when a verification fails")
-        p.add_argument("--step", type=float, default=None,
-                       help="override the integrator step")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override verification tolerances")
-        p.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                       help="finite-difference step of the form measurements "
-                            "(default 1e-5)")
+    # each subcommand takes only the options it reads
+    options = {
+        "out": ("--out", dict(default="out", help="output directory")),
+        "strict": ("--strict", dict(action="store_true",
+                                    help="exit 2 when a verification fails")),
+        "step": ("--step", dict(type=float, default=None,
+                                help="override the integrator step")),
+        "tol": ("--tol", dict(type=float, default=None,
+                              help="override verification tolerances")),
+        "fd_step": ("--fd-step", dict(
+            dest="fd_step", type=float, default=None,
+            help="finite-difference step of the form measurements "
+                 "(default 1e-5)")),
+    }
+
+    def common(p, *names):
+        for name in names:
+            flag, kwargs = options[name]
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("family", help="generate a family from a config")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, "out", "strict", "step", "tol", "fd_step")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("demo", help="run a canned demo")
     p.add_argument("name", choices=sorted(DEMOS))
-    common(p)
+    common(p, "out", "strict", "step", "tol", "fd_step")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("natural", help="extract natural parameters from a curve CSV")
     p.add_argument("--config", required=True, help="config carrying the space")
     p.add_argument("--curve", required=True, help="CSV with columns u,x1,x2,x3")
-    common(p)
+    common(p, "out", "strict", "tol", "fd_step")
     p.set_defaults(func=_cmd_natural)
 
     p = sub.add_parser("verify", help="re-check a serialized member")
     p.add_argument("member", help="member JSON file")
-    common(p)
+    common(p, "strict", "tol", "fd_step")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mesh", help="re-export a serialized member as OBJ")
     p.add_argument("member", help="member JSON file")
-    common(p)
+    common(p, "out")
     p.set_defaults(func=_cmd_mesh)
     return parser
 

@@ -7,7 +7,8 @@ Grammar (tightest first):
     + -
 with numbers, named variables (``s`` by default; chart coefficients use
 ``x1``, ``x2``), parentheses, and the functions sqrt, sin, cos, cosh,
-sinh, exp, log.
+sinh, exp, log.  Parentheses, function arguments, unary minus signs and
+exponents nest at most MAX_NESTING levels deep.
 
 Derivatives are produced by forward-mode differentiation: every node is
 evaluated on (value, derivative) pairs, so U'(s) is exact up to rounding.
@@ -23,6 +24,10 @@ from .errors import ParseError
 FUNCTIONS = ("sqrt", "sin", "cos", "cosh", "sinh", "exp", "log")
 
 _TOKEN_CHARS = "+-*/^()"
+
+# The parser and the evaluator recurse once per level, so deeper input
+# would exhaust Python's stack; it is a ParseError instead.
+MAX_NESTING = 100
 
 
 def _tokenize(text, variables):
@@ -84,6 +89,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text, variables)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -102,6 +108,19 @@ class _Parser:
                 f"expected {kind!r} at offset {tok[2]}, got end of input",
                 offset=tok[2], expected=(kind,))
         return self.advance()
+
+    def nested(self, parse):
+        """parse() one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            offset = self.peek()[2]
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels at "
+                f"offset {offset}", offset=offset)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def parse(self):
         node = self.expr()
@@ -130,7 +149,7 @@ class _Parser:
     def unary(self):
         if self.peek()[0] == "-":
             self.advance()
-            return ("neg", self.unary())
+            return ("neg", self.nested(self.unary))
         return self.power()
 
     def power(self):
@@ -138,7 +157,8 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             # exponent binds the next unary so 2^-3 parses
-            exponent = self.unary() if self.peek()[0] == "-" else self.power_operand()
+            exponent = self.nested(self.unary if self.peek()[0] == "-"
+                                   else self.power_operand)
             return ("^", base, exponent)
         return base
 
@@ -157,12 +177,12 @@ class _Parser:
         if tok[0] == "func":
             self.advance()
             self.expect("(")
-            arg = self.expr()
+            arg = self.nested(self.expr)
             self.expect(")")
             return ("call", tok[1], arg)
         if tok[0] == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         raise ParseError(

@@ -35,9 +35,7 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 def _inverse_block2(chart, x1, x2):
-    """Upper 2x2 block of the inverse metric, by cofactors (fast path); for
-    arrays x1, x2, elementwise, naming the first point (C order) where the
-    metric is singular."""
+    """Upper 2x2 block of the inverse metric, by cofactors (fast path)."""
     g11 = chart.g11(x1, x2)
     g12 = chart.g12(x1, x2)
     g13 = chart.g13(x1, x2)
@@ -47,24 +45,14 @@ def _inverse_block2(chart, x1, x2):
     det = (g11 * (g22 * g33 - g23 * g23)
            - g12 * (g12 * g33 - g23 * g13)
            + g13 * (g12 * g23 - g22 * g13))
-    if isinstance(det, np.ndarray):
-        singular = ~((0.0 < det) & (det < math.inf))
-        if singular.any():
-            k = np.argmax(singular)
-            x1, x2 = (np.broadcast_to(x, det.shape).flat[k] for x in (x1, x2))
-            _raise_singular(chart, det.flat[k], x1, x2)
-    elif not 0.0 < det < math.inf:
-        _raise_singular(chart, det, x1, x2)
+    if not 0.0 < det < math.inf:
+        raise SingularMetricError(
+            f"{chart.label}: metric determinant {det:.3e} at "
+            f"({x1!r}, {x2!r}) is not positive")
     b11 = (g22 * g33 - g23 * g23) / det
     b12 = -(g12 * g33 - g13 * g23) / det
     b22 = (g11 * g33 - g13 * g13) / det
     return b11, b12, b22
-
-
-def _raise_singular(chart, det, x1, x2):
-    raise SingularMetricError(
-        f"{chart.label}: metric determinant {det:.3e} at "
-        f"({x1!r}, {x2!r}) is not positive")
 
 
 @dataclass(frozen=True)
@@ -482,12 +470,13 @@ class TracedInvariant:
     solution of the defining PDE is constant.  Evaluation integrates the
     characteristic from x until it crosses the Cauchy curve and refines
     the crossing by Newton iteration, so values are smooth in x up to
-    integrator error (a precomputed trace grid supplies fallbacks,
-    diagnostics and the JSON dump).
+    integrator error.  omega grows along the flow (d omega / d tau =
+    |grad omega|^2), so the trace first runs forward when omega at the
+    nearest node of the Cauchy polyline exceeds omega(x), and backward
+    otherwise; the other direction is tried when the first misses.
 
     Evaluation steps on scalars and runs the full polyline crossing test
-    only on steps whose box meets the polyline's box; the trace grid
-    advances every Cauchy row, both ways, as one array.  Both give the
+    only on steps whose box meets the polyline's box, which gives the
     bits of a per-point trace with a crossing test at every step.
     """
 
@@ -518,47 +507,25 @@ class TracedInvariant:
         hi = self._poly_pts.max(axis=0) + pad
         self._poly_box = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
         self._check_transversality()
-        self._trace_grid()
 
     # -- characteristic field ------------------------------------------------
 
-    def _field(self, x1, x2, frozen=None):
+    def _field(self, x1, x2):
         """Horizontal projection of grad(omega) at (x1, x2): the
-        characteristic velocity (a1, a2).
-
-        On scalars, raises DomainError outside the chart domain and
-        DegenerateGradientError where |grad omega| is below the floor.  On
-        (J,) arrays, ``frozen`` is a boolean (J,) mask: frozen rows are not
-        evaluated and get velocity 0, and each row where the scalar call
-        would raise is evaluated no further than that check and is frozen
-        in place.
-        """
-        if frozen is not None:
-            rows = np.flatnonzero(~frozen)
-            inside = self.chart.domain(x1[rows], x2[rows])
-            rows = rows[np.broadcast_to(inside, rows.shape)]
-            x1, x2 = x1[rows], x2[rows]
-        elif not self.chart.domain(x1, x2):
+        characteristic velocity (a1, a2).  Raises DomainError outside the
+        chart domain and DegenerateGradientError where |grad omega| is
+        below the floor."""
+        if not self.chart.domain(x1, x2):
             raise DomainError(
                 f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
         b11, b12, b22 = _inverse_block2(self.chart, x1, x2)
         d1, d2 = self._omega.gradient_at(x1, x2)
         a1 = b11 * d1 + b12 * d2
         a2 = b12 * d1 + b22 * d2
-        degenerate = a1 * d1 + a2 * d2 < self.grad_floor ** 2
-        if frozen is None:
-            if degenerate:
-                raise DegenerateGradientError(
-                    f"|grad omega| below {self.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
-            return a1, a2
-        a1, a2, live, rows = np.broadcast_arrays(
-            a1, a2, np.logical_not(degenerate), rows)
-        frozen[:] = True
-        frozen[rows[live]] = False
-        v1, v2 = np.zeros(frozen.shape), np.zeros(frozen.shape)
-        v1[rows[live]] = a1[live]
-        v2[rows[live]] = a2[live]
-        return v1, v2
+        if a1 * d1 + a2 * d2 < self.grad_floor ** 2:
+            raise DegenerateGradientError(
+                f"|grad omega| below {self.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
+        return a1, a2
 
     def _check_transversality(self):
         for sigma in self.sigmas:
@@ -571,52 +538,24 @@ class TracedInvariant:
                     f"Cauchy curve tangent to a characteristic at arc length "
                     f"{sigma:.6g} (|sin angle| = {sin_angle:.2e})")
 
-    def _rk4_step(self, x1, x2, h, sign, frozen=None):
-        """One classical RK4 step of the flow of sign * field from (x1, x2).
-
-        x1, x2 are scalars, or (J,) arrays of rows with ``frozen`` their
-        mask (see ``_field``; the returned point of a frozen row means
-        nothing) and ``sign`` a scalar or a (J,) array.  The arithmetic is
+    def _rk4_step(self, x1, x2, h, sign):
+        """One classical RK4 step of the flow of sign * field from the
+        point (x1, x2) of floats.  The arithmetic is
         x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.
         """
         f = self._field
         g = 0.5 * h
-        a1, a2 = f(x1, x2, frozen)
+        a1, a2 = f(x1, x2)
         k11, k12 = sign * a1, sign * a2
-        a1, a2 = f(x1 + g * k11, x2 + g * k12, frozen)
+        a1, a2 = f(x1 + g * k11, x2 + g * k12)
         k21, k22 = sign * a1, sign * a2
-        a1, a2 = f(x1 + g * k21, x2 + g * k22, frozen)
+        a1, a2 = f(x1 + g * k21, x2 + g * k22)
         k31, k32 = sign * a1, sign * a2
-        a1, a2 = f(x1 + h * k31, x2 + h * k32, frozen)
+        a1, a2 = f(x1 + h * k31, x2 + h * k32)
         k41, k42 = sign * a1, sign * a2
         c = h / 6.0
         return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
                 x2 + c * (k12 + 2 * k22 + 2 * k32 + k42))
-
-    def _trace_grid(self):
-        """Trace the characteristic through every Cauchy node n_steps each
-        way: grid_points[j, n + k] is row j after k steps forward and
-        grid_points[j, n - k] after k steps back.  All rows of both ways
-        advance as one array; a row whose stage leaves the domain or
-        degenerates stays frozen where it is (harmless for bracketing)."""
-        n = self.n_steps
-        J = len(self.sigmas)
-        x0 = np.array([self.cauchy.point_at(sigma) for sigma in self.sigmas])
-        sign = np.repeat([1.0, -1.0], J)
-        x1, x2 = np.tile(x0[:, 0], 2), np.tile(x0[:, 1], 2)
-        frozen = np.zeros(2 * J, dtype=bool)
-        pts = np.empty((J, 2 * n + 1, 2))
-        pts[:, n] = x0
-        for k in range(1, n + 1):
-            y1, y2 = self._rk4_step(x1, x2, self.step, sign, frozen)
-            x1 = np.where(frozen, x1, y1)
-            x2 = np.where(frozen, x2, y2)
-            pts[:, n + k] = np.column_stack([x1[:J], x2[:J]])
-            pts[:, n - k] = np.column_stack([x1[J:], x2[J:]])
-        self.grid_points = pts
-        self.grid_omega = self.chart.volume_at((pts[..., 0], pts[..., 1]))
-        self._flat = pts.reshape(-1, 2)
-        self._flat_k = np.tile(np.arange(2 * n + 1), J)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -667,10 +606,9 @@ class TracedInvariant:
         sig0 = self._poly_sig[i] + w[i] * (self._poly_sig[i + 1] - self._poly_sig[i])
         return float(np.clip(sig0, 0.0, self.cauchy.length)), float(u[i])
 
-    def _proj_sigma(self, x):
-        """Arc-length parameter of the polyline point nearest to x."""
-        d = self._poly_pts - x
-        i = int(np.argmin(np.einsum("ij,ij->i", d, d)))
+    def _proj_sigma(self, x, i):
+        """Arc-length parameter of the polyline point nearest to x, given
+        the polyline node i nearest to x."""
         lo = max(0, i - 1)
         hi = min(len(self._poly_sig) - 1, i + 1)
         seg = self._poly_pts[hi] - self._poly_pts[lo]
@@ -681,9 +619,12 @@ class TracedInvariant:
         sig = self._poly_sig[lo] + u * (self._poly_sig[hi] - self._poly_sig[lo])
         return float(np.clip(sig, 0.0, self.cauchy.length))
 
-    def _on_curve_distance(self, x):
+    def _nearest_node(self, x):
+        """Index of the polyline node nearest to x, and its distance."""
         d = self._poly_pts - x
-        return float(np.sqrt(np.min(np.einsum("ij,ij->i", d, d))))
+        d2 = np.einsum("ij,ij->i", d, d)
+        i = int(np.argmin(d2))
+        return i, float(np.sqrt(d2[i]))
 
     def _refine_crossing(self, x_a, x_b, sign, sig0, u0):
         """Newton solve for the exact (trace parameter, sigma) crossing of
@@ -791,19 +732,15 @@ class TracedInvariant:
             h = min(max(h - r / (sign * (a1 * d1 + a2 * d2)), 0.0), step)
         return best[0], best[1]
 
-    def _preferred_sign(self, x):
-        d = self._flat - np.asarray(x)
-        i = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-        return -1.0 if self._flat_k[i] >= self.n_steps else +1.0
-
     def __call__(self, x1, x2):
         return self.value(x1, x2)
 
     def value(self, x1, x2):
         x = np.array([x1, x2], dtype=float)
-        if self._on_curve_distance(x) < 1e-12:
-            return self._proj_sigma(x)
-        first = self._preferred_sign(x)
+        i, distance = self._nearest_node(x)
+        if distance < 1e-12:
+            return self._proj_sigma(x, i)
+        first = 1.0 if self._omega_rises(x, self._poly_pts[i]) else -1.0
         for sign in (first, -first):
             try:
                 hit = self._crossing_from(*x.tolist(), sign)
@@ -816,26 +753,15 @@ class TracedInvariant:
             f"point ({x1:.6g}, {x2:.6g}) is outside the swept region of the "
             "characteristic grid")
 
-    # -- diagnostics ----------------------------------------------------------
-
-    def sample_swept(self, rng, n):
-        """n random grid nodes strictly inside the swept region."""
-        J, K, _ = self.grid_points.shape
-        jj = rng.integers(1, J - 1, size=n)
-        kk = rng.integers(K // 8, K - K // 8, size=n)
-        return self.grid_points[jj, kk]
-
-    def dump_grid(self, path):
-        """JSON debugging dump: rows of (omega, theta, x1, x2)."""
-        K = self.grid_points.shape[1]
-        rows = np.column_stack([
-            self.grid_omega.ravel(), np.repeat(self.sigmas, K),
-            self.grid_points[..., 0].ravel(),
-            self.grid_points[..., 1].ravel()]).tolist()
-        payload = {"label": self.name, "columns": ["omega", "theta", "x1", "x2"],
-                   "rows": rows}
-        Path(path).write_text(json_text(payload))
-        return payload
+    def _omega_rises(self, x, node):
+        """Whether omega at the polyline node exceeds omega(x), so that the
+        forward flow runs from x toward it.  ``value`` tries both
+        directions, so this only orders the work: where omega cannot be
+        evaluated (x outside the chart domain, say), forward comes first."""
+        try:
+            return self.chart.volume_at(node) > self.chart.volume_at(x)
+        except (DomainError, SingularMetricError):
+            return True
 
 
 def solve_orthogonal_invariant(chart, cauchy, arc_grid, *, step=None,
@@ -845,7 +771,8 @@ def solve_orthogonal_invariant(chart, cauchy, arc_grid, *, step=None,
     theta equals the Cauchy arc-length parameter on the data curve and is
     constant along characteristics (integral curves of the horizontal
     projection of grad omega).  The data curve must be transversal to the
-    characteristics; tangency raises TransversalityError.
+    characteristics at the arc-length values of ``arc_grid``; tangency
+    raises TransversalityError.
     """
     return TracedInvariant(chart, cauchy, arc_grid, step=step,
                            n_steps=n_steps, min_angle=min_angle)

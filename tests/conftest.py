@@ -1,6 +1,36 @@
+import numpy as np
 import pytest
 
 import bourgen as bg
+from bourgen.errors import DegenerateGradientError, DomainError
+
+
+def swept_nodes(traced, rng, n):
+    """n random nodes strictly inside the region swept by the
+    characteristics of a traced invariant, as an (n, 2) array.
+
+    Node (j, k), k in [0, 2 n_steps], lies k - n_steps RK4 steps of the
+    invariant's tracer from the Cauchy point at arc_grid[j] (backward when
+    negative).  Rows in [1, J - 1) and k in [K // 8, K - K // 8), with
+    K = 2 n_steps + 1, are drawn as two rng.integers calls; a trace whose
+    step leaves the domain or meets a degenerate gradient stays where it
+    is.
+    """
+    J, K = len(traced.sigmas), 2 * traced.n_steps + 1
+    jj = rng.integers(1, J - 1, size=n)
+    kk = rng.integers(K // 8, K - K // 8, size=n)
+    out = np.empty((n, 2))
+    for i, (j, k) in enumerate(zip(jj, kk)):
+        x1, x2 = traced.cauchy.point_at(traced.sigmas[j]).tolist()
+        steps = int(k) - traced.n_steps
+        sign = 1.0 if steps > 0 else -1.0
+        for _ in range(abs(steps)):
+            try:
+                x1, x2 = traced._rk4_step(x1, x2, traced.step, sign)
+            except (DomainError, DegenerateGradientError):
+                break
+        out[i] = x1, x2
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import pytest
 import bourgen as bg
 from bourgen._numerics import central_gradient2
 from bourgen.chart import invariant_pairing
+from conftest import swept_nodes
 
 
 def _report(number, description, passed, detail):
@@ -171,7 +172,7 @@ def test_criterion_6_orthogonal_pair(helicoidal_chart, bcv_frame):
     traced = bg.solve_orthogonal_invariant(
         helicoidal_chart, cauchy, np.linspace(0.0, 1.2, 61), n_steps=220)
     omega = helicoidal_chart.volume_fn()
-    pts = traced.sample_swept(rng, 100)
+    pts = swept_nodes(traced, rng, 100)
     worst_traced = max(abs(invariant_pairing(helicoidal_chart, omega, traced,
                                              p, step=1e-5)) for p in pts)
     worst_parallel = 0.0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
 from bourgen.cli import DEMOS, RunConfig, main, run, write_obj
@@ -339,15 +340,106 @@ def test_natural_missing_curve_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["family", "--config", "{missing}"],
-    ["natural", "--config", "{missing}", "--curve", "{missing}"],
+    ["family", "--config", "{missing}", "--out", "{out}"],
+    ["natural", "--config", "{missing}", "--curve", "{missing}", "--out", "{out}"],
     ["verify", "{missing}"],
-    ["mesh", "{missing}"],
+    ["mesh", "{missing}", "--out", "{out}"],
 ])
 def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing.json")
     code, err = _exit_and_error(capsys, [
-        a.format(missing=missing) for a in argv] + ["--out", str(tmp_path / "o")])
+        a.format(missing=missing, out=tmp_path / "o") for a in argv])
     assert code == 1
     assert err.startswith("error: ConfigError: ")
     assert "missing.json" in err and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed config values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key,value,message", [
+    ("m_values", "abc", "m_values must be a list of numbers, not 'abc'"),
+    ("m_values", 1.0, "m_values must be a list of numbers, not 1.0"),
+    ("m_values", [math.nan], "m must be positive"),
+    ("s_range", [1], "s_range must be a list of two numbers, not [1]"),
+    ("s_range", "ab", "s_range must be a list of two numbers, not 'ab'"),
+    ("grid", [], "grid must be an object, not []"),
+    ("tolerances", 5, "tolerances must be an object, not 5"),
+    ("step", "x", "step must be a number, not 'x'"),
+    ("anchor", "x", "anchor must be a number, not 'x'"),
+    ("space", "helicoidal", "space must be an object, not 'helicoidal'"),
+    ("space", {"kind": "euclidean_rotational", "a": "x"},
+     "space.a must be a number, not 'x'"),
+    ("space", {}, "space needs a 'kind' entry"),
+])
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, key,
+                                                  value, message):
+    cfg = _family_config(**{key: value})
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "bad"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err == f"error: ConfigError: {message}\n"
+
+
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([_family_config()]))
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err == ("error: ConfigError: config: the document must be a JSON "
+                   "object, not list\n")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+_keys = ["space", "generatrix", "m_values", "epsilon", "s_range", "step",
+         "anchor", "theta0", "integrator", "grid", "tolerances",
+         "auto_shrink", "seed"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(_keys), _json, max_size=4),
+       nested=st.dictionaries(
+           st.sampled_from(["kind", "a", "kappa", "tau", "s_count", "t_count",
+                            "t_range", "isometry", "cross_check", "fd_step"]),
+           _json, max_size=3))
+def test_random_config_values_load_or_are_a_config_error(changes, nested):
+    # random values at the top level, and in the space, grid and
+    # tolerances entries of an otherwise valid config
+    cfg = _family_config(**changes)
+    for key in ("space", "grid", "tolerances"):
+        if isinstance(cfg.get(key), dict):
+            cfg[key] = {**cfg[key], **nested}
+    try:
+        RunConfig.from_dict(cfg)
+    except ConfigError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# options a subcommand does not read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("inputs,option", [
+    ("verify m.json", "--out o"),
+    ("verify m.json", "--step 0.01"),
+    ("mesh m.json", "--strict"),
+    ("mesh m.json", "--step 0.01"),
+    ("mesh m.json", "--tol 0"),
+    ("mesh m.json", "--fd-step 1e-5"),
+    ("natural --config c.json --curve u.csv", "--step 0.01"),
+], ids=["verify-out", "verify-step", "mesh-strict", "mesh-step", "mesh-tol",
+        "mesh-fd-step", "natural-step"])
+def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, inputs,
+                                                            option):
+    with pytest.raises(SystemExit) as exc:
+        main(inputs.split() + option.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"unrecognized arguments: {option}\n")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bourgen.errors import ParseError
-from bourgen.expressions import parse_expression
+from bourgen.expressions import MAX_NESTING, parse_expression
 
 
 def test_sqrt_value_and_derivative():
@@ -74,6 +75,46 @@ def test_unexpected_character():
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse_expression("s+1 )")
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(" * 3000 + "s" + ")" * 3000, 101),
+    ("-" * 5000 + "s", 101),
+    ("^".join(["2"] * 3000), 202),
+], ids=["parentheses", "unary-minus", "power-tower"])
+def test_deep_nesting_is_a_parse_error(text, offset):
+    assert MAX_NESTING == 100
+    with pytest.raises(ParseError, match=f"nested deeper than 100 levels at "
+                                         f"offset {offset}$") as exc:
+        parse_expression(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text,value,slope", [
+    ("(" * 100 + "s" + ")" * 100, 2.0, 1.0),
+    ("-" * 100 + "s", 2.0, 1.0),
+    ("log(exp(" * 50 + "s" + "))" * 50, 2.0, 1.0),
+    ("1^" * 100 + "s", 1.0, 0.0),
+], ids=["parentheses", "unary-minus", "functions", "power-tower"])
+def test_nesting_at_the_limit_parses_and_evaluates(text, value, slope):
+    e = parse_expression(text)
+    assert np.isclose(e(2.0), value) and np.isclose(e.derivative(2.0), slope)
+
+
+# pieces of the grammar's alphabet, and some just outside it
+_PIECES = ["s", "2", "0.5", "1e-3", "1e", ".", "..", "+", "-", "*", "/", "^",
+           "(", ")", " ", "sqrt", "sin", "cosh", "exp", "log", "x1", "@"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=st.sampled_from(["(", "-", "2^", "sqrt(", "-(", "s^-"]),
+       depth=st.integers(0, 400),
+       pieces=st.lists(st.sampled_from(_PIECES), max_size=40))
+def test_random_text_parses_or_is_a_parse_error(prefix, depth, pieces):
+    try:
+        parse_expression(prefix * depth + "".join(pieces))
+    except ParseError:
+        pass
 
 
 @pytest.mark.parametrize("text", [

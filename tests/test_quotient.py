@@ -12,6 +12,7 @@ from bourgen.errors import (
     TransversalityError,
 )
 from bourgen.quotient import newton_invert
+from conftest import swept_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def traced_theta(helicoidal_chart):
 def test_traced_theta_orthogonality(helicoidal_chart, traced_theta):
     omega = helicoidal_chart.volume_fn()
     rng = np.random.default_rng(42)
-    pts = traced_theta.sample_swept(rng, 40)
+    pts = swept_nodes(traced_theta, rng, 40)
     worst = max(abs(invariant_pairing(helicoidal_chart, omega, traced_theta,
                                       p, step=1e-5)) for p in pts)
     assert worst < 1e-6
@@ -178,7 +179,7 @@ def test_traced_theta_level_sets_match_ratio(helicoidal_chart, traced_theta):
     # theta is constant exactly where x2/x1 is: gradients are parallel
     from bourgen._numerics import central_gradient2
     rng = np.random.default_rng(43)
-    pts = traced_theta.sample_swept(rng, 25)
+    pts = swept_nodes(traced_theta, rng, 25)
     worst = 0.0
     for p in pts:
         dth = central_gradient2(traced_theta, p[0], p[1], 1e-5)
@@ -191,7 +192,7 @@ def test_traced_theta_value_is_affine_in_ratio(traced_theta):
     # for this chart the characteristics are the rays from the origin, so
     # the arc-length data on the segment x1 = 1 gives x2/x1 + 0.6
     rng = np.random.default_rng(44)
-    pts = traced_theta.sample_swept(rng, 30)
+    pts = swept_nodes(traced_theta, rng, 30)
     vals = np.array([traced_theta(p[0], p[1]) for p in pts])
     assert np.allclose(vals, pts[:, 1] / pts[:, 0] + 0.6, atol=1e-10)
 
@@ -227,13 +228,6 @@ def test_circular_symmetry_theta_constant_on_rays():
 def test_traced_outside_swept_region(traced_theta):
     with pytest.raises(DomainError):
         traced_theta(5.0, 4.9)  # ray through this point misses the segment
-
-
-def test_traced_dump_grid(tmp_path, traced_theta):
-    path = tmp_path / "traced.json"
-    payload = traced_theta.dump_grid(path)
-    assert payload["columns"] == ["omega", "theta", "x1", "x2"]
-    assert len(payload["rows"]) == 61 * (2 * 220 + 1)
 
 
 @pytest.fixture(scope="module")

@@ -137,20 +137,3 @@ def test_curve_csvs_equal_savetxt(tmp_path):
 def test_frame_dump_grid_equals_json_dump(tmp_path, helicoidal_frame):
     payload = helicoidal_frame.dump_grid(tmp_path / "g.json", shape=(4, 3))
     assert (tmp_path / "g.json").read_text() == json.dumps(payload, indent=1)
-
-
-def test_traced_dump_grid_equals_json_dump(tmp_path, helicoidal_chart):
-    traced = bg.solve_orthogonal_invariant(
-        helicoidal_chart, bg.line_segment((1.0, -0.6), (1.0, 0.6)),
-        np.linspace(0.0, 1.2, 7), n_steps=10)
-    payload = traced.dump_grid(tmp_path / "t.json")
-    # the rows in the order of the node loop they replace
-    J, K, _ = traced.grid_points.shape
-    rows = [[float(traced.grid_omega[j, k]), float(traced.sigmas[j]),
-             float(traced.grid_points[j, k, 0]),
-             float(traced.grid_points[j, k, 1])]
-            for j in range(J) for k in range(K)]
-    assert payload["rows"] == rows
-    assert (tmp_path / "t.json").read_text() == json.dumps(
-        {"label": traced.name, "columns": ["omega", "theta", "x1", "x2"],
-         "rows": rows}, indent=1)

@@ -1,7 +1,7 @@
 """The fast characteristic tracer: scalar stepping with the crossing
-prefilter, the one-array grid trace and the self-pairing give, to the bit,
-what the per-point trace with a crossing test at every step gives, and
-fail where and how it fails."""
+prefilter, the first direction taken from omega and the self-pairing give,
+to the bit, what the per-point trace with a crossing test at every step
+gives, and fail where and how it fails."""
 import functools
 import math
 
@@ -17,6 +17,7 @@ from bourgen.errors import (
     DomainError,
     SingularMetricError,
 )
+from conftest import swept_nodes
 
 
 def _same(a, b):
@@ -27,7 +28,7 @@ def _same(a, b):
 
 # ---------------------------------------------------------------------------
 # reference: the per-point trace on 2-vectors, every step tested against
-# the whole polyline, every grid row traced on its own
+# the whole polyline, in both directions
 # ---------------------------------------------------------------------------
 
 def _ref_field(tr, x):
@@ -64,39 +65,32 @@ def _ref_crossing_from(tr, x, sign):
 
 
 def _ref_value(tr, x1, x2):
+    """The crossing of the trace from (x1, x2) with the Cauchy curve.  Both
+    directions are traced, and at most one may cross, unless (x1, x2) lies
+    on the curve: then both cross at the start of their first step and
+    must give the same value to the bit."""
     x = np.array([x1, x2], dtype=float)
-    if tr._on_curve_distance(x) < 1e-12:
-        return tr._proj_sigma(x)
-    first = tr._preferred_sign(x)
-    for sign in (first, -first):
+    distance = np.hypot(*(tr._poly_pts - x).T)
+    if np.min(distance) < 1e-12:
+        return tr._proj_sigma(x, int(np.argmin(distance)))
+    values = []
+    for sign in (1.0, -1.0):
         try:
             hit = _ref_crossing_from(tr, x, sign)
         except (DomainError, DegenerateGradientError):
             hit = None
         if hit is not None:
             x_a, x_b, sig0, u0 = hit
-            return tr._refine_crossing(x_a, x_b, sign, sig0, u0)
+            values.append((_same(x_a, x) and abs(u0) < 1e-9,
+                           tr._refine_crossing(x_a, x_b, sign, sig0, u0)))
+    if len(values) == 2:
+        (on_a, a), (on_b, b) = values
+        assert on_a and on_b and _same(a, b), (x1, x2, values)
+    if values:
+        return values[0][1]
     raise DomainError(
         f"point ({x1:.6g}, {x2:.6g}) is outside the swept region of the "
         "characteristic grid")
-
-
-def _ref_grid(tr):
-    n = tr.n_steps
-    pts = np.empty((len(tr.sigmas), 2 * n + 1, 2))
-    for j, sigma in enumerate(tr.sigmas):
-        x0 = tr.cauchy.point_at(sigma)
-        pts[j, n] = x0
-        for sign, direction in ((+1.0, +1), (-1.0, -1)):
-            x = x0.copy()
-            for k in range(1, n + 1):
-                try:
-                    x = _ref_rk4_step(tr, x, tr.step, sign)
-                except (DomainError, DegenerateGradientError):
-                    pass
-                pts[j, n + direction * k] = x
-    omega = np.array([[tr.chart.volume_at(p) for p in row] for row in pts])
-    return pts, omega
 
 
 def _outcome(fn, *args):
@@ -138,6 +132,13 @@ CASES = {
         bg.make_chart(bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0)),
         bg.line_segment((0.6, -0.4), (0.7, 0.4)),
         np.linspace(0.0, 0.8, 41), n_steps=120),
+    # the rotational chart, whose characteristics run along x1 and whose
+    # domain is x1 > 0: tracing back from x1 = 0.5 by 0.02 per step leaves
+    # it after about 25 steps
+    "rotational": lambda: bg.solve_orthogonal_invariant(
+        bg.make_chart(bg.SpaceSpec("euclidean_rotational")),
+        bg.line_segment((0.5, -0.5), (0.5, 0.5)),
+        np.linspace(0.0, 1.0, 11), step=0.02, n_steps=60),
 }
 
 
@@ -150,7 +151,7 @@ def _traced(name):
 def test_value_matches_unfiltered_trace(name):
     tr = _traced(name)
     rng = np.random.default_rng(5)
-    points = list(tr.sample_swept(rng, 8))
+    points = list(swept_nodes(tr, rng, 8))
     # on the curve: nodes of the polyline and between them
     points += [tr.cauchy.point_at(s) for s in (0.0, 0.37, tr.cauchy.length)]
     # outside the swept region, where both signs fail
@@ -169,28 +170,13 @@ def test_value_matches_unfiltered_trace(name):
     assert failed >= 2
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_grid_matches_per_row_loop(name):
-    tr = _traced(name)
-    pts, omega = _ref_grid(tr)
-    assert _same(tr.grid_points, pts)
-    assert _same(tr.grid_omega, omega)
-
-
-def test_trace_grid_freezes_rows_leaving_the_domain():
-    # characteristics of the rotational chart run along x1; tracing back
-    # from x1 = 0.5 by 0.02 per step leaves x1 > 0 after about 25 steps
-    chart = bg.make_chart(bg.SpaceSpec("euclidean_rotational"))
-    tr = bg.solve_orthogonal_invariant(
-        chart, bg.line_segment((0.5, -0.5), (0.5, 0.5)),
-        np.linspace(0.0, 1.0, 11), step=0.02, n_steps=60)
-    pts, omega = _ref_grid(tr)
-    assert _same(tr.grid_points, pts)
-    assert _same(tr.grid_omega, omega)
-    back = tr.grid_points[:, :tr.n_steps]   # k = n .. 1 steps back
-    assert np.all(back[:, 0] == back[:, 30])  # frozen well before step 30
-    assert np.all(back[:, 0, 0] > 0.0)
-    assert np.all(tr.grid_points[:, -1, 0] > 1.6)  # forward rows run on
+def test_point_outside_domain_is_outside_swept_region():
+    # omega is not defined at x1 < 0, and the error stays the tracer's
+    tr = _traced("rotational")
+    assert not tr.chart.domain(-0.3, 0.1)
+    with pytest.raises(DomainError, match=r"^point \(-0\.3, 0\.1\) is "
+                       "outside the swept region of the characteristic grid$"):
+        tr.value(-0.3, 0.1)
 
 
 def test_array_volume_names_first_nonpositive_g33():
