@@ -2,8 +2,8 @@
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
+from ._splines import cumulative_simpson
 from .errors import RangeError
 
 
@@ -21,7 +21,7 @@ def cumulative_simpson_anchored(y, x, anchor_index=0):
         # degenerate: trapezoid
         out = np.concatenate([[0.0], np.cumsum(np.diff(x) * 0.5 * (y[1:] + y[:-1]))])
     else:
-        out = cumulative_simpson(y, x=x, initial=0.0)
+        out = cumulative_simpson(y, x)
     return out - out[anchor_index]
 
 

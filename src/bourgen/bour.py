@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from ._numerics import (
     cumulative_simpson_anchored,
@@ -34,6 +33,7 @@ from ._numerics import (
     require_s_in_range,
     square,
 )
+from ._splines import HermiteSpline
 from ._text import json_text
 from .errors import (
     ConfigError,
@@ -315,11 +315,11 @@ class SurfaceMember:
         self.space = space
         self.metadata = dict(metadata or {})
         self.s_range = (float(self.s[0]), float(self.s[-1]))
-        self._V_spline = CubicHermiteSpline(self.s, self.V_samples, self.V_prime)
-        self._theta_spline = CubicHermiteSpline(self.s, self.theta,
-                                                self.theta_prime)
-        self._x1_spline = CubicHermiteSpline(self.s, self.x1, self.x1p)
-        self._x2_spline = CubicHermiteSpline(self.s, self.x2, self.x2p)
+        self._V_spline = HermiteSpline(self.s, self.V_samples, self.V_prime)
+        self._theta_spline = HermiteSpline(self.s, self.theta,
+                                           self.theta_prime)
+        self._x1_spline = HermiteSpline(self.s, self.x1, self.x1p)
+        self._x2_spline = HermiteSpline(self.s, self.x2, self.x2p)
 
     def position(self, s):
         """(x1(s), x2(s)) at every element of s (numpy scalars for a

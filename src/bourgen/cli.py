@@ -116,7 +116,7 @@ class RunConfig:
             isometry_tol=_entry(tol, "tolerances.isometry", 1e-5, float),
             cross_tol=_entry(tol, "tolerances.cross_check", 1e-5, float),
             fd_step=_entry(tol, "tolerances.fd_step", 1e-5, float),
-            auto_shrink=bool(d.get("auto_shrink", True)),
+            auto_shrink=_entry(d, "auto_shrink", True, _boolean),
             seed=_entry(d, "seed", 20240901, int))
         if cfg.epsilon not in (1, -1):
             raise ConfigError("epsilon must be +1 or -1")
@@ -215,8 +215,15 @@ def _pair(value):
     return tuple(pair)
 
 
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise TypeError
+    return value
+
+
 _WHAT = {float: "a number", int: "an integer", _object: "an object",
-         _numbers: "a list of numbers", _pair: "a list of two numbers"}
+         _numbers: "a list of numbers", _pair: "a list of two numbers",
+         _boolean: "true or false"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Grammar (tightest first):
 with numbers, named variables (``s`` by default; chart coefficients use
 ``x1``, ``x2``), parentheses, and the functions sqrt, sin, cos, cosh,
 sinh, exp, log.  Parentheses, function arguments, unary minus signs and
-exponents nest at most MAX_NESTING levels deep.
+exponents nest at most MAX_NESTING levels deep, and each operator of a
++ - or * / chain nests the chain one level below its deepest operand.
 
 Derivatives are produced by forward-mode differentiation: every node is
 evaluated on (value, derivative) pairs, so U'(s) is exact up to rounding.
@@ -90,6 +91,8 @@ class _Parser:
         self.tokens = _tokenize(text, variables)
         self.pos = 0
         self.depth = 0
+        # levels of the tree below the node the last parse method returned
+        self.height = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -130,35 +133,46 @@ class _Parser:
                              offset=tok[2], expected=("end of input",))
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = (op, node, rhs)
+    def chain(self, operand, ops):
+        """operand (op operand)*, associated to the left: a chain of n
+        operators is a tree n levels deeper than its deepest operand, and
+        evaluation recurses through all of them."""
+        node = operand()
+        height = self.height
+        while self.peek()[0] in ops:
+            op, _, offset = self.advance()
+            node = (op, node, operand())
+            height = max(height, self.height) + 1
+            if self.depth + height > MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING} levels at "
+                    f"offset {offset}", offset=offset)
+        self.height = height
         return node
 
+    def expr(self):
+        return self.chain(self.term, ("+", "-"))
+
     def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
+        return self.chain(self.unary, ("*", "/"))
 
     def unary(self):
         if self.peek()[0] == "-":
             self.advance()
-            return ("neg", self.nested(self.unary))
+            node = ("neg", self.nested(self.unary))
+            self.height += 1
+            return node
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
+            height = self.height
             self.advance()
             # exponent binds the next unary so 2^-3 parses
             exponent = self.nested(self.unary if self.peek()[0] == "-"
                                    else self.power_operand)
+            self.height = max(height, self.height) + 1
             return ("^", base, exponent)
         return base
 
@@ -168,17 +182,16 @@ class _Parser:
 
     def atom(self):
         tok = self.peek()
-        if tok[0] == "num":
+        if tok[0] in ("num", "var"):
             self.advance()
-            return ("num", tok[1])
-        if tok[0] == "var":
-            self.advance()
-            return ("var", tok[1])
+            self.height = 0
+            return (tok[0], tok[1])
         if tok[0] == "func":
             self.advance()
             self.expect("(")
             arg = self.nested(self.expr)
             self.expect(")")
+            self.height += 1
             return ("call", tok[1], arg)
         if tok[0] == "(":
             self.advance()

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._numerics import (
     cumulative_simpson_anchored,
     distinct_values,
     require_s_in_range,
 )
+from ._splines import HermiteSpline, pchip
 from ._text import write_csv
 from .errors import DegenerateParametrizationError
 
@@ -148,7 +148,7 @@ class GeneratrixMetric:
         values = np.asarray(values, dtype=float)
         if not np.all(np.diff(s) > 0):
             raise ValueError("sample grid must be strictly increasing")
-        spline = PchipInterpolator(s, values)
+        spline = pchip(s, values)
         return cls(U=spline, dU=spline.derivative(),
                    s_range=(s[0], s[-1]), representation="table",
                    source=(s.copy(), values.copy()))
@@ -176,9 +176,9 @@ class NaturalParameters:
     """Result of the natural-parameter extraction.  The three maps are
     monotone-cubic interpolants that take scalars or arrays."""
 
-    s_of_u: PchipInterpolator
-    u_of_s: PchipInterpolator
-    t_shift: PchipInterpolator  # function of u; v = t - t_shift(u)
+    s_of_u: HermiteSpline
+    u_of_s: HermiteSpline
+    t_shift: HermiteSpline  # function of u; v = t - t_shift(u)
     U: GeneratrixMetric
     u_samples: np.ndarray
     s_samples: np.ndarray
@@ -207,9 +207,9 @@ def to_natural(coeffs, eta=1e-10):
     shift = cumulative_simpson_anchored(F / G, coeffs.u, 0)
     U = GeneratrixMetric.from_samples(s, np.sqrt(G))
     return NaturalParameters(
-        s_of_u=PchipInterpolator(coeffs.u, s),
-        u_of_s=PchipInterpolator(s, coeffs.u),
-        t_shift=PchipInterpolator(coeffs.u, shift),
+        s_of_u=pchip(coeffs.u, s),
+        u_of_s=pchip(s, coeffs.u),
+        t_shift=pchip(coeffs.u, shift),
         U=U, u_samples=coeffs.u.copy(), s_samples=s)
 
 
@@ -225,9 +225,9 @@ class ReparametrizedSurface:
         self.curve = curve
         self.nat = nat
         self.m = 1.0
-        self._sx1 = PchipInterpolator(curve.u, curve.x1)
-        self._sx2 = PchipInterpolator(curve.u, curve.x2)
-        self._sx3 = PchipInterpolator(curve.u, curve.x3)
+        self._sx1 = pchip(curve.u, curve.x1)
+        self._sx2 = pchip(curve.u, curve.x2)
+        self._sx3 = pchip(curve.u, curve.x3)
         self.s_range = (float(nat.s_samples[0]), float(nat.s_samples[-1]))
 
     def map(self, s, t):

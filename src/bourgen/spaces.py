@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from ._numerics import (
     atan2,
@@ -36,6 +35,7 @@ from ._numerics import (
     sqrt,
     square,
 )
+from ._splines import HermiteSpline
 from .chart import AdaptedChart3, InvariantFunction
 from .errors import DomainViolationError, SpecError
 from .quotient import QuotientFrame
@@ -441,9 +441,9 @@ def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
         kind="euclidean_helicoidal" if a != 0.0 else "euclidean_rotational",
         a=a, m=m, epsilon=epsilon, s_grid=s_grid,
         rho_samples=rho, lam_samples=lam, V_samples=V,
-        rho=CubicHermiteSpline(s_grid, rho, rho_prime),
-        lam=CubicHermiteSpline(s_grid, lam, lam_prime),
-        Vclosed=CubicHermiteSpline(s_grid, V, V_prime),
+        rho=HermiteSpline(s_grid, rho, rho_prime),
+        lam=HermiteSpline(s_grid, lam, lam_prime),
+        Vclosed=HermiteSpline(s_grid, V, V_prime),
         anchor_index=k0)
 
 
@@ -488,7 +488,7 @@ def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
     return ClosedFormFamily(
         kind="bcv_helicoidal", a=a, m=m, epsilon=epsilon, s_grid=s_grid,
         rho_samples=rho, lam_samples=lam, V_samples=V,
-        rho=CubicHermiteSpline(s_grid, rho, rho_prime),
-        lam=CubicHermiteSpline(s_grid, lam, lam_prime),
-        Vclosed=CubicHermiteSpline(s_grid, V, V_prime),
+        rho=HermiteSpline(s_grid, rho, rho_prime),
+        lam=HermiteSpline(s_grid, lam, lam_prime),
+        Vclosed=HermiteSpline(s_grid, V, V_prime),
         anchor_index=k0)

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +377,9 @@ def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
     ("space", {"kind": "euclidean_rotational", "a": "x"},
      "space.a must be a number, not 'x'"),
     ("space", {}, "space needs a 'kind' entry"),
+    ("auto_shrink", "false", "auto_shrink must be true or false, not 'false'"),
+    ("auto_shrink", "no", "auto_shrink must be true or false, not 'no'"),
+    ("auto_shrink", [0], "auto_shrink must be true or false, not [0]"),
 ])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, key,
                                                   value, message):
@@ -381,6 +389,18 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, key,
         "--out", str(tmp_path / "out")])
     assert code == 1
     assert err == f"error: ConfigError: {message}\n"
+
+
+def test_generatrix_chain_too_deep_to_evaluate_is_a_config_error(tmp_path,
+                                                                 capsys):
+    # a left-associated chain is as deep as it is long
+    cfg = _family_config(generatrix="+".join(["sqrt(s^2+1)/3000"] * 3000))
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "chain"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err == ("error: ConfigError: generatrix does not parse: expression "
+                   "nested deeper than 100 levels at offset 1648\n")
 
 
 def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
@@ -443,3 +463,24 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, inputs,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"unrecognized arguments: {option}\n")
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_start_up_imports_no_scipy():
+    # every command is a fresh process, and scipy.interpolate alone takes
+    # longer to import than bourgen's own work on a typical member
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bourgen, bourgen.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+    imports = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert not [p.name for p in (SRC / "bourgen").glob("*.py")
+                if imports.search(p.read_text())]

@@ -101,6 +101,31 @@ def test_nesting_at_the_limit_parses_and_evaluates(text, value, slope):
     assert np.isclose(e(2.0), value) and np.isclose(e.derivative(2.0), slope)
 
 
+@pytest.mark.parametrize("text,offset", [
+    ("+".join(["sqrt(s^2+1)/3000"] * 3000), 1648),
+    ("+".join(["s"] * 102), 201),
+    ("*".join(["s"] * 102), 201),
+    ("(" * 99 + "s+s+s" + ")" * 99, 102),
+], ids=["generatrix-sum", "sum", "product", "sum-in-parentheses"])
+def test_long_operator_chain_is_a_parse_error(text, offset):
+    # every operator of a left-associated chain is one level of the tree
+    with pytest.raises(ParseError, match=f"nested deeper than 100 levels at "
+                                         f"offset {offset}$") as exc:
+        parse_expression(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text,value,slope", [
+    ("+".join(["s"] * 101), 202.0, 101.0),
+    ("(" * 99 + "s+s" + ")" * 99, 4.0, 2.0),
+    ("+".join(["sqrt(s^2+1)/3000"] * 97), 97 * math.sqrt(5) / 3000,
+     97 * 2 / math.sqrt(5) / 3000),
+], ids=["sum", "sum-in-parentheses", "generatrix-sum"])
+def test_operator_chain_at_the_limit_parses_and_evaluates(text, value, slope):
+    e = parse_expression(text)
+    assert np.isclose(e(2.0), value) and np.isclose(e.derivative(2.0), slope)
+
+
 # pieces of the grammar's alphabet, and some just outside it
 _PIECES = ["s", "2", "0.5", "1e-3", "1e", ".", "..", "+", "-", "*", "/", "^",
            "(", ")", " ", "sqrt", "sin", "cosh", "exp", "log", "x1", "@"]
