@@ -23,8 +23,8 @@ def _checked(x, y, dydx=None):
     if x.shape[0] < 2:
         raise ValueError("`x` must contain at least 2 elements.")
     if y.shape != x.shape:
-        raise ValueError("The length of `y` along `axis`=0 doesn't match "
-                         "the length of `x`")
+        raise ValueError("`y` must be 1-dimensional, with the length of "
+                         "`x`.")
     if not np.all(np.isfinite(x)):
         raise ValueError("`x` must contain only finite values.")
     if not np.all(np.isfinite(y)):
