@@ -62,14 +62,18 @@ class HermiteSpline:
         # same index as clip(searchsorted(x, v, "right") - 1, 0, n - 2)
         i = np.searchsorted(self._inner, v, "right")
         c = self.c[:, i]
-        s = v - self.x[i]
-        # power accumulation, as scipy's evaluate_poly1 does it (not Horner)
-        res = 0.0 + c[-1]
-        z = s
-        for k in range(len(c) - 2, -1, -1):
-            res = res + c[k] * z
-            if k:
-                z = z * s
+        # scipy's C loop is silent where v is +-inf (0 * inf) or so large
+        # that the powers overflow; the values are its NaN or inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = v - self.x[i]
+            # power accumulation, as scipy's evaluate_poly1 does it (not
+            # Horner); res is a fresh array, so it is summed in place
+            res = 0.0 + c[-1]
+            z = s
+            for k in range(len(c) - 2, -1, -1):
+                res += c[k] * z
+                if k:
+                    z = z * s
         return np.asarray(res)
 
     def derivative(self):

@@ -281,7 +281,7 @@ def _member_name(m):
     return f"member_m{m:g}".replace(".", "p")
 
 
-def _process_member(cfg, U, frame, m, out_dir):
+def _process_member(cfg, U, frame, m, out_dir, strict=False):
     result = {"m": m, "requested_s_range": list(cfg.s_range)}
     s_range = cfg.s_range
     if cfg.auto_shrink:
@@ -291,6 +291,10 @@ def _process_member(cfg, U, frame, m, out_dir):
         result["shrunk"] = s_range != cfg.s_range
     anchor = cfg.anchor
     if anchor is not None and not s_range[0] <= anchor <= s_range[1]:
+        if strict:
+            raise ConfigError(
+                f"m = {m:g}: anchor {anchor:g} lies outside the feasible "
+                f"s_range [{s_range[0]:.6g}, {s_range[1]:.6g}]")
         # the member is anchored at s0 instead; only then is the key written
         result["anchor_dropped"] = anchor
         anchor = None
@@ -345,7 +349,8 @@ def run(cfg, out_dir, strict=False):
               "seed": cfg.seed,
               "members": []}
     for m in cfg.m_values:
-        report["members"].append(_process_member(cfg, U, frame, m, out_dir))
+        report["members"].append(_process_member(cfg, U, frame, m, out_dir,
+                                                  strict))
     report["all_passed"] = bool(all(r["passed"] for r in report["members"]))
     _write_json(report, out_dir / "report.json")
     for r in report["members"]:

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._text import json_text
 from .chart import DEFAULT_FD_STEP, AdaptedChart3, InvariantFunction, as_invariant
 from .errors import (
     DegenerateGradientError,
@@ -35,7 +33,8 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 def _inverse_block2(chart, x1, x2):
-    """Upper 2x2 block of the inverse metric, by cofactors (fast path)."""
+    """Upper 2x2 block (b11, b12, b22) of the inverse metric, by cofactors
+    (fast path), and the g33 it used, as (b11, b12, b22, g33)."""
     g11 = chart.g11(x1, x2)
     g12 = chart.g12(x1, x2)
     g13 = chart.g13(x1, x2)
@@ -52,7 +51,19 @@ def _inverse_block2(chart, x1, x2):
     b11 = (g22 * g33 - g23 * g23) / det
     b12 = -(g12 * g33 - g13 * g23) / det
     b22 = (g11 * g33 - g13 * g13) / det
-    return b11, b12, b22
+    return b11, b12, b22, g33
+
+
+def _volume(chart, x1, x2):
+    """``chart.volume_at((x1, x2))`` for floats x1, x2, with its errors;
+    math.sqrt rounds as np.sqrt does."""
+    if not chart.domain(x1, x2):
+        raise DomainError(f"{chart.label}: point {(x1, x2)!r} outside chart domain")
+    g33 = chart.g33(x1, x2)
+    if g33 <= 0.0:
+        raise SingularMetricError(
+            f"{chart.label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
+    return math.sqrt(g33)
 
 
 @dataclass(frozen=True)
@@ -77,15 +88,15 @@ def quotient_metric(chart):
     block of the inverse ambient metric."""
 
     def q11(x1, x2):
-        b11, b12, b22 = _inverse_block2(chart, x1, x2)
+        b11, b12, b22, _ = _inverse_block2(chart, x1, x2)
         return b22 / (b11 * b22 - b12 * b12)
 
     def q12(x1, x2):
-        b11, b12, b22 = _inverse_block2(chart, x1, x2)
+        b11, b12, b22, _ = _inverse_block2(chart, x1, x2)
         return -b12 / (b11 * b22 - b12 * b12)
 
     def q22(x1, x2):
-        b11, b12, b22 = _inverse_block2(chart, x1, x2)
+        b11, b12, b22, _ = _inverse_block2(chart, x1, x2)
         return b11 / (b11 * b22 - b12 * b12)
 
     return QuotientMetric2(q11=q11, q12=q12, q22=q22)
@@ -112,6 +123,11 @@ class QuotientFrame:
     is what ``elementwise`` tests.  Other frames (the ratio gauge, and
     ``build_frame``'s Newton and characteristic frames) are evaluated one
     point at a time.
+    ``inverse_jacobian``, when set, gives d(x1, x2)/d(omega, theta) at a
+    point (w, t) directly, and ``invert_jacobian`` returns it in place of
+    the inverse of the finite-difference forward Jacobian; the
+    characteristic frame sets it, so that its members never difference
+    the traced theta.
     """
 
     chart: AdaptedChart3
@@ -124,6 +140,7 @@ class QuotientFrame:
     label: str = "frame"
     branch_sign: int = 1
     theta_free: bool = False
+    inverse_jacobian: Optional[Callable[[float, float], np.ndarray]] = None
 
     def elementwise(self, fn, a, b):
         """fn(a, b) at every element of the broadcast arrays a, b, for fn a
@@ -165,8 +182,12 @@ class QuotientFrame:
         return np.stack(rows, axis=-1).reshape(rows[0].shape + (2, 2))
 
     def invert_jacobian(self, w, t, step=DEFAULT_FD_STEP):
-        """d(x1, x2)/d(omega, theta) at (w, t), via the forward gradients
-        (for arrays, one matrix per point)."""
+        """d(x1, x2)/d(omega, theta) at (w, t): the frame's
+        ``inverse_jacobian`` when it has one (``step`` is then unused),
+        otherwise via the forward gradients (for arrays, one matrix per
+        point)."""
+        if self.inverse_jacobian is not None:
+            return self.inverse_jacobian(w, t)
         x1, x2 = self.invert(w, t)
         fj = self.forward_jacobian(x1, x2, step)
         a, b, c, d = fj[..., 0, 0], fj[..., 0, 1], fj[..., 1, 0], fj[..., 1, 1]
@@ -180,21 +201,6 @@ class QuotientFrame:
         inverse = np.stack([np.stack([d, -b], axis=-1),
                             np.stack([-c, a], axis=-1)], axis=-2)
         return inverse / det[..., None, None]
-
-    def dump_grid(self, path, shape=(21, 21)):
-        """Write a JSON debugging grid of (omega, theta, x1, x2) tuples."""
-        (w0, w1), (t0, t1) = self.rect
-        ws = np.linspace(w0, w1, shape[0])
-        ts = np.linspace(t0, t1, shape[1])
-        rows = []
-        for w in ws:
-            for t in ts:
-                x1, x2 = self.invert(w, t)
-                rows.append([float(w), float(t), float(x1), float(x2)])
-        payload = {"label": self.label, "columns": ["omega", "theta", "x1", "x2"],
-                   "rows": rows}
-        Path(path).write_text(json_text(payload))
-        return payload
 
 
 def newton_invert(forward, jacobian, target, seed, tol=1e-12, maxiter=50,
@@ -350,14 +356,23 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
     theta is constant along a characteristic and omega strictly monotone,
     so the point (w, t) is one trace from the Cauchy point at arc length t
     to the level omega = w (``TracedInvariant.level_point``), with a
-    one-entry memo for the two norms of a right-hand side.
-    |grad omega|^2 is the chart's pairing at that point.  In the
-    orthogonal pair the quotient metric is dw^2 / |grad omega|^2 +
-    dt^2 / |grad theta|^2, so |grad theta|^2 = 1 / q(dx/dt, dx/dt) with
-    dx/dt at fixed omega the central difference of two more level traces
-    from t -+ 1e-6 max(1, |t|) (one-sided, of second order, within that
-    step of an end of the arc range).  A q(dx/dt, dx/dt) that collapses
-    below jacobian_floor^2 raises RankDeficiencyError.
+    one-entry memo.
+
+    The gradient norms and the inverse Jacobian come from one stencil of
+    level traces at (w, t), also memoised for one entry, since a
+    right-hand side asks for both norms at the same point.  With
+    h = 1e-6 max(1, |t|), the stencil traces lo at t - h and hi at t + h;
+    dx/dtheta at fixed omega is v = (hi - lo) / 2h, and the stencil's
+    point is p = (lo + hi) / 2, the level trace at t up to O(h^2).  Within
+    h of an end of the arc range the stencil is one-sided, of second
+    order, from the level trace at t and two more at t +- h, t +- 2h.
+    |grad omega|^2 is the chart's pairing at p.  In the orthogonal pair
+    the quotient metric is dw^2 / |grad omega|^2 + dt^2 / |grad theta|^2,
+    so |grad theta|^2 = 1 / q(v, v); a q(v, v) that collapses below
+    jacobian_floor^2 raises RankDeficiencyError.  The inverse Jacobian has
+    the columns dx/domega = a / (a . d omega) at p, with a the trace field,
+    and dx/dtheta = v; columns within jacobian_floor of parallel raise
+    RankDeficiencyError.
     """
     from .chart import invariant_pairing
 
@@ -365,6 +380,7 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
     q = quotient_metric(chart)
     length = traced.cauchy.length
     last = ((None, None), None)
+    last_stencil = ((None, None), None)
 
     def invert(w, t):
         nonlocal last
@@ -375,21 +391,32 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
         last = ((w, t), point)
         return point
 
-    def grad_omega_sq(w, t):
-        return invariant_pairing(chart, omega, omega, invert(w, t), step=fd_step)
-
-    def grad_theta_sq(w, t):
-        p = np.array(invert(w, t))
+    def stencil(w, t):
+        """(p, v): the stencil's point and dx/dtheta at fixed omega."""
+        nonlocal last_stencil
+        key, pv = last_stencil
+        if key == (w, t):
+            return pv
         h = 1e-6 * max(1.0, abs(t))
         level = lambda sigma: np.array(traced.level_point(w, sigma))
-        if t - h < 0.0:
-            t2 = t + 2.0 * h
-            v = (4.0 * level(t + h) - 3.0 * p - level(t2)) / (t2 - t)
-        elif t + h > length:
-            t2 = t - 2.0 * h
-            v = (4.0 * level(t - h) - 3.0 * p - level(t2)) / (t2 - t)
+        if t - h < 0.0 or t + h > length:
+            p = np.array(invert(w, t))
+            t1, t2 = (t + h, t + 2.0 * h) if t - h < 0.0 else (t - h, t - 2.0 * h)
+            v = (4.0 * level(t1) - 3.0 * p - level(t2)) / (t2 - t)
         else:
-            v = (level(t + h) - level(t - h)) / (2.0 * h)
+            lo, hi = level(t - h), level(t + h)
+            v = (hi - lo) / (2.0 * h)
+            p = 0.5 * (lo + hi)
+        pv = (p, v)
+        last_stencil = ((w, t), pv)
+        return pv
+
+    def grad_omega_sq(w, t):
+        p, _ = stencil(w, t)
+        return invariant_pairing(chart, omega, omega, p, step=fd_step)
+
+    def grad_theta_sq(w, t):
+        p, v = stencil(w, t)
         qvv = float(v @ q.matrix_at(p) @ v)
         if not jacobian_floor ** 2 < qvv < math.inf:
             raise RankDeficiencyError(
@@ -398,10 +425,22 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
                 "characteristics meet")
         return 1.0 / qvv
 
+    def inverse_jacobian(w, t):
+        p, v = stencil(w, t)
+        a1, a2, d1, d2 = traced._field(*p)
+        ad = a1 * d1 + a2 * d2
+        cross = a1 * v[1] - a2 * v[0]
+        if not abs(cross) > jacobian_floor * math.hypot(a1, a2) * math.hypot(*v):
+            raise RankDeficiencyError(
+                f"{label}: dx/domega and dx/dtheta nearly parallel at "
+                f"(omega, theta) = ({w:.6g}, {t:.6g})")
+        return np.array([[a1 / ad, v[0]], [a2 / ad, v[1]]])
+
     return QuotientFrame(
         chart=chart, omega=omega, theta=as_invariant(traced, name="theta"),
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
-        invert=invert, rect=rect, label=label)
+        invert=invert, rect=rect, label=label,
+        inverse_jacobian=inverse_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -511,26 +550,39 @@ class TracedInvariant:
     # -- characteristic field ------------------------------------------------
 
     def _field(self, x1, x2):
-        """Horizontal projection of grad(omega) at (x1, x2): the
-        characteristic velocity (a1, a2).  Raises DomainError outside the
-        chart domain and DegenerateGradientError where |grad omega| is
-        below the floor."""
-        if not self.chart.domain(x1, x2):
+        """Horizontal projection of grad(omega) at (x1, x2), the
+        characteristic velocity (a1, a2), and the gradient (d1, d2) of
+        omega, as (a1, a2, d1, d2).  Raises DomainError outside the chart
+        domain and DegenerateGradientError where |grad omega| is below the
+        floor.
+
+        The chart is evaluated once: the omega gradient d_g33 / (2 omega)
+        takes the g33 of the cofactor block, which gives the bits of
+        ``volume_fn().gradient_at``; a chart without ``d_g33`` takes its
+        central differences.
+        """
+        chart = self.chart
+        if not chart.domain(x1, x2):
             raise DomainError(
                 f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-        b11, b12, b22 = _inverse_block2(self.chart, x1, x2)
-        d1, d2 = self._omega.gradient_at(x1, x2)
+        b11, b12, b22, g33 = _inverse_block2(chart, x1, x2)
+        if chart.d_g33 is None:
+            d1, d2 = self._omega.gradient_at(x1, x2)
+        else:
+            e1, e2 = chart.d_g33(x1, x2)
+            w = math.sqrt(g33)
+            d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
         a1 = b11 * d1 + b12 * d2
         a2 = b12 * d1 + b22 * d2
         if a1 * d1 + a2 * d2 < self.grad_floor ** 2:
             raise DegenerateGradientError(
                 f"|grad omega| below {self.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
-        return a1, a2
+        return a1, a2, d1, d2
 
     def _check_transversality(self):
         for sigma in self.sigmas:
             p = self.cauchy.point_at(sigma)
-            a = np.array(self._field(*p))
+            a = np.array(self._field(*p)[:2])
             t = self.cauchy.tangent_at(sigma)
             sin_angle = abs(_cross2(a, t)) / (np.linalg.norm(a) * np.linalg.norm(t))
             if sin_angle < np.sin(self.min_angle):
@@ -545,13 +597,13 @@ class TracedInvariant:
         """
         f = self._field
         g = 0.5 * h
-        a1, a2 = f(x1, x2)
+        a1, a2, _, _ = f(x1, x2)
         k11, k12 = sign * a1, sign * a2
-        a1, a2 = f(x1 + g * k11, x2 + g * k12)
+        a1, a2, _, _ = f(x1 + g * k11, x2 + g * k12)
         k21, k22 = sign * a1, sign * a2
-        a1, a2 = f(x1 + g * k21, x2 + g * k22)
+        a1, a2, _, _ = f(x1 + g * k21, x2 + g * k22)
         k31, k32 = sign * a1, sign * a2
-        a1, a2 = f(x1 + h * k31, x2 + h * k32)
+        a1, a2, _, _ = f(x1 + h * k31, x2 + h * k32)
         k41, k42 = sign * a1, sign * a2
         c = h / 6.0
         return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
@@ -630,8 +682,8 @@ class TracedInvariant:
         """Newton solve for the exact (trace parameter, sigma) crossing of
         the Hermite-interpolated trace step [x_a, x_b] with the curve."""
         h = self.step
-        va = sign * np.array(self._field(*x_a))
-        vb = sign * np.array(self._field(*x_b))
+        va = sign * np.array(self._field(*x_a)[:2])
+        vb = sign * np.array(self._field(*x_b)[:2])
 
         def trace(u):  # cubic Hermite on [0, 1]
             u2, u3 = u * u, u * u * u
@@ -692,13 +744,13 @@ class TracedInvariant:
                 f"arc length {sigma:.6g} outside the data curve's range "
                 f"[0, {self.cauchy.length:.6g}]")
         x1, x2 = self.cauchy.point_at(sigma).tolist()
-        w_x = self.chart.volume_at((x1, x2))
+        w_x = _volume(self.chart, x1, x2)
         if w_x == w:
             return x1, x2
         sign = 1.0 if w > w_x else -1.0
         for _ in range(self.n_steps):
             y1, y2 = self._rk4_step(x1, x2, self.step, sign)
-            w_y = self.chart.volume_at((y1, y2))
+            w_y = _volume(self.chart, y1, y2)
             if sign * (w_y - w) >= 0.0:
                 return self._land(x1, x2, sign, w, w_x, w_y)
             x1, x2, w_x = y1, y2, w_y
@@ -720,15 +772,14 @@ class TracedInvariant:
         best = None
         for _ in range(_LAND_MAXITER):
             y1, y2 = self._rk4_step(x1, x2, h, sign)
-            r = self.chart.volume_at((y1, y2)) - w
+            r = _volume(self.chart, y1, y2) - w
             if best is not None and abs(r) >= abs(best[2]):
                 break
             best = (y1, y2, r)
             if abs(r) <= tol:
                 break
             # d omega / d h along the flow of sign * field: sign |grad omega|^2
-            a1, a2 = self._field(y1, y2)
-            d1, d2 = self._omega.gradient_at(y1, y2)
+            a1, a2, d1, d2 = self._field(y1, y2)
             h = min(max(h - r / (sign * (a1 * d1 + a2 * d2)), 0.0), step)
         return best[0], best[1]
 

@@ -35,7 +35,6 @@ from ._numerics import (
     sqrt,
     square,
 )
-from ._splines import HermiteSpline
 from .chart import AdaptedChart3, InvariantFunction
 from .errors import DomainViolationError, SpecError
 from .quotient import QuotientFrame
@@ -380,12 +379,13 @@ def _clamp_radicand(values, s_grid, condition):
 
 @dataclass(frozen=True)
 class ClosedFormFamily:
-    """One member of a closed-form screw family: radius rho(s), screw
-    angle lam(s), and the s-part Vclosed(s) of the flow parameter, all
-    anchored to zero at the anchor sample.  ``kind`` and ``a`` name the
-    space; unlike SpaceSpec, a = 0 is allowed for the screw kinds: the
-    printed quadratures survive that limit (rotational members), even
-    though the corresponding adapted chart does not."""
+    """One member of a closed-form screw family: samples of the radius
+    rho(s), the screw angle lam(s) and the s-part V(s) of the flow
+    parameter on s_grid, the last two anchored to zero at the anchor
+    sample.  ``kind`` and ``a`` name the space; unlike SpaceSpec, a = 0 is
+    allowed for the screw kinds: the printed quadratures survive that
+    limit (rotational members), even though the corresponding adapted
+    chart does not."""
 
     kind: str
     a: float
@@ -395,17 +395,7 @@ class ClosedFormFamily:
     rho_samples: np.ndarray
     lam_samples: np.ndarray
     V_samples: np.ndarray
-    rho: object  # callables (splines)
-    lam: object
-    Vclosed: object
     anchor_index: int = 0
-
-    def surface_point(self, s, t):
-        """Cylindrical-coordinate surface point of the printed display."""
-        v = t / self.m + float(self.Vclosed(s))
-        if self.kind == "bcv_helicoidal":
-            return (float(self.rho(s)), v, -float(self.lam(s)) + self.a * v)
-        return (float(self.rho(s)), v, float(self.lam(s)) + self.a * v)
 
 
 def _anchor_index(s_grid, anchor):
@@ -436,14 +426,10 @@ def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
     k0 = _anchor_index(s_grid, anchor)
     lam = cumulative_simpson_anchored(lam_prime, s_grid, k0)
     V = cumulative_simpson_anchored(V_prime, s_grid, k0)
-    rho_prime = m * m * Uv * dUv / rho
     return ClosedFormFamily(
         kind="euclidean_helicoidal" if a != 0.0 else "euclidean_rotational",
         a=a, m=m, epsilon=epsilon, s_grid=s_grid,
         rho_samples=rho, lam_samples=lam, V_samples=V,
-        rho=HermiteSpline(s_grid, rho, rho_prime),
-        lam=HermiteSpline(s_grid, lam, lam_prime),
-        Vclosed=HermiteSpline(s_grid, V, V_prime),
         anchor_index=k0)
 
 
@@ -480,15 +466,7 @@ def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
     lam = cumulative_simpson_anchored(lam_prime, s_grid, k0)
     V = cumulative_simpson_anchored(V_prime, s_grid, k0)
     rho = np.sqrt(rho2)
-    # d(rho^2)/ds for the Hermite radius spline
-    dDelta = (4.0 * tau**2 - kappa) * 2.0 * w * m * dUv
-    dden = (1.0 + sD) * dDelta / sD - 8.0 * tau**2 * w * m * dUv
-    drho2 = (8.0 * w * m * dUv * den - 4.0 * gap * dden) / den**2
-    rho_prime = drho2 / (2.0 * rho)
     return ClosedFormFamily(
         kind="bcv_helicoidal", a=a, m=m, epsilon=epsilon, s_grid=s_grid,
         rho_samples=rho, lam_samples=lam, V_samples=V,
-        rho=HermiteSpline(s_grid, rho, rho_prime),
-        lam=HermiteSpline(s_grid, lam, lam_prime),
-        Vclosed=HermiteSpline(s_grid, V, V_prime),
         anchor_index=k0)

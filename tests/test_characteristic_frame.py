@@ -1,7 +1,9 @@
 """The characteristic frame that build_frame returns for a traced theta:
-one level trace per inversion, |grad omega|^2 from the chart and
-|grad theta|^2 from two more level traces, against closed forms, against
-the Newton frame over the same invariant, and on its error paths."""
+one level trace per inversion, and |grad omega|^2, |grad theta|^2 and
+the inverse Jacobian from one stencil of two level traces, against closed
+forms, against the Newton frame over the same invariant, and on its error
+paths."""
+import dataclasses
 import math
 
 import numpy as np
@@ -133,10 +135,44 @@ def test_agrees_with_newton_frame(name):
 
 
 # ---------------------------------------------------------------------------
-# cost: three level traces per right-hand side, no value call, no Newton
+# the inverse Jacobian from the stencil
 # ---------------------------------------------------------------------------
 
-def test_rhs_costs_three_level_traces(helicoidal_chart, traced, monkeypatch):
+def _closed_inverse_jacobian(w, t):
+    # x1 = r / c, x2 = k x1 with r^2 = w^2 - 1, k = t - 0.6, c^2 = 1 + k^2
+    r = math.sqrt(w * w - 1.0)
+    k = t - SHIFT
+    c = math.sqrt(1.0 + k * k)
+    dx1_dw = w / (r * c)
+    dx1_dt = -r * k / c ** 3
+    return np.array([[dx1_dw, dx1_dt], [k * dx1_dw, r / c + k * dx1_dt]])
+
+
+def test_inverse_jacobian_matches_closed_form_and_finite_differences(frame):
+    # dx/domega = a / (a . d omega) is exact up to the traces, dx/dtheta a
+    # difference of two level traces 2h = 2e-6 apart, each landed within
+    # 1e-15 w of its level: about 1e-9 of noise at worst (over 200 random
+    # points of RECT, the largest error was 1.1e-9, the median 9e-11)
+    fd = dataclasses.replace(frame, inverse_jacobian=None)
+    for w, t in _rect_points(RECT, 12, 15):
+        J = frame.invert_jacobian(w, t)
+        closed = _closed_inverse_jacobian(w, t)
+        assert np.max(np.abs(J[:, 0] - closed[:, 0])) <= 1e-12
+        assert np.max(np.abs(J[:, 1] - closed[:, 1])) <= 3e-9
+        assert np.max(np.abs(J - fd.invert_jacobian(w, t))) <= 3e-9
+
+
+def test_inverse_jacobian_at_the_ends_of_the_arc_range(frame, traced):
+    for t in (0.0, 1e-7, traced.cauchy.length - 1e-7, traced.cauchy.length):
+        J = frame.invert_jacobian(1.5, t)
+        assert np.max(np.abs(J - _closed_inverse_jacobian(1.5, t))) <= 3e-9
+
+
+# ---------------------------------------------------------------------------
+# cost: two level traces per right-hand side, no value call, no Newton
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch):
     calls = {"value": 0, "newton": 0, "level": 0}
     cls = bg.quotient.TracedInvariant
 
@@ -150,13 +186,33 @@ def test_rhs_costs_three_level_traces(helicoidal_chart, traced, monkeypatch):
     monkeypatch.setattr(cls, "level_point", counting("level", cls.level_point))
     monkeypatch.setattr(bg.quotient, "newton_invert",
                         counting("newton", bg.quotient.newton_invert))
+    return calls
+
+
+def test_rhs_costs_two_level_traces(helicoidal_chart, traced, monkeypatch):
+    calls = _count_calls(monkeypatch)
     frame = _frame(helicoidal_chart, traced)
     # no seed grid: building the frame traces nothing
     assert calls == {"value": 0, "newton": 0, "level": 0}
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
     params = bg.BourParams(m=0.85, s_range=(0.5, 2.0), step=0.01)
     bg.ode_rhs(1.0, 0.5, U, params, frame)  # at omega = 0.85 sqrt(3)
-    assert calls == {"value": 0, "newton": 0, "level": 3}
+    assert calls == {"value": 0, "newton": 0, "level": 2}
+    # the inverse Jacobian at the same point reuses the stencil
+    frame.invert_jacobian(0.85 * math.sqrt(3.0), 0.5)
+    assert calls == {"value": 0, "newton": 0, "level": 2}
+
+
+def test_member_makes_no_value_call(helicoidal_chart, helicoidal_spec, traced,
+                                    monkeypatch):
+    calls = _count_calls(monkeypatch)
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.2)
+    member = bg.generate_member(U, params, _frame(helicoidal_chart, traced),
+                                theta0=0.31, space=helicoidal_spec)
+    assert len(member.s) == 11
+    assert calls["value"] == 0 and calls["newton"] == 0
+    assert calls["level"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +253,19 @@ def test_rect_exit_through_ode_rhs(frame):
 def test_collapsed_theta_derivative_is_a_rank_deficiency(helicoidal_chart,
                                                          traced, monkeypatch):
     # characteristics that all land on one point leave dx/dtheta = 0
-    monkeypatch.setattr(traced, "level_point", lambda w, t: (1.2, 0.1))
+    # (set in the instance's dict, which the undo then leaves as it was)
+    monkeypatch.setitem(vars(traced), "level_point", lambda w, t: (1.2, 0.1))
     frame = _frame(helicoidal_chart, traced)
     with pytest.raises(RankDeficiencyError, match=r"\(1\.5, 0\.45\)"):
         frame.grad_theta_sq(1.5, 0.45)
+
+
+def test_parallel_columns_are_a_rank_deficiency(helicoidal_chart, traced,
+                                                monkeypatch):
+    # level traces along the characteristic through (1.2, 0.1) leave
+    # dx/dtheta parallel to the trace field there
+    monkeypatch.setitem(vars(traced), "level_point",
+                        lambda w, t: (1.2 * (1.0 + t), 0.1 * (1.0 + t)))
+    frame = _frame(helicoidal_chart, traced)
+    with pytest.raises(RankDeficiencyError, match="nearly parallel"):
+        frame.invert_jacobian(1.5, 0.45)

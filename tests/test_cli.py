@@ -245,11 +245,11 @@ def test_lower_end_cut_when_s0_infeasible(tmp_path):
 
 def test_dropped_anchor_is_reported(tmp_path):
     # at m = 1.25 the range is cut to about (-4/3, 4/3): the anchor 1.9
-    # falls out, and that member is anchored at its s0 instead
+    # falls out, and without --strict that member is anchored at its s0
     cfg = _family_config(m_values=[1, 1.25], s_range=[-2, 2], anchor=1.9)
     out = tmp_path / "out"
     code = main(["family", "--config", _write_cfg(tmp_path, cfg, "anchor"),
-                 "--out", str(out), "--strict"])
+                 "--out", str(out)])
     assert code == 0
     kept, dropped = json.loads((out / "report.json").read_text())["members"]
     assert "anchor_dropped" not in kept
@@ -258,6 +258,17 @@ def test_dropped_anchor_is_reported(tmp_path):
     assert member["metadata"]["anchor"] == dropped["s_range"][0]
     assert json.loads((out / "member_m1.json").read_text())[
         "metadata"]["anchor"] == 1.9
+
+
+def test_dropped_anchor_under_strict_is_a_config_error(tmp_path, capsys):
+    cfg = _family_config(m_values=[1, 1.25], s_range=[-2, 2], anchor=1.9)
+    code = main(["family", "--config", _write_cfg(tmp_path, cfg, "anchor"),
+                 "--out", str(tmp_path / "out"), "--strict"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("error: ConfigError: m = 1.25: anchor 1.9 lies outside "
+                   "the feasible s_range [-1.13, 1.13]\n")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_feasible_range_unchanged_when_s0_feasible(rotational_frame):

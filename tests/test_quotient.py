@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -144,15 +143,6 @@ def test_builtin_bcv_inversion_radius_relation(bcv_frame):
                                              - 4 * tau**2 * w * w)
         assert np.isclose(x1 * x1 + x2 * x2, expected_r2, atol=1e-10)
         assert np.isclose(bcv_frame.chart.volume_at((x1, x2)), w, atol=1e-10)
-
-
-def test_frame_dump_grid(tmp_path, helicoidal_frame):
-    path = tmp_path / "grid.json"
-    payload = helicoidal_frame.dump_grid(path, shape=(5, 5))
-    on_disk = json.loads(path.read_text())
-    assert on_disk["columns"] == ["omega", "theta", "x1", "x2"]
-    assert len(on_disk["rows"]) == 25
-    assert payload["rows"] == on_disk["rows"]
 
 
 # ---------------------------------------------------------------------------

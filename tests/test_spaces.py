@@ -244,16 +244,6 @@ def test_hyperbolic_base_bcv_member():
     assert rep.passed
 
 
-def test_closed_form_surface_point():
-    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (-1.0, 1.0))
-    s = np.linspace(-1.0, 1.0, 201)
-    fam = bg.r3_closed_form(U, 1.0, 1, 0.0, s, anchor=0.0)
-    rho, v, z = fam.surface_point(0.5, 0.7)
-    assert np.isclose(rho, math.sqrt(1.25), atol=1e-12)
-    assert np.isclose(v, 0.7, atol=1e-12)  # a = 0: v = t/m
-    assert np.isclose(z, math.asinh(0.5), atol=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # ambient coordinates
 # ---------------------------------------------------------------------------

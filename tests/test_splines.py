@@ -1,4 +1,6 @@
 """The numpy splines and cumulative Simpson against scipy, bit for bit."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +27,12 @@ def grids(draw, min_size=2):
 def values(n):
     """n samples: random floats, or small integers, whose ties, zero
     slopes and sign changes take PCHIP's shape-preserving branches.
-    Subnormal samples are left out: on them PCHIP's harmonic mean
+    Nonzero samples below 1e-100 in magnitude are left out: their slopes
+    can be so small (down to subnormal) that PCHIP's harmonic mean
     overflows, with a RuntimeWarning from scipy and from this module
     alike."""
-    return (st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+    tiny = lambda y: y == 0.0 or abs(y) >= 1e-100
+    return (st.lists(st.floats(-1e3, 1e3).filter(tiny),
                      min_size=n, max_size=n)
             | st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]),
                        min_size=n, max_size=n)).map(np.array)
@@ -100,6 +104,23 @@ def test_scalar_gives_a_0d_array():
         value = spline(1.7)
         assert isinstance(value, np.ndarray) and value.shape == ()
     assert_same_bits(pchip(x, y)(1.7), PchipInterpolator(x, y)(1.7))
+
+
+def test_far_points_give_scipy_values_without_warnings():
+    # scipy's C loop gives NaN or inf at +-inf (0 * inf) and where the
+    # powers of |v| ~ 1e200 overflow, and warns of neither
+    x = np.array([0.0, 1.0, 3.0])
+    y = np.array([1.0, 2.0, 0.0])
+    v = np.array([np.inf, -np.inf, 1e200, -1e200, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ours, ref in ((HermiteSpline(x, y, -y), CubicHermiteSpline(x, y, -y)),
+                          (pchip(x, y), PchipInterpolator(x, y))):
+            for o, r in ((ours, ref), (ours.derivative(), ref.derivative())):
+                assert_same_bits(o(v), r(v))
+                for point in v:
+                    assert_same_bits(o(point), r(point))
+    assert not np.isfinite(HermiteSpline(x, y, -y)(v[:4])).any()
 
 
 _x = [0.0, 1.0, 2.0, 3.0]

@@ -132,8 +132,3 @@ def test_curve_csvs_equal_savetxt(tmp_path):
     s = np.linspace(0.5, 2.0, 17)
     assert (tmp_path / "U.csv").read_text() == _savetxt(
         [s, U(s)], header="s,U", comments="")
-
-
-def test_frame_dump_grid_equals_json_dump(tmp_path, helicoidal_frame):
-    payload = helicoidal_frame.dump_grid(tmp_path / "g.json", shape=(4, 3))
-    assert (tmp_path / "g.json").read_text() == json.dumps(payload, indent=1)

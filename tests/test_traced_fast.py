@@ -36,7 +36,7 @@ def _ref_field(tr, x):
     if not tr.chart.domain(x1, x2):
         raise DomainError(
             f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-    b11, b12, b22 = quotient._inverse_block2(tr.chart, x1, x2)
+    b11, b12, b22, _ = quotient._inverse_block2(tr.chart, x1, x2)
     d1, d2 = tr._omega.gradient_at(x1, x2)
     a = np.array([b11 * d1 + b12 * d2, b12 * d1 + b22 * d2])
     if a[0] * d1 + a[1] * d2 < tr.grad_floor ** 2:
@@ -191,6 +191,48 @@ def test_array_volume_names_first_nonpositive_g33():
                   for r1, r2 in zip(x1, x2)])
     with pytest.raises(SingularMetricError, match=r"g33 = -3\.000e\+00 .*3\.0"):
         shifted.volume_at((x1, x2))
+
+
+# ---------------------------------------------------------------------------
+# the fused trace field
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _config_traced():
+    # the flat helicoidal metric (a = 1) as config expressions, cut to the
+    # disc of radius 2
+    chart = bg.chart_from_config({
+        "g11": "1", "g12": "0", "g13": "x2", "g22": "1", "g23": "-x1",
+        "g33": "x1^2 + x2^2 + 1", "domain_positive": "4 - x1^2 - x2^2"})
+    return bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((1.0, -0.6), (1.0, 0.6)),
+        np.linspace(0.0, 1.2, 5), n_steps=20)
+
+
+def _composed_field(tr, x1, x2):
+    """The field and the omega gradient as composed before the fusion:
+    ``_ref_field`` (the cofactor block of ``_inverse_block2`` and
+    ``volume_fn().gradient_at``), then the gradient again."""
+    a1, a2 = _ref_field(tr, (x1, x2))
+    return (a1, a2) + tuple(tr.chart.volume_fn().gradient_at(x1, x2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(CASES) + ["config"]),
+       x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
+def test_fused_field_equals_composition(name, x1, x2):
+    # the three built-in charts, a config chart, and the radial chart of
+    # "arc", which has no d_g33; outside the domain, at the origin (where
+    # |grad omega| vanishes on the flat charts) and wherever the
+    # composition fails, the fused field fails with the same error type
+    tr = _config_traced() if name == "config" else _traced(name)
+    try:
+        want = _composed_field(tr, x1, x2)
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        with pytest.raises(type(exc)):
+            tr._field(x1, x2)
+        return
+    assert _same(tr._field(x1, x2), want)
 
 
 # ---------------------------------------------------------------------------
