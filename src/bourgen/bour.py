@@ -105,7 +105,13 @@ def ode_rhs(s, theta, U, params, frame):
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Arc-length samples of the orbit-space profile of one member."""
+    """Arc-length samples of the orbit-space profile of one member.
+
+    ``jacobians``, when set, holds d(x1, x2)/d(omega, theta) at every
+    node, as recorded by the sweeps (see ``integrate_profile``); the
+    position derivatives then take them instead of inverting the frame's
+    Jacobian at the nodes again.
+    """
 
     s: np.ndarray
     x1: np.ndarray
@@ -117,6 +123,7 @@ class ProfileCurve:
     params: BourParams
     U: GeneratrixMetric
     anchor_index: int
+    jacobians: Optional[np.ndarray] = None
 
     def position_derivatives(self):
         """(x1'(s), x2'(s)) at the nodes via the inverse-chart Jacobian,
@@ -125,8 +132,10 @@ class ProfileCurve:
 
     @cached_property
     def _velocity(self):
-        J = self.frame.elementwise(self.frame.invert_jacobian, self.omega,
-                                   self.theta)
+        J = self.jacobians
+        if J is None:
+            J = self.frame.elementwise(self.frame.invert_jacobian, self.omega,
+                                       self.theta)
         rates = np.stack([self.params.m * self.U.derivative(self.s),
                           self.theta_prime], axis=-1)
         # one stacked matmul: each product rounds as the per-point J @ v
@@ -154,6 +163,14 @@ def integrate_profile(U, params, frame, theta0=0.0):
     every node.  For a theta-free frame every right-hand side value comes
     from one array call (``_tabulated_rhs``); the sweeps are the same
     sequential loop for every frame.
+
+    A frame that is not theta-free and has an ``inverse_jacobian`` (the
+    characteristic frame) gets its node Jacobians from the sweeps: right
+    after each node's right-hand side, while the frame's one-entry
+    stencil memo still holds that node, ``_recording_rhs`` takes the
+    inverse Jacobian there, at the omega that ``ode_rhs`` evaluated, so
+    the position derivatives cost no further level trace.  An inverse
+    Jacobian that fails then raises here.
     """
     s0, s1 = params.s_range
     anchor = params.anchor if params.anchor is not None else s0
@@ -169,12 +186,17 @@ def integrate_profile(U, params, frame, theta0=0.0):
     abscissae = _abscissae(s, ia, params)
     rhs = (_tabulated_rhs if frame.theta_free else _scalar_rhs)(
         abscissae, U, params, frame)
+    jacobians = None
+    if not frame.theta_free and frame.inverse_jacobian is not None:
+        rhs, jacobians = _recording_rhs(rhs, abscissae, U, params, frame)
     theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
     omega = params.m * U(s)
     x1, x2 = frame.elementwise(frame.invert, omega, theta)
+    if jacobians is not None:
+        jacobians = np.array(jacobians, dtype=float)
     return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega, theta=theta,
                         theta_prime=theta_p, frame=frame, params=params,
-                        U=U, anchor_index=ia)
+                        U=U, anchor_index=ia, jacobians=jacobians)
 
 
 def _abscissae(s, ia, params):
@@ -224,6 +246,22 @@ def _scalar_rhs(abscissae, U, params, frame):
         evaluate = _stage_rhs if row else ode_rhs
         return evaluate(abscissae[row, k], theta, U, params, frame)
     return rhs
+
+
+def _recording_rhs(rhs, abscissae, U, params, frame):
+    """rhs for ``_sweeps`` that, after each node's right-hand side (row 0),
+    records ``frame.inverse_jacobian`` at the same (omega, theta): omega
+    is m U(s) of the same scalar s that ``ode_rhs`` took.  Returns the
+    rhs and the list of matrices it fills, one per node."""
+    jacobians = [None] * abscissae.shape[1]
+    nodes = abscissae[0]
+
+    def recording(row, k, theta):
+        value = rhs(row, k, theta)
+        if not row:
+            jacobians[k] = frame.inverse_jacobian(params.m * U(nodes[k]), theta)
+        return value
+    return recording, jacobians
 
 
 def _tabulated_rhs(abscissae, U, params, frame):

@@ -34,7 +34,7 @@ from .errors import (
 
 def _inverse_block2(chart, x1, x2):
     """Upper 2x2 block (b11, b12, b22) of the inverse metric, by cofactors
-    (fast path), and the g33 it used, as (b11, b12, b22, g33)."""
+    (fast path)."""
     g11 = chart.g11(x1, x2)
     g12 = chart.g12(x1, x2)
     g13 = chart.g13(x1, x2)
@@ -51,7 +51,7 @@ def _inverse_block2(chart, x1, x2):
     b11 = (g22 * g33 - g23 * g23) / det
     b12 = -(g12 * g33 - g13 * g23) / det
     b22 = (g11 * g33 - g13 * g13) / det
-    return b11, b12, b22, g33
+    return b11, b12, b22
 
 
 def _volume(chart, x1, x2):
@@ -88,15 +88,15 @@ def quotient_metric(chart):
     block of the inverse ambient metric."""
 
     def q11(x1, x2):
-        b11, b12, b22, _ = _inverse_block2(chart, x1, x2)
+        b11, b12, b22 = _inverse_block2(chart, x1, x2)
         return b22 / (b11 * b22 - b12 * b12)
 
     def q12(x1, x2):
-        b11, b12, b22, _ = _inverse_block2(chart, x1, x2)
+        b11, b12, b22 = _inverse_block2(chart, x1, x2)
         return -b12 / (b11 * b22 - b12 * b12)
 
     def q22(x1, x2):
-        b11, b12, b22, _ = _inverse_block2(chart, x1, x2)
+        b11, b12, b22 = _inverse_block2(chart, x1, x2)
         return b11 / (b11 * b22 - b12 * b12)
 
     return QuotientMetric2(q11=q11, q12=q12, q22=q22)
@@ -372,7 +372,9 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
     jacobian_floor^2 raises RankDeficiencyError.  The inverse Jacobian has
     the columns dx/domega = a / (a . d omega) at p, with a the trace field,
     and dx/dtheta = v; columns within jacobian_floor of parallel raise
-    RankDeficiencyError.
+    RankDeficiencyError.  ``integrate_profile`` takes it at each node
+    right after the node's right-hand side, while the memo still holds
+    the node's stencil, so a member's position derivatives trace nothing.
     """
     from .chart import invariant_pairing
 
@@ -500,6 +502,84 @@ _BOX_PAD = 1e-6
 _LAND_MAXITER = 20
 
 
+def _trace_kernel(chart, omega, grad_floor):
+    """The characteristic field of a traced invariant and one RK4 step of
+    its flow, as the closures (field, rk4_step), which bind the chart's
+    eight callables once.
+
+    field(x1, x2) is the horizontal projection of grad(omega) at
+    (x1, x2), the characteristic velocity (a1, a2), and the gradient
+    (d1, d2) of omega, as (a1, a2, d1, d2).  It raises DomainError
+    outside the chart domain, SingularMetricError where the metric is
+    not positive, and DegenerateGradientError where |grad omega| is below
+    grad_floor.  The chart is evaluated once per point: the cofactor
+    block of ``_inverse_block2`` is inlined here, with its arithmetic and
+    message (a call per point costs a right-hand side about a tenth more
+    time), and the omega gradient d_g33 / (2 omega) takes its g33,
+    which gives the bits of ``omega.gradient_at``; a chart without
+    ``d_g33`` takes ``omega.gradient_at`` (central differences).
+
+    rk4_step(x1, x2, h, sign) is one classical RK4 step of the flow of
+    sign * field from the point (x1, x2) of floats, with the arithmetic
+    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.
+    """
+    domain = chart.domain
+    g11, g12, g13 = chart.g11, chart.g12, chart.g13
+    g22, g23, g33 = chart.g22, chart.g23, chart.g33
+    d_g33 = chart.d_g33
+    label = chart.label
+    floor_sq = grad_floor ** 2
+
+    def field(x1, x2):
+        if not domain(x1, x2):
+            raise DomainError(
+                f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
+        c11 = g11(x1, x2)
+        c12 = g12(x1, x2)
+        c13 = g13(x1, x2)
+        c22 = g22(x1, x2)
+        c23 = g23(x1, x2)
+        c33 = g33(x1, x2)
+        det = (c11 * (c22 * c33 - c23 * c23)
+               - c12 * (c12 * c33 - c23 * c13)
+               + c13 * (c12 * c23 - c22 * c13))
+        if not 0.0 < det < math.inf:
+            raise SingularMetricError(
+                f"{label}: metric determinant {det:.3e} at "
+                f"({x1!r}, {x2!r}) is not positive")
+        b11 = (c22 * c33 - c23 * c23) / det
+        b12 = -(c12 * c33 - c13 * c23) / det
+        b22 = (c11 * c33 - c13 * c13) / det
+        if d_g33 is None:
+            d1, d2 = omega.gradient_at(x1, x2)
+        else:
+            e1, e2 = d_g33(x1, x2)
+            w = math.sqrt(c33)
+            d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
+        a1 = b11 * d1 + b12 * d2
+        a2 = b12 * d1 + b22 * d2
+        if a1 * d1 + a2 * d2 < floor_sq:
+            raise DegenerateGradientError(
+                f"|grad omega| below {grad_floor:g} at ({x1:.6g}, {x2:.6g})")
+        return a1, a2, d1, d2
+
+    def rk4_step(x1, x2, h, sign):
+        g = 0.5 * h
+        a1, a2, _, _ = field(x1, x2)
+        k11, k12 = sign * a1, sign * a2
+        a1, a2, _, _ = field(x1 + g * k11, x2 + g * k12)
+        k21, k22 = sign * a1, sign * a2
+        a1, a2, _, _ = field(x1 + g * k21, x2 + g * k22)
+        k31, k32 = sign * a1, sign * a2
+        a1, a2, _, _ = field(x1 + h * k31, x2 + h * k32)
+        k41, k42 = sign * a1, sign * a2
+        c = h / 6.0
+        return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
+                x2 + c * (k12 + 2 * k22 + 2 * k32 + k42))
+
+    return field, rk4_step
+
+
 class TracedInvariant:
     """Invariant function produced by the method of characteristics.
 
@@ -516,7 +596,10 @@ class TracedInvariant:
 
     Evaluation steps on scalars and runs the full polyline crossing test
     only on steps whose box meets the polyline's box, which gives the
-    bits of a per-point trace with a crossing test at every step.
+    bits of a per-point trace with a crossing test at every step.  The
+    characteristic field ``_field`` and the RK4 step ``_rk4_step`` are
+    the closures of ``_trace_kernel``, bound to the chart once, at
+    construction.
     """
 
     gradient = None  # finite differences apply
@@ -545,39 +628,11 @@ class TracedInvariant:
         lo = self._poly_pts.min(axis=0) - pad
         hi = self._poly_pts.max(axis=0) + pad
         self._poly_box = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        self._field, self._rk4_step = _trace_kernel(chart, self._omega,
+                                                    self.grad_floor)
         self._check_transversality()
 
     # -- characteristic field ------------------------------------------------
-
-    def _field(self, x1, x2):
-        """Horizontal projection of grad(omega) at (x1, x2), the
-        characteristic velocity (a1, a2), and the gradient (d1, d2) of
-        omega, as (a1, a2, d1, d2).  Raises DomainError outside the chart
-        domain and DegenerateGradientError where |grad omega| is below the
-        floor.
-
-        The chart is evaluated once: the omega gradient d_g33 / (2 omega)
-        takes the g33 of the cofactor block, which gives the bits of
-        ``volume_fn().gradient_at``; a chart without ``d_g33`` takes its
-        central differences.
-        """
-        chart = self.chart
-        if not chart.domain(x1, x2):
-            raise DomainError(
-                f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-        b11, b12, b22, g33 = _inverse_block2(chart, x1, x2)
-        if chart.d_g33 is None:
-            d1, d2 = self._omega.gradient_at(x1, x2)
-        else:
-            e1, e2 = chart.d_g33(x1, x2)
-            w = math.sqrt(g33)
-            d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
-        a1 = b11 * d1 + b12 * d2
-        a2 = b12 * d1 + b22 * d2
-        if a1 * d1 + a2 * d2 < self.grad_floor ** 2:
-            raise DegenerateGradientError(
-                f"|grad omega| below {self.grad_floor:g} at ({x1:.6g}, {x2:.6g})")
-        return a1, a2, d1, d2
 
     def _check_transversality(self):
         for sigma in self.sigmas:
@@ -589,25 +644,6 @@ class TracedInvariant:
                 raise TransversalityError(
                     f"Cauchy curve tangent to a characteristic at arc length "
                     f"{sigma:.6g} (|sin angle| = {sin_angle:.2e})")
-
-    def _rk4_step(self, x1, x2, h, sign):
-        """One classical RK4 step of the flow of sign * field from the
-        point (x1, x2) of floats.  The arithmetic is
-        x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.
-        """
-        f = self._field
-        g = 0.5 * h
-        a1, a2, _, _ = f(x1, x2)
-        k11, k12 = sign * a1, sign * a2
-        a1, a2, _, _ = f(x1 + g * k11, x2 + g * k12)
-        k21, k22 = sign * a1, sign * a2
-        a1, a2, _, _ = f(x1 + g * k21, x2 + g * k22)
-        k31, k32 = sign * a1, sign * a2
-        a1, a2, _, _ = f(x1 + h * k31, x2 + h * k32)
-        k41, k42 = sign * a1, sign * a2
-        c = h / 6.0
-        return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
-                x2 + c * (k12 + 2 * k22 + 2 * k32 + k42))
 
     # -- evaluation -----------------------------------------------------------
 

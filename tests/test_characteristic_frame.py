@@ -215,6 +215,46 @@ def test_member_makes_no_value_call(helicoidal_chart, helicoidal_spec, traced,
     assert calls["level"] > 0
 
 
+def test_member_traces_each_node_stencil_once(helicoidal_chart,
+                                               helicoidal_spec, traced,
+                                               monkeypatch):
+    # the fine-step member of test_quotient: 2 level traces for the
+    # anchor's right-hand side, 8 per RK4 step (the three stages and the
+    # node, two each) and 1 per node for its position.  x' takes the
+    # inverse Jacobians that the sweep recorded at the nodes, which are
+    # the frame's, computed afterwards, to the bit
+    calls = _count_calls(monkeypatch)
+    frame = _frame(helicoidal_chart, traced)
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.005, anchor=1.2)
+    member = bg.generate_member(U, params, frame, theta0=0.31,
+                                space=helicoidal_spec)
+    assert len(member.s) == 101
+    assert calls == {"value": 0, "newton": 0, "level": 2 + 8 * 100 + 101}
+    J = frame.elementwise(frame.invert_jacobian, member.omega, member.theta)
+    rates = np.stack([0.72 * U.derivative(member.s), member.theta_prime],
+                     axis=-1)
+    x1p, x2p = (J @ rates[:, :, None])[:, :, 0].T
+    assert x1p.tobytes() == member.x1p.tobytes()
+    assert x2p.tobytes() == member.x2p.tobytes()
+
+
+def test_only_characteristic_frames_record_jacobians(helicoidal_chart,
+                                                     helicoidal_frame, frame):
+    # a theta-free frame and a Newton frame keep x' from the frame's
+    # inversion at the nodes
+    newton = bg.build_frame(
+        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        rect=((1.05, 3.0), (-2.0, 2.0)), seed_box=((0.2, 3.0), (-2.5, 2.5)))
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.2)
+    for f, recorded in ((helicoidal_frame, False), (newton, False),
+                        (frame, True)):
+        profile = bg.bour.integrate_profile(U, params, f, 0.31)
+        assert (profile.jacobians is not None) is recorded
+    assert profile.jacobians.shape == (11, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------

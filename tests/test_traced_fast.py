@@ -2,6 +2,7 @@
 prefilter, the first direction taken from omega and the self-pairing give,
 to the bit, what the per-point trace with a crossing test at every step
 gives, and fail where and how it fails."""
+import dataclasses
 import functools
 import math
 
@@ -36,7 +37,7 @@ def _ref_field(tr, x):
     if not tr.chart.domain(x1, x2):
         raise DomainError(
             f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-    b11, b12, b22, _ = quotient._inverse_block2(tr.chart, x1, x2)
+    b11, b12, b22 = quotient._inverse_block2(tr.chart, x1, x2)
     d1, d2 = tr._omega.gradient_at(x1, x2)
     a = np.array([b11 * d1 + b12 * d2, b12 * d1 + b22 * d2])
     if a[0] * d1 + a[1] * d2 < tr.grad_floor ** 2:
@@ -209,6 +210,15 @@ def _config_traced():
         np.linspace(0.0, 1.2, 5), n_steps=20)
 
 
+# the three built-in charts, a config chart, and the radial chart of "arc",
+# which has no d_g33
+_FIVE = sorted(CASES) + ["config"]
+
+
+def _five(name):
+    return _config_traced() if name == "config" else _traced(name)
+
+
 def _composed_field(tr, x1, x2):
     """The field and the omega gradient as composed before the fusion:
     ``_ref_field`` (the cofactor block of ``_inverse_block2`` and
@@ -218,14 +228,13 @@ def _composed_field(tr, x1, x2):
 
 
 @settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(CASES) + ["config"]),
+@given(name=st.sampled_from(_FIVE),
        x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
 def test_fused_field_equals_composition(name, x1, x2):
-    # the three built-in charts, a config chart, and the radial chart of
-    # "arc", which has no d_g33; outside the domain, at the origin (where
-    # |grad omega| vanishes on the flat charts) and wherever the
-    # composition fails, the fused field fails with the same error type
-    tr = _config_traced() if name == "config" else _traced(name)
+    # outside the domain, at the origin (where |grad omega| vanishes on
+    # the flat charts) and wherever the composition fails, the fused field
+    # fails with the same error type
+    tr = _five(name)
     try:
         want = _composed_field(tr, x1, x2)
     except Exception as exc:  # noqa: BLE001 - any error must match
@@ -233,6 +242,128 @@ def test_fused_field_equals_composition(name, x1, x2):
             tr._field(x1, x2)
         return
     assert _same(tr._field(x1, x2), want)
+
+
+# ---------------------------------------------------------------------------
+# the bound kernel: RK4 steps, level traces and chart calls
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(_FIVE), x1=st.floats(-3.0, 3.0),
+       x2=st.floats(-3.0, 3.0), scale=st.floats(0.0, 2.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_kernel_rk4_step_equals_reference(name, x1, x2, scale, sign):
+    # the kernel's step on floats against the step on 2-vectors, in both
+    # flow directions, with steps up to twice the tracer's
+    tr = _five(name)
+    h = scale * tr.step
+    try:
+        want = _ref_rk4_step(tr, np.array([x1, x2]), h, sign)
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        with pytest.raises(type(exc)):
+            tr._rk4_step(x1, x2, h, sign)
+        return
+    assert _same(tr._rk4_step(x1, x2, h, sign), want)
+
+
+def _ref_level_point(tr, w, sigma):
+    """The level trace on 2-vectors: RK4 steps from the Cauchy point at
+    arc length sigma toward the level omega = w, omega from
+    ``volume_at``, and the landing step's length by Newton's method in
+    the flow time, with the arithmetic of ``level_point`` and ``_land``."""
+    if not 0.0 <= sigma <= tr.cauchy.length:
+        raise DomainError(f"arc length {sigma!r} outside the data curve's range")
+    x = tr.cauchy.point_at(sigma)
+    w_x = tr.chart.volume_at(tuple(x))
+    if w_x == w:
+        return tuple(x)
+    sign = 1.0 if w > w_x else -1.0
+    for _ in range(tr.n_steps):
+        y = _ref_rk4_step(tr, x, tr.step, sign)
+        w_y = tr.chart.volume_at(tuple(y))
+        if sign * (w_y - w) >= 0.0:
+            break
+        x, w_x = y, w_y
+    else:
+        raise DomainError(f"omega = {w!r} not reached")
+    step = tr.step
+    h = step * (w - w_x) / (w_y - w_x)
+    tol = 1e-15 * max(1.0, abs(w))
+    best = None
+    for _ in range(quotient._LAND_MAXITER):
+        y = _ref_rk4_step(tr, x, h, sign)
+        r = tr.chart.volume_at(tuple(y)) - w
+        if best is not None and abs(r) >= abs(best[1]):
+            break
+        best = (y, r)
+        if abs(r) <= tol:
+            break
+        a = _ref_field(tr, y)
+        d1, d2 = tr._omega.gradient_at(*y)
+        h = min(max(h - r / (sign * (a[0] * d1 + a[1] * d2)), 0.0), step)
+    return tuple(best[0])
+
+
+@functools.cache
+def _omega_span(name):
+    """omega at the ends of the traces from the middle of the data curve,
+    n_steps steps backward and forward, or as far as they stay in the
+    domain."""
+    tr = _five(name)
+    ends = []
+    for sign in (-1.0, 1.0):
+        x1, x2 = tr.cauchy.point_at(0.5 * tr.cauchy.length).tolist()
+        for _ in range(tr.n_steps):
+            try:
+                x1, x2 = tr._rk4_step(x1, x2, tr.step, sign)
+            except (DomainError, DegenerateGradientError):
+                break
+        ends.append(float(tr.chart.volume_at((x1, x2))))
+    return tuple(ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(_FIVE), at=st.floats(-0.05, 1.05),
+       u=st.floats(-0.1, 1.1))
+def test_level_point_equals_reference(name, at, u):
+    # levels across the span of omega that the traces from the middle of
+    # the data curve reach, a little beyond it, from arc lengths a little
+    # beyond both ends of its range; where the reference fails (outside
+    # the range, a level not reached, a trace that leaves the domain),
+    # level_point fails with the same error type
+    tr = _five(name)
+    sigma = at * tr.cauchy.length
+    lo, hi = _omega_span(name)
+    w = lo + u * (hi - lo)
+    try:
+        want = _ref_level_point(tr, w, sigma)
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        with pytest.raises(type(exc)):
+            tr.level_point(w, sigma)
+        return
+    assert _same(tr.level_point(w, sigma), want)
+
+
+def test_field_makes_eight_chart_calls():
+    # the domain, the six coefficients and d_g33, each once
+    base = bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0))
+    names = ("domain", "g11", "g12", "g13", "g22", "g23", "g33", "d_g33")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(x1, x2):
+            calls[name] += 1
+            return fn(x1, x2)
+        return call
+
+    chart = dataclasses.replace(
+        base, **{n: counted(n, getattr(base, n)) for n in names})
+    tr = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((1.0, -0.6), (1.0, 0.6)),
+        np.linspace(0.0, 1.2, 5), n_steps=20)
+    calls.update(dict.fromkeys(names, 0))
+    assert _same(tr._field(1.3, 0.4), _traced("helicoidal")._field(1.3, 0.4))
+    assert calls == dict.fromkeys(names, 1)
 
 
 # ---------------------------------------------------------------------------
