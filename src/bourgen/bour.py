@@ -165,11 +165,12 @@ def integrate_profile(U, params, frame, theta0=0.0):
     sequential loop for every frame.
 
     A frame that is not theta-free and has an ``inverse_jacobian`` (the
-    characteristic frame) gets its node Jacobians from the sweeps: right
-    after each node's right-hand side, while the frame's one-entry
-    stencil memo still holds that node, ``_recording_rhs`` takes the
-    inverse Jacobian there, at the omega that ``ode_rhs`` evaluated, so
-    the position derivatives cost no further level trace.  An inverse
+    characteristic frame) gets its node positions and Jacobians from the
+    sweeps: right after each node's right-hand side, while the frame's
+    one-entry stencil memo still holds that node, ``_recording_rhs``
+    inverts the node and takes the inverse Jacobian there, at the omega
+    that ``ode_rhs`` evaluated, so a node costs one level trace beyond its
+    right-hand side: the inversion, which the Jacobian shares.  An inverse
     Jacobian that fails then raises here.
     """
     s0, s1 = params.s_range
@@ -188,11 +189,14 @@ def integrate_profile(U, params, frame, theta0=0.0):
         abscissae, U, params, frame)
     jacobians = None
     if not frame.theta_free and frame.inverse_jacobian is not None:
-        rhs, jacobians = _recording_rhs(rhs, abscissae, U, params, frame)
+        rhs, points, jacobians = _recording_rhs(rhs, abscissae, U, params,
+                                                frame)
     theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
     omega = params.m * U(s)
-    x1, x2 = frame.elementwise(frame.invert, omega, theta)
-    if jacobians is not None:
+    if jacobians is None:
+        x1, x2 = frame.elementwise(frame.invert, omega, theta)
+    else:
+        x1, x2 = np.array(points, dtype=float).T
         jacobians = np.array(jacobians, dtype=float)
     return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega, theta=theta,
                         theta_prime=theta_p, frame=frame, params=params,
@@ -250,18 +254,22 @@ def _scalar_rhs(abscissae, U, params, frame):
 
 def _recording_rhs(rhs, abscissae, U, params, frame):
     """rhs for ``_sweeps`` that, after each node's right-hand side (row 0),
-    records ``frame.inverse_jacobian`` at the same (omega, theta): omega
-    is m U(s) of the same scalar s that ``ode_rhs`` took.  Returns the
-    rhs and the list of matrices it fills, one per node."""
+    records ``frame.invert`` and ``frame.inverse_jacobian`` at the same
+    (omega, theta): omega is m U(s) of the same scalar s that ``ode_rhs``
+    took.  Returns the rhs and the lists of points and matrices it fills,
+    one per node."""
+    points = [None] * abscissae.shape[1]
     jacobians = [None] * abscissae.shape[1]
     nodes = abscissae[0]
 
     def recording(row, k, theta):
         value = rhs(row, k, theta)
         if not row:
-            jacobians[k] = frame.inverse_jacobian(params.m * U(nodes[k]), theta)
+            w = params.m * U(nodes[k])
+            points[k] = frame.invert(w, theta)
+            jacobians[k] = frame.inverse_jacobian(w, theta)
         return value
-    return recording, jacobians
+    return recording, points, jacobians
 
 
 def _tabulated_rhs(abscissae, U, params, frame):
@@ -317,8 +325,8 @@ def vertical_quadrature(profile, chart, params, U):
         raise GridMismatchError("profile grid must be uniform")
     d1, d2 = profile.position_derivatives()
     m2U2 = (params.m * U(s)) ** 2
-    g13 = profile.frame.elementwise(chart.g13, profile.x1, profile.x2)
-    g23 = profile.frame.elementwise(chart.g23, profile.x1, profile.x2)
+    _, _, g13, _, g23, _ = profile.frame.elementwise(
+        chart.metric, profile.x1, profile.x2)
     integrand = -(d1 * g13 + d2 * g23) / m2U2
     V = cumulative_simpson_anchored(integrand, s, profile.anchor_index)
     return VerticalShift(s=s, values=V, prime=integrand)
@@ -504,14 +512,15 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
     from .quotient import quotient_metric
     q = quotient_metric(chart)
     for k in (0, len(s) // 2, len(s) - 1):
-        speed = (q.q11(c1[k], c2[k]) * d1[k] ** 2
-                 + 2 * q.q12(c1[k], c2[k]) * d1[k] * d2[k]
-                 + q.q22(c1[k], c2[k]) * d2[k] ** 2)
+        q11, q12, q22 = q.coefficients(c1[k], c2[k])
+        speed = (q11 * d1[k] ** 2 + 2 * q12 * d1[k] * d2[k]
+                 + q22 * d2[k] ** 2)
         if abs(speed - 1.0) > 5e-2:
             raise ValueError(
                 f"input curve is not unit speed in the quotient metric "
                 f"(speed^2 = {speed:.4g} at s = {s[k]:.6g})")
-    integrand = -(d1 * chart.g13(c1, c2) + d2 * chart.g23(c1, c2))
+    _, _, g13, _, g23, _ = chart.metric(c1, c2)
+    integrand = -(d1 * g13 + d2 * g23)
     V = cumulative_simpson_anchored(integrand, s, 0)
     U = GeneratrixMetric.from_callable(lambda _s: 1.0, (s[0], s[-1]),
                                        dU=lambda _s: 0.0)

@@ -1,10 +1,11 @@
 """Riemannian 3-metrics in coordinates adapted to a unit-translation symmetry.
 
-A chart stores the six metric coefficients as functions of (x1, x2) only;
-the third coordinate field is the symmetry generator, so independence of
-x3 is structural rather than checked.  The volume function (length of the
-generator) is sqrt(g33), and pairings of invariant functions only ever
-need the upper 2x2 block of the inverse metric.
+A chart evaluates the six metric coefficients together, as functions of
+(x1, x2) only; the third coordinate field is the symmetry generator, so
+independence of x3 is structural rather than checked.  The volume
+function (length of the generator) is sqrt(g33), and pairings of
+invariant functions only ever need the upper 2x2 block of the inverse
+metric.
 """
 from __future__ import annotations
 
@@ -47,18 +48,16 @@ def as_invariant(f, name=""):
 class AdaptedChart3:
     """Ambient 3-metric in symmetry-adapted coordinates.
 
-    Coefficients are callables of (x1, x2) that take floats or arrays
-    (``metric_at`` evaluates whole grids); ``domain`` is a predicate for
-    the regular region; ``d_g33`` is an optional analytic gradient of g33
-    used to sharpen volume-function derivatives.
+    ``metric(x1, x2)`` returns the six coefficients
+    (g11, g12, g13, g22, g23, g33) on floats or arrays (``metric_at``
+    evaluates whole grids), so every consumer evaluates the chart once per
+    point or grid; a constant coefficient may be a plain float.
+    ``domain`` is a predicate for the regular region; ``d_g33`` is an
+    optional analytic gradient of g33 used to sharpen volume-function
+    derivatives.
     """
 
-    g11: Callable[[float, float], float]
-    g12: Callable[[float, float], float]
-    g13: Callable[[float, float], float]
-    g22: Callable[[float, float], float]
-    g23: Callable[[float, float], float]
-    g33: Callable[[float, float], float]
+    metric: Callable[[float, float], tuple]
     domain: Callable[[float, float], bool] = field(default=lambda x1, x2: True)
     label: str = "chart"
     d_g33: Optional[Callable[[float, float], tuple]] = None
@@ -84,13 +83,14 @@ class AdaptedChart3:
         of one shape, an array of that shape of 3x3 matrices."""
         self.require_in_domain(p)
         x1, x2 = p
+        g11, g12, g13, g22, g23, g33 = self.metric(x1, x2)
         m = np.empty(np.shape(x1) + (3, 3))
-        m[..., 0, 0] = self.g11(x1, x2)
-        m[..., 0, 1] = m[..., 1, 0] = self.g12(x1, x2)
-        m[..., 0, 2] = m[..., 2, 0] = self.g13(x1, x2)
-        m[..., 1, 1] = self.g22(x1, x2)
-        m[..., 1, 2] = m[..., 2, 1] = self.g23(x1, x2)
-        m[..., 2, 2] = self.g33(x1, x2)
+        m[..., 0, 0] = g11
+        m[..., 0, 1] = m[..., 1, 0] = g12
+        m[..., 0, 2] = m[..., 2, 0] = g13
+        m[..., 1, 1] = g22
+        m[..., 1, 2] = m[..., 2, 1] = g23
+        m[..., 2, 2] = g33
         return m
 
     def inverse_metric_at(self, p):
@@ -109,7 +109,7 @@ class AdaptedChart3:
         point (C order) where g33 is not positive."""
         self.require_in_domain(p)
         x1, x2 = p
-        g33 = self.g33(x1, x2)
+        g33 = self.metric(x1, x2)[5]
         first, where = g33, p
         if isinstance(x1, np.ndarray):
             g33 = np.broadcast_to(g33, x1.shape)
@@ -124,18 +124,18 @@ class AdaptedChart3:
     def volume_fn(self):
         """The volume function as an InvariantFunction (analytic gradient
         when the chart provides d_g33)."""
+        metric = self.metric
         grad = None
         if self.d_g33 is not None:
             d_g33 = self.d_g33
-            g33 = self.g33
 
             def grad(x1, x2):
                 d1, d2 = d_g33(x1, x2)
-                w = sqrt(g33(x1, x2))
+                w = sqrt(metric(x1, x2)[5])
                 return d1 / (2.0 * w), d2 / (2.0 * w)
 
         return InvariantFunction(
-            value=lambda x1, x2: np.sqrt(self.g33(x1, x2)),
+            value=lambda x1, x2: np.sqrt(metric(x1, x2)[5]),
             gradient=grad, name="omega")
 
 
@@ -199,20 +199,19 @@ def chart_from_config(entry):
     """
     from .expressions import parse_expression
 
-    coeffs = {}
+    coeffs = []
     for name in ("g11", "g12", "g13", "g22", "g23", "g33"):
         if name not in entry:
             raise ValueError(f"chart config is missing coefficient {name!r}")
-        coeffs[name] = parse_expression(str(entry[name]), variables=("x1", "x2"))
+        coeffs.append(parse_expression(str(entry[name]), variables=("x1", "x2")))
     domain = lambda x1, x2: True
     if entry.get("domain_positive"):
         guard = parse_expression(str(entry["domain_positive"]),
                                  variables=("x1", "x2"))
         domain = lambda x1, x2: guard(x1, x2) > 0.0
-    g33 = coeffs["g33"]
+    g33 = coeffs[5]
     return AdaptedChart3(
-        g11=coeffs["g11"], g12=coeffs["g12"], g13=coeffs["g13"],
-        g22=coeffs["g22"], g23=coeffs["g23"], g33=g33,
+        metric=lambda x1, x2: tuple(g(x1, x2) for g in coeffs),
         domain=domain, label=str(entry.get("label", "config-chart")),
         d_g33=lambda x1, x2: g33.gradient(x1, x2))
 
@@ -229,10 +228,12 @@ def rescale_vertical(chart, c):
     if chart.d_g33 is not None:
         old = chart.d_g33
         d_g33 = lambda x1, x2: tuple(d / (c * c) for d in old(x1, x2))
+    metric = chart.metric
+
+    def rescaled(x1, x2):
+        g11, g12, g13, g22, g23, g33 = metric(x1, x2)
+        return g11, g12, g13 / c, g22, g23 / c, g33 / (c * c)
+
     return AdaptedChart3(
-        g11=chart.g11, g12=chart.g12,
-        g13=lambda x1, x2: chart.g13(x1, x2) / c,
-        g22=chart.g22,
-        g23=lambda x1, x2: chart.g23(x1, x2) / c,
-        g33=lambda x1, x2: chart.g33(x1, x2) / (c * c),
-        domain=chart.domain, label=f"{chart.label}/rescaled", d_g33=d_g33)
+        metric=rescaled, domain=chart.domain, label=f"{chart.label}/rescaled",
+        d_g33=d_g33)

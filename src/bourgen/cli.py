@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -458,7 +458,10 @@ def _cmd_mesh(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about as much as a small command."""
     parser = argparse.ArgumentParser(
         prog="bourgen",
         description="Generate and verify one-parameter families of isometric "

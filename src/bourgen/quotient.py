@@ -35,12 +35,7 @@ from .errors import (
 def _inverse_block2(chart, x1, x2):
     """Upper 2x2 block (b11, b12, b22) of the inverse metric, by cofactors
     (fast path)."""
-    g11 = chart.g11(x1, x2)
-    g12 = chart.g12(x1, x2)
-    g13 = chart.g13(x1, x2)
-    g22 = chart.g22(x1, x2)
-    g23 = chart.g23(x1, x2)
-    g33 = chart.g33(x1, x2)
+    g11, g12, g13, g22, g23, g33 = chart.metric(x1, x2)
     det = (g11 * (g22 * g33 - g23 * g23)
            - g12 * (g12 * g33 - g23 * g13)
            + g13 * (g12 * g23 - g22 * g13))
@@ -54,52 +49,29 @@ def _inverse_block2(chart, x1, x2):
     return b11, b12, b22
 
 
-def _volume(chart, x1, x2):
-    """``chart.volume_at((x1, x2))`` for floats x1, x2, with its errors;
-    math.sqrt rounds as np.sqrt does."""
-    if not chart.domain(x1, x2):
-        raise DomainError(f"{chart.label}: point {(x1, x2)!r} outside chart domain")
-    g33 = chart.g33(x1, x2)
-    if g33 <= 0.0:
-        raise SingularMetricError(
-            f"{chart.label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
-    return math.sqrt(g33)
-
-
 @dataclass(frozen=True)
 class QuotientMetric2:
-    """Quotient metric coefficients on the orbit space, as functions of
-    the invariant coordinates (x1, x2)."""
+    """Quotient metric on the orbit space, as a function of the invariant
+    coordinates (x1, x2): ``coefficients(x1, x2)`` returns
+    (q11, q12, q22)."""
 
-    q11: Callable[[float, float], float]
-    q12: Callable[[float, float], float]
-    q22: Callable[[float, float], float]
+    coefficients: Callable[[float, float], tuple]
 
     def matrix_at(self, p):
-        x1, x2 = p
-        q11 = self.q11(x1, x2)
-        q12 = self.q12(x1, x2)
-        q22 = self.q22(x1, x2)
+        q11, q12, q22 = self.coefficients(*p)
         return np.array([[q11, q12], [q12, q22]])
 
 
 def quotient_metric(chart):
     """Quotient metric of the orbit space: the inverse of the upper 2x2
-    block of the inverse ambient metric."""
+    block of the inverse ambient metric, from one chart call per point."""
 
-    def q11(x1, x2):
+    def coefficients(x1, x2):
         b11, b12, b22 = _inverse_block2(chart, x1, x2)
-        return b22 / (b11 * b22 - b12 * b12)
+        det = b11 * b22 - b12 * b12
+        return b22 / det, -b12 / det, b11 / det
 
-    def q12(x1, x2):
-        b11, b12, b22 = _inverse_block2(chart, x1, x2)
-        return -b12 / (b11 * b22 - b12 * b12)
-
-    def q22(x1, x2):
-        b11, b12, b22 = _inverse_block2(chart, x1, x2)
-        return b11 / (b11 * b22 - b12 * b12)
-
-    return QuotientMetric2(q11=q11, q12=q12, q22=q22)
+    return QuotientMetric2(coefficients=coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +232,8 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
     """Construct a QuotientFrame from an invariant theta on a chart.
 
     For a ``TracedInvariant`` theta the frame is the characteristic frame
-    of ``_characteristic_frame``: ``seed_box``, ``seed_counts`` and the
-    ``newton_*`` options are accepted but not used.
+    of ``_characteristic_frame``: ``seed_box``, ``seed_counts``,
+    ``fd_step`` and the ``newton_*`` options are accepted but not used.
 
     For any other theta, ``seed_box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi))
     samples the orbit space: the seed grid provides Newton starting points
@@ -273,7 +245,7 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
 
     label = label or f"{chart.label}/frame"
     if isinstance(theta, TracedInvariant):
-        return _characteristic_frame(chart, theta, rect, fd_step=fd_step,
+        return _characteristic_frame(chart, theta, rect,
                                      jacobian_floor=jacobian_floor,
                                      label=label)
     omega = chart.volume_fn()
@@ -349,8 +321,16 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
         invert=invert, rect=rect, label=label)
 
 
-def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
-                          label):
+# Relative step of the characteristic frame's dx/dtheta stencil, near
+# eps^(1/3), where the rounding noise of two level traces divided by 2h
+# and the O(h^2) error of the central difference balance: on 1000 random
+# points of the flat helicoidal frame's test rectangle the largest
+# dx/dtheta error was 2.1e-10 at 5e-6, 2.0e-10 at 6e-6, 1.5e-10 at 8e-6
+# and 1.3e-10 at 1e-5 (200 points: 3.8e-10 at 1e-6, 3.0e-10 at 2e-5).
+_STENCIL_STEP = 1e-5
+
+
+def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
     """QuotientFrame of a traced theta, built on the characteristics.
 
     theta is constant along a characteristic and omega strictly monotone,
@@ -358,28 +338,31 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
     to the level omega = w (``TracedInvariant.level_point``), with a
     one-entry memo.
 
-    The gradient norms and the inverse Jacobian come from one stencil of
-    level traces at (w, t), also memoised for one entry, since a
-    right-hand side asks for both norms at the same point.  With
-    h = 1e-6 max(1, |t|), the stencil traces lo at t - h and hi at t + h;
-    dx/dtheta at fixed omega is v = (hi - lo) / 2h, and the stencil's
-    point is p = (lo + hi) / 2, the level trace at t up to O(h^2).  Within
-    h of an end of the arc range the stencil is one-sided, of second
-    order, from the level trace at t and two more at t +- h, t +- 2h.
-    |grad omega|^2 is the chart's pairing at p.  In the orthogonal pair
-    the quotient metric is dw^2 / |grad omega|^2 + dt^2 / |grad theta|^2,
-    so |grad theta|^2 = 1 / q(v, v); a q(v, v) that collapses below
-    jacobian_floor^2 raises RankDeficiencyError.  The inverse Jacobian has
-    the columns dx/domega = a / (a . d omega) at p, with a the trace field,
-    and dx/dtheta = v; columns within jacobian_floor of parallel raise
-    RankDeficiencyError.  ``integrate_profile`` takes it at each node
-    right after the node's right-hand side, while the memo still holds
-    the node's stencil, so a member's position derivatives trace nothing.
-    """
-    from .chart import invariant_pairing
+    The gradient norms come from one stencil of level traces at (w, t)
+    and one evaluation of the trace field at its point, memoised together
+    for one entry, since a right-hand side asks for both norms at the same
+    point.  With h = _STENCIL_STEP max(1, |t|), the stencil traces lo at
+    t - h and hi at t + h; dx/dtheta at fixed omega is v = (hi - lo) / 2h,
+    and the stencil's point is p = (lo + hi) / 2, the level trace at t up
+    to O(h^2).  Within h of an end of the arc range the stencil is
+    one-sided, of second order, from the level trace at t and two more at
+    t +- h, t +- 2h.  The field at p gives the characteristic velocity a,
+    the omega gradient d and the block B of the inverse metric:
+    |grad omega|^2 = a . d, and in the orthogonal pair the quotient metric
+    q = B^-1 is dw^2 / |grad omega|^2 + dt^2 / |grad theta|^2, so
+    |grad theta|^2 = 1 / q(v, v); a q(v, v) that collapses below
+    jacobian_floor^2 raises RankDeficiencyError.
 
+    The inverse Jacobian has the columns dx/domega = a / (a . d), from the
+    field at the inverted point of (w, t) itself rather than at p, which
+    is O(h^2) off it, and dx/dtheta = v; columns within jacobian_floor of
+    parallel raise RankDeficiencyError.  ``integrate_profile`` takes the
+    inverted point and the inverse Jacobian at each node right after the
+    node's right-hand side, while the memo still holds the node's stencil,
+    so a node costs one level trace beyond its right-hand side.
+    """
     omega = chart.volume_fn()
-    q = quotient_metric(chart)
+    field = traced._field
     length = traced.cauchy.length
     last = ((None, None), None)
     last_stencil = ((None, None), None)
@@ -394,32 +377,37 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
         return point
 
     def stencil(w, t):
-        """(p, v): the stencil's point and dx/dtheta at fixed omega."""
+        """(v1, v2, |grad omega|^2, q(v, v)) at (w, t), with v = dx/dtheta
+        at fixed omega."""
         nonlocal last_stencil
-        key, pv = last_stencil
+        key, terms = last_stencil
         if key == (w, t):
-            return pv
-        h = 1e-6 * max(1.0, abs(t))
-        level = lambda sigma: np.array(traced.level_point(w, sigma))
+            return terms
+        h = _STENCIL_STEP * max(1.0, abs(t))
+        level = traced.level_point
         if t - h < 0.0 or t + h > length:
-            p = np.array(invert(w, t))
+            p1, p2 = invert(w, t)
             t1, t2 = (t + h, t + 2.0 * h) if t - h < 0.0 else (t - h, t - 2.0 * h)
-            v = (4.0 * level(t1) - 3.0 * p - level(t2)) / (t2 - t)
+            (y1, y2), (z1, z2) = level(w, t1), level(w, t2)
+            v1 = (4.0 * y1 - 3.0 * p1 - z1) / (t2 - t)
+            v2 = (4.0 * y2 - 3.0 * p2 - z2) / (t2 - t)
         else:
-            lo, hi = level(t - h), level(t + h)
-            v = (hi - lo) / (2.0 * h)
-            p = 0.5 * (lo + hi)
-        pv = (p, v)
-        last_stencil = ((w, t), pv)
-        return pv
+            (lo1, lo2), (hi1, hi2) = level(w, t - h), level(w, t + h)
+            v1 = (hi1 - lo1) / (2.0 * h)
+            v2 = (hi2 - lo2) / (2.0 * h)
+            p1, p2 = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
+        a1, a2, d1, d2, _, b11, b12, b22 = field(p1, p2)
+        qvv = ((v1 * (b22 * v1 - b12 * v2) + v2 * (b11 * v2 - b12 * v1))
+               / (b11 * b22 - b12 * b12))
+        terms = (v1, v2, a1 * d1 + a2 * d2, qvv)
+        last_stencil = ((w, t), terms)
+        return terms
 
     def grad_omega_sq(w, t):
-        p, _ = stencil(w, t)
-        return invariant_pairing(chart, omega, omega, p, step=fd_step)
+        return stencil(w, t)[2]
 
     def grad_theta_sq(w, t):
-        p, v = stencil(w, t)
-        qvv = float(v @ q.matrix_at(p) @ v)
+        qvv = stencil(w, t)[3]
         if not jacobian_floor ** 2 < qvv < math.inf:
             raise RankDeficiencyError(
                 f"{label}: |dx/dtheta|^2 = {qvv:.3e} at fixed omega at "
@@ -428,15 +416,16 @@ def _characteristic_frame(chart, traced, rect, *, fd_step, jacobian_floor,
         return 1.0 / qvv
 
     def inverse_jacobian(w, t):
-        p, v = stencil(w, t)
-        a1, a2, d1, d2 = traced._field(*p)
+        v1, v2, _, _ = stencil(w, t)
+        a1, a2, d1, d2, _, _, _, _ = field(*invert(w, t))
         ad = a1 * d1 + a2 * d2
-        cross = a1 * v[1] - a2 * v[0]
-        if not abs(cross) > jacobian_floor * math.hypot(a1, a2) * math.hypot(*v):
+        cross = a1 * v2 - a2 * v1
+        scale = math.hypot(a1, a2) * math.hypot(v1, v2)
+        if not abs(cross) > jacobian_floor * scale:
             raise RankDeficiencyError(
                 f"{label}: dx/domega and dx/dtheta nearly parallel at "
                 f"(omega, theta) = ({w:.6g}, {t:.6g})")
-        return np.array([[a1 / ad, v[0]], [a2 / ad, v[1]]])
+        return np.array([[a1 / ad, v1], [a2 / ad, v2]])
 
     return QuotientFrame(
         chart=chart, omega=omega, theta=as_invariant(traced, name="theta"),
@@ -505,27 +494,32 @@ _LAND_MAXITER = 20
 def _trace_kernel(chart, omega, grad_floor):
     """The characteristic field of a traced invariant and one RK4 step of
     its flow, as the closures (field, rk4_step), which bind the chart's
-    eight callables once.
+    three callables (``domain``, ``metric``, ``d_g33``) once.
 
-    field(x1, x2) is the horizontal projection of grad(omega) at
-    (x1, x2), the characteristic velocity (a1, a2), and the gradient
-    (d1, d2) of omega, as (a1, a2, d1, d2).  It raises DomainError
-    outside the chart domain, SingularMetricError where the metric is
-    not positive, and DegenerateGradientError where |grad omega| is below
-    grad_floor.  The chart is evaluated once per point: the cofactor
-    block of ``_inverse_block2`` is inlined here, with its arithmetic and
-    message (a call per point costs a right-hand side about a tenth more
-    time), and the omega gradient d_g33 / (2 omega) takes its g33,
-    which gives the bits of ``omega.gradient_at``; a chart without
-    ``d_g33`` takes ``omega.gradient_at`` (central differences).
+    field(x1, x2) returns (a1, a2, d1, d2, w, b11, b12, b22) at (x1, x2):
+    the horizontal projection a = B d of grad(omega), which is the
+    characteristic velocity, the gradient d of omega, omega itself
+    w = sqrt(g33), and the upper block B of the inverse metric.  It raises
+    DomainError outside the chart domain, SingularMetricError where g33 or
+    the metric determinant is not positive, and DegenerateGradientError
+    where |grad omega| is below grad_floor.  The chart is evaluated once
+    per point: the cofactor block of ``_inverse_block2`` is inlined here,
+    with its arithmetic and message (a call per point costs a right-hand
+    side about a tenth more time), w is ``volume_at``'s value, and the
+    omega gradient d_g33 / (2 w) gives the bits of ``omega.gradient_at``;
+    a chart without ``d_g33`` takes ``omega.gradient_at`` (central
+    differences).
 
-    rk4_step(x1, x2, h, sign) is one classical RK4 step of the flow of
-    sign * field from the point (x1, x2) of floats, with the arithmetic
-    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.
+    rk4_step(x1, x2, a1, a2, h, sign) is one classical RK4 step of the
+    flow of sign * field from the point (x1, x2) of floats, where the
+    field's velocity is (a1, a2), with the arithmetic
+    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.  It
+    evaluates the field at the three inner stages only: a caller that
+    needs the field at the step's end evaluates it there once and passes
+    its velocity on as the next step's k1.
     """
     domain = chart.domain
-    g11, g12, g13 = chart.g11, chart.g12, chart.g13
-    g22, g23, g33 = chart.g22, chart.g23, chart.g33
+    metric = chart.metric
     d_g33 = chart.d_g33
     label = chart.label
     floor_sq = grad_floor ** 2
@@ -534,12 +528,10 @@ def _trace_kernel(chart, omega, grad_floor):
         if not domain(x1, x2):
             raise DomainError(
                 f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-        c11 = g11(x1, x2)
-        c12 = g12(x1, x2)
-        c13 = g13(x1, x2)
-        c22 = g22(x1, x2)
-        c23 = g23(x1, x2)
-        c33 = g33(x1, x2)
+        c11, c12, c13, c22, c23, c33 = metric(x1, x2)
+        if c33 <= 0.0:
+            raise SingularMetricError(
+                f"{label}: g33 = {c33:.3e} at {(x1, x2)!r} is not positive")
         det = (c11 * (c22 * c33 - c23 * c23)
                - c12 * (c12 * c33 - c23 * c13)
                + c13 * (c12 * c23 - c22 * c13))
@@ -550,28 +542,27 @@ def _trace_kernel(chart, omega, grad_floor):
         b11 = (c22 * c33 - c23 * c23) / det
         b12 = -(c12 * c33 - c13 * c23) / det
         b22 = (c11 * c33 - c13 * c13) / det
+        w = math.sqrt(c33)
         if d_g33 is None:
             d1, d2 = omega.gradient_at(x1, x2)
         else:
             e1, e2 = d_g33(x1, x2)
-            w = math.sqrt(c33)
             d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
         a1 = b11 * d1 + b12 * d2
         a2 = b12 * d1 + b22 * d2
         if a1 * d1 + a2 * d2 < floor_sq:
             raise DegenerateGradientError(
                 f"|grad omega| below {grad_floor:g} at ({x1:.6g}, {x2:.6g})")
-        return a1, a2, d1, d2
+        return a1, a2, d1, d2, w, b11, b12, b22
 
-    def rk4_step(x1, x2, h, sign):
+    def rk4_step(x1, x2, a1, a2, h, sign):
         g = 0.5 * h
-        a1, a2, _, _ = field(x1, x2)
         k11, k12 = sign * a1, sign * a2
-        a1, a2, _, _ = field(x1 + g * k11, x2 + g * k12)
+        a1, a2, _, _, _, _, _, _ = field(x1 + g * k11, x2 + g * k12)
         k21, k22 = sign * a1, sign * a2
-        a1, a2, _, _ = field(x1 + g * k21, x2 + g * k22)
+        a1, a2, _, _, _, _, _, _ = field(x1 + g * k21, x2 + g * k22)
         k31, k32 = sign * a1, sign * a2
-        a1, a2, _, _ = field(x1 + h * k31, x2 + h * k32)
+        a1, a2, _, _, _, _, _, _ = field(x1 + h * k31, x2 + h * k32)
         k41, k42 = sign * a1, sign * a2
         c = h / 6.0
         return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
@@ -662,8 +653,10 @@ class TracedInvariant:
         with the crossing bracketed in the last step, or None.  Only steps
         whose box meets the polyline's go through the full test."""
         h = self.step
+        field, rk4_step = self._field, self._rk4_step
         for _ in range(self.n_steps):
-            y1, y2 = self._rk4_step(x1, x2, h, sign)
+            a1, a2, _, _, _, _, _, _ = field(x1, x2)
+            y1, y2 = rk4_step(x1, x2, a1, a2, h, sign)
             if self._box_meets(x1, x2, y1, y2):
                 a, b = np.array([x1, x2]), np.array([y1, y2])
                 hit = self._segment_crossing(a, b)
@@ -771,7 +764,9 @@ class TracedInvariant:
         |grad omega|^2), so the trace runs from the data point in the
         direction sign(w - omega) until omega passes w, and a last partial
         RK4 step, its length solved by Newton's method in the flow time,
-        lands on the level.  Raises DomainError for sigma outside
+        lands on the level.  The field at each step's end gives omega for
+        the level test and is the next step's k1, so a step evaluates the
+        field four times.  Raises DomainError for sigma outside
         [0, length], for a level not reached within n_steps steps and for
         a trace that leaves the domain.
         """
@@ -780,43 +775,45 @@ class TracedInvariant:
                 f"arc length {sigma:.6g} outside the data curve's range "
                 f"[0, {self.cauchy.length:.6g}]")
         x1, x2 = self.cauchy.point_at(sigma).tolist()
-        w_x = _volume(self.chart, x1, x2)
+        field, rk4_step, step = self._field, self._rk4_step, self.step
+        a1, a2, _, _, w_x, _, _, _ = field(x1, x2)
         if w_x == w:
             return x1, x2
         sign = 1.0 if w > w_x else -1.0
         for _ in range(self.n_steps):
-            y1, y2 = self._rk4_step(x1, x2, self.step, sign)
-            w_y = _volume(self.chart, y1, y2)
+            y1, y2 = rk4_step(x1, x2, a1, a2, step, sign)
+            b1, b2, _, _, w_y, _, _, _ = field(y1, y2)
             if sign * (w_y - w) >= 0.0:
-                return self._land(x1, x2, sign, w, w_x, w_y)
-            x1, x2, w_x = y1, y2, w_y
+                return self._land(x1, x2, a1, a2, sign, w, w_x, w_y)
+            x1, x2, a1, a2, w_x = y1, y2, b1, b2, w_y
         raise DomainError(
             f"the characteristic from arc length {sigma:.6g} does not reach "
             f"omega = {w:.6g} within {self.n_steps} steps")
 
-    def _land(self, x1, x2, sign, w, w_x, w_y):
-        """The RK4 step from (x1, x2) whose end lies on the level omega = w,
-        which a full step from there reaches (w_x and w_y are omega at the
-        start and at the end of the full step).  Newton's method on the
-        step length stays in [0, step], where the root is bracketed, and
-        stops within 1e-15 of w relative, or, where finite-difference
-        gradients leave omega noisier than that, at the end of the step
-        that came closest."""
+    def _land(self, x1, x2, a1, a2, sign, w, w_x, w_y):
+        """The RK4 step from (x1, x2), where the field's velocity is
+        (a1, a2), whose end lies on the level omega = w, which a full step
+        from there reaches (w_x and w_y are omega at the start and at the
+        end of the full step).  Newton's method on the step length stays in
+        [0, step], where the root is bracketed, and stops within 1e-15 of w
+        relative, or, where finite-difference gradients leave omega noisier
+        than that, at the end of the step that came closest.  One field
+        evaluation at each trial end gives omega there and its rate."""
         step = self.step
         h = step * (w - w_x) / (w_y - w_x)
         tol = 1e-15 * max(1.0, abs(w))
         best = None
         for _ in range(_LAND_MAXITER):
-            y1, y2 = self._rk4_step(x1, x2, h, sign)
-            r = _volume(self.chart, y1, y2) - w
+            y1, y2 = self._rk4_step(x1, x2, a1, a2, h, sign)
+            b1, b2, d1, d2, w_y, _, _, _ = self._field(y1, y2)
+            r = w_y - w
             if best is not None and abs(r) >= abs(best[2]):
                 break
             best = (y1, y2, r)
             if abs(r) <= tol:
                 break
             # d omega / d h along the flow of sign * field: sign |grad omega|^2
-            a1, a2, d1, d2 = self._field(y1, y2)
-            h = min(max(h - r / (sign * (a1 * d1 + a2 * d2)), 0.0), step)
+            h = min(max(h - r / (sign * (b1 * d1 + b2 * d2)), 0.0), step)
         return best[0], best[1]
 
     def __call__(self, x1, x2):

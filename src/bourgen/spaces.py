@@ -15,8 +15,8 @@ polar angle atan2(x2, x1) (gauge "angle"): unlike the ratio x2/x1 it has
 no pole when a profile winds past the x2-axis.  The ratio gauge is also
 available; both produce identical surfaces.
 
-Chart coefficients, invariant gradients and the callables of theta-free
-frames take floats or arrays, and give arrays equal element by element to
+Chart metrics, invariant gradients and the callables of theta-free frames
+take floats or arrays, and give arrays equal element by element to
 the float results (see ``_numerics.square``); ratio-gauge frames are
 called one point at a time.
 """
@@ -80,23 +80,14 @@ def make_chart(spec):
     a = spec.a
     if spec.kind == "euclidean_helicoidal":
         return AdaptedChart3(
-            g11=lambda x1, x2: 1.0,
-            g12=lambda x1, x2: 0.0,
-            g13=lambda x1, x2: x2,
-            g22=lambda x1, x2: 1.0,
-            g23=lambda x1, x2: -x1,
-            g33=lambda x1, x2: x1 * x1 + x2 * x2 + a * a,
+            metric=lambda x1, x2: (1.0, 0.0, x2, 1.0, -x1,
+                                   x1 * x1 + x2 * x2 + a * a),
             domain=lambda x1, x2: True,
             label=f"euclidean_helicoidal(a={a:g})",
             d_g33=lambda x1, x2: (2.0 * x1, 2.0 * x2))
     if spec.kind == "euclidean_rotational":
         return AdaptedChart3(
-            g11=lambda x1, x2: 1.0,
-            g12=lambda x1, x2: 0.0,
-            g13=lambda x1, x2: 0.0,
-            g22=lambda x1, x2: 1.0,
-            g23=lambda x1, x2: 0.0,
-            g33=lambda x1, x2: x1 * x1,
+            metric=lambda x1, x2: (1.0, 0.0, 0.0, 1.0, 0.0, x1 * x1),
             domain=lambda x1, x2: x1 > 0.0,
             label="euclidean_rotational",
             d_g33=lambda x1, x2: (2.0 * x1, 0.0))
@@ -109,6 +100,18 @@ def make_chart(spec):
     def C_of(r2):
         return a * B_of(r2) - r2 * tau
 
+    def metric(x1, x2):
+        r2 = x1 * x1 + x2 * x2
+        B2 = square(B_of(r2))
+        C = C_of(r2)
+        twist = tau * C - 1.0
+        return ((1.0 + tau**2 * x2 * x2) / B2,
+                -x1 * x2 * tau**2 / B2,
+                twist * x2 / B2,
+                (1.0 + tau**2 * x1 * x1) / B2,
+                -twist * x1 / B2,
+                (square(C) + x1 * x1 + x2 * x2) / B2)
+
     def d_g33(x1, x2):
         r2 = x1 * x1 + x2 * x2
         B = B_of(r2)
@@ -119,15 +122,7 @@ def make_chart(spec):
         return (2.0 * x1 * d_r2, 2.0 * x2 * d_r2)
 
     return AdaptedChart3(
-        g11=lambda x1, x2: (1.0 + tau**2 * x2 * x2) / square(B_of(x1 * x1 + x2 * x2)),
-        g12=lambda x1, x2: -x1 * x2 * tau**2 / square(B_of(x1 * x1 + x2 * x2)),
-        g13=lambda x1, x2: (tau * C_of(x1 * x1 + x2 * x2) - 1.0) * x2
-        / square(B_of(x1 * x1 + x2 * x2)),
-        g22=lambda x1, x2: (1.0 + tau**2 * x1 * x1) / square(B_of(x1 * x1 + x2 * x2)),
-        g23=lambda x1, x2: -(tau * C_of(x1 * x1 + x2 * x2) - 1.0) * x1
-        / square(B_of(x1 * x1 + x2 * x2)),
-        g33=lambda x1, x2: (square(C_of(x1 * x1 + x2 * x2)) + x1 * x1 + x2 * x2)
-        / square(B_of(x1 * x1 + x2 * x2)),
+        metric=metric,
         domain=lambda x1, x2: B_of(x1 * x1 + x2 * x2) > 0.0,
         label=f"bcv(kappa={kappa:g},tau={tau:g},a={a:g})",
         d_g33=d_g33)

@@ -220,9 +220,8 @@ def test_validate_window_names_B(monkeypatch):
 # ---------------------------------------------------------------------------
 
 NIL = bg.AdaptedChart3(
-    g11=lambda x1, x2: 1.0 + x2 * x2 / 4.0, g12=lambda x1, x2: -x1 * x2 / 4.0,
-    g13=lambda x1, x2: -x2 / 2.0, g22=lambda x1, x2: 1.0 + x1 * x1 / 4.0,
-    g23=lambda x1, x2: x1 / 2.0, g33=lambda x1, x2: 1.0 + 0.0 * x1,
+    metric=lambda x1, x2: (1.0 + x2 * x2 / 4.0, -x1 * x2 / 4.0, -x2 / 2.0,
+                           1.0 + x1 * x1 / 4.0, x1 / 2.0, 1.0 + 0.0 * x1),
     label="nil")
 
 
@@ -237,7 +236,8 @@ def test_constant_volume_member_matches_points(chart_name, flat_chart):
     d1 = np.gradient(c1, s, edge_order=2)
     d2 = np.gradient(c2, s, edge_order=2)
     integrand = np.array([
-        -(d1[k] * chart.g13(c1[k], c2[k]) + d2[k] * chart.g23(c1[k], c2[k]))
+        -(d1[k] * chart.metric(c1[k], c2[k])[2]
+          + d2[k] * chart.metric(c1[k], c2[k])[4])
         for k in range(len(s))])
     assert _same_bits(member.omega, w)
     assert _same_bits(member.V_prime, integrand)

@@ -155,8 +155,7 @@ def _reference_vertical(profile, chart, params, U):
                                      profile.theta_prime[k]])
     m2U2 = (params.m * np.array([U(x) for x in s])) ** 2
     for k in range(n):
-        g13 = chart.g13(profile.x1[k], profile.x2[k])
-        g23 = chart.g23(profile.x1[k], profile.x2[k])
+        _, _, g13, _, g23, _ = chart.metric(profile.x1[k], profile.x2[k])
         integrand[k] = -(d1[k] * g13 + d2[k] * g23) / m2U2[k]
     return d1, d2, integrand
 

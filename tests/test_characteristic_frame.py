@@ -42,9 +42,7 @@ def _rect_points(rect, n, seed):
 
 def _radial_chart():
     return bg.AdaptedChart3(
-        g11=lambda a, b: 1.0, g12=lambda a, b: 0.0, g13=lambda a, b: 0.0,
-        g22=lambda a, b: 1.0, g23=lambda a, b: 0.0,
-        g33=lambda a, b: a * a + b * b,
+        metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, a * a + b * b),
         domain=lambda a, b: a * a + b * b > 1e-4, label="radial")
 
 
@@ -149,23 +147,26 @@ def _closed_inverse_jacobian(w, t):
 
 
 def test_inverse_jacobian_matches_closed_form_and_finite_differences(frame):
-    # dx/domega = a / (a . d omega) is exact up to the traces, dx/dtheta a
-    # difference of two level traces 2h = 2e-6 apart, each landed within
-    # 1e-15 w of its level: about 1e-9 of noise at worst (over 200 random
-    # points of RECT, the largest error was 1.1e-9, the median 9e-11)
+    # dx/domega = a / (a . d omega) at the inverted point is exact up to
+    # the trace, dx/dtheta a difference of two level traces 2h = 2e-5
+    # apart, each landed within 1e-15 w of its level (over 1000 random
+    # points of RECT, the largest error was 1.3e-10; here 7.6e-11); the
+    # finite-difference inverse Jacobian is itself off by up to 5.7e-10
+    # here
     fd = dataclasses.replace(frame, inverse_jacobian=None)
     for w, t in _rect_points(RECT, 12, 15):
         J = frame.invert_jacobian(w, t)
         closed = _closed_inverse_jacobian(w, t)
-        assert np.max(np.abs(J[:, 0] - closed[:, 0])) <= 1e-12
-        assert np.max(np.abs(J[:, 1] - closed[:, 1])) <= 3e-9
-        assert np.max(np.abs(J - fd.invert_jacobian(w, t))) <= 3e-9
+        assert np.max(np.abs(J[:, 0] - closed[:, 0])) <= 1e-14
+        assert np.max(np.abs(J[:, 1] - closed[:, 1])) <= 1e-10
+        assert np.max(np.abs(J - fd.invert_jacobian(w, t))) <= 1e-9
 
 
 def test_inverse_jacobian_at_the_ends_of_the_arc_range(frame, traced):
+    # the one-sided stencil: 1.3e-10 at most
     for t in (0.0, 1e-7, traced.cauchy.length - 1e-7, traced.cauchy.length):
         J = frame.invert_jacobian(1.5, t)
-        assert np.max(np.abs(J - _closed_inverse_jacobian(1.5, t))) <= 3e-9
+        assert np.max(np.abs(J - _closed_inverse_jacobian(1.5, t))) <= 2e-10
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +199,40 @@ def test_rhs_costs_two_level_traces(helicoidal_chart, traced, monkeypatch):
     params = bg.BourParams(m=0.85, s_range=(0.5, 2.0), step=0.01)
     bg.ode_rhs(1.0, 0.5, U, params, frame)  # at omega = 0.85 sqrt(3)
     assert calls == {"value": 0, "newton": 0, "level": 2}
-    # the inverse Jacobian at the same point reuses the stencil
+    # the inverse Jacobian at the same point reuses the stencil and traces
+    # the point itself, which the inversion there then reuses
     frame.invert_jacobian(0.85 * math.sqrt(3.0), 0.5)
-    assert calls == {"value": 0, "newton": 0, "level": 2}
+    assert calls == {"value": 0, "newton": 0, "level": 3}
+    frame.invert(0.85 * math.sqrt(3.0), 0.5)
+    assert calls == {"value": 0, "newton": 0, "level": 3}
+
+
+def test_rhs_makes_no_pairing_and_no_matrix_inverse(helicoidal_chart, traced,
+                                                   monkeypatch):
+    # |grad omega|^2, |grad theta|^2 and the inverse Jacobian come from the
+    # trace field: neither the chart's pairing nor a 3x3 inverse
+    calls = {"invariant_pairing": 0, "inv": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(bg.chart, "invariant_pairing",
+                        counting("invariant_pairing", bg.chart.invariant_pairing))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    frame = _frame(helicoidal_chart, traced)
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
+    params = bg.BourParams(m=0.85, s_range=(0.5, 2.0), step=0.01)
+    w = 0.85 * math.sqrt(3.0)
+    value = bg.ode_rhs(1.0, 0.5, U, params, frame)
+    J = frame.invert_jacobian(w, 0.5)
+    assert calls == {"invariant_pairing": 0, "inv": 0}
+    go, gt = _closed_forms(w, 0.5)
+    assert abs(value * value - gt * (go - (0.85 / math.sqrt(3.0)) ** 2) / go) \
+        <= 1e-9 * value * value
+    assert np.max(np.abs(J - _closed_inverse_jacobian(w, 0.5))) <= 1e-10
 
 
 def test_member_makes_no_value_call(helicoidal_chart, helicoidal_spec, traced,

@@ -79,7 +79,8 @@ def test_volume_squared_equals_g33(helicoidal_chart):
     for _ in range(10):
         p = rng.uniform(-2, 2, 2)
         w = helicoidal_chart.volume_at(p)
-        assert np.isclose(w * w, helicoidal_chart.g33(*p), rtol=5e-16, atol=0)
+        assert np.isclose(w * w, helicoidal_chart.metric(*p)[5], rtol=5e-16,
+                          atol=0)
 
 
 def test_domain_error(rotational_frame):
@@ -89,8 +90,7 @@ def test_domain_error(rotational_frame):
     with pytest.raises(SingularMetricError):
         # degenerate metric: zero g11 row
         bad = bg.AdaptedChart3(
-            g11=lambda a, b: 0.0, g12=lambda a, b: 0.0, g13=lambda a, b: 0.0,
-            g22=lambda a, b: 1.0, g23=lambda a, b: 0.0, g33=lambda a, b: 1.0)
+            metric=lambda a, b: (0.0, 0.0, 0.0, 1.0, 0.0, 1.0))
         bad.inverse_metric_at((0.0, 0.0))
 
 
@@ -179,9 +179,7 @@ def test_chart_from_config_domain_and_errors():
 
 def test_rescale_vertical():
     chart = bg.AdaptedChart3(
-        g11=lambda a, b: 1.0, g12=lambda a, b: 0.0, g13=lambda a, b: 0.5,
-        g22=lambda a, b: 1.0, g23=lambda a, b: 0.0, g33=lambda a, b: 4.0,
-        label="scaled")
+        metric=lambda a, b: (1.0, 0.0, 0.5, 1.0, 0.0, 4.0), label="scaled")
     rescaled = bg.rescale_vertical(chart, 2.0)
     assert np.isclose(rescaled.volume_at((0.0, 0.0)), 1.0)
-    assert np.isclose(rescaled.g13(0.0, 0.0), 0.25)
+    assert np.isclose(rescaled.metric(0.0, 0.0)[2], 0.25)

@@ -124,6 +124,46 @@ def test_verify_and_mesh_subcommands(tmp_path):
     assert (tmp_path / "mesh" / "member_m1.obj").exists()
 
 
+def _session(tmp, capsys):
+    """main() on every subcommand but natural, a usage error and a config
+    error, in one process: the exit code (or SystemExit code), stdout and
+    stderr of each call, with the directory tmp written as <tmp>."""
+    tmp.mkdir()
+    member = str(tmp / "family" / "member_m1.json")
+    argvs = [
+        ["family", "--config", _write_cfg(tmp, _family_config(), "session"),
+         "--out", str(tmp / "family")],
+        ["verify", member, "--strict"],
+        ["mesh", member, "--out", str(tmp / "mesh")],
+        ["demo", "helicoid", "--out", str(tmp / "demo"), "--strict"],
+        ["verify", member, "--out", str(tmp / "x")],
+        ["family", "--config", str(tmp / "missing.json")],
+        ["verify", member, "--tol", "0", "--strict"],
+    ]
+    calls = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        calls.append((code, out.replace(str(tmp), "<tmp>"),
+                      err.replace(str(tmp), "<tmp>")))
+    return calls
+
+
+def test_cached_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys,
+                                                       monkeypatch):
+    from bourgen import cli
+    assert cli.build_parser() is cli.build_parser()
+    cached = _session(tmp_path / "cached", capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = _session(tmp_path / "fresh", capsys)
+    assert cached == fresh
+    assert [c[0] for c in cached] == [0, 0, 0, 0, ("SystemExit", 2), 1, 2]
+
+
 def test_verify_tol_zero_is_an_override(tmp_path, capsys):
     # an explicit 0 is a tolerance, not "use the default"
     code, _ = run(RunConfig.from_dict(_family_config()), tmp_path / "out")

@@ -199,9 +199,7 @@ def test_circular_symmetry_theta_constant_on_rays():
     # radially symmetric volume function: characteristics are rays, so a
     # traced theta is constant along each ray
     chart = bg.AdaptedChart3(
-        g11=lambda a, b: 1.0, g12=lambda a, b: 0.0, g13=lambda a, b: 0.0,
-        g22=lambda a, b: 1.0, g23=lambda a, b: 0.0,
-        g33=lambda a, b: a * a + b * b,
+        metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, a * a + b * b),
         domain=lambda a, b: a * a + b * b > 1e-4, label="radial")
     arc = bg.CauchyCurve(
         point=lambda sig: np.array([math.cos(sig - 0.75), math.sin(sig - 0.75)]),

@@ -20,13 +20,14 @@ def test_spec_validation():
 
 
 def test_helicoidal_mixed_coefficient(helicoidal_chart):
-    assert np.isclose(helicoidal_chart.g23(1.0, 0.0), -1.0)
-    assert np.isclose(helicoidal_chart.g13(0.3, 0.8), 0.8)
+    assert np.isclose(helicoidal_chart.metric(1.0, 0.0)[4], -1.0)
+    assert np.isclose(helicoidal_chart.metric(0.3, 0.8)[2], 0.8)
 
 
 def test_bcv_g33_reference_value(bcv_frame):
     # (C^2 + r^2)/B^2 = (1/16 + 1)/(25/16) = 17/25 at (1, 0)
-    assert np.isclose(bcv_frame.chart.g33(1.0, 0.0), 17.0 / 25.0, atol=1e-15)
+    assert np.isclose(bcv_frame.chart.metric(1.0, 0.0)[5], 17.0 / 25.0,
+                      atol=1e-15)
 
 
 def test_bcv_flat_limit_quotient_geometry(helicoidal_chart):

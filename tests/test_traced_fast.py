@@ -18,7 +18,7 @@ from bourgen.errors import (
     DomainError,
     SingularMetricError,
 )
-from conftest import swept_nodes
+from conftest import kernel_step, swept_nodes
 
 
 def _same(a, b):
@@ -107,9 +107,7 @@ def _outcome(fn, *args):
 
 def _radial_chart():
     return bg.AdaptedChart3(
-        g11=lambda a, b: 1.0, g12=lambda a, b: 0.0, g13=lambda a, b: 0.0,
-        g22=lambda a, b: 1.0, g23=lambda a, b: 0.0,
-        g33=lambda a, b: a * a + b * b,
+        metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, a * a + b * b),
         domain=lambda a, b: a * a + b * b > 1e-4, label="radial")
 
 
@@ -185,8 +183,8 @@ def test_array_volume_names_first_nonpositive_g33():
     x1 = np.array([[1.0, 2.0], [3.0, 4.0]])
     x2 = np.zeros((2, 2))
     shifted = bg.AdaptedChart3(
-        g11=chart.g11, g12=chart.g12, g13=chart.g13, g22=chart.g22,
-        g23=chart.g23, g33=lambda a, b: 6.0 - a * a, label="shifted")
+        metric=lambda a, b: chart.metric(a, b)[:5] + (6.0 - a * a,),
+        label="shifted")
     assert _same(chart.volume_at((x1, x2)),
                  [[chart.volume_at((a, b)) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(x1, x2)])
@@ -220,11 +218,15 @@ def _five(name):
 
 
 def _composed_field(tr, x1, x2):
-    """The field and the omega gradient as composed before the fusion:
-    ``_ref_field`` (the cofactor block of ``_inverse_block2`` and
-    ``volume_fn().gradient_at``), then the gradient again."""
+    """The field, the omega gradient, omega and the inverse block as
+    composed before the fusion: ``_ref_field`` (the cofactor block of
+    ``_inverse_block2`` and ``volume_fn().gradient_at``), then the gradient
+    again, omega from ``volume_at`` and the block from
+    ``_inverse_block2``."""
     a1, a2 = _ref_field(tr, (x1, x2))
-    return (a1, a2) + tuple(tr.chart.volume_fn().gradient_at(x1, x2))
+    return ((a1, a2) + tuple(tr.chart.volume_fn().gradient_at(x1, x2))
+            + (tr.chart.volume_at((x1, x2)),)
+            + quotient._inverse_block2(tr.chart, x1, x2))
 
 
 @settings(max_examples=400, deadline=None)
@@ -261,9 +263,9 @@ def test_kernel_rk4_step_equals_reference(name, x1, x2, scale, sign):
         want = _ref_rk4_step(tr, np.array([x1, x2]), h, sign)
     except Exception as exc:  # noqa: BLE001 - any error must match
         with pytest.raises(type(exc)):
-            tr._rk4_step(x1, x2, h, sign)
+            kernel_step(tr, x1, x2, h, sign)
         return
-    assert _same(tr._rk4_step(x1, x2, h, sign), want)
+    assert _same(kernel_step(tr, x1, x2, h, sign), want)
 
 
 def _ref_level_point(tr, w, sigma):
@@ -315,7 +317,7 @@ def _omega_span(name):
         x1, x2 = tr.cauchy.point_at(0.5 * tr.cauchy.length).tolist()
         for _ in range(tr.n_steps):
             try:
-                x1, x2 = tr._rk4_step(x1, x2, tr.step, sign)
+                x1, x2 = kernel_step(tr, x1, x2, tr.step, sign)
             except (DomainError, DegenerateGradientError):
                 break
         ends.append(float(tr.chart.volume_at((x1, x2))))
@@ -344,10 +346,11 @@ def test_level_point_equals_reference(name, at, u):
     assert _same(tr.level_point(w, sigma), want)
 
 
-def test_field_makes_eight_chart_calls():
-    # the domain, the six coefficients and d_g33, each once
+def _counting_traced():
+    """The helicoidal traced invariant on a chart that counts its calls,
+    and the counts, by callable name."""
     base = bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0))
-    names = ("domain", "g11", "g12", "g13", "g22", "g23", "g33", "d_g33")
+    names = ("domain", "metric", "d_g33")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -360,10 +363,37 @@ def test_field_makes_eight_chart_calls():
         base, **{n: counted(n, getattr(base, n)) for n in names})
     tr = bg.solve_orthogonal_invariant(
         chart, bg.line_segment((1.0, -0.6), (1.0, 0.6)),
-        np.linspace(0.0, 1.2, 5), n_steps=20)
+        np.linspace(0.0, 1.2, 61), n_steps=220)
     calls.update(dict.fromkeys(names, 0))
+    return tr, calls
+
+
+def test_field_makes_three_chart_calls():
+    # the domain, the metric and d_g33, each once
+    tr, calls = _counting_traced()
     assert _same(tr._field(1.3, 0.4), _traced("helicoidal")._field(1.3, 0.4))
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == {"domain": 1, "metric": 1, "d_g33": 1}
+
+
+@pytest.mark.parametrize("w, sigma", [(1.6, 0.45), (1.35, 1.1), (1.2, 0.3)])
+def test_level_trace_step_makes_four_field_evaluations(w, sigma):
+    # the field at the data point, then per RK4 step (full or landing) the
+    # three inner stages and the step's end, whose omega is the level test
+    # and whose velocity is the next step's k1: no other chart evaluation
+    tr, calls = _counting_traced()
+    steps = 0
+    rk4_step = tr._rk4_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return rk4_step(*args)
+
+    tr._rk4_step = counted
+    got = tr.level_point(w, sigma)
+    assert _same(got, _traced("helicoidal").level_point(w, sigma))
+    assert steps > 1
+    assert calls == dict.fromkeys(calls, 1 + 4 * steps)
 
 
 # ---------------------------------------------------------------------------
