@@ -1,8 +1,8 @@
 """The characteristic frame that build_frame returns for a traced theta:
-one level trace per inversion, and |grad omega|^2, |grad theta|^2 and
-the inverse Jacobian from one stencil of two level traces, against closed
-forms, against the Newton frame over the same invariant, and on its error
-paths."""
+one level trace per inversion, |grad omega|^2 and |grad theta|^2 from one
+stencil of two level traces, and the inverse Jacobian from that stencil
+and the inversion, against closed forms, against the Newton frame over
+the same invariant, and on its error paths."""
 import dataclasses
 import math
 
