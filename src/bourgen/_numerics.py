@@ -82,11 +82,15 @@ def square(x):
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
-def distinct_values(x):
+def distinct_values(x, other=()):
     """Sorted distinct values of the array x, and for every element of x
-    the index of its value among them (an index array of x's shape)."""
+    broadcast against the array ``other`` the index of its value among
+    them (an index array of the broadcast shape).  The values are taken
+    before the broadcast, so each is found once however large ``other``
+    is."""
     values, index = np.unique(x, return_inverse=True)
-    return values, index.reshape(np.shape(x))
+    shape = np.broadcast_shapes(np.shape(x), np.shape(other))
+    return values, np.broadcast_to(index.reshape(np.shape(x)), shape)
 
 
 def require_s_in_range(s, s_range, label):

@@ -85,11 +85,12 @@ def ode_rhs(s, theta, U, params, frame):
     at this m along this s; grazing-zero radicands (above -1e-12) are
     clamped to zero.
     """
-    w = params.m * U(s)
+    Us, dUs = U.table(s)  # one walk of an expression generatrix
+    w = params.m * Us
     frame.require_in_rect(w, theta)
     go = frame.grad_omega_sq(w, theta)
     gt = frame.grad_theta_sq(w, theta)
-    rad = go - (params.m * U.derivative(s)) ** 2
+    rad = go - (params.m * dUs) ** 2
     if rad <= -RADICAND_CLAMP:
         raise RadicandNegativeError(
             f"|grad omega|^2 - m^2 U'^2 = {rad:.3e} < 0 at s = {s:.6g}: "
@@ -391,10 +392,10 @@ class SurfaceMember:
         evaluated once per distinct value of s, since they do not depend
         on t.  Every s must lie in the member range, else RangeError.
         """
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                   np.asarray(t, dtype=float))
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
         require_s_in_range(s, self.s_range, "member range")
-        values, index = distinct_values(s)
+        values, index = distinct_values(s, t)
         p1, p2 = self.position(values)
         return (p1[index][()], p2[index][()],
                 (t / self.m + self._V_spline(values)[index])[()])

@@ -3,12 +3,14 @@
 A chart evaluates the six metric coefficients together, as functions of
 (x1, x2) only; the third coordinate field is the symmetry generator, so
 independence of x3 is structural rather than checked.  The volume
-function (length of the generator) is sqrt(g33), and pairings of
-invariant functions only ever need the upper 2x2 block of the inverse
-metric.
+function (length of the generator) is sqrt(g33).  The metric of the
+orbit space is the Schur complement q_ab = g_ab - g_a3 g_b3 / g33 of g33
+(a, b in {1, 2}), and pairings of invariant functions need only the upper
+2x2 block of the inverse metric, which is q^-1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -93,16 +95,6 @@ class AdaptedChart3:
         m[..., 2, 2] = g33
         return m
 
-    def inverse_metric_at(self, p):
-        """Inverse matrix [g^ij] at p; raises SingularMetricError if
-        the metric is not positive there."""
-        m = self.metric_at(p)
-        det = np.linalg.det(m)
-        if det <= 0.0 or not np.isfinite(det):
-            raise SingularMetricError(
-                f"{self.label}: metric determinant {det:.3e} at {p!r} is not positive")
-        return np.linalg.inv(m)
-
     def volume_at(self, p):
         """sqrt(g33) at p: the length of the symmetry generator; for arrays
         x1, x2, an array of their shape, and an error naming the first
@@ -139,12 +131,40 @@ class AdaptedChart3:
             gradient=grad, name="omega")
 
 
+def _quotient_coefficients(chart, x1, x2):
+    """(q11, q12, q22) at the point (x1, x2) of floats: the Schur complement
+    q_ab = g_ab - g_a3 g_b3 / g33 of g33, from one chart call.  (A
+    reciprocal of g33 would save nothing: g13 g13 / g33 is as many float
+    operations as g13 g13 r, and a subnormal g33 would overflow r.)
+
+    q is the metric of the orbit space and the inverse of the upper 2x2
+    block of the inverse metric.  Raises SingularMetricError where g33 is
+    not positive, and where the metric determinant det g = g33 det q is
+    not.
+    """
+    g11, g12, g13, g22, g23, g33 = chart.metric(x1, x2)
+    if g33 <= 0.0:
+        raise SingularMetricError(
+            f"{chart.label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
+    q11 = g11 - g13 * g13 / g33
+    q12 = g12 - g13 * g23 / g33
+    q22 = g22 - g23 * g23 / g33
+    det = g33 * (q11 * q22 - q12 * q12)
+    if not 0.0 < det < math.inf:
+        raise SingularMetricError(
+            f"{chart.label}: metric determinant {det:.3e} at "
+            f"({x1!r}, {x2!r}) is not positive")
+    return q11, q12, q22
+
+
 def invariant_pairing(chart, f, h, p, step=DEFAULT_FD_STEP):
     """g(grad f, grad h) at p for invariant functions f, h.
 
     Only the upper 2x2 block of the inverse metric enters because both
-    functions are independent of x3.  Gradients use analytic hooks when
-    the functions carry them, otherwise central differences with relative
+    functions are independent of x3, and that block is q^-1, the inverse
+    of ``_quotient_coefficients``: the pairing solves a 2x2 system and
+    inverts no 3x3 matrix.  Gradients use analytic hooks when the
+    functions carry them, otherwise central differences with relative
     step ``step``; when h is f, its gradient is taken once.
     """
     x1, x2 = p
@@ -160,10 +180,12 @@ def invariant_pairing(chart, f, h, p, step=DEFAULT_FD_STEP):
                 if not chart.domain(*q):
                     raise DomainError(
                         f"{chart.label}: finite-difference stencil at {p!r} exits domain")
-    ginv = chart.inverse_metric_at(p)
-    df = np.array(f.gradient_at(x1, x2, step))
-    dh = df if same else np.array(h.gradient_at(x1, x2, step))
-    return float(df @ ginv[:2, :2] @ dh)
+    chart.require_in_domain(p)
+    q11, q12, q22 = _quotient_coefficients(chart, x1, x2)
+    f1, f2 = f.gradient_at(x1, x2, step)
+    e1, e2 = (f1, f2) if same else h.gradient_at(x1, x2, step)
+    return float((f1 * (q22 * e1 - q12 * e2) + f2 * (q11 * e2 - q12 * e1))
+                 / (q11 * q22 - q12 * q12))
 
 
 def validate_chart(chart, points):

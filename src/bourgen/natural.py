@@ -162,13 +162,17 @@ class GeneratrixMetric:
         s = np.linspace(*self.s_range, n)
         write_csv(path, "s,U", [s, self(s)])
 
-    def table(self, s_grid):
-        """(U, U') at every element of s_grid, as arrays; an expression
-        gives both from one walk."""
-        s_grid = np.asarray(s_grid, dtype=float)
-        if self.representation == "expression":
-            return self._U.dual(s_grid)
-        return self(s_grid), self.derivative(s_grid)
+    def table(self, s):
+        """(U, U') at s: floats for a float s, arrays of its shape for an
+        array, with the values of ``__call__`` and ``derivative``; an
+        expression gives both from one walk, and a callable receives s as
+        it is given."""
+        if self.representation != "expression":
+            return self(s), self.derivative(s)
+        if np.ndim(s) == 0:
+            value, slope = self._U.dual(s)
+            return float(value), float(slope)
+        return self._U.dual(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -234,10 +238,10 @@ class ReparametrizedSurface:
         """The natural-coordinate map at broadcastable s, t, with the same
         array protocol as SurfaceMember.map: interpolants are evaluated
         once per distinct s."""
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                   np.asarray(t, dtype=float))
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
         require_s_in_range(s, self.s_range, "surface range")
-        values, index = distinct_values(s)
+        values, index = distinct_values(s, t)
         u = self.nat.u_of_s(values)
         return (self._sx1(u)[index][()], self._sx2(u)[index][()],
                 (self._sx3(u)[index] + t - self.nat.t_shift(u)[index])[()])

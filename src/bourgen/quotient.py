@@ -1,12 +1,13 @@
 """Orbit-space geometry: quotient metric, orthogonal invariant pairs, and
 inversion of the (x1,x2) -> (omega,theta) map.
 
-The quotient metric on the space of orbits is the inverse of the upper 2x2
-block of the inverse ambient metric.  A transverse invariant theta is
-either supplied analytically or traced numerically: theta is constant
-along the integral curves of the horizontal projection of grad(omega)
-(the characteristics of the defining first-order PDE), and takes
-arc-length Cauchy data on a curve transversal to them.
+The quotient metric on the space of orbits is the Schur complement
+q_ab = g_ab - g_a3 g_b3 / g33 of g33, which is also the inverse of the
+upper 2x2 block of the inverse ambient metric.  A transverse invariant
+theta is either supplied analytically or traced numerically: theta is
+constant along the integral curves of the horizontal projection of
+grad(omega) (the characteristics of the defining first-order PDE), and
+takes arc-length Cauchy data on a curve transversal to them.
 """
 from __future__ import annotations
 
@@ -16,7 +17,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chart import DEFAULT_FD_STEP, AdaptedChart3, InvariantFunction, as_invariant
+from .chart import (
+    DEFAULT_FD_STEP,
+    AdaptedChart3,
+    InvariantFunction,
+    _quotient_coefficients,
+    as_invariant,
+)
 from .errors import (
     DegenerateGradientError,
     DomainError,
@@ -32,23 +39,6 @@ from .errors import (
 # quotient metric
 # ---------------------------------------------------------------------------
 
-def _inverse_block2(chart, x1, x2):
-    """Upper 2x2 block (b11, b12, b22) of the inverse metric, by cofactors
-    (fast path)."""
-    g11, g12, g13, g22, g23, g33 = chart.metric(x1, x2)
-    det = (g11 * (g22 * g33 - g23 * g23)
-           - g12 * (g12 * g33 - g23 * g13)
-           + g13 * (g12 * g23 - g22 * g13))
-    if not 0.0 < det < math.inf:
-        raise SingularMetricError(
-            f"{chart.label}: metric determinant {det:.3e} at "
-            f"({x1!r}, {x2!r}) is not positive")
-    b11 = (g22 * g33 - g23 * g23) / det
-    b12 = -(g12 * g33 - g13 * g23) / det
-    b22 = (g11 * g33 - g13 * g13) / det
-    return b11, b12, b22
-
-
 @dataclass(frozen=True)
 class QuotientMetric2:
     """Quotient metric on the orbit space, as a function of the invariant
@@ -63,15 +53,11 @@ class QuotientMetric2:
 
 
 def quotient_metric(chart):
-    """Quotient metric of the orbit space: the inverse of the upper 2x2
-    block of the inverse ambient metric, from one chart call per point."""
-
-    def coefficients(x1, x2):
-        b11, b12, b22 = _inverse_block2(chart, x1, x2)
-        det = b11 * b22 - b12 * b12
-        return b22 / det, -b12 / det, b11 / det
-
-    return QuotientMetric2(coefficients=coefficients)
+    """Quotient metric of the orbit space: the Schur complement
+    q_ab = g_ab - g_a3 g_b3 / g33 of g33, from one chart call per point
+    (SingularMetricError where g33 or det g is not positive)."""
+    return QuotientMetric2(
+        coefficients=lambda x1, x2: _quotient_coefficients(chart, x1, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +333,11 @@ def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
     to O(h^2).  Within h of an end of the arc range the stencil is
     one-sided, of second order, from the level trace at t and two more at
     t +- h, t +- 2h.  The field at p gives the characteristic velocity a,
-    the omega gradient d and the block B of the inverse metric:
-    |grad omega|^2 = a . d, and in the orthogonal pair the quotient metric
-    q = B^-1 is dw^2 / |grad omega|^2 + dt^2 / |grad theta|^2, so
-    |grad theta|^2 = 1 / q(v, v); a q(v, v) that collapses below
-    jacobian_floor^2 raises RankDeficiencyError.
+    the omega gradient d and the quotient metric q:
+    |grad omega|^2 = a . d, and in the orthogonal pair
+    q = dw^2 / |grad omega|^2 + dt^2 / |grad theta|^2, so
+    |grad theta|^2 = 1 / q(v, v), with q(v, v) = v^T q v; a q(v, v) that
+    collapses below jacobian_floor^2 raises RankDeficiencyError.
 
     The inverse Jacobian has the columns dx/domega = a / (a . d), from the
     field at the inverted point of (w, t) itself rather than at p, which
@@ -396,9 +382,8 @@ def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
             v1 = (hi1 - lo1) / (2.0 * h)
             v2 = (hi2 - lo2) / (2.0 * h)
             p1, p2 = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
-        a1, a2, d1, d2, _, b11, b12, b22 = field(p1, p2)
-        qvv = ((v1 * (b22 * v1 - b12 * v2) + v2 * (b11 * v2 - b12 * v1))
-               / (b11 * b22 - b12 * b12))
+        a1, a2, d1, d2, _, q11, q12, q22 = field(p1, p2)
+        qvv = v1 * (q11 * v1 + 2.0 * q12 * v2) + q22 * v2 * v2
         terms = (v1, v2, a1 * d1 + a2 * d2, qvv)
         last_stencil = ((w, t), terms)
         return terms
@@ -496,27 +481,31 @@ def _trace_kernel(chart, omega, grad_floor):
     its flow, as the closures (field, rk4_step), which bind the chart's
     three callables (``domain``, ``metric``, ``d_g33``) once.
 
-    field(x1, x2) returns (a1, a2, d1, d2, w, b11, b12, b22) at (x1, x2):
-    the horizontal projection a = B d of grad(omega), which is the
+    field(x1, x2) returns (a1, a2, d1, d2, w, q11, q12, q22) at (x1, x2):
+    the horizontal projection a = q^-1 d of grad(omega), which is the
     characteristic velocity, the gradient d of omega, omega itself
-    w = sqrt(g33), and the upper block B of the inverse metric.  It raises
-    DomainError outside the chart domain, SingularMetricError where g33 or
-    the metric determinant is not positive, and DegenerateGradientError
-    where |grad omega| is below grad_floor.  The chart is evaluated once
-    per point: the cofactor block of ``_inverse_block2`` is inlined here,
-    with its arithmetic and message (a call per point costs a right-hand
-    side about a tenth more time), w is ``volume_at``'s value, and the
-    omega gradient d_g33 / (2 w) gives the bits of ``omega.gradient_at``;
-    a chart without ``d_g33`` takes ``omega.gradient_at`` (central
-    differences).
+    w = sqrt(g33), and the quotient metric q, the Schur complement
+    q_ab = g_ab - g_a3 g_b3 / g33 (q^-1 is the upper block of the inverse
+    metric).  It raises DomainError outside the chart domain,
+    SingularMetricError where g33 or the metric determinant
+    det g = g33 det q is not positive, and DegenerateGradientError where
+    |grad omega| is below grad_floor.  The chart is evaluated once per
+    point: the arithmetic and messages of ``quotient_metric`` are inlined
+    here (a call per point costs a right-hand side about a tenth more
+    time), a is the 2x2 solve of q a = d, w is ``volume_at``'s value, and
+    the omega gradient d_g33 / (2 w) gives the bits of
+    ``omega.gradient_at``; a chart without ``d_g33`` takes
+    ``omega.gradient_at`` (central differences).
 
     rk4_step(x1, x2, a1, a2, h, sign) is one classical RK4 step of the
     flow of sign * field from the point (x1, x2) of floats, where the
     field's velocity is (a1, a2), with the arithmetic
-    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.  It
-    evaluates the field at the three inner stages only: a caller that
-    needs the field at the step's end evaluates it there once and passes
-    its velocity on as the next step's k1.
+    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component, and the
+    sign folded into h: (sign h) a rounds as h (sign a) does, so the step
+    is that of the stages k = sign a to the bit.  It evaluates the field
+    at the three inner stages only: a caller that needs the field at the
+    step's end evaluates it there once and passes its velocity on as the
+    next step's k1.
     """
     domain = chart.domain
     metric = chart.metric
@@ -528,45 +517,41 @@ def _trace_kernel(chart, omega, grad_floor):
         if not domain(x1, x2):
             raise DomainError(
                 f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-        c11, c12, c13, c22, c23, c33 = metric(x1, x2)
-        if c33 <= 0.0:
+        g11, g12, g13, g22, g23, g33 = metric(x1, x2)
+        if g33 <= 0.0:
             raise SingularMetricError(
-                f"{label}: g33 = {c33:.3e} at {(x1, x2)!r} is not positive")
-        det = (c11 * (c22 * c33 - c23 * c23)
-               - c12 * (c12 * c33 - c23 * c13)
-               + c13 * (c12 * c23 - c22 * c13))
+                f"{label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
+        q11 = g11 - g13 * g13 / g33
+        q12 = g12 - g13 * g23 / g33
+        q22 = g22 - g23 * g23 / g33
+        det_q = q11 * q22 - q12 * q12
+        det = g33 * det_q
         if not 0.0 < det < math.inf:
             raise SingularMetricError(
                 f"{label}: metric determinant {det:.3e} at "
                 f"({x1!r}, {x2!r}) is not positive")
-        b11 = (c22 * c33 - c23 * c23) / det
-        b12 = -(c12 * c33 - c13 * c23) / det
-        b22 = (c11 * c33 - c13 * c13) / det
-        w = math.sqrt(c33)
+        w = math.sqrt(g33)
         if d_g33 is None:
             d1, d2 = omega.gradient_at(x1, x2)
         else:
             e1, e2 = d_g33(x1, x2)
             d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
-        a1 = b11 * d1 + b12 * d2
-        a2 = b12 * d1 + b22 * d2
+        a1 = (q22 * d1 - q12 * d2) / det_q
+        a2 = (q11 * d2 - q12 * d1) / det_q
         if a1 * d1 + a2 * d2 < floor_sq:
             raise DegenerateGradientError(
                 f"|grad omega| below {grad_floor:g} at ({x1:.6g}, {x2:.6g})")
-        return a1, a2, d1, d2, w, b11, b12, b22
+        return a1, a2, d1, d2, w, q11, q12, q22
 
     def rk4_step(x1, x2, a1, a2, h, sign):
+        h = sign * h
         g = 0.5 * h
-        k11, k12 = sign * a1, sign * a2
-        a1, a2, _, _, _, _, _, _ = field(x1 + g * k11, x2 + g * k12)
-        k21, k22 = sign * a1, sign * a2
-        a1, a2, _, _, _, _, _, _ = field(x1 + g * k21, x2 + g * k22)
-        k31, k32 = sign * a1, sign * a2
-        a1, a2, _, _, _, _, _, _ = field(x1 + h * k31, x2 + h * k32)
-        k41, k42 = sign * a1, sign * a2
+        b1, b2, _, _, _, _, _, _ = field(x1 + g * a1, x2 + g * a2)
+        c1, c2, _, _, _, _, _, _ = field(x1 + g * b1, x2 + g * b2)
+        e1, e2, _, _, _, _, _, _ = field(x1 + h * c1, x2 + h * c2)
         c = h / 6.0
-        return (x1 + c * (k11 + 2 * k21 + 2 * k31 + k41),
-                x2 + c * (k12 + 2 * k22 + 2 * k32 + k42))
+        return (x1 + c * (a1 + 2 * b1 + 2 * c1 + e1),
+                x2 + c * (a2 + 2 * b2 + 2 * c2 + e2))
 
     return field, rk4_step
 

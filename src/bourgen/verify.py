@@ -35,14 +35,16 @@ def _first_forms(chart, member, s, t, h):
     """(E, F, G) of the member map at the broadcast points (s, t), as
     arrays of their shape, by central differences of step h.
 
-    The whole stencil comes from five array calls of ``member.map``, and
-    the ambient metric at every foot point from one array call of
-    ``chart.metric_at``, treating the map components as chart coordinates.
-    The pairings are stacked matmuls, whose products round as the
-    per-point ``a @ g @ a`` does.
+    The whole stencil comes from one array call of ``member.map``, on the
+    rows s, s + h, s - h (at t) and s (at t + h, t - h) stacked along a
+    new first axis; s is not broadcast against t, so the map evaluates
+    each distinct s once.  The ambient metric at every foot point comes
+    from one array call of ``chart.metric_at``, treating the map
+    components as chart coordinates.  The pairings are stacked matmuls,
+    whose products round as the per-point ``a @ g @ a`` does.
     """
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
-                               np.asarray(t, dtype=float))
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
     lo, hi = member.s_range
     exits = ~((lo <= s - h) & (s + h <= hi))
     if np.any(exits):
@@ -51,12 +53,15 @@ def _first_forms(chart, member, s, t, h):
             f"finite-difference stencil [{bad - h:.6g}, {bad + h:.6g}] exits "
             f"the member range {member.s_range}")
 
-    def at(s, t):
-        return np.stack(member.map(s, t), axis=-1)
-
-    p0 = at(s, t)
-    psi_s = (at(s + h, t) - at(s - h, t)) / (2 * h)
-    psi_t = (at(s, t + h) - at(s, t - h)) / (2 * h)
+    # equal ranks, so the stacked rows broadcast as s and t do
+    rank = max(s.ndim, t.ndim)
+    s = s.reshape((1,) * (rank - s.ndim) + s.shape)
+    t = t.reshape((1,) * (rank - t.ndim) + t.shape)
+    p = np.stack(member.map(np.stack([s, s + h, s - h, s, s]),
+                            np.stack([t, t, t, t + h, t - h])), axis=-1)
+    p0 = p[0]
+    psi_s = (p[1] - p[2]) / (2 * h)
+    psi_t = (p[3] - p[4]) / (2 * h)
     g = chart.metric_at((p0[..., 0], p0[..., 1]))
     sg = psi_s[..., None, :] @ g
     tg = psi_t[..., None, :] @ g

@@ -273,7 +273,9 @@ class _AnalyticCatenoid:
     s_range = (-2.0, 2.0)
 
     def map(self, s, t):
-        return (math.sqrt(s * s + 1.0), math.asinh(s), t)
+        # arrays of s and t, as fd_first_form evaluates its whole stencil
+        # in one call
+        return (np.sqrt(s * s + 1.0), np.arcsinh(s), t)
 
 
 def test_criterion_9_convergence_orders(rotational_frame):

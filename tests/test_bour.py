@@ -69,6 +69,52 @@ def test_rhs_rect_exit(helicoidal_frame):
         _stage_rhs(2.0, 0.0, U, params, frame)
 
 
+def test_rhs_walks_the_generatrix_once(helicoidal_frame, monkeypatch):
+    # U(s) and U'(s) come from one walk of an expression, with the bits of
+    # the separate calls
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
+    params = bg.BourParams(m=0.8, s_range=(0.5, 2.0), step=0.01)
+    w = 0.8 * U(1.2)
+    go = helicoidal_frame.grad_omega_sq(w, 0.3)
+    gt = helicoidal_frame.grad_theta_sq(w, 0.3)
+    rad = go - (0.8 * U.derivative(1.2)) ** 2
+    walks = []
+    dual = bg.expressions.Expression._dual
+
+    def counted(self, args, seed):
+        walks.append(seed)
+        return dual(self, args, seed)
+
+    monkeypatch.setattr(bg.expressions.Expression, "_dual", counted)
+    got = bg.ode_rhs(1.2, 0.3, U, params, helicoidal_frame)
+    assert walks == ["s"]
+    assert got == math.sqrt(gt) * math.sqrt(rad) / math.sqrt(go)
+
+
+def test_generatrix_table_of_a_float():
+    # every representation gives the floats of __call__ and derivative,
+    # and a callable generatrix is called with the float itself
+    seen = []
+
+    def u(s):
+        seen.append(type(s))
+        return math.sqrt(s * s + 2.0)
+
+    def du(s):
+        seen.append(type(s))
+        return s / math.sqrt(s * s + 2.0)
+
+    s = np.linspace(0.5, 2.0, 31)
+    for U in (bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0)),
+              bg.GeneratrixMetric.from_callable(u, (0.5, 2.0), dU=du),
+              bg.GeneratrixMetric.from_samples(s, np.sqrt(s * s + 2.0))):
+        seen.clear()
+        got = U.table(1.2)
+        assert [type(v) for v in got] == [float, float]
+        assert got == (U(1.2), U.derivative(1.2))
+        assert set(seen) <= {float}
+
+
 # ---------------------------------------------------------------------------
 # integrate_profile
 # ---------------------------------------------------------------------------

@@ -70,10 +70,49 @@ def _closed_forms(w, t):
 
 
 def test_gradient_norms_match_closed_forms(frame):
+    # over 200 random points of RECT the largest relative errors were
+    # 5.8e-11 for |grad omega|^2 and 1.01e-10 for |grad theta|^2 (here
+    # 5.6e-11 and 6.2e-11): the stencil point's O(h^2) offset and the
+    # landing noise of its two level traces
     for w, t in _rect_points(RECT, 20, 12):
         go, gt = _closed_forms(w, t)
-        assert abs(frame.grad_omega_sq(w, t) - go) <= 1e-8 * go
-        assert abs(frame.grad_theta_sq(w, t) - gt) <= 1e-8 * gt
+        assert abs(frame.grad_omega_sq(w, t) - go) <= 1e-10 * go
+        assert abs(frame.grad_theta_sq(w, t) - gt) <= 1.5e-10 * gt
+
+
+U_C = 2.0  # U = sqrt(s^2 + 2) on [0.5, 2]
+
+
+def _rhs_points(n, seed):
+    """n seeded (w, t, m, s) in RECT: m uniform among the values with
+    m U(s) = w for an s of [0.5, 2], redrawn until the radicand
+    |grad omega|^2 - m^2 U'^2 is at least 0.05, as the traced_rhs
+    benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (math.sqrt(x * x + U_C) for x in (0.5, 2.0))
+    points = []
+    for w, t in _rect_points(RECT, n, seed):
+        while True:
+            m = float(rng.uniform(w / hi, w / lo))
+            s = math.sqrt((w / m) ** 2 - U_C)
+            if (w * w - 1) / (w * w) - (m * s / math.sqrt(s * s + U_C)) ** 2 > 0.05:
+                break
+        points.append((w, t, m, s))
+    return points
+
+
+def test_rhs_matches_closed_form(frame):
+    # theta' = sqrt(gt) sqrt(go - m^2 U'^2) / sqrt(go) with the closed
+    # forms go, gt of the gradient norms; the largest relative error here
+    # is 2.2e-11 (1.9e-11 on the 30 benchmark points of seeds 1 and 2)
+    U = bg.GeneratrixMetric.from_expression(f"sqrt(s^2+{U_C:g})", (0.5, 2.0))
+    for w, t, m, s in _rhs_points(30, 21):
+        params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
+        got = bg.ode_rhs(s, t, U, params, frame)
+        go, gt = _closed_forms(w, t)
+        dU = s / math.sqrt(s * s + U_C)
+        want = math.sqrt(gt) * math.sqrt(go - m * m * dU * dU) / math.sqrt(go)
+        assert abs(got - want) <= 1e-10 * abs(want), (w, t, m, s)
 
 
 def test_one_sided_stencil_at_the_ends_of_the_arc_range(frame, traced):

@@ -34,24 +34,41 @@ def test_bcv_flat_limit_matches_up_to_screw_direction(helicoidal_chart):
         assert np.isclose(gb[1, 2], -ge[1, 2], atol=1e-14)
 
 
+# the coordinate functions x1, x2 with their analytic gradients: their
+# pairings are the entries g^ab of the upper block of the inverse metric
+_COORDINATES = (InvariantFunction(value=lambda a, b: a,
+                                  gradient=lambda a, b: (1.0, 0.0)),
+                InvariantFunction(value=lambda a, b: b,
+                                  gradient=lambda a, b: (0.0, 1.0)))
+
+
+def _inverse_block(chart, p):
+    return np.array([[invariant_pairing(chart, f, h, p) for h in _COORDINATES]
+                     for f in _COORDINATES])
+
+
 def test_inverse_metric_reference_point(helicoidal_chart):
-    inv = helicoidal_chart.inverse_metric_at((1.0, 0.0))
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
-    assert np.allclose(inv, expected, atol=1e-12)
+    got = _inverse_block(helicoidal_chart, (1.0, 0.0))
+    assert np.allclose(got, expected[:2, :2], atol=1e-12)
 
 
 def test_inverse_of_identity(flat_chart):
-    assert np.allclose(flat_chart.inverse_metric_at((0.3, -0.4)), np.eye(3))
+    assert np.allclose(_inverse_block(flat_chart, (0.3, -0.4)), np.eye(2))
 
 
 def test_inverse_times_metric_is_identity(helicoidal_chart, bcv_frame):
+    # the pairing block inverts the quotient metric, and it is the upper
+    # block of the inverse of the whole metric
     rng = np.random.default_rng(11)
     for chart in (helicoidal_chart, bcv_frame.chart):
+        q = bg.quotient_metric(chart)
         for _ in range(25):
             p = rng.uniform(-1.5, 1.5, 2)
-            m = chart.metric_at(p)
-            inv = chart.inverse_metric_at(p)
-            assert np.allclose(inv @ m, np.eye(3), atol=1e-10)
+            block = _inverse_block(chart, p)
+            assert np.allclose(block @ q.matrix_at(p), np.eye(2), atol=1e-10)
+            assert np.allclose(block, np.linalg.inv(chart.metric_at(p))[:2, :2],
+                               rtol=0, atol=1e-12)
 
 
 def test_positive_definite_at_samples(helicoidal_chart):
@@ -87,11 +104,18 @@ def test_domain_error(rotational_frame):
     chart = rotational_frame.chart
     with pytest.raises(DomainError):
         chart.metric_at((-0.5, 0.0))
-    with pytest.raises(SingularMetricError):
-        # degenerate metric: zero g11 row
-        bad = bg.AdaptedChart3(
-            metric=lambda a, b: (0.0, 0.0, 0.0, 1.0, 0.0, 1.0))
-        bad.inverse_metric_at((0.0, 0.0))
+    # degenerate metric: zero g11 row
+    bad = bg.AdaptedChart3(
+        metric=lambda a, b: (0.0, 0.0, 0.0, 1.0, 0.0, 1.0), label="bad")
+    with pytest.raises(SingularMetricError, match="^bad: metric determinant"):
+        bg.quotient_metric(bad).coefficients(0.0, 0.0)
+    with pytest.raises(SingularMetricError, match="^bad: metric determinant"):
+        invariant_pairing(bad, *_COORDINATES, (0.0, 0.0))
+    # and a nonpositive g33
+    flipped = bg.AdaptedChart3(
+        metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, -1.0), label="flipped")
+    with pytest.raises(SingularMetricError, match="^flipped: g33 = -1"):
+        invariant_pairing(flipped, *_COORDINATES, (0.0, 0.0))
 
 
 def test_pairing_omega_with_itself(helicoidal_chart):
@@ -127,6 +151,36 @@ def test_pairing_symmetric_and_bilinear(helicoidal_chart):
     assert np.isclose(fh, hf, rtol=1e-9)
     scaled = invariant_pairing(helicoidal_chart, f, lambda a, b: 2.5 * h(a, b), p)
     assert np.isclose(scaled, 2.5 * fh, rtol=1e-7)
+
+
+def test_pairing_inverts_no_matrix(helicoidal_chart, monkeypatch):
+    # the pairing solves with the 2x2 quotient metric: no np.linalg.inv,
+    # in invariant_pairing or in the right-hand side of a Newton frame,
+    # whose gradient norms are pairings
+    omega = helicoidal_chart.volume_fn()
+    theta = bg.spaces.theta_ratio_fn()
+    p = (1.1, 0.3)
+    block = np.linalg.inv(helicoidal_chart.metric_at(p))[:2, :2]
+    grads = [np.array(f.gradient_at(*p)) for f in (omega, theta)]
+    want = [[a @ block @ b for b in grads] for a in grads]
+    newton = bg.build_frame(
+        helicoidal_chart, theta, rect=((1.05, 3.0), (-2.0, 2.0)),
+        seed_box=((0.2, 3.0), (-2.5, 2.5)))
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05)
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    got = [[invariant_pairing(helicoidal_chart, f, h, p)
+            for h in (omega, theta)] for f in (omega, theta)]
+    assert bg.ode_rhs(1.4, 0.3, U, params, newton) > 0.0
+    assert calls == []
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-16)
 
 
 def test_fd_gradient_second_order(helicoidal_chart):

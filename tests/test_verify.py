@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -13,6 +12,32 @@ def test_fd_first_form_helicoid(helicoidal_chart, helicoid_member):
     assert np.isclose(sample.F, 0.0, atol=1e-6)
     assert np.isclose(sample.G, 2.0, atol=1e-6)  # g33 = s^2 + 1 at s = 1
     assert sample.is_valid()
+
+
+def test_isometry_report_makes_one_map_call(helicoidal_chart, helicoid_member,
+                                            monkeypatch):
+    # the five stencil rows of the whole grid in one call, with s not
+    # broadcast against t, so the member re-solves each distinct s once:
+    # the 7 grid values and their two neighbours
+    calls, solved = [], []
+    member_map, position = helicoid_member.map, helicoid_member.position
+
+    def counted_map(s, t):
+        calls.append((np.shape(s), np.shape(t)))
+        return member_map(s, t)
+
+    def counted_position(s):
+        solved.append(np.size(s))
+        return position(s)
+
+    monkeypatch.setattr(helicoid_member, "map", counted_map)
+    monkeypatch.setattr(helicoid_member, "position", counted_position)
+    grid = (np.linspace(0.6, 1.9, 7), np.linspace(0.0, 1.0, 4))
+    report = bg.isometry_report(helicoidal_chart, helicoid_member,
+                                helicoid_member.U, grid)
+    assert calls == [((5, 7, 1), (5, 1, 4))]
+    assert solved == [21]
+    assert report.passed
 
 
 def test_fd_first_form_catenoid_G(rotational_frame, catenoid_member):
@@ -123,7 +148,9 @@ class _AnalyticCatenoid:
     s_range = (-2.0, 2.0)
 
     def map(self, s, t):
-        return (math.sqrt(s * s + 1.0), math.asinh(s), t)
+        # arrays of s and t, as fd_first_form evaluates its whole stencil
+        # in one call
+        return (np.sqrt(s * s + 1.0), np.arcsinh(s), t)
 
 
 def test_fd_first_form_second_order(rotational_frame):
