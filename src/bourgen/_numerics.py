@@ -82,7 +82,7 @@ def square(x):
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
-def distinct_values(x, other=()):
+def distinct_values(x, other):
     """Sorted distinct values of the array x, and for every element of x
     broadcast against the array ``other`` the index of its value among
     them (an index array of the broadcast shape).  The values are taken
