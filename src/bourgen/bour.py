@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import spaces
 from ._numerics import (
     cumulative_simpson_anchored,
     distinct_values,
@@ -37,6 +38,7 @@ from ._splines import HermiteSpline
 from ._text import json_text
 from .errors import (
     ConfigError,
+    DomainViolationError,
     GridMismatchError,
     NonConstantVolumeError,
     RadicandNegativeError,
@@ -108,20 +110,21 @@ def ode_rhs(s, theta, U, params, frame):
 class ProfileCurve:
     """Arc-length samples of the orbit-space profile of one member.
 
-    ``jacobians``, when set, holds d(x1, x2)/d(omega, theta) at every
-    node, as recorded by the sweeps (see ``integrate_profile``); the
-    position derivatives then take them instead of inverting the frame's
-    Jacobian at the nodes again.
+    ``omega_prime`` is omega'(s) = m U'(s) at the nodes.  ``jacobians``,
+    when set, holds d(x1, x2)/d(omega, theta) at every node, as recorded
+    by the sweeps (see ``integrate_profile``); the position derivatives
+    then take them instead of inverting the frame's Jacobian at the nodes
+    again.
     """
 
     s: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     omega: np.ndarray
+    omega_prime: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
     frame: object
-    params: BourParams
     U: GeneratrixMetric
     anchor_index: int
     jacobians: Optional[np.ndarray] = None
@@ -137,8 +140,7 @@ class ProfileCurve:
         if J is None:
             J = self.frame.elementwise(self.frame.invert_jacobian, self.omega,
                                        self.theta)
-        rates = np.stack([self.params.m * self.U.derivative(self.s),
-                          self.theta_prime], axis=-1)
+        rates = np.stack([self.omega_prime, self.theta_prime], axis=-1)
         # one stacked matmul: each product rounds as the per-point J @ v
         vel = (J @ rates[:, :, None])[:, :, 0]
         return vel[:, 0], vel[:, 1]
@@ -161,9 +163,10 @@ def integrate_profile(U, params, frame, theta0=0.0):
     theta takes the value theta0 at the anchor (default: the lower end of
     s_range); integration sweeps outward in both directions.  omega(s) is
     imposed exactly as m U(s); positions come from the frame inversion at
-    every node.  For a theta-free frame every right-hand side value comes
-    from one array call (``_tabulated_rhs``); the sweeps are the same
-    sequential loop for every frame.
+    every node; omega and omega' at the nodes come from one walk of U.
+    For a theta-free frame every right-hand side value comes from one
+    array call (``_tabulated_rhs``); the sweeps are the same sequential
+    loop for every frame.
 
     A frame that is not theta-free and has an ``inverse_jacobian`` (the
     characteristic frame) gets its node positions and Jacobians from the
@@ -193,15 +196,17 @@ def integrate_profile(U, params, frame, theta0=0.0):
         rhs, points, jacobians = _recording_rhs(rhs, abscissae, U, params,
                                                 frame)
     theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
-    omega = params.m * U(s)
+    Us, dUs = U.table(s)
+    omega = params.m * Us
     if jacobians is None:
         x1, x2 = frame.elementwise(frame.invert, omega, theta)
     else:
         x1, x2 = np.array(points, dtype=float).T
         jacobians = np.array(jacobians, dtype=float)
-    return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega, theta=theta,
-                        theta_prime=theta_p, frame=frame, params=params,
-                        U=U, anchor_index=ia, jacobians=jacobians)
+    return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega,
+                        omega_prime=params.m * dUs, theta=theta,
+                        theta_prime=theta_p, frame=frame, U=U,
+                        anchor_index=ia, jacobians=jacobians)
 
 
 def _abscissae(s, ia, params):
@@ -314,18 +319,19 @@ class VerticalShift:
     prime: np.ndarray
 
 
-def vertical_quadrature(profile, chart, params, U):
+def vertical_quadrature(profile, chart):
     """V(s) = -sum_i cumulative integral of x_i' g_i3 / (m^2 U^2).
 
     Composite Simpson on the profile grid, anchored to zero at the
-    profile's anchor sample.
+    profile's anchor sample; m^2 U^2 is the square of the profile's
+    omega = m U.
     """
     s = profile.s
     steps = np.diff(s)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise GridMismatchError("profile grid must be uniform")
     d1, d2 = profile.position_derivatives()
-    m2U2 = (params.m * U(s)) ** 2
+    m2U2 = profile.omega ** 2
     _, _, g13, _, g23, _ = profile.frame.elementwise(
         chart.metric, profile.x1, profile.x2)
     integrand = -(d1 * g13 + d2 * g23) / m2U2
@@ -336,10 +342,10 @@ def vertical_quadrature(profile, chart, params, U):
 class SurfaceMember:
     """One family member: map(s, t) = (x1(s), x2(s), t/m + V(s)).
 
-    The third component is affine in t with slope 1/m.  When a frame and
-    generatrix are attached, positions are re-solved exactly at any s;
-    otherwise (e.g. after JSON round-trip) cubic Hermite interpolation of
-    the stored samples is used.  Both take arrays of s.
+    The third component is affine in t with slope 1/m.  With a frame and
+    generatrix attached, positions are re-solved exactly at any s; only a
+    frameless member (see ``from_dict``) interpolates the stored samples,
+    with cubic Hermite splines.  Both take arrays of s.
     """
 
     def __init__(self, s, x1, x2, x1p, x2p, theta, theta_prime, omega,
@@ -365,8 +371,9 @@ class SurfaceMember:
         self._V_spline = HermiteSpline(self.s, self.V_samples, self.V_prime)
         self._theta_spline = HermiteSpline(self.s, self.theta,
                                            self.theta_prime)
-        self._x1_spline = HermiteSpline(self.s, self.x1, self.x1p)
-        self._x2_spline = HermiteSpline(self.s, self.x2, self.x2p)
+        if frame is None or U is None:
+            self._x1_spline = HermiteSpline(self.s, self.x1, self.x1p)
+            self._x2_spline = HermiteSpline(self.s, self.x2, self.x2p)
 
     def position(self, s):
         """(x1(s), x2(s)) at every element of s (numpy scalars for a
@@ -374,7 +381,7 @@ class SurfaceMember:
 
         With a frame and generatrix attached, each element is re-solved:
         the frame inverts (m U(s), theta(s)), in one array call for a
-        theta-free frame.
+        theta-free frame.  Otherwise the position splines give it.
         """
         s = np.asarray(s, dtype=float)
         if self.frame is None or self.U is None:
@@ -437,15 +444,22 @@ class SurfaceMember:
 
     @classmethod
     def from_dict(cls, d):
+        """The member of a member file, with the built-in frame of its
+        space (as ``cli.run`` builds it) attached when its generatrix is
+        an expression and that frame inverts the stored (omega, theta) to
+        the stored x1 and x2 bit for bit; otherwise frameless (a traced or
+        Newton frame's member, a table generatrix's)."""
         if d.get("format") != "bourgen-member":
             raise ValueError("not a bourgen member file")
-        from .spaces import SpaceSpec
-        prof = d["profile"]
-        space = SpaceSpec.from_dict(d["space"]) if d.get("space") else None
-        U = None
+        prof = {k: np.asarray(v, dtype=float) for k, v in d["profile"].items()}
+        space = (spaces.SpaceSpec.from_dict(d["space"]) if d.get("space")
+                 else None)
+        U = frame = None
         gen = d.get("generatrix")
         if gen and gen["kind"] == "expression":
             U = GeneratrixMetric.from_expression(gen["text"], gen["s_range"])
+            if space is not None:
+                frame = _rebuilt_frame(space, prof)
         elif gen and gen["kind"] == "table":
             U = GeneratrixMetric.from_samples(gen["s"], gen["values"])
         return cls(s=prof["s"], x1=prof["x1"], x2=prof["x2"],
@@ -453,12 +467,25 @@ class SurfaceMember:
                    theta=prof["theta"], theta_prime=prof["theta_prime"],
                    omega=prof["omega"], V=d["V"], Vp=d["V_prime"],
                    m=d["m"], epsilon=d["epsilon"], space=space, U=U,
-                   metadata=d.get("metadata", {}))
+                   frame=frame, metadata=d.get("metadata", {}))
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _rebuilt_frame(space, prof):
+    """builtin_frame(space) if it inverts a member file's stored (omega,
+    theta) arrays to its stored (x1, x2) bit for bit, else None."""
+    try:
+        frame = spaces.builtin_frame(space)
+        x1, x2 = frame.invert(prof["omega"], prof["theta"])
+    except (DomainViolationError, ValueError):  # outside the frame's domain
+        return None
+    same = (x1.tobytes() == prof["x1"].tobytes()
+            and x2.tobytes() == prof["x2"].tobytes())
+    return frame if same else None
 
 
 def assemble_member(profile, V, params, *, space=None, chart_label=None):
@@ -482,7 +509,7 @@ def assemble_member(profile, V, params, *, space=None, chart_label=None):
 def generate_member(U, params, frame, theta0=0.0, *, space=None):
     """Full pipeline for one member: integrate, quadrature, assemble."""
     profile = integrate_profile(U, params, frame, theta0)
-    V = vertical_quadrature(profile, frame.chart, params, U)
+    V = vertical_quadrature(profile, frame.chart)
     return assemble_member(profile, V, params, space=space)
 
 

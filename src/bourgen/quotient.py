@@ -75,12 +75,11 @@ class QuotientFrame:
     absolute values, so screw charts with negative pitch set -1 here to
     keep the branch labels aligned with the closed-form quadratures
     (epsilon = +1 always means increasing screw angle).
-    ``theta_free`` marks a built-in frame whose gradient norms depend on
-    omega alone; only ``spaces.builtin_frame`` sets it.  Such a frame's
-    callables, chart and invariant gradients also take arrays, so the flag
-    is what ``elementwise`` tests.  Other frames (the ratio gauge, and
-    ``build_frame``'s Newton and characteristic frames) are evaluated one
-    point at a time.
+    ``theta_free`` marks the frames of ``spaces.builtin_frame``, whose
+    gradient norms depend on omega alone and whose callables, chart and
+    invariant gradients also take arrays: the flag is what ``elementwise``
+    tests.  ``build_frame``'s Newton and characteristic frames are
+    evaluated one point at a time.
     ``inverse_jacobian``, when set, gives d(x1, x2)/d(omega, theta) at a
     point (w, t) directly, and ``invert_jacobian`` returns it in place of
     the inverse of the finite-difference forward Jacobian; the

@@ -9,16 +9,15 @@ Three space kinds are provided in adapted coordinates:
 * ``bcv_helicoidal`` -- the two-parameter (kappa, tau) family of
   homogeneous 3-metrics with the pitch-a screw field.
 
-Built-in frames carry analytic volume gradients, analytic inversion of
-(omega, theta), and closed-form gradient norms.  By default theta is the
-polar angle atan2(x2, x1) (gauge "angle"): unlike the ratio x2/x1 it has
-no pole when a profile winds past the x2-axis.  The ratio gauge is also
-available; both produce identical surfaces.
+Each space has one built-in frame, theta-free (its gradient norms depend
+on omega alone), with an analytic volume gradient, analytic inversion of
+(omega, theta) and closed-form gradient norms.  theta is x2 in the
+rotational space and, in the screw spaces, the polar angle atan2(x2, x1),
+which has no pole when a profile winds past the x2-axis.
 
-Chart metrics, invariant gradients and the callables of theta-free frames
-take floats or arrays, and give arrays equal element by element to
-the float results (see ``_numerics.square``); ratio-gauge frames are
-called one point at a time.
+Chart metrics, invariant gradients and the callables of the built-in
+frames take floats or arrays, and give arrays equal element by element
+to the float results (see ``_numerics.square``).
 """
 from __future__ import annotations
 
@@ -128,23 +127,6 @@ def make_chart(spec):
         d_g33=d_g33)
 
 
-def theta_ratio_fn():
-    """The invariant x2/x1 (valid on x1 != 0), with analytic gradient."""
-    return InvariantFunction(
-        value=lambda x1, x2: x2 / x1,
-        gradient=lambda x1, x2: (-x2 / (x1 * x1), 1.0 / x1),
-        name="x2/x1")
-
-
-def theta_angle_fn():
-    """The polar angle atan2(x2, x1), with analytic gradient."""
-    return InvariantFunction(
-        value=lambda x1, x2: math.atan2(x2, x1),
-        gradient=lambda x1, x2: (-x2 / (x1 * x1 + x2 * x2),
-                                 x1 / (x1 * x1 + x2 * x2)),
-        name="atan2(x2,x1)")
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
@@ -222,22 +204,18 @@ def bcv_valid_omega_range(spec, probe_hi=None, n=2048):
     return (lo, float(last - margin))
 
 
-def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
-                  gauge="angle"):
+def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0)):
     """Quotient frame of a built-in space with analytic inversion.
 
-    ``gauge`` selects the transverse invariant: "angle" (polar angle,
-    default) or "ratio" (x2/x1).  In the angle gauge, and always for the
-    rotational space, both gradient norms depend on omega alone: the frame
-    is theta-free.  The rectangle defaults to a generous
+    The transverse invariant is x2 for the rotational space and the polar
+    angle for the screw spaces; both gradient norms depend on omega alone,
+    so the frame is theta-free.  The rectangle defaults to a generous
     window above |a| (for BCV, the validated window of the closed-form
     inversion).
     """
     chart = make_chart(spec)
     omega = chart.volume_fn()
     a = spec.a
-    if gauge not in ("angle", "ratio"):
-        raise SpecError(f"unknown frame gauge {gauge!r}")
 
     if spec.kind == "euclidean_rotational":
         if omega_range is None:
@@ -262,7 +240,7 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
         def grad_omega_sq(w, t):
             return (w * w - a * a) / (w * w)
 
-        def grad_angle_sq(w, t):
+        def grad_theta_sq(w, t):
             return w * w / (a * a * (w * w - a * a))
 
     else:  # bcv_helicoidal
@@ -281,36 +259,29 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0),
             den = _bcv_denominator(w, kappa, tau, a)
             return D * (w * w - a * a) * den / (w * w * square(1.0 - 2.0 * a * tau + sD))
 
-        def grad_angle_sq(w, t):
+        def grad_theta_sq(w, t):
             D = _bcv_delta(w, kappa, tau, a)
             sD = sqrt(D)
             den = _bcv_denominator(w, kappa, tau, a)
             return w * w * square(1.0 - 2.0 * a * tau + sD) / (
                 a * a * (w * w - a * a) * den)
 
-    if gauge == "angle":
-        theta = theta_angle_fn()
-        grad_theta_sq = grad_angle_sq
+    theta = InvariantFunction(
+        value=lambda x1, x2: math.atan2(x2, x1),
+        gradient=lambda x1, x2: (-x2 / (x1 * x1 + x2 * x2),
+                                 x1 / (x1 * x1 + x2 * x2)),
+        name="atan2(x2,x1)")
 
-        def invert(w, t):
-            r = r_of(w)
-            return (r * cos(t), r * sin(t))
-    else:
-        theta = theta_ratio_fn()
-
-        def grad_theta_sq(w, t):
-            return grad_angle_sq(w, t) * (1.0 + t * t) ** 2
-
-        def invert(w, t):
-            x1 = r_of(w) / math.sqrt(1.0 + t * t)
-            return (x1, t * x1)
+    def invert(w, t):
+        r = r_of(w)
+        return (r * cos(t), r * sin(t))
 
     return QuotientFrame(
         chart=chart, omega=omega, theta=theta,
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
         invert=invert, rect=(tuple(omega_range), tuple(theta_range)),
-        label=f"{chart.label}/frame[{gauge}]",
-        branch_sign=1 if a >= 0 else -1, theta_free=gauge == "angle")
+        label=f"{chart.label}/frame",
+        branch_sign=1 if a >= 0 else -1, theta_free=True)
 
 
 def _validate_bcv_range(spec, omega_range, n=512):

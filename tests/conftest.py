@@ -5,6 +5,16 @@ import bourgen as bg
 from bourgen.errors import DegenerateGradientError, DomainError
 
 
+def ratio_theta():
+    """The invariant x2/x1 of the screw charts (valid on x1 != 0), with its
+    analytic gradient: a transverse invariant that is not the polar angle
+    of the built-in frames, for Newton frames and pairings."""
+    return bg.InvariantFunction(
+        value=lambda x1, x2: x2 / x1,
+        gradient=lambda x1, x2: (-x2 / (x1 * x1), 1.0 / x1),
+        name="x2/x1")
+
+
 def kernel_step(traced, x1, x2, h, sign):
     """One RK4 step of a traced invariant's kernel from (x1, x2): the field
     at the start, then the step that takes its velocity as k1."""

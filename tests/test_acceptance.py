@@ -10,7 +10,7 @@ import pytest
 import bourgen as bg
 from bourgen._numerics import central_gradient2
 from bourgen.chart import invariant_pairing
-from conftest import swept_nodes
+from conftest import ratio_theta, swept_nodes
 
 
 def _report(number, description, passed, detail):
@@ -158,7 +158,7 @@ def test_criterion_5_flat_reduction():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_orthogonal_pair(helicoidal_chart, bcv_frame):
-    theta = bg.spaces.theta_ratio_fn()
+    theta = ratio_theta()
     rng = np.random.default_rng(20240901)
     worst_analytic = 0.0
     for chart in (helicoidal_chart, bcv_frame.chart):

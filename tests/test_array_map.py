@@ -31,15 +31,26 @@ def _assert_map_matches_scalar_calls(surface):
                           _scalar_map(surface, S, T))
 
 
+def _frameless(member):
+    """The member's samples with no frame attached: a spline map."""
+    return bg.SurfaceMember(
+        s=member.s, x1=member.x1, x2=member.x2, x1p=member.x1p,
+        x2p=member.x2p, theta=member.theta, theta_prime=member.theta_prime,
+        omega=member.omega, V=member.V_samples, Vp=member.V_prime,
+        m=member.m, epsilon=member.epsilon, U=member.U, space=member.space)
+
+
 @pytest.fixture(scope="module")
 def members(bcv_member, helicoid_member, catenoid_member, tmp_path_factory):
-    """Re-solved members and their JSON round trips (spline maps)."""
+    """Re-solved members, each followed by its JSON round trip (which
+    rebuilds the frame), and last a frameless copy of the first (the
+    spline map)."""
     out = []
     for k, member in enumerate((bcv_member, helicoid_member, catenoid_member)):
         path = tmp_path_factory.mktemp("members") / f"member_{k}.json"
         member.to_json(path)
         out += [member, bg.SurfaceMember.from_json(path)]
-    return out
+    return out + [_frameless(bcv_member)]
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +62,21 @@ def natural_surface(helicoidal_chart):
 
 
 def test_member_map_arrays_equal_scalar_calls(members):
-    assert members[1].frame is None  # the round trip uses the splines
+    assert members[-1].frame is None  # the spline map is covered too
     for member in members:
         _assert_map_matches_scalar_calls(member)
+    # a round trip re-solves through the rebuilt frame to the bits of the
+    # member that was written
+    for member, back in zip(members[0:6:2], members[1:6:2]):
+        assert back.frame is not None
+        S, T = _grid(member.s_range)
+        assert np.stack(back.map(S, T)).tobytes() == \
+            np.stack(member.map(S, T)).tobytes()
 
 
 def test_member_map_at_nodes_gives_the_samples(members):
-    # the splines pass through the samples at the left end of each interval
+    # both maps pass through the samples at the left end of each interval:
+    # the splines, and the re-solve of the stored (omega, theta)
     for member in members:
         s = member.s[:-1]
         x1, x2, x3 = member.map(s, 0.7)

@@ -19,6 +19,7 @@ from bourgen.errors import (
     StepTooLargeError,
 )
 from bourgen.expressions import FUNCTIONS, parse_expression
+from conftest import ratio_theta
 
 
 def _same(a, b):
@@ -178,32 +179,36 @@ def _reference_feasible(U, m, frame, s_range, theta_ref, step):
     return lo, hi
 
 
-# (space, gauge, generatrix, s_range, m, step, anchor, theta0, integrator)
+# (space, theta_free, generatrix, s_range, m, step, anchor, theta0,
+# integrator); theta_free=False evaluates the built-in frame one point at a
+# time, as every frame that is not theta-free is
 _CASES = [
-    (bg.SpaceSpec("euclidean_rotational"), "angle", "sqrt(s^2+1)",
+    (bg.SpaceSpec("euclidean_rotational"), True, "sqrt(s^2+1)",
      (-2.0, 2.0), 0.8, 0.01, 0.0, 0.2, "rk4"),
-    (bg.SpaceSpec("euclidean_rotational"), "angle", "cosh(s)*exp(-s/4)",
+    (bg.SpaceSpec("euclidean_rotational"), True, "cosh(s)*exp(-s/4)",
      (-1.0, 1.0), 0.5, 0.03, 0.305, -0.1, "rk4"),
-    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), "angle", "sqrt(s^2+2)",
+    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), True, "sqrt(s^2+2)",
      (0.5, 1.5), 1.2, 0.005, None, 0.3, "rk4"),
-    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), "ratio", "sqrt(s^2+2)",
+    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), False, "sqrt(s^2+2)",
      (0.5, 2.0), 1.0, 0.01, None, 0.0, "rk4"),
-    (bg.SpaceSpec("euclidean_helicoidal", a=-0.7), "angle",
+    (bg.SpaceSpec("euclidean_helicoidal", a=-0.7), True,
      "(2+s^2)^0.5 + 0.1*sin(s)", (0.3, 2.0), 1.0, 0.004, 1.0, 0.0, "rk4"),
-    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), "angle",
+    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), True,
      "sqrt(s^2+4)", (0.0, 1.0), 1.1, 0.005, None, 0.1, "rk4"),
-    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-0.5, tau=0.5), "angle",
+    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-0.5, tau=0.5), True,
      "s^1.5 + 2", (0.1, 1.0), 0.7, 0.003, 0.5, 0.0, "euler"),
-    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), "ratio",
+    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), False,
      "sqrt(s^2+4)", (0.0, 0.3), 1.0, 0.01, None, 0.0, "rk4"),
 ]
 
 
 @pytest.fixture(scope="module", params=range(len(_CASES)))
 def case(request):
-    spec, gauge, text, s_range, m, step, anchor, theta0, integrator = \
+    spec, theta_free, text, s_range, m, step, anchor, theta0, integrator = \
         _CASES[request.param]
-    frame = bg.builtin_frame(spec, gauge=gauge)
+    frame = bg.builtin_frame(spec)
+    if not theta_free:
+        frame = dataclasses.replace(frame, theta_free=False)
     U = bg.GeneratrixMetric.from_expression(text, s_range)
     params = bg.BourParams(m=m, s_range=s_range, step=step, anchor=anchor,
                            integrator=integrator)
@@ -211,12 +216,12 @@ def case(request):
 
 
 def test_theta_free_frames_are_the_angle_gauge_and_rotational():
+    # every built-in frame: x2 for the rotational space, the polar angle
+    # for the screw spaces
     for spec in (bg.SpaceSpec("euclidean_rotational"),
                  bg.SpaceSpec("euclidean_helicoidal", a=1.0),
                  bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0)):
         assert bg.builtin_frame(spec).theta_free
-    assert not bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=1.0),
-                                gauge="ratio").theta_free
 
 
 def test_integrate_profile_equals_sequential_loop(case):
@@ -233,7 +238,7 @@ def test_integrate_profile_equals_sequential_loop(case):
 def test_vertical_quadrature_equals_sequential_loop(case):
     frame, U, params, theta0 = case
     profile = bg.integrate_profile(U, params, frame, theta0)
-    V = bg.vertical_quadrature(profile, frame.chart, params, U)
+    V = bg.vertical_quadrature(profile, frame.chart)
     d1, d2, integrand = _reference_vertical(profile, frame.chart, params, U)
     assert _same(profile.position_derivatives()[0], d1)
     assert _same(profile.position_derivatives()[1], d2)
@@ -278,7 +283,7 @@ def test_feasible_s_range_solves_newton_frame_only_up_to_the_run(
     # stays inside the rectangle up to s = sqrt(2): the scan solves the
     # frame at the same samples as the sequential scan, none past the run
     frame = bg.build_frame(
-        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)),
         seed_box=((0.2, 3.0), (-2.5, 2.5)))
     solved = []

@@ -270,9 +270,19 @@ def test_member_json_roundtrip(tmp_path, bcv_member):
     assert back.m == bcv_member.m
     assert back.space == bcv_member.space
     for s in (0.05, 0.41, 0.93):
-        a = np.array(bcv_member.map(s, 0.7))
-        b = np.array(back.map(s, 0.7))
-        assert np.allclose(a, b, atol=1e-10)
+        assert back.map(s, 0.7) == bcv_member.map(s, 0.7)
+
+
+def test_member_not_inverted_by_its_frame_loads_frameless(bcv_member):
+    d = bcv_member.to_dict()
+    assert bg.SurfaceMember.from_dict(d).frame is not None
+    # a theta one ulp off inverts to other bits; an omega below |a| is
+    # outside the closed-form frame's domain
+    theta = np.nextafter(bcv_member.theta, np.inf)
+    omega = np.full_like(bcv_member.omega, 0.5)
+    for key, value in (("theta", theta), ("omega", omega)):
+        changed = dict(d, profile=dict(d["profile"], **{key: value.tolist()}))
+        assert bg.SurfaceMember.from_dict(changed).frame is None, key
 
 
 def test_params_validation():

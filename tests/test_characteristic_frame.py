@@ -11,6 +11,7 @@ import pytest
 
 import bourgen as bg
 from bourgen.errors import DomainError, RankDeficiencyError, RectExitError
+from conftest import ratio_theta
 
 RECT = ((1.3, 1.8), (0.3, 0.9))
 SHIFT = 0.6  # the flat helicoidal traced theta is x2/x1 + 0.6
@@ -315,7 +316,7 @@ def test_only_characteristic_frames_record_jacobians(helicoidal_chart,
     # a theta-free frame and a Newton frame keep x' from the frame's
     # inversion at the nodes
     newton = bg.build_frame(
-        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)), seed_box=((0.2, 3.0), (-2.5, 2.5)))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
     params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.2)

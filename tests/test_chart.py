@@ -6,6 +6,7 @@ import pytest
 import bourgen as bg
 from bourgen.chart import InvariantFunction, invariant_pairing
 from bourgen.errors import DomainError, SingularMetricError
+from conftest import ratio_theta
 
 
 def test_helicoidal_metric_at_reference_point(helicoidal_chart):
@@ -126,7 +127,7 @@ def test_pairing_omega_with_itself(helicoidal_chart):
 
 def test_pairing_omega_theta_orthogonal(helicoidal_chart):
     omega = helicoidal_chart.volume_fn()
-    theta = bg.spaces.theta_ratio_fn()
+    theta = ratio_theta()
     got = invariant_pairing(helicoidal_chart, omega, theta, (1.0, 0.0))
     assert abs(got) < 1e-12
     # finite-difference gradients agree at a weaker tolerance
@@ -158,7 +159,7 @@ def test_pairing_inverts_no_matrix(helicoidal_chart, monkeypatch):
     # in invariant_pairing or in the right-hand side of a Newton frame,
     # whose gradient norms are pairings
     omega = helicoidal_chart.volume_fn()
-    theta = bg.spaces.theta_ratio_fn()
+    theta = ratio_theta()
     p = (1.1, 0.3)
     block = np.linalg.inv(helicoidal_chart.metric_at(p))[:2, :2]
     grads = [np.array(f.gradient_at(*p)) for f in (omega, theta)]

@@ -90,6 +90,44 @@ def test_runs_are_byte_identical(tmp_path):
         assert outputs[0][name] == outputs[1][name], name
 
 
+@pytest.fixture(scope="module")
+def demo_outputs(tmp_path_factory):
+    """The output directory of each demo, run once."""
+    out = {}
+    for name in DEMOS:
+        out[name] = tmp_path_factory.mktemp(f"demo_{name}")
+        assert main(["demo", name, "--out", str(out[name])]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_mesh_rewrites_the_family_obj(tmp_path, demo_outputs, name):
+    # the reloaded member is re-solved through its space's frame: the map
+    # that family exported (the demos use the t window [0, 1] of mesh)
+    member = demo_outputs[name] / "member_m1.json"
+    assert main(["mesh", str(member), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "member_m1.obj").read_bytes() == \
+        (demo_outputs[name] / "member_m1.obj").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_reloaded_member_verifies_as_family_did(demo_outputs, name):
+    # the isometry report of the reloaded member, over the config's own
+    # grid, is the one in report.json
+    cfg = RunConfig.from_dict(DEMOS[name])
+    entry = json.loads((demo_outputs[name] / "report.json").read_text())[
+        "members"][0]
+    member = bg.SurfaceMember.from_json(demo_outputs[name] / "member_m1.json")
+    assert member.frame is not None
+    h = cfg.fd_step
+    lo, hi = entry["s_range"]
+    grid = (np.linspace(lo + 2 * h, hi - 2 * h, cfg.s_count),
+            np.linspace(*cfg.t_range, cfg.t_count))
+    rep = bg.isometry_report(bg.make_chart(member.space), member, member.U,
+                             grid, tol=cfg.isometry_tol, h=h)
+    assert rep.to_dict() == entry["isometry"]
+
+
 def _write_cfg(tmp_path, cfg, tag):
     path = tmp_path / f"cfg_{tag}.json"
     path.write_text(json.dumps(cfg))
@@ -265,6 +303,13 @@ def test_csv_generatrix_config(tmp_path):
     code = main(["family", "--config", _write_cfg(tmp_path, cfg, "csv"),
                  "--out", str(tmp_path / "out"), "--strict"])
     assert code == 0
+    # the stored table samples the generatrix at the member's nodes, so the
+    # member reloads frameless, on its spline map
+    member = bg.SurfaceMember.from_json(tmp_path / "out" / "member_m1.json")
+    assert member.U.representation == "table"
+    assert member.frame is None
+    assert main(["verify", str(tmp_path / "out" / "member_m1.json"),
+                 "--strict"]) == 0
 
 
 def test_lower_end_cut_when_s0_infeasible(tmp_path):

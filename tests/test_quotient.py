@@ -11,7 +11,7 @@ from bourgen.errors import (
     TransversalityError,
 )
 from bourgen.quotient import newton_invert
-from conftest import swept_nodes
+from conftest import ratio_theta, swept_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_quotient_metric_identity_on_axis(helicoidal_chart):
 @pytest.fixture(scope="module")
 def numeric_frame(helicoidal_chart):
     return bg.build_frame(
-        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)),
         seed_box=((0.2, 3.0), (-2.5, 2.5)))
 
@@ -97,7 +97,7 @@ def test_frame_gradient_norms_positive(numeric_frame):
 
 def test_newton_quadratic_convergence(helicoidal_chart):
     omega = helicoidal_chart.volume_fn()
-    theta = bg.spaces.theta_ratio_fn()
+    theta = ratio_theta()
 
     def forward(a, b):
         return omega(a, b), theta(a, b)
@@ -241,7 +241,7 @@ def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,
 def test_newton_frame_inverts_once_per_rhs(helicoidal_chart, monkeypatch):
     # a fresh frame, so no earlier inversion sits in its memo
     frame = bg.build_frame(
-        helicoidal_chart, bg.spaces.theta_ratio_fn(),
+        helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)),
         seed_box=((0.2, 3.0), (-2.5, 2.5)))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
@@ -294,6 +294,26 @@ def test_traced_frame_member_matches_closed_form(helicoidal_chart,
     assert np.allclose(member.theta, member.x2 / member.x1 + 0.6,
                        rtol=0, atol=tol)
     assert np.max(np.abs((phi - phi[0]) - closed.lam_samples)) <= tol
+
+
+def test_traced_frame_member_reloads_frameless(tmp_path, helicoidal_chart,
+                                               helicoidal_spec, traced_frame):
+    # the built-in frame of the member's space does not invert its stored
+    # (omega, theta), which are in the traced gauge: the member reloads on
+    # its spline map, which still passes the isometry check
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.2)
+    member = bg.generate_member(U, params, traced_frame, theta0=0.31,
+                                space=helicoidal_spec)
+    member.to_json(tmp_path / "member.json")
+    back = bg.SurfaceMember.from_json(tmp_path / "member.json")
+    assert back.space == helicoidal_spec
+    assert back.frame is None
+    report = bg.isometry_report(
+        helicoidal_chart, back, back.U,
+        (np.linspace(1.2 + 2e-5, 1.7 - 2e-5, 5), np.linspace(0.0, 1.0, 5)),
+        tol=1e-5)
+    assert report.passed, report.to_dict()
 
 
 def test_traced_frame_member_at_fine_step(helicoidal_chart, helicoidal_spec,

@@ -6,6 +6,7 @@ import pytest
 import bourgen as bg
 from bourgen.chart import invariant_pairing
 from bourgen.errors import DomainViolationError, SpecError
+from conftest import ratio_theta
 
 
 def test_spec_validation():
@@ -46,7 +47,7 @@ def test_bcv_flat_limit_quotient_geometry(helicoidal_chart):
 
 def test_builtin_theta_orthogonality(helicoidal_chart, bcv_frame,
                                      rotational_frame):
-    theta = bg.spaces.theta_ratio_fn()
+    theta = ratio_theta()
     rng = np.random.default_rng(2024)
     for chart in (helicoidal_chart, bcv_frame.chart):
         omega = chart.volume_fn()
@@ -106,32 +107,6 @@ def test_frame_gradient_norms_match_pairing(helicoidal_frame, rotational_frame,
             go_fd = invariant_pairing(chart, frame.omega.value,
                                       frame.theta.value, p)
             assert abs(go_fd) < 1e-8
-
-
-def test_ratio_gauge_matches_spec_values():
-    frame = bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=1.0),
-                             gauge="ratio")
-    x1, x2 = frame.invert(math.sqrt(2.0), 0.0)
-    assert np.isclose(x1, 1.0, atol=1e-14)
-    assert np.isclose(x2, 0.0, atol=1e-14)
-    assert np.isclose(frame.grad_omega_sq(math.sqrt(2.0), 0.0), 0.5, atol=1e-14)
-    assert np.isclose(frame.grad_theta_sq(math.sqrt(2.0), 0.0), 2.0, atol=1e-14)
-    # ratio-gauge inversion matches the printed square-root form
-    x1b, x2b = frame.invert(1.7, 0.6)
-    assert np.isclose(x1b, math.sqrt((1.7**2 - 1.0) / (1.0 + 0.36)), atol=1e-14)
-    assert np.isclose(x2b, 0.6 * x1b, atol=1e-14)
-
-
-def test_gauges_produce_identical_profiles():
-    spec = bg.SpaceSpec("euclidean_helicoidal", a=1.0)
-    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
-    params = bg.BourParams(m=1.0, s_range=(0.5, 2.0), step=0.01)
-    profiles = {}
-    for gauge in ("angle", "ratio"):
-        frame = bg.builtin_frame(spec, gauge=gauge)
-        profiles[gauge] = bg.integrate_profile(U, params, frame, 0.0)
-    assert np.allclose(profiles["angle"].x1, profiles["ratio"].x1, atol=1e-9)
-    assert np.allclose(profiles["angle"].x2, profiles["ratio"].x2, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
