@@ -56,7 +56,11 @@ class AdaptedChart3:
     point or grid; a constant coefficient may be a plain float.
     ``domain`` is a predicate for the regular region; ``d_g33`` is an
     optional analytic gradient of g33 used to sharpen volume-function
-    derivatives.
+    derivatives.  Without it, omega's gradient is a central difference,
+    and a frame reads |grad theta|^2 only to about 1e-6 relative: on
+    the radial chart g33 = x1^2 + x2^2, the Newton frame was off by
+    2.5e-7 to 4e-6 and the characteristic frame by up to 3e-7, against
+    1.4e-9 and 8e-11 with the analytic ``d_g33 = (2 x1, 2 x2)``.
     """
 
     metric: Callable[[float, float], tuple]

@@ -580,3 +580,23 @@ def test_start_up_imports_no_scipy():
     imports = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
     assert not [p.name for p in (SRC / "bourgen").glob("*.py")
                 if imports.search(p.read_text())]
+
+
+def test_writers_import_no_masked_arrays_fractions_or_decimal(tmp_path):
+    # each would add to every command's peak memory: numpy.ma comes with
+    # np.unique on an int array (without return_inverse, numpy 2.4),
+    # fractions brings decimal along
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    member = tmp_path / "member_m1.json"
+    script = (
+        "import sys\n"
+        "from bourgen.cli import main\n"
+        f"assert main(['demo', 'bcv', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['mesh', {str(member)!r}, '--out', "
+        f"{str(tmp_path / 'mesh')!r}]) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'fractions', 'decimal')"
+        " if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert (tmp_path / "mesh" / "member_m1.obj").exists()
+    assert out.splitlines()[-1] == "[]"

@@ -56,6 +56,36 @@ def test_json_text_rejects_what_the_stdlib_rejects():
             json_text(bad)
 
 
+def _raw_floats(size):
+    """Doubles of every kind from raw 64-bit patterns: subnormals, zeros,
+    infinities and NaNs included."""
+    bits = st.integers(0, 2**64 - 1) | st.sampled_from(
+        [0, 1, 2**52 - 1, 2**52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
+         0x7FF8000000000000, 0x7FF0000000000001])
+    return st.lists(st.tuples(bits, st.booleans()), min_size=size,
+                    max_size=size).map(lambda pairs: np.array(
+                        [b | (s << 63) for b, s in pairs],
+                        dtype=np.uint64).view(np.float64))
+
+
+def _ties(P):
+    """Doubles exactly halfway between two P-digit decimals: k / 2**j with
+    k odd has the P + 1 significant digits of k * 5**j, the last a 5."""
+    spans = []  # (j, the range of (k - 1) / 2)
+    for j in range(60):
+        low = -(-10**P // 5**j)
+        high = min((10**(P + 1) - 1) // 5**j, 2**53 - 1)
+        if low // 2 <= (high - 1) // 2:
+            spans.append((j, low // 2, (high - 1) // 2))
+
+    @st.composite
+    def tie(draw):
+        j, low, high = draw(st.sampled_from(spans))
+        k = 2 * draw(st.integers(low, high)) + 1
+        return draw(st.sampled_from([1.0, -1.0])) * k / 2**j
+    return tie()
+
+
 def _savetxt(columns, **kwargs):
     buf = io.StringIO()
     np.savetxt(buf, np.column_stack(columns), delimiter=",", **kwargs)
@@ -74,6 +104,51 @@ def test_rows_text_equals_savetxt(ncols, nrows, seed):
     columns = list(data.T) if nrows else [np.empty(0)] * ncols
     fmt = ",".join(["%.18e"] * ncols) + "\n"
     assert rows_text(fmt, columns) == _savetxt(columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_floats(12), st.lists(_ties(19), min_size=1, max_size=6))
+def test_rows_text_equals_savetxt_on_raw_bits_and_ties(raw, ties):
+    data = np.concatenate([raw, ties, [1e16, 1e17, 5e-324, -0.0]])
+    data = np.resize(data, (-(-len(data) // 4), 4))
+    columns = list(data.T)
+    assert rows_text("%.18e,%.18e,%.18e,%.18e\n", columns) == _savetxt(
+        columns)
+
+
+_G17_FIXED = [1000000000000000.25, 9.9999999999999995e-05, 1e16, 1e17,
+              5e-324, 1.7976931348623157e308]
+
+
+def _vertex_rows(values):
+    values = np.resize(np.asarray(values, dtype=float),
+                       (-(-len(values) // 3), 3))
+    expected = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n"
+                       for x, y, z in values.tolist())
+    return list(values.T), expected
+
+
+def test_obj_rows_fixed_cases():
+    columns, expected = _vertex_rows(_G17_FIXED + [-x for x in _G17_FIXED])
+    assert rows_text("v %.17g %.17g %.17g\n", columns) == expected
+    assert "v 1000000000000000.2 " in expected  # a tie rounds to even
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_floats(12), st.lists(_ties(17), min_size=1, max_size=6),
+       st.lists(st.integers(-30, 30).map(lambda e: 10.0**e), max_size=6))
+def test_obj_rows_equal_per_value_format(raw, ties, powers):
+    columns, expected = _vertex_rows(
+        np.concatenate([raw, ties, powers, _G17_FIXED]))
+    assert rows_text("v %.17g %.17g %.17g\n", columns) == expected
+
+
+@pytest.mark.parametrize("fmt", ["v %.17g %.17g\n", "%.17g\n",
+                                 "%.18e;%.18e\n", "%.18e,%.18e", "%r\n",
+                                 "%.18e\n"])  # the last for one column
+def test_rows_text_refuses_other_formats_and_column_counts(fmt):
+    with pytest.raises(ValueError):
+        rows_text(fmt, [np.ones(2), np.ones(2)])
 
 
 def test_write_csv_equals_savetxt(tmp_path):
