@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +47,10 @@ from .errors import (
 from .natural import GeneratrixMetric, LiftedCurve
 
 RADICAND_CLAMP = 1e-12
+# feasible_s_range: the samples of its scan, and how many integrator steps
+# a cut end is pulled inward from the radicand zero
+_SCAN_SAMPLES = 2001
+_PULLBACK_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -110,40 +113,22 @@ def ode_rhs(s, theta, U, params, frame):
 class ProfileCurve:
     """Arc-length samples of the orbit-space profile of one member.
 
-    ``omega_prime`` is omega'(s) = m U'(s) at the nodes.  ``jacobians``,
-    when set, holds d(x1, x2)/d(omega, theta) at every node, as recorded
-    by the sweeps (see ``integrate_profile``); the position derivatives
-    then take them instead of inverting the frame's Jacobian at the nodes
-    again.
+    ``x1p`` and ``x2p`` are the position derivatives x1'(s) and x2'(s) at
+    the nodes: d(x1, x2)/d(omega, theta) applied to (omega', theta'), with
+    omega' = m U'(s).
     """
 
     s: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
+    x1p: np.ndarray
+    x2p: np.ndarray
     omega: np.ndarray
-    omega_prime: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
     frame: object
     U: GeneratrixMetric
     anchor_index: int
-    jacobians: Optional[np.ndarray] = None
-
-    def position_derivatives(self):
-        """(x1'(s), x2'(s)) at the nodes via the inverse-chart Jacobian,
-        computed once per profile."""
-        return self._velocity
-
-    @cached_property
-    def _velocity(self):
-        J = self.jacobians
-        if J is None:
-            J = self.frame.elementwise(self.frame.invert_jacobian, self.omega,
-                                       self.theta)
-        rates = np.stack([self.omega_prime, self.theta_prime], axis=-1)
-        # one stacked matmul: each product rounds as the per-point J @ v
-        vel = (J @ rates[:, :, None])[:, :, 0]
-        return vel[:, 0], vel[:, 1]
 
 
 def _stage_rhs(s, theta, U, params, frame):
@@ -162,20 +147,24 @@ def integrate_profile(U, params, frame, theta0=0.0):
 
     theta takes the value theta0 at the anchor (default: the lower end of
     s_range); integration sweeps outward in both directions.  omega(s) is
-    imposed exactly as m U(s); positions come from the frame inversion at
-    every node; omega and omega' at the nodes come from one walk of U.
-    For a theta-free frame every right-hand side value comes from one
-    array call (``_tabulated_rhs``); the sweeps are the same sequential
-    loop for every frame.
+    imposed exactly as m U(s); omega and omega' at the nodes come from one
+    walk of U.  The sweeps are the same sequential loop for every frame;
+    the frame only decides, through ``theta_free``, where the right-hand
+    side values and the node inversions come from.
 
-    A frame that is not theta-free and has an ``inverse_jacobian`` (the
-    characteristic frame) gets its node positions and Jacobians from the
-    sweeps: right after each node's right-hand side, while the frame's
-    one-entry stencil memo still holds that node, ``_recording_rhs``
-    inverts the node and takes the inverse Jacobian there, at the omega
-    that ``ode_rhs`` evaluated, so a node costs one level trace beyond its
-    right-hand side: the inversion, which the Jacobian shares.  An inverse
-    Jacobian that fails then raises here.
+    A theta-free frame takes every right-hand side value from one array
+    call (``_tabulated_rhs``), and ``frame.invert`` and
+    ``frame.invert_jacobian`` at all nodes from one array call each, after
+    the sweeps.  Any other frame (Newton or characteristic) evaluates the
+    right-hand side one point at a time, and ``_recording_rhs`` takes
+    ``frame.invert`` and ``frame.invert_jacobian`` at each node right after
+    the node's right-hand side, at the omega that ``ode_rhs`` evaluated,
+    while the frame's one-entry memo still holds that node: a Newton node
+    is solved once, and a characteristic node costs one level trace beyond
+    its right-hand side.  An inversion that fails then raises here.
+
+    x1' and x2' are d(x1, x2)/d(omega, theta) (omega', theta') at every
+    node, as one stacked matmul, which rounds as the per-node J @ v.
     """
     s0, s1 = params.s_range
     anchor = params.anchor if params.anchor is not None else s0
@@ -189,24 +178,24 @@ def integrate_profile(U, params, frame, theta0=0.0):
     s = anchor + h * np.arange(k_lo, k_hi + 1)
     ia = -k_lo  # anchor index
     abscissae = _abscissae(s, ia, params)
-    rhs = (_tabulated_rhs if frame.theta_free else _scalar_rhs)(
-        abscissae, U, params, frame)
-    jacobians = None
-    if not frame.theta_free and frame.inverse_jacobian is not None:
-        rhs, points, jacobians = _recording_rhs(rhs, abscissae, U, params,
-                                                frame)
+    if frame.theta_free:
+        rhs = _tabulated_rhs(abscissae, U, params, frame)
+    else:
+        rhs, points, jacobians = _recording_rhs(abscissae, U, params, frame)
     theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
     Us, dUs = U.table(s)
     omega = params.m * Us
-    if jacobians is None:
-        x1, x2 = frame.elementwise(frame.invert, omega, theta)
+    if frame.theta_free:
+        x1, x2 = frame.invert(omega, theta)
+        J = frame.invert_jacobian(omega, theta)
     else:
         x1, x2 = np.array(points, dtype=float).T
-        jacobians = np.array(jacobians, dtype=float)
-    return ProfileCurve(s=s, x1=x1, x2=x2, omega=omega,
-                        omega_prime=params.m * dUs, theta=theta,
-                        theta_prime=theta_p, frame=frame, U=U,
-                        anchor_index=ia, jacobians=jacobians)
+        J = np.array(jacobians, dtype=float)
+    rates = np.stack([params.m * dUs, theta_p], axis=-1)
+    x1p, x2p = (J @ rates[:, :, None])[:, :, 0].T
+    return ProfileCurve(s=s, x1=x1, x2=x2, x1p=x1p, x2p=x2p, omega=omega,
+                        theta=theta, theta_prime=theta_p, frame=frame, U=U,
+                        anchor_index=ia)
 
 
 def _abscissae(s, ia, params):
@@ -258,12 +247,14 @@ def _scalar_rhs(abscissae, U, params, frame):
     return rhs
 
 
-def _recording_rhs(rhs, abscissae, U, params, frame):
-    """rhs for ``_sweeps`` that, after each node's right-hand side (row 0),
-    records ``frame.invert`` and ``frame.inverse_jacobian`` at the same
-    (omega, theta): omega is m U(s) of the same scalar s that ``ode_rhs``
-    took.  Returns the rhs and the lists of points and matrices it fills,
-    one per node."""
+def _recording_rhs(abscissae, U, params, frame):
+    """rhs for ``_sweeps`` on a frame that is not theta-free: the scalar
+    evaluation of ``_scalar_rhs``, and after each node's right-hand side
+    (row 0) ``frame.invert`` and ``frame.invert_jacobian`` at the same
+    (omega, theta), where omega is m U(s) of the same scalar s that
+    ``ode_rhs`` took.  Returns the rhs and the lists of points and
+    matrices it fills, one per node."""
+    rhs = _scalar_rhs(abscissae, U, params, frame)
     points = [None] * abscissae.shape[1]
     jacobians = [None] * abscissae.shape[1]
     nodes = abscissae[0]
@@ -273,7 +264,7 @@ def _recording_rhs(rhs, abscissae, U, params, frame):
         if not row:
             w = params.m * U(nodes[k])
             points[k] = frame.invert(w, theta)
-            jacobians[k] = frame.inverse_jacobian(w, theta)
+            jacobians[k] = frame.invert_jacobian(w, theta)
         return value
     return recording, points, jacobians
 
@@ -330,11 +321,10 @@ def vertical_quadrature(profile, chart):
     steps = np.diff(s)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise GridMismatchError("profile grid must be uniform")
-    d1, d2 = profile.position_derivatives()
     m2U2 = profile.omega ** 2
     _, _, g13, _, g23, _ = profile.frame.elementwise(
         chart.metric, profile.x1, profile.x2)
-    integrand = -(d1 * g13 + d2 * g23) / m2U2
+    integrand = -(profile.x1p * g13 + profile.x2p * g23) / m2U2
     V = cumulative_simpson_anchored(integrand, s, profile.anchor_index)
     return VerticalShift(s=s, values=V, prime=integrand)
 
@@ -449,9 +439,19 @@ class SurfaceMember:
         an expression and that frame inverts the stored (omega, theta) to
         the stored x1 and x2 bit for bit; otherwise frameless (a traced or
         Newton frame's member, a table generatrix's)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"the document must be a JSON object, not "
+                             f"{type(d).__name__}")
         if d.get("format") != "bourgen-member":
             raise ValueError("not a bourgen member file")
-        prof = {k: np.asarray(v, dtype=float) for k, v in d["profile"].items()}
+        try:
+            prof = {k: np.asarray(d["profile"][k], dtype=float)
+                    for k in ("s", "x1", "x2", "x1_prime", "x2_prime", "omega",
+                              "theta", "theta_prime")}
+            V, Vp, m, epsilon = d["V"], d["V_prime"], d["m"], d["epsilon"]
+        except KeyError as exc:
+            raise ValueError(
+                f"the member file has no {exc.args[0]!r} entry") from None
         space = (spaces.SpaceSpec.from_dict(d["space"]) if d.get("space")
                  else None)
         U = frame = None
@@ -465,9 +465,9 @@ class SurfaceMember:
         return cls(s=prof["s"], x1=prof["x1"], x2=prof["x2"],
                    x1p=prof["x1_prime"], x2p=prof["x2_prime"],
                    theta=prof["theta"], theta_prime=prof["theta_prime"],
-                   omega=prof["omega"], V=d["V"], Vp=d["V_prime"],
-                   m=d["m"], epsilon=d["epsilon"], space=space, U=U,
-                   frame=frame, metadata=d.get("metadata", {}))
+                   omega=prof["omega"], V=V, Vp=Vp, m=m, epsilon=epsilon,
+                   space=space, U=U, frame=frame,
+                   metadata=d.get("metadata", {}))
 
     @classmethod
     def from_json(cls, path):
@@ -488,19 +488,18 @@ def _rebuilt_frame(space, prof):
     return frame if same else None
 
 
-def assemble_member(profile, V, params, *, space=None, chart_label=None):
+def assemble_member(profile, V, params, *, space=None):
     """Bundle a profile and its vertical quadrature into a SurfaceMember."""
     if profile.s.shape != V.s.shape or not np.allclose(
             profile.s, V.s, rtol=0, atol=1e-12):
         raise GridMismatchError("profile and V are on different s grids")
-    d1, d2 = profile.position_derivatives()
-    meta = {"chart": chart_label or profile.frame.chart.label,
+    meta = {"chart": profile.frame.chart.label,
             "integrator": params.integrator, "step": params.step,
             "epsilon": params.epsilon,
             "anchor": float(profile.s[profile.anchor_index])}
     return SurfaceMember(
-        s=profile.s, x1=profile.x1, x2=profile.x2, x1p=d1, x2p=d2,
-        theta=profile.theta, theta_prime=profile.theta_prime,
+        s=profile.s, x1=profile.x1, x2=profile.x2, x1p=profile.x1p,
+        x2p=profile.x2p, theta=profile.theta, theta_prime=profile.theta_prime,
         omega=profile.omega, V=V.values, Vp=V.prime,
         m=params.m, epsilon=params.epsilon, U=profile.U, frame=profile.frame,
         space=space, metadata=meta)
@@ -559,16 +558,16 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
         U=U, metadata={"chart": chart.label, "kind": "constant-volume"})
 
 
-def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, n_scan=2001,
-                     step=None, pullback_steps=20):
+def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, step=None):
     """First interval [s_lo, s_hi] of s_range on which the profile radicand
     |grad omega|^2(mU, theta_ref) - m^2 U'^2 stays nonnegative.
 
-    Dense-grid scan.  When s0 itself is feasible, s_lo = s0 and the
-    interval is the largest feasible prefix; otherwise s_lo moves up to
-    the first feasible scan sample.  When an end is cut and ``step`` is
-    given, it is pulled inward ``pullback_steps`` integrator steps from
-    the radicand zero (onto the grid s0 + k step): theta(s) has a
+    Dense-grid scan of _SCAN_SAMPLES samples.  When s0 itself is
+    feasible, s_lo = s0 and the interval is the largest feasible prefix;
+    otherwise s_lo moves up to the first feasible scan sample.  When an
+    end is cut and ``step`` is given, it is pulled inward _PULLBACK_STEPS
+    integrator steps from the radicand zero (onto the grid
+    s0 + k step): theta(s) has a
     square-root branch point there, and a fixed-step integrator needs the
     radicand bounded away from zero to keep its order.  Gradient norms are
     evaluated at theta_ref (exact for the built-in frames, whose norms do
@@ -578,12 +577,12 @@ def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, n_scan=2001,
     further than the end of the first feasible run.
     """
     s0, s1 = s_range
-    ss = np.linspace(s0, s1, n_scan)
+    ss = np.linspace(s0, s1, _SCAN_SAMPLES)
     Uv, dU = U.table(ss)
     w = m * Uv
     feasible = frame.contains(w, theta_ref)
-    block = n_scan if frame.theta_free else 1
-    for start in range(0, n_scan, block):
+    block = _SCAN_SAMPLES if frame.theta_free else 1
+    for start in range(0, _SCAN_SAMPLES, block):
         part = start + np.flatnonzero(feasible[start:start + block])
         go = frame.elementwise(frame.grad_omega_sq, w[part], theta_ref)
         feasible[part] = ~(go - square(m * dU[part]) <= -RADICAND_CLAMP)
@@ -600,12 +599,12 @@ def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, n_scan=2001,
             f"no feasible s interval from {s0:.6g} at m = {m:g}", s=s0)
     if lo > s0:
         if step is not None:
-            lo = s0 + math.ceil((lo - s0) / step + pullback_steps) * step
+            lo = s0 + math.ceil((lo - s0) / step + _PULLBACK_STEPS) * step
         lo = float(lo)
     else:
         lo = s0
     if hi < s1 and step is not None:
-        hi = s0 + math.floor((hi - s0) / step - pullback_steps) * step
+        hi = s0 + math.floor((hi - s0) / step - _PULLBACK_STEPS) * step
     if hi <= lo:
         raise RadicandNegativeError(
             f"feasible interval from {lo:.6g} at m = {m:g} is shorter "

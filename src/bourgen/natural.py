@@ -50,11 +50,23 @@ class LiftedCurve:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(u=data[:, 0], x1=data[:, 1], x2=data[:, 2], x3=data[:, 3])
+        u, x1, x2, x3 = _csv_columns(path, "u,x1,x2,x3")
+        return cls(u=u, x1=x1, x2=x2, x3=x3)
 
     def to_csv(self, path):
         write_csv(path, "u,x1,x2,x3", [self.u, self.x1, self.x2, self.x3])
+
+
+def _csv_columns(path, header):
+    """The columns of a CSV file with one header line, as arrays; a file
+    whose rows do not hold one value per name of ``header`` is a
+    ValueError."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    names = header.split(",")
+    if data.shape[1] != len(names):
+        raise ValueError(f"expected the {len(names)} columns {header}, "
+                         f"found {data.shape[1]}")
+    return data.T
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,7 @@ class GeneratrixMetric:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls.from_samples(data[:, 0], data[:, 1])
+        return cls.from_samples(*_csv_columns(path, "s,U"))
 
     def to_csv(self, path, n=201):
         s = np.linspace(*self.s_range, n)
@@ -177,14 +188,12 @@ class GeneratrixMetric:
 
 @dataclass(frozen=True)
 class NaturalParameters:
-    """Result of the natural-parameter extraction.  The three maps are
+    """Result of the natural-parameter extraction.  The two maps are
     monotone-cubic interpolants that take scalars or arrays."""
 
-    s_of_u: HermiteSpline
     u_of_s: HermiteSpline
     t_shift: HermiteSpline  # function of u; v = t - t_shift(u)
     U: GeneratrixMetric
-    u_samples: np.ndarray
     s_samples: np.ndarray
 
 
@@ -210,11 +219,8 @@ def to_natural(coeffs, eta=1e-10):
         raise DegenerateParametrizationError("arc length failed to increase")
     shift = cumulative_simpson_anchored(F / G, coeffs.u, 0)
     U = GeneratrixMetric.from_samples(s, np.sqrt(G))
-    return NaturalParameters(
-        s_of_u=pchip(coeffs.u, s),
-        u_of_s=pchip(s, coeffs.u),
-        t_shift=pchip(coeffs.u, shift),
-        U=U, u_samples=coeffs.u.copy(), s_samples=s)
+    return NaturalParameters(u_of_s=pchip(s, coeffs.u),
+                             t_shift=pchip(coeffs.u, shift), U=U, s_samples=s)
 
 
 class ReparametrizedSurface:

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chart import (
-    DEFAULT_FD_STEP,
     AdaptedChart3,
     InvariantFunction,
     _quotient_coefficients,
@@ -130,24 +129,17 @@ class QuotientFrame:
                 f"{self.label}: (omega, theta) = ({w:.6g}, {t:.6g}) outside "
                 f"declared rectangle {self.rect}")
 
-    def forward_jacobian(self, x1, x2, step=DEFAULT_FD_STEP):
-        """d(omega, theta)/d(x1, x2) at a point of the orbit space (for
-        arrays of points, an array of 2x2 matrices)."""
-        dw = self.omega.gradient_at(x1, x2, step)
-        dt = self.theta.gradient_at(x1, x2, step)
-        rows = np.broadcast_arrays(*dw, *dt)
-        return np.stack(rows, axis=-1).reshape(rows[0].shape + (2, 2))
-
-    def invert_jacobian(self, w, t, step=DEFAULT_FD_STEP):
+    def invert_jacobian(self, w, t):
         """d(x1, x2)/d(omega, theta) at (w, t): the frame's
-        ``inverse_jacobian`` when it has one (``step`` is then unused),
-        otherwise via the forward gradients (for arrays, one matrix per
+        ``inverse_jacobian`` when it has one, otherwise the inverse of the
+        forward Jacobian [[a, b], [c, d]] = d(omega, theta)/d(x1, x2) from
+        the gradients of omega and theta (for arrays, one matrix per
         point)."""
         if self.inverse_jacobian is not None:
             return self.inverse_jacobian(w, t)
         x1, x2 = self.invert(w, t)
-        fj = self.forward_jacobian(x1, x2, step)
-        a, b, c, d = fj[..., 0, 0], fj[..., 0, 1], fj[..., 1, 0], fj[..., 1, 1]
+        a, b, c, d = np.broadcast_arrays(*self.omega.gradient_at(x1, x2),
+                                         *self.theta.gradient_at(x1, x2))
         det = a * d - b * c
         singular = np.abs(det) < 1e-14
         if np.any(singular):
@@ -211,28 +203,53 @@ def newton_invert(forward, jacobian, target, seed, tol=1e-12, maxiter=50,
         f"last residual {err:.3e}", residual=err)
 
 
-def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
-                fd_step=DEFAULT_FD_STEP, newton_tol=1e-12, newton_maxiter=50,
-                jacobian_floor=1e-8, label=None):
-    """Construct a QuotientFrame from an invariant theta on a chart.
+# Smallest |det| of d(omega, theta)/d(x1, x2) relative to the product of
+# the gradient norms, and the same floor for the characteristic frame's
+# |dx/dtheta| and for the angle between its inverse Jacobian's columns.
+_JACOBIAN_FLOOR = 1e-8
+
+
+def _latest_call_memo(fn):
+    """fn(w, t), recalling the value of the latest call when (w, t) is the
+    same: a profile right-hand side asks for both gradient norms at one
+    (w, t), and the node that it evaluates is then inverted there."""
+    latest = ((None, None), None)  # ((w, t), value) in a single tuple
+
+    def memo(w, t):
+        nonlocal latest
+        key, value = latest
+        if key == (w, t):
+            return value
+        value = fn(w, t)
+        latest = ((w, t), value)
+        return value
+    return memo
+
+
+def build_frame(chart, theta, rect, *, seed_box=None, seed_counts=(25, 25)):
+    """Construct a QuotientFrame, labelled "<chart label>/frame", from an
+    invariant theta on a chart.
 
     For a ``TracedInvariant`` theta the frame is the characteristic frame
-    of ``_characteristic_frame``: ``seed_box``, ``seed_counts``,
-    ``fd_step`` and the ``newton_*`` options are accepted but not used.
+    of ``_characteristic_frame``: ``seed_box`` and ``seed_counts`` are
+    accepted but not used, and ``seed_box`` may be omitted.
 
     For any other theta, ``seed_box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi))
-    samples the orbit space: the seed grid provides Newton starting points
-    and the rank check of the forward map.  Gradient norms are computed
-    through the pairing of the chart and re-expressed as functions of
-    (omega, theta) via the inverse map.
+    is required (a TypeError names it when omitted).  It samples the orbit
+    space on a ``seed_counts`` grid: the seed grid provides Newton starting
+    points and the rank check of the forward map.  Gradient norms are
+    computed through the pairing of the chart and re-expressed as
+    functions of (omega, theta) via the inverse map, which solves each
+    (omega, theta) once while it is the latest one asked for.
     """
     from .chart import invariant_pairing  # local import to avoid cycle noise
 
-    label = label or f"{chart.label}/frame"
+    label = f"{chart.label}/frame"
     if isinstance(theta, TracedInvariant):
-        return _characteristic_frame(chart, theta, rect,
-                                     jacobian_floor=jacobian_floor,
-                                     label=label)
+        return _characteristic_frame(chart, theta, rect, label)
+    if seed_box is None:
+        raise TypeError("build_frame() needs the keyword argument 'seed_box' "
+                        "for a theta that is not a TracedInvariant")
     omega = chart.volume_fn()
     theta = as_invariant(theta, name="theta")
 
@@ -256,11 +273,11 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
                 continue
             seeds.append((w, t, x1, x2))
             if w_lo - pad_w <= w <= w_hi + pad_w and t_lo - pad_t <= t <= t_hi + pad_t:
-                dw = np.array(omega.gradient_at(x1, x2, fd_step))
-                dt = np.array(theta.gradient_at(x1, x2, fd_step))
+                dw = np.array(omega.gradient_at(x1, x2))
+                dt = np.array(theta.gradient_at(x1, x2))
                 det = dw[0] * dt[1] - dw[1] * dt[0]
                 norm = max(np.hypot(*dw) * np.hypot(*dt), 1e-300)
-                if abs(det) < jacobian_floor * norm:
+                if abs(det) < _JACOBIAN_FLOOR * norm:
                     raise RankDeficiencyError(
                         f"(omega, theta) Jacobian nearly singular at "
                         f"({x1:.6g}, {x2:.6g}): |det|/scale = {abs(det)/norm:.3e}")
@@ -272,33 +289,22 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
         return omega(x1, x2), theta(x1, x2)
 
     def fwd_jac(x1, x2):
-        return np.array([omega.gradient_at(x1, x2, fd_step),
-                         theta.gradient_at(x1, x2, fd_step)])
+        return np.array([omega.gradient_at(x1, x2),
+                         theta.gradient_at(x1, x2)])
 
-    # one-entry memo of the latest inversion, ((w, t), point) in a single
-    # tuple: the profile right-hand side asks for both gradient norms at
-    # the same (w, t)
-    last = ((None, None), None)
-
+    @_latest_call_memo
     def invert(w, t):
-        nonlocal last
-        key, point = last
-        if key == (w, t):
-            return point
         d2 = (seed_arr[:, 0] - w) ** 2 + (seed_arr[:, 1] - t) ** 2
         seed = seed_arr[int(np.argmin(d2)), 2:]
-        point = newton_invert(forward, fwd_jac, (w, t), seed,
-                              tol=newton_tol, maxiter=newton_maxiter)
-        last = ((w, t), point)
-        return point
+        return newton_invert(forward, fwd_jac, (w, t), seed)
 
     def grad_omega_sq(w, t):
         p = invert(w, t)
-        return invariant_pairing(chart, omega, omega, p, step=fd_step)
+        return invariant_pairing(chart, omega, omega, p)
 
     def grad_theta_sq(w, t):
         p = invert(w, t)
-        return invariant_pairing(chart, theta, theta, p, step=fd_step)
+        return invariant_pairing(chart, theta, theta, p)
 
     return QuotientFrame(
         chart=chart, omega=omega, theta=theta,
@@ -315,7 +321,7 @@ def build_frame(chart, theta, rect, *, seed_box, seed_counts=(25, 25),
 _STENCIL_STEP = 1e-5
 
 
-def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
+def _characteristic_frame(chart, traced, rect, label):
     """QuotientFrame of a traced theta, built on the characteristics.
 
     theta is constant along a characteristic and omega strictly monotone,
@@ -336,11 +342,11 @@ def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
     |grad omega|^2 = a . d, and in the orthogonal pair
     q = dw^2 / |grad omega|^2 + dt^2 / |grad theta|^2, so
     |grad theta|^2 = 1 / q(v, v), with q(v, v) = v^T q v; a q(v, v) that
-    collapses below jacobian_floor^2 raises RankDeficiencyError.
+    collapses below _JACOBIAN_FLOOR^2 raises RankDeficiencyError.
 
     The inverse Jacobian has the columns dx/domega = a / (a . d), from the
     field at the inverted point of (w, t) itself rather than at p, which
-    is O(h^2) off it, and dx/dtheta = v; columns within jacobian_floor of
+    is O(h^2) off it, and dx/dtheta = v; columns within _JACOBIAN_FLOOR of
     parallel raise RankDeficiencyError.  ``integrate_profile`` takes the
     inverted point and the inverse Jacobian at each node right after the
     node's right-hand side, while the memo still holds the node's stencil,
@@ -349,25 +355,12 @@ def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
     omega = chart.volume_fn()
     field = traced._field
     length = traced.cauchy.length
-    last = ((None, None), None)
-    last_stencil = ((None, None), None)
+    invert = _latest_call_memo(lambda w, t: traced.level_point(w, t))
 
-    def invert(w, t):
-        nonlocal last
-        key, point = last
-        if key == (w, t):
-            return point
-        point = traced.level_point(w, t)
-        last = ((w, t), point)
-        return point
-
+    @_latest_call_memo
     def stencil(w, t):
         """(v1, v2, |grad omega|^2, q(v, v)) at (w, t), with v = dx/dtheta
         at fixed omega."""
-        nonlocal last_stencil
-        key, terms = last_stencil
-        if key == (w, t):
-            return terms
         h = _STENCIL_STEP * max(1.0, abs(t))
         level = traced.level_point
         if t - h < 0.0 or t + h > length:
@@ -383,16 +376,14 @@ def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
             p1, p2 = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
         a1, a2, d1, d2, _, q11, q12, q22 = field(p1, p2)
         qvv = v1 * (q11 * v1 + 2.0 * q12 * v2) + q22 * v2 * v2
-        terms = (v1, v2, a1 * d1 + a2 * d2, qvv)
-        last_stencil = ((w, t), terms)
-        return terms
+        return v1, v2, a1 * d1 + a2 * d2, qvv
 
     def grad_omega_sq(w, t):
         return stencil(w, t)[2]
 
     def grad_theta_sq(w, t):
         qvv = stencil(w, t)[3]
-        if not jacobian_floor ** 2 < qvv < math.inf:
+        if not _JACOBIAN_FLOOR ** 2 < qvv < math.inf:
             raise RankDeficiencyError(
                 f"{label}: |dx/dtheta|^2 = {qvv:.3e} at fixed omega at "
                 f"(omega, theta) = ({w:.6g}, {t:.6g}): neighbouring "
@@ -405,7 +396,7 @@ def _characteristic_frame(chart, traced, rect, *, jacobian_floor, label):
         ad = a1 * d1 + a2 * d2
         cross = a1 * v2 - a2 * v1
         scale = math.hypot(a1, a2) * math.hypot(v1, v2)
-        if not abs(cross) > jacobian_floor * scale:
+        if not abs(cross) > _JACOBIAN_FLOOR * scale:
             raise RankDeficiencyError(
                 f"{label}: dx/domega and dx/dtheta nearly parallel at "
                 f"(omega, theta) = ({w:.6g}, {t:.6g})")
@@ -473,6 +464,13 @@ _BOX_PAD = 1e-6
 # or three suffice; the loop also ends at the first iteration that does
 # not come closer.
 _LAND_MAXITER = 20
+# Smallest |grad omega| that the characteristic field accepts, and the
+# smallest angle (radians) between the Cauchy curve and a characteristic
+# at the arc-length values of the grid.
+_GRAD_FLOOR = 1e-10
+_MIN_ANGLE = 1e-3
+# RK4 steps of a trace per length of the Cauchy curve
+_STEPS_PER_LENGTH = 400.0
 
 
 def _trace_kernel(chart, omega, grad_floor):
@@ -499,9 +497,12 @@ def _trace_kernel(chart, omega, grad_floor):
     rk4_step(x1, x2, a1, a2, h, sign) is one classical RK4 step of the
     flow of sign * field from the point (x1, x2) of floats, where the
     field's velocity is (a1, a2), with the arithmetic
-    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component, and the
-    sign folded into h: (sign h) a rounds as h (sign a) does, so the step
-    is that of the stages k = sign a to the bit.  It evaluates the field
+    x + (h/6)(k1 + 2 k2 + 2 k3 + k4), component by component.  The stage
+    points fold the sign into h, since (sign h) a rounds as h (sign a)
+    does, and the last line sums -a1 - 2 b1 - ... for sign -1, which is
+    k1 + 2 k2 + ... to the bit, signed zeros included (a sum of zeros of
+    both signs is +0, so -(a1 + 2 b1 + ...) is not): the step is that of
+    the stages k = sign a to the bit.  It evaluates the field
     at the three inner stages only: a caller that needs the field at the
     step's end evaluates it there once and passes its velocity on as the
     next step's k1.
@@ -543,14 +544,17 @@ def _trace_kernel(chart, omega, grad_floor):
         return a1, a2, d1, d2, w, q11, q12, q22
 
     def rk4_step(x1, x2, a1, a2, h, sign):
-        h = sign * h
-        g = 0.5 * h
+        f = sign * h
+        g = 0.5 * f
         b1, b2, _, _, _, _, _, _ = field(x1 + g * a1, x2 + g * a2)
         c1, c2, _, _, _, _, _, _ = field(x1 + g * b1, x2 + g * b2)
-        e1, e2, _, _, _, _, _, _ = field(x1 + h * c1, x2 + h * c2)
+        e1, e2, _, _, _, _, _, _ = field(x1 + f * c1, x2 + f * c2)
         c = h / 6.0
-        return (x1 + c * (a1 + 2 * b1 + 2 * c1 + e1),
-                x2 + c * (a2 + 2 * b2 + 2 * c2 + e2))
+        if sign > 0.0:
+            return (x1 + c * (a1 + 2 * b1 + 2 * c1 + e1),
+                    x2 + c * (a2 + 2 * b2 + 2 * c2 + e2))
+        return (x1 + c * (-a1 - 2 * b1 - 2 * c1 - e1),
+                x2 + c * (-a2 - 2 * b2 - 2 * c2 - e2))
 
     return field, rk4_step
 
@@ -574,23 +578,22 @@ class TracedInvariant:
     bits of a per-point trace with a crossing test at every step.  The
     characteristic field ``_field`` and the RK4 step ``_rk4_step`` are
     the closures of ``_trace_kernel``, bound to the chart once, at
-    construction.
+    construction.  A trace takes at most ``n_steps`` RK4 steps of
+    ``step`` = (length of the Cauchy curve) / 400.
     """
 
     gradient = None  # finite differences apply
     name = "traced-theta"
 
-    def __init__(self, chart, cauchy, arc_grid, *, step=None, n_steps=400,
-                 min_angle=1e-3, grad_floor=1e-10):
+    def __init__(self, chart, cauchy, arc_grid, *, n_steps=400):
         self.chart = chart
         self.cauchy = cauchy
         self.sigmas = np.asarray(arc_grid, dtype=float)
         if self.sigmas.ndim != 1 or len(self.sigmas) < 2:
             raise ValueError("arc_grid must hold at least two arc-length values")
-        self.step = float(step) if step is not None else cauchy.length / 400.0
+        self.step = cauchy.length / _STEPS_PER_LENGTH
         self.n_steps = int(n_steps)
-        self.min_angle = float(min_angle)
-        self.grad_floor = float(grad_floor)
+        self.grad_floor = _GRAD_FLOOR
         self._omega = chart.volume_fn()
         # the dense Cauchy polyline that traces are tested against: arc
         # values, points, segments, and the padded box (lo1, hi1, lo2, hi2)
@@ -615,7 +618,7 @@ class TracedInvariant:
             a = np.array(self._field(*p)[:2])
             t = self.cauchy.tangent_at(sigma)
             sin_angle = abs(_cross2(a, t)) / (np.linalg.norm(a) * np.linalg.norm(t))
-            if sin_angle < np.sin(self.min_angle):
+            if sin_angle < np.sin(_MIN_ANGLE):
                 raise TransversalityError(
                     f"Cauchy curve tangent to a characteristic at arc length "
                     f"{sigma:.6g} (|sin angle| = {sin_angle:.2e})")
@@ -832,8 +835,7 @@ class TracedInvariant:
             return True
 
 
-def solve_orthogonal_invariant(chart, cauchy, arc_grid, *, step=None,
-                               n_steps=400, min_angle=1e-3):
+def solve_orthogonal_invariant(chart, cauchy, arc_grid, *, n_steps=400):
     """Trace an invariant theta with g(grad omega, grad theta) = 0.
 
     theta equals the Cauchy arc-length parameter on the data curve and is
@@ -842,5 +844,4 @@ def solve_orthogonal_invariant(chart, cauchy, arc_grid, *, step=None,
     characteristics at the arc-length values of ``arc_grid``; tangency
     raises TransversalityError.
     """
-    return TracedInvariant(chart, cauchy, arc_grid, step=step,
-                           n_steps=n_steps, min_angle=min_angle)
+    return TracedInvariant(chart, cauchy, arc_grid, n_steps=n_steps)

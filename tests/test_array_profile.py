@@ -240,8 +240,8 @@ def test_vertical_quadrature_equals_sequential_loop(case):
     profile = bg.integrate_profile(U, params, frame, theta0)
     V = bg.vertical_quadrature(profile, frame.chart)
     d1, d2, integrand = _reference_vertical(profile, frame.chart, params, U)
-    assert _same(profile.position_derivatives()[0], d1)
-    assert _same(profile.position_derivatives()[1], d2)
+    assert _same(profile.x1p, d1)
+    assert _same(profile.x2p, d2)
     assert _same(V.prime, integrand)
 
 

@@ -311,20 +311,54 @@ def test_member_traces_each_node_stencil_once(helicoidal_chart,
     assert x2p.tobytes() == member.x2p.tobytes()
 
 
-def test_only_characteristic_frames_record_jacobians(helicoidal_chart,
-                                                     helicoidal_frame, frame):
-    # a theta-free frame and a Newton frame keep x' from the frame's
-    # inversion at the nodes
+def test_frames_not_theta_free_record_their_nodes(helicoidal_chart, traced,
+                                                  monkeypatch):
+    # a Newton and a characteristic frame: the sweep inverts each node
+    # once, at its (omega, theta), in sweep order (the anchor, then up from
+    # it, then down), one scalar invert_jacobian call per node
+    calls = []
+    original = bg.QuotientFrame.invert_jacobian
+
+    def counted(self, w, t):
+        calls.append((w, t))
+        return original(self, w, t)
+
+    monkeypatch.setattr(bg.QuotientFrame, "invert_jacobian", counted)
     newton = bg.build_frame(
         helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)), seed_box=((0.2, 3.0), (-2.5, 2.5)))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
-    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.2)
-    for f, recorded in ((helicoidal_frame, False), (newton, False),
-                        (frame, True)):
-        profile = bg.bour.integrate_profile(U, params, f, 0.31)
-        assert (profile.jacobians is not None) is recorded
-    assert profile.jacobians.shape == (11, 2, 2)
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.05, anchor=1.4)
+    for frame in (newton, _frame(helicoidal_chart, traced)):
+        assert not frame.theta_free
+        calls.clear()
+        profile = bg.integrate_profile(U, params, frame, 0.55)
+        order = [4, 5, 6, 7, 8, 9, 10, 3, 2, 1, 0]
+        assert profile.anchor_index == 4
+        assert [np.ndim(w) for w, _ in calls] == [0] * 11
+        assert np.array(calls).tobytes() == np.stack(
+            [profile.omega[order], profile.theta[order]], axis=-1).tobytes()
+
+
+def test_traced_theta_needs_no_seed_box(helicoidal_chart, traced, frame):
+    # the characteristic frame, with and without the unused seed options
+    for bare in (bg.build_frame(helicoidal_chart, traced, rect=RECT),
+                 bg.build_frame(helicoidal_chart, traced, rect=RECT,
+                                seed_box=((0.9, 1.5), (-0.3, 0.4)),
+                                seed_counts=(8, 8))):
+        assert bare.inverse_jacobian is not None
+        assert bare.label == frame.label == "euclidean_helicoidal(a=1)/frame"
+        for w, t in _rect_points(RECT, 4, 21):
+            assert bare.invert(w, t) == frame.invert(w, t)
+            assert bare.grad_theta_sq(w, t) == frame.grad_theta_sq(w, t)
+            assert (bare.invert_jacobian(w, t).tobytes()
+                    == frame.invert_jacobian(w, t).tobytes())
+
+
+def test_analytic_theta_needs_a_seed_box(helicoidal_chart):
+    with pytest.raises(TypeError, match="'seed_box'"):
+        bg.build_frame(helicoidal_chart, ratio_theta(),
+                       rect=((1.05, 3.0), (-2.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,65 @@ def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
     assert "missing.json" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "mesh"])
+@pytest.mark.parametrize("document,message", [
+    ({"format": "bourgen-member", "m": 1.0},
+     "the member file has no 'profile' entry"),
+    ([1, 2], "the document must be a JSON object, not list"),
+])
+def test_malformed_member_file_is_a_config_error(tmp_path, capsys, command,
+                                                 document, message):
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(document))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")]
+                                   if command == "mesh" else [])
+    code, err = _exit_and_error(capsys, argv)
+    assert code == 1
+    assert err == f"error: ConfigError: member: {message}\n"
+
+
+def _write_rows(path, header, rows):
+    path.write_text("\n".join([header] + [",".join(map(str, r)) for r in rows])
+                    + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("header,rows,message", [
+    ("u,x1", [(0.5 + 0.1 * k, 1.0) for k in range(6)],
+     "expected the 4 columns u,x1,x2,x3, found 2"),
+    ("u,x1,x2,x3", [(0.5, 0.5, 0.0, 0.0)],
+     "a lifted curve needs at least 4 samples"),
+])
+def test_malformed_curve_csv_is_a_config_error(tmp_path, capsys, header, rows,
+                                               message):
+    curve = _write_rows(tmp_path / "curve.csv", header, rows)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"space": {"kind": "euclidean_helicoidal", "a": 1.0}}))
+    code, err = _exit_and_error(capsys, [
+        "natural", "--config", str(cfg_path), "--curve", curve,
+        "--out", str(tmp_path / "nat")])
+    assert code == 1
+    assert err == f"error: ConfigError: curve {curve}: {message}\n"
+
+
+@pytest.mark.parametrize("header,rows,message", [
+    ("s,U", [(0.5, 1.2)], "at least 2 elements"),
+    ("s", [(-1.0 + 0.5 * k,) for k in range(5)],
+     "expected the 2 columns s,U, found 1"),
+])
+def test_malformed_csv_generatrix_is_a_config_error(tmp_path, capsys, header,
+                                                    rows, message):
+    table = _write_rows(tmp_path / "U.csv", header, rows)
+    cfg = _family_config(generatrix={"csv": table})
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "table"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith(f"error: ConfigError: generatrix {table}: ")
+    assert message in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # malformed config values
 # ---------------------------------------------------------------------------

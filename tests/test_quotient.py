@@ -267,6 +267,49 @@ def test_newton_frame_inverts_once_per_rhs(helicoidal_chart, monkeypatch):
     assert rhs == math.sqrt(gt) * math.sqrt(rad) / math.sqrt(go)
 
 
+def _newton_member(helicoidal_chart, helicoidal_spec):
+    # the fine-step member of test_traced_frame_member_at_fine_step, on a
+    # fresh Newton frame over the analytic x2/x1
+    frame = bg.build_frame(
+        helicoidal_chart, ratio_theta(),
+        rect=((1.05, 3.0), (-2.0, 2.0)), seed_box=((0.2, 3.0), (-2.5, 2.5)))
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
+    params = bg.BourParams(m=0.72, s_range=(1.2, 1.7), step=0.005, anchor=1.2)
+    member = bg.generate_member(U, params, frame, theta0=0.31,
+                                space=helicoidal_spec)
+    assert len(member.s) == 101
+    return frame, U, member
+
+
+def test_newton_member_equals_per_node_inversion(helicoidal_chart,
+                                                 helicoidal_spec):
+    # the nodes the sweep recorded are the frame's inversion and inverse
+    # Jacobian at each node, computed afterwards, to the bit
+    frame, U, member = _newton_member(helicoidal_chart, helicoidal_spec)
+    for k, s in enumerate(member.s):
+        w, t = member.omega[k], member.theta[k]
+        assert frame.invert(w, t) == (member.x1[k], member.x2[k])
+        x1p, x2p = frame.invert_jacobian(w, t) @ np.array(
+            [0.72 * U.derivative(s), member.theta_prime[k]])
+        assert (x1p, x2p) == (member.x1p[k], member.x2p[k])
+
+
+def test_newton_member_solves_once_per_rhs(helicoidal_chart, helicoidal_spec,
+                                           monkeypatch):
+    # 1 right-hand side at the anchor and 4 per RK4 step: the nodes'
+    # positions and Jacobians reuse the solve of their right-hand side
+    calls = []
+    newton = bg.quotient.newton_invert
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(bg.quotient, "newton_invert", counted)
+    _newton_member(helicoidal_chart, helicoidal_spec)
+    assert len(calls) == 1 + 4 * 100
+
+
 def test_traced_frame_member_matches_closed_form(helicoidal_chart,
                                                  helicoidal_spec, traced_frame):
     # the paper's general case end to end: a member integrated on a Newton

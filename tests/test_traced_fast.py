@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bourgen as bg
 from bourgen import quotient
@@ -137,12 +137,12 @@ CASES = {
         bg.line_segment((0.6, -0.4), (0.7, 0.4)),
         np.linspace(0.0, 0.8, 41), n_steps=120),
     # the rotational chart, whose characteristics run along x1 and whose
-    # domain is x1 > 0: tracing back from x1 = 0.5 by 0.02 per step leaves
-    # it after about 25 steps
+    # domain is x1 > 0: tracing back from x1 = 0.5 by 0.0025 per step (the
+    # unit segment's step) leaves it after about 200 of the 480 steps
     "rotational": lambda: bg.solve_orthogonal_invariant(
         bg.make_chart(bg.SpaceSpec("euclidean_rotational")),
         bg.line_segment((0.5, -0.5), (0.5, 0.5)),
-        np.linspace(0.0, 1.0, 11), step=0.02, n_steps=60),
+        np.linspace(0.0, 1.0, 11), n_steps=480),
 }
 
 
@@ -286,6 +286,10 @@ def test_quotient_metric_inverts_the_inverse_metric_block(name, x1, x2):
 @given(name=st.sampled_from(_FIVE), x1=st.floats(-3.0, 3.0),
        x2=st.floats(-3.0, 3.0), scale=st.floats(0.0, 2.0),
        sign=st.sampled_from([1.0, -1.0]))
+# a component -0.0 whose stage velocities are zeros of both signs: the
+# backward step keeps the reference's +0.0
+@example(name="bcv", x1=1.0, x2=-0.0, scale=0.0, sign=-1.0)
+@example(name="helicoidal", x1=-0.0, x2=0.5, scale=1.0, sign=-1.0)
 def test_kernel_rk4_step_equals_reference(name, x1, x2, scale, sign):
     # the kernel's step on floats against the step on 2-vectors, in both
     # flow directions, with steps up to twice the tracer's
