@@ -400,6 +400,15 @@ class SurfaceMember:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
+        return self._document(np.ndarray.tolist)
+
+    def to_json(self, path):
+        # json_text prints a float64 array as the list of its values
+        Path(path).write_text(json_text(self._document(np.asarray)))
+
+    def _document(self, array):
+        """The member file's document, each array passed through
+        ``array``."""
         d = {
             "format": "bourgen-member",
             "version": 1,
@@ -408,29 +417,26 @@ class SurfaceMember:
             "metadata": self.metadata,
             "space": self.space.to_dict() if self.space is not None else None,
             "profile": {
-                "s": self.s.tolist(),
-                "x1": self.x1.tolist(),
-                "x2": self.x2.tolist(),
-                "x1_prime": self.x1p.tolist(),
-                "x2_prime": self.x2p.tolist(),
-                "omega": self.omega.tolist(),
-                "theta": self.theta.tolist(),
-                "theta_prime": self.theta_prime.tolist(),
+                "s": array(self.s),
+                "x1": array(self.x1),
+                "x2": array(self.x2),
+                "x1_prime": array(self.x1p),
+                "x2_prime": array(self.x2p),
+                "omega": array(self.omega),
+                "theta": array(self.theta),
+                "theta_prime": array(self.theta_prime),
             },
-            "V": self.V_samples.tolist(),
-            "V_prime": self.V_prime.tolist(),
+            "V": array(self.V_samples),
+            "V_prime": array(self.V_prime),
         }
         if self.U is not None and self.U.representation == "expression":
             d["generatrix"] = {"kind": "expression", "text": self.U.source,
                                "s_range": list(self.U.s_range)}
         elif self.U is not None:
             su, val = self.U.table(self.s)
-            d["generatrix"] = {"kind": "table", "s": self.s.tolist(),
-                               "values": su.tolist()}
+            d["generatrix"] = {"kind": "table", "s": array(self.s),
+                               "values": array(su)}
         return d
-
-    def to_json(self, path):
-        Path(path).write_text(json_text(self.to_dict()))
 
     @classmethod
     def from_dict(cls, d):
@@ -444,35 +450,93 @@ class SurfaceMember:
                              f"{type(d).__name__}")
         if d.get("format") != "bourgen-member":
             raise ValueError("not a bourgen member file")
-        try:
-            prof = {k: np.asarray(d["profile"][k], dtype=float)
-                    for k in ("s", "x1", "x2", "x1_prime", "x2_prime", "omega",
-                              "theta", "theta_prime")}
-            V, Vp, m, epsilon = d["V"], d["V_prime"], d["m"], d["epsilon"]
-        except KeyError as exc:
-            raise ValueError(
-                f"the member file has no {exc.args[0]!r} entry") from None
-        space = (spaces.SpaceSpec.from_dict(d["space"]) if d.get("space")
-                 else None)
+        prof = {k: _samples(d, "profile." + k)
+                for k in ("s", "x1", "x2", "x1_prime", "x2_prime", "omega",
+                          "theta", "theta_prime")}
+        V, Vp = _samples(d, "V"), _samples(d, "V_prime")
+        if len({len(v) for v in (*prof.values(), V, Vp)}) > 1 or len(V) < 2:
+            raise ValueError("the member file's profile lists, 'V' and "
+                             "'V_prime' must have one length of 2 or more")
+        m, epsilon = _entry(d, "m", _NUMBER), _entry(d, "epsilon", _NUMBER)
+        space = None
+        if d.get("space") is not None:
+            space = spaces.SpaceSpec(
+                kind=_entry(d, "space.kind", str),
+                **{k: _entry(d, "space." + k, _NUMBER, 0.0)
+                   for k in ("a", "kappa", "tau")})
         U = frame = None
-        gen = d.get("generatrix")
-        if gen and gen["kind"] == "expression":
-            U = GeneratrixMetric.from_expression(gen["text"], gen["s_range"])
-            if space is not None:
-                frame = _rebuilt_frame(space, prof)
-        elif gen and gen["kind"] == "table":
-            U = GeneratrixMetric.from_samples(gen["s"], gen["values"])
+        if d.get("generatrix") is not None:
+            kind = _entry(d, "generatrix.kind", str)
+            if kind == "expression":
+                U = GeneratrixMetric.from_expression(
+                    _entry(d, "generatrix.text", str),
+                    _samples(d, "generatrix.s_range", 2))
+                if space is not None:
+                    frame = _rebuilt_frame(space, prof)
+            elif kind == "table":
+                U = GeneratrixMetric.from_samples(
+                    _samples(d, "generatrix.s"),
+                    _samples(d, "generatrix.values"))
+            else:
+                raise ValueError(f"the member file's 'generatrix.kind' "
+                                 f"entry must be 'expression' or 'table', "
+                                 f"not {kind!r}")
         return cls(s=prof["s"], x1=prof["x1"], x2=prof["x2"],
                    x1p=prof["x1_prime"], x2p=prof["x2_prime"],
                    theta=prof["theta"], theta_prime=prof["theta_prime"],
                    omega=prof["omega"], V=V, Vp=Vp, m=m, epsilon=epsilon,
                    space=space, U=U, frame=frame,
-                   metadata=d.get("metadata", {}))
+                   metadata=_entry(d, "metadata", dict, {}))
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _entry(d, name, kind, default=None):
+    """The entry of a member document at the dotted ``name``, of type
+    ``kind``; ``default`` where it is missing, if given.  A missing entry
+    without a default, a step through an entry that is not an object, and
+    an entry of another type are ValueErrors that name the entry."""
+    value, path = d, []
+    for key in name.split("."):
+        if not isinstance(value, dict):
+            raise ValueError(f"the member file's {'.'.join(path)!r} entry "
+                             f"must be an object, not "
+                             f"{type(value).__name__}")
+        path.append(key)
+        if key not in value:
+            if default is None:
+                raise ValueError(f"the member file has no "
+                                 f"{'.'.join(path)!r} entry")
+            return default
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"the member file's {name!r} entry must be "
+                         f"{_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+_NUMBER = (int, float)
+_KINDS = {str: "a string", dict: "an object", list: "a list",
+          _NUMBER: "a number"}
+
+
+def _samples(d, name, size=None):
+    """A member document's list of finite numbers at ``name`` (of ``size``
+    numbers, if given), as a float array."""
+    values = _entry(d, name, list)
+    try:
+        samples = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # a word, object or list among them
+        samples = None
+    if (samples is None or samples.ndim != 1
+            or size not in (None, len(samples))
+            or not np.isfinite(samples).all()):  # a null reads as NaN
+        raise ValueError(f"the member file's {name!r} entry must be a list "
+                         f"of {f'{size} ' if size else ''}finite numbers")
+    return samples
 
 
 def _rebuilt_frame(space, prof):

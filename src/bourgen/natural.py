@@ -158,6 +158,8 @@ class GeneratrixMetric:
     def from_samples(cls, s, values):
         s = np.asarray(s, dtype=float)
         values = np.asarray(values, dtype=float)
+        if s.size < 2:
+            raise ValueError("a table generatrix needs at least two samples")
         if not np.all(np.diff(s) > 0):
             raise ValueError("sample grid must be strictly increasing")
         spline = pchip(s, values)

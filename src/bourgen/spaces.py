@@ -64,11 +64,6 @@ class SpaceSpec:
         return {"kind": self.kind, "a": self.a, "kappa": self.kappa,
                 "tau": self.tau}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(kind=d["kind"], a=float(d.get("a", 0.0)),
-                   kappa=float(d.get("kappa", 0.0)), tau=float(d.get("tau", 0.0)))
-
 
 # ---------------------------------------------------------------------------
 # charts

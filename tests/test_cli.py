@@ -460,6 +460,11 @@ def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
     ({"format": "bourgen-member", "m": 1.0},
      "the member file has no 'profile' entry"),
     ([1, 2], "the document must be a JSON object, not list"),
+    ({"format": "bourgen-member", "m": 1, "epsilon": 1, "profile": [1],
+      "V": [], "V_prime": []},
+     "the member file's 'profile' entry must be an object, not list"),
+    ({"format": "bourgen-member", "profile": {"s": [0.5, None]}},
+     "the member file's 'profile.s' entry must be a list of finite numbers"),
 ])
 def test_malformed_member_file_is_a_config_error(tmp_path, capsys, command,
                                                  document, message):
@@ -470,6 +475,22 @@ def test_malformed_member_file_is_a_config_error(tmp_path, capsys, command,
     code, err = _exit_and_error(capsys, argv)
     assert code == 1
     assert err == f"error: ConfigError: member: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "mesh"])
+def test_member_file_without_its_generatrix_text_is_a_config_error(
+        tmp_path, capsys, demo_outputs, command):
+    document = json.loads(
+        (demo_outputs["catenoid"] / "member_m1.json").read_text())
+    del document["generatrix"]["text"]
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(document))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")]
+                                   if command == "mesh" else [])
+    code, err = _exit_and_error(capsys, argv)
+    assert code == 1
+    assert err == ("error: ConfigError: member: the member file has no "
+                   "'generatrix.text' entry\n")
 
 
 def _write_rows(path, header, rows):
@@ -498,7 +519,7 @@ def test_malformed_curve_csv_is_a_config_error(tmp_path, capsys, header, rows,
 
 
 @pytest.mark.parametrize("header,rows,message", [
-    ("s,U", [(0.5, 1.2)], "at least 2 elements"),
+    ("s,U", [(0.5, 1.2)], "at least two samples"),
     ("s", [(-1.0 + 0.5 * k,) for k in range(5)],
      "expected the 2 columns s,U, found 1"),
 ])
@@ -512,6 +533,18 @@ def test_malformed_csv_generatrix_is_a_config_error(tmp_path, capsys, header,
     assert code == 1
     assert err.startswith(f"error: ConfigError: generatrix {table}: ")
     assert message in err and err.count("\n") == 1
+
+
+def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
+                                                              capsys):
+    table = _write_rows(tmp_path / "U.csv", "s,U", [(0.5, 1.2)])
+    cfg = _family_config(generatrix={"csv": table})
+    code, err = _exit_and_error(capsys, [
+        "family", "--config", _write_cfg(tmp_path, cfg, "table"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err == (f"error: ConfigError: generatrix {table}: a table "
+                   f"generatrix needs at least two samples\n")
 
 
 # ---------------------------------------------------------------------------

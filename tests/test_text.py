@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
+from bourgen import _text
 from bourgen._text import json_text, rows_text, write_csv
 from bourgen.cli import _write_json, write_obj, write_profile_csv
 
@@ -159,6 +160,87 @@ def test_write_csv_equals_savetxt(tmp_path):
         columns, header="s,a,b", comments="")
 
 
+def _kernel_reprs(values):
+    """The repr kernel's text of each value, from a direct call (json_text
+    sends payloads of few floats to the C encoder)."""
+    values = np.asarray(values, dtype=np.float64)
+    after = np.full(len(values), _text._word(","), dtype=np.int64)
+    return _text._kernel_text(values, _text._REPR, None, after).split(
+        ",")[:-1]
+
+
+def _json_reprs(values):
+    return [json.dumps(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+_REPR_FIXED = [  # (value, its repr) at repr's switch points and edges
+    (1e-05, "1e-05"), (0.0001, "0.0001"), (1e16, "1e+16"),
+    (9999999999999998.0, "9999999999999998.0"),
+    (1.2345678901234568e16, "1.2345678901234568e+16"),
+    (5e-324, "5e-324"), (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (0.0, "0.0"), (-0.0, "-0.0"), (math.inf, "Infinity"),
+    (-math.inf, "-Infinity"), (math.nan, "NaN"),
+    (2.0**54 + 4, "1.8014398509481988e+16"),
+    (2.0**54 + 24, "1.801439850948201e+16"), (0.1, "0.1"), (1.5, "1.5"),
+    (123456.0, "123456.0"), (2.0 / 3.0, "0.6666666666666666"),
+]
+
+
+def test_repr_fixed_cases():
+    values = [v for v, _ in _REPR_FIXED]
+    values += [-v for v in values]
+    got = _kernel_reprs(values)
+    assert got == _json_reprs(values)
+    assert got[:len(_REPR_FIXED)] == [text for _, text in _REPR_FIXED]
+
+
+def test_repr_near_powers_of_two():
+    # the gap to the double below a power of two is half the gap above
+    powers = 2.0 ** np.arange(-1074, 1024)
+    values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf)])
+    assert _kernel_reprs(values) == _json_reprs(values)
+
+
+def test_repr_endpoints_count_for_even_significands_only():
+    # runs of consecutive doubles in [2**53, 2**57], where half the gap
+    # to a neighbour is an integer: some of them reach a multiple of 10
+    # exactly, which a shorter repr may take only for an even significand
+    values = np.concatenate([
+        2.0**e + 2.0**(e - 52) * np.arange(k, k + 400)
+        for e in range(53, 57) for k in (0, 123457, 2**51 - 400)])
+    assert _kernel_reprs(values) == _json_reprs(values)
+    ints = values.astype(np.int64)
+    half = 2 ** (np.log2(values).astype(np.int64) - 53)
+    hits = ((ints + half) % 10 == 0) | ((ints - half) % 10 == 0)
+    even = (ints // (2 * half)) % 2 == 0
+    assert (hits & even).any() and (hits & ~even).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_floats(24))
+def test_repr_kernel_equals_json_on_raw_bits(raw):
+    assert _kernel_reprs(raw) == _json_reprs(raw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       st.integers(0, 7), st.integers(0, 2**32 - 1))
+def test_json_text_float_kernel_equals_stdlib(sizes, depth, seed):
+    # more floats than one kernel block, so that a list spans two blocks;
+    # arrays and lists, at every depth up to 8, where an indent no longer
+    # fits the kernel's separator word
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+              for n in sizes] + [np.linspace(0.0, 1.0, 4500)]
+    payload = {"x": [a.tolist() for a in arrays[::2]], "y": 1.5,
+               "z": arrays[1::2]}
+    for _ in range(depth):
+        payload = {"d": payload}
+    assert json_text(payload) == json.dumps(payload, indent=1,
+                                            default=np.ndarray.tolist)
+
+
 @pytest.fixture(params=["catenoid", "helicoid", "bcv"])
 def member(request):
     return request.getfixturevalue(f"{request.param}_member")
@@ -207,3 +289,17 @@ def test_curve_csvs_equal_savetxt(tmp_path):
     s = np.linspace(0.5, 2.0, 17)
     assert (tmp_path / "U.csv").read_text() == _savetxt(
         [s, U(s)], header="s,U", comments="")
+
+
+def _float_values(o):
+    if isinstance(o, dict):
+        return [v for x in o.values() for v in _float_values(x)]
+    if isinstance(o, list):
+        return [v for x in o for v in _float_values(x)]
+    return [o] if isinstance(o, float) else []
+
+
+def test_member_floats_are_decided_by_the_kernel(member):
+    values = np.abs(np.array(_float_values(member.to_dict())))
+    undecided = _text._REPR.decimal(values)[-1]
+    assert not (undecided & (values != 0.0)).any()
