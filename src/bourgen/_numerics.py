@@ -34,7 +34,7 @@ def sqrt(x):
     """math.sqrt(x); elementwise for an array."""
     if not isinstance(x, np.ndarray):
         return math.sqrt(x)
-    if np.any(x < 0.0):
+    if np.count_nonzero(x < 0.0):
         raise ValueError("math domain error")
     return np.sqrt(x)
 
@@ -43,7 +43,7 @@ def _finite_domain(scalar, vectorized):
     def fn(x):
         if not isinstance(x, np.ndarray):
             return scalar(x)
-        if np.any(np.isinf(x)):
+        if np.count_nonzero(np.isinf(x)):
             raise ValueError("math domain error")
         return vectorized(x)
     fn.__doc__ = f"math.{scalar.__name__}(x); elementwise for an array."

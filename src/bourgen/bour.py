@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -90,7 +91,7 @@ def ode_rhs(s, theta, U, params, frame):
     at this m along this s; grazing-zero radicands (above -1e-12) are
     clamped to zero.
     """
-    Us, dUs = U.table(s)  # one walk of an expression generatrix
+    Us, dUs = U.table(s)  # one dual call of an expression generatrix
     w = params.m * Us
     frame.require_in_rect(w, theta)
     go = frame.grad_omega_sq(w, theta)
@@ -148,9 +149,11 @@ def integrate_profile(U, params, frame, theta0=0.0):
     theta takes the value theta0 at the anchor (default: the lower end of
     s_range); integration sweeps outward in both directions.  omega(s) is
     imposed exactly as m U(s); omega and omega' at the nodes come from one
-    walk of U.  The sweeps are the same sequential loop for every frame;
-    the frame only decides, through ``theta_free``, where the right-hand
-    side values and the node inversions come from.
+    ``U.table`` call: the right-hand sides' table for a theta-free frame,
+    one on the nodes after the sweeps for any other.  The sweeps are the
+    same sequential loop for every frame; the frame only decides, through
+    ``theta_free``, where the right-hand side values and the node
+    inversions come from.
 
     A theta-free frame takes every right-hand side value from one array
     call (``_tabulated_rhs``), and ``frame.invert`` and
@@ -179,16 +182,19 @@ def integrate_profile(U, params, frame, theta0=0.0):
     ia = -k_lo  # anchor index
     abscissae = _abscissae(s, ia, params)
     if frame.theta_free:
-        rhs = _tabulated_rhs(abscissae, U, params, frame)
+        table = U.table(abscissae)
+        rhs = _tabulated_rhs(abscissae, table, U, params, frame)
     else:
         rhs, points, jacobians = _recording_rhs(abscissae, U, params, frame)
     theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
-    Us, dUs = U.table(s)
-    omega = params.m * Us
     if frame.theta_free:
+        Us, dUs = table[0][0], table[1][0]  # row 0 of the abscissae is s
+        omega = params.m * Us
         x1, x2 = frame.invert(omega, theta)
         J = frame.invert_jacobian(omega, theta)
     else:
+        Us, dUs = U.table(s)
+        omega = params.m * Us
         x1, x2 = np.array(points, dtype=float).T
         J = np.array(jacobians, dtype=float)
     rates = np.stack([params.m * dUs, theta_p], axis=-1)
@@ -269,13 +275,14 @@ def _recording_rhs(abscissae, U, params, frame):
     return recording, points, jacobians
 
 
-def _tabulated_rhs(abscissae, U, params, frame):
+def _tabulated_rhs(abscissae, table, U, params, frame):
     """rhs for ``_sweeps`` on a theta-free frame, whose right-hand side
-    does not depend on theta: every value comes from one array call of U,
-    U' and the frame.  Where (omega, theta) leaves the rectangle or the
-    radicand is negative, the scalar evaluation is made instead, and
-    raises the error of the sequential order."""
-    Uv, dU = U.table(abscissae)
+    does not depend on theta: every value comes from ``table``, the array
+    (U, U') at the abscissae, and one array call of the frame.  Where
+    (omega, theta) leaves the rectangle or the radicand is negative, the
+    scalar evaluation is made instead, and raises the error of the
+    sequential order."""
+    Uv, dU = table
     w = params.m * Uv
     (w0, w1), (t0, t1) = frame.rect
     inside = (w0 <= w) & (w <= w1)
@@ -525,15 +532,21 @@ _KINDS = {str: "a string", dict: "an object", list: "a list",
 
 def _samples(d, name, size=None):
     """A member document's list of finite numbers at ``name`` (of ``size``
-    numbers, if given), as a float array."""
+    numbers, if given), as a float array.  An element that is not an int
+    or a float (a word, a null, a list, an object or a bool) is a
+    ValueError."""
     values = _entry(d, name, list)
     try:
-        samples = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # a word, object or list among them
+        # packing as doubles takes ints, floats and bools only (np.asarray
+        # would read "0.5" as a number), and is the faster conversion
+        samples = np.frombuffer(struct.pack(f"{len(values)}d", *values)).copy()
+    except struct.error:
         samples = None
-    if (samples is None or samples.ndim != 1
-            or size not in (None, len(samples))
-            or not np.isfinite(samples).all()):  # a null reads as NaN
+    if (samples is None or size not in (None, len(samples))
+            or not np.isfinite(samples).all()
+            # a bool reads as 0 or 1, so only those elements can be one
+            or any(isinstance(values[k], bool) for k in np.flatnonzero(
+                (samples == 0.0) | (samples == 1.0)).tolist())):
         raise ValueError(f"the member file's {name!r} entry must be a list "
                          f"of {f'{size} ' if size else ''}finite numbers")
     return samples

@@ -215,31 +215,36 @@ def chart_from_config(entry):
     ``entry`` maps the six coefficient names g11, g12, g13, g22, g23, g33
     to expression strings in the variables x1, x2; optional keys:
     ``label`` and ``domain_positive`` (an expression whose positivity
-    defines the domain).  The g33 gradient comes from the expression's
-    forward-mode derivatives.
+    defines the domain).  Each role is one compiled function of floats or
+    arrays (``expressions.compiled``): ``metric`` evaluates the six
+    coefficients in one call, ``domain`` the guard, and ``d_g33`` the g33
+    gradient, from the expression's forward-mode derivatives, so a point
+    costs one call per role.
 
     >>> chart_from_config({"g11": "1", "g12": "0", "g13": "x2",
     ...                    "g22": "1", "g23": "-x1",
     ...                    "g33": "x1^2 + x2^2 + 1"}).volume_at((1.0, 0.0))
     np.float64(1.4142135623730951)
     """
-    from .expressions import parse_expression
+    from .expressions import compiled
 
-    coeffs = []
-    for name in ("g11", "g12", "g13", "g22", "g23", "g33"):
-        if name not in entry:
-            raise ValueError(f"chart config is missing coefficient {name!r}")
-        coeffs.append(parse_expression(str(entry[name]), variables=("x1", "x2")))
+    variables = ("x1", "x2")
+
+    def coefficients():  # each checked, then parsed, in turn
+        for name in ("g11", "g12", "g13", "g22", "g23", "g33"):
+            if name not in entry:
+                raise ValueError(f"chart config is missing coefficient {name!r}")
+            yield str(entry[name])
+
+    metric = compiled(coefficients(), variables)
     domain = lambda x1, x2: True
     if entry.get("domain_positive"):
-        guard = parse_expression(str(entry["domain_positive"]),
-                                 variables=("x1", "x2"))
+        guard = compiled([str(entry["domain_positive"])], variables)
         domain = lambda x1, x2: guard(x1, x2) > 0.0
-    g33 = coeffs[5]
     return AdaptedChart3(
-        metric=lambda x1, x2: tuple(g(x1, x2) for g in coeffs),
-        domain=domain, label=str(entry.get("label", "config-chart")),
-        d_g33=lambda x1, x2: g33.gradient(x1, x2))
+        metric=metric, domain=domain,
+        label=str(entry.get("label", "config-chart")),
+        d_g33=compiled([str(entry["g33"])], variables, variables, value=False))
 
 
 def rescale_vertical(chart, c):

@@ -178,8 +178,8 @@ class GeneratrixMetric:
     def table(self, s):
         """(U, U') at s: floats for a float s, arrays of its shape for an
         array, with the values of ``__call__`` and ``derivative``; an
-        expression gives both from one walk, and a callable receives s as
-        it is given."""
+        expression gives both from one call of its dual function, and a
+        callable receives s as it is given."""
         if self.representation != "expression":
             return self(s), self.derivative(s)
         if np.ndim(s) == 0:

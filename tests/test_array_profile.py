@@ -391,6 +391,33 @@ def test_position_derivatives_computed_once(monkeypatch):
     assert calls == [member.s.shape]
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_theta_free_profile_tabulates_the_generatrix_once(integrator,
+                                                         monkeypatch):
+    # U and U' at the nodes come from row 0 of the right-hand sides' table,
+    # with the bits of a table on the nodes alone
+    frame = bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=1.0))
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 1.5))
+    params = bg.BourParams(m=1.2, s_range=(0.5, 1.5), step=0.01,
+                           integrator=integrator)
+    calls = []
+    table = bg.GeneratrixMetric.table
+
+    def counted(self, s):
+        calls.append(np.shape(s))
+        return table(self, s)
+
+    monkeypatch.setattr(bg.GeneratrixMetric, "table", counted)
+    profile = bg.integrate_profile(U, params, frame, 0.3)
+    assert calls == [(3 if integrator == "rk4" else 1, len(profile.s))]
+    Us, dUs = table(U, profile.s)
+    assert _same(profile.omega, 1.2 * Us)
+    J = frame.invert_jacobian(profile.omega, profile.theta)
+    rates = np.stack([1.2 * dUs, profile.theta_prime], axis=-1)
+    x1p, x2p = (J @ rates[:, :, None])[:, :, 0].T
+    assert _same(profile.x1p, x1p) and _same(profile.x2p, x2p)
+
+
 def test_generatrix_parsed_once(tmp_path, monkeypatch):
     calls = []
     parse = cli.parse_expression

@@ -70,8 +70,8 @@ def test_rhs_rect_exit(helicoidal_frame):
 
 
 def test_rhs_walks_the_generatrix_once(helicoidal_frame, monkeypatch):
-    # U(s) and U'(s) come from one walk of an expression, with the bits of
-    # the separate calls
+    # U(s) and U'(s) come from one dual call of an expression, with the
+    # bits of the separate calls
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
     params = bg.BourParams(m=0.8, s_range=(0.5, 2.0), step=0.01)
     w = 0.8 * U(1.2)
@@ -79,13 +79,13 @@ def test_rhs_walks_the_generatrix_once(helicoidal_frame, monkeypatch):
     gt = helicoidal_frame.grad_theta_sq(w, 0.3)
     rad = go - (0.8 * U.derivative(1.2)) ** 2
     walks = []
-    dual = bg.expressions.Expression._dual
+    dual = bg.expressions.Expression.dual
 
-    def counted(self, args, seed):
-        walks.append(seed)
-        return dual(self, args, seed)
+    def counted(self, *args, var=None):
+        walks.append(var if var is not None else self.variables[0])
+        return dual(self, *args, var=var)
 
-    monkeypatch.setattr(bg.expressions.Expression, "_dual", counted)
+    monkeypatch.setattr(bg.expressions.Expression, "dual", counted)
     got = bg.ode_rhs(1.2, 0.3, U, params, helicoidal_frame)
     assert walks == ["s"]
     assert got == math.sqrt(gt) * math.sqrt(rad) / math.sqrt(go)

@@ -493,6 +493,24 @@ def test_member_file_without_its_generatrix_text_is_a_config_error(
                    "'generatrix.text' entry\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "mesh"])
+@pytest.mark.parametrize("entry", ["0.5", True], ids=["word", "bool"])
+def test_member_sample_that_is_not_a_number_is_a_config_error(
+        tmp_path, capsys, demo_outputs, command, entry):
+    # np.asarray would read "0.5" as 0.5 and true as 1.0
+    document = json.loads(
+        (demo_outputs["catenoid"] / "member_m1.json").read_text())
+    document["profile"]["s"][3] = entry
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(document))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")]
+                                   if command == "mesh" else [])
+    code, err = _exit_and_error(capsys, argv)
+    assert code == 1
+    assert err == ("error: ConfigError: member: the member file's "
+                   "'profile.s' entry must be a list of finite numbers\n")
+
+
 def _write_rows(path, header, rows):
     path.write_text("\n".join([header] + [",".join(map(str, r)) for r in rows])
                     + "\n")
