@@ -19,6 +19,7 @@ from .chart import (
     InvariantFunction,
     chart_from_config,
     invariant_pairing,
+    quotient_metric,
     rescale_vertical,
     validate_chart,
 )
@@ -34,11 +35,9 @@ from .natural import (
 from .quotient import (
     CauchyCurve,
     QuotientFrame,
-    QuotientMetric2,
     build_frame,
     line_segment,
     newton_invert,
-    quotient_metric,
     solve_orthogonal_invariant,
 )
 from .spaces import (

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -36,6 +37,7 @@ from ._numerics import (
 )
 from ._splines import HermiteSpline
 from ._text import json_text
+from .chart import quotient_metric
 from .errors import (
     ConfigError,
     DomainViolationError,
@@ -451,7 +453,9 @@ class SurfaceMember:
         space (as ``cli.run`` builds it) attached when its generatrix is
         an expression and that frame inverts the stored (omega, theta) to
         the stored x1 and x2 bit for bit; otherwise frameless (a traced or
-        Newton frame's member, a table generatrix's)."""
+        Newton frame's member, a table generatrix's).  An entry of the
+        wrong type, an 'm' that is not a positive finite number and an
+        'epsilon' other than 1 or -1 are ValueErrors that name the entry."""
         if not isinstance(d, dict):
             raise ValueError(f"the document must be a JSON object, not "
                              f"{type(d).__name__}")
@@ -465,6 +469,12 @@ class SurfaceMember:
             raise ValueError("the member file's profile lists, 'V' and "
                              "'V_prime' must have one length of 2 or more")
         m, epsilon = _entry(d, "m", _NUMBER), _entry(d, "epsilon", _NUMBER)
+        if not 0.0 < m <= sys.float_info.max:
+            raise ValueError(f"the member file's 'm' entry must be a positive "
+                             f"finite number, not {m!r}")
+        if epsilon not in (1, -1):
+            raise ValueError(f"the member file's 'epsilon' entry must be 1 "
+                             f"or -1, not {epsilon!r}")
         space = None
         if d.get("space") is not None:
             space = spaces.SpaceSpec(
@@ -589,12 +599,19 @@ def generate_member(U, params, frame, theta0=0.0, *, space=None):
     return assemble_member(profile, V, params, space=space)
 
 
-def constant_volume_member(chart, profile_curve, *, tol=1e-10):
+# constant_volume_member: the largest spread of the volume function along
+# the curve, relative to max(1, mean |omega|)
+_VOLUME_SPREAD_TOL = 1e-10
+
+
+def constant_volume_member(chart, profile_curve):
     """Single ruled member over a chart with constant unit volume function.
 
-    The input curve must be unit speed in the quotient metric; the member
-    map is (x1(s), x2(s), t + V(s)) with V the cumulative integral of
-    -(x1' g13 + x2' g23), and induced metric ds^2 + dt^2.
+    The volume function may vary by _VOLUME_SPREAD_TOL relative along the
+    curve, and its mean may differ from 1 by 1e-9.  The input curve must
+    be unit speed in the quotient metric (``chart.quotient_metric``); the
+    member map is (x1(s), x2(s), t + V(s)) with V the cumulative integral
+    of -(x1' g13 + x2' g23), and induced metric ds^2 + dt^2.
     """
     if isinstance(profile_curve, LiftedCurve):
         s = profile_curve.u
@@ -603,7 +620,7 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
         s, c1, c2 = (np.asarray(a, dtype=float) for a in profile_curve)
     w = chart.volume_at((c1, c2))
     spread = np.max(np.abs(w - np.mean(w)))
-    if spread > tol * max(1.0, np.mean(np.abs(w))):
+    if spread > _VOLUME_SPREAD_TOL * max(1.0, np.mean(np.abs(w))):
         raise NonConstantVolumeError(
             f"volume function varies by {spread:.3e} along the curve; "
             "not a constant-volume chart")
@@ -613,10 +630,8 @@ def constant_volume_member(chart, profile_curve, *, tol=1e-10):
             "chart (bourgen.chart.rescale_vertical) first")
     d1 = np.gradient(c1, s, edge_order=2)
     d2 = np.gradient(c2, s, edge_order=2)
-    from .quotient import quotient_metric
-    q = quotient_metric(chart)
     for k in (0, len(s) // 2, len(s) - 1):
-        q11, q12, q22 = q.coefficients(c1[k], c2[k])
+        q11, q12, q22 = quotient_metric(chart, c1[k], c2[k])
         speed = (q11 * d1[k] ** 2 + 2 * q12 * d1[k] * d2[k]
                  + q22 * d2[k] ** 2)
         if abs(speed - 1.0) > 5e-2:

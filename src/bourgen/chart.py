@@ -19,7 +19,9 @@ import numpy as np
 from ._numerics import central_gradient2, relative_step, sqrt
 from .errors import DomainError, SingularMetricError
 
-DEFAULT_FD_STEP = 1e-6
+# relative step of the central differences of an invariant without an
+# analytic gradient
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,22 +30,24 @@ class InvariantFunction:
 
     value: Callable[[float, float], float]
     gradient: Optional[Callable[[float, float], tuple]] = None
-    name: str = ""
 
     def __call__(self, x1, x2):
         return self.value(x1, x2)
 
-    def gradient_at(self, x1, x2, step=DEFAULT_FD_STEP):
-        """Gradient, analytic when available, else central differences."""
+    def gradient_at(self, x1, x2):
+        """Gradient, analytic when available, else central differences
+        with relative step FD_STEP."""
         if self.gradient is not None:
             return tuple(self.gradient(x1, x2))
-        return central_gradient2(self.value, x1, x2, step)
+        return central_gradient2(self.value, x1, x2, FD_STEP)
 
 
-def as_invariant(f, name=""):
+def as_invariant(f):
+    """f as an InvariantFunction: f itself if it is one, else f's values
+    without an analytic gradient."""
     if isinstance(f, InvariantFunction):
         return f
-    return InvariantFunction(value=f, name=name)
+    return InvariantFunction(value=f)
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,13 @@ class AdaptedChart3:
 
         return InvariantFunction(
             value=lambda x1, x2: np.sqrt(metric(x1, x2)[5]),
-            gradient=grad, name="omega")
+            gradient=grad)
 
 
-def _quotient_coefficients(chart, x1, x2):
-    """(q11, q12, q22) at the point (x1, x2) of floats: the Schur complement
-    q_ab = g_ab - g_a3 g_b3 / g33 of g33, from one chart call.  (A
+def quotient_metric(chart, x1, x2):
+    """The quotient metric of the orbit space, (q11, q12, q22) at the point
+    (x1, x2) of floats: the Schur complement q_ab = g_ab - g_a3 g_b3 / g33
+    of g33 in the metric of ``chart``, from one chart call.  (A
     reciprocal of g33 would save nothing: g13 g13 / g33 is as many float
     operations as g13 g13 r, and a subnormal g33 would overflow r.)
 
@@ -161,15 +166,15 @@ def _quotient_coefficients(chart, x1, x2):
     return q11, q12, q22
 
 
-def invariant_pairing(chart, f, h, p, step=DEFAULT_FD_STEP):
+def invariant_pairing(chart, f, h, p):
     """g(grad f, grad h) at p for invariant functions f, h.
 
     Only the upper 2x2 block of the inverse metric enters because both
     functions are independent of x3, and that block is q^-1, the inverse
-    of ``_quotient_coefficients``: the pairing solves a 2x2 system and
-    inverts no 3x3 matrix.  Gradients use analytic hooks when the
-    functions carry them, otherwise central differences with relative
-    step ``step``; when h is f, its gradient is taken once.
+    of ``quotient_metric``: the pairing solves a 2x2 system and inverts
+    no 3x3 matrix.  Gradients use analytic hooks when the functions carry
+    them, otherwise central differences with relative step FD_STEP; when
+    h is f, its gradient is taken once.
     """
     x1, x2 = p
     same = h is f
@@ -178,16 +183,16 @@ def invariant_pairing(chart, f, h, p, step=DEFAULT_FD_STEP):
     # the FD stencil must stay inside the domain
     for fun in (f,) if same else (f, h):
         if fun.gradient is None:
-            h1 = relative_step(x1, step)
-            h2 = relative_step(x2, step)
+            h1 = relative_step(x1, FD_STEP)
+            h2 = relative_step(x2, FD_STEP)
             for q in ((x1 + h1, x2), (x1 - h1, x2), (x1, x2 + h2), (x1, x2 - h2)):
                 if not chart.domain(*q):
                     raise DomainError(
                         f"{chart.label}: finite-difference stencil at {p!r} exits domain")
     chart.require_in_domain(p)
-    q11, q12, q22 = _quotient_coefficients(chart, x1, x2)
-    f1, f2 = f.gradient_at(x1, x2, step)
-    e1, e2 = (f1, f2) if same else h.gradient_at(x1, x2, step)
+    q11, q12, q22 = quotient_metric(chart, x1, x2)
+    f1, f2 = f.gradient_at(x1, x2)
+    e1, e2 = (f1, f2) if same else h.gradient_at(x1, x2)
     return float((f1 * (q22 * e1 - q12 * e2) + f2 * (q11 * e2 - q12 * e1))
                  / (q11 * q22 - q12 * q12))
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -236,34 +236,40 @@ def write_profile_csv(member, path):
         member.V_samples])
 
 
-def write_obj(member, space, path, s_count=41, t_count=41, t_range=(0.0, 1.0)):
+# the (s, t) vertex grid of an OBJ mesh
+OBJ_S_COUNT = 41
+OBJ_T_COUNT = 41
+
+
+def write_obj(member, space, path, t_range=(0.0, 1.0)):
     """Triangulated (s, t) grid mesh in ambient cartesian coordinates.
 
-    Vertices are laid out row-major in s; each grid cell becomes two
-    triangles.
+    The grid takes OBJ_S_COUNT values of s over the member range and
+    OBJ_T_COUNT values of t over t_range.  Vertices are laid out row-major
+    in s; each grid cell becomes two triangles.
     """
-    s_values = np.linspace(member.s_range[0], member.s_range[1], s_count)
-    t_values = np.linspace(t_range[0], t_range[1], t_count)
+    s_values = np.linspace(member.s_range[0], member.s_range[1], OBJ_S_COUNT)
+    t_values = np.linspace(t_range[0], t_range[1], OBJ_T_COUNT)
     xyz = spaces.mesh_xyz(space, member.map(s_values[:, None], t_values))
     with open(path, "w") as fh:
         fh.write(f"# bourgen member m={member.m:.17g}\n")
         fh.write(rows_text("v %.17g %.17g %.17g\n",
                            [c.ravel() for c in xyz]))
-        fh.write(_obj_faces(s_count, t_count))
+        fh.write(_obj_faces())
 
 
-@lru_cache(maxsize=4)
-def _obj_faces(s_count, t_count):
-    """The face lines of a row-major (s_count, t_count) vertex grid, two
-    triangles per cell, each line ending in a newline: the same for every
-    member of a grid size, so built once."""
+@cache
+def _obj_faces():
+    """The face lines of the row-major (OBJ_S_COUNT, OBJ_T_COUNT) vertex
+    grid, two triangles per cell, each line ending in a newline: the same
+    for every member, so built once."""
     lines = []
-    for i in range(s_count - 1):
-        for j in range(t_count - 1):
-            v00 = i * t_count + j + 1
-            v10 = (i + 1) * t_count + j + 1
-            v11 = (i + 1) * t_count + j + 2
-            v01 = i * t_count + j + 2
+    for i in range(OBJ_S_COUNT - 1):
+        for j in range(OBJ_T_COUNT - 1):
+            v00 = i * OBJ_T_COUNT + j + 1
+            v10 = (i + 1) * OBJ_T_COUNT + j + 1
+            v11 = (i + 1) * OBJ_T_COUNT + j + 2
+            v01 = i * OBJ_T_COUNT + j + 2
             lines.append(f"f {v00} {v10} {v11}\n")
             lines.append(f"f {v00} {v11} {v01}\n")
     return "".join(lines)

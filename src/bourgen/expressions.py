@@ -559,7 +559,12 @@ def _compile(asts, variables, seeds=(), value=True):
     together) returning, for each AST in turn, its value (if ``value``) and
     its derivative along each seed: a bare value for one AST without
     seeds, else a tuple.  Floats give floats; arrays give new arrays of the
-    broadcast shape."""
+    broadcast shape.  A seed that is not one of the variables is a
+    ValueError."""
+    for seed in seeds:
+        if seed not in variables:
+            raise ValueError(f"no variable {seed!r} to differentiate along; "
+                             f"the variables are {variables!r}")
     params = {name: f"_x{k}" for k, name in enumerate(variables)}
     namespace = dict(_NAMESPACE)
     bodies = []
@@ -627,11 +632,13 @@ class Expression:
         return self._value(*args)
 
     def derivative(self, *args, var=None):
+        """The derivative along ``var``, as ``dual`` gives it."""
         return self.dual(*args, var=var)[1]
 
     def dual(self, *args, var=None):
         """(value, derivative along ``var``, default the first variable),
-        from one call."""
+        from one call; a ``var`` that is not one of the expression's
+        variables is a ValueError that names them."""
         return self._dual_along(var if var is not None
                                 else self.variables[0])(*args)
 
@@ -659,7 +666,8 @@ def compiled(texts, variables, seeds=(), value=True):
     calling each parsed expression in turn, and compiles nothing else
     (``parse_expression`` compiles an expression's own functions).  The
     texts are parsed one by one as ``texts`` yields them; the first that
-    does not parse raises its ParseError, as parse_expression would."""
+    does not parse raises its ParseError, as parse_expression would.  A
+    seed that is not one of ``variables`` is a ValueError."""
     variables = tuple(variables)
     asts = []
     for text in texts:

@@ -24,6 +24,13 @@ from ._text import write_csv
 from .errors import DegenerateParametrizationError
 
 _POSITIVITY_PROBES = 256
+# GeneratrixMetric.from_callable: relative step of the central difference
+# that stands in for a missing U'
+_FD_STEP = 1e-6
+# GeneratrixMetric.to_csv: rows of the written table
+_CSV_ROWS = 201
+# to_natural: the smallest E - F^2/G accepted along the curve
+_SPEED_SQ_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,8 @@ class GeneratrixMetric:
     monotone-cubic (PCHIP) interpolation, so derivative-based radicand
     checks are then approximate.  U and U' take a float or an array of s;
     expression and table generatrices evaluate arrays in one call, with
-    the values of the float calls.
+    the values of the float calls.  ``source`` is the text of an
+    expression generatrix, and None for any other.
     """
 
     def __init__(self, U, dU, s_range, representation="callable", source=None):
@@ -147,11 +155,13 @@ class GeneratrixMetric:
                    representation="expression", source=expr.text)
 
     @classmethod
-    def from_callable(cls, U, s_range, dU=None, fd_step=1e-6):
+    def from_callable(cls, U, s_range, dU=None):
+        """A generatrix of the callable U(s); without dU, U' is the central
+        difference of step _FD_STEP max(1, |s|)."""
         if dU is None:
-            def dU(s, _U=U, _h=fd_step):
-                h = _h * max(1.0, abs(s))
-                return (_U(s + h) - _U(s - h)) / (2.0 * h)
+            def dU(s):
+                h = _FD_STEP * max(1.0, abs(s))
+                return (U(s + h) - U(s - h)) / (2.0 * h)
         return cls(U=U, dU=dU, s_range=s_range, representation="callable")
 
     @classmethod
@@ -164,15 +174,15 @@ class GeneratrixMetric:
             raise ValueError("sample grid must be strictly increasing")
         spline = pchip(s, values)
         return cls(U=spline, dU=spline.derivative(),
-                   s_range=(s[0], s[-1]), representation="table",
-                   source=(s.copy(), values.copy()))
+                   s_range=(s[0], s[-1]), representation="table")
 
     @classmethod
     def from_csv(cls, path):
         return cls.from_samples(*_csv_columns(path, "s,U"))
 
-    def to_csv(self, path, n=201):
-        s = np.linspace(*self.s_range, n)
+    def to_csv(self, path):
+        """Write U at _CSV_ROWS evenly spaced s of s_range as columns s,U."""
+        s = np.linspace(*self.s_range, _CSV_ROWS)
         write_csv(path, "s,U", [s, self(s)])
 
     def table(self, s):
@@ -199,19 +209,19 @@ class NaturalParameters:
     s_samples: np.ndarray
 
 
-def to_natural(coeffs, eta=1e-10):
+def to_natural(coeffs):
     """Extract natural parameters from pullback coefficients.
 
     s is the cumulative quadrature of sqrt(E - F^2/G); U(s) = sqrt(G(u(s)))
     through the monotone-cubic inverse of s(u); t_shift is the cumulative
     quadrature of F/G.  Raises DegenerateParametrizationError when the
-    curve is tangent to the orbits (E - F^2/G not positive).
+    curve is tangent to the orbits (E - F^2/G at most _SPEED_SQ_FLOOR).
     """
     E, F, G = coeffs.E, coeffs.F, coeffs.G
     if np.any(G <= 0):
         raise DegenerateParametrizationError("G must be positive along the curve")
     speed_sq = E - F * F / G
-    if np.any(speed_sq <= eta):
+    if np.any(speed_sq <= _SPEED_SQ_FLOOR):
         k = int(np.argmin(speed_sq))
         raise DegenerateParametrizationError(
             f"E - F^2/G = {speed_sq[k]:.3e} at u = {coeffs.u[k]:.6g}: "

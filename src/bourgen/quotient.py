@@ -1,28 +1,24 @@
-"""Orbit-space geometry: quotient metric, orthogonal invariant pairs, and
-inversion of the (x1,x2) -> (omega,theta) map.
+"""Orbit-space geometry: orthogonal invariant pairs, and inversion of the
+(x1,x2) -> (omega,theta) map.
 
-The quotient metric on the space of orbits is the Schur complement
-q_ab = g_ab - g_a3 g_b3 / g33 of g33, which is also the inverse of the
-upper 2x2 block of the inverse ambient metric.  A transverse invariant
-theta is either supplied analytically or traced numerically: theta is
-constant along the integral curves of the horizontal projection of
-grad(omega) (the characteristics of the defining first-order PDE), and
-takes arc-length Cauchy data on a curve transversal to them.
+The quotient metric on the space of orbits (``chart.quotient_metric``)
+is the Schur complement q_ab = g_ab - g_a3 g_b3 / g33 of g33, which is
+also the inverse of the upper 2x2 block of the inverse ambient metric.
+A transverse invariant theta is either supplied analytically or traced
+numerically: theta is constant along the integral curves of the
+horizontal projection of grad(omega) (the characteristics of the
+defining first-order PDE), and takes arc-length Cauchy data on a curve
+transversal to them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .chart import (
-    AdaptedChart3,
-    InvariantFunction,
-    _quotient_coefficients,
-    as_invariant,
-)
+from .chart import AdaptedChart3, InvariantFunction, as_invariant
 from .errors import (
     DegenerateGradientError,
     DomainError,
@@ -32,31 +28,6 @@ from .errors import (
     SingularMetricError,
     TransversalityError,
 )
-
-
-# ---------------------------------------------------------------------------
-# quotient metric
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuotientMetric2:
-    """Quotient metric on the orbit space, as a function of the invariant
-    coordinates (x1, x2): ``coefficients(x1, x2)`` returns
-    (q11, q12, q22)."""
-
-    coefficients: Callable[[float, float], tuple]
-
-    def matrix_at(self, p):
-        q11, q12, q22 = self.coefficients(*p)
-        return np.array([[q11, q12], [q12, q22]])
-
-
-def quotient_metric(chart):
-    """Quotient metric of the orbit space: the Schur complement
-    q_ab = g_ab - g_a3 g_b3 / g33 of g33, from one chart call per point
-    (SingularMetricError where g33 or det g is not positive)."""
-    return QuotientMetric2(
-        coefficients=lambda x1, x2: _quotient_coefficients(chart, x1, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +123,29 @@ class QuotientFrame:
         return inverse / det[..., None, None]
 
 
-def newton_invert(forward, jacobian, target, seed, tol=1e-12, maxiter=50,
-                  trace=None):
+# newton_invert: max-norm residual accepted, relative to
+# max(1, |target|), and the most iterations
+_NEWTON_TOL = 1e-12
+_NEWTON_MAXITER = 50
+
+
+def newton_invert(forward, jacobian, target, seed, trace=None):
     """Damped Newton for forward(x) = target, x and target 2-vectors.
 
     ``forward`` maps (x1, x2) -> (omega, theta); ``jacobian`` returns the
-    2x2 forward Jacobian.  Returns the solution; raises
-    NewtonDivergenceError with the last residual on failure.  When
-    ``trace`` is a list, the max-norm residual after each iteration is
-    appended to it (used to observe quadratic convergence).
+    2x2 forward Jacobian.  Returns the solution once the max-norm residual
+    is within _NEWTON_TOL max(1, |target|); raises NewtonDivergenceError
+    with the last residual when _NEWTON_MAXITER iterations do not get it
+    there.  When ``trace`` is a list, the max-norm residual after each
+    iteration is appended to it (used to observe quadratic convergence).
     """
     x = np.array(seed, dtype=float)
     target = np.asarray(target, dtype=float)
     scale = max(1.0, abs(target[0]), abs(target[1]))
     r = np.asarray(forward(x[0], x[1])) - target
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_MAXITER):
         err = np.max(np.abs(r))
-        if err <= tol * scale:
+        if err <= _NEWTON_TOL * scale:
             return x[0], x[1]
         J = np.asarray(jacobian(x[0], x[1]), dtype=float)
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
@@ -196,7 +173,7 @@ def newton_invert(forward, jacobian, target, seed, tol=1e-12, maxiter=50,
         if trace is not None:
             trace.append(float(np.max(np.abs(r))))
     err = float(np.max(np.abs(r)))
-    if err <= tol * scale:
+    if err <= _NEWTON_TOL * scale:
         return x[0], x[1]
     raise NewtonDivergenceError(
         f"chart inversion did not converge to {tuple(target)!r}; "
@@ -251,7 +228,7 @@ def build_frame(chart, theta, rect, *, seed_box=None, seed_counts=(25, 25)):
         raise TypeError("build_frame() needs the keyword argument 'seed_box' "
                         "for a theta that is not a TracedInvariant")
     omega = chart.volume_fn()
-    theta = as_invariant(theta, name="theta")
+    theta = as_invariant(theta)
 
     (x1_lo, x1_hi), (x2_lo, x2_hi) = seed_box
     xs = np.linspace(x1_lo, x1_hi, seed_counts[0])
@@ -403,7 +380,7 @@ def _characteristic_frame(chart, traced, rect, label):
         return np.array([[a1 / ad, v1], [a2 / ad, v2]])
 
     return QuotientFrame(
-        chart=chart, omega=omega, theta=as_invariant(traced, name="theta"),
+        chart=chart, omega=omega, theta=as_invariant(traced),
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
         invert=invert, rect=rect, label=label,
         inverse_jacobian=inverse_jacobian)
@@ -487,10 +464,10 @@ def _trace_kernel(chart, omega, grad_floor):
     SingularMetricError where g33 or the metric determinant
     det g = g33 det q is not positive, and DegenerateGradientError where
     |grad omega| is below grad_floor.  The chart is evaluated once per
-    point: the arithmetic and messages of ``quotient_metric`` are inlined
-    here (a call per point costs a right-hand side about a tenth more
-    time), a is the 2x2 solve of q a = d, w is ``volume_at``'s value, and
-    the omega gradient d_g33 / (2 w) gives the bits of
+    point: the arithmetic and messages of ``chart.quotient_metric`` are
+    inlined here (a call per point costs a right-hand side about a tenth
+    more time), a is the 2x2 solve of q a = d, w is ``volume_at``'s value,
+    and the omega gradient d_g33 / (2 w) gives the bits of
     ``omega.gradient_at``; a chart without ``d_g33`` takes
     ``omega.gradient_at`` (central differences).
 
@@ -579,11 +556,10 @@ class TracedInvariant:
     characteristic field ``_field`` and the RK4 step ``_rk4_step`` are
     the closures of ``_trace_kernel``, bound to the chart once, at
     construction.  A trace takes at most ``n_steps`` RK4 steps of
-    ``step`` = (length of the Cauchy curve) / 400.
+    ``step`` = (length of the Cauchy curve) / 400.  It has no analytic
+    gradient: ``as_invariant`` wraps it for pairings and frames, which
+    take central differences of its values.
     """
-
-    gradient = None  # finite differences apply
-    name = "traced-theta"
 
     def __init__(self, chart, cauchy, arc_grid, *, n_steps=400):
         self.chart = chart

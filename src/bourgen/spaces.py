@@ -139,14 +139,6 @@ def _bcv_r2(w, kappa, tau, a):
     return 4.0 * (w * w - a * a) / _bcv_denominator(w, kappa, tau, a)
 
 
-# The conditions of the closed-form BCV frame, in the order they are
-# checked at an omega sample: (condition name, quantity that must be > 0).
-_BCV_CONDITIONS = (("Delta > 0", "discriminant"),
-                   ("denominator > 0", "(1+sqrt(Delta))^2 - 4 tau^2 omega^2"),
-                   ("r^2 > 0", "inverted radius"),
-                   ("B > 0", "B"))
-
-
 def _first_nonpositive(values):
     """Index of the first element <= 0 of the 1-d array values, or its
     length when there is none."""
@@ -164,33 +156,37 @@ def _require_positive(values, s_grid, label, condition):
 
 
 def _bcv_valid_prefix(spec, ws):
-    """(k, condition): the closed-form frame of a BCV space is valid at the
-    omega samples ws[:k], and ``condition`` (an entry of _BCV_CONDITIONS)
-    is the first one failing at ws[k]; None when k = len(ws).
+    """k such that the closed-form frame of a BCV space is valid at the
+    omega samples ws[:k] and not at ws[k]: the discriminant, the
+    denominator, the radius and B are positive there.
 
     Each condition is evaluated on the prefix where the earlier ones
     hold, so no value is taken outside its domain.
     """
     a, kappa, tau = spec.a, spec.kappa, spec.tau
-    cuts = [_first_nonpositive(_bcv_delta(ws, kappa, tau, a))]
-    w = ws[:cuts[-1]]
+    w = ws[:_first_nonpositive(_bcv_delta(ws, kappa, tau, a))]
     den = _bcv_denominator(w, kappa, tau, a)
-    cuts.append(_first_nonpositive(den))
-    w, den = w[:cuts[-1]], den[:cuts[-1]]
+    k = _first_nonpositive(den)
+    w, den = w[:k], den[:k]
     r2 = 4.0 * (w * w - a * a) / den
-    cuts.append(_first_nonpositive(r2))
-    cuts.append(_first_nonpositive(1.0 + 0.25 * kappa * r2[:cuts[-1]]))
-    k = cuts[-1]
-    return k, None if k == len(ws) else _BCV_CONDITIONS[cuts.index(k)]
+    r2 = r2[:_first_nonpositive(r2)]
+    return _first_nonpositive(1.0 + 0.25 * kappa * r2)
 
 
-def bcv_valid_omega_range(spec, probe_hi=None, n=2048):
+# bcv_valid_omega_range: the omega samples of its scan, and how far above
+# |a| the scan reaches
+_BCV_SCAN_SAMPLES = 2048
+_BCV_SCAN_REACH = 20.0
+
+
+def bcv_valid_omega_range(spec):
     """Largest omega interval above |a| on which the closed-form frame of a
-    BCV space is valid (positive discriminant, denominator, radius, B)."""
+    BCV space is valid (positive discriminant, denominator, radius, B),
+    from a scan of _BCV_SCAN_SAMPLES omega samples up to
+    |a| + _BCV_SCAN_REACH."""
     lo = abs(spec.a) * (1.0 + 1e-9) + 1e-12
-    hi = probe_hi if probe_hi is not None else abs(spec.a) + 20.0
-    ws = np.linspace(lo, hi, n)
-    k, _ = _bcv_valid_prefix(spec, ws)
+    ws = np.linspace(lo, abs(spec.a) + _BCV_SCAN_REACH, _BCV_SCAN_SAMPLES)
+    k = _bcv_valid_prefix(spec, ws)
     if k == 0:
         raise DomainViolationError(
             f"no valid omega interval above |a| for {spec}", condition="omega range")
@@ -199,35 +195,37 @@ def bcv_valid_omega_range(spec, probe_hi=None, n=2048):
     return (lo, float(last - margin))
 
 
-def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0)):
+# theta window of every built-in frame
+_THETA_RANGE = (-100.0, 100.0)
+
+
+def builtin_frame(spec):
     """Quotient frame of a built-in space with analytic inversion.
 
     The transverse invariant is x2 for the rotational space and the polar
     angle for the screw spaces; both gradient norms depend on omega alone,
-    so the frame is theta-free.  The rectangle defaults to a generous
-    window above |a| (for BCV, the validated window of the closed-form
-    inversion).
+    so the frame is theta-free.  The rectangle is a generous window: theta
+    in _THETA_RANGE, and omega from just above |a| to 100 above it (for
+    BCV, ``bcv_valid_omega_range``, where the closed-form inversion is
+    valid).
     """
     chart = make_chart(spec)
     omega = chart.volume_fn()
     a = spec.a
 
     if spec.kind == "euclidean_rotational":
-        if omega_range is None:
-            omega_range = (1e-9, 100.0)
         theta = InvariantFunction(value=lambda x1, x2: x2,
-                                  gradient=lambda x1, x2: (0.0, 1.0), name="x2")
+                                  gradient=lambda x1, x2: (0.0, 1.0))
         return QuotientFrame(
             chart=chart, omega=omega, theta=theta,
             grad_omega_sq=lambda w, t: 1.0,
             grad_theta_sq=lambda w, t: 1.0,
             invert=lambda w, t: (w, t),
-            rect=(tuple(omega_range), tuple(theta_range)),
+            rect=((1e-9, 100.0), _THETA_RANGE),
             label=f"{chart.label}/frame", theta_free=True)
 
     if spec.kind == "euclidean_helicoidal":
-        if omega_range is None:
-            omega_range = (abs(a) * (1.0 + 1e-12) + 1e-12, abs(a) + 100.0)
+        omega_range = (abs(a) * (1.0 + 1e-12) + 1e-12, abs(a) + 100.0)
 
         def r_of(w):
             return sqrt(w * w - a * a)
@@ -240,10 +238,7 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0)):
 
     else:  # bcv_helicoidal
         kappa, tau = spec.kappa, spec.tau
-        if omega_range is None:
-            omega_range = bcv_valid_omega_range(spec)
-        else:
-            _validate_bcv_range(spec, omega_range)
+        omega_range = bcv_valid_omega_range(spec)
 
         def r_of(w):
             return sqrt(_bcv_r2(w, kappa, tau, a))
@@ -264,8 +259,7 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0)):
     theta = InvariantFunction(
         value=lambda x1, x2: math.atan2(x2, x1),
         gradient=lambda x1, x2: (-x2 / (x1 * x1 + x2 * x2),
-                                 x1 / (x1 * x1 + x2 * x2)),
-        name="atan2(x2,x1)")
+                                 x1 / (x1 * x1 + x2 * x2)))
 
     def invert(w, t):
         r = r_of(w)
@@ -274,19 +268,9 @@ def builtin_frame(spec, omega_range=None, theta_range=(-100.0, 100.0)):
     return QuotientFrame(
         chart=chart, omega=omega, theta=theta,
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
-        invert=invert, rect=(tuple(omega_range), tuple(theta_range)),
+        invert=invert, rect=(omega_range, _THETA_RANGE),
         label=f"{chart.label}/frame",
         branch_sign=1 if a >= 0 else -1, theta_free=True)
-
-
-def _validate_bcv_range(spec, omega_range, n=512):
-    ws = np.linspace(omega_range[0], omega_range[1], n)
-    k, failed = _bcv_valid_prefix(spec, ws)
-    if failed is not None:
-        condition, quantity = failed
-        raise DomainViolationError(
-            f"{quantity} not positive at omega = {ws[k]:.6g}", s=ws[k],
-            condition=condition)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bourgen as bg
+from bourgen._numerics import central_gradient2
 from bourgen.errors import DegenerateGradientError, DomainError
 
 
@@ -11,8 +12,21 @@ def ratio_theta():
     of the built-in frames, for Newton frames and pairings."""
     return bg.InvariantFunction(
         value=lambda x1, x2: x2 / x1,
-        gradient=lambda x1, x2: (-x2 / (x1 * x1), 1.0 / x1),
-        name="x2/x1")
+        gradient=lambda x1, x2: (-x2 / (x1 * x1), 1.0 / x1))
+
+
+def fd_invariant(f, h):
+    """f as an InvariantFunction whose gradient is the central difference
+    of relative step h (``invariant_pairing`` differences with a fixed
+    smaller step)."""
+    return bg.InvariantFunction(
+        value=f, gradient=lambda x1, x2: central_gradient2(f, x1, x2, h))
+
+
+def quotient_matrix(chart, p):
+    """The quotient metric of ``chart`` at p = (x1, x2) as a 2x2 matrix."""
+    q11, q12, q22 = bg.quotient_metric(chart, *p)
+    return np.array([[q11, q12], [q12, q22]])
 
 
 def kernel_step(traced, x1, x2, h, sign):

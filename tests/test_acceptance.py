@@ -10,7 +10,7 @@ import pytest
 import bourgen as bg
 from bourgen._numerics import central_gradient2
 from bourgen.chart import invariant_pairing
-from conftest import ratio_theta, swept_nodes
+from conftest import fd_invariant, ratio_theta, swept_nodes
 
 
 def _report(number, description, passed, detail):
@@ -173,8 +173,9 @@ def test_criterion_6_orthogonal_pair(helicoidal_chart, bcv_frame):
         helicoidal_chart, cauchy, np.linspace(0.0, 1.2, 61), n_steps=220)
     omega = helicoidal_chart.volume_fn()
     pts = swept_nodes(traced, rng, 100)
-    worst_traced = max(abs(invariant_pairing(helicoidal_chart, omega, traced,
-                                             p, step=1e-5)) for p in pts)
+    traced_fd = fd_invariant(traced, 1e-5)
+    worst_traced = max(abs(invariant_pairing(helicoidal_chart, omega,
+                                             traced_fd, p)) for p in pts)
     worst_parallel = 0.0
     for p in pts[:40]:
         dth = central_gradient2(traced, p[0], p[1], 1e-5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,8 +62,8 @@ def test_rhs_radicand_negative(helicoidal_frame):
 def test_rhs_rect_exit(helicoidal_frame):
     U = U_catenoid(0.5, 2.0)
     params = bg.BourParams(m=1.0, s_range=(0.5, 2.0), step=0.01)
-    frame = bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=1.0),
-                             omega_range=(1.01, 1.5))
+    frame = dataclasses.replace(
+        helicoidal_frame, rect=((1.01, 1.5), helicoidal_frame.rect[1]))
     with pytest.raises(RectExitError):
         bg.ode_rhs(2.0, 0.0, U, params, frame)  # omega = sqrt(5) > 1.5
     with pytest.raises(StepTooLargeError):
@@ -150,13 +151,13 @@ def test_profile_unit_speed(catenoid_member, bcv_member):
     # finite-difference derivatives in the quotient metric: 1 +- 5e-4
     for member in (catenoid_member, bcv_member):
         chart = member.frame.chart
-        q = bg.quotient_metric(chart)
         s = member.s
         d1 = np.gradient(member.x1, s)
         d2 = np.gradient(member.x2, s)
         speed = []
         for k in range(1, len(s) - 1):
-            q11, q12, q22 = q.coefficients(member.x1[k], member.x2[k])
+            q11, q12, q22 = bg.quotient_metric(chart, member.x1[k],
+                                               member.x2[k])
             speed.append(q11 * d1[k] ** 2 + 2 * q12 * d1[k] * d2[k]
                          + q22 * d2[k] ** 2)
         speed = np.array(speed)
@@ -215,8 +216,8 @@ def test_misaligned_anchor_keeps_grid_inside_range(rotational_frame):
 
 def test_integrate_rect_exit(helicoidal_frame):
     U = U_catenoid(0.5, 2.0)
-    frame = bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=1.0),
-                             omega_range=(1.01, 1.8))
+    frame = dataclasses.replace(
+        helicoidal_frame, rect=((1.01, 1.8), helicoidal_frame.rect[1]))
     params = bg.BourParams(m=1.0, s_range=(0.5, 2.0), step=0.005)
     with pytest.raises((RectExitError, StepTooLargeError)):
         bg.integrate_profile(U, params, frame, 0.0)

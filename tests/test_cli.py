@@ -254,12 +254,12 @@ def test_natural_subcommand(tmp_path, helicoidal_chart):
 
 def test_obj_structure(tmp_path, catenoid_member, rotational_spec):
     path = tmp_path / "m.obj"
-    write_obj(catenoid_member, rotational_spec, path, s_count=7, t_count=5)
+    write_obj(catenoid_member, rotational_spec, path)
     lines = path.read_text().strip().splitlines()
     vertices = [l for l in lines if l.startswith("v ")]
     faces = [l for l in lines if l.startswith("f ")]
-    assert len(vertices) == 7 * 5
-    assert len(faces) == 2 * 6 * 4
+    assert len(vertices) == 41 * 41
+    assert len(faces) == 2 * 40 * 40
     # all face indices are valid and 1-based
     idx = [int(tok) for l in faces for tok in l.split()[1:]]
     assert min(idx) == 1 and max(idx) == len(vertices)
@@ -276,8 +276,7 @@ def test_catenoid_mesh_is_a_catenoid(tmp_path, catenoid_member,
     # end-to-end export check: every mesh vertex of the rotational member
     # satisfies the catenary relation radius = cosh(height)
     path = tmp_path / "cat.obj"
-    write_obj(catenoid_member, rotational_spec, path, s_count=21, t_count=9,
-              t_range=(0.0, 2.0))
+    write_obj(catenoid_member, rotational_spec, path, t_range=(0.0, 2.0))
     for line in path.read_text().splitlines():
         if line.startswith("v "):
             x, y, z = map(float, line.split()[1:])
@@ -455,6 +454,15 @@ def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
     assert "missing.json" in err and err.count("\n") == 1
 
 
+def _catenoid_member_with(key, value):
+    """A function that sets the entry ``key`` of a member document to
+    ``value``."""
+    def edit(document):
+        document[key] = value
+        return document
+    return edit
+
+
 @pytest.mark.parametrize("command", ["verify", "mesh"])
 @pytest.mark.parametrize("document,message", [
     ({"format": "bourgen-member", "m": 1.0},
@@ -465,9 +473,21 @@ def test_missing_input_file_is_a_config_error(tmp_path, capsys, argv):
      "the member file's 'profile' entry must be an object, not list"),
     ({"format": "bourgen-member", "profile": {"s": [0.5, None]}},
      "the member file's 'profile.s' entry must be a list of finite numbers"),
+    # the catenoid demo's member with one entry changed: an m of 0 or -1
+    # failed at a chart point, an epsilon of 0.5 or 3 passed verify --strict
+    *[(_catenoid_member_with(key, value),
+       f"the member file's {key!r} entry must be {what}, not {value!r}")
+      for key, what, values in (
+          ("m", "a positive finite number", (0, -1, -0.0, math.inf)),
+          ("epsilon", "1 or -1", (0.5, 3, 0)))
+      for value in values],
 ])
 def test_malformed_member_file_is_a_config_error(tmp_path, capsys, command,
-                                                 document, message):
+                                                 document, message,
+                                                 demo_outputs):
+    if callable(document):
+        document = document(json.loads(
+            (demo_outputs["catenoid"] / "member_m1.json").read_text()))
     path = tmp_path / "member.json"
     path.write_text(json.dumps(document))
     argv = [command, str(path)] + (["--out", str(tmp_path / "o")]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bourgen.errors import ParseError
-from bourgen.expressions import MAX_NESTING, parse_expression
+from bourgen.expressions import MAX_NESTING, compiled, parse_expression
 
 
 def test_sqrt_value_and_derivative():
@@ -175,3 +175,17 @@ def test_variable_set_is_enforced():
         parse_expression("x1 + s", variables=("x1", "x2"))
     with pytest.raises(TypeError):
         parse_expression("x1 + x2", variables=("x1", "x2"))(1.0)
+
+
+def test_derivative_along_a_foreign_variable_is_an_error():
+    # a misspelled variable would otherwise give a zero derivative
+    with pytest.raises(ValueError, match=r"'t'.*\('s',\)"):
+        parse_expression("s^2").dual(1.0, var="t")
+    e = parse_expression("x1*x2", variables=("x1", "x2"))
+    with pytest.raises(ValueError, match=r"'x3'.*\('x1', 'x2'\)"):
+        e.derivative(2.0, 3.0, var="x3")
+    with pytest.raises(ValueError, match=r"'x3'.*\('x1', 'x2'\)"):
+        compiled(["x1*x2"], ("x1", "x2"), seeds=("x3",))
+    # the variables themselves still work, and after the failed calls
+    assert e.derivative(2.0, 3.0, var="x2") == 2.0
+    assert parse_expression("s^2").dual(1.0, var="s") == (1.0, 2.0)

@@ -124,7 +124,7 @@ def test_lifted_curve_csv_roundtrip(tmp_path):
 def test_generatrix_csv_roundtrip(tmp_path):
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (0.0, 2.0))
     path = tmp_path / "gen.csv"
-    U.to_csv(path, n=401)
+    U.to_csv(path)
     back = bg.GeneratrixMetric.from_csv(path)
     for s in (0.1, 0.7, 1.9):
         assert np.isclose(back(s), U(s), atol=1e-9)

@@ -11,7 +11,7 @@ from bourgen.errors import (
     TransversalityError,
 )
 from bourgen.quotient import newton_invert
-from conftest import ratio_theta, swept_nodes
+from conftest import fd_invariant, quotient_matrix, ratio_theta, swept_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -19,35 +19,34 @@ from conftest import ratio_theta, swept_nodes
 # ---------------------------------------------------------------------------
 
 def test_quotient_metric_reference_point(helicoidal_chart):
-    q = bg.quotient_metric(helicoidal_chart)
-    got = q.matrix_at((1.0, 0.0))
+    got = quotient_matrix(helicoidal_chart, (1.0, 0.0))
     assert np.allclose(got, [[1.0, 0.0], [0.0, 0.5]], atol=1e-14)
 
 
 def test_quotient_metric_matches_printed_formula(helicoidal_chart):
     # (x1^2+a^2) dx1^2 + 2 x1 x2 dx1 dx2 + (x2^2+a^2) dx2^2, / (x1^2+x2^2+a^2)
-    q = bg.quotient_metric(helicoidal_chart)
     rng = np.random.default_rng(1)
     for _ in range(20):
         x1, x2 = rng.uniform(-2, 2, 2)
         denom = x1 * x1 + x2 * x2 + 1.0
         expected = np.array([[x1 * x1 + 1.0, x1 * x2],
                              [x1 * x2, x2 * x2 + 1.0]]) / denom
-        assert np.allclose(q.matrix_at((x1, x2)), expected, atol=1e-12)
+        assert np.allclose(quotient_matrix(helicoidal_chart, (x1, x2)),
+                           expected, atol=1e-12)
 
 
 def test_quotient_metric_is_inverse_of_inverse_block(helicoidal_chart, bcv_frame):
     rng = np.random.default_rng(2)
     for chart in (helicoidal_chart, bcv_frame.chart):
-        q = bg.quotient_metric(chart)
         for _ in range(15):
             p = rng.uniform(0.3, 1.8, 2)
             block = np.linalg.inv(chart.metric_at(p))[:2, :2]
-            assert np.allclose(q.matrix_at(p) @ block, np.eye(2), atol=1e-10)
+            assert np.allclose(quotient_matrix(chart, p) @ block, np.eye(2),
+                               atol=1e-10)
 
 
 def test_quotient_metric_identity_on_axis(helicoidal_chart):
-    assert np.allclose(bg.quotient_metric(helicoidal_chart).matrix_at((0.0, 0.0)),
+    assert np.allclose(quotient_matrix(helicoidal_chart, (0.0, 0.0)),
                        np.eye(2), atol=1e-14)
 
 
@@ -160,8 +159,9 @@ def test_traced_theta_orthogonality(helicoidal_chart, traced_theta):
     omega = helicoidal_chart.volume_fn()
     rng = np.random.default_rng(42)
     pts = swept_nodes(traced_theta, rng, 40)
-    worst = max(abs(invariant_pairing(helicoidal_chart, omega, traced_theta,
-                                      p, step=1e-5)) for p in pts)
+    traced_fd = fd_invariant(traced_theta, 1e-5)
+    worst = max(abs(invariant_pairing(helicoidal_chart, omega, traced_fd, p))
+                for p in pts)
     assert worst < 1e-6
 
 

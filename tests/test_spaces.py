@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import bourgen as bg
 from bourgen.chart import invariant_pairing
-from bourgen.errors import DomainViolationError, SpecError
-from conftest import ratio_theta
+from bourgen.errors import BourgenError, DomainViolationError, SpecError
+from conftest import quotient_matrix, ratio_theta
 
 
 def test_spec_validation():
@@ -35,12 +36,11 @@ def test_bcv_flat_limit_quotient_geometry(helicoidal_chart):
     # kappa = tau = 0: the screw runs the other way (mixed terms flip
     # sign) but the whole quotient geometry coincides
     bcv = bg.make_chart(bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=0.0, tau=0.0))
-    qe = bg.quotient_metric(helicoidal_chart)
-    qb = bg.quotient_metric(bcv)
     rng = np.random.default_rng(12)
     for _ in range(20):
         p = rng.uniform(-2, 2, 2)
-        assert np.allclose(qb.matrix_at(p), qe.matrix_at(p), atol=1e-13)
+        assert np.allclose(quotient_matrix(bcv, p),
+                           quotient_matrix(helicoidal_chart, p), atol=1e-13)
         assert np.isclose(bcv.volume_at(p), helicoidal_chart.volume_at(p),
                           atol=1e-14)
 
@@ -157,6 +157,50 @@ def test_bcv_reduces_to_r3_at_flat_parameters():
         assert np.max(np.abs(bcv.rho_samples - r3.rho_samples)) < 1e-8
         assert np.max(np.abs(bcv.lam_samples - r3.lam_samples)) < 1e-8
         assert np.max(np.abs(bcv.V_samples - r3_flip.V_samples)) < 1e-8
+
+
+def _same_outcome(fn, *args):
+    """fn(*args) at a flat helicoidal space and at the BCV space with
+    kappa = tau = 0 of the same pitch: the two results, or, where either
+    raises, the same error type and message from both (and the draw is
+    rejected)."""
+    flat, bcv = [], []
+    for out, frame in zip((flat, bcv), args):
+        try:
+            out.append(fn(frame))
+        except BourgenError as exc:
+            out.append(exc)
+    if isinstance(flat[0], BourgenError) or isinstance(bcv[0], BourgenError):
+        assert type(flat[0]) is type(bcv[0])
+        assert str(flat[0]) == str(bcv[0])
+        reject()
+    return flat[0], bcv[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.3, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       c=st.floats(0.1, 4.0), m=st.floats(0.3, 2.5))
+def test_bcv_at_zero_curvature_is_the_flat_screw_space(a, sign, c, m):
+    # kappa = tau = 0 flips the screw (g13, g23 change sign) and keeps the
+    # quotient geometry: the same profile, the opposite flow quadrature
+    a *= sign
+    frames = (bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=a)),
+              bg.builtin_frame(bg.SpaceSpec("bcv_helicoidal", a=a,
+                                            kappa=0.0, tau=0.0)))
+    U = bg.GeneratrixMetric.from_expression(f"sqrt(s^2+{c!r})", (0.0, 2.0))
+    flat_range, bcv_range = _same_outcome(
+        lambda f: bg.feasible_s_range(U, m, f, (0.0, 2.0), step=0.01), *frames)
+    assert flat_range == bcv_range
+    flat, bcv = _same_outcome(lambda f: bg.generate_member(
+        U, bg.BourParams(m=m, s_range=flat_range, step=0.01), f), *frames)
+    assert np.max(np.abs(flat.x1 - bcv.x1)) <= 1e-12
+    assert np.max(np.abs(flat.x2 - bcv.x2)) <= 1e-12
+    assert np.max(np.abs(flat.V_samples + bcv.V_samples)) <= 1e-12
+    r3 = bg.r3_closed_form(U, m, 1, a, flat.s)
+    bcv_form = bg.bcv_closed_form(U, m, 1, 0.0, 0.0, a, flat.s)
+    assert np.max(np.abs(bcv_form.rho_samples - r3.rho_samples)) <= 1e-12
+    assert np.max(np.abs(bcv_form.lam_samples - r3.lam_samples)) <= 1e-12
+    assert np.max(np.abs(bcv_form.V_samples + r3.V_samples)) <= 1e-12
 
 
 def test_bcv_catenoid_through_double_reduction():

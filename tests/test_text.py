@@ -257,17 +257,16 @@ def test_member_artifacts_equal_stdlib_writers(tmp_path, member):
 
 
 def test_obj_vertices_equal_per_vertex_format(tmp_path, member):
-    write_obj(member, member.space, tmp_path / "m.obj", s_count=9,
-              t_count=7, t_range=(-0.3, 0.7))
+    write_obj(member, member.space, tmp_path / "m.obj", t_range=(-0.3, 0.7))
     lines = (tmp_path / "m.obj").read_text().splitlines(keepends=True)
-    s = np.linspace(*member.s_range, 9)
+    s = np.linspace(*member.s_range, 41)
     xyz = bg.spaces.mesh_xyz(member.space, member.map(
-        s[:, None], np.linspace(-0.3, 0.7, 7)))
+        s[:, None], np.linspace(-0.3, 0.7, 41)))
     expected = [f"v {x:.17g} {y:.17g} {z:.17g}\n"
                 for x, y, z in zip(*(c.ravel().tolist() for c in xyz))]
     assert lines[0] == f"# bourgen member m={member.m:.17g}\n"
-    assert lines[1:1 + 63] == expected
-    assert all(line.startswith("f ") for line in lines[1 + 63:])
+    assert lines[1:1 + 41 * 41] == expected
+    assert all(line.startswith("f ") for line in lines[1 + 41 * 41:])
 
 
 def test_report_json_equals_stdlib(tmp_path):
@@ -285,8 +284,8 @@ def test_curve_csvs_equal_savetxt(tmp_path):
     assert (tmp_path / "c.csv").read_text() == _savetxt(
         [u, curve.x1, curve.x2, curve.x3], header="u,x1,x2,x3", comments="")
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (0.5, 2.0))
-    U.to_csv(tmp_path / "U.csv", n=17)
-    s = np.linspace(0.5, 2.0, 17)
+    U.to_csv(tmp_path / "U.csv")
+    s = np.linspace(0.5, 2.0, 201)
     assert (tmp_path / "U.csv").read_text() == _savetxt(
         [s, U(s)], header="s,U", comments="")
 
