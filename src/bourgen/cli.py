@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bour, natural, spaces, verify
 from ._text import json_text, rows_text, write_csv
-from .errors import BourgenError, ConfigError
+from .errors import BourgenError, ConfigError, SpecError
 from .expressions import Expression, parse_expression
 from .natural import GeneratrixMetric, LiftedCurve
 
@@ -161,11 +161,11 @@ def _load_config(path):
 
 
 def _load_member(path):
-    """The SurfaceMember in a member file; a missing or malformed file is a
-    ConfigError."""
+    """The SurfaceMember in a member file; a missing or malformed file,
+    and a space that SpaceSpec refuses, are ConfigErrors."""
     try:
         return bour.SurfaceMember.from_json(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SpecError) as exc:
         raise ConfigError(f"member: {exc}")
 
 

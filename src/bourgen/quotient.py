@@ -446,8 +446,30 @@ _LAND_MAXITER = 20
 # at the arc-length values of the grid.
 _GRAD_FLOOR = 1e-10
 _MIN_ANGLE = 1e-3
-# RK4 steps of a trace per length of the Cauchy curve
+# RK4 steps of a trace per length L of the Cauchy curve: the step of
+# ``value``'s crossing traces.  RK4's global error is O(h^4), and at L/400
+# a crossing on a curved characteristic is within about 6e-14 of the
+# trace at L/1600; at L/100 it is 1.5e-11 off and the central-difference
+# gradient of ``value`` (step 1e-5) 4.9e-9 rather than 1.4e-10, so
+# ``value``, and the Newton frames over it, keep this step.
 _STEPS_PER_LENGTH = 400.0
+# Level traces (``level_point`` and its landing step) take RK4 steps of
+# this multiple of the trace step, L/100, and at most ceil(n_steps / 4) of
+# them, the flow time of n_steps trace steps.  The characteristic frame
+# resolves no finer than the 1e-10 noise of its dx/dtheta stencil
+# (_STENCIL_STEP).  On 1000 random points of the curved chart of
+# tests/test_characteristic_frame.py (g12 = 0.1 x1, g33 with a 0.3 x1 x2
+# term, rect omega in [1.75, 2], theta in [0.05, 0.95]), the largest
+# differences from the same tracer at L/1600 were
+#   level step  point    |grad omega|^2  |grad theta|^2 (rel)  dx/dtheta
+#   L/400       2.6e-14  3.0e-15         4.9e-10               3.4e-10
+#   L/200       3.8e-13  5.2e-14         5.4e-10               3.2e-10
+#   L/100       6.1e-12  8.3e-13         4.5e-10               2.8e-10
+#   L/50        9.6e-11  1.3e-11         1.4e-9                9.1e-10
+#   L/25        1.5e-9   2.1e-10         1.8e-8                1.2e-8
+# L/100 is the largest step whose error the stencil's noise still hides,
+# and a level trace there makes about a quarter of the field evaluations.
+_LEVEL_STEP_RATIO = 4
 
 
 def _trace_kernel(chart, omega, grad_floor):
@@ -555,10 +577,13 @@ class TracedInvariant:
     bits of a per-point trace with a crossing test at every step.  The
     characteristic field ``_field`` and the RK4 step ``_rk4_step`` are
     the closures of ``_trace_kernel``, bound to the chart once, at
-    construction.  A trace takes at most ``n_steps`` RK4 steps of
-    ``step`` = (length of the Cauchy curve) / 400.  It has no analytic
-    gradient: ``as_invariant`` wraps it for pairings and frames, which
-    take central differences of its values.
+    construction.  A crossing trace takes at most ``n_steps`` RK4 steps
+    of ``step`` = (length of the Cauchy curve) / 400.  A level trace
+    (``level_point``) takes steps of ``level_step`` = 4 ``step`` instead,
+    at most ``level_n_steps`` = ceil(n_steps / 4) of them, so that it
+    reaches as far in flow time (``_LEVEL_STEP_RATIO`` records why).  It
+    has no analytic gradient: ``as_invariant`` wraps it for pairings and
+    frames, which take central differences of its values.
     """
 
     def __init__(self, chart, cauchy, arc_grid, *, n_steps=400):
@@ -569,6 +594,8 @@ class TracedInvariant:
             raise ValueError("arc_grid must hold at least two arc-length values")
         self.step = cauchy.length / _STEPS_PER_LENGTH
         self.n_steps = int(n_steps)
+        self.level_step = _LEVEL_STEP_RATIO * self.step
+        self.level_n_steps = math.ceil(self.n_steps / _LEVEL_STEP_RATIO)
         self.grad_floor = _GRAD_FLOOR
         self._omega = chart.volume_fn()
         # the dense Cauchy polyline that traces are tested against: arc
@@ -727,23 +754,25 @@ class TracedInvariant:
         |grad omega|^2), so the trace runs from the data point in the
         direction sign(w - omega) until omega passes w, and a last partial
         RK4 step, its length solved by Newton's method in the flow time,
-        lands on the level.  The field at each step's end gives omega for
-        the level test and is the next step's k1, so a step evaluates the
-        field four times.  Raises DomainError for sigma outside
-        [0, length], for a level not reached within n_steps steps and for
-        a trace that leaves the domain.
+        lands on the level.  The steps are of ``level_step``, four trace
+        steps, whose error the frame's stencil does not resolve.  The
+        field at each step's end gives omega for the level test and is
+        the next step's k1, so a step evaluates the field four times.
+        Raises DomainError for sigma outside [0, length], for a level not
+        reached within ``level_n_steps`` steps (the flow time of n_steps
+        trace steps) and for a trace that leaves the domain.
         """
         if not 0.0 <= sigma <= self.cauchy.length:
             raise DomainError(
                 f"arc length {sigma:.6g} outside the data curve's range "
                 f"[0, {self.cauchy.length:.6g}]")
         x1, x2 = self.cauchy.point_at(sigma).tolist()
-        field, rk4_step, step = self._field, self._rk4_step, self.step
+        field, rk4_step, step = self._field, self._rk4_step, self.level_step
         a1, a2, _, _, w_x, _, _, _ = field(x1, x2)
         if w_x == w:
             return x1, x2
         sign = 1.0 if w > w_x else -1.0
-        for _ in range(self.n_steps):
+        for _ in range(self.level_n_steps):
             y1, y2 = rk4_step(x1, x2, a1, a2, step, sign)
             b1, b2, _, _, w_y, _, _, _ = field(y1, y2)
             if sign * (w_y - w) >= 0.0:
@@ -751,18 +780,19 @@ class TracedInvariant:
             x1, x2, a1, a2, w_x = y1, y2, b1, b2, w_y
         raise DomainError(
             f"the characteristic from arc length {sigma:.6g} does not reach "
-            f"omega = {w:.6g} within {self.n_steps} steps")
+            f"omega = {w:.6g} within {self.n_steps} steps "
+            f"({self.level_n_steps} level steps)")
 
     def _land(self, x1, x2, a1, a2, sign, w, w_x, w_y):
         """The RK4 step from (x1, x2), where the field's velocity is
         (a1, a2), whose end lies on the level omega = w, which a full step
         from there reaches (w_x and w_y are omega at the start and at the
         end of the full step).  Newton's method on the step length stays in
-        [0, step], where the root is bracketed, and stops within 1e-15 of w
-        relative, or, where finite-difference gradients leave omega noisier
-        than that, at the end of the step that came closest.  One field
+        [0, level_step], where the root is bracketed, and stops within
+        1e-15 of w relative, or, where finite-difference gradients leave
+        omega noisier than that, at the end of the step that came closest.  One field
         evaluation at each trial end gives omega there and its rate."""
-        step = self.step
+        step = self.level_step
         h = step * (w - w_x) / (w_y - w_x)
         tol = 1e-15 * max(1.0, abs(w))
         best = None

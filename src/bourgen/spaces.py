@@ -54,6 +54,11 @@ class SpaceSpec:
         if self.kind not in KINDS:
             raise SpecError(f"unknown space kind {self.kind!r}; "
                             f"expected one of {KINDS}")
+        for name in ("a", "kappa", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SpecError(f"{self.kind} needs a finite {name}, "
+                                f"not {value!r}")
         if self.kind in ("euclidean_helicoidal", "bcv_helicoidal") and self.a == 0.0:
             raise SpecError(f"{self.kind} requires pitch a != 0 "
                             "(use euclidean_rotational for a = 0)")

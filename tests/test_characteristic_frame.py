@@ -105,7 +105,7 @@ def _rhs_points(n, seed):
 def test_rhs_matches_closed_form(frame):
     # theta' = sqrt(gt) sqrt(go - m^2 U'^2) / sqrt(go) with the closed
     # forms go, gt of the gradient norms; the largest relative error here
-    # is 2.2e-11 (1.9e-11 on the 30 benchmark points of seeds 1 and 2)
+    # is 1.6e-11 (2.2e-11 with level steps of L/400)
     U = bg.GeneratrixMetric.from_expression(f"sqrt(s^2+{U_C:g})", (0.5, 2.0))
     for w, t, m, s in _rhs_points(30, 21):
         params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
@@ -170,6 +170,49 @@ def test_agrees_with_newton_frame(name):
         for w, t in _rect_points(rect, 6, 14):
             assert np.isclose(char.grad_theta_sq(w, t), 1.0 / (w * w),
                               rtol=theta_rtol, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the level step on curved characteristics
+# ---------------------------------------------------------------------------
+
+# A config chart whose characteristics curve: on the flat helicoidal and
+# BCV charts they are rays, along which a level trace stays exact to
+# rounding at sixteen times its step, so only a chart like this one shows
+# the step's error.
+CURVED = {"g11": "1+0.2*x2^2", "g12": "0.1*x1", "g13": "x2", "g22": "1",
+          "g23": "-x1", "g33": "x1^2+x2^2+1+0.3*x1*x2"}
+CURVED_RECT = ((1.75, 2.0), (0.05, 0.95))
+
+
+def _curved_frame():
+    chart = bg.chart_from_config(CURVED)
+    traced = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((1.0, -0.5), (1.0, 0.5)),
+        np.linspace(0.0, 1.0, 11))
+    return traced, bg.build_frame(chart, traced, rect=CURVED_RECT)
+
+
+def test_level_step_error_is_below_the_stencil_noise(monkeypatch):
+    # the frame at the level step L/100 against the same tracer at 1/16 of
+    # it.  On 1000 random points of the rect the largest differences were
+    # 6.1e-12 for the point, 8.3e-13 for |grad omega|^2, 4.5e-10 relative
+    # for |grad theta|^2 and 2.8e-10 for dx/dtheta; at L/50 they were
+    # 9.6e-11, 1.3e-11, 1.4e-9 and 9.1e-10 (quotient._LEVEL_STEP_RATIO)
+    traced, frame = _curved_frame()
+    monkeypatch.setattr(bg.quotient, "_LEVEL_STEP_RATIO", 0.25)
+    fine_traced, fine = _curved_frame()
+    assert fine_traced.level_step == traced.level_step / 16
+    for w, t in _rect_points(CURVED_RECT, 20, 16):
+        point = np.subtract(traced.level_point(w, t),
+                            fine_traced.level_point(w, t))
+        assert np.max(np.abs(point)) <= 1e-11
+        go, fine_go = frame.grad_omega_sq(w, t), fine.grad_omega_sq(w, t)
+        assert abs(go - fine_go) <= 2e-12
+        gt, fine_gt = frame.grad_theta_sq(w, t), fine.grad_theta_sq(w, t)
+        assert abs(gt - fine_gt) <= 1e-9 * fine_gt
+        assert np.max(np.abs(frame.invert_jacobian(w, t)[:, 1]
+                             - fine.invert_jacobian(w, t)[:, 1])) <= 5e-10
 
 
 # ---------------------------------------------------------------------------

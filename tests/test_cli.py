@@ -463,6 +463,15 @@ def _catenoid_member_with(key, value):
     return edit
 
 
+def _catenoid_space_with(key, value):
+    """A function that sets the entry ``key`` of a member document's
+    'space' to ``value``."""
+    def edit(document):
+        document["space"][key] = value
+        return document
+    return edit
+
+
 @pytest.mark.parametrize("command", ["verify", "mesh"])
 @pytest.mark.parametrize("document,message", [
     ({"format": "bourgen-member", "m": 1.0},
@@ -481,6 +490,14 @@ def _catenoid_member_with(key, value):
           ("m", "a positive finite number", (0, -1, -0.0, math.inf)),
           ("epsilon", "1 or -1", (0.5, 3, 0)))
       for value in values],
+    # a space that SpaceSpec refuses: a NaN tau made verify --strict
+    # report NaN maxima and mesh write an OBJ, and a pitch was a SpecError
+    (_catenoid_space_with("tau", math.nan),
+     "euclidean_rotational needs a finite tau, not nan"),
+    (_catenoid_space_with("kappa", math.inf),
+     "euclidean_rotational needs a finite kappa, not inf"),
+    (_catenoid_space_with("a", 1),
+     "euclidean_rotational has no pitch; set a = 0"),
 ])
 def test_malformed_member_file_is_a_config_error(tmp_path, capsys, command,
                                                  document, message,
@@ -603,6 +620,11 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
     ("space", {"kind": "euclidean_rotational", "a": "x"},
      "space.a must be a number, not 'x'"),
     ("space", {}, "space needs a 'kind' entry"),
+    # NaN and infinite space parameters, which SpaceSpec used to accept
+    ("space", {"kind": "bcv_helicoidal", "a": 1.0, "kappa": 1.0,
+               "tau": math.nan}, "bcv_helicoidal needs a finite tau, not nan"),
+    ("space", {"kind": "euclidean_helicoidal", "a": -math.inf},
+     "euclidean_helicoidal needs a finite a, not -inf"),
     ("auto_shrink", "false", "auto_shrink must be true or false, not 'false'"),
     ("auto_shrink", "no", "auto_shrink must be true or false, not 'no'"),
     ("auto_shrink", [0], "auto_shrink must be true or false, not [0]"),

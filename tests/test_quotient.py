@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,11 +149,21 @@ def test_builtin_bcv_inversion_radius_relation(bcv_frame):
 # characteristic-traced invariants
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def traced_theta(helicoidal_chart):
+def _traced_theta(chart):
     cauchy = bg.line_segment((1.0, -0.6), (1.0, 0.6))
     return bg.solve_orthogonal_invariant(
-        helicoidal_chart, cauchy, np.linspace(0.0, 1.2, 61), n_steps=220)
+        chart, cauchy, np.linspace(0.0, 1.2, 61), n_steps=220)
+
+
+def _traced_frame(chart, theta):
+    return bg.build_frame(chart, theta, rect=((1.3, 1.8), (0.3, 0.9)),
+                          seed_box=((0.9, 1.5), (-0.3, 0.4)),
+                          seed_counts=(8, 8))
+
+
+@pytest.fixture(scope="module")
+def traced_theta(helicoidal_chart):
+    return _traced_theta(helicoidal_chart)
 
 
 def test_traced_theta_orthogonality(helicoidal_chart, traced_theta):
@@ -220,10 +231,36 @@ def test_traced_outside_swept_region(traced_theta):
 
 @pytest.fixture(scope="module")
 def traced_frame(helicoidal_chart, traced_theta):
-    return bg.build_frame(helicoidal_chart, traced_theta,
-                          rect=((1.3, 1.8), (0.3, 0.9)),
-                          seed_box=((0.9, 1.5), (-0.3, 0.4)),
-                          seed_counts=(8, 8))
+    return _traced_frame(helicoidal_chart, traced_theta)
+
+
+@pytest.mark.parametrize("s, t, m, counts", [(1.0, 0.5, 0.85, (99, 307)),
+                                             (1.2, 0.35, 0.9, (299, 1099))])
+def test_traced_rhs_field_evaluations(helicoidal_chart, monkeypatch,
+                                      s, t, m, counts):
+    # the traced_frame fixture's frame on a chart that counts its metric
+    # calls, one per field evaluation: a right-hand side is two level
+    # traces of 1 + 4 n evaluations, n their RK4 steps (full and landing),
+    # and one at the stencil's point.  Level steps of four trace steps
+    # make about a quarter of the evaluations of level steps of one
+    calls = 0
+
+    def metric(x1, x2):
+        nonlocal calls
+        calls += 1
+        return helicoidal_chart.metric(x1, x2)
+
+    chart = dataclasses.replace(helicoidal_chart, metric=metric)
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
+    params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
+    got = []
+    for ratio in (bg.quotient._LEVEL_STEP_RATIO, 1):
+        monkeypatch.setattr(bg.quotient, "_LEVEL_STEP_RATIO", ratio)
+        frame = _traced_frame(chart, _traced_theta(chart))
+        calls = 0
+        bg.ode_rhs(s, t, U, params, frame)
+        got.append(calls)
+    assert tuple(got) == counts
 
 
 def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,

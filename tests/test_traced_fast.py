@@ -304,10 +304,11 @@ def test_kernel_rk4_step_equals_reference(name, x1, x2, scale, sign):
 
 
 def _ref_level_point(tr, w, sigma):
-    """The level trace on 2-vectors: RK4 steps from the Cauchy point at
-    arc length sigma toward the level omega = w, omega from
-    ``volume_at``, and the landing step's length by Newton's method in
-    the flow time, with the arithmetic of ``level_point`` and ``_land``."""
+    """The level trace on 2-vectors: at most ``level_n_steps`` RK4 steps
+    of ``level_step`` from the Cauchy point at arc length sigma toward
+    the level omega = w, omega from ``volume_at``, and the landing step's
+    length by Newton's method in the flow time, with the arithmetic of
+    ``level_point`` and ``_land``."""
     if not 0.0 <= sigma <= tr.cauchy.length:
         raise DomainError(f"arc length {sigma!r} outside the data curve's range")
     x = tr.cauchy.point_at(sigma)
@@ -315,15 +316,15 @@ def _ref_level_point(tr, w, sigma):
     if w_x == w:
         return tuple(x)
     sign = 1.0 if w > w_x else -1.0
-    for _ in range(tr.n_steps):
-        y = _ref_rk4_step(tr, x, tr.step, sign)
+    for _ in range(tr.level_n_steps):
+        y = _ref_rk4_step(tr, x, tr.level_step, sign)
         w_y = tr.chart.volume_at(tuple(y))
         if sign * (w_y - w) >= 0.0:
             break
         x, w_x = y, w_y
     else:
         raise DomainError(f"omega = {w!r} not reached")
-    step = tr.step
+    step = tr.level_step
     h = step * (w - w_x) / (w_y - w_x)
     tol = 1e-15 * max(1.0, abs(w))
     best = None
