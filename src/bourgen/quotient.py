@@ -20,6 +20,7 @@ import numpy as np
 
 from .chart import AdaptedChart3, InvariantFunction, as_invariant
 from .errors import (
+    BourgenError,
     DegenerateGradientError,
     DomainError,
     NewtonDivergenceError,
@@ -454,7 +455,7 @@ _MIN_ANGLE = 1e-3
 # ``value``, and the Newton frames over it, keep this step.
 _STEPS_PER_LENGTH = 400.0
 # Level traces (``level_point`` and its landing step) take RK4 steps of
-# this multiple of the trace step, L/100, and at most ceil(n_steps / 4) of
+# a multiple of the trace step, and at most ceil(n_steps / multiple) of
 # them, the flow time of n_steps trace steps.  The characteristic frame
 # resolves no finer than the 1e-10 noise of its dx/dtheta stencil
 # (_STENCIL_STEP).  On 1000 random points of the curved chart of
@@ -467,9 +468,25 @@ _STEPS_PER_LENGTH = 400.0
 #   L/100       6.1e-12  8.3e-13         4.5e-10               2.8e-10
 #   L/50        9.6e-11  1.3e-11         1.4e-9                9.1e-10
 #   L/25        1.5e-9   2.1e-10         1.8e-8                1.2e-8
-# L/100 is the largest step whose error the stencil's noise still hides,
-# and a level trace there makes about a quarter of the field evaluations.
-_LEVEL_STEP_RATIO = 4
+# so L/100 (_LEVEL_STEP_FLOOR) is the largest step that is safe on every
+# chart.  Where the characteristics are straight, as the rays of the flat
+# helicoidal and BCV charts, a level point at L/12.5 still meets the
+# trace at L/1600 to 2.2e-15, so each invariant measures its own step:
+# it takes the first multiple of _LEVEL_STEP_CANDIDATES (L/25, then L/50)
+# whose probe traces pass (``TracedInvariant._level_ratio``), and the
+# floor otherwise.  The probes are the traces, forward and backward over
+# the full reach, from at most _PROBE_COUNT arc values of the grid, each
+# at the candidate step and at half of it (Richardson's estimate of the
+# step error).  A candidate passes when every pair stops at the same flow
+# time, or neither stops, and at every common flow time the part of the
+# difference across the fine trace's flow is within _PROBE_TOL max(1, |x|).
+# The part along the flow is a phase error in the flow time (up to 3.7e-9
+# between L/25 and L/50 on the flat chart), which the landing step takes
+# out: level points there at L/25 are within 1.8e-15 of those at L/1600.
+_LEVEL_STEP_CANDIDATES = (16, 8)
+_LEVEL_STEP_FLOOR = 4
+_PROBE_COUNT = 16
+_PROBE_TOL = 1e-11
 
 
 def _trace_kernel(chart, omega, grad_floor):
@@ -579,11 +596,13 @@ class TracedInvariant:
     the closures of ``_trace_kernel``, bound to the chart once, at
     construction.  A crossing trace takes at most ``n_steps`` RK4 steps
     of ``step`` = (length of the Cauchy curve) / 400.  A level trace
-    (``level_point``) takes steps of ``level_step`` = 4 ``step`` instead,
-    at most ``level_n_steps`` = ceil(n_steps / 4) of them, so that it
-    reaches as far in flow time (``_LEVEL_STEP_RATIO`` records why).  It
-    has no analytic gradient: ``as_invariant`` wraps it for pairings and
-    frames, which take central differences of its values.
+    (``level_point``) takes steps of ``level_step`` = k ``step`` instead,
+    at most ``level_n_steps`` = ceil(n_steps / k) of them, so that it
+    reaches as far in flow time; k is 16 or 8 where the probes of
+    ``_level_ratio`` pass, and 4 otherwise (``_LEVEL_STEP_CANDIDATES``
+    records why).  It has no analytic gradient: ``as_invariant`` wraps
+    it for pairings and frames, which take central differences of its
+    values.
     """
 
     def __init__(self, chart, cauchy, arc_grid, *, n_steps=400):
@@ -594,8 +613,6 @@ class TracedInvariant:
             raise ValueError("arc_grid must hold at least two arc-length values")
         self.step = cauchy.length / _STEPS_PER_LENGTH
         self.n_steps = int(n_steps)
-        self.level_step = _LEVEL_STEP_RATIO * self.step
-        self.level_n_steps = math.ceil(self.n_steps / _LEVEL_STEP_RATIO)
         self.grad_floor = _GRAD_FLOOR
         self._omega = chart.volume_fn()
         # the dense Cauchy polyline that traces are tested against: arc
@@ -612,6 +629,9 @@ class TracedInvariant:
         self._field, self._rk4_step = _trace_kernel(chart, self._omega,
                                                     self.grad_floor)
         self._check_transversality()
+        ratio = self._level_ratio()
+        self.level_step = ratio * self.step
+        self.level_n_steps = math.ceil(self.n_steps / ratio)
 
     # -- characteristic field ------------------------------------------------
 
@@ -625,6 +645,65 @@ class TracedInvariant:
                 raise TransversalityError(
                     f"Cauchy curve tangent to a characteristic at arc length "
                     f"{sigma:.6g} (|sin angle| = {sin_angle:.2e})")
+
+    # -- level step -----------------------------------------------------------
+
+    def _level_ratio(self):
+        """The multiple of ``step`` that level traces take: the first of
+        _LEVEL_STEP_CANDIDATES whose probes all pass, else
+        _LEVEL_STEP_FLOOR.  The probes start at most _PROBE_COUNT arc
+        values, evenly spread over the grid with both ends, and run both
+        ways.  A chart without ``d_g33`` keeps the floor unprobed: its
+        field takes central differences of omega, whose noise alone moves
+        the probes by about _PROBE_TOL (4.5e-12 to 3e-11 on the radial
+        and flat helicoidal charts)."""
+        if self.chart.d_g33 is None:
+            return _LEVEL_STEP_FLOOR
+        # indices at least one apart, so rounding keeps them distinct
+        # (np.unique is not needed, and its first call imports numpy.ma)
+        count = min(_PROBE_COUNT, len(self.sigmas))
+        picks = np.linspace(0, len(self.sigmas) - 1, count).round().astype(int)
+        starts = [self.cauchy.point_at(s).tolist() for s in self.sigmas[picks]]
+        for ratio in _LEVEL_STEP_CANDIDATES:
+            h = ratio * self.step
+            n = math.ceil(self.n_steps / ratio)
+            if all(self._probe_passes(x1, x2, h, n, sign)
+                   for x1, x2 in starts for sign in (1.0, -1.0)):
+                return ratio
+        return _LEVEL_STEP_FLOOR
+
+    def _probe_passes(self, x1, x2, h, n, sign):
+        """Whether the traces of n steps of h and of 2n steps of h/2 from
+        (x1, x2) stop at the same flow time, or neither stops, and agree
+        across the flow to _PROBE_TOL max(1, |x|) at every common flow
+        time.  The part of coarse - fine across the fine trace's velocity
+        b is |d1 b2 - d2 b1| / |b|."""
+        coarse = self._probe_trace(x1, x2, h, n, sign)
+        fine = self._probe_trace(x1, x2, 0.5 * h, 2 * n, sign)
+        if len(fine) - 1 != 2 * (len(coarse) - 1):
+            return False
+        for (c1, c2, _, _), (f1, f2, b1, b2) in zip(coarse, fine[::2]):
+            cross = abs((c1 - f1) * b2 - (c2 - f2) * b1) / math.hypot(b1, b2)
+            if not cross <= _PROBE_TOL * max(1.0, math.hypot(f1, f2)):
+                return False
+        return True
+
+    def _probe_trace(self, x1, x2, h, n, sign):
+        """The points of a trace of at most n RK4 steps of h from (x1, x2),
+        each with the field's velocity there, as tuples (x1, x2, a1, a2):
+        the start and the end of each step, up to the first BourgenError."""
+        field, rk4_step = self._field, self._rk4_step
+        points = []
+        try:
+            a1, a2 = field(x1, x2)[:2]
+            points.append((x1, x2, a1, a2))
+            for _ in range(n):
+                x1, x2 = rk4_step(x1, x2, a1, a2, h, sign)
+                a1, a2 = field(x1, x2)[:2]
+                points.append((x1, x2, a1, a2))
+        except BourgenError:
+            pass
+        return points
 
     # -- evaluation -----------------------------------------------------------
 
@@ -754,13 +833,15 @@ class TracedInvariant:
         |grad omega|^2), so the trace runs from the data point in the
         direction sign(w - omega) until omega passes w, and a last partial
         RK4 step, its length solved by Newton's method in the flow time,
-        lands on the level.  The steps are of ``level_step``, four trace
-        steps, whose error the frame's stencil does not resolve.  The
-        field at each step's end gives omega for the level test and is
-        the next step's k1, so a step evaluates the field four times.
-        Raises DomainError for sigma outside [0, length], for a level not
-        reached within ``level_n_steps`` steps (the flow time of n_steps
-        trace steps) and for a trace that leaves the domain.
+        lands on the level.  The steps are of ``level_step``, whose error
+        the frame's stencil does not resolve.  The field at each step's
+        end gives omega for the level test and is the next step's k1, so
+        a step evaluates the field four times.  Raises DomainError for
+        sigma outside [0, length], for a step that does not move omega
+        toward w (the flow must, so the step is too long for the field
+        there), for a level not reached within ``level_n_steps`` steps
+        (the flow time of n_steps trace steps) and for a trace that
+        leaves the domain.
         """
         if not 0.0 <= sigma <= self.cauchy.length:
             raise DomainError(
@@ -775,6 +856,10 @@ class TracedInvariant:
         for _ in range(self.level_n_steps):
             y1, y2 = rk4_step(x1, x2, a1, a2, step, sign)
             b1, b2, _, _, w_y, _, _, _ = field(y1, y2)
+            if sign * (w_y - w_x) <= 0.0:
+                raise DomainError(
+                    f"the level step {step:.6g} from ({x1:.6g}, {x2:.6g}) "
+                    f"does not move omega = {w_x:.6g} toward {w:.6g}")
             if sign * (w_y - w) >= 0.0:
                 return self._land(x1, x2, a1, a2, sign, w, w_x, w_y)
             x1, x2, a1, a2, w_x = y1, y2, b1, b2, w_y

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def quotient_matrix(chart, p):
     """The quotient metric of ``chart`` at p = (x1, x2) as a 2x2 matrix."""
     q11, q12, q22 = bg.quotient_metric(chart, *p)
     return np.array([[q11, q12], [q12, q22]])
+
+
+def set_level_ratio(traced, ratio):
+    """Make the level traces of ``traced`` take RK4 steps of ratio trace
+    steps, at most ceil(n_steps / ratio) of them (the reach rule of the
+    steps it chooses), in place of the step it chose; returns traced."""
+    traced.level_step = ratio * traced.step
+    traced.level_n_steps = math.ceil(traced.n_steps / ratio)
+    return traced
 
 
 def kernel_step(traced, x1, x2, h, sign):

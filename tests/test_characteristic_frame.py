@@ -8,10 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import bourgen as bg
-from bourgen.errors import DomainError, RankDeficiencyError, RectExitError
-from conftest import ratio_theta
+from bourgen.errors import (
+    DomainError,
+    DomainViolationError,
+    RankDeficiencyError,
+    RectExitError,
+)
+from conftest import ratio_theta, set_level_ratio
 
 RECT = ((1.3, 1.8), (0.3, 0.9))
 SHIFT = 0.6  # the flat helicoidal traced theta is x2/x1 + 0.6
@@ -105,7 +111,8 @@ def _rhs_points(n, seed):
 def test_rhs_matches_closed_form(frame):
     # theta' = sqrt(gt) sqrt(go - m^2 U'^2) / sqrt(go) with the closed
     # forms go, gt of the gradient norms; the largest relative error here
-    # is 1.6e-11 (2.2e-11 with level steps of L/400)
+    # is 1.5e-11 at the chosen level step L/25 (1.6e-11 at L/100, 2.2e-11
+    # at L/400)
     U = bg.GeneratrixMetric.from_expression(f"sqrt(s^2+{U_C:g})", (0.5, 2.0))
     for w, t, m, s in _rhs_points(30, 21):
         params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
@@ -185,23 +192,24 @@ CURVED = {"g11": "1+0.2*x2^2", "g12": "0.1*x1", "g13": "x2", "g22": "1",
 CURVED_RECT = ((1.75, 2.0), (0.05, 0.95))
 
 
-def _curved_frame():
+def _curved_frame(level_ratio=None):
     chart = bg.chart_from_config(CURVED)
     traced = bg.solve_orthogonal_invariant(
         chart, bg.line_segment((1.0, -0.5), (1.0, 0.5)),
         np.linspace(0.0, 1.0, 11))
+    if level_ratio is not None:
+        set_level_ratio(traced, level_ratio)
     return traced, bg.build_frame(chart, traced, rect=CURVED_RECT)
 
 
-def test_level_step_error_is_below_the_stencil_noise(monkeypatch):
+def test_level_step_error_is_below_the_stencil_noise():
     # the frame at the level step L/100 against the same tracer at 1/16 of
     # it.  On 1000 random points of the rect the largest differences were
     # 6.1e-12 for the point, 8.3e-13 for |grad omega|^2, 4.5e-10 relative
     # for |grad theta|^2 and 2.8e-10 for dx/dtheta; at L/50 they were
-    # 9.6e-11, 1.3e-11, 1.4e-9 and 9.1e-10 (quotient._LEVEL_STEP_RATIO)
+    # 9.6e-11, 1.3e-11, 1.4e-9 and 9.1e-10 (quotient._LEVEL_STEP_CANDIDATES)
     traced, frame = _curved_frame()
-    monkeypatch.setattr(bg.quotient, "_LEVEL_STEP_RATIO", 0.25)
-    fine_traced, fine = _curved_frame()
+    fine_traced, fine = _curved_frame(level_ratio=0.25)
     assert fine_traced.level_step == traced.level_step / 16
     for w, t in _rect_points(CURVED_RECT, 20, 16):
         point = np.subtract(traced.level_point(w, t),
@@ -213,6 +221,66 @@ def test_level_step_error_is_below_the_stencil_noise(monkeypatch):
         assert abs(gt - fine_gt) <= 1e-9 * fine_gt
         assert np.max(np.abs(frame.invert_jacobian(w, t)[:, 1]
                              - fine.invert_jacobian(w, t)[:, 1])) <= 5e-10
+
+
+def test_curved_chart_keeps_the_floor_step():
+    # its probes at L/25 and L/50 differ across the flow by up to 3.4e-9
+    # and 2.2e-10, above the 1e-11 tolerance, so it keeps L/100, and its
+    # frame is the frame of a tracer set to L/100, to the bit
+    traced, frame = _curved_frame()
+    fixed_traced, fixed = _curved_frame(level_ratio=4)
+    assert traced.level_step == 4 * traced.step
+    assert traced.level_n_steps == math.ceil(traced.n_steps / 4) == 100
+    for w, t in _rect_points(CURVED_RECT, 10, 17):
+        assert traced.level_point(w, t) == fixed_traced.level_point(w, t)
+        for name in ("grad_omega_sq", "grad_theta_sq"):
+            assert getattr(frame, name)(w, t) == getattr(fixed, name)(w, t)
+        assert np.array_equal(frame.invert_jacobian(w, t),
+                              fixed.invert_jacobian(w, t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(bcv=st.booleans(), a=st.floats(0.3, 1.5), a_sign=st.sampled_from([1, -1]),
+       kappa=st.floats(-0.5, 1.0), a_tau=st.floats(-0.25, 0.25),
+       c=st.floats(0.6, 1.5), u=st.floats(0.0, 1.0), f=st.floats(0.75, 1.33))
+def test_level_points_on_ray_charts(bcv, a, a_sign, kappa, a_tau, c, u, f):
+    # on the flat helicoidal and BCV charts (g13, g23) is perpendicular to
+    # the radius and g33 depends on r^2 alone, so every characteristic is
+    # a ray: the level point lies on the ray through its Cauchy point, at
+    # the radius of the built-in frame's inversion of w.  The segment is
+    # x1 = c, |x2| <= c/2, and the level that of the point f times as far
+    # out on the ray (tau a in [-1/4, 1/4] keeps 1 - 2 a tau away from 0).
+    # Over 996 valid seeded draws, 92% took L/25; the rest took L/50 or
+    # L/100, e.g. where a trace leaves a BCV chart's domain B > 0
+    # (kappa < 0) half a step later at the half step.  The largest
+    # distance from the ray was 4.6e-16 and the largest radius error
+    # 4.0e-15 relative
+    a = a_sign * a
+    spec = (bg.SpaceSpec("bcv_helicoidal", a=a, kappa=kappa, tau=a_tau / a)
+            if bcv else bg.SpaceSpec("euclidean_helicoidal", a=a))
+    chart = bg.make_chart(spec)
+    try:
+        frame = bg.builtin_frame(spec)
+    except DomainViolationError:
+        reject()
+    sigma = u * c
+    p0 = np.array([c, sigma - 0.5 * c])
+    w = chart.volume_at(f * p0)
+    # omega must rise with r out to both points, or the frame's inversion,
+    # which follows the branch from r = 0, finds another radius
+    rs = np.linspace(0.0, max(1.0, f) * math.hypot(*p0), 65)[1:]
+    if not (np.all(chart.d_g33(rs, 0.0 * rs)[0] > 0.0)
+            and frame.contains(w, 0.0)):
+        reject()
+    radius = math.hypot(*frame.invert(w, 0.0))
+    traced = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((c, -0.5 * c), (c, 0.5 * c)),
+        np.linspace(0.0, c, 11), n_steps=800)
+    x1, x2 = traced.level_point(w, sigma)
+    scale = max(1.0, radius)
+    assert abs(x1 * p0[1] - x2 * p0[0]) / math.hypot(*p0) <= 1e-14 * scale
+    assert x1 * p0[0] + x2 * p0[1] > 0.0
+    assert abs(math.hypot(x1, x2) - radius) <= 2e-14 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +496,17 @@ def test_trace_leaving_the_domain():
                            seed_box=None)
     with pytest.raises(DomainError, match="left the chart domain"):
         frame.invert(0.005, 0.75)
+
+
+def test_level_step_that_does_not_approach_the_level():
+    # at L/12.5 the trace toward the origin reaches r = 0.04, where a step
+    # runs its stages across the excluded disk and back: omega would stay
+    # at 0.04 until the reach ran out
+    tr = set_level_ratio(bg.solve_orthogonal_invariant(
+        _radial_chart(), _unit_arc(), np.linspace(0, 1.5, 5), n_steps=400), 32)
+    with pytest.raises(DomainError, match=r"level step 0\.12 from \(0\.04, 0\) "
+                       r"does not move omega = 0\.04 toward 0\.005"):
+        tr.level_point(0.005, 0.75)
 
 
 def test_rect_exit_through_ode_rhs(frame):

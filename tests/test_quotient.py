@@ -12,7 +12,13 @@ from bourgen.errors import (
     TransversalityError,
 )
 from bourgen.quotient import newton_invert
-from conftest import fd_invariant, quotient_matrix, ratio_theta, swept_nodes
+from conftest import (
+    fd_invariant,
+    quotient_matrix,
+    ratio_theta,
+    set_level_ratio,
+    swept_nodes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +240,14 @@ def traced_frame(helicoidal_chart, traced_theta):
     return _traced_frame(helicoidal_chart, traced_theta)
 
 
-@pytest.mark.parametrize("s, t, m, counts", [(1.0, 0.5, 0.85, (99, 307)),
-                                             (1.2, 0.35, 0.9, (299, 1099))])
-def test_traced_rhs_field_evaluations(helicoidal_chart, monkeypatch,
-                                      s, t, m, counts):
+@pytest.mark.parametrize("s, t, m, counts", [(1.0, 0.5, 0.85, (51, 99, 307)),
+                                             (1.2, 0.35, 0.9, (99, 299, 1099))])
+def test_traced_rhs_field_evaluations(helicoidal_chart, s, t, m, counts):
     # the traced_frame fixture's frame on a chart that counts its metric
     # calls, one per field evaluation: a right-hand side is two level
     # traces of 1 + 4 n evaluations, n their RK4 steps (full and landing),
-    # and one at the stencil's point.  Level steps of four trace steps
-    # make about a quarter of the evaluations of level steps of one
+    # and one at the stencil's point.  The level step the invariant
+    # chooses, L/25, against L/100 and the trace step L/400
     calls = 0
 
     def metric(x1, x2):
@@ -254,13 +259,37 @@ def test_traced_rhs_field_evaluations(helicoidal_chart, monkeypatch,
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
     params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
     got = []
-    for ratio in (bg.quotient._LEVEL_STEP_RATIO, 1):
-        monkeypatch.setattr(bg.quotient, "_LEVEL_STEP_RATIO", ratio)
-        frame = _traced_frame(chart, _traced_theta(chart))
+    for ratio in (None, 4, 1):
+        traced = _traced_theta(chart)
+        if ratio is not None:
+            set_level_ratio(traced, ratio)
+        frame = _traced_frame(chart, traced)
         calls = 0
         bg.ode_rhs(s, t, U, params, frame)
         got.append(calls)
     assert tuple(got) == counts
+
+
+def test_traced_rhs_chart_takes_the_longest_candidate(traced_theta):
+    # the characteristics are rays, so the probes at L/25 agree with their
+    # half-step traces across the flow to rounding (3.8e-16)
+    assert traced_theta.level_step == 16 * traced_theta.step
+    assert traced_theta.level_n_steps == math.ceil(220 / 16) == 14
+
+
+def test_two_builds_choose_the_same_step(helicoidal_chart, traced_theta):
+    again = _traced_theta(helicoidal_chart)
+    assert (again.level_step, again.level_n_steps) == (
+        traced_theta.level_step, traced_theta.level_n_steps)
+
+
+def test_chart_without_d_g33_keeps_the_floor_step(helicoidal_chart):
+    # the same invariant with central-difference omega gradients, whose
+    # noise would move its probes by 1.4e-11 to 3.0e-11 across the flow
+    chart = dataclasses.replace(helicoidal_chart, d_g33=None)
+    traced = _traced_theta(chart)
+    assert traced.level_step == 4 * traced.step
+    assert traced.level_n_steps == 55
 
 
 def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,
