@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -115,7 +116,7 @@ class RunConfig:
             t_range=_entry(grid, "grid.t_range", (0.0, 1.0), _pair),
             isometry_tol=_entry(tol, "tolerances.isometry", 1e-5, float),
             cross_tol=_entry(tol, "tolerances.cross_check", 1e-5, float),
-            fd_step=_entry(tol, "tolerances.fd_step", 1e-5, float),
+            fd_step=_entry(tol, "tolerances.fd_step", 1e-5, _positive),
             auto_shrink=_entry(d, "auto_shrink", True, _boolean),
             seed=_entry(d, "seed", 20240901, int))
         if cfg.epsilon not in (1, -1):
@@ -221,9 +222,16 @@ def _boolean(value):
     return value
 
 
+def _positive(value):
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError
+    return value
+
+
 _WHAT = {float: "a number", int: "an integer", _object: "an object",
          _numbers: "a list of numbers", _pair: "a list of two numbers",
-         _boolean: "true or false"}
+         _boolean: "true or false", _positive: "a positive finite number"}
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +400,15 @@ def _apply_overrides(cfg, args):
     if args.tol is not None:
         cfg.isometry_tol = args.tol
         cfg.cross_tol = args.tol
-    if args.fd_step is not None:
-        cfg.fd_step = args.fd_step
+    cfg.fd_step = _fd_step(args, cfg.fd_step)
     return cfg
+
+
+def _fd_step(args, default):
+    """The --fd-step option, or default when it was not given; a step that
+    is not positive and finite is a ConfigError naming the option."""
+    given = {} if args.fd_step is None else {"--fd-step": args.fd_step}
+    return _entry(given, "--fd-step", default, _positive)
 
 
 def _given(value, default):
@@ -404,6 +418,7 @@ def _given(value, default):
 
 
 def _cmd_natural(args):
+    h = _fd_step(args, 1e-5)
     chart = spaces.make_chart(_space_entry(_load_config(args.config)))
     try:
         curve = LiftedCurve.from_csv(args.curve)
@@ -415,7 +430,6 @@ def _cmd_natural(args):
     out.mkdir(parents=True, exist_ok=True)
     nat.U.to_csv(out / "generatrix.csv")
     surface = natural.ReparametrizedSurface(curve, nat)
-    h = _given(args.fd_step, 1e-5)
     s_grid = np.linspace(nat.s_samples[0] + 2 * h, nat.s_samples[-1] - 2 * h, 15)
     rep = verify.isometry_report(chart, surface, nat.U, (s_grid, [0.0, 0.5]),
                                  tol=_given(args.tol, 1e-5), h=h)
@@ -431,6 +445,7 @@ def _cmd_natural(args):
 
 
 def _cmd_verify(args):
+    h = _fd_step(args, 1e-5)
     member = _load_member(args.member)
     if member.space is None:
         raise ConfigError("member file carries no space spec; cannot rebuild "
@@ -438,7 +453,6 @@ def _cmd_verify(args):
     if member.U is None:
         raise ConfigError("member file carries no generatrix")
     chart = spaces.make_chart(member.space)
-    h = _given(args.fd_step, 1e-5)
     s_grid = np.linspace(member.s_range[0] + 2 * h, member.s_range[1] - 2 * h, 15)
     rep = verify.isometry_report(chart, member, member.U, (s_grid,
                                                            np.linspace(0, 1, 7)),

@@ -425,17 +425,6 @@ def line_segment(p0, p1):
                        tangent=lambda sigma: direction)
 
 
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-# Relative padding of the crossing prefilter's boxes.  The full crossing
-# test accepts trace and polyline parameters up to 1e-9 outside [0, 1]: a
-# crossing it reports lies within 1e-9 step lengths of the step's box and
-# within 1e-9 segment lengths of the polyline's box, up to rounding.
-# Padding by 1e-6 of those lengths, and the polyline's box also by 1e-6 of
-# its coordinate scale for the rounding, leaves a thousandfold margin.
-_BOX_PAD = 1e-6
 # Newton iterations of the partial step that lands a trace on a level.  The
 # linear guess is off by O(step^2) and each iteration squares the error up
 # to the O(step^4) gap between the RK4 step's rate and the flow's, so two
@@ -447,13 +436,17 @@ _LAND_MAXITER = 20
 # at the arc-length values of the grid.
 _GRAD_FLOOR = 1e-10
 _MIN_ANGLE = 1e-3
-# RK4 steps of a trace per length L of the Cauchy curve: the step of
-# ``value``'s crossing traces.  RK4's global error is O(h^4), and at L/400
-# a crossing on a curved characteristic is within about 6e-14 of the
-# trace at L/1600; at L/100 it is 1.5e-11 off and the central-difference
-# gradient of ``value`` (step 1e-5) 4.9e-9 rather than 1.4e-10, so
-# ``value``, and the Newton frames over it, keep this step.
+# Trace steps per length L of the Cauchy curve.  ``step`` = L/400 is the
+# unit of the level step below, and n_steps of it the reach of every trace
+# in flow time.
 _STEPS_PER_LENGTH = 400.0
+# ``value``'s root search: the most secant steps, and the largest distance
+# from x, relative to max(1, |x|), of a root's level point.  A root there
+# is x up to the level trace's rounding; a root whose level point is far
+# off is where the level curve meets the line through x along the flow a
+# second time.
+_ROOT_MAXITER = 60
+_ROOT_GAP = 1e-8
 # Level traces (``level_point`` and its landing step) take RK4 steps of
 # a multiple of the trace step, and at most ceil(n_steps / multiple) of
 # them, the flow time of n_steps trace steps.  The characteristic frame
@@ -478,8 +471,10 @@ _STEPS_PER_LENGTH = 400.0
 # the full reach, from at most _PROBE_COUNT arc values of the grid, each
 # at the candidate step and at half of it (Richardson's estimate of the
 # step error).  A candidate passes when every pair stops at the same flow
-# time, or neither stops, and at every common flow time the part of the
-# difference across the fine trace's flow is within _PROBE_TOL max(1, |x|).
+# time, or neither stops, or both stop with the fine trace half a step
+# further (a trace that leaves the domain), and at every common flow time
+# the part of the difference across the fine trace's flow is within
+# _PROBE_TOL max(1, |x|).
 # The part along the flow is a phase error in the flow time (up to 3.7e-9
 # between L/25 and L/50 on the flat chart), which the landing step takes
 # out: level points there at L/25 are within 1.8e-15 of those at L/1600.
@@ -581,28 +576,24 @@ class TracedInvariant:
     The value at x is the arc-length parameter of the Cauchy curve at the
     foot of the characteristic through x: characteristics are integral
     curves of the horizontal projection of grad(omega), along which every
-    solution of the defining PDE is constant.  Evaluation integrates the
-    characteristic from x until it crosses the Cauchy curve and refines
-    the crossing by Newton iteration, so values are smooth in x up to
-    integrator error.  omega grows along the flow (d omega / d tau =
-    |grad omega|^2), so the trace first runs forward when omega at the
-    nearest node of the Cauchy polyline exceeds omega(x), and backward
-    otherwise; the other direction is tried when the first misses.
+    solution of the defining PDE is constant, and omega grows along the
+    flow (d omega / d tau = |grad omega|^2).  Every evaluation is a level
+    trace (``level_point``): the trace from the Cauchy point at arc length
+    sigma to the level omega = w.  ``value`` inverts it, finding the sigma
+    whose level point at w = omega(x) is x (``_level_root``), so values
+    are smooth in x up to integrator error, and agree with the
+    characteristic frame's inversion to rounding.
 
-    Evaluation steps on scalars and runs the full polyline crossing test
-    only on steps whose box meets the polyline's box, which gives the
-    bits of a per-point trace with a crossing test at every step.  The
-    characteristic field ``_field`` and the RK4 step ``_rk4_step`` are
-    the closures of ``_trace_kernel``, bound to the chart once, at
-    construction.  A crossing trace takes at most ``n_steps`` RK4 steps
-    of ``step`` = (length of the Cauchy curve) / 400.  A level trace
-    (``level_point``) takes steps of ``level_step`` = k ``step`` instead,
-    at most ``level_n_steps`` = ceil(n_steps / k) of them, so that it
-    reaches as far in flow time; k is 16 or 8 where the probes of
-    ``_level_ratio`` pass, and 4 otherwise (``_LEVEL_STEP_CANDIDATES``
-    records why).  It has no analytic gradient: ``as_invariant`` wraps
-    it for pairings and frames, which take central differences of its
-    values.
+    The characteristic field ``_field`` and the RK4 step ``_rk4_step``
+    are the closures of ``_trace_kernel``, bound to the chart once, at
+    construction.  A level trace takes steps of ``level_step`` = k
+    ``step``, ``step`` = (length of the Cauchy curve) / 400, at most
+    ``level_n_steps`` = ceil(n_steps / k) of them, so that it reaches as
+    far in flow time as n_steps steps of ``step``; k is 16 or 8 where the
+    probes of ``_level_ratio`` pass, and 4 otherwise
+    (``_LEVEL_STEP_CANDIDATES`` records why).  It has no analytic
+    gradient: ``as_invariant`` wraps it for pairings and frames, which
+    take central differences of its values.
     """
 
     def __init__(self, chart, cauchy, arc_grid, *, n_steps=400):
@@ -615,20 +606,14 @@ class TracedInvariant:
         self.n_steps = int(n_steps)
         self.grad_floor = _GRAD_FLOOR
         self._omega = chart.volume_fn()
-        # the dense Cauchy polyline that traces are tested against: arc
-        # values, points, segments, and the padded box (lo1, hi1, lo2, hi2)
-        # of the crossing prefilter
-        self._poly_sig = np.linspace(0.0, cauchy.length, 512)
-        self._poly_pts = np.array([cauchy.point_at(s) for s in self._poly_sig])
-        self._poly_segs = np.diff(self._poly_pts, axis=0)
-        pad = _BOX_PAD * (np.max(np.hypot(*self._poly_segs.T))
-                          + np.max(np.abs(self._poly_pts)))
-        lo = self._poly_pts.min(axis=0) - pad
-        hi = self._poly_pts.max(axis=0) + pad
-        self._poly_box = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        # the arc values that ``value`` walks, the grid's within the range
+        # and both ends, with their Cauchy points
+        inner = {s for s in self.sigmas.tolist() if 0.0 < s < cauchy.length}
+        self._nodes = [0.0, *sorted(inner), cauchy.length]
+        self._node_pts = np.array([cauchy.point_at(s) for s in self._nodes])
         self._field, self._rk4_step = _trace_kernel(chart, self._omega,
                                                     self.grad_floor)
-        self._check_transversality()
+        self._turn = self._check_transversality()
         ratio = self._level_ratio()
         self.level_step = ratio * self.step
         self.level_n_steps = math.ceil(self.n_steps / ratio)
@@ -636,15 +621,21 @@ class TracedInvariant:
     # -- characteristic field ------------------------------------------------
 
     def _check_transversality(self):
+        """Raise TransversalityError where the Cauchy curve meets a
+        characteristic at less than _MIN_ANGLE at a grid value; returns the
+        sign of a x tangent at the first one (``value`` walks by it)."""
+        turn = None
         for sigma in self.sigmas:
-            p = self.cauchy.point_at(sigma)
-            a = np.array(self._field(*p)[:2])
-            t = self.cauchy.tangent_at(sigma)
-            sin_angle = abs(_cross2(a, t)) / (np.linalg.norm(a) * np.linalg.norm(t))
+            a1, a2 = self._field(*self.cauchy.point_at(sigma))[:2]
+            t1, t2 = self.cauchy.tangent_at(sigma)
+            cross = a1 * t2 - a2 * t1
+            sin_angle = abs(cross) / (math.hypot(a1, a2) * math.hypot(t1, t2))
             if sin_angle < np.sin(_MIN_ANGLE):
                 raise TransversalityError(
                     f"Cauchy curve tangent to a characteristic at arc length "
                     f"{sigma:.6g} (|sin angle| = {sin_angle:.2e})")
+            turn = turn or math.copysign(1.0, cross)
+        return turn
 
     # -- level step -----------------------------------------------------------
 
@@ -674,13 +665,16 @@ class TracedInvariant:
 
     def _probe_passes(self, x1, x2, h, n, sign):
         """Whether the traces of n steps of h and of 2n steps of h/2 from
-        (x1, x2) stop at the same flow time, or neither stops, and agree
-        across the flow to _PROBE_TOL max(1, |x|) at every common flow
-        time.  The part of coarse - fine across the fine trace's velocity
-        b is |d1 b2 - d2 b1| / |b|."""
+        (x1, x2) stop at the same flow time, or neither stops, or both
+        stop with the fine trace one half step further, as where a trace
+        leaves the domain, and agree across the flow to
+        _PROBE_TOL max(1, |x|) at every common flow time.  The part of
+        coarse - fine across the fine trace's velocity b is
+        |d1 b2 - d2 b1| / |b|."""
         coarse = self._probe_trace(x1, x2, h, n, sign)
         fine = self._probe_trace(x1, x2, 0.5 * h, 2 * n, sign)
-        if len(fine) - 1 != 2 * (len(coarse) - 1):
+        # fine steps beyond twice the coarse ones: 1 only where both stop
+        if len(fine) - 1 - 2 * (len(coarse) - 1) not in (0, 1):
             return False
         for (c1, c2, _, _), (f1, f2, b1, b2) in zip(coarse, fine[::2]):
             cross = abs((c1 - f1) * b2 - (c2 - f2) * b1) / math.hypot(b1, b2)
@@ -705,125 +699,7 @@ class TracedInvariant:
             pass
         return points
 
-    # -- evaluation -----------------------------------------------------------
-
-    def _box_meets(self, a1, a2, b1, b2):
-        """Whether the padded box of the step from (a1, a2) to (b1, b2)
-        meets the padded box of the Cauchy polyline.  When it does not, the
-        full crossing test of the step finds nothing."""
-        lo1, hi1, lo2, hi2 = self._poly_box
-        pad = _BOX_PAD * (abs(b1 - a1) + abs(b2 - a2))
-        return (min(a1, b1) - pad <= hi1 and max(a1, b1) + pad >= lo1
-                and min(a2, b2) - pad <= hi2 and max(a2, b2) + pad >= lo2)
-
-    def _crossing_from(self, x1, x2, sign):
-        """Trace the characteristic from (x1, x2) on scalars until it
-        crosses the Cauchy polyline; returns (x_prev, x_next, sigma0, u0)
-        with the crossing bracketed in the last step, or None.  Only steps
-        whose box meets the polyline's go through the full test."""
-        h = self.step
-        field, rk4_step = self._field, self._rk4_step
-        for _ in range(self.n_steps):
-            a1, a2, _, _, _, _, _, _ = field(x1, x2)
-            y1, y2 = rk4_step(x1, x2, a1, a2, h, sign)
-            if self._box_meets(x1, x2, y1, y2):
-                a, b = np.array([x1, x2]), np.array([y1, y2])
-                hit = self._segment_crossing(a, b)
-                if hit is not None:
-                    return (a, b) + hit
-            x1, x2 = y1, y2
-        return None
-
-    def _segment_crossing(self, a, b):
-        """Intersection of the trace step [a, b] with the dense Cauchy
-        polyline; returns (sigma0, u0) seeds for the Newton refinement."""
-        d = b - a
-        p = self._poly_pts[:-1]
-        r = self._poly_segs
-        pa0 = p[:, 0] - a[0]
-        pa1 = p[:, 1] - a[1]
-        denom = d[0] * r[:, 1] - d[1] * r[:, 0]
-        ok = np.abs(denom) > 1e-300
-        safe = np.where(ok, denom, 1.0)
-        u = (pa0 * r[:, 1] - pa1 * r[:, 0]) / safe   # along the trace step
-        w = (pa0 * d[1] - pa1 * d[0]) / safe         # along the poly segment
-        tol = 1e-9
-        mask = ok & (u >= -tol) & (u <= 1 + tol) & (w >= -tol) & (w <= 1 + tol)
-        if not mask.any():
-            return None
-        idx = np.flatnonzero(mask)
-        i = idx[int(np.argmin(u[idx]))]
-        sig0 = self._poly_sig[i] + w[i] * (self._poly_sig[i + 1] - self._poly_sig[i])
-        return float(np.clip(sig0, 0.0, self.cauchy.length)), float(u[i])
-
-    def _proj_sigma(self, x, i):
-        """Arc-length parameter of the polyline point nearest to x, given
-        the polyline node i nearest to x."""
-        lo = max(0, i - 1)
-        hi = min(len(self._poly_sig) - 1, i + 1)
-        seg = self._poly_pts[hi] - self._poly_pts[lo]
-        denom = seg @ seg
-        if denom == 0.0:
-            return float(self._poly_sig[i])
-        u = ((x - self._poly_pts[lo]) @ seg) / denom
-        sig = self._poly_sig[lo] + u * (self._poly_sig[hi] - self._poly_sig[lo])
-        return float(np.clip(sig, 0.0, self.cauchy.length))
-
-    def _nearest_node(self, x):
-        """Index of the polyline node nearest to x, and its distance."""
-        d = self._poly_pts - x
-        d2 = np.einsum("ij,ij->i", d, d)
-        i = int(np.argmin(d2))
-        return i, float(np.sqrt(d2[i]))
-
-    def _refine_crossing(self, x_a, x_b, sign, sig0, u0):
-        """Newton solve for the exact (trace parameter, sigma) crossing of
-        the Hermite-interpolated trace step [x_a, x_b] with the curve."""
-        h = self.step
-        va = sign * np.array(self._field(*x_a)[:2])
-        vb = sign * np.array(self._field(*x_b)[:2])
-
-        def trace(u):  # cubic Hermite on [0, 1]
-            u2, u3 = u * u, u * u * u
-            h00 = 2 * u3 - 3 * u2 + 1
-            h10 = u3 - 2 * u2 + u
-            h01 = -2 * u3 + 3 * u2
-            h11 = u3 - u2
-            return (h00 * x_a + h10 * h * va + h01 * x_b + h11 * h * vb)
-
-        def dtrace(u):
-            u2 = u * u
-            d00 = 6 * u2 - 6 * u
-            d10 = 3 * u2 - 4 * u + 1
-            d01 = -6 * u2 + 6 * u
-            d11 = 3 * u2 - 2 * u
-            return (d00 * x_a + d10 * h * va + d01 * x_b + d11 * h * vb)
-
-        sig = sig0
-        u = u0
-        for _ in range(60):
-            pt = trace(u)
-            c = self.cauchy.point_at(sig)
-            r = pt - c
-            if np.max(np.abs(r)) < 1e-14 * max(1.0, float(np.max(np.abs(pt)))):
-                break
-            dtan = self.cauchy.tangent_at(sig)
-            J = np.column_stack([dtrace(u), -dtan])
-            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            if abs(det) < 1e-14 * max(1.0, np.linalg.norm(J)):
-                raise TransversalityError(
-                    "characteristic nearly tangent to the Cauchy curve "
-                    f"near arc length {sig:.6g}")
-            du = (J[1, 1] * r[0] - J[0, 1] * r[1]) / det
-            dsig = (-J[1, 0] * r[0] + J[0, 0] * r[1]) / det
-            u -= du
-            sig -= dsig
-            u = float(np.clip(u, -0.5, 1.5))
-        if sig < -1e-9 or sig > self.cauchy.length + 1e-9:
-            raise DomainError(
-                f"characteristic meets the data curve outside its arc range "
-                f"(sigma = {sig:.6g})")
-        return float(np.clip(sig, 0.0, self.cauchy.length))
+    # -- level traces and their inverse --------------------------------------
 
     def level_point(self, w, sigma):
         """The point where the characteristic through the Cauchy point at
@@ -898,32 +774,93 @@ class TracedInvariant:
         return self.value(x1, x2)
 
     def value(self, x1, x2):
-        x = np.array([x1, x2], dtype=float)
-        i, distance = self._nearest_node(x)
-        if distance < 1e-12:
-            return self._proj_sigma(x, i)
-        first = 1.0 if self._omega_rises(x, self._poly_pts[i]) else -1.0
-        for sign in (first, -first):
-            try:
-                hit = self._crossing_from(*x.tolist(), sign)
-            except (DomainError, DegenerateGradientError):
-                hit = None
-            if hit is not None:
-                x_a, x_b, sig0, u0 = hit
-                return self._refine_crossing(x_a, x_b, sign, sig0, u0)
-        raise DomainError(
-            f"point ({x1:.6g}, {x2:.6g}) is outside the swept region of the "
-            "characteristic grid")
-
-    def _omega_rises(self, x, node):
-        """Whether omega at the polyline node exceeds omega(x), so that the
-        forward flow runs from x toward it.  ``value`` tries both
-        directions, so this only orders the work: where omega cannot be
-        evaluated (x outside the chart domain, say), forward comes first."""
+        """theta at (x1, x2): the arc length sigma whose level point at
+        w = omega(x1, x2) is (x1, x2), found by ``_level_root``.  Raises
+        the "outside the swept region" DomainError where there is none: x
+        outside the domain, no node's level trace reaching w, no sign
+        change of the offset over the walk, a secant point whose level
+        trace fails, or a root whose level point is not x."""
         try:
-            return self.chart.volume_at(node) > self.chart.volume_at(x)
-        except (DomainError, SingularMetricError):
-            return True
+            sigma = self._level_root(x1, x2)
+        except (DomainError, DegenerateGradientError):
+            sigma = None
+        if sigma is None:
+            raise DomainError(
+                f"point ({x1:.6g}, {x2:.6g}) is outside the swept region of "
+                "the characteristic grid")
+        return sigma
+
+    def _level_root(self, x1, x2):
+        """The root sigma of the offset f(sigma) = a x (p(sigma) - x) of
+        the level point p(sigma) = level_point(w, sigma), w = omega(x),
+        across the characteristic velocity a at x, or None.
+
+        f grows with sigma when ``_turn`` is +1 and falls when it is -1:
+        the flow keeps the orientation of (a, dp/dsigma) that the Cauchy
+        curve has.  The walk starts at the node of ``_nodes`` nearest x
+        whose level trace reaches w and moves one node at a time toward
+        the sign change that f there points to; running off either end
+        means no root.  Past a node whose trace fails, it halves the gap
+        to that node instead, until f changes sign or the gap closes.
+        Illinois' secant then refines the bracket until f is 0 or the
+        secant point is no longer strictly inside.  The level curve can
+        meet the line through x along a again, far from x, so a root whose
+        level point lies more than _ROOT_GAP max(1, |x|) from x is not
+        taken."""
+        a1, a2, _, _, w, _, _, _ = self._field(x1, x2)
+
+        def offset(sigma):
+            p1, p2 = self.level_point(w, sigma)
+            return sigma, a1 * (p2 - x2) - a2 * (p1 - x1), p1, p2
+
+        d = self._node_pts - (x1, x2)
+        for j in np.argsort(np.einsum("ij,ij->i", d, d)).tolist():
+            try:
+                s = t = offset(self._nodes[j])
+                break
+            except (DomainError, DegenerateGradientError):
+                pass
+        else:
+            return None
+        step = -1 if t[1] * self._turn > 0.0 else 1
+        fail = None  # the nearest arc length beyond t whose trace failed
+        while s[1] * t[1] > 0.0:
+            if fail is None:
+                j += step
+                if not 0 <= j < len(self._nodes):
+                    return None
+                sigma = self._nodes[j]
+            else:
+                sigma = 0.5 * (t[0] + fail)
+                if sigma in (t[0], fail):
+                    return None
+            try:
+                s, t = t, offset(sigma)
+            except (DomainError, DegenerateGradientError):
+                fail = sigma
+        # Illinois: the f of a bracket end kept twice in a row is halved
+        fs, ft, side = s[1], t[1], 0
+        for _ in range(_ROOT_MAXITER):
+            if fs == 0.0 or ft == 0.0:
+                break
+            sigma = (fs * t[0] - ft * s[0]) / (fs - ft)
+            if not min(s[0], t[0]) < sigma < max(s[0], t[0]):
+                break
+            r = offset(sigma)
+            if (r[1] > 0.0) == (t[1] > 0.0):
+                t, ft = r, r[1]
+                if side == -1:
+                    fs *= 0.5
+                side = -1
+            else:
+                s, fs = r, r[1]
+                if side == 1:
+                    ft *= 0.5
+                side = 1
+        sigma, _, p1, p2 = min(s, t, key=lambda r: abs(r[1]))
+        if math.hypot(p1 - x1, p2 - x2) > _ROOT_GAP * max(1.0, math.hypot(x1, x2)):
+            return None
+        return sigma
 
 
 def solve_orthogonal_invariant(chart, cauchy, arc_grid, *, n_steps=400):

@@ -250,11 +250,12 @@ def test_level_points_on_ray_charts(bcv, a, a_sign, kappa, a_tau, c, u, f):
     # the radius of the built-in frame's inversion of w.  The segment is
     # x1 = c, |x2| <= c/2, and the level that of the point f times as far
     # out on the ray (tau a in [-1/4, 1/4] keeps 1 - 2 a tau away from 0).
-    # Over 996 valid seeded draws, 92% took L/25; the rest took L/50 or
-    # L/100, e.g. where a trace leaves a BCV chart's domain B > 0
-    # (kappa < 0) half a step later at the half step.  The largest
-    # distance from the ray was 4.6e-16 and the largest radius error
-    # 4.0e-15 relative
+    # Over 996 valid seeded draws the largest distance from the ray was
+    # 4.6e-16 and the largest radius error 4.0e-15 relative.  Over 400
+    # valid draws of the same ranges by numpy (seed 1), 396 took L/25 and
+    # 364 before a probe pair could stop half a step apart (BCV with
+    # kappa < 0: 64 of 68, against 32), with the same largest errors
+    # (2.1e-16 and 4.9e-15) either way
     a = a_sign * a
     spec = (bg.SpaceSpec("bcv_helicoidal", a=a, kappa=kappa, tau=a_tau / a)
             if bcv else bg.SpaceSpec("euclidean_helicoidal", a=a))
@@ -281,6 +282,32 @@ def test_level_points_on_ray_charts(bcv, a, a_sign, kappa, a_tau, c, u, f):
     assert abs(x1 * p0[1] - x2 * p0[0]) / math.hypot(*p0) <= 1e-14 * scale
     assert x1 * p0[0] + x2 * p0[1] > 0.0
     assert abs(math.hypot(x1, x2) - radius) <= 2e-14 * scale
+
+
+def test_ray_chart_whose_traces_leave_the_domain_takes_the_longest_candidate():
+    # on this BCV chart (kappa < 0) the forward probes leave the domain
+    # B > 0 within their reach, the half-step trace of the middle probe
+    # half a step after the full-step one; such a pair passes, so the
+    # chart takes L/25 (L/100 when the pair had to stop at one flow time).
+    # Its characteristics are rays: over the level points below, the
+    # largest distance from the ray was 2.4e-15 (at radius 2.8)
+    chart = bg.make_chart(bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-0.5,
+                                       tau=0.1))
+    traced = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((1.0, -0.5), (1.0, 0.5)),
+        np.linspace(0.0, 1.0, 11), n_steps=800)
+    assert traced.level_step == 16 * traced.step
+    h, n = traced.level_step, traced.level_n_steps
+    coarse = traced._probe_trace(1.0, 0.0, h, n, 1.0)
+    fine = traced._probe_trace(1.0, 0.0, 0.5 * h, 2 * n, 1.0)
+    assert (len(coarse) - 1, len(fine) - 1) == (34, 69)
+    for sigma in np.linspace(0.0, 1.0, 11):
+        p0 = np.array([1.0, sigma - 0.5])
+        for f in (0.5, 0.8, 1.5, 2.0, 2.5):
+            x1, x2 = traced.level_point(chart.volume_at(tuple(f * p0)), sigma)
+            assert x1 * p0[0] + x2 * p0[1] > 0.0
+            assert (abs(x1 * p0[1] - x2 * p0[0]) / math.hypot(*p0)
+                    <= 1e-14 * max(1.0, math.hypot(x1, x2)))
 
 
 # ---------------------------------------------------------------------------

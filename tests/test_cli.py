@@ -625,6 +625,17 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
                "tau": math.nan}, "bcv_helicoidal needs a finite tau, not nan"),
     ("space", {"kind": "euclidean_helicoidal", "a": -math.inf},
      "euclidean_helicoidal needs a finite a, not -inf"),
+    # a zero step gave nan maxima, a nan one a stencil RangeError
+    ("tolerances", {"fd_step": 0},
+     "tolerances.fd_step must be a positive finite number, not 0"),
+    ("tolerances", {"fd_step": -1e-5},
+     "tolerances.fd_step must be a positive finite number, not -1e-05"),
+    ("tolerances", {"fd_step": math.nan},
+     "tolerances.fd_step must be a positive finite number, not nan"),
+    ("tolerances", {"fd_step": math.inf},
+     "tolerances.fd_step must be a positive finite number, not inf"),
+    ("tolerances", {"fd_step": "x"},
+     "tolerances.fd_step must be a positive finite number, not 'x'"),
     ("auto_shrink", "false", "auto_shrink must be true or false, not 'false'"),
     ("auto_shrink", "no", "auto_shrink must be true or false, not 'no'"),
     ("auto_shrink", [0], "auto_shrink must be true or false, not [0]"),
@@ -637,6 +648,29 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, key,
         "--out", str(tmp_path / "out")])
     assert code == 1
     assert err == f"error: ConfigError: {message}\n"
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["family", "demo", "natural", "verify"])
+def test_fd_step_option_must_be_positive_and_finite(tmp_path, capsys,
+                                                    catenoid_member, command,
+                                                    step):
+    # a zero step wrote nan maxima (verify printed "FAIL (max devs E nan"),
+    # a nan one failed with a misleading stencil RangeError
+    member = tmp_path / "member.json"
+    catenoid_member.to_json(member)
+    inputs = {"family": ["--config", _write_cfg(tmp_path, _family_config(),
+                                                "ok")],
+              "demo": ["catenoid"],
+              "natural": _meridian_inputs(tmp_path),
+              "verify": [str(member)]}[command]
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+    code, err = _exit_and_error(capsys, [command, *inputs, *out,
+                                         f"--fd-step={step}"])
+    assert code == 1
+    assert err == ("error: ConfigError: --fd-step must be a positive finite "
+                   f"number, not {float(step)!r}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_generatrix_chain_too_deep_to_evaluate_is_a_config_error(tmp_path,

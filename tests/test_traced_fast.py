@@ -1,7 +1,10 @@
-"""The fast characteristic tracer: scalar stepping with the crossing
-prefilter, the first direction taken from omega and the self-pairing give,
-to the bit, what the per-point trace with a crossing test at every step
-gives, and fail where and how it fails."""
+"""The characteristic tracer: its fused field, RK4 step and level trace
+give, to the bit, what separate calls on 2-vectors give, and fail where
+and how they fail; ``value`` inverts the level trace, returns the arc
+length on the Cauchy curve, raises where no level trace reaches x, and
+takes a pinned number of level traces; a self-pairing takes one
+gradient."""
+import copy
 import dataclasses
 import functools
 import math
@@ -19,6 +22,7 @@ from bourgen.errors import (
     SingularMetricError,
 )
 from conftest import kernel_step, quotient_matrix, swept_nodes
+from test_characteristic_frame import CURVED, CURVED_RECT
 
 
 def _same(a, b):
@@ -28,8 +32,7 @@ def _same(a, b):
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-point trace on 2-vectors, every step tested against
-# the whole polyline, in both directions
+# reference: the field and the RK4 step on 2-vectors
 # ---------------------------------------------------------------------------
 
 def _ref_field(tr, x):
@@ -57,53 +60,6 @@ def _ref_rk4_step(tr, x, h, sign):
     k3 = sign * _ref_field(tr, x + 0.5 * h * k2)
     k4 = sign * _ref_field(tr, x + h * k3)
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _ref_crossing_from(tr, x, sign):
-    x_prev = np.asarray(x, dtype=float)
-    for _ in range(tr.n_steps):
-        x_next = _ref_rk4_step(tr, x_prev, tr.step, sign)
-        hit = tr._segment_crossing(x_prev, x_next)
-        if hit is not None:
-            return (x_prev, x_next) + hit
-        x_prev = x_next
-    return None
-
-
-def _ref_value(tr, x1, x2):
-    """The crossing of the trace from (x1, x2) with the Cauchy curve.  Both
-    directions are traced, and at most one may cross, unless (x1, x2) lies
-    on the curve: then both cross at the start of their first step and
-    must give the same value to the bit."""
-    x = np.array([x1, x2], dtype=float)
-    distance = np.hypot(*(tr._poly_pts - x).T)
-    if np.min(distance) < 1e-12:
-        return tr._proj_sigma(x, int(np.argmin(distance)))
-    values = []
-    for sign in (1.0, -1.0):
-        try:
-            hit = _ref_crossing_from(tr, x, sign)
-        except (DomainError, DegenerateGradientError):
-            hit = None
-        if hit is not None:
-            x_a, x_b, sig0, u0 = hit
-            values.append((_same(x_a, x) and abs(u0) < 1e-9,
-                           tr._refine_crossing(x_a, x_b, sign, sig0, u0)))
-    if len(values) == 2:
-        (on_a, a), (on_b, b) = values
-        assert on_a and on_b and _same(a, b), (x1, x2, values)
-    if values:
-        return values[0][1]
-    raise DomainError(
-        f"point ({x1:.6g}, {x2:.6g}) is outside the swept region of the "
-        "characteristic grid")
-
-
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args)
-    except (DomainError, DegenerateGradientError) as exc:
-        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +107,151 @@ def _traced(name):
     return CASES[name]()
 
 
+# ---------------------------------------------------------------------------
+# value: the inverse of the level trace
+# ---------------------------------------------------------------------------
+
+def _closed_theta(name, x1, x2):
+    """theta where the characteristics are known: the rays from the
+    origin of the helicoidal, BCV and radial charts, and the lines
+    x2 = const of the rotational chart."""
+    if name == "rotational":
+        return x2 + 0.5
+    if name == "arc":
+        return math.atan2(x2, x1) + 0.75
+    (p1, p2), (q1, q2) = {"helicoidal": ((1.0, -0.6), (1.0, 0.6)),
+                          "bcv": ((0.6, -0.4), (0.7, 0.4))}[name]
+    length = math.hypot(q1 - p1, q2 - p2)
+    d1, d2 = (q1 - p1) / length, (q2 - p2) / length
+    # the arc length of the segment point p + sigma d on the ray through x
+    return (p1 * x2 - p2 * x1) / (x1 * d2 - x2 * d1)
+
+
+# the largest |value(level_point(w, t)) - t| on the points of
+# test_value_inverts_the_level_trace was 1.1e-16 on the three charts with
+# d_g33 (2.2e-16 over 300 random levels and arc lengths each), and 4.3e-12
+# on the radial chart, whose field takes central differences of omega
+# (5.9e-12 over 276)
+_ROUND_TRIP = {"helicoidal": 5e-16, "bcv": 5e-16, "rotational": 5e-16,
+               "config": 5e-16, "arc": 1e-11}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["config"])
+def test_value_inverts_the_level_trace(name):
+    # the levels of swept nodes, from random arc lengths; on the config
+    # chart, with 5 nodes and a reach of 20 steps, the level traces from
+    # the nodes nearest x often fall short of the level
+    tr = _five(name)
+    rng = np.random.default_rng(6)
+    errors = []
+    for x1, x2 in swept_nodes(tr, rng, 16):
+        w = tr.chart.volume_at((x1, x2))
+        for t in rng.uniform(0.0, tr.cauchy.length, 2).tolist():
+            try:
+                p = tr.level_point(w, t)
+            except DomainError:
+                continue
+            errors.append(abs(tr.value(*p) - t))
+    assert len(errors) >= 20
+    assert max(errors) <= _ROUND_TRIP[name]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_value_matches_unfiltered_trace(name):
+def test_value_on_the_cauchy_curve(name):
+    # the ends are nodes, whose level point is the Cauchy point itself
     tr = _traced(name)
-    rng = np.random.default_rng(5)
-    points = list(swept_nodes(tr, rng, 8))
-    # on the curve: nodes of the polyline and between them
-    points += [tr.cauchy.point_at(s) for s in (0.0, 0.37, tr.cauchy.length)]
-    # outside the swept region, where both signs fail
-    points += [(5.0, 4.9), (-3.0, 0.2), (0.05, -2.5)]
-    failed = 0
-    for x1, x2 in points:
-        x1, x2 = float(x1), float(x2)
-        got = _outcome(tr.value, x1, x2)
-        want = _outcome(_ref_value, tr, x1, x2)
-        assert got[0] == want[0], (name, x1, x2, got, want)
-        if got[0] == "value":
-            assert _same(got[1], want[1]), (name, x1, x2, got, want)
-        else:
-            assert got[1] == want[1]
-            failed += 1
-    assert failed >= 2
+    length = tr.cauchy.length
+    assert tr.value(*tr.cauchy.point_at(0.0)) == 0.0
+    assert tr.value(*tr.cauchy.point_at(length)) == length
+    assert abs(tr.value(*tr.cauchy.point_at(0.37)) - 0.37) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("x1, x2", [(5.0, 4.9), (-3.0, 0.2), (0.05, -2.5)])
+def test_value_outside_the_swept_region(name, x1, x2):
+    # points that no characteristic from the curve reaches, (-3, 0.2)
+    # across the origin on the ray charts and outside the rotational
+    # chart's domain x1 > 0
+    tr = _traced(name)
+    with pytest.raises(DomainError, match=rf"^point \({x1:g}, {x2:g}\) is "
+                       "outside the swept region of the characteristic grid$"):
+        tr.value(x1, x2)
+
+
+def test_value_refuses_a_root_far_from_x():
+    # with the orientation flipped, the walk from (-1.2, 0.1) heads toward
+    # the other crossing of the level circle with the line through x along
+    # its ray, across the origin, and brackets it; that root's level point
+    # lies 2 |x| from x and is not taken
+    tr = copy.copy(_traced("helicoidal"))
+    tr._turn = -tr._turn
+    with pytest.raises(DomainError, match="outside the swept region"):
+        tr.value(-1.2, 0.1)
+
+
+# swept nodes of test_value_raises_where_no_level_trace_reaches whose
+# level trace fails: on the rotational chart, those that swept_nodes left
+# at x1 = 0.0025, where its trace steps stop, and where a level step's
+# stages cross the domain's edge x1 = 0
+_UNREACHED = {"helicoidal": 0, "arc": 0, "bcv": 0, "rotational": 8}
+# the largest |value - closed-form theta| there was 2.2e-16 on the charts
+# with d_g33 and 1.27e-11 on the radial chart (its level step's error)
+_CLOSED = {"helicoidal": 5e-16, "bcv": 5e-16, "rotational": 5e-16,
+           "arc": 2e-11}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_raises_where_no_level_trace_reaches(name):
+    # at swept nodes, value gives the closed-form theta, and raises
+    # exactly where the level trace from that theta to omega(x) fails
+    tr = _traced(name)
+    unreached = 0
+    for x1, x2 in swept_nodes(tr, np.random.default_rng(5), 32).tolist():
+        theta = _closed_theta(name, x1, x2)
+        try:
+            tr.level_point(tr.chart.volume_at((x1, x2)), theta)
+        except DomainError:
+            unreached += 1
+            with pytest.raises(DomainError, match="outside the swept region"):
+                tr.value(x1, x2)
+            continue
+        assert abs(tr.value(x1, x2) - theta) <= _CLOSED[name]
+    assert unreached == _UNREACHED[name]
+
+
+def _curved_traced():
+    return bg.solve_orthogonal_invariant(
+        bg.chart_from_config(CURVED), bg.line_segment((1.0, -0.5), (1.0, 0.5)),
+        np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("make, rect, traces", [
+    (lambda: _traced("helicoidal"), ((1.3, 1.8), (0.3, 0.9)), 148),
+    (_curved_traced, CURVED_RECT, 179)], ids=["helicoidal", "curved"])
+def test_value_level_traces(make, rect, traces):
+    # level traces of 20 values at the points of seeded (omega, theta) of
+    # a frame's rect: the walk to a bracket and the secant steps.  Over 200
+    # points the mean was 8.1 per value on the flat helicoidal chart and
+    # 9.3 on the curved config chart of test_characteristic_frame
+    tr = make()
+    rng = np.random.default_rng(8)
+    points = [tr.level_point(rng.uniform(*rect[0]), rng.uniform(*rect[1]))
+              for _ in range(20)]
+    calls = 0
+    level_point = tr.level_point
+
+    def counted(w, sigma):
+        nonlocal calls
+        calls += 1
+        return level_point(w, sigma)
+
+    tr.level_point = counted
+    try:
+        for p in points:
+            tr.value(*p)
+    finally:
+        del tr.level_point
+    assert calls == traces
 
 
 def test_point_outside_domain_is_outside_swept_region():
@@ -431,37 +511,6 @@ def test_level_trace_step_makes_four_field_evaluations(w, sigma):
     assert steps > 1
     assert calls == dict.fromkeys(calls, 1 + 4 * steps)
 
-
-# ---------------------------------------------------------------------------
-# the crossing prefilter
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def prefilter_cases():
-    return [bg.solve_orthogonal_invariant(
-                bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0)),
-                bg.line_segment((1.0, -0.6), (1.0, 0.6)),
-                np.linspace(0.0, 1.2, 5), n_steps=4),
-            bg.solve_orthogonal_invariant(
-                _radial_chart(), _unit_arc(), np.linspace(0, 1.5, 5), n_steps=4)]
-
-
-_coordinate = st.floats(-3.0, 3.0, allow_nan=False)
-
-
-@settings(max_examples=400, deadline=None)
-@given(which=st.integers(0, 1), node=st.integers(0, 511),
-       offset=st.tuples(_coordinate, _coordinate),
-       scale=st.integers(-14, 0), step=st.tuples(_coordinate, _coordinate),
-       step_scale=st.integers(-6, 0))
-def test_rejected_step_never_crosses(prefilter_cases, which, node, offset,
-                                     scale, step, step_scale):
-    # steps start near a polyline node, at distances down to rounding
-    tr = prefilter_cases[which]
-    a = tr._poly_pts[node] + np.array(offset) * 10.0 ** scale
-    b = a + np.array(step) * 10.0 ** step_scale
-    if not tr._box_meets(*a.tolist(), *b.tolist()):
-        assert tr._segment_crossing(a, b) is None
 
 # ---------------------------------------------------------------------------
 # the self-pairing
