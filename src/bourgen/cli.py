@@ -114,8 +114,8 @@ class RunConfig:
             s_count=_entry(grid, "grid.s_count", 21, int),
             t_count=_entry(grid, "grid.t_count", 21, int),
             t_range=_entry(grid, "grid.t_range", (0.0, 1.0), _pair),
-            isometry_tol=_entry(tol, "tolerances.isometry", 1e-5, float),
-            cross_tol=_entry(tol, "tolerances.cross_check", 1e-5, float),
+            isometry_tol=_entry(tol, "tolerances.isometry", 1e-5, _positive),
+            cross_tol=_entry(tol, "tolerances.cross_check", 1e-5, _positive),
             fd_step=_entry(tol, "tolerances.fd_step", 1e-5, _positive),
             auto_shrink=_entry(d, "auto_shrink", True, _boolean),
             seed=_entry(d, "seed", 20240901, int))
@@ -400,25 +400,27 @@ def _apply_overrides(cfg, args):
     if args.tol is not None:
         cfg.isometry_tol = args.tol
         cfg.cross_tol = args.tol
-    cfg.fd_step = _fd_step(args, cfg.fd_step)
+    cfg.fd_step = _given(args.fd_step, cfg.fd_step)
     return cfg
 
 
-def _fd_step(args, default):
-    """The --fd-step option, or default when it was not given; a step that
-    is not positive and finite is a ConfigError naming the option."""
-    given = {} if args.fd_step is None else {"--fd-step": args.fd_step}
-    return _entry(given, "--fd-step", default, _positive)
+def _check_options(args):
+    """A --tol or --fd-step that is not positive and finite is a
+    ConfigError naming the option, raised before the command reads or
+    writes any file."""
+    for flag, dest in (("--tol", "tol"), ("--fd-step", "fd_step")):
+        value = getattr(args, dest, None)  # mesh takes neither
+        if value is not None:
+            _entry({flag: value}, flag, None, _positive)
 
 
 def _given(value, default):
-    """A command-line override, or the default when it was not given (an
-    explicit 0 is an override)."""
+    """A command-line override, or the default when it was not given."""
     return default if value is None else value
 
 
 def _cmd_natural(args):
-    h = _fd_step(args, 1e-5)
+    h = _given(args.fd_step, 1e-5)
     chart = spaces.make_chart(_space_entry(_load_config(args.config)))
     try:
         curve = LiftedCurve.from_csv(args.curve)
@@ -445,7 +447,7 @@ def _cmd_natural(args):
 
 
 def _cmd_verify(args):
-    h = _fd_step(args, 1e-5)
+    h = _given(args.fd_step, 1e-5)
     member = _load_member(args.member)
     if member.space is None:
         raise ConfigError("member file carries no space spec; cannot rebuild "
@@ -540,6 +542,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except BourgenError as exc:
         stage = type(exc).__name__

@@ -137,12 +137,15 @@ class GeneratrixMetric:
         return np.array([fn(x) for x in s.ravel()]).reshape(s.shape)
 
     def __call__(self, s):
-        if np.ndim(s) == 0:
+        # a float is tested by its class before np.ndim, as the compiled
+        # expressions do: np.ndim of a float takes longer than a compiled
+        # expression's value there
+        if s.__class__ is float or np.ndim(s) == 0:
             return float(self._U(s))
         return self._array(self._U, np.asarray(s, dtype=float)).astype(float)
 
     def derivative(self, s):
-        if np.ndim(s) == 0:
+        if s.__class__ is float or np.ndim(s) == 0:
             return float(self._dU(s))
         return self._array(self._dU, np.asarray(s, dtype=float)).astype(float)
 
@@ -192,7 +195,7 @@ class GeneratrixMetric:
         callable receives s as it is given."""
         if self.representation != "expression":
             return self(s), self.derivative(s)
-        if np.ndim(s) == 0:
+        if s.__class__ is float or np.ndim(s) == 0:
             value, slope = self._U.dual(s)
             return float(value), float(slope)
         return self._U.dual(np.asarray(s, dtype=float))

@@ -394,9 +394,10 @@ def _characteristic_frame(chart, traced, rect, label):
 @dataclass(frozen=True)
 class CauchyCurve:
     """Transversal data curve in the orbit space, parametrized by arc
-    length on [0, length]."""
+    length on [0, length]: ``point(sigma)`` gives the point as a pair of
+    numbers, and ``point_at`` as an array."""
 
-    point: Callable[[float], np.ndarray]
+    point: Callable[[float], tuple]
     length: float
     tangent: Optional[Callable[[float], np.ndarray]] = None
 
@@ -413,23 +414,30 @@ class CauchyCurve:
 
 
 def line_segment(p0, p1):
-    """Arc-length parametrized straight Cauchy segment from p0 to p1."""
+    """Arc-length parametrized straight Cauchy segment from p0 to p1, in
+    the orbit space.  Its ``point`` returns two floats for a float sigma,
+    with the operations of p0 + sigma * direction on arrays, in the same
+    order: a level trace starts from them with no array call."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise ValueError("degenerate segment")
     direction = (p1 - p0) / length
-    return CauchyCurve(point=lambda sigma: p0 + sigma * direction,
+    (x1, x2), (u1, u2) = p0.tolist(), direction.tolist()
+    return CauchyCurve(point=lambda sigma: (x1 + sigma * u1, x2 + sigma * u2),
                        length=length,
                        tangent=lambda sigma: direction)
 
 
 # Newton iterations of the partial step that lands a trace on a level.  The
-# linear guess is off by O(step^2) and each iteration squares the error up
-# to the O(step^4) gap between the RK4 step's rate and the flow's, so two
-# or three suffice; the loop also ends at the first iteration that does
-# not come closer.
+# inverse Hermite guess (``_hermite_guess``) is off by O(step^4), where a
+# linear guess is off by O(step^2), and each iteration squares the error
+# up to the O(step^4) gap between the RK4 step's rate and the flow's, so
+# two or three suffice; the loop also ends at the first iteration that
+# does not come closer.  On the right-hand sides of the traced_rhs
+# benchmark at L/6.25 a landing takes 3 partial steps, and 3.9 from the
+# linear guess.
 _LAND_MAXITER = 20
 # Smallest |grad omega| that the characteristic field accepts, and the
 # smallest angle (radians) between the Cauchy curve and a characteristic
@@ -461,24 +469,32 @@ _ROOT_GAP = 1e-8
 #   L/100       6.1e-12  8.3e-13         4.5e-10               2.8e-10
 #   L/50        9.6e-11  1.3e-11         1.4e-9                9.1e-10
 #   L/25        1.5e-9   2.1e-10         1.8e-8                1.2e-8
+#   L/12.5      2.2e-8   2.9e-9          3.3e-7                1.9e-7
+#   L/6.25      2.9e-7   3.9e-8          3.9e-6                2.4e-6
 # so L/100 (_LEVEL_STEP_FLOOR) is the largest step that is safe on every
 # chart.  Where the characteristics are straight, as the rays of the flat
-# helicoidal and BCV charts, a level point at L/12.5 still meets the
-# trace at L/1600 to 2.2e-15, so each invariant measures its own step:
-# it takes the first multiple of _LEVEL_STEP_CANDIDATES (L/25, then L/50)
-# whose probe traces pass (``TracedInvariant._level_ratio``), and the
-# floor otherwise.  The probes are the traces, forward and backward over
-# the full reach, from at most _PROBE_COUNT arc values of the grid, each
-# at the candidate step and at half of it (Richardson's estimate of the
-# step error).  A candidate passes when every pair stops at the same flow
+# helicoidal and BCV charts and the lines of the rotational chart, a
+# level point at L/6.25 still meets the trace at L/1600 to 8.6e-15, so
+# each invariant measures its own step: it takes the first multiple of
+# _LEVEL_STEP_CANDIDATES (L/6.25, L/12.5, L/25, then L/50) whose probe
+# traces pass (``TracedInvariant._level_ratio``), and the floor
+# otherwise.  The probes are the traces, forward and backward over the
+# full reach, from at most _PROBE_COUNT arc values of the grid, each at
+# the candidate step and at half of it (Richardson's estimate of the step
+# error).  A candidate passes when every pair stops at the same flow
 # time, or neither stops, or both stop with the fine trace half a step
 # further (a trace that leaves the domain), and at every common flow time
 # the part of the difference across the fine trace's flow is within
 # _PROBE_TOL max(1, |x|).
-# The part along the flow is a phase error in the flow time (up to 3.7e-9
-# between L/25 and L/50 on the flat chart), which the landing step takes
-# out: level points there at L/25 are within 1.8e-15 of those at L/1600.
-_LEVEL_STEP_CANDIDATES = (16, 8)
+# The part along the flow is a phase error in the flow time (up to 1.2e-6
+# between L/6.25 and L/12.5 on the flat chart), which the landing step
+# takes out: level points there at L/6.25 are within 2.6e-15 of those at
+# L/1600.  A step longer than the floor that fails, as one that runs over
+# an edge of the domain, is halved (``level_point``), so that a longer
+# step reaches every level that a shorter one would.  A longer candidate
+# saves little: at L/3.125 a right-hand side of the traced_rhs benchmark
+# would make 41.4 field evaluations instead of 42.5.
+_LEVEL_STEP_CANDIDATES = (64, 32, 16, 8)
 _LEVEL_STEP_FLOOR = 4
 _PROBE_COUNT = 16
 _PROBE_TOL = 1e-11
@@ -570,6 +586,25 @@ def _trace_kernel(chart, omega, grad_floor):
     return field, rk4_step
 
 
+def _hermite_guess(step, sign, w, w_x, w_y, r_x, r_y):
+    """The flow time, in [0, step], at which omega reaches w within a
+    step of the flow of sign * field from omega = w_x to w_y, from the
+    inverse cubic Hermite interpolant of the flow time as a function of
+    omega over the step (Hairer, Norsett and Wanner, Solving ODE I, II.6).
+    In t = (w - w_x) / (w_y - w_x) and the step's fraction u, it meets
+    u = 0 and 1 at the ends with the slopes du/dt = m_x and m_y there,
+    m = (w_y - w_x) / (sign step r) from omega's rate sign r = sign a . d
+    along the flow:
+        u = t^2 (3 - 2 t) + t (1 - t) ((1 - t) m_x - t m_y)."""
+    dw = w_y - w_x
+    t = (w - w_x) / dw
+    m_x = dw / (sign * step * r_x)
+    m_y = dw / (sign * step * r_y)
+    s = 1.0 - t
+    u = t * t * (3.0 - 2.0 * t) + t * s * (s * m_x - t * m_y)
+    return min(max(step * u, 0.0), step)
+
+
 class TracedInvariant:
     """Invariant function produced by the method of characteristics.
 
@@ -589,9 +624,9 @@ class TracedInvariant:
     construction.  A level trace takes steps of ``level_step`` = k
     ``step``, ``step`` = (length of the Cauchy curve) / 400, at most
     ``level_n_steps`` = ceil(n_steps / k) of them, so that it reaches as
-    far in flow time as n_steps steps of ``step``; k is 16 or 8 where the
-    probes of ``_level_ratio`` pass, and 4 otherwise
-    (``_LEVEL_STEP_CANDIDATES`` records why).  It has no analytic
+    far in flow time as n_steps steps of ``step``; k is the first of 64,
+    32, 16 and 8 where the probes of ``_level_ratio`` pass, and 4
+    otherwise (``_LEVEL_STEP_CANDIDATES`` records why).  It has no analytic
     gradient: ``as_invariant`` wraps it for pairings and frames, which
     take central differences of its values.
     """
@@ -712,49 +747,70 @@ class TracedInvariant:
         lands on the level.  The steps are of ``level_step``, whose error
         the frame's stencil does not resolve.  The field at each step's
         end gives omega for the level test and is the next step's k1, so
-        a step evaluates the field four times.  Raises DomainError for
-        sigma outside [0, length], for a step that does not move omega
-        toward w (the flow must, so the step is too long for the field
-        there), for a level not reached within ``level_n_steps`` steps
-        (the flow time of n_steps trace steps) and for a trace that
+        a step evaluates the field four times.  A step that fails, at its
+        stages or at its end (a BourgenError, as where it runs over an
+        edge of the domain), is halved, and the trace goes on from where
+        it was at the halved step, down to the floor step
+        _LEVEL_STEP_FLOOR ``step``: a longer step reaches every level that
+        a shorter one reaches.  Raises DomainError for sigma outside
+        [0, length], for a step that does not move omega toward w (the
+        flow must, so the step is too long for the field there) and for a
+        level not reached within the flow time of ``level_n_steps`` steps
+        (that of n_steps trace steps); a step of the floor, or shorter,
+        that fails raises its error, as the DomainError of a trace that
         leaves the domain.
         """
         if not 0.0 <= sigma <= self.cauchy.length:
             raise DomainError(
                 f"arc length {sigma:.6g} outside the data curve's range "
                 f"[0, {self.cauchy.length:.6g}]")
-        x1, x2 = self.cauchy.point_at(sigma).tolist()
-        field, rk4_step, step = self._field, self._rk4_step, self.level_step
-        a1, a2, _, _, w_x, _, _, _ = field(x1, x2)
+        x1, x2 = self.cauchy.point(sigma)
+        x1, x2 = float(x1), float(x2)
+        field, rk4_step = self._field, self._rk4_step
+        a1, a2, d1, d2, w_x, _, _, _ = field(x1, x2)
         if w_x == w:
             return x1, x2
         sign = 1.0 if w > w_x else -1.0
-        for _ in range(self.level_n_steps):
-            y1, y2 = rk4_step(x1, x2, a1, a2, step, sign)
-            b1, b2, _, _, w_y, _, _, _ = field(y1, y2)
+        step, left = self.level_step, self.level_n_steps
+        floor = _LEVEL_STEP_FLOOR * self.step
+        while left:
+            try:
+                y1, y2 = rk4_step(x1, x2, a1, a2, step, sign)
+                b1, b2, e1, e2, w_y, _, _, _ = field(y1, y2)
+            except BourgenError:
+                if step <= floor:
+                    raise
+                # the rest of the reach at half the step, as near an edge
+                # of the domain that the step runs over
+                step, left = 0.5 * step, 2 * left
+                continue
             if sign * (w_y - w_x) <= 0.0:
                 raise DomainError(
                     f"the level step {step:.6g} from ({x1:.6g}, {x2:.6g}) "
                     f"does not move omega = {w_x:.6g} toward {w:.6g}")
             if sign * (w_y - w) >= 0.0:
-                return self._land(x1, x2, a1, a2, sign, w, w_x, w_y)
-            x1, x2, a1, a2, w_x = y1, y2, b1, b2, w_y
+                return self._land(x1, x2, a1, a2, sign, w, step, w_x, w_y,
+                                  a1 * d1 + a2 * d2, b1 * e1 + b2 * e2)
+            x1, x2, a1, a2, d1, d2, w_x = y1, y2, b1, b2, e1, e2, w_y
+            left -= 1
         raise DomainError(
             f"the characteristic from arc length {sigma:.6g} does not reach "
             f"omega = {w:.6g} within {self.n_steps} steps "
             f"({self.level_n_steps} level steps)")
 
-    def _land(self, x1, x2, a1, a2, sign, w, w_x, w_y):
+    def _land(self, x1, x2, a1, a2, sign, w, step, w_x, w_y, r_x, r_y):
         """The RK4 step from (x1, x2), where the field's velocity is
         (a1, a2), whose end lies on the level omega = w, which a full step
-        from there reaches (w_x and w_y are omega at the start and at the
-        end of the full step).  Newton's method on the step length stays in
-        [0, level_step], where the root is bracketed, and stops within
+        of ``step`` from there reaches: w_x and w_y are omega at the start
+        and at the end of the full step, and r_x and r_y are
+        |grad omega|^2 = a . d there.  Newton's method on the step length
+        starts from the inverse cubic Hermite guess of ``_hermite_guess``,
+        stays in [0, step], where the root is bracketed, and stops within
         1e-15 of w relative, or, where finite-difference gradients leave
-        omega noisier than that, at the end of the step that came closest.  One field
-        evaluation at each trial end gives omega there and its rate."""
-        step = self.level_step
-        h = step * (w - w_x) / (w_y - w_x)
+        omega noisier than that, at the end of the step that came closest.
+        One field evaluation at each trial end gives omega there and its
+        rate."""
+        h = _hermite_guess(step, sign, w, w_x, w_y, r_x, r_y)
         tol = 1e-15 * max(1.0, abs(w))
         best = None
         for _ in range(_LAND_MAXITER):

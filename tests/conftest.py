@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,11 +41,44 @@ def set_level_ratio(traced, ratio):
     return traced
 
 
+def counting_chart(chart, names=("metric",)):
+    """``chart`` with each of its callables ``names`` wrapped to count its
+    calls, and the counts, a dict by name that the caller may reset.  A
+    trace field evaluation calls the metric once, so the metric's count is
+    the number of field evaluations."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(x1, x2):
+            calls[name] += 1
+            return fn(x1, x2)
+        return call
+
+    return dataclasses.replace(
+        chart, **{n: counted(n, getattr(chart, n)) for n in names}), calls
+
+
 def kernel_step(traced, x1, x2, h, sign):
     """One RK4 step of a traced invariant's kernel from (x1, x2): the field
     at the start, then the step that takes its velocity as k1."""
     a1, a2 = traced._field(x1, x2)[:2]
     return traced._rk4_step(x1, x2, a1, a2, h, sign)
+
+
+def omega_span(traced):
+    """omega at the ends of the traces from the middle of the data curve
+    of a traced invariant, n_steps trace steps backward and forward, or as
+    far as they stay in the domain, as (backward end, forward end)."""
+    ends = []
+    for sign in (-1.0, 1.0):
+        x1, x2 = traced.cauchy.point_at(0.5 * traced.cauchy.length).tolist()
+        for _ in range(traced.n_steps):
+            try:
+                x1, x2 = kernel_step(traced, x1, x2, traced.step, sign)
+            except (DomainError, DegenerateGradientError):
+                break
+        ends.append(float(traced.chart.volume_at((x1, x2))))
+    return tuple(ends)
 
 
 def swept_nodes(traced, rng, n):

@@ -12,12 +12,13 @@ from hypothesis import given, reject, settings, strategies as st
 
 import bourgen as bg
 from bourgen.errors import (
+    BourgenError,
     DomainError,
     DomainViolationError,
     RankDeficiencyError,
     RectExitError,
 )
-from conftest import ratio_theta, set_level_ratio
+from conftest import kernel_step, omega_span, ratio_theta, set_level_ratio
 
 RECT = ((1.3, 1.8), (0.3, 0.9))
 SHIFT = 0.6  # the flat helicoidal traced theta is x2/x1 + 0.6
@@ -111,8 +112,8 @@ def _rhs_points(n, seed):
 def test_rhs_matches_closed_form(frame):
     # theta' = sqrt(gt) sqrt(go - m^2 U'^2) / sqrt(go) with the closed
     # forms go, gt of the gradient norms; the largest relative error here
-    # is 1.5e-11 at the chosen level step L/25 (1.6e-11 at L/100, 2.2e-11
-    # at L/400)
+    # is 1.50e-11 at the chosen level step L/6.25 (1.45e-11 at L/25,
+    # 1.6e-11 at L/100, 2.2e-11 at L/400)
     U = bg.GeneratrixMetric.from_expression(f"sqrt(s^2+{U_C:g})", (0.5, 2.0))
     for w, t, m, s in _rhs_points(30, 21):
         params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
@@ -185,7 +186,7 @@ def test_agrees_with_newton_frame(name):
 
 # A config chart whose characteristics curve: on the flat helicoidal and
 # BCV charts they are rays, along which a level trace stays exact to
-# rounding at sixteen times its step, so only a chart like this one shows
+# rounding at 64 times its step, so only a chart like this one shows
 # the step's error.
 CURVED = {"g11": "1+0.2*x2^2", "g12": "0.1*x1", "g13": "x2", "g22": "1",
           "g23": "-x1", "g33": "x1^2+x2^2+1+0.3*x1*x2"}
@@ -224,9 +225,10 @@ def test_level_step_error_is_below_the_stencil_noise():
 
 
 def test_curved_chart_keeps_the_floor_step():
-    # its probes at L/25 and L/50 differ across the flow by up to 3.4e-9
-    # and 2.2e-10, above the 1e-11 tolerance, so it keeps L/100, and its
-    # frame is the frame of a tracer set to L/100, to the bit
+    # its probes at L/6.25, L/12.5, L/25 and L/50 differ across the flow
+    # by up to 1.0e-6, 5.9e-8, 3.4e-9 and 2.2e-10, above the 1e-11
+    # tolerance, so it keeps L/100, and its frame is the frame of a tracer
+    # set to L/100, to the bit
     traced, frame = _curved_frame()
     fixed_traced, fixed = _curved_frame(level_ratio=4)
     assert traced.level_step == 4 * traced.step
@@ -252,10 +254,11 @@ def test_level_points_on_ray_charts(bcv, a, a_sign, kappa, a_tau, c, u, f):
     # out on the ray (tau a in [-1/4, 1/4] keeps 1 - 2 a tau away from 0).
     # Over 996 valid seeded draws the largest distance from the ray was
     # 4.6e-16 and the largest radius error 4.0e-15 relative.  Over 400
-    # valid draws of the same ranges by numpy (seed 1), 396 took L/25 and
-    # 364 before a probe pair could stop half a step apart (BCV with
-    # kappa < 0: 64 of 68, against 32), with the same largest errors
-    # (2.1e-16 and 4.9e-15) either way
+    # valid draws of the same ranges by numpy (seed 1, one call per
+    # argument in order), 395 took L/6.25, 1 L/12.5, 2 L/25 and 2 L/100
+    # (BCV with kappa < 0: 68 of 72 took L/6.25), with largest errors of
+    # 2.6e-16 and 1.6e-15; when L/25 was the longest candidate, 395 took
+    # it, with 2.5e-16 and 1.8e-15
     a = a_sign * a
     spec = (bg.SpaceSpec("bcv_helicoidal", a=a, kappa=kappa, tau=a_tau / a)
             if bcv else bg.SpaceSpec("euclidean_helicoidal", a=a))
@@ -288,7 +291,8 @@ def test_ray_chart_whose_traces_leave_the_domain_takes_the_longest_candidate():
     # on this BCV chart (kappa < 0) the forward probes leave the domain
     # B > 0 within their reach, the half-step trace of the middle probe
     # half a step after the full-step one; such a pair passes, so the
-    # chart takes L/25 (L/100 when the pair had to stop at one flow time).
+    # chart takes L/6.25 (L/100 when the pair had to stop at one flow
+    # time).
     # Its characteristics are rays: over the level points below, the
     # largest distance from the ray was 2.4e-15 (at radius 2.8)
     chart = bg.make_chart(bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-0.5,
@@ -296,11 +300,11 @@ def test_ray_chart_whose_traces_leave_the_domain_takes_the_longest_candidate():
     traced = bg.solve_orthogonal_invariant(
         chart, bg.line_segment((1.0, -0.5), (1.0, 0.5)),
         np.linspace(0.0, 1.0, 11), n_steps=800)
-    assert traced.level_step == 16 * traced.step
+    assert traced.level_step == 64 * traced.step
     h, n = traced.level_step, traced.level_n_steps
     coarse = traced._probe_trace(1.0, 0.0, h, n, 1.0)
     fine = traced._probe_trace(1.0, 0.0, 0.5 * h, 2 * n, 1.0)
-    assert (len(coarse) - 1, len(fine) - 1) == (34, 69)
+    assert (len(coarse) - 1, len(fine) - 1) == (8, 17)
     for sigma in np.linspace(0.0, 1.0, 11):
         p0 = np.array([1.0, sigma - 0.5])
         for f in (0.5, 0.8, 1.5, 2.0, 2.5):
@@ -308,6 +312,119 @@ def test_ray_chart_whose_traces_leave_the_domain_takes_the_longest_candidate():
             assert x1 * p0[0] + x2 * p0[1] > 0.0
             assert (abs(x1 * p0[1] - x2 * p0[0]) / math.hypot(*p0)
                     <= 1e-14 * max(1.0, math.hypot(x1, x2)))
+
+
+# ---------------------------------------------------------------------------
+# the longest level step, on straight characteristics
+# ---------------------------------------------------------------------------
+
+# Charts whose characteristics are straight and which take L/6.25: the
+# flat helicoidal segment of the traced_rhs benchmark, a slanted segment
+# on a BCV chart with kappa > 0, the kappa < 0 chart above, whose traces
+# leave the domain B > 0, and the rotational chart, whose backward traces
+# run into its edge x1 = 0.  Each entry: the space, the Cauchy segment,
+# the arc-grid size and n_steps.
+LONG_STEP = {
+    "flat": (bg.SpaceSpec("euclidean_helicoidal", a=1.0),
+             ((1.0, -0.6), (1.0, 0.6)), 61, 220),
+    "bcv": (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0),
+            ((0.6, -0.4), (0.7, 0.4)), 41, 120),
+    "bcv_kappa_negative": (
+        bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-0.5, tau=0.1),
+        ((1.0, -0.5), (1.0, 0.5)), 11, 800),
+    "rotational": (bg.SpaceSpec("euclidean_rotational"),
+                   ((0.5, -0.5), (0.5, 0.5)), 11, 480),
+}
+
+
+def _long_step_traced(name):
+    spec, (p0, p1), arcs, n_steps = LONG_STEP[name]
+    segment = bg.line_segment(p0, p1)
+    traced = bg.solve_orthogonal_invariant(
+        bg.make_chart(spec), segment, np.linspace(0.0, segment.length, arcs),
+        n_steps=n_steps)
+    assert traced.level_step == 64 * traced.step
+    return traced
+
+
+def _reaches(traced, w, sigma, ratio):
+    """Whether a level trace of fixed steps of ratio trace steps, as far in
+    flow time as n_steps trace steps, reaches the level omega = w from the
+    Cauchy point at arc length sigma: every step stays in the domain and
+    moves omega toward w, as L/25 (ratio 16) did on these charts before
+    they took L/6.25."""
+    x1, x2 = traced.cauchy.point(sigma)
+    w_x = traced._field(x1, x2)[4]
+    sign = 1.0 if w > w_x else -1.0
+    for _ in range(math.ceil(traced.n_steps / ratio)):
+        if sign * (w_x - w) >= 0.0:
+            return True
+        try:
+            x1, x2 = kernel_step(traced, x1, x2, ratio * traced.step, sign)
+            w_y = traced._field(x1, x2)[4]
+        except BourgenError:
+            return False
+        if sign * (w_y - w_x) <= 0.0:
+            return False
+        w_x = w_y
+    return sign * (w_x - w) >= 0.0
+
+
+@pytest.mark.parametrize("name", ["flat", "bcv", "bcv_kappa_negative"])
+def test_long_level_step_meets_the_fine_tracer(name):
+    # level points at L/6.25 against the same tracer at L/1600, at 60
+    # seeded points: levels across the span of omega that the traces from
+    # the middle of the data curve reach (on the kappa < 0 chart, that of
+    # the Cauchy point 0.5 to 2.5 times as far out on its ray, short of
+    # the domain's edge at radius 2.83, where omega grows without bound).
+    # The largest distances here were 2.7e-15 (flat), 4.3e-15 (bcv) and
+    # 3.4e-15 (kappa < 0); over 400 such points 2.6e-15, 4.8e-15 and
+    # 8.6e-15, against 2.6e-15, 4.9e-15 and 5.4e-15 at L/25
+    traced = _long_step_traced(name)
+    fine = set_level_ratio(_long_step_traced(name), 0.25)
+    lo, hi = omega_span(traced)
+    rng = np.random.default_rng(5)
+    met = 0
+    for _ in range(60):
+        sigma = rng.uniform(0.0, traced.cauchy.length)
+        if name == "bcv_kappa_negative":
+            p0 = np.array(traced.cauchy.point(sigma))
+            w = traced.chart.volume_at(tuple(rng.uniform(0.5, 2.5) * p0))
+        else:
+            w = rng.uniform(lo, hi)
+        try:
+            want = fine.level_point(w, sigma)
+        except DomainError:
+            continue  # beyond the reach from this arc length
+        x1, x2 = traced.level_point(w, sigma)
+        assert (math.hypot(x1 - want[0], x2 - want[1])
+                <= 1e-14 * max(1.0, math.hypot(*want)))
+        met += 1
+    assert met >= 30
+
+
+@pytest.mark.parametrize("name", sorted(LONG_STEP))
+def test_long_level_step_reaches_what_l_25_reached(name):
+    # on a 120 x 13 grid of levels (the span of omega_span and 5% beyond
+    # it) and arc lengths, every level point that fixed steps of L/25
+    # reach is reached at L/6.25.  Near an edge of the domain a step of
+    # L/6.25 runs over it where one of L/25 would not, so the level trace
+    # halves such a step, down to L/100.  The longer reach of
+    # ceil(n_steps / 64) steps, and the halved steps, reach more:
+    # 72 more points on the flat chart, 0 on bcv, 45 on kappa < 0 and 78
+    # on the rotational chart
+    traced = _long_step_traced(name)
+    lo, hi = omega_span(traced)
+    pad = 0.05 * (hi - lo)
+    lost = []
+    for w in np.linspace(lo - pad, hi + pad, 120).tolist():
+        for sigma in np.linspace(0.0, traced.cauchy.length, 13).tolist():
+            if _reaches(traced, w, sigma, 16):
+                try:
+                    traced.level_point(w, sigma)
+                except BourgenError:
+                    lost.append((w, sigma))
+    assert lost == []
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def _session(tmp, capsys):
         ["demo", "helicoid", "--out", str(tmp / "demo"), "--strict"],
         ["verify", member, "--out", str(tmp / "x")],
         ["family", "--config", str(tmp / "missing.json")],
-        ["verify", member, "--tol", "0", "--strict"],
+        ["verify", member, "--tol", "1e-300", "--strict"],
     ]
     calls = []
     for argv in argvs:
@@ -202,14 +202,14 @@ def test_cached_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys,
     assert [c[0] for c in cached] == [0, 0, 0, 0, ("SystemExit", 2), 1, 2]
 
 
-def test_verify_tol_zero_is_an_override(tmp_path, capsys):
-    # an explicit 0 is a tolerance, not "use the default"
+def test_verify_tiny_tol_is_an_override(tmp_path, capsys):
+    # an explicit tolerance, however small, replaces the default
     code, _ = run(RunConfig.from_dict(_family_config()), tmp_path / "out")
     assert code == 0
     member_path = str(tmp_path / "out" / "member_m1.json")
     assert main(["verify", member_path, "--strict"]) == 0
     capsys.readouterr()
-    assert main(["verify", member_path, "--strict", "--tol", "0"]) == 2
+    assert main(["verify", member_path, "--strict", "--tol", "1e-300"]) == 2
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -234,9 +234,9 @@ def test_natural_passes_fd_step_and_tol(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bg.verify, "isometry_report", spy)
     code = main(["natural", *_meridian_inputs(tmp_path), "--out",
-                 str(tmp_path / "nat"), "--strict", "--tol", "0",
+                 str(tmp_path / "nat"), "--strict", "--tol", "1e-300",
                  "--fd-step", "2e-5"])
-    assert seen == [(0.0, 2e-5)]
+    assert seen == [(1e-300, 2e-5)]
     assert code == 2
 
 
@@ -636,6 +636,19 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
      "tolerances.fd_step must be a positive finite number, not inf"),
     ("tolerances", {"fd_step": "x"},
      "tolerances.fd_step must be a positive finite number, not 'x'"),
+    # a nan tolerance failed every check, a negative one every check too
+    ("tolerances", {"isometry": math.nan},
+     "tolerances.isometry must be a positive finite number, not nan"),
+    ("tolerances", {"isometry": -1},
+     "tolerances.isometry must be a positive finite number, not -1"),
+    ("tolerances", {"isometry": 0},
+     "tolerances.isometry must be a positive finite number, not 0"),
+    ("tolerances", {"cross_check": math.inf},
+     "tolerances.cross_check must be a positive finite number, not inf"),
+    ("tolerances", {"cross_check": -1e-5},
+     "tolerances.cross_check must be a positive finite number, not -1e-05"),
+    ("tolerances", {"cross_check": "x"},
+     "tolerances.cross_check must be a positive finite number, not 'x'"),
     ("auto_shrink", "false", "auto_shrink must be true or false, not 'false'"),
     ("auto_shrink", "no", "auto_shrink must be true or false, not 'no'"),
     ("auto_shrink", [0], "auto_shrink must be true or false, not [0]"),
@@ -670,6 +683,27 @@ def test_fd_step_option_must_be_positive_and_finite(tmp_path, capsys,
     assert code == 1
     assert err == ("error: ConfigError: --fd-step must be a positive finite "
                    f"number, not {float(step)!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["family", "demo", "natural", "verify"])
+def test_tol_option_must_be_positive_and_finite(tmp_path, capsys, command,
+                                                tol):
+    # a nan tolerance printed FAIL for every member and exited 0, a
+    # negative one exited 2 under --strict.  The input files do not
+    # exist: the option is refused before any file is read or written
+    missing = str(tmp_path / "missing")
+    inputs = {"family": ["--config", missing],
+              "demo": ["catenoid"],
+              "natural": ["--config", missing, "--curve", missing],
+              "verify": [missing]}[command]
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+    code, err = _exit_and_error(capsys, [command, *inputs, *out,
+                                         f"--tol={tol}", "--strict"])
+    assert code == 1
+    assert err == ("error: ConfigError: --tol must be a positive finite "
+                   f"number, not {float(tol)!r}\n")
     assert not (tmp_path / "out").exists()
 
 

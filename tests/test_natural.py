@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
 from bourgen.errors import DegenerateParametrizationError
@@ -144,3 +145,30 @@ def test_generatrix_derivative_matches_expression():
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+4)", (0.0, 1.0))
     for s in (0.1, 0.5, 0.9):
         assert np.isclose(U.derivative(s), s / np.sqrt(s * s + 4), atol=1e-14)
+
+
+_GENERATRICES = {
+    "expression": lambda: bg.GeneratrixMetric.from_expression(
+        "sqrt(s^2+2) + 0.1*sin(3*s)", (-2.0, 2.0)),
+    "table": lambda: bg.GeneratrixMetric.from_samples(
+        np.linspace(-2.0, 2.0, 41), np.sqrt(np.linspace(-2.0, 2.0, 41) ** 2 + 2)),
+    "callable": lambda: bg.GeneratrixMetric.from_callable(
+        lambda s: (s * s + 2.0) ** 0.5, (-2.0, 2.0)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_GENERATRICES)),
+       s=st.floats(-2.0, 2.0))
+def test_generatrix_scalars_give_the_same_bits(kind, s):
+    # a float takes the float path, tested by its class before np.ndim;
+    # an np.float64 and a 0-d array take np.ndim's, and all three give
+    # the same Python floats from __call__, derivative and table
+    U = _GENERATRICES[kind]()
+    want = (U(s), U.derivative(s), *U.table(s))
+    assert all(type(v) is float for v in want)
+    assert want[2:] == want[:2]
+    for x in (np.float64(s), np.array(s)):
+        got = (U(x), U.derivative(x), *U.table(x))
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
 from bourgen.chart import invariant_pairing
@@ -13,6 +14,7 @@ from bourgen.errors import (
 )
 from bourgen.quotient import newton_invert
 from conftest import (
+    counting_chart,
     fd_invariant,
     quotient_matrix,
     ratio_theta,
@@ -204,6 +206,28 @@ def test_traced_theta_value_is_affine_in_ratio(traced_theta):
     assert np.allclose(vals, pts[:, 1] / pts[:, 0] + 0.6, atol=1e-10)
 
 
+_coordinate = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p0=st.tuples(_coordinate, _coordinate),
+       p1=st.tuples(_coordinate, _coordinate), u=st.floats(0.0, 1.0))
+def test_line_segment_point_is_the_array_expression(p0, p1, u):
+    # the segment's point is two floats, with the bits of the array
+    # expression p0 + sigma * direction on which it was built
+    a, b = np.array(p0), np.array(p1)
+    length = float(np.linalg.norm(b - a))
+    if length == 0.0:
+        return
+    segment = bg.line_segment(p0, p1)
+    sigma = u * length
+    got = segment.point(sigma)
+    assert all(type(x) is float for x in got)
+    want = a + sigma * ((b - a) / length)
+    assert np.array(got).tobytes() == want.tobytes()
+    assert segment.point_at(sigma).tobytes() == want.tobytes()
+
+
 def test_tangent_cauchy_rejected(helicoidal_chart):
     # a radial segment is itself a characteristic
     with pytest.raises(TransversalityError):
@@ -240,22 +264,15 @@ def traced_frame(helicoidal_chart, traced_theta):
     return _traced_frame(helicoidal_chart, traced_theta)
 
 
-@pytest.mark.parametrize("s, t, m, counts", [(1.0, 0.5, 0.85, (51, 99, 307)),
-                                             (1.2, 0.35, 0.9, (99, 299, 1099))])
+@pytest.mark.parametrize("s, t, m, counts", [(1.0, 0.5, 0.85, (35, 91, 299)),
+                                             (1.2, 0.35, 0.9, (51, 291, 1091))])
 def test_traced_rhs_field_evaluations(helicoidal_chart, s, t, m, counts):
     # the traced_frame fixture's frame on a chart that counts its metric
     # calls, one per field evaluation: a right-hand side is two level
     # traces of 1 + 4 n evaluations, n their RK4 steps (full and landing),
     # and one at the stencil's point.  The level step the invariant
-    # chooses, L/25, against L/100 and the trace step L/400
-    calls = 0
-
-    def metric(x1, x2):
-        nonlocal calls
-        calls += 1
-        return helicoidal_chart.metric(x1, x2)
-
-    chart = dataclasses.replace(helicoidal_chart, metric=metric)
+    # chooses, L/6.25, against L/100 and the trace step L/400
+    chart, calls = counting_chart(helicoidal_chart)
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
     params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
     got = []
@@ -264,17 +281,42 @@ def test_traced_rhs_field_evaluations(helicoidal_chart, s, t, m, counts):
         if ratio is not None:
             set_level_ratio(traced, ratio)
         frame = _traced_frame(chart, traced)
-        calls = 0
+        calls["metric"] = 0
         bg.ode_rhs(s, t, U, params, frame)
-        got.append(calls)
+        got.append(calls["metric"])
     assert tuple(got) == counts
 
 
+def test_traced_rhs_field_evaluations_per_rhs(helicoidal_chart):
+    # the right-hand sides of the traced_rhs benchmark, one at the centre
+    # of each of its 5 x 3 (omega, theta) strata of the rect (the cost
+    # depends on (omega, theta) alone): 41.9 field evaluations per
+    # right-hand side, and at most 45.  At the benchmark's seeded points
+    # of the strata (seed 1) they were 42.5, and 76.6 at L/25 with the
+    # linear landing guess
+    chart, calls = counting_chart(helicoidal_chart)
+    frame = _traced_frame(chart, _traced_theta(chart))
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
+    (w0, w1), (t0, t1) = frame.rect
+    counts = []
+    for i in range(5):
+        for j in range(3):
+            w = w0 + (w1 - w0) * (i + 0.5) / 5
+            t = t0 + (t1 - t0) * (j + 0.5) / 3
+            m = w / U(1.0)
+            params = bg.BourParams(m=m, s_range=(0.5, 2.0), step=0.01)
+            calls["metric"] = 0
+            bg.ode_rhs(1.0, t, U, params, frame)
+            counts.append(calls["metric"])
+    assert sum(counts) == 629
+    assert sum(counts) <= 45 * len(counts)
+
+
 def test_traced_rhs_chart_takes_the_longest_candidate(traced_theta):
-    # the characteristics are rays, so the probes at L/25 agree with their
-    # half-step traces across the flow to rounding (3.8e-16)
-    assert traced_theta.level_step == 16 * traced_theta.step
-    assert traced_theta.level_n_steps == math.ceil(220 / 16) == 14
+    # the characteristics are rays, so the probes at L/6.25 agree with
+    # their half-step traces across the flow to rounding
+    assert traced_theta.level_step == 64 * traced_theta.step
+    assert traced_theta.level_n_steps == math.ceil(220 / 64) == 4
 
 
 def test_two_builds_choose_the_same_step(helicoidal_chart, traced_theta):
