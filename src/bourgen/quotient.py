@@ -430,23 +430,48 @@ def line_segment(p0, p1):
                        tangent=lambda sigma: direction)
 
 
-# Newton iterations of the partial step that lands a trace on a level.  The
-# inverse Hermite guess (``_hermite_guess``) is off by O(step^4), where a
-# linear guess is off by O(step^2), and each iteration squares the error
-# up to the O(step^4) gap between the RK4 step's rate and the flow's, so
-# two or three suffice; the loop also ends at the first iteration that
-# does not come closer.  On the right-hand sides of the traced_rhs
-# benchmark at L/6.25 a landing takes 3 partial steps, and 3.9 from the
-# linear guess.
+# The landing of a level trace (``TracedInvariant._land``): at most
+# _LAND_MAXITER Newton iterations on the length of its partial step.  The
+# first is the partial RK4 step from the step's start at the inverse cubic
+# Hermite guess (``_hermite_guess``), which is off by O(step^4) in the
+# flow time; the loop ends at the first iterate within tolerance or no
+# closer than the one before.  A correction dh of the length is a short
+# step along the flow from the latest iterate, which lies on the trace:
+# - where |dh| > _LAND_EULER step, a midpoint step (2 field evaluations,
+#   local error O(dh^3)), whose length is solved again with omega's rate
+#   at its midpoint: omega gains dh times that rate over the step up to
+#   O(dh^3), so the iterate lands within O(dh^3) where a Newton step
+#   leaves O(dh^2);
+# - otherwise an Euler step (1 evaluation, error O(dh^2), at most about
+#   1e-16 step^2: rounding).
+# Where |dh| > _LAND_RESTEP step the correction re-steps from the step's
+# start instead, as near an edge of the domain after a halved step, where
+# the guess clamps to the full step while the level lies at a third of
+# it: short steps over such a length left level points of the kappa < 0
+# chart of
+# test_ray_chart_whose_traces_leave_the_domain_takes_the_longest_candidate
+# 1.3e-13 off their rays.  On the 300 level traces of the right-hand sides
+# of the traced_rhs benchmark (seeds 1-10) the guess lands within 1.5e-6
+# relative (median; at most 7.4e-6) and one midpoint correction within
+# 3.3e-16, so a landing makes 6 field evaluations where 2.9 RK4 steps made
+# 11.8, and a right-hand side 30.9 where it made 42.4 (32.8 with Newton's
+# length for the midpoint step, which then needs an Euler step as well).
+# Over 200 random levels on each of the flat, BCV, kappa < 0, rotational
+# and curved charts of the tests, level points moved from those of RK4
+# re-steps by at most 4.7e-15 relative, about as far as those lie from a
+# tracer at L/1600 (4.5e-15), with these thresholds and with
+# (1e-1, 1e-7) and (1e-2, 1e-9) alike.
 _LAND_MAXITER = 20
+_LAND_RESTEP = 1e-3
+_LAND_EULER = 1e-8
 # Smallest |grad omega| that the characteristic field accepts, and the
 # smallest angle (radians) between the Cauchy curve and a characteristic
 # at the arc-length values of the grid.
 _GRAD_FLOOR = 1e-10
 _MIN_ANGLE = 1e-3
 # Trace steps per length L of the Cauchy curve.  ``step`` = L/400 is the
-# unit of the level step below, and n_steps of it the reach of every trace
-# in flow time.
+# unit of the level step below, and n_steps of it the least reach of every
+# trace in flow time.
 _STEPS_PER_LENGTH = 400.0
 # ``value``'s root search: the most secant steps, and the largest distance
 # from x, relative to max(1, |x|), of a root's level point.  A root there
@@ -481,19 +506,22 @@ _ROOT_GAP = 1e-8
 # otherwise.  The probes are the traces, forward and backward over the
 # full reach, from at most _PROBE_COUNT arc values of the grid, each at
 # the candidate step and at half of it (Richardson's estimate of the step
-# error).  A candidate passes when every pair stops at the same flow
-# time, or neither stops, or both stop with the fine trace half a step
-# further (a trace that leaves the domain), and at every common flow time
-# the part of the difference across the fine trace's flow is within
-# _PROBE_TOL max(1, |x|).
+# error); a half-step trace is the next candidate's coarse trace, and is
+# kept for it (``_probe_passes``).  A candidate passes when every pair
+# stops at the same flow time, or neither stops, or both stop with the
+# fine trace half a step further (a trace that leaves the domain), and at
+# every common flow time the part of the difference across the fine
+# trace's flow is within _PROBE_TOL max(1, |x|).
 # The part along the flow is a phase error in the flow time (up to 1.2e-6
 # between L/6.25 and L/12.5 on the flat chart), which the landing step
 # takes out: level points there at L/6.25 are within 2.6e-15 of those at
 # L/1600.  A step longer than the floor that fails, as one that runs over
 # an edge of the domain, is halved (``level_point``), so that a longer
-# step reaches every level that a shorter one would.  A longer candidate
-# saves little: at L/3.125 a right-hand side of the traced_rhs benchmark
-# would make 41.4 field evaluations instead of 42.5.
+# step reaches every level that a shorter one would.  No longer candidate
+# is tried: at L/3.125 a right-hand side of the traced_rhs benchmark would
+# make 28.7 field evaluations instead of 30.9 (seeds 1-10; 41.7 instead of
+# 42.4 when the landing re-stepped from the step's start), a saving not
+# yet weighed against that step's error on other charts.
 _LEVEL_STEP_CANDIDATES = (64, 32, 16, 8)
 _LEVEL_STEP_FLOOR = 4
 _PROBE_COUNT = 16
@@ -623,9 +651,9 @@ class TracedInvariant:
     are the closures of ``_trace_kernel``, bound to the chart once, at
     construction.  A level trace takes steps of ``level_step`` = k
     ``step``, ``step`` = (length of the Cauchy curve) / 400, at most
-    ``level_n_steps`` = ceil(n_steps / k) of them, so that it reaches as
-    far in flow time as n_steps steps of ``step``; k is the first of 64,
-    32, 16 and 8 where the probes of ``_level_ratio`` pass, and 4
+    ``level_n_steps`` = ceil(n_steps / k) of them, so that it reaches at
+    least as far in flow time as n_steps steps of ``step``; k is the first
+    of 64, 32, 16 and 8 where the probes of ``_level_ratio`` pass, and 4
     otherwise (``_LEVEL_STEP_CANDIDATES`` records why).  It has no analytic
     gradient: ``as_invariant`` wraps it for pairings and frames, which
     take central differences of its values.
@@ -690,24 +718,39 @@ class TracedInvariant:
         count = min(_PROBE_COUNT, len(self.sigmas))
         picks = np.linspace(0, len(self.sigmas) - 1, count).round().astype(int)
         starts = [self.cauchy.point_at(s).tolist() for s in self.sigmas[picks]]
+        halves = {}
         for ratio in _LEVEL_STEP_CANDIDATES:
             h = ratio * self.step
             n = math.ceil(self.n_steps / ratio)
-            if all(self._probe_passes(x1, x2, h, n, sign)
+            if all(self._probe_passes(x1, x2, h, n, sign, halves)
                    for x1, x2 in starts for sign in (1.0, -1.0)):
                 return ratio
         return _LEVEL_STEP_FLOOR
 
-    def _probe_passes(self, x1, x2, h, n, sign):
+    def _probe_passes(self, x1, x2, h, n, sign, halves):
         """Whether the traces of n steps of h and of 2n steps of h/2 from
         (x1, x2) stop at the same flow time, or neither stops, or both
         stop with the fine trace one half step further, as where a trace
         leaves the domain, and agree across the flow to
         _PROBE_TOL max(1, |x|) at every common flow time.  The part of
         coarse - fine across the fine trace's velocity b is
-        |d1 b2 - d2 b1| / |b|."""
-        coarse = self._probe_trace(x1, x2, h, n, sign)
+        |d1 b2 - d2 b1| / |b|.
+
+        ``halves`` maps (x1, x2, sign) to the step and the points of the
+        latest half-step trace probed from there, which this probe's
+        half-step trace replaces.  Where that step is h, the trace's first
+        n + 1 points are the coarse trace, to the bit, and it is not
+        traced again: the half step of candidate k is candidate k/2, as
+        0.5 (k step) == (k/2) step for the powers of two of
+        _LEVEL_STEP_CANDIDATES, and its 2 ceil(N / k) steps are at least
+        the ceil(2 N / k) of k/2."""
+        kept = halves.get((x1, x2, sign))
+        if kept is not None and kept[0] == h:
+            coarse = kept[1][:n + 1]
+        else:
+            coarse = self._probe_trace(x1, x2, h, n, sign)
         fine = self._probe_trace(x1, x2, 0.5 * h, 2 * n, sign)
+        halves[x1, x2, sign] = (0.5 * h, fine)
         # fine steps beyond twice the coarse ones: 1 only where both stop
         if len(fine) - 1 - 2 * (len(coarse) - 1) not in (0, 1):
             return False
@@ -742,23 +785,23 @@ class TracedInvariant:
 
         omega is strictly monotone along the flow (d omega / d tau =
         |grad omega|^2), so the trace runs from the data point in the
-        direction sign(w - omega) until omega passes w, and a last partial
-        RK4 step, its length solved by Newton's method in the flow time,
-        lands on the level.  The steps are of ``level_step``, whose error
-        the frame's stencil does not resolve.  The field at each step's
-        end gives omega for the level test and is the next step's k1, so
-        a step evaluates the field four times.  A step that fails, at its
-        stages or at its end (a BourgenError, as where it runs over an
-        edge of the domain), is halved, and the trace goes on from where
-        it was at the halved step, down to the floor step
+        direction sign(w - omega) until omega passes w, and ``_land``
+        finds the point on the level within the last step by Newton's
+        method in the flow time.  The steps are of ``level_step``, whose
+        error the frame's stencil does not resolve.  The field at each
+        step's end gives omega for the level test and is the next step's
+        k1, so a step evaluates the field four times.  A step that fails,
+        at its stages or at its end (a BourgenError, as where it runs over
+        an edge of the domain), is halved, and the trace goes on from
+        where it was at the halved step, down to the floor step
         _LEVEL_STEP_FLOOR ``step``: a longer step reaches every level that
         a shorter one reaches.  Raises DomainError for sigma outside
         [0, length], for a step that does not move omega toward w (the
         flow must, so the step is too long for the field there) and for a
         level not reached within the flow time of ``level_n_steps`` steps
-        (that of n_steps trace steps); a step of the floor, or shorter,
-        that fails raises its error, as the DomainError of a trace that
-        leaves the domain.
+        (that of at least n_steps trace steps; the message names it in
+        trace steps); a step of the floor, or shorter, that fails raises
+        its error, as the DomainError of a trace that leaves the domain.
         """
         if not 0.0 <= sigma <= self.cauchy.length:
             raise DomainError(
@@ -793,29 +836,37 @@ class TracedInvariant:
                                   a1 * d1 + a2 * d2, b1 * e1 + b2 * e2)
             x1, x2, a1, a2, d1, d2, w_x = y1, y2, b1, b2, e1, e2, w_y
             left -= 1
+        reach = self.level_n_steps * self.level_step / self.step
         raise DomainError(
             f"the characteristic from arc length {sigma:.6g} does not reach "
-            f"omega = {w:.6g} within {self.n_steps} steps "
+            f"omega = {w:.6g} within the flow time of {reach:g} trace steps "
             f"({self.level_n_steps} level steps)")
 
     def _land(self, x1, x2, a1, a2, sign, w, step, w_x, w_y, r_x, r_y):
-        """The RK4 step from (x1, x2), where the field's velocity is
-        (a1, a2), whose end lies on the level omega = w, which a full step
-        of ``step`` from there reaches: w_x and w_y are omega at the start
-        and at the end of the full step, and r_x and r_y are
-        |grad omega|^2 = a . d there.  Newton's method on the step length
-        starts from the inverse cubic Hermite guess of ``_hermite_guess``,
-        stays in [0, step], where the root is bracketed, and stops within
-        1e-15 of w relative, or, where finite-difference gradients leave
-        omega noisier than that, at the end of the step that came closest.
-        One field evaluation at each trial end gives omega there and its
-        rate."""
+        """The point of the trace from (x1, x2), where the field's velocity
+        is (a1, a2), on the level omega = w, which a full RK4 step of
+        ``step`` from there reaches: w_x and w_y are omega at the start and
+        at the end of the full step, and r_x and r_y are
+        |grad omega|^2 = a . d there.  Newton's method on the length h of
+        the partial step starts from the inverse cubic Hermite guess of
+        ``_hermite_guess``, with the RK4 step of that length, stays in
+        [0, step], where the root is bracketed, and stops within 1e-15 of
+        w relative, or, where finite-difference gradients leave omega
+        noisier than that, at the iterate that came closest.  Each
+        correction dh of h is a short step along the flow from the latest
+        iterate, a midpoint step whose length is solved again with the
+        rate at its midpoint or, below _LAND_EULER step, an Euler step,
+        and an RK4 step of the new h from (x1, x2) where |dh| exceeds
+        _LAND_RESTEP step (the block comment of _LAND_MAXITER has the
+        measurements).  One field evaluation at each iterate gives omega
+        there, its rate and the velocity that a short step starts with."""
+        field = self._field
         h = _hermite_guess(step, sign, w, w_x, w_y, r_x, r_y)
         tol = 1e-15 * max(1.0, abs(w))
+        y1, y2 = self._rk4_step(x1, x2, a1, a2, h, sign)
         best = None
         for _ in range(_LAND_MAXITER):
-            y1, y2 = self._rk4_step(x1, x2, a1, a2, h, sign)
-            b1, b2, d1, d2, w_y, _, _, _ = self._field(y1, y2)
+            b1, b2, d1, d2, w_y, _, _, _ = field(y1, y2)
             r = w_y - w
             if best is not None and abs(r) >= abs(best[2]):
                 break
@@ -823,7 +874,21 @@ class TracedInvariant:
             if abs(r) <= tol:
                 break
             # d omega / d h along the flow of sign * field: sign |grad omega|^2
+            last = h
             h = min(max(h - r / (sign * (b1 * d1 + b2 * d2)), 0.0), step)
+            f = sign * (h - last)  # the correction, as flow time of the field
+            if abs(f) > _LAND_RESTEP * step:
+                y1, y2 = self._rk4_step(x1, x2, a1, a2, h, sign)
+            elif abs(f) > _LAND_EULER * step:
+                g = 0.5 * f
+                c1, c2, e1, e2, _, _, _, _ = field(y1 + g * b1, y2 + g * b2)
+                # omega gains f (c . e) over the step, up to O(f^3): the
+                # length again, with the rate at the midpoint
+                h = min(max(last - r / (sign * (c1 * e1 + c2 * e2)), 0.0), step)
+                f = sign * (h - last)
+                y1, y2 = y1 + f * c1, y2 + f * c2
+            else:
+                y1, y2 = y1 + f * b1, y2 + f * b2
         return best[0], best[1]
 
     def __call__(self, x1, x2):

@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import bourgen as bg
 from bourgen._numerics import central_gradient2
 from bourgen.errors import DegenerateGradientError, DomainError
+
+# The profile that CI selects with --hypothesis-profile=ci: every run
+# replays the same examples, and a failure prints the blob that
+# reproduces it (@reproduce_failure).  Runs without the option stay random.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def ratio_theta():

@@ -18,7 +18,13 @@ from bourgen.errors import (
     RankDeficiencyError,
     RectExitError,
 )
-from conftest import kernel_step, omega_span, ratio_theta, set_level_ratio
+from conftest import (
+    counting_chart,
+    kernel_step,
+    omega_span,
+    ratio_theta,
+    set_level_ratio,
+)
 
 RECT = ((1.3, 1.8), (0.3, 0.9))
 SHIFT = 0.6  # the flat helicoidal traced theta is x2/x1 + 0.6
@@ -112,7 +118,8 @@ def _rhs_points(n, seed):
 def test_rhs_matches_closed_form(frame):
     # theta' = sqrt(gt) sqrt(go - m^2 U'^2) / sqrt(go) with the closed
     # forms go, gt of the gradient norms; the largest relative error here
-    # is 1.50e-11 at the chosen level step L/6.25 (1.45e-11 at L/25,
+    # is 1.51e-11 at the chosen level step L/6.25 (1.50e-11 when the
+    # landing re-stepped from the step's start, 1.45e-11 at L/25,
     # 1.6e-11 at L/100, 2.2e-11 at L/400)
     U = bg.GeneratrixMetric.from_expression(f"sqrt(s^2+{U_C:g})", (0.5, 2.0))
     for w, t, m, s in _rhs_points(30, 21):
@@ -239,6 +246,32 @@ def test_curved_chart_keeps_the_floor_step():
             assert getattr(frame, name)(w, t) == getattr(fixed, name)(w, t)
         assert np.array_equal(frame.invert_jacobian(w, t),
                               fixed.invert_jacobian(w, t))
+
+
+def test_level_ratio_reuses_the_half_step_probes():
+    # the curved chart fails every candidate, so its build runs the probes
+    # of all four.  Each candidate's half-step probe traces are the next
+    # candidate's coarse ones up to its reach, and are not traced again:
+    # the probes make 793 field evaluations, and 1148 when every pair is
+    # traced afresh (an empty memo of half-step traces per probe), for
+    # the same step; the build adds one per arc value of the grid, where
+    # it checks transversality
+    chart, calls = counting_chart(bg.chart_from_config(CURVED))
+    traced = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((1.0, -0.5), (1.0, 0.5)),
+        np.linspace(0.0, 1.0, 11))
+    built = calls["metric"]
+    counts = []
+    for afresh in (False, True):
+        if afresh:
+            probe = traced._probe_passes
+            traced._probe_passes = (lambda x1, x2, h, n, sign, halves:
+                                    probe(x1, x2, h, n, sign, {}))
+        calls["metric"] = 0
+        assert traced._level_ratio() == 4
+        counts.append(calls["metric"])
+    assert built == len(traced.sigmas) + counts[0]
+    assert counts == [793, 1148]
 
 
 @settings(max_examples=30, deadline=None)
@@ -627,7 +660,11 @@ def test_theta_outside_the_arc_range(frame):
 
 
 def test_level_beyond_n_steps(frame):
-    with pytest.raises(DomainError, match="does not reach omega = 5 within 220"):
+    # the 4 level steps of L/6.25 span the flow time of 256 trace steps,
+    # at least the n_steps = 220 that the invariant asked for
+    with pytest.raises(DomainError, match=r"^the characteristic from arc "
+                       r"length 0\.6 does not reach omega = 5 within the flow "
+                       r"time of 256 trace steps \(4 level steps\)$"):
         frame.invert(5.0, 0.6)
 
 

@@ -26,9 +26,15 @@ from conftest import (
     kernel_step,
     omega_span,
     quotient_matrix,
+    set_level_ratio,
     swept_nodes,
 )
-from test_characteristic_frame import CURVED, CURVED_RECT
+from test_characteristic_frame import (
+    CURVED,
+    CURVED_RECT,
+    LONG_STEP,
+    _long_step_traced,
+)
 
 
 def _same(a, b):
@@ -232,15 +238,15 @@ def _curved_traced():
 
 
 @pytest.mark.parametrize("make, rect, traces", [
-    (lambda: _traced("helicoidal"), ((1.3, 1.8), (0.3, 0.9)), 145),
-    (_curved_traced, CURVED_RECT, 174)], ids=["helicoidal", "curved"])
+    (lambda: _traced("helicoidal"), ((1.3, 1.8), (0.3, 0.9)), 149),
+    (_curved_traced, CURVED_RECT, 173)], ids=["helicoidal", "curved"])
 def test_value_level_traces(make, rect, traces):
     # level traces of 20 values at the points of seeded (omega, theta) of
     # a frame's rect: the walk to a bracket and the secant steps.  Over 200
     # points of the same seed the mean was 7.8 per value on the flat
-    # helicoidal chart and 9.0 on the curved config chart of
-    # test_characteristic_frame (7.7 and 8.9 with the landing's linear
-    # guess, the helicoidal chart at L/25)
+    # helicoidal chart and 8.9 on the curved config chart of
+    # test_characteristic_frame (7.8 and 9.0 when the landing re-stepped
+    # from the step's start; the secant steps see other rounding)
     tr = make()
     rng = np.random.default_rng(8)
     points = [tr.level_point(rng.uniform(*rect[0]), rng.uniform(*rect[1]))
@@ -399,14 +405,20 @@ def _ref_rate(tr, x):
     return a[0] * d1 + a[1] * d2
 
 
-def _ref_level_point(tr, w, sigma):
+def _ref_level_point(tr, w, sigma, landing=None):
     """The level trace on 2-vectors: RK4 steps of ``level_step`` from the
     Cauchy point at arc length sigma toward the level omega = w, as far in
     flow time as ``level_n_steps`` of them, a step that fails (the field
     at its stages or at its end) halved down to the floor step, omega from
-    ``volume_at``, and the landing step's length by Newton's method in the
-    flow time from the inverse Hermite guess, with the arithmetic of
-    ``level_point`` and ``_land``."""
+    ``volume_at``, and the landing by Newton's method on the length h of
+    the partial step, with the arithmetic of ``level_point`` and
+    ``_land``: the RK4 step of the inverse Hermite guess from the step's
+    start, then per correction dh of h an RK4 step of the new h from the
+    start where |dh| > _LAND_RESTEP step, a midpoint step from the latest
+    iterate where |dh| > _LAND_EULER step, and an Euler step from it
+    otherwise.  When ``landing`` is a list, each iterate whose omega the
+    landing evaluates is appended to it as (kind, point, omega - w), kind
+    "rk4", "midpoint" or "euler": the step that made it."""
     if not 0.0 <= sigma <= tr.cauchy.length:
         raise DomainError(f"arc length {sigma!r} outside the data curve's range")
     x = tr.cauchy.point_at(sigma)
@@ -433,16 +445,28 @@ def _ref_level_point(tr, w, sigma):
     h = quotient._hermite_guess(step, sign, w, w_x, w_y, _ref_rate(tr, x),
                                 _ref_rate(tr, y))
     tol = 1e-15 * max(1.0, abs(w))
+    y, kind = _ref_rk4_step(tr, x, h, sign), "rk4"
     best = None
     for _ in range(quotient._LAND_MAXITER):
-        y = _ref_rk4_step(tr, x, h, sign)
         r = tr.chart.volume_at(tuple(y)) - w
+        if landing is not None:
+            landing.append((kind, tuple(y), r))
         if best is not None and abs(r) >= abs(best[1]):
             break
         best = (y, r)
         if abs(r) <= tol:
             break
-        h = min(max(h - r / (sign * _ref_rate(tr, y)), 0.0), step)
+        last, h = h, min(max(h - r / (sign * _ref_rate(tr, y)), 0.0), step)
+        dh = h - last
+        k1 = sign * _ref_field(tr, y)
+        if abs(dh) > quotient._LAND_RESTEP * step:
+            y, kind = _ref_rk4_step(tr, x, h, sign), "rk4"
+        elif abs(dh) > quotient._LAND_EULER * step:
+            m = y + 0.5 * dh * k1
+            h = min(max(last - r / (sign * _ref_rate(tr, m)), 0.0), step)
+            y, kind = y + (h - last) * (sign * _ref_field(tr, m)), "midpoint"
+        else:
+            y, kind = y + dh * k1, "euler"
     return tuple(best[0])
 
 
@@ -495,15 +519,87 @@ def test_level_point_equals_reference(name, at, u):
     assert _same(tr.level_point(w, sigma), want)
 
 
-def _counting_traced():
-    """The helicoidal traced invariant on a chart that counts its calls,
-    and the counts, by callable name."""
-    chart, calls = counting_chart(
-        bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0)),
-        ("domain", "metric", "d_g33"))
+@functools.cache
+def _landing_pair(name):
+    """A traced invariant of test_landing_meets_the_level_and_the_fine_tracer,
+    the same invariant at L/1600, and the span of omega of ``omega_span``."""
+    make = (_curved_traced if name == "curved"
+            else functools.partial(_long_step_traced, name))
+    traced = make()
+    return traced, set_level_ratio(make(), 0.25), omega_span(traced)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["flat", "bcv", "bcv_kappa_negative", "curved"]),
+       at=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
+# the Cauchy points at both ends of the kappa < 0 chart, with the level of
+# the point 2.5 times as far out on the ray, short of the domain's edge
+# (radius 2.83): the longer steps run over it, the level lies at 32% of
+# the rise in omega of the step halved to L/25, the Hermite guess clamps
+# to the full step, and the landing re-steps from the step's start four
+# times before a midpoint and two Euler corrections, and stops 6.1e-13
+# (5e-15 relative) from the level, as omega is steep there; with short
+# steps in place of the re-steps the level point lands 1.3e-13 off the
+# ray and 1.2e-13 from the fine tracer's
+@example(name="bcv_kappa_negative", at=0.0, u=1.0)
+@example(name="bcv_kappa_negative", at=1.0, u=1.0)
+def test_landing_meets_the_level_and_the_fine_tracer(name, at, u):
+    # the landing's RK4 step and its midpoint, Euler and re-step
+    # corrections, on the flat helicoidal, BCV (kappa > 0) and kappa < 0
+    # charts of test_long_level_step_meets_the_fine_tracer, at L/6.25,
+    # and on the curved config chart at L/100.  The level point lies on
+    # the level within 1e-15 max(1, |w|), or is the closest of the
+    # landing's iterates (the reference records them), and meets the
+    # tracer at L/1600 within 1e-14 max(1, |x|) on the flat and BCV
+    # charts, as test_long_level_step_meets_the_fine_tracer, and 1e-11 on
+    # the curved chart (on its rect, as
+    # test_level_step_error_is_below_the_stencil_noise); levels as there:
+    # the span of omega_span, that of the point 0.5 to 2.5 times as far
+    # out on the ray on the kappa < 0 chart, the rect on the curved chart.
+    # On the kappa < 0 chart the bound is 2.5e-14 max(1, |x|): within the
+    # last 0.5% of that span on the ray from arc length 0, the level
+    # points of a landing by RK4 re-steps were up to 1.60e-14 relative
+    # from the fine tracer's (36 of 1000 levels above 1e-14), and these
+    # up to 1.66e-14 (40 of 1000)
+    traced, fine, (lo, hi) = _landing_pair(name)
+    sigma = at * traced.cauchy.length
+    if name == "curved":
+        (w0, w1), (t0, t1) = CURVED_RECT
+        w, sigma = w0 + u * (w1 - w0), t0 + at * (t1 - t0)
+    elif name == "bcv_kappa_negative":
+        p0 = np.array(traced.cauchy.point(sigma))
+        w = traced.chart.volume_at(tuple((0.5 + 2.0 * u) * p0))
+    else:
+        w = lo + u * (hi - lo)
+    try:
+        want = fine.level_point(w, sigma)
+    except DomainError:
+        return  # beyond the reach from this arc length
+    landing = []
+    got = traced.level_point(w, sigma)
+    assert _same(got, _ref_level_point(traced, w, sigma, landing))
+    miss = abs(traced.chart.volume_at(got) - w)
+    assert (miss <= 1e-15 * max(1.0, abs(w))
+            or miss == min(abs(r) for _, _, r in landing))
+    if name == "curved":
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-11
+    else:
+        bound = 2.5e-14 if name == "bcv_kappa_negative" else 1e-14
+        assert (math.hypot(got[0] - want[0], got[1] - want[1])
+                <= bound * max(1.0, math.hypot(*want)))
+
+
+def _counting_traced(name="flat"):
+    """The traced invariant ``LONG_STEP[name]`` of test_characteristic_frame
+    (the flat one is the helicoidal case here) on a chart that counts its
+    calls, and the counts, by callable name."""
+    spec, (p0, p1), arcs, n_steps = LONG_STEP[name]
+    chart, calls = counting_chart(bg.make_chart(spec),
+                                  ("domain", "metric", "d_g33"))
+    segment = bg.line_segment(p0, p1)
     tr = bg.solve_orthogonal_invariant(
-        chart, bg.line_segment((1.0, -0.6), (1.0, 0.6)),
-        np.linspace(0.0, 1.2, 61), n_steps=220)
+        chart, segment, np.linspace(0.0, segment.length, arcs),
+        n_steps=n_steps)
     calls.update(dict.fromkeys(calls, 0))
     return tr, calls
 
@@ -515,12 +611,22 @@ def test_field_makes_three_chart_calls():
     assert calls == {"domain": 1, "metric": 1, "d_g33": 1}
 
 
-@pytest.mark.parametrize("w, sigma", [(1.6, 0.45), (1.35, 1.1), (1.2, 0.3)])
-def test_level_trace_step_makes_four_field_evaluations(w, sigma):
-    # the field at the data point, then per RK4 step (full or landing) the
-    # three inner stages and the step's end, whose omega is the level test
-    # and whose velocity is the next step's k1: no other chart evaluation
-    tr, calls = _counting_traced()
+@pytest.mark.parametrize("name, w, sigma, kinds", [
+    ("flat", 1.6, 0.45, ["rk4", "midpoint"]),
+    ("flat", 1.35, 1.1, ["rk4", "midpoint"]),
+    ("flat", 1.17, 0.33, ["rk4", "midpoint", "euler"]),
+    ("flat", 1.5343, 0.8096, ["rk4", "euler"]),
+    ("bcv_kappa_negative", 13.56, 0.14,
+     ["rk4", "rk4", "rk4", "midpoint", "euler"])])
+def test_level_trace_step_makes_four_field_evaluations(name, w, sigma, kinds):
+    # the field at the data point, then per RK4 step (full, or the landing's
+    # first or re-step) the three inner stages and the step's end, whose
+    # omega is the level test and whose velocity is the next step's k1, per
+    # midpoint correction its midpoint and its end, and per Euler
+    # correction its end: no other chart evaluation.  The landings here
+    # take a midpoint correction, one and an Euler one, an Euler one alone,
+    # and (on the kappa < 0 chart, near its edge) two re-steps first
+    tr, calls = _counting_traced(name)
     steps = 0
     rk4_step = tr._rk4_step
 
@@ -531,9 +637,13 @@ def test_level_trace_step_makes_four_field_evaluations(w, sigma):
 
     tr._rk4_step = counted
     got = tr.level_point(w, sigma)
-    assert _same(got, _traced("helicoidal").level_point(w, sigma))
+    landing = []
+    assert _same(got, _ref_level_point(_landing_pair(name)[0], w, sigma,
+                                       landing))
+    assert [kind for kind, _, _ in landing] == kinds
     assert steps > 1
-    assert calls == dict.fromkeys(calls, 1 + 4 * steps)
+    evaluations = 1 + 4 * steps + 2 * kinds.count("midpoint") + kinds.count("euler")
+    assert calls == dict.fromkeys(calls, evaluations)
 
 
 # ---------------------------------------------------------------------------
