@@ -324,15 +324,15 @@ def vertical_quadrature(profile, chart):
 
     Composite Simpson on the profile grid, anchored to zero at the
     profile's anchor sample; m^2 U^2 is the square of the profile's
-    omega = m U.
+    omega = m U.  The chart's metric is evaluated once, on the arrays of
+    the profile's nodes.
     """
     s = profile.s
     steps = np.diff(s)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise GridMismatchError("profile grid must be uniform")
     m2U2 = profile.omega ** 2
-    _, _, g13, _, g23, _ = profile.frame.elementwise(
-        chart.metric, profile.x1, profile.x2)
+    _, _, g13, _, g23, _ = chart.metric(profile.x1, profile.x2)
     integrand = -(profile.x1p * g13 + profile.x2p * g23) / m2U2
     V = cumulative_simpson_anchored(integrand, s, profile.anchor_index)
     return VerticalShift(s=s, values=V, prime=integrand)

@@ -58,19 +58,23 @@ class AdaptedChart3:
     (g11, g12, g13, g22, g23, g33) on floats or arrays (``metric_at``
     evaluates whole grids), so every consumer evaluates the chart once per
     point or grid; a constant coefficient may be a plain float.
-    ``domain`` is a predicate for the regular region; ``d_g33`` is an
-    optional analytic gradient of g33 used to sharpen volume-function
-    derivatives.  Without it, omega's gradient is a central difference,
-    and a frame reads |grad theta|^2 only to about 1e-6 relative: on
-    the radial chart g33 = x1^2 + x2^2, the Newton frame was off by
-    2.5e-7 to 4e-6 and the characteristic frame by up to 3e-7, against
-    1.4e-9 and 8e-11 with the analytic ``d_g33 = (2 x1, 2 x2)``.
+    ``d_g33(x1, x2)`` is the gradient (dg33/dx1, dg33/dx2) of g33, on
+    floats or arrays like ``metric``; it is required, since the volume
+    function omega = sqrt(g33) is the invariant that every frame is built
+    on, and traced invariants follow its gradient d_g33 / (2 omega).
+    ``domain`` is a predicate for the regular region.  A chart without a
+    callable ``d_g33`` is refused with a TypeError.
     """
 
     metric: Callable[[float, float], tuple]
+    d_g33: Callable[[float, float], tuple]
     domain: Callable[[float, float], bool] = field(default=lambda x1, x2: True)
     label: str = "chart"
-    d_g33: Optional[Callable[[float, float], tuple]] = None
+
+    def __post_init__(self):
+        if not callable(self.d_g33):
+            raise TypeError(f"{self.label}: d_g33 must be a callable gradient "
+                            f"of g33, not {self.d_g33!r}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -122,21 +126,17 @@ class AdaptedChart3:
         return np.sqrt(g33)
 
     def volume_fn(self):
-        """The volume function as an InvariantFunction (analytic gradient
-        when the chart provides d_g33)."""
-        metric = self.metric
-        grad = None
-        if self.d_g33 is not None:
-            d_g33 = self.d_g33
+        """The volume function omega = sqrt(g33) as an InvariantFunction,
+        with the analytic gradient d_g33 / (2 omega)."""
+        metric, d_g33 = self.metric, self.d_g33
 
-            def grad(x1, x2):
-                d1, d2 = d_g33(x1, x2)
-                w = sqrt(metric(x1, x2)[5])
-                return d1 / (2.0 * w), d2 / (2.0 * w)
+        def grad(x1, x2):
+            d1, d2 = d_g33(x1, x2)
+            w = sqrt(metric(x1, x2)[5])
+            return d1 / (2.0 * w), d2 / (2.0 * w)
 
         return InvariantFunction(
-            value=lambda x1, x2: np.sqrt(metric(x1, x2)[5]),
-            gradient=grad)
+            value=lambda x1, x2: np.sqrt(metric(x1, x2)[5]), gradient=grad)
 
 
 def quotient_metric(chart, x1, x2):
@@ -247,9 +247,9 @@ def chart_from_config(entry):
         guard = compiled([str(entry["domain_positive"])], variables)
         domain = lambda x1, x2: guard(x1, x2) > 0.0
     return AdaptedChart3(
-        metric=metric, domain=domain,
-        label=str(entry.get("label", "config-chart")),
-        d_g33=compiled([str(entry["g33"])], variables, variables, value=False))
+        metric=metric,
+        d_g33=compiled([str(entry["g33"])], variables, variables, value=False),
+        domain=domain, label=str(entry.get("label", "config-chart")))
 
 
 def rescale_vertical(chart, c):
@@ -260,16 +260,13 @@ def rescale_vertical(chart, c):
     """
     if c == 0:
         raise ValueError("scale must be nonzero")
-    d_g33 = None
-    if chart.d_g33 is not None:
-        old = chart.d_g33
-        d_g33 = lambda x1, x2: tuple(d / (c * c) for d in old(x1, x2))
-    metric = chart.metric
+    metric, d_g33 = chart.metric, chart.d_g33
 
     def rescaled(x1, x2):
         g11, g12, g13, g22, g23, g33 = metric(x1, x2)
         return g11, g12, g13 / c, g22, g23 / c, g33 / (c * c)
 
     return AdaptedChart3(
-        metric=rescaled, domain=chart.domain, label=f"{chart.label}/rescaled",
-        d_g33=d_g33)
+        metric=rescaled,
+        d_g33=lambda x1, x2: tuple(d / (c * c) for d in d_g33(x1, x2)),
+        domain=chart.domain, label=f"{chart.label}/rescaled")

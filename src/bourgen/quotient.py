@@ -47,10 +47,11 @@ class QuotientFrame:
     keep the branch labels aligned with the closed-form quadratures
     (epsilon = +1 always means increasing screw angle).
     ``theta_free`` marks the frames of ``spaces.builtin_frame``, whose
-    gradient norms depend on omega alone and whose callables, chart and
+    gradient norms depend on omega alone and whose callables and
     invariant gradients also take arrays: the flag is what ``elementwise``
     tests.  ``build_frame``'s Newton and characteristic frames are
-    evaluated one point at a time.
+    evaluated one point at a time.  Every chart's ``metric`` and
+    ``d_g33`` take arrays, whatever the frame.
     ``inverse_jacobian``, when set, gives d(x1, x2)/d(omega, theta) at a
     point (w, t) directly, and ``invert_jacobian`` returns it in place of
     the inverse of the finite-difference forward Jacobian; the
@@ -72,7 +73,7 @@ class QuotientFrame:
 
     def elementwise(self, fn, a, b):
         """fn(a, b) at every element of the broadcast arrays a, b, for fn a
-        callable of this frame or of its chart.
+        callable of this frame.
 
         One call for a theta-free frame; otherwise one call per element,
         with the results stacked into arrays of the broadcast shape (a
@@ -434,8 +435,9 @@ def line_segment(p0, p1):
 # _LAND_MAXITER Newton iterations on the length of its partial step.  The
 # first is the partial RK4 step from the step's start at the inverse cubic
 # Hermite guess (``_hermite_guess``), which is off by O(step^4) in the
-# flow time; the loop ends at the first iterate within tolerance or no
-# closer than the one before.  A correction dh of the length is a short
+# flow time; the loop ends at the first iterate within tolerance, no
+# closer than the one before, or left where the one before was (not
+# evaluated again).  A correction dh of the length is a short
 # step along the flow from the latest iterate, which lies on the trace:
 # - where |dh| > _LAND_EULER step, a midpoint step (2 field evaluations,
 #   local error O(dh^3)), whose length is solved again with omega's rate
@@ -528,7 +530,7 @@ _PROBE_COUNT = 16
 _PROBE_TOL = 1e-11
 
 
-def _trace_kernel(chart, omega, grad_floor):
+def _trace_kernel(chart):
     """The characteristic field of a traced invariant and one RK4 step of
     its flow, as the closures (field, rk4_step), which bind the chart's
     three callables (``domain``, ``metric``, ``d_g33``) once.
@@ -541,13 +543,12 @@ def _trace_kernel(chart, omega, grad_floor):
     metric).  It raises DomainError outside the chart domain,
     SingularMetricError where g33 or the metric determinant
     det g = g33 det q is not positive, and DegenerateGradientError where
-    |grad omega| is below grad_floor.  The chart is evaluated once per
+    |grad omega| is below _GRAD_FLOOR.  The chart is evaluated once per
     point: the arithmetic and messages of ``chart.quotient_metric`` are
     inlined here (a call per point costs a right-hand side about a tenth
     more time), a is the 2x2 solve of q a = d, w is ``volume_at``'s value,
-    and the omega gradient d_g33 / (2 w) gives the bits of
-    ``omega.gradient_at``; a chart without ``d_g33`` takes
-    ``omega.gradient_at`` (central differences).
+    and the omega gradient d = d_g33 / (2 w) gives the bits of
+    ``chart.volume_fn().gradient_at``.
 
     rk4_step(x1, x2, a1, a2, h, sign) is one classical RK4 step of the
     flow of sign * field from the point (x1, x2) of floats, where the
@@ -566,7 +567,7 @@ def _trace_kernel(chart, omega, grad_floor):
     metric = chart.metric
     d_g33 = chart.d_g33
     label = chart.label
-    floor_sq = grad_floor ** 2
+    floor_sq = _GRAD_FLOOR ** 2
 
     def field(x1, x2):
         if not domain(x1, x2):
@@ -586,16 +587,13 @@ def _trace_kernel(chart, omega, grad_floor):
                 f"{label}: metric determinant {det:.3e} at "
                 f"({x1!r}, {x2!r}) is not positive")
         w = math.sqrt(g33)
-        if d_g33 is None:
-            d1, d2 = omega.gradient_at(x1, x2)
-        else:
-            e1, e2 = d_g33(x1, x2)
-            d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
+        e1, e2 = d_g33(x1, x2)
+        d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
         a1 = (q22 * d1 - q12 * d2) / det_q
         a2 = (q11 * d2 - q12 * d1) / det_q
         if a1 * d1 + a2 * d2 < floor_sq:
             raise DegenerateGradientError(
-                f"|grad omega| below {grad_floor:g} at ({x1:.6g}, {x2:.6g})")
+                f"|grad omega| below {_GRAD_FLOOR:g} at ({x1:.6g}, {x2:.6g})")
         return a1, a2, d1, d2, w, q11, q12, q22
 
     def rk4_step(x1, x2, a1, a2, h, sign):
@@ -667,15 +665,12 @@ class TracedInvariant:
             raise ValueError("arc_grid must hold at least two arc-length values")
         self.step = cauchy.length / _STEPS_PER_LENGTH
         self.n_steps = int(n_steps)
-        self.grad_floor = _GRAD_FLOOR
-        self._omega = chart.volume_fn()
         # the arc values that ``value`` walks, the grid's within the range
         # and both ends, with their Cauchy points
         inner = {s for s in self.sigmas.tolist() if 0.0 < s < cauchy.length}
         self._nodes = [0.0, *sorted(inner), cauchy.length]
         self._node_pts = np.array([cauchy.point_at(s) for s in self._nodes])
-        self._field, self._rk4_step = _trace_kernel(chart, self._omega,
-                                                    self.grad_floor)
+        self._field, self._rk4_step = _trace_kernel(chart)
         self._turn = self._check_transversality()
         ratio = self._level_ratio()
         self.level_step = ratio * self.step
@@ -707,12 +702,9 @@ class TracedInvariant:
         _LEVEL_STEP_CANDIDATES whose probes all pass, else
         _LEVEL_STEP_FLOOR.  The probes start at most _PROBE_COUNT arc
         values, evenly spread over the grid with both ends, and run both
-        ways.  A chart without ``d_g33`` keeps the floor unprobed: its
-        field takes central differences of omega, whose noise alone moves
-        the probes by about _PROBE_TOL (4.5e-12 to 3e-11 on the radial
-        and flat helicoidal charts)."""
-        if self.chart.d_g33 is None:
-            return _LEVEL_STEP_FLOOR
+        ways.  Every chart is probed: its field takes omega's gradient from
+        the chart's exact ``d_g33``, so the probes differ by the step's
+        error and rounding alone."""
         # indices at least one apart, so rounding keeps them distinct
         # (np.unique is not needed, and its first call imports numpy.ma)
         count = min(_PROBE_COUNT, len(self.sigmas))
@@ -790,18 +782,19 @@ class TracedInvariant:
         method in the flow time.  The steps are of ``level_step``, whose
         error the frame's stencil does not resolve.  The field at each
         step's end gives omega for the level test and is the next step's
-        k1, so a step evaluates the field four times.  A step that fails,
-        at its stages or at its end (a BourgenError, as where it runs over
-        an edge of the domain), is halved, and the trace goes on from
-        where it was at the halved step, down to the floor step
-        _LEVEL_STEP_FLOOR ``step``: a longer step reaches every level that
-        a shorter one reaches.  Raises DomainError for sigma outside
-        [0, length], for a step that does not move omega toward w (the
-        flow must, so the step is too long for the field there) and for a
-        level not reached within the flow time of ``level_n_steps`` steps
-        (that of at least n_steps trace steps; the message names it in
-        trace steps); a step of the floor, or shorter, that fails raises
-        its error, as the DomainError of a trace that leaves the domain.
+        k1, so a step evaluates the field four times.  A step fails where
+        the field fails at its stages or at its end (a BourgenError, as
+        where it runs over an edge of the domain) and where it does not
+        move omega toward w (the flow must, so the step is too long for
+        the field there: a DomainError).  A failed step is halved, and the
+        trace goes on from where it was at the halved step, down to the
+        floor step _LEVEL_STEP_FLOOR ``step``: a longer step reaches every
+        level that a shorter one reaches.  A step of the floor, or
+        shorter, that fails raises its error, as the DomainError of a
+        trace that leaves the domain.  Raises DomainError as well for
+        sigma outside [0, length] and for a level not reached within the
+        flow time of ``level_n_steps`` steps (that of at least n_steps
+        trace steps; the message names it in trace steps).
         """
         if not 0.0 <= sigma <= self.cauchy.length:
             raise DomainError(
@@ -820,6 +813,11 @@ class TracedInvariant:
             try:
                 y1, y2 = rk4_step(x1, x2, a1, a2, step, sign)
                 b1, b2, e1, e2, w_y, _, _, _ = field(y1, y2)
+                if sign * (w_y - w_x) <= 0.0:
+                    raise DomainError(
+                        f"the level step {step:.6g} from ({x1:.6g}, "
+                        f"{x2:.6g}) does not move omega = {w_x:.6g} toward "
+                        f"{w:.6g}")
             except BourgenError:
                 if step <= floor:
                     raise
@@ -827,10 +825,6 @@ class TracedInvariant:
                 # of the domain that the step runs over
                 step, left = 0.5 * step, 2 * left
                 continue
-            if sign * (w_y - w_x) <= 0.0:
-                raise DomainError(
-                    f"the level step {step:.6g} from ({x1:.6g}, {x2:.6g}) "
-                    f"does not move omega = {w_x:.6g} toward {w:.6g}")
             if sign * (w_y - w) >= 0.0:
                 return self._land(x1, x2, a1, a2, sign, w, step, w_x, w_y,
                                   a1 * d1 + a2 * d2, b1 * e1 + b2 * e2)
@@ -851,15 +845,17 @@ class TracedInvariant:
         the partial step starts from the inverse cubic Hermite guess of
         ``_hermite_guess``, with the RK4 step of that length, stays in
         [0, step], where the root is bracketed, and stops within 1e-15 of
-        w relative, or, where finite-difference gradients leave omega
-        noisier than that, at the iterate that came closest.  Each
-        correction dh of h is a short step along the flow from the latest
-        iterate, a midpoint step whose length is solved again with the
-        rate at its midpoint or, below _LAND_EULER step, an Euler step,
-        and an RK4 step of the new h from (x1, x2) where |dh| exceeds
-        _LAND_RESTEP step (the block comment of _LAND_MAXITER has the
-        measurements).  One field evaluation at each iterate gives omega
-        there, its rate and the velocity that a short step starts with."""
+        w relative; where omega is too steep for that, it stops at the
+        iterate that came closest, once an iterate comes no closer or a
+        correction leaves the point where it was (a correction below its
+        rounding), which is not evaluated again.  Each correction dh of h
+        is a short step along the flow from the latest iterate, a midpoint
+        step whose length is solved again with the rate at its midpoint
+        or, below _LAND_EULER step, an Euler step, and an RK4 step of the
+        new h from (x1, x2) where |dh| exceeds _LAND_RESTEP step (the
+        block comment of _LAND_MAXITER has the measurements).  One field
+        evaluation at each iterate gives omega there, its rate and the
+        velocity that a short step starts with."""
         field = self._field
         h = _hermite_guess(step, sign, w, w_x, w_y, r_x, r_y)
         tol = 1e-15 * max(1.0, abs(w))
@@ -889,6 +885,8 @@ class TracedInvariant:
                 y1, y2 = y1 + f * c1, y2 + f * c2
             else:
                 y1, y2 = y1 + f * b1, y2 + f * b2
+            if (y1, y2) == best[:2]:
+                break  # the correction is below the point's rounding
         return best[0], best[1]
 
     def __call__(self, x1, x2):

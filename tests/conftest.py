@@ -178,4 +178,4 @@ def bcv_member(bcv_spec, bcv_frame):
 def flat_chart():
     return bg.AdaptedChart3(
         metric=lambda x1, x2: (1.0, 0.0, 0.0, 1.0, 0.0, 1.0),
-        label="flat")
+        d_g33=lambda x1, x2: (0.0, 0.0), label="flat")

@@ -167,7 +167,7 @@ def test_omega_range_matches_scan():
 NIL = bg.AdaptedChart3(
     metric=lambda x1, x2: (1.0 + x2 * x2 / 4.0, -x1 * x2 / 4.0, -x2 / 2.0,
                            1.0 + x1 * x1 / 4.0, x1 / 2.0, 1.0 + 0.0 * x1),
-    label="nil")
+    d_g33=lambda x1, x2: (0.0, 0.0), label="nil")
 
 
 @pytest.mark.parametrize("chart_name", ["flat", "nil"])

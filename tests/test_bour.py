@@ -330,7 +330,7 @@ def test_flat_cylinder(flat_chart):
 def test_constant_volume_not_one_rejected():
     chart = bg.AdaptedChart3(
         metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, 4.0),
-        label="scaled-flat")
+        d_g33=lambda a, b: (0.0, 0.0), label="scaled-flat")
     s = np.linspace(0.0, 1.0, 101)
     curve = bg.LiftedCurve(u=s, x1=s, x2=np.zeros_like(s), x3=np.zeros_like(s))
     with pytest.raises(NonConstantVolumeError):

@@ -57,6 +57,7 @@ def _rect_points(rect, n, seed):
 def _radial_chart():
     return bg.AdaptedChart3(
         metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, a * a + b * b),
+        d_g33=lambda a, b: (2.0 * a, 2.0 * b),
         domain=lambda a, b: a * a + b * b > 1e-4, label="radial")
 
 
@@ -151,13 +152,13 @@ def test_inverted_point_is_the_level_trace(frame, traced):
 # ---------------------------------------------------------------------------
 
 CASES = {
-    # the arc of test_circular_symmetry_theta_constant_on_rays; the chart
-    # has no d_g33, so omega's gradient (and the traces' field) are central
-    # differences, and both frames read |grad theta|^2 = 1 / w^2 to about
-    # 3e-6 only
+    # the arc of test_circular_symmetry_theta_constant_on_rays: the frames'
+    # |grad theta|^2 differed by up to 2.4e-10 relative, and the
+    # characteristic frame's was within 4.4e-11 of 1 / w^2 (7.4e-11 over
+    # 200 random points of the rect)
     "radial": (lambda: bg.solve_orthogonal_invariant(
         _radial_chart(), _unit_arc(), np.linspace(0, 1.5, 41), n_steps=150),
-        ((0.7, 1.4), (0.2, 1.3)), ((0.3, 1.6), (-1.3, 1.3)), 1e-5),
+        ((0.7, 1.4), (0.2, 1.3)), ((0.3, 1.6), (-1.3, 1.3)), 1e-8),
     # a slanted segment on a BCV chart, whose d_g33 is analytic
     "bcv": (lambda: bg.solve_orthogonal_invariant(
         bg.make_chart(bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0)),
@@ -681,13 +682,31 @@ def test_trace_leaving_the_domain():
 
 def test_level_step_that_does_not_approach_the_level():
     # at L/12.5 the trace toward the origin reaches r = 0.04, where a step
-    # runs its stages across the excluded disk and back: omega would stay
-    # at 0.04 until the reach ran out
+    # runs its stages across the origin and back and leaves omega at 0.04;
+    # such a step fails as one that leaves the domain does, and is halved,
+    # down to the floor step, which leaves the domain r > 0.01
     tr = set_level_ratio(bg.solve_orthogonal_invariant(
         _radial_chart(), _unit_arc(), np.linspace(0, 1.5, 5), n_steps=400), 32)
-    with pytest.raises(DomainError, match=r"level step 0\.12 from \(0\.04, 0\) "
-                       r"does not move omega = 0\.04 toward 0\.005"):
+    with pytest.raises(DomainError, match=r"^characteristic left the chart "
+                       r"domain at \(0\.0025, 0\)$"):
         tr.level_point(0.005, 0.75)
+
+
+def test_floor_step_that_does_not_approach_the_level():
+    # on the radial chart with the smaller excluded disk r > 0.001, every
+    # step from the Cauchy point (0.005, 0) toward the origin runs its
+    # stages across it and back, and ends at (0.005, 0) to the bit: the
+    # step is halved down to the floor L/100 = 0.015, which raises
+    chart = dataclasses.replace(_radial_chart(),
+                                domain=lambda a, b: a * a + b * b > 1e-6)
+    tr = bg.solve_orthogonal_invariant(
+        chart, bg.line_segment((0.005, -0.75), (0.005, 0.75)),
+        np.linspace(0, 1.5, 5), n_steps=400)
+    assert tr.level_step == 64 * tr.step
+    with pytest.raises(DomainError, match=r"^the level step 0\.015 from "
+                       r"\(0\.005, 0\) does not move omega = 0\.005 toward "
+                       r"0\.002$"):
+        tr.level_point(0.002, 0.75)
 
 
 def test_rect_exit_through_ode_rhs(frame):

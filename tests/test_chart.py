@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,14 +109,16 @@ def test_domain_error(rotational_frame):
         chart.metric_at((-0.5, 0.0))
     # degenerate metric: zero g11 row
     bad = bg.AdaptedChart3(
-        metric=lambda a, b: (0.0, 0.0, 0.0, 1.0, 0.0, 1.0), label="bad")
+        metric=lambda a, b: (0.0, 0.0, 0.0, 1.0, 0.0, 1.0),
+        d_g33=lambda a, b: (0.0, 0.0), label="bad")
     with pytest.raises(SingularMetricError, match="^bad: metric determinant"):
         bg.quotient_metric(bad, 0.0, 0.0)
     with pytest.raises(SingularMetricError, match="^bad: metric determinant"):
         invariant_pairing(bad, *_COORDINATES, (0.0, 0.0))
     # and a nonpositive g33
     flipped = bg.AdaptedChart3(
-        metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, -1.0), label="flipped")
+        metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, -1.0),
+        d_g33=lambda a, b: (0.0, 0.0), label="flipped")
     with pytest.raises(SingularMetricError, match="^flipped: g33 = -1"):
         invariant_pairing(flipped, *_COORDINATES, (0.0, 0.0))
 
@@ -237,9 +240,25 @@ def test_chart_from_config_domain_and_errors():
         bg.chart_from_config({"g11": "1"})
 
 
+def test_chart_without_d_g33_is_refused(helicoidal_chart):
+    # every frame and traced invariant follows omega's exact gradient
+    with pytest.raises(TypeError, match="d_g33"):
+        bg.AdaptedChart3(metric=helicoidal_chart.metric, label="bare")
+    with pytest.raises(TypeError, match=r"^bare: d_g33 must be a callable "
+                       r"gradient of g33, not None$"):
+        bg.AdaptedChart3(metric=helicoidal_chart.metric, d_g33=None,
+                         label="bare")
+    with pytest.raises(TypeError, match="d_g33"):
+        dataclasses.replace(helicoidal_chart, d_g33=None)
+
+
 def test_rescale_vertical():
     chart = bg.AdaptedChart3(
-        metric=lambda a, b: (1.0, 0.0, 0.5, 1.0, 0.0, 4.0), label="scaled")
+        metric=lambda a, b: (1.0, 0.0, 0.5, 1.0, 0.0, 4.0),
+        d_g33=lambda a, b: (0.0, 0.0), label="scaled")
     rescaled = bg.rescale_vertical(chart, 2.0)
     assert np.isclose(rescaled.volume_at((0.0, 0.0)), 1.0)
     assert np.isclose(rescaled.metric(0.0, 0.0)[2], 0.25)
+    # g33 / 4, and its gradient with it
+    helicoidal = bg.make_chart(bg.SpaceSpec("euclidean_helicoidal", a=1.0))
+    assert bg.rescale_vertical(helicoidal, 2.0).d_g33(1.0, 0.5) == (0.5, 0.25)

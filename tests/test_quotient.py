@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +240,7 @@ def test_circular_symmetry_theta_constant_on_rays():
     # traced theta is constant along each ray
     chart = bg.AdaptedChart3(
         metric=lambda a, b: (1.0, 0.0, 0.0, 1.0, 0.0, a * a + b * b),
+        d_g33=lambda a, b: (2.0 * a, 2.0 * b),
         domain=lambda a, b: a * a + b * b > 1e-4, label="radial")
     arc = bg.CauchyCurve(
         point=lambda sig: np.array([math.cos(sig - 0.75), math.sin(sig - 0.75)]),
@@ -326,15 +326,6 @@ def test_two_builds_choose_the_same_step(helicoidal_chart, traced_theta):
     again = _traced_theta(helicoidal_chart)
     assert (again.level_step, again.level_n_steps) == (
         traced_theta.level_step, traced_theta.level_n_steps)
-
-
-def test_chart_without_d_g33_keeps_the_floor_step(helicoidal_chart):
-    # the same invariant with central-difference omega gradients, whose
-    # noise would move its probes by 1.4e-11 to 3.0e-11 across the flow
-    chart = dataclasses.replace(helicoidal_chart, d_g33=None)
-    traced = _traced_theta(chart)
-    assert traced.level_step == 4 * traced.step
-    assert traced.level_n_steps == 55
 
 
 def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,
