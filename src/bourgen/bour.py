@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import spaces
+from . import _documents, spaces
+from ._documents import NUMBER
 from ._numerics import (
     cumulative_simpson_anchored,
     distinct_values,
@@ -43,6 +44,7 @@ from .errors import (
     DomainViolationError,
     GridMismatchError,
     NonConstantVolumeError,
+    ParseError,
     RadicandNegativeError,
     RectExitError,
     StepTooLargeError,
@@ -50,6 +52,9 @@ from .errors import (
 from .natural import GeneratrixMetric, LiftedCurve
 
 RADICAND_CLAMP = 1e-12
+# the most steps of a profile grid: some 8 MB per node array, refused
+# before any array is built
+_MAX_STEPS = 1_000_000
 # feasible_s_range: the samples of its scan, and how many integrator steps
 # a cut end is pulled inward from the radicand zero
 _SCAN_SAMPLES = 2001
@@ -80,6 +85,9 @@ class BourParams:
             raise ConfigError("step must be positive")
         if self.step > (s1 - s0) / 10.0:
             raise ConfigError("step must be at most a tenth of the range length")
+        if (s1 - s0) / self.step > _MAX_STEPS:
+            raise ConfigError(f"step {self.step!r} takes more than "
+                              f"{_MAX_STEPS} steps across s_range")
         if self.integrator not in ("rk4", "euler"):
             raise ConfigError("integrator must be 'rk4' or 'euler'")
         if self.anchor is not None and not (s0 <= self.anchor <= s1):
@@ -442,9 +450,8 @@ class SurfaceMember:
             d["generatrix"] = {"kind": "expression", "text": self.U.source,
                                "s_range": list(self.U.s_range)}
         elif self.U is not None:
-            su, val = self.U.table(self.s)
             d["generatrix"] = {"kind": "table", "s": array(self.s),
-                               "values": array(su)}
+                               "values": array(self.U(self.s))}
         return d
 
     @classmethod
@@ -461,49 +468,33 @@ class SurfaceMember:
                              f"{type(d).__name__}")
         if d.get("format") != "bourgen-member":
             raise ValueError("not a bourgen member file")
-        prof = {k: _samples(d, "profile." + k)
+        entry = partial(_documents.entry, d, "member file")
+        samples = partial(_documents.samples, d, "member file")
+        prof = {k: samples("profile." + k)
                 for k in ("s", "x1", "x2", "x1_prime", "x2_prime", "omega",
                           "theta", "theta_prime")}
-        V, Vp = _samples(d, "V"), _samples(d, "V_prime")
+        V, Vp = samples("V"), samples("V_prime")
         if len({len(v) for v in (*prof.values(), V, Vp)}) > 1 or len(V) < 2:
             raise ValueError("the member file's profile lists, 'V' and "
                              "'V_prime' must have one length of 2 or more")
-        m, epsilon = _entry(d, "m", _NUMBER), _entry(d, "epsilon", _NUMBER)
-        if not 0.0 < m <= sys.float_info.max:
-            raise ValueError(f"the member file's 'm' entry must be a positive "
-                             f"finite number, not {m!r}")
-        if epsilon not in (1, -1):
-            raise ValueError(f"the member file's 'epsilon' entry must be 1 "
-                             f"or -1, not {epsilon!r}")
-        space = None
-        if d.get("space") is not None:
-            space = spaces.SpaceSpec(
-                kind=_entry(d, "space.kind", str),
-                **{k: _entry(d, "space." + k, _NUMBER, 0.0)
-                   for k in ("a", "kappa", "tau")})
+        m, epsilon = entry("m", NUMBER), entry("epsilon", NUMBER)
+        require = partial(_documents.require, "member file")
+        require(0.0 < m <= sys.float_info.max, "m", "a positive finite number",
+                m)
+        require(epsilon in (1, -1), "epsilon", "1 or -1", epsilon)
+        space = (None if d.get("space") is None
+                 else _documents.space(d, "member file"))
         U = frame = None
         if d.get("generatrix") is not None:
-            kind = _entry(d, "generatrix.kind", str)
-            if kind == "expression":
-                U = GeneratrixMetric.from_expression(
-                    _entry(d, "generatrix.text", str),
-                    _samples(d, "generatrix.s_range", 2))
-                if space is not None:
-                    frame = _rebuilt_frame(space, prof)
-            elif kind == "table":
-                U = GeneratrixMetric.from_samples(
-                    _samples(d, "generatrix.s"),
-                    _samples(d, "generatrix.values"))
-            else:
-                raise ValueError(f"the member file's 'generatrix.kind' "
-                                 f"entry must be 'expression' or 'table', "
-                                 f"not {kind!r}")
+            U = _generatrix(entry, samples)
+            if U.representation == "expression" and space is not None:
+                frame = _rebuilt_frame(space, prof)
         return cls(s=prof["s"], x1=prof["x1"], x2=prof["x2"],
                    x1p=prof["x1_prime"], x2p=prof["x2_prime"],
                    theta=prof["theta"], theta_prime=prof["theta_prime"],
                    omega=prof["omega"], V=V, Vp=Vp, m=m, epsilon=epsilon,
                    space=space, U=U, frame=frame,
-                   metadata=_entry(d, "metadata", dict, {}))
+                   metadata=entry("metadata", dict, {}))
 
     @classmethod
     def from_json(cls, path):
@@ -511,55 +502,25 @@ class SurfaceMember:
             return cls.from_dict(json.load(fh))
 
 
-def _entry(d, name, kind, default=None):
-    """The entry of a member document at the dotted ``name``, of type
-    ``kind``; ``default`` where it is missing, if given.  A missing entry
-    without a default, a step through an entry that is not an object, and
-    an entry of another type are ValueErrors that name the entry."""
-    value, path = d, []
-    for key in name.split("."):
-        if not isinstance(value, dict):
-            raise ValueError(f"the member file's {'.'.join(path)!r} entry "
-                             f"must be an object, not "
-                             f"{type(value).__name__}")
-        path.append(key)
-        if key not in value:
-            if default is None:
-                raise ValueError(f"the member file has no "
-                                 f"{'.'.join(path)!r} entry")
-            return default
-        value = value[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"the member file's {name!r} entry must be "
-                         f"{_KINDS[kind]}, not {type(value).__name__}")
-    return value
-
-
-_NUMBER = (int, float)
-_KINDS = {str: "a string", dict: "an object", list: "a list",
-          _NUMBER: "a number"}
-
-
-def _samples(d, name, size=None):
-    """A member document's list of finite numbers at ``name`` (of ``size``
-    numbers, if given), as a float array.  An element that is not an int
-    or a float (a word, a null, a list, an object or a bool) is a
-    ValueError."""
-    values = _entry(d, name, list)
+def _generatrix(entry, samples):
+    """The GeneratrixMetric of a member file's 'generatrix' entry, read
+    through ``entry`` and ``samples``; one that GeneratrixMetric refuses is
+    a ValueError naming the entry."""
+    kind = entry("generatrix.kind", str)
+    _documents.require("member file", kind in ("expression", "table"),
+                       "generatrix.kind", "'expression' or 'table'", kind)
+    if kind == "expression":
+        source = (entry("generatrix.text", str),
+                  samples("generatrix.s_range", 2))
+        build = GeneratrixMetric.from_expression
+    else:
+        source = samples("generatrix.s"), samples("generatrix.values")
+        build = GeneratrixMetric.from_samples
     try:
-        # packing as doubles takes ints, floats and bools only (np.asarray
-        # would read "0.5" as a number), and is the faster conversion
-        samples = np.frombuffer(struct.pack(f"{len(values)}d", *values)).copy()
-    except struct.error:
-        samples = None
-    if (samples is None or size not in (None, len(samples))
-            or not np.isfinite(samples).all()
-            # a bool reads as 0 or 1, so only those elements can be one
-            or any(isinstance(values[k], bool) for k in np.flatnonzero(
-                (samples == 0.0) | (samples == 1.0)).tolist())):
-        raise ValueError(f"the member file's {name!r} entry must be a list "
-                         f"of {f'{size} ' if size else ''}finite numbers")
-    return samples
+        return build(*source)
+    except (ValueError, ParseError) as exc:
+        raise ValueError(
+            f"the member file's 'generatrix' entry: {exc}") from exc
 
 
 def _rebuilt_frame(space, prof):

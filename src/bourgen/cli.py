@@ -14,17 +14,17 @@ on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import bour, natural, spaces, verify
+from . import _documents, bour, natural, spaces, verify
+from ._documents import NUMBER
 from ._text import json_text, rows_text, write_csv
 from .errors import BourgenError, ConfigError, SpecError
 from .expressions import Expression, parse_expression
@@ -59,7 +59,7 @@ DEMOS = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Validated run configuration (see README for the JSON schema)."""
 
@@ -91,40 +91,61 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        space = _space_entry(d)
-        gen = d.get("generatrix")
-        if gen is None:
-            raise ConfigError("config needs a 'generatrix' entry")
-        m_values = _entry(d, "m_values", [1.0], _numbers)
-        if any(not m > 0 for m in m_values):
-            raise ConfigError("m must be positive")
-        if len(set(m_values)) != len(m_values):
-            raise ConfigError("m values must be distinct")
-        grid = _entry(d, "grid", {}, _object)
-        tol = _entry(d, "tolerances", {}, _object)
+        """The run configuration of a config document, each entry read by
+        ``_documents``; an entry that it or SpaceSpec refuses, and a value
+        out of its entry's range, are ConfigErrors that name the entry."""
+        return _config(cls._read, d)
+
+    @classmethod
+    def _read(cls, d, document):
+        """The run configuration of the document ``d``, named ``document``
+        in messages."""
+        entry = partial(_documents.entry, d, document)
+        samples = partial(_documents.samples, d, document)
+        require = partial(_documents.require, document)
+
+        def pair(name):
+            return tuple(samples(name, 2, (0.0, 1.0)).tolist())
+        space = _documents.space(d, document)
+        generatrix = entry("generatrix", (str, dict))
+        if isinstance(generatrix, dict):
+            entry("generatrix.csv", str)
+        m_values = samples("m_values", default=[1.0]).tolist()
+        require(m_values, "m_values", "a list of one m or more", m_values)
+        for k, m in enumerate(m_values):
+            rule = ("m must be positive" if not m > 0 else
+                    "m values must be distinct" if m in m_values[:k] else None)
+            if rule:
+                raise ConfigError(f"the {document}'s 'm_values' entry "
+                                  f"holds {m!r}, but {rule}")
+        tol = {name: _positive(entry("tolerances." + name, NUMBER, 1e-5),
+                               f"the {document}'s 'tolerances.{name}' entry")
+               for name in ("isometry", "cross_check", "fd_step")}
         cfg = cls(
-            space=space, generatrix=gen, m_values=m_values,
-            epsilon=_entry(d, "epsilon", 1, int),
-            s_range=_entry(d, "s_range", (0.0, 1.0), _pair),
-            step=_entry(d, "step", 0.005, float),
-            anchor=None if d.get("anchor") is None
-            else _entry(d, "anchor", None, float),
-            theta0=_entry(d, "theta0", 0.0, float),
-            integrator=str(d.get("integrator", "rk4")),
-            s_count=_entry(grid, "grid.s_count", 21, int),
-            t_count=_entry(grid, "grid.t_count", 21, int),
-            t_range=_entry(grid, "grid.t_range", (0.0, 1.0), _pair),
-            isometry_tol=_entry(tol, "tolerances.isometry", 1e-5, _positive),
-            cross_tol=_entry(tol, "tolerances.cross_check", 1e-5, _positive),
-            fd_step=_entry(tol, "tolerances.fd_step", 1e-5, _positive),
-            auto_shrink=_entry(d, "auto_shrink", True, _boolean),
-            seed=_entry(d, "seed", 20240901, int))
-        if cfg.epsilon not in (1, -1):
-            raise ConfigError("epsilon must be +1 or -1")
-        if cfg.s_count < 2 or cfg.t_count < 2:
-            raise ConfigError("grid counts must be at least 2")
-        if not cfg.s_range[0] < cfg.s_range[1]:
-            raise ConfigError("empty s_range")
+            space=space, generatrix=generatrix, m_values=m_values,
+            epsilon=entry("epsilon", int, 1), s_range=pair("s_range"),
+            step=entry("step", NUMBER, 0.005),
+            anchor=None if d.get("anchor") is None else entry("anchor", NUMBER),
+            theta0=entry("theta0", NUMBER, 0.0),
+            integrator=entry("integrator", str, "rk4"),
+            s_count=entry("grid.s_count", int, 21),
+            t_count=entry("grid.t_count", int, 21),
+            t_range=pair("grid.t_range"), isometry_tol=tol["isometry"],
+            cross_tol=tol["cross_check"], fd_step=tol["fd_step"],
+            auto_shrink=entry("auto_shrink", bool, True),
+            seed=entry("seed", int, 20240901))
+        require(cfg.epsilon in (1, -1), "epsilon", "1 or -1", cfg.epsilon)
+        for name in ("theta0", "anchor"):
+            value = getattr(cfg, name)
+            require(value is None or abs(value) <= sys.float_info.max, name,
+                    "a finite number", value)
+        for name in ("s_count", "t_count"):
+            if getattr(cfg, name) < 2:
+                raise ConfigError(f"the {document}'s 'grid.{name}' entry is "
+                                  f"{getattr(cfg, name)!r}, but grid counts "
+                                  f"must be at least 2")
+        require(cfg.s_range[0] < cfg.s_range[1], "s_range", "increasing",
+                list(cfg.s_range))
         return cfg
 
     def make_generatrix(self):
@@ -134,17 +155,14 @@ class RunConfig:
                 return GeneratrixMetric.from_expression(gen, self.s_range)
             except ValueError as exc:
                 raise ConfigError(f"generatrix: {exc}")
-        if isinstance(gen, dict) and "csv" in gen:
-            try:
-                U = GeneratrixMetric.from_csv(gen["csv"])
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"generatrix {gen['csv']}: {exc}")
-            sys.stderr.write(
-                "note: CSV generatrix uses monotone-cubic interpolation with "
-                "interpolated U'; radicand checks are approximate\n")
-            return U
-        raise ConfigError("generatrix must be an expression string or "
-                          "{'csv': path}")
+        try:
+            U = GeneratrixMetric.from_csv(gen["csv"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"generatrix {gen['csv']}: {exc}")
+        sys.stderr.write(
+            "note: CSV generatrix uses monotone-cubic interpolation with "
+            "interpolated U'; radicand checks are approximate\n")
+        return U
 
 
 def _load_config(path):
@@ -170,68 +188,21 @@ def _load_member(path):
         raise ConfigError(f"member: {exc}")
 
 
-def _space_entry(d):
-    """The SpaceSpec of a config's 'space' entry."""
-    if "space" not in d:
-        raise ConfigError("config needs a 'space' entry")
-    space = _entry(d, "space", None, _object)
-    if "kind" not in space:
-        raise ConfigError("space needs a 'kind' entry")
+def _config(read, d):
+    """read(d, "config"), its ValueError or SpecError a ConfigError."""
     try:
-        return spaces.SpaceSpec(kind=space["kind"],
-                                a=_entry(space, "space.a", 0.0, float),
-                                kappa=_entry(space, "space.kappa", 0.0, float),
-                                tau=_entry(space, "space.tau", 0.0, float))
-    except BourgenError as exc:
-        raise ConfigError(str(exc))
+        return read(d, "config")
+    except (ValueError, SpecError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _entry(d, name, default, convert):
-    """convert(d[key]), with key the last dotted part of name, or
-    convert(default) when the key is absent; a value that convert rejects
-    is a ConfigError naming the entry and what it must be."""
-    value = d.get(name.rpartition(".")[2], default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be {_WHAT[convert]}, not {value!r}")
-
-
-def _object(value):
-    if not isinstance(value, dict):
-        raise TypeError
+def _positive(value, what):
+    """value, if it is a positive finite number; else a ConfigError that
+    names ``what``."""
+    if not 0.0 < value <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a positive finite number, "
+                          f"not {value!r}")
     return value
-
-
-def _numbers(value):
-    if not isinstance(value, (list, tuple)):
-        raise TypeError
-    return [float(x) for x in value]
-
-
-def _pair(value):
-    pair = _numbers(value)
-    if len(pair) != 2:
-        raise ValueError
-    return tuple(pair)
-
-
-def _boolean(value):
-    if not isinstance(value, bool):
-        raise TypeError
-    return value
-
-
-def _positive(value):
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValueError
-    return value
-
-
-_WHAT = {float: "a number", int: "an integer", _object: "an object",
-         _numbers: "a list of numbers", _pair: "a list of two numbers",
-         _boolean: "true or false", _positive: "a positive finite number"}
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +268,10 @@ def _member_name(m):
 
 def _process_member(cfg, U, frame, m, out_dir, strict=False):
     result = {"m": m, "requested_s_range": list(cfg.s_range)}
+    # checked on the requested range before the feasibility scan reads
+    # the step
+    params = bour.BourParams(m=m, s_range=cfg.s_range, step=cfg.step,
+                             epsilon=cfg.epsilon, integrator=cfg.integrator)
     s_range = cfg.s_range
     if cfg.auto_shrink:
         s_range = bour.feasible_s_range(U, m, frame, cfg.s_range,
@@ -312,9 +287,7 @@ def _process_member(cfg, U, frame, m, out_dir, strict=False):
         # the member is anchored at s0 instead; only then is the key written
         result["anchor_dropped"] = anchor
         anchor = None
-    params = bour.BourParams(m=m, s_range=s_range, step=cfg.step,
-                             epsilon=cfg.epsilon, integrator=cfg.integrator,
-                             anchor=anchor)
+    params = dataclasses.replace(params, s_range=s_range, anchor=anchor)
     member = bour.generate_member(U, params, frame, cfg.theta0, space=cfg.space)
 
     # closed form + cross-check (every built-in space has one)
@@ -383,14 +356,11 @@ def run(cfg, out_dir, strict=False):
 # ---------------------------------------------------------------------------
 
 def _cmd_family(args):
-    cfg = _apply_overrides(RunConfig.from_dict(_load_config(args.config)), args)
-    code, _ = run(cfg, args.out, strict=args.strict)
-    return code
-
-
-def _cmd_demo(args):
-    cfg = _apply_overrides(RunConfig.from_dict(DEMOS[args.name]), args)
-    code, _ = run(cfg, args.out, strict=args.strict)
+    """family on its config file, and demo on the demo's config."""
+    doc = (DEMOS[args.name] if args.command == "demo"
+           else _load_config(args.config))
+    code, _ = run(_apply_overrides(RunConfig.from_dict(doc), args), args.out,
+                  strict=args.strict)
     return code
 
 
@@ -411,7 +381,7 @@ def _check_options(args):
     for flag, dest in (("--tol", "tol"), ("--fd-step", "fd_step")):
         value = getattr(args, dest, None)  # mesh takes neither
         if value is not None:
-            _entry({flag: value}, flag, None, _positive)
+            _positive(value, flag)
 
 
 def _given(value, default):
@@ -421,7 +391,8 @@ def _given(value, default):
 
 def _cmd_natural(args):
     h = _given(args.fd_step, 1e-5)
-    chart = spaces.make_chart(_space_entry(_load_config(args.config)))
+    chart = spaces.make_chart(_config(_documents.space,
+                                      _load_config(args.config)))
     try:
         curve = LiftedCurve.from_csv(args.curve)
     except (OSError, ValueError) as exc:
@@ -518,7 +489,7 @@ def build_parser():
     p = sub.add_parser("demo", help="run a canned demo")
     p.add_argument("name", choices=sorted(DEMOS))
     common(p, "out", "strict", "step", "tol", "fd_step")
-    p.set_defaults(func=_cmd_demo)
+    p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("natural", help="extract natural parameters from a curve CSV")
     p.add_argument("--config", required=True, help="config carrying the space")

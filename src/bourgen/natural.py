@@ -123,7 +123,11 @@ class GeneratrixMetric:
         self.representation = representation
         self.source = source
         probes = np.linspace(*self.s_range, _POSITIVITY_PROBES)
-        vals = self._array(self._U, probes)
+        try:
+            vals = self._array(self._U, probes)
+        except ArithmeticError as exc:  # an expression's division or power
+            raise ValueError(f"U(s) must be positive and finite on s_range; "
+                             f"{exc}") from exc
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             bad = probes[int(np.argmin(vals))]
             raise ValueError(f"U(s) must be positive and finite on s_range; "

@@ -22,6 +22,7 @@ to the float results (see ``_numerics.square``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -56,7 +57,8 @@ class SpaceSpec:
                             f"expected one of {KINDS}")
         for name in ("a", "kappa", "tau"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            # abs, unlike math.isfinite, takes an int of any size
+            if not abs(value) <= sys.float_info.max:
                 raise SpecError(f"{self.kind} needs a finite {name}, "
                                 f"not {value!r}")
         if self.kind in ("euclidean_helicoidal", "bcv_helicoidal") and self.a == 0.0:

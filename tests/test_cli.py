@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
 from bourgen.cli import DEMOS, RunConfig, main, run, write_obj
-from bourgen.errors import ConfigError
+from bourgen.errors import ConfigError, SpecError
+from bourgen.expressions import Expression
 
 
 def _family_config(**overrides):
@@ -385,7 +386,7 @@ def test_natural_config_without_space_is_a_config_error(tmp_path, capsys):
         "natural", "--config", str(cfg_path), "--curve",
         str(tmp_path / "curve.csv"), "--out", str(tmp_path / "nat")])
     assert code == 1
-    assert err == "error: ConfigError: config needs a 'space' entry\n"
+    assert err == "error: ConfigError: the config has no 'space' entry\n"
 
 
 def test_natural_curve_with_repeated_u_is_a_config_error(tmp_path, capsys):
@@ -607,19 +608,25 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("key,value,message", [
-    ("m_values", "abc", "m_values must be a list of numbers, not 'abc'"),
-    ("m_values", 1.0, "m_values must be a list of numbers, not 1.0"),
-    ("m_values", [math.nan], "m must be positive"),
-    ("s_range", [1], "s_range must be a list of two numbers, not [1]"),
-    ("s_range", "ab", "s_range must be a list of two numbers, not 'ab'"),
-    ("grid", [], "grid must be an object, not []"),
-    ("tolerances", 5, "tolerances must be an object, not 5"),
-    ("step", "x", "step must be a number, not 'x'"),
-    ("anchor", "x", "anchor must be a number, not 'x'"),
-    ("space", "helicoidal", "space must be an object, not 'helicoidal'"),
+    ("m_values", "abc",
+     "the config's 'm_values' entry must be a list, not str"),
+    ("m_values", 1.0,
+     "the config's 'm_values' entry must be a list, not float"),
+    ("m_values", [math.nan],
+     "the config's 'm_values' entry must be a list of finite numbers"),
+    ("s_range", [1],
+     "the config's 's_range' entry must be a list of 2 finite numbers"),
+    ("s_range", "ab", "the config's 's_range' entry must be a list, not str"),
+    ("grid", [], "the config's 'grid' entry must be an object, not list"),
+    ("tolerances", 5,
+     "the config's 'tolerances' entry must be an object, not int"),
+    ("step", "x", "the config's 'step' entry must be a number, not str"),
+    ("anchor", "x", "the config's 'anchor' entry must be a number, not str"),
+    ("space", "helicoidal",
+     "the config's 'space' entry must be an object, not str"),
     ("space", {"kind": "euclidean_rotational", "a": "x"},
-     "space.a must be a number, not 'x'"),
-    ("space", {}, "space needs a 'kind' entry"),
+     "the config's 'space.a' entry must be a number, not str"),
+    ("space", {}, "the config has no 'space.kind' entry"),
     # NaN and infinite space parameters, which SpaceSpec used to accept
     ("space", {"kind": "bcv_helicoidal", "a": 1.0, "kappa": 1.0,
                "tau": math.nan}, "bcv_helicoidal needs a finite tau, not nan"),
@@ -627,31 +634,91 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
      "euclidean_helicoidal needs a finite a, not -inf"),
     # a zero step gave nan maxima, a nan one a stencil RangeError
     ("tolerances", {"fd_step": 0},
-     "tolerances.fd_step must be a positive finite number, not 0"),
+     "the config's 'tolerances.fd_step' entry must be a positive finite "
+     "number, not 0"),
     ("tolerances", {"fd_step": -1e-5},
-     "tolerances.fd_step must be a positive finite number, not -1e-05"),
+     "the config's 'tolerances.fd_step' entry must be a positive finite "
+     "number, not -1e-05"),
     ("tolerances", {"fd_step": math.nan},
-     "tolerances.fd_step must be a positive finite number, not nan"),
+     "the config's 'tolerances.fd_step' entry must be a positive finite "
+     "number, not nan"),
     ("tolerances", {"fd_step": math.inf},
-     "tolerances.fd_step must be a positive finite number, not inf"),
+     "the config's 'tolerances.fd_step' entry must be a positive finite "
+     "number, not inf"),
     ("tolerances", {"fd_step": "x"},
-     "tolerances.fd_step must be a positive finite number, not 'x'"),
+     "the config's 'tolerances.fd_step' entry must be a number, not str"),
     # a nan tolerance failed every check, a negative one every check too
     ("tolerances", {"isometry": math.nan},
-     "tolerances.isometry must be a positive finite number, not nan"),
+     "the config's 'tolerances.isometry' entry must be a positive finite "
+     "number, not nan"),
     ("tolerances", {"isometry": -1},
-     "tolerances.isometry must be a positive finite number, not -1"),
+     "the config's 'tolerances.isometry' entry must be a positive finite "
+     "number, not -1"),
     ("tolerances", {"isometry": 0},
-     "tolerances.isometry must be a positive finite number, not 0"),
+     "the config's 'tolerances.isometry' entry must be a positive finite "
+     "number, not 0"),
     ("tolerances", {"cross_check": math.inf},
-     "tolerances.cross_check must be a positive finite number, not inf"),
+     "the config's 'tolerances.cross_check' entry must be a positive finite "
+     "number, not inf"),
     ("tolerances", {"cross_check": -1e-5},
-     "tolerances.cross_check must be a positive finite number, not -1e-05"),
+     "the config's 'tolerances.cross_check' entry must be a positive finite "
+     "number, not -1e-05"),
     ("tolerances", {"cross_check": "x"},
-     "tolerances.cross_check must be a positive finite number, not 'x'"),
-    ("auto_shrink", "false", "auto_shrink must be true or false, not 'false'"),
-    ("auto_shrink", "no", "auto_shrink must be true or false, not 'no'"),
-    ("auto_shrink", [0], "auto_shrink must be true or false, not [0]"),
+     "the config's 'tolerances.cross_check' entry must be a number, not str"),
+    ("auto_shrink", "false",
+     "the config's 'auto_shrink' entry must be true or false, not str"),
+    ("auto_shrink", "no",
+     "the config's 'auto_shrink' entry must be true or false, not str"),
+    ("auto_shrink", [0],
+     "the config's 'auto_shrink' entry must be true or false, not list"),
+    # values that int(), float() and str() bent into others, and ran
+    ("epsilon", 1.7, "the config's 'epsilon' entry must be an integer, "
+                     "not float"),
+    ("epsilon", True, "the config's 'epsilon' entry must be an integer, "
+                      "not bool"),
+    ("grid", {"s_count": 5.9, "t_count": 5},
+     "the config's 'grid.s_count' entry must be an integer, not float"),
+    ("m_values", [True],
+     "the config's 'm_values' entry must be a list of finite numbers"),
+    ("m_values", ["1"],
+     "the config's 'm_values' entry must be a list of finite numbers"),
+    ("s_range", ["-2", "2"],
+     "the config's 's_range' entry must be a list of 2 finite numbers"),
+    ("step", "0.01", "the config's 'step' entry must be a number, not str"),
+    ("step", True, "the config's 'step' entry must be a number, not bool"),
+    # values that failed later under another name: a NaN theta0 as an
+    # infeasible s interval, a NaN t_range as NaN maxima, an infinite
+    # s_range as U(nan); an infinite anchor was dropped
+    ("theta0", math.nan,
+     "the config's 'theta0' entry must be a finite number, not nan"),
+    ("anchor", math.inf,
+     "the config's 'anchor' entry must be a finite number, not inf"),
+    ("grid", {"s_count": 9, "t_count": 5, "t_range": [0.0, math.nan]},
+     "the config's 'grid.t_range' entry must be a list of 2 finite numbers"),
+    ("s_range", [0.0, math.inf],
+     "the config's 's_range' entry must be a list of 2 finite numbers"),
+    # values that reached code which should never see them: a space
+    # without a pitch, and np.loadtxt reading a list as lines of text
+    ("integrator", 4,
+     "the config's 'integrator' entry must be a string, not int"),
+    ("space", {"kind": "euclidean_rotational", "a": True},
+     "the config's 'space.a' entry must be a number, not bool"),
+    ("generatrix", {"csv": 5},
+     "the config's 'generatrix.csv' entry must be a string, not int"),
+    ("generatrix", {"csv": ["a"]},
+     "the config's 'generatrix.csv' entry must be a string, not list"),
+    # an empty list wrote a report of no members that passed, and a step
+    # of 1e-300 was a numpy traceback.  Both steps fail the check before
+    # any array is built
+    ("m_values", [], "the config's 'm_values' entry must be a list of one m "
+                     "or more, not []"),
+    ("step", 1e-300,
+     "step 1e-300 takes more than 1000000 steps across s_range"),
+    ("step", 1e-9, "step 1e-09 takes more than 1000000 steps across s_range"),
+    # U = sqrt(s^2+1) overflows on this range, which was a traceback
+    ("s_range", [-1e200, 1.0],
+     "generatrix: U(s) must be positive and finite on s_range; numerical "
+     "result out of range"),
 ])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, key,
                                                   value, message):
@@ -756,6 +823,102 @@ def test_random_config_values_load_or_are_a_config_error(changes, nested):
         RunConfig.from_dict(cfg)
     except ConfigError:
         pass
+
+
+# each entry that the readers' test replaces, and the attribute path of
+# its loaded value (None for an object entry, whose value is not compared)
+_CONFIG_ENTRIES = {
+    "space": None, "grid": None, "tolerances": None,
+    "generatrix": "generatrix", "m_values": "m_values", "epsilon": "epsilon",
+    "s_range": "s_range", "step": "step", "anchor": "anchor",
+    "theta0": "theta0", "integrator": "integrator",
+    "auto_shrink": "auto_shrink", "seed": "seed",
+    "grid.s_count": "s_count", "grid.t_count": "t_count",
+    "grid.t_range": "t_range", "tolerances.isometry": "isometry_tol",
+    "tolerances.cross_check": "cross_tol", "tolerances.fd_step": "fd_step",
+    **{f"space.{k}": f"space.{k}" for k in ("kind", "a", "kappa", "tau")},
+}
+_MEMBER_ENTRIES = {
+    "m": "m", "epsilon": "epsilon",
+    **{f"space.{k}": f"space.{k}" for k in ("kind", "a", "kappa", "tau")},
+    "generatrix.kind": "U.representation", "generatrix.text": "U.source",
+    "generatrix.s_range": "U.s_range",
+}
+_entry_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10 ** 400, "rk4", "euler", "s", "sqrt(s^2+1)",
+                       "euclidean_rotational"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(st.integers(-3, 3) | st.floats(), max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4)
+
+
+def _replaced(document, name, value):
+    """A deep copy of document with the entry at the dotted name set to
+    value, the objects on its path made where missing."""
+    document = json.loads(json.dumps(document))
+    *path, key = name.split(".")
+    node = document
+    for part in path:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return document
+
+
+def _same_json(loaded, drawn):
+    """True when loaded is the JSON value drawn, unchanged: a number for a
+    number (never a bool), equal or NaN for NaN; a list of the same
+    elements, as a list, tuple or array; otherwise of the same type and
+    equal."""
+    if isinstance(loaded, np.ndarray):
+        loaded = loaded.tolist()
+    if isinstance(drawn, list):
+        return (isinstance(loaded, (list, tuple)) and len(loaded) == len(drawn)
+                and all(map(_same_json, loaded, drawn)))
+    if isinstance(drawn, (int, float)) and not isinstance(drawn, bool):
+        return (isinstance(loaded, (int, float))
+                and not isinstance(loaded, bool)
+                and (loaded == drawn or math.isnan(loaded) and drawn != drawn))
+    return type(loaded) is type(drawn) and loaded == drawn
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_both_readers_load_a_value_unchanged_or_refuse_it(data,
+                                                         demo_outputs):
+    # one entry of a valid config or of the catenoid demo's member file is
+    # replaced by a drawn JSON value: the document loads with that value as
+    # it was written, or is refused in an error that names the entry
+    member = data.draw(st.booleans(), label="member file")
+    entries = _MEMBER_ENTRIES if member else _CONFIG_ENTRIES
+    name = data.draw(st.sampled_from(sorted(entries)), label="entry")
+    value = data.draw(_entry_values, label="value")
+    if member:
+        document = _replaced(json.loads(
+            (demo_outputs["catenoid"] / "member_m1.json").read_text()),
+            name, value)
+        read, refused = bg.SurfaceMember.from_dict, (ValueError, SpecError)
+    else:
+        document = _replaced(_family_config(), name, value)
+        read, refused = RunConfig.from_dict, ConfigError
+    try:
+        loaded = read(document)
+    except refused as exc:
+        # the error names the entry or an object on its path; SpaceSpec's
+        # refusals name the parameter instead
+        spec = isinstance(exc if member else exc.__cause__, SpecError)
+        assert spec or any(re.search(rf"\b{part}\b", str(exc))
+                           for part in name.split(".")), str(exc)
+        return
+    path = entries[name]
+    if path is not None:
+        got = loaded
+        for attribute in path.split("."):
+            got = getattr(got, attribute)
+        if isinstance(got, Expression):
+            got = got.text
+        assert _same_json(got, value), (got, value)
 
 
 # ---------------------------------------------------------------------------
