@@ -64,11 +64,11 @@ from itertools import chain, repeat
 import numpy as np
 
 
-def json_text(payload, sort_keys=False):
-    """The text of ``json.dumps(payload, indent=1, sort_keys=sort_keys)``;
-    a 1-D float64 array prints as the list of its values."""
+def json_text(payload):
+    """The text of ``json.dumps(payload, indent=1)``; a 1-D float64 array
+    prints as the list of its values."""
     lists = []
-    text = _encode(payload, 0, sort_keys, lists)
+    text = _encode(payload, 0, lists)
     if not lists:
         return text
     parts = text.split("\0")
@@ -76,7 +76,7 @@ def json_text(payload, sort_keys=False):
     return "".join(chain.from_iterable(zip(parts, bodies))) + parts[-1]
 
 
-def _encode(o, level, sort_keys, lists):
+def _encode(o, level, lists):
     """The text of o, with a NUL in place of each all-float list's body
     (json.dumps escapes every NUL of a string), each such list and its
     indent appended to ``lists``."""
@@ -84,10 +84,8 @@ def _encode(o, level, sort_keys, lists):
         if not o:
             return "{}"
         pad = "\n" + " " * (level + 1)
-        items = sorted(o.items()) if sort_keys else o.items()
-        body = ("," + pad).join(
-            f"{_key(k)}: {_encode(v, level + 1, sort_keys, lists)}"
-            for k, v in items)
+        body = ("," + pad).join(f"{_key(k)}: {_encode(v, level + 1, lists)}"
+                                for k, v in o.items())
         return "{" + pad + body + pad[:-1] + "}"
     floats = isinstance(o, np.ndarray) and o.ndim == 1 and (
         o.dtype == np.float64)
@@ -99,8 +97,7 @@ def _encode(o, level, sort_keys, lists):
             lists.append((o, pad))
             body = "\0"
         else:
-            body = ("," + pad).join(_encode(x, level + 1, sort_keys, lists)
-                                    for x in o)
+            body = ("," + pad).join(_encode(x, level + 1, lists) for x in o)
         return "[" + pad + body + pad[:-1] + "]"
     return json.dumps(o)
 

@@ -160,21 +160,22 @@ def integrate_profile(U, params, frame, theta0=0.0):
     s_range); integration sweeps outward in both directions.  omega(s) is
     imposed exactly as m U(s); omega and omega' at the nodes come from one
     ``U.table`` call: the right-hand sides' table for a theta-free frame,
-    one on the nodes after the sweeps for any other.  The sweeps are the
-    same sequential loop for every frame; the frame only decides, through
-    ``theta_free``, where the right-hand side values and the node
-    inversions come from.
+    one on the nodes after the sweeps for any other.
 
-    A theta-free frame takes every right-hand side value from one array
-    call (``_tabulated_rhs``), and ``frame.invert`` and
-    ``frame.invert_jacobian`` at all nodes from one array call each, after
-    the sweeps.  Any other frame (Newton or characteristic) evaluates the
-    right-hand side one point at a time, and ``_recording_rhs`` takes
-    ``frame.invert`` and ``frame.invert_jacobian`` at each node right after
-    the node's right-hand side, at the omega that ``ode_rhs`` evaluated,
-    while the frame's one-entry memo still holds that node: a Newton node
-    is solved once, and a characteristic node costs one level trace beyond
-    its right-hand side.  An inversion that fails then raises here.
+    A theta-free frame's right-hand side does not depend on theta, so it
+    takes every value from one array call, and theta from prefix sums of
+    the loop's step increments (``_prefix_sweeps``); ``frame.invert`` and
+    ``frame.invert_jacobian`` at all nodes are then one array call each.
+    Where the loop would read a value outside the rectangle or a negative
+    radicand, the sequential loop of ``_sweeps`` runs with scalar
+    evaluations instead, and raises the error of the sequential order.
+    Any other frame (Newton or characteristic) runs that loop, and
+    ``_recording_rhs`` takes ``frame.invert`` and
+    ``frame.invert_jacobian`` at each node right after the node's
+    right-hand side, at the omega that ``ode_rhs`` evaluated, while the
+    frame's one-entry memo still holds that node: a Newton node is solved
+    once, and a characteristic node costs one level trace beyond its
+    right-hand side.  An inversion that fails then raises here.
 
     x1' and x2' are d(x1, x2)/d(omega, theta) (omega', theta') at every
     node, as one stacked matmul, which rounds as the per-node J @ v.
@@ -193,16 +194,18 @@ def integrate_profile(U, params, frame, theta0=0.0):
     abscissae = _abscissae(s, ia, params)
     if frame.theta_free:
         table = U.table(abscissae)
-        rhs = _tabulated_rhs(abscissae, table, U, params, frame)
-    else:
-        rhs, points, jacobians = _recording_rhs(abscissae, U, params, frame)
-    theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
-    if frame.theta_free:
+        swept = _prefix_sweeps(table, ia, theta0, params, frame)
+        if swept is None:
+            swept = _sweeps(len(s), ia, theta0,
+                            _scalar_rhs(abscissae, U, params, frame), params)
+        theta, theta_p = swept
         Us, dUs = table[0][0], table[1][0]  # row 0 of the abscissae is s
         omega = params.m * Us
         x1, x2 = frame.invert(omega, theta)
         J = frame.invert_jacobian(omega, theta)
     else:
+        rhs, points, jacobians = _recording_rhs(abscissae, U, params, frame)
+        theta, theta_p = _sweeps(len(s), ia, theta0, rhs, params)
         Us, dUs = U.table(s)
         omega = params.m * Us
         x1, x2 = np.array(points, dtype=float).T
@@ -285,13 +288,16 @@ def _recording_rhs(abscissae, U, params, frame):
     return recording, points, jacobians
 
 
-def _tabulated_rhs(abscissae, table, U, params, frame):
-    """rhs for ``_sweeps`` on a theta-free frame, whose right-hand side
-    does not depend on theta: every value comes from ``table``, the array
-    (U, U') at the abscissae, and one array call of the frame.  Where
-    (omega, theta) leaves the rectangle or the radicand is negative, the
-    scalar evaluation is made instead, and raises the error of the
-    sequential order."""
+def _prefix_sweeps(table, ia, theta0, params, frame):
+    """theta and theta' at the nodes for a theta-free frame, as ``_sweeps``
+    gives them, from ``table``, the array (U, U') at the abscissae, and one
+    array call of each gradient norm; None where the loop would read a
+    value outside the rectangle or a negative radicand.
+
+    Each step adds the loop's increment, with its operands in the loop's
+    order (f3 = f2, since the stage value does not depend on theta), and
+    ``np.add.accumulate`` sums each side from theta0 one addition at a
+    time, as the loop does."""
     Uv, dU = table
     w = params.m * Uv
     (w0, w1), (t0, t1) = frame.rect
@@ -305,16 +311,32 @@ def _tabulated_rhs(abscissae, table, U, params, frame):
     rad[(np.abs(rad) < RADICAND_CLAMP) | negative] = 0.0
     values = (params.epsilon * frame.branch_sign
               * np.sqrt(gt) * np.sqrt(rad) / np.sqrt(go))
-    # nested lists: the sweeps read one element per call
-    usable = (inside & ~negative).tolist()
-    values = values.tolist()
-    scalar = _scalar_rhs(abscissae, U, params, frame)
-
-    def rhs(row, k, theta):
-        if usable[row][k] and t0 <= theta <= t1:
-            return values[row][k]
-        return scalar(row, k, theta)
-    return rhs
+    usable = inside & ~negative
+    usable[1:, ia] = True  # the loop reads no stage at the anchor
+    if not usable.all():
+        return None
+    theta_p = values[0]
+    theta = np.empty_like(theta_p)
+    n = len(theta)
+    for direction in (+1, -1):
+        step = direction * params.step
+        k = np.arange(ia + direction, n if direction > 0 else -1, direction)
+        f1 = theta_p[k - direction]
+        if params.integrator == "euler":
+            side = np.add.accumulate(np.append(float(theta0), step * f1))
+            stages = ()
+        else:
+            f2, f4 = values[1, k], values[2, k]
+            side = np.add.accumulate(np.append(
+                float(theta0), step / 6 * (f1 + 2 * f2 + 2 * f2 + f4)))
+            yk = side[:-1]
+            stages = (yk + step / 2 * f1, yk + step / 2 * f2, yk + step * f2)
+        for y in (side, *stages):
+            if not ((t0 <= y) & (y <= t1)).all():
+                return None
+        theta[k] = side[1:]
+    theta[ia] = float(theta0)
+    return theta, theta_p
 
 
 @dataclass(frozen=True)

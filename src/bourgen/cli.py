@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _documents, bour, natural, spaces, verify
 from ._documents import NUMBER
-from ._text import json_text, rows_text, write_csv
+from ._text import rows_text, write_csv
 from .errors import BourgenError, ConfigError, SpecError
 from .expressions import Expression, parse_expression
 from .natural import GeneratrixMetric, LiftedCurve
@@ -57,6 +57,12 @@ DEMOS = {
         "step": 0.005,
     },
 }
+
+
+# the most values of s or of t in the isometry grid: at most 10^6 grid
+# points, some 0.3 GB at the verifier's 312 bytes a point, refused before
+# any array is built
+_MAX_GRID_COUNT = 1000
 
 
 @dataclasses.dataclass
@@ -140,10 +146,13 @@ class RunConfig:
             require(value is None or abs(value) <= sys.float_info.max, name,
                     "a finite number", value)
         for name in ("s_count", "t_count"):
-            if getattr(cfg, name) < 2:
+            count = getattr(cfg, name)
+            if count < 2:
                 raise ConfigError(f"the {document}'s 'grid.{name}' entry is "
-                                  f"{getattr(cfg, name)!r}, but grid counts "
-                                  f"must be at least 2")
+                                  f"{count!r}, but grid counts must be at "
+                                  f"least 2")
+            require(count <= _MAX_GRID_COUNT, "grid." + name,
+                    f"at most {_MAX_GRID_COUNT}", count)
         require(cfg.s_range[0] < cfg.s_range[1], "s_range", "increasing",
                 list(cfg.s_range))
         return cfg
@@ -225,11 +234,14 @@ def write_obj(member, space, path, t_range=(0.0, 1.0)):
 
     The grid takes OBJ_S_COUNT values of s over the member range and
     OBJ_T_COUNT values of t over t_range.  Vertices are laid out row-major
-    in s; each grid cell becomes two triangles.
+    in s; each grid cell becomes two triangles.  x1 and x2 do not depend
+    on t, so they are embedded once per row of s.
     """
     s_values = np.linspace(member.s_range[0], member.s_range[1], OBJ_S_COUNT)
     t_values = np.linspace(t_range[0], t_range[1], OBJ_T_COUNT)
-    xyz = spaces.mesh_xyz(space, member.map(s_values[:, None], t_values))
+    x1, x2, x3 = member.map(s_values[:, None], t_values)
+    xyz = np.broadcast_arrays(*spaces.mesh_xyz(space,
+                                               (x1[:, :1], x2[:, :1], x3)))
     with open(path, "w") as fh:
         fh.write(f"# bourgen member m={member.m:.17g}\n")
         fh.write(rows_text("v %.17g %.17g %.17g\n",
@@ -255,7 +267,7 @@ def _obj_faces():
 
 
 def _write_json(payload, path):
-    Path(path).write_text(json_text(payload, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

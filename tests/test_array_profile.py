@@ -189,6 +189,9 @@ _CASES = [
      (-1.0, 1.0), 0.5, 0.03, 0.305, -0.1, "rk4"),
     (bg.SpaceSpec("euclidean_helicoidal", a=1.0), True, "sqrt(s^2+2)",
      (0.5, 1.5), 1.2, 0.005, None, 0.3, "rk4"),
+    # anchored at the upper end: the upward sweep takes no step
+    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), True, "sqrt(s^2+2)",
+     (0.5, 1.5), 1.2, 0.005, 1.5, 0.3, "rk4"),
     (bg.SpaceSpec("euclidean_helicoidal", a=1.0), False, "sqrt(s^2+2)",
      (0.5, 2.0), 1.0, 0.01, None, 0.0, "rk4"),
     (bg.SpaceSpec("euclidean_helicoidal", a=-0.7), True,
@@ -310,32 +313,42 @@ def _first_error(fn):
     raise AssertionError("no error raised")
 
 
-@pytest.mark.parametrize("spec,omega_range,theta_range,text,s_range,m,anchor", [
-    # the radicand 1 - m^2 U'^2 turns negative at |s| = 4/3; from the
-    # anchor 0 both sweeps meet it, the forward one first
-    (bg.SpaceSpec("euclidean_rotational"), None, (-100.0, 100.0),
-     "sqrt(s^2+1)", (-1.0, 2.0), 1.25, None),
-    (bg.SpaceSpec("euclidean_rotational"), None, (-100.0, 100.0),
-     "sqrt(s^2+1)", (-2.0, 2.0), 1.25, 0.0),
-    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), None, (-100.0, 100.0),
-     "sqrt(s^2+2)", (0.5, 2.0), 1.5, None),
-    # omega = U leaves the rectangle between two nodes
-    (bg.SpaceSpec("euclidean_helicoidal", a=1.0), (1.01, 1.8), (-100.0, 100.0),
-     "sqrt(s^2+1)", (0.5, 2.0), 1.0, None),
-    (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), (1.05, 2.0),
-     (-100.0, 100.0), "sqrt(s^2+4)", (0.0, 1.0), 0.98, 0.5),
-    # theta leaves the rectangle
-    (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 0.6),
-     "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0),
-])
+@pytest.mark.parametrize(
+    "spec,omega_range,theta_range,text,s_range,m,anchor,integrator", [
+        # the radicand 1 - m^2 U'^2 turns negative at |s| = 4/3; from the
+        # anchor 0 both sweeps meet it, the forward one first
+        (bg.SpaceSpec("euclidean_rotational"), None, (-100.0, 100.0),
+         "sqrt(s^2+1)", (-1.0, 2.0), 1.25, None, "rk4"),
+        (bg.SpaceSpec("euclidean_rotational"), None, (-100.0, 100.0),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.25, 0.0, "rk4"),
+        (bg.SpaceSpec("euclidean_helicoidal", a=1.0), None, (-100.0, 100.0),
+         "sqrt(s^2+2)", (0.5, 2.0), 1.5, None, "rk4"),
+        # omega = U leaves the rectangle between two nodes
+        (bg.SpaceSpec("euclidean_helicoidal", a=1.0), (1.01, 1.8),
+         (-100.0, 100.0), "sqrt(s^2+1)", (0.5, 2.0), 1.0, None, "rk4"),
+        (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0),
+         (1.05, 2.0), (-100.0, 100.0), "sqrt(s^2+4)", (0.0, 1.0), 0.98, 0.5,
+         "rk4"),
+        # theta leaves the rectangle: at a stage of RK4, at a node of Euler
+        (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 0.6),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0, "rk4"),
+        (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 0.6),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0, "euler"),
+        # theta, increasing with s, leaves the rectangle below the anchor
+        # only, after the upward sweep has passed
+        (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 100.0),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0, "rk4"),
+    ])
 def test_failure_matches_sequential_order(spec, omega_range, theta_range,
-                                          text, s_range, m, anchor):
+                                          text, s_range, m, anchor,
+                                          integrator):
     # a narrower rectangle than the built-in frame's
     frame = bg.builtin_frame(spec)
     frame = dataclasses.replace(
         frame, rect=(omega_range or frame.rect[0], theta_range))
     U = bg.GeneratrixMetric.from_expression(text, s_range)
-    params = bg.BourParams(m=m, s_range=s_range, step=0.01, anchor=anchor)
+    params = bg.BourParams(m=m, s_range=s_range, step=0.01, anchor=anchor,
+                           integrator=integrator)
     got = _first_error(lambda: bg.integrate_profile(U, params, frame, 0.0))
     ref = _first_error(lambda: _reference_profile(U, params, frame, 0.0))
     assert type(got) is type(ref)
