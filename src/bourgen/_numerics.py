@@ -6,6 +6,12 @@ import numpy as np
 from ._splines import cumulative_simpson
 from .errors import RangeError
 
+# The symmetric deadband of a radicand, in the profile right-hand side and
+# the closed forms alike: a value at or below -RADICAND_CLAMP is negative,
+# and one within it of zero is zero, so that an identically-degenerate
+# radicand (a fixed point of the family) does not pick up float noise.
+RADICAND_CLAMP = 1e-12
+
 
 def cumulative_simpson_anchored(y, x, anchor_index=0):
     """Cumulative integral of samples y over grid x, zero at x[anchor_index].

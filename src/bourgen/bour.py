@@ -31,6 +31,7 @@ import numpy as np
 from . import _documents, spaces
 from ._documents import NUMBER
 from ._numerics import (
+    RADICAND_CLAMP,
     cumulative_simpson_anchored,
     distinct_values,
     require_s_in_range,
@@ -51,7 +52,6 @@ from .errors import (
 )
 from .natural import GeneratrixMetric, LiftedCurve
 
-RADICAND_CLAMP = 1e-12
 # the most steps of a profile grid: some 8 MB per node array, refused
 # before any array is built
 _MAX_STEPS = 1_000_000
@@ -98,8 +98,8 @@ def ode_rhs(s, theta, U, params, frame):
     """theta'(s) of the profile equation at (s, theta).
 
     Raises RadicandNegativeError when the target metric is not realizable
-    at this m along this s; grazing-zero radicands (above -1e-12) are
-    clamped to zero.
+    at this m along this s; grazing-zero radicands (within RADICAND_CLAMP
+    of zero) are clamped to zero.
     """
     Us, dUs = U.table(s)  # one dual call of an expression generatrix
     w = params.m * Us
@@ -113,8 +113,6 @@ def ode_rhs(s, theta, U, params, frame):
             f"the metric is not realizable at m = {params.m:g} here",
             s=s, radicand=rad)
     if abs(rad) < RADICAND_CLAMP:
-        # symmetric deadband: an identically-degenerate radicand (fixed
-        # point of the family) must not pick up float noise
         rad = 0.0
     return (params.epsilon * frame.branch_sign
             * math.sqrt(gt) * math.sqrt(rad) / math.sqrt(go))
@@ -169,13 +167,13 @@ def integrate_profile(U, params, frame, theta0=0.0):
     Where the loop would read a value outside the rectangle or a negative
     radicand, the sequential loop of ``_sweeps`` runs with scalar
     evaluations instead, and raises the error of the sequential order.
-    Any other frame (Newton or characteristic) runs that loop, and
-    ``_recording_rhs`` takes ``frame.invert`` and
+    Any other frame, as the characteristic frame of ``build_frame``, runs
+    that loop, and ``_recording_rhs`` takes ``frame.invert`` and
     ``frame.invert_jacobian`` at each node right after the node's
     right-hand side, at the omega that ``ode_rhs`` evaluated, while the
-    frame's one-entry memo still holds that node: a Newton node is solved
-    once, and a characteristic node costs one level trace beyond its
-    right-hand side.  An inversion that fails then raises here.
+    frame's one-entry memo still holds that node: a characteristic node
+    costs one level trace beyond its right-hand side.  An inversion that
+    fails then raises here.
 
     x1' and x2' are d(x1, x2)/d(omega, theta) (omega', theta') at every
     node, as one stacked matmul, which rounds as the per-node J @ v.
@@ -267,11 +265,12 @@ def _scalar_rhs(abscissae, U, params, frame):
 
 
 def _recording_rhs(abscissae, U, params, frame):
-    """rhs for ``_sweeps`` on a frame that is not theta-free: the scalar
-    evaluation of ``_scalar_rhs``, and after each node's right-hand side
-    (row 0) ``frame.invert`` and ``frame.invert_jacobian`` at the same
-    (omega, theta), where omega is m U(s) of the same scalar s that
-    ``ode_rhs`` took.  Returns the rhs and the lists of points and
+    """rhs for ``_sweeps`` on a frame that is not theta-free, as the
+    characteristic frame: the scalar evaluation of ``_scalar_rhs``, and
+    after each node's right-hand side (row 0) ``frame.invert`` and
+    ``frame.invert_jacobian`` at the same (omega, theta), where omega is
+    m U(s) of the same scalar s that ``ode_rhs`` took, while the frame's
+    memo holds that point.  Returns the rhs and the lists of points and
     matrices it fills, one per node."""
     rhs = _scalar_rhs(abscissae, U, params, frame)
     points = [None] * abscissae.shape[1]
@@ -410,14 +409,18 @@ class SurfaceMember:
 
         With a frame and generatrix attached, each element is re-solved:
         the frame inverts (m U(s), theta(s)), in one array call for a
-        theta-free frame.  Otherwise the position splines give it.
+        theta-free frame and one call per element for any other.
+        Otherwise the position splines give it.
         """
         s = np.asarray(s, dtype=float)
         if self.frame is None or self.U is None:
             return self._x1_spline(s)[()], self._x2_spline(s)[()]
         omega = self.m * self.U(s.ravel())
         theta = self._theta_spline(s.ravel())
-        x1, x2 = self.frame.elementwise(self.frame.invert, omega, theta)
+        if self.frame.theta_free:
+            x1, x2 = self.frame.invert(omega, theta)
+        else:
+            x1, x2 = np.array(list(map(self.frame.invert, omega, theta))).T
         return x1.reshape(s.shape)[()], x2.reshape(s.shape)[()]
 
     def map(self, s, t):
@@ -481,8 +484,8 @@ class SurfaceMember:
         """The member of a member file, with the built-in frame of its
         space (as ``cli.run`` builds it) attached when its generatrix is
         an expression and that frame inverts the stored (omega, theta) to
-        the stored x1 and x2 bit for bit; otherwise frameless (a traced or
-        Newton frame's member, a table generatrix's).  An entry of the
+        the stored x1 and x2 bit for bit; otherwise frameless (a
+        characteristic frame's member, a table generatrix's).  An entry of the
         wrong type, an 'm' that is not a positive finite number and an
         'epsilon' other than 1 or -1 are ValueErrors that name the entry."""
         if not isinstance(d, dict):
@@ -644,26 +647,27 @@ def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, step=None):
     integrator steps from the radicand zero (onto the grid
     s0 + k step): theta(s) has a
     square-root branch point there, and a fixed-step integrator needs the
-    radicand bounded away from zero to keep its order.  Gradient norms are
-    evaluated at theta_ref (exact for the built-in frames, whose norms do
-    not depend on theta).  U and U' are evaluated on the whole scan in
-    one array call, and so are the gradient norms of a theta-free frame;
-    any other frame is solved one sample at a time, in order, and no
-    further than the end of the first feasible run.
+    radicand bounded away from zero to keep its order.  U and U' are
+    evaluated on the whole scan in one array call, and so are the
+    gradient norms.
+
+    The frame must be theta-free: its norms do not depend on theta, so
+    those at theta_ref are the profile's.  Any other frame, as the
+    characteristic frame, is refused with a ConfigError before it is
+    evaluated, since the profile's theta(s), where its radicand lies, is
+    known only once the profile is integrated.
     """
+    if not frame.theta_free:
+        raise ConfigError(f"feasible_s_range: the frame {frame.label} is "
+                          "not theta-free, so theta_ref is not its profile")
     s0, s1 = s_range
     ss = np.linspace(s0, s1, _SCAN_SAMPLES)
     Uv, dU = U.table(ss)
     w = m * Uv
     feasible = frame.contains(w, theta_ref)
-    block = _SCAN_SAMPLES if frame.theta_free else 1
-    for start in range(0, _SCAN_SAMPLES, block):
-        part = start + np.flatnonzero(feasible[start:start + block])
-        go = frame.elementwise(frame.grad_omega_sq, w[part], theta_ref)
-        feasible[part] = ~(go - square(m * dU[part]) <= -RADICAND_CLAMP)
-        seen = feasible[:start + block]
-        if seen.any() and not seen[np.argmax(seen):].all():
-            break  # the first feasible run has ended
+    part = np.flatnonzero(feasible)
+    go = frame.grad_omega_sq(w[part], theta_ref)
+    feasible[part] = ~(go - square(m * dU[part]) <= -RADICAND_CLAMP)
     lo = hi = None
     if feasible.any():
         first = int(np.argmax(feasible))

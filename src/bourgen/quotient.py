@@ -4,11 +4,12 @@
 The quotient metric on the space of orbits (``chart.quotient_metric``)
 is the Schur complement q_ab = g_ab - g_a3 g_b3 / g33 of g33, which is
 also the inverse of the upper 2x2 block of the inverse ambient metric.
-A transverse invariant theta is either supplied analytically or traced
-numerically: theta is constant along the integral curves of the
-horizontal projection of grad(omega) (the characteristics of the
-defining first-order PDE), and takes arc-length Cauchy data on a curve
-transversal to them.
+A transverse invariant theta other than a built-in frame's is traced
+numerically (``solve_orthogonal_invariant``): theta is constant along the
+integral curves of the horizontal projection of grad(omega) (the
+characteristics of the defining first-order PDE), and takes arc-length
+Cauchy data on a curve transversal to them.  ``build_frame`` builds the
+characteristic frame over such a theta.
 """
 from __future__ import annotations
 
@@ -48,10 +49,9 @@ class QuotientFrame:
     (epsilon = +1 always means increasing screw angle).
     ``theta_free`` marks the frames of ``spaces.builtin_frame``, whose
     gradient norms depend on omega alone and whose callables and
-    invariant gradients also take arrays: the flag is what ``elementwise``
-    tests.  ``build_frame``'s Newton and characteristic frames are
-    evaluated one point at a time.  Every chart's ``metric`` and
-    ``d_g33`` take arrays, whatever the frame.
+    invariant gradients also take arrays.  The characteristic frame of
+    ``build_frame`` is evaluated one point at a time.  Every chart's
+    ``metric`` and ``d_g33`` take arrays, whatever the frame.
     ``inverse_jacobian``, when set, gives d(x1, x2)/d(omega, theta) at a
     point (w, t) directly, and ``invert_jacobian`` returns it in place of
     the inverse of the finite-difference forward Jacobian; the
@@ -70,26 +70,6 @@ class QuotientFrame:
     branch_sign: int = 1
     theta_free: bool = False
     inverse_jacobian: Optional[Callable[[float, float], np.ndarray]] = None
-
-    def elementwise(self, fn, a, b):
-        """fn(a, b) at every element of the broadcast arrays a, b, for fn a
-        callable of this frame.
-
-        One call for a theta-free frame; otherwise one call per element,
-        with the results stacked into arrays of the broadcast shape (a
-        tuple result becomes a tuple of arrays, an array result gains the
-        leading shape).
-        """
-        if self.theta_free:
-            return fn(a, b)
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                   np.asarray(b, dtype=float))
-        rows = [fn(x, y) for x, y in zip(a.ravel(), b.ravel())]
-        if rows and isinstance(rows[0], tuple):
-            return tuple(np.array(col, dtype=float).reshape(a.shape)
-                         for col in zip(*rows))
-        out = np.array(rows, dtype=float)
-        return out.reshape(a.shape + out.shape[1:])
 
     def contains(self, w, t):
         """Whether (w, t) lies in the rectangle; elementwise for arrays."""
@@ -140,6 +120,11 @@ def newton_invert(forward, jacobian, target, seed, trace=None):
     with the last residual when _NEWTON_MAXITER iterations do not get it
     there.  When ``trace`` is a list, the max-norm residual after each
     iteration is appended to it (used to observe quadratic convergence).
+
+    No frame of the library inverts by Newton's method: it stays for the
+    Newton frame that the tests keep as a reference for the characteristic
+    frame (``tests/newton_frame.py``), and because ``perfbench``'s tracer
+    wraps it by name.
     """
     x = np.array(seed, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -182,9 +167,9 @@ def newton_invert(forward, jacobian, target, seed, trace=None):
         f"last residual {err:.3e}", residual=err)
 
 
-# Smallest |det| of d(omega, theta)/d(x1, x2) relative to the product of
-# the gradient norms, and the same floor for the characteristic frame's
-# |dx/dtheta| and for the angle between its inverse Jacobian's columns.
+# The characteristic frame's floors: the smallest |dx/dtheta| at fixed
+# omega, in the quotient metric, and the smallest sine of the angle
+# between the columns of its inverse Jacobian.
 _JACOBIAN_FLOOR = 1e-8
 
 
@@ -205,92 +190,6 @@ def _latest_call_memo(fn):
     return memo
 
 
-def build_frame(chart, theta, rect, *, seed_box=None, seed_counts=(25, 25)):
-    """Construct a QuotientFrame, labelled "<chart label>/frame", from an
-    invariant theta on a chart.
-
-    For a ``TracedInvariant`` theta the frame is the characteristic frame
-    of ``_characteristic_frame``: ``seed_box`` and ``seed_counts`` are
-    accepted but not used, and ``seed_box`` may be omitted.
-
-    For any other theta, ``seed_box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi))
-    is required (a TypeError names it when omitted).  It samples the orbit
-    space on a ``seed_counts`` grid: the seed grid provides Newton starting
-    points and the rank check of the forward map.  Gradient norms are
-    computed through the pairing of the chart and re-expressed as
-    functions of (omega, theta) via the inverse map, which solves each
-    (omega, theta) once while it is the latest one asked for.
-    """
-    from .chart import invariant_pairing  # local import to avoid cycle noise
-
-    label = f"{chart.label}/frame"
-    if isinstance(theta, TracedInvariant):
-        return _characteristic_frame(chart, theta, rect, label)
-    if seed_box is None:
-        raise TypeError("build_frame() needs the keyword argument 'seed_box' "
-                        "for a theta that is not a TracedInvariant")
-    omega = chart.volume_fn()
-    theta = as_invariant(theta)
-
-    (x1_lo, x1_hi), (x2_lo, x2_hi) = seed_box
-    xs = np.linspace(x1_lo, x1_hi, seed_counts[0])
-    ys = np.linspace(x2_lo, x2_hi, seed_counts[1])
-    seeds = []
-    (w_lo, w_hi), (t_lo, t_hi) = rect
-    pad_w = 0.25 * (w_hi - w_lo)
-    pad_t = 0.25 * (t_hi - t_lo)
-    for x1 in xs:
-        for x2 in ys:
-            if not chart.domain(x1, x2):
-                continue
-            try:
-                w = omega(x1, x2)
-                t = theta(x1, x2)
-            except DomainError:
-                continue  # e.g. outside a traced invariant's swept region
-            if not np.isfinite(w) or not np.isfinite(t):
-                continue
-            seeds.append((w, t, x1, x2))
-            if w_lo - pad_w <= w <= w_hi + pad_w and t_lo - pad_t <= t <= t_hi + pad_t:
-                dw = np.array(omega.gradient_at(x1, x2))
-                dt = np.array(theta.gradient_at(x1, x2))
-                det = dw[0] * dt[1] - dw[1] * dt[0]
-                norm = max(np.hypot(*dw) * np.hypot(*dt), 1e-300)
-                if abs(det) < _JACOBIAN_FLOOR * norm:
-                    raise RankDeficiencyError(
-                        f"(omega, theta) Jacobian nearly singular at "
-                        f"({x1:.6g}, {x2:.6g}): |det|/scale = {abs(det)/norm:.3e}")
-    if not seeds:
-        raise DomainError("seed_box contains no domain points")
-    seed_arr = np.array(seeds)  # columns: w, t, x1, x2
-
-    def forward(x1, x2):
-        return omega(x1, x2), theta(x1, x2)
-
-    def fwd_jac(x1, x2):
-        return np.array([omega.gradient_at(x1, x2),
-                         theta.gradient_at(x1, x2)])
-
-    @_latest_call_memo
-    def invert(w, t):
-        d2 = (seed_arr[:, 0] - w) ** 2 + (seed_arr[:, 1] - t) ** 2
-        seed = seed_arr[int(np.argmin(d2)), 2:]
-        return newton_invert(forward, fwd_jac, (w, t), seed)
-
-    def grad_omega_sq(w, t):
-        p = invert(w, t)
-        return invariant_pairing(chart, omega, omega, p)
-
-    def grad_theta_sq(w, t):
-        p = invert(w, t)
-        return invariant_pairing(chart, theta, theta, p)
-
-    return QuotientFrame(
-        chart=chart, omega=omega, theta=theta,
-        grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
-        invert=invert, rect=rect, label=label)
-
-
 # Relative step of the characteristic frame's dx/dtheta stencil, near
 # eps^(1/3), where the rounding noise of two level traces divided by 2h
 # and the O(h^2) error of the central difference balance: on 1000 random
@@ -300,8 +199,15 @@ def build_frame(chart, theta, rect, *, seed_box=None, seed_counts=(25, 25)):
 _STENCIL_STEP = 1e-5
 
 
-def _characteristic_frame(chart, traced, rect, label):
-    """QuotientFrame of a traced theta, built on the characteristics.
+def build_frame(chart, theta, rect, *, seed_box=None, seed_counts=(25, 25)):
+    """The characteristic frame of a traced theta, a QuotientFrame
+    labelled "<chart label>/frame" and built on the characteristics.
+
+    ``theta`` must be a ``TracedInvariant``; any other theta is a
+    TypeError that names its type: an analytic theta on a chart is traced
+    with ``solve_orthogonal_invariant`` first.  ``seed_box`` and
+    ``seed_counts`` are accepted and not used (the frame traces no seed
+    grid); ``perfbench``'s traced_rhs workload still passes them.
 
     theta is constant along a characteristic and omega strictly monotone,
     so the point (w, t) is one trace from the Cauchy point at arc length t
@@ -331,17 +237,22 @@ def _characteristic_frame(chart, traced, rect, label):
     node's right-hand side, while the memo still holds the node's stencil,
     so a node costs one level trace beyond its right-hand side.
     """
+    if not isinstance(theta, TracedInvariant):
+        raise TypeError(f"build_frame() needs a TracedInvariant theta, not "
+                        f"{type(theta).__name__}: trace it with "
+                        "solve_orthogonal_invariant")
+    label = f"{chart.label}/frame"
     omega = chart.volume_fn()
-    field = traced._field
-    length = traced.cauchy.length
-    invert = _latest_call_memo(lambda w, t: traced.level_point(w, t))
+    field = theta._field
+    length = theta.cauchy.length
+    invert = _latest_call_memo(lambda w, t: theta.level_point(w, t))
 
     @_latest_call_memo
     def stencil(w, t):
         """(v1, v2, |grad omega|^2, q(v, v)) at (w, t), with v = dx/dtheta
         at fixed omega."""
         h = _STENCIL_STEP * max(1.0, abs(t))
-        level = traced.level_point
+        level = theta.level_point
         if t - h < 0.0 or t + h > length:
             p1, p2 = invert(w, t)
             t1, t2 = (t + h, t + 2.0 * h) if t - h < 0.0 else (t - h, t - 2.0 * h)
@@ -382,7 +293,7 @@ def _characteristic_frame(chart, traced, rect, label):
         return np.array([[a1 / ad, v1], [a2 / ad, v2]])
 
     return QuotientFrame(
-        chart=chart, omega=omega, theta=as_invariant(traced),
+        chart=chart, omega=omega, theta=as_invariant(theta),
         grad_omega_sq=grad_omega_sq, grad_theta_sq=grad_theta_sq,
         invert=invert, rect=rect, label=label,
         inverse_jacobian=inverse_jacobian)
@@ -653,8 +564,9 @@ class TracedInvariant:
     least as far in flow time as n_steps steps of ``step``; k is the first
     of 64, 32, 16 and 8 where the probes of ``_level_ratio`` pass, and 4
     otherwise (``_LEVEL_STEP_CANDIDATES`` records why).  It has no analytic
-    gradient: ``as_invariant`` wraps it for pairings and frames, which
-    take central differences of its values.
+    gradient: ``as_invariant`` wraps it for pairings, which take central
+    differences of its values (the characteristic frame differences its
+    level traces instead).
     """
 
     def __init__(self, chart, cauchy, arc_grid, *, n_steps=400):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import (
+    RADICAND_CLAMP,
     atan2,
     cos,
     cumulative_simpson_anchored,
@@ -315,17 +316,16 @@ def mesh_xyz(spec, p):
 def _clamp_radicand(values, s_grid, condition):
     """Clamp grazing-zero radicands; error on genuinely negative ones.
 
-    The deadband is symmetric so an identically-degenerate radicand (a
-    fixed point of the family) does not pick up float noise.
+    The deadband is RADICAND_CLAMP, that of the profile right-hand side.
     """
     values = np.asarray(values, dtype=float)
-    bad = values <= -1e-12
+    bad = values <= -RADICAND_CLAMP
     if np.any(bad):
         k = int(np.argmax(bad))
         raise DomainViolationError(
             f"radicand {condition} = {values[k]:.3e} < 0 at s = {s_grid[k]:.6g}",
             s=float(s_grid[k]), condition=condition)
-    values = np.where(np.abs(values) < 1e-12, 0.0, values)
+    values = np.where(np.abs(values) < RADICAND_CLAMP, 0.0, values)
     return np.maximum(values, 0.0)
 
 

@@ -4,6 +4,7 @@ sequential scalar loops give, and fails where and how they fail."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ import bourgen as bg
 from bourgen import cli
 from bourgen.bour import RADICAND_CLAMP, _stage_rhs, ode_rhs
 from bourgen.errors import (
+    ConfigError,
     RadicandNegativeError,
     RectExitError,
     StepTooLargeError,
 )
 from bourgen.expressions import FUNCTIONS, parse_expression
-from conftest import ratio_theta
 
 
 def _same(a, b):
@@ -181,7 +182,7 @@ def _reference_feasible(U, m, frame, s_range, theta_ref, step):
 
 # (space, theta_free, generatrix, s_range, m, step, anchor, theta0,
 # integrator); theta_free=False evaluates the built-in frame one point at a
-# time, as every frame that is not theta-free is
+# time, as the characteristic frame is, and feasible_s_range refuses it
 _CASES = [
     (bg.SpaceSpec("euclidean_rotational"), True, "sqrt(s^2+1)",
      (-2.0, 2.0), 0.8, 0.01, 0.0, 0.2, "rk4"),
@@ -270,39 +271,47 @@ def _feasible_or_none(*args, **kwargs):
         return None
 
 
+def _assert_refused(frame, U, m, s_range, step):
+    """feasible_s_range refuses ``frame``, which is not theta-free, with
+    the ConfigError that names it, before it evaluates a gradient norm."""
+    calls = []
+
+    def counted(w, t):
+        calls.append((w, t))
+        return frame.grad_omega_sq(w, t)
+
+    counting = dataclasses.replace(frame, grad_omega_sq=counted)
+    with pytest.raises(ConfigError, match=rf"^feasible_s_range: the frame "
+                       rf"{re.escape(frame.label)} is not theta-free"):
+        bg.feasible_s_range(U, m, counting, s_range, step=step)
+    assert calls == []
+
+
 def test_feasible_s_range_equals_sequential_scan(case):
+    # a scan at theta_ref is the profile's only for a theta-free frame:
+    # any other is refused
     frame, U, params, theta0 = case
     m, s_range, step = params.m, U.s_range, params.step
     for factor in (1.0, 1.3, 1.8):
+        if not frame.theta_free:
+            _assert_refused(frame, U, m * factor, s_range, step)
+            continue
         got = _feasible_or_none(U, m * factor, frame, s_range,
                                 theta_ref=theta0, step=step)
         assert got == _reference_range(U, m * factor, frame, s_range, theta0,
                                        step)
 
 
-def test_feasible_s_range_solves_newton_frame_only_up_to_the_run(
-        helicoidal_chart):
-    # at m = 1.5 the radicand turns negative near s = 1.116, while omega
-    # stays inside the rectangle up to s = sqrt(2): the scan solves the
-    # frame at the same samples as the sequential scan, none past the run
-    frame = bg.build_frame(
-        helicoidal_chart, ratio_theta(),
-        rect=((1.05, 3.0), (-2.0, 2.0)),
-        seed_box=((0.2, 3.0), (-2.5, 2.5)))
-    solved = []
-
-    def counted(w, t):
-        solved.append(w)
-        return frame.grad_omega_sq(w, t)
-
-    counting = dataclasses.replace(frame, grad_omega_sq=counted)
+def test_feasible_s_range_refuses_the_characteristic_frame(helicoidal_chart):
+    # the frame of the traced_rhs benchmark, whose omega = m U lies in its
+    # rectangle over part of the range at m = 0.85
+    traced = bg.solve_orthogonal_invariant(
+        helicoidal_chart, bg.line_segment((1.0, -0.6), (1.0, 0.6)),
+        np.linspace(0.0, 1.2, 61), n_steps=220)
+    frame = bg.build_frame(helicoidal_chart, traced,
+                           rect=((1.3, 1.8), (0.3, 0.9)))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 2.0))
-    got = _feasible_or_none(U, 1.5, counting, U.s_range, step=0.002)
-    got_solved, solved[:] = list(solved), []
-    assert got == _reference_range(U, 1.5, counting, U.s_range, 0.0, 0.002)
-    assert got_solved == solved
-    # the cut end, pulled 20 steps of 0.002 in from the radicand zero
-    assert 1.11 - 0.04 < got[1] < 1.116 - 0.04
+    _assert_refused(frame, U, 0.85, U.s_range, 0.01)
 
 
 def _first_error(fn):

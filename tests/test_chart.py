@@ -9,6 +9,7 @@ from bourgen._numerics import central_gradient2
 from bourgen.chart import FD_STEP, InvariantFunction, invariant_pairing
 from bourgen.errors import DomainError, SingularMetricError
 from conftest import quotient_matrix, ratio_theta
+from newton_frame import newton_frame
 
 
 def test_helicoidal_metric_at_reference_point(helicoidal_chart):
@@ -160,15 +161,15 @@ def test_pairing_symmetric_and_bilinear(helicoidal_chart):
 
 def test_pairing_inverts_no_matrix(helicoidal_chart, monkeypatch):
     # the pairing solves with the 2x2 quotient metric: no np.linalg.inv,
-    # in invariant_pairing or in the right-hand side of a Newton frame,
-    # whose gradient norms are pairings
+    # in invariant_pairing or in the right-hand side of the Newton
+    # reference frame, whose gradient norms are pairings
     omega = helicoidal_chart.volume_fn()
     theta = ratio_theta()
     p = (1.1, 0.3)
     block = np.linalg.inv(helicoidal_chart.metric_at(p))[:2, :2]
     grads = [np.array(f.gradient_at(*p)) for f in (omega, theta)]
     want = [[a @ block @ b for b in grads] for a in grads]
-    newton = bg.build_frame(
+    newton = newton_frame(
         helicoidal_chart, theta, rect=((1.05, 3.0), (-2.0, 2.0)),
         seed_box=((0.2, 3.0), (-2.5, 2.5)))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))

@@ -20,6 +20,7 @@ from conftest import (
     set_level_ratio,
     swept_nodes,
 )
+from newton_frame import newton_frame
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +60,12 @@ def test_quotient_metric_identity_on_axis(helicoidal_chart):
 
 
 # ---------------------------------------------------------------------------
-# generic frames (Newton inversion)
+# the Newton reference frame (newton_frame.py) and newton_invert
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def numeric_frame(helicoidal_chart):
-    return bg.build_frame(
+    return newton_frame(
         helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)),
         seed_box=((0.2, 3.0), (-2.5, 2.5)))
@@ -130,9 +131,9 @@ def test_rank_deficiency_detected(helicoidal_chart):
         gradient=lambda a, b: tuple(2 * omega(a, b) * g
                                     for g in omega.gradient_at(a, b)))
     with pytest.raises(RankDeficiencyError):
-        bg.build_frame(helicoidal_chart, dependent,
-                       rect=((1.05, 2.0), (1.0, 4.0)),
-                       seed_box=((0.2, 2.0), (-1.5, 1.5)))
+        newton_frame(helicoidal_chart, dependent,
+                     rect=((1.05, 2.0), (1.0, 4.0)),
+                     seed_box=((0.2, 2.0), (-1.5, 1.5)))
 
 
 def test_builtin_bcv_inversion_radius_relation(bcv_frame):
@@ -330,7 +331,7 @@ def test_two_builds_choose_the_same_step(helicoidal_chart, traced_theta):
 
 def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,
                                        traced_frame):
-    # a traced invariant can back a generic frame end to end
+    # a traced invariant backs its characteristic frame end to end
     frame = traced_frame
     w, t = 1.5, 0.55
     x1, x2 = frame.invert(w, t)
@@ -342,7 +343,7 @@ def test_traced_theta_in_numeric_frame(helicoidal_chart, traced_theta,
 
 def test_newton_frame_inverts_once_per_rhs(helicoidal_chart, monkeypatch):
     # a fresh frame, so no earlier inversion sits in its memo
-    frame = bg.build_frame(
+    frame = newton_frame(
         helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)),
         seed_box=((0.2, 3.0), (-2.5, 2.5)))
@@ -372,7 +373,7 @@ def test_newton_frame_inverts_once_per_rhs(helicoidal_chart, monkeypatch):
 def _newton_member(helicoidal_chart, helicoidal_spec):
     # the fine-step member of test_traced_frame_member_at_fine_step, on a
     # fresh Newton frame over the analytic x2/x1
-    frame = bg.build_frame(
+    frame = newton_frame(
         helicoidal_chart, ratio_theta(),
         rect=((1.05, 3.0), (-2.0, 2.0)), seed_box=((0.2, 3.0), (-2.5, 2.5)))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
@@ -414,8 +415,8 @@ def test_newton_member_solves_once_per_rhs(helicoidal_chart, helicoidal_spec,
 
 def test_traced_frame_member_matches_closed_form(helicoidal_chart,
                                                  helicoidal_spec, traced_frame):
-    # the paper's general case end to end: a member integrated on a Newton
-    # frame over the characteristic-traced theta is the flat screw member
+    # the paper's general case end to end: a member integrated on the
+    # characteristic frame over the traced theta is the flat screw member
     # of the closed form.  Its gauge is theta = x2/x1 + 0.6, not the polar
     # angle, so the angle is compared through that map.
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (1.2, 1.7))
