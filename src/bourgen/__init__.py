@@ -21,7 +21,6 @@ from .chart import (
     invariant_pairing,
     quotient_metric,
     rescale_vertical,
-    validate_chart,
 )
 from .expressions import Expression, parse_expression
 from .natural import (

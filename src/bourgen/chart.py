@@ -166,6 +166,22 @@ def quotient_metric(chart, x1, x2):
     return q11, q12, q22
 
 
+def invariant_first_form(chart, p, v, c):
+    """(E, F, G) of the invariant map (u, t) -> (x1(u), x2(u), x3(u) + c t)
+    at the foot points p = (x1, x2), arrays of one shape, where v (that
+    shape by 3) is the u-derivative and c, a float or an array of that
+    shape, the t-derivative of x3.  The map's t-derivative is (0, 0, c), so
+    E = (v g) v is one stacked matmul, F = (v g)_3 c and G = (c g33) c: a
+    product with the exact zeros of (0, 0, c) rounds as the matmul pairing
+    with it does, so these are its bits.  The metric comes from one array
+    call of ``chart.metric_at``.
+    """
+    g = chart.metric_at(p)
+    vg = v[..., None, :] @ g
+    return ((vg @ v[..., :, None])[..., 0, 0], vg[..., 0, 2] * c,
+            (c * g[..., 2, 2]) * c)
+
+
 def invariant_pairing(chart, f, h, p):
     """g(grad f, grad h) at p for invariant functions f, h.
 
@@ -195,23 +211,6 @@ def invariant_pairing(chart, f, h, p):
     e1, e2 = (f1, f2) if same else h.gradient_at(x1, x2)
     return float((f1 * (q22 * e1 - q12 * e2) + f2 * (q11 * e2 - q12 * e1))
                  / (q11 * q22 - q12 * q12))
-
-
-def validate_chart(chart, points):
-    """Check symmetry / positive definiteness / g33 > 0 on sample points.
-
-    Raises SingularMetricError (or DomainError) at the first failure.
-    """
-    for p in points:
-        m = chart.metric_at(p)
-        # leading principal minors
-        if m[0, 0] <= 0 or np.linalg.det(m[:2, :2]) <= 0 or np.linalg.det(m) <= 0:
-            raise SingularMetricError(
-                f"{chart.label}: metric not positive definite at {tuple(p)!r}")
-        if m[2, 2] <= 0:
-            raise SingularMetricError(
-                f"{chart.label}: g33 not positive at {tuple(p)!r}")
-    return True
 
 
 def chart_from_config(entry):

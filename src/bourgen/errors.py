@@ -61,6 +61,11 @@ class StepTooLargeError(BourgenError):
     nodes are inside; reduce the step."""
 
 
+class NotInvariantError(BourgenError):
+    """A member map moves x1 or x2 with t: it is not invariant under the
+    symmetry flow, which moves x3 only."""
+
+
 class GridMismatchError(BourgenError):
     """Two objects that must share an s-grid do not."""
 

@@ -652,11 +652,6 @@ class Expression:
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables!r})"
 
-    def __reduce__(self):
-        # compiled functions do not pickle; parsing the text again
-        # compiles them
-        return Expression, (self.text, self.variables)
-
 
 def compiled(texts, variables, seeds=(), value=True):
     """One compiled function of ``variables`` that returns, for each

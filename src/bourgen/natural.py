@@ -21,6 +21,7 @@ from ._numerics import (
 )
 from ._splines import HermiteSpline, pchip
 from ._text import write_csv
+from .chart import invariant_first_form
 from .errors import DegenerateParametrizationError
 
 _POSITIVITY_PROBES = 256
@@ -87,20 +88,19 @@ class PullbackCoefficients:
 
 
 def pullback_coefficients(chart, curve):
-    """E = g(c', c'), F = g(c', X), G = g(X, X) along the lifted curve.
+    """E = g(c', c'), F = g(c', X), G = g(X, X) along the lifted curve,
+    where X = (0, 0, 1) is the symmetry generator: the first form of the
+    invariant map (u, v) -> (x1(u), x2(u), x3(u) + v), from
+    ``chart.invariant_first_form`` with x3_v = 1.
 
     Derivatives are finite differences on the sample grid (central in the
     interior, one-sided at the ends).  The metric along the whole curve
-    comes from one array call of ``chart.metric_at``, and the pairings are
-    stacked matmuls, which round as the per-point ``v @ g @ v`` does.
+    comes from one array call of ``chart.metric_at``.
     """
     v = np.stack([np.gradient(arr, curve.u, edge_order=2)
                   for arr in (curve.x1, curve.x2, curve.x3)], axis=-1)
-    g = chart.metric_at((curve.x1, curve.x2))
-    vg = v[:, None, :] @ g
-    return PullbackCoefficients(u=curve.u.copy(),
-                                E=(vg @ v[:, :, None])[:, 0, 0],
-                                F=vg[:, 0, 2], G=g[:, 2, 2])
+    E, F, G = invariant_first_form(chart, (curve.x1, curve.x2), v, 1.0)
+    return PullbackCoefficients(u=curve.u.copy(), E=E, F=F, G=G)
 
 
 class GeneratrixMetric:

@@ -451,7 +451,9 @@ def _trace_kernel(chart):
     characteristic velocity, the gradient d of omega, omega itself
     w = sqrt(g33), and the quotient metric q, the Schur complement
     q_ab = g_ab - g_a3 g_b3 / g33 (q^-1 is the upper block of the inverse
-    metric).  It raises DomainError outside the chart domain,
+    metric).  It raises DomainError outside the chart domain and where
+    the chart's ``domain``, ``metric`` or ``d_g33`` raises an
+    ArithmeticError or ValueError (a compiled ``exp`` that overflows, say),
     SingularMetricError where g33 or the metric determinant
     det g = g33 det q is not positive, and DegenerateGradientError where
     |grad omega| is below _GRAD_FLOOR.  The chart is evaluated once per
@@ -481,24 +483,31 @@ def _trace_kernel(chart):
     floor_sq = _GRAD_FLOOR ** 2
 
     def field(x1, x2):
-        if not domain(x1, x2):
-            raise DomainError(
-                f"characteristic left the chart domain at ({x1:.6g}, {x2:.6g})")
-        g11, g12, g13, g22, g23, g33 = metric(x1, x2)
-        if g33 <= 0.0:
-            raise SingularMetricError(
-                f"{label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
-        q11 = g11 - g13 * g13 / g33
-        q12 = g12 - g13 * g23 / g33
-        q22 = g22 - g23 * g23 / g33
-        det_q = q11 * q22 - q12 * q12
-        det = g33 * det_q
-        if not 0.0 < det < math.inf:
-            raise SingularMetricError(
-                f"{label}: metric determinant {det:.3e} at "
-                f"({x1!r}, {x2!r}) is not positive")
-        w = math.sqrt(g33)
-        e1, e2 = d_g33(x1, x2)
+        # in this block only the chart's callables can raise an
+        # ArithmeticError or ValueError: float products do not, and
+        # g33 > 0 is checked before it divides
+        try:
+            if not domain(x1, x2):
+                raise DomainError(f"characteristic left the chart domain at "
+                                  f"({x1:.6g}, {x2:.6g})")
+            g11, g12, g13, g22, g23, g33 = metric(x1, x2)
+            if g33 <= 0.0:
+                raise SingularMetricError(
+                    f"{label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
+            q11 = g11 - g13 * g13 / g33
+            q12 = g12 - g13 * g23 / g33
+            q22 = g22 - g23 * g23 / g33
+            det_q = q11 * q22 - q12 * q12
+            det = g33 * det_q
+            if not 0.0 < det < math.inf:
+                raise SingularMetricError(
+                    f"{label}: metric determinant {det:.3e} at "
+                    f"({x1!r}, {x2!r}) is not positive")
+            w = math.sqrt(g33)
+            e1, e2 = d_g33(x1, x2)
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{label}: chart evaluation failed at "
+                              f"({x1:.6g}, {x2:.6g}): {exc!r}") from exc
         d1, d2 = e1 / (2.0 * w), e2 / (2.0 * w)
         a1 = (q22 * d1 - q12 * d2) / det_q
         a2 = (q11 * d2 - q12 * d1) / det_q

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import square, unwrap_angles
-from .errors import GridMismatchError, RangeError
+from .chart import invariant_first_form
+from .errors import GridMismatchError, NotInvariantError, RangeError
 
 
 @dataclass(frozen=True)
@@ -27,21 +28,23 @@ class FormSample:
     F: float
     G: float
 
-    def is_valid(self):
-        return self.E > 0 and self.G > 0 and self.E * self.G - self.F**2 > 0
-
 
 def _first_forms(chart, member, s, t, h):
     """(E, F, G) of the member map at the broadcast points (s, t), as
     arrays of their shape, by central differences of step h.
+
+    The member map must be invariant: t moves only x3, so its
+    t-derivative is (0, 0, x3_t), and ``chart.invariant_first_form``
+    pairs it with the s-derivative.  A map whose x1 or x2 differs between
+    the t + h and t - h rows is refused with a NotInvariantError that
+    names the first such (s, t).
 
     The whole stencil comes from one array call of ``member.map``, on the
     rows s, s + h, s - h (at t) and s (at t + h, t - h) stacked along a
     new first axis; s is not broadcast against t, so the map evaluates
     each distinct s once.  The ambient metric at every foot point comes
     from one array call of ``chart.metric_at``, treating the map
-    components as chart coordinates.  The pairings are stacked matmuls,
-    whose products round as the per-point ``a @ g @ a`` does.
+    components as chart coordinates.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -59,21 +62,22 @@ def _first_forms(chart, member, s, t, h):
     t = t.reshape((1,) * (rank - t.ndim) + t.shape)
     p = np.stack(member.map(np.stack([s, s + h, s - h, s, s]),
                             np.stack([t, t, t, t + h, t - h])), axis=-1)
-    p0 = p[0]
-    psi_s = (p[1] - p[2]) / (2 * h)
-    psi_t = (p[3] - p[4]) / (2 * h)
-    g = chart.metric_at((p0[..., 0], p0[..., 1]))
-    sg = psi_s[..., None, :] @ g
-    tg = psi_t[..., None, :] @ g
-    E = (sg @ psi_s[..., :, None])[..., 0, 0]
-    F = (sg @ psi_t[..., :, None])[..., 0, 0]
-    G = (tg @ psi_t[..., :, None])[..., 0, 0]
-    return E, F, G
+    # rows 1 - 2 and 3 - 4: the s- and t-derivatives
+    psi_s, psi_t = (p[1:4:2] - p[2:5:2]) / (2 * h)
+    moved = np.abs(psi_t[..., :2]).max(axis=-1) > 0.0
+    if moved.any():
+        k = np.argmax(moved)
+        s, t = np.broadcast_arrays(s, t)
+        raise NotInvariantError(f"the member map moves x1 or x2 with t at "
+                                f"(s, t) = ({s.flat[k]:.6g}, {t.flat[k]:.6g})")
+    return invariant_first_form(chart, (p[0, ..., 0], p[0, ..., 1]), psi_s,
+                                psi_t[..., 2])
 
 
 def fd_first_form(chart, member, s, t, h=1e-5):
     """Measure (E, F, G) of the member map at one point (s, t) by central
-    differences: the single-point case of the isometry grid."""
+    differences: the single-point case of the isometry grid, with its
+    refusal of a map that moves x1 or x2 with t."""
     E, F, G = _first_forms(chart, member, s, t, h)
     return FormSample(s=float(s), t=float(t), E=float(E), F=float(F),
                       G=float(G))
@@ -114,10 +118,13 @@ def isometry_report(chart, member, U, grid, tol=1e-5, h=1e-5):
     """Verify the member against the target metric on an (s, t) grid.
 
     ``grid`` is (s_values, t_values); single-point grids are allowed.  The
-    first forms of the whole grid are measured at once, with the same
-    per-point arithmetic as ``fd_first_form``.  ``worst`` is the first
-    point (s-major) and quantity (E, F, G) reaching the largest
-    deviation.  Failures are reported, not raised; a NaN deviation fails.
+    member map must be invariant, moving only x3 with t: E, F and G come
+    from ``chart.invariant_first_form``, and a map that moves x1 or x2
+    with t raises NotInvariantError.  The first forms of the whole grid
+    are measured at once, with the same per-point arithmetic as
+    ``fd_first_form``.  ``worst`` is the first point (s-major) and
+    quantity (E, F, G) reaching the largest deviation.  Deviations are
+    reported, not raised; a NaN deviation fails.
     """
     s_values, t_values = (np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
     E, F, G = _first_forms(chart, member, s_values[:, None], t_values, h)

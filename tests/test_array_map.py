@@ -5,6 +5,7 @@ import pytest
 
 import bourgen as bg
 from bourgen.errors import RangeError
+from bourgen.verify import _first_forms
 
 
 def _grid(s_range, n_s=13, n_t=5):
@@ -31,13 +32,15 @@ def _assert_map_matches_scalar_calls(surface):
                           _scalar_map(surface, S, T))
 
 
-def _frameless(member):
-    """The member's samples with no frame attached: a spline map."""
+def _frameless(member, U=None):
+    """The member's samples with no frame attached: a spline map, with the
+    generatrix U if given, else the member's."""
     return bg.SurfaceMember(
         s=member.s, x1=member.x1, x2=member.x2, x1p=member.x1p,
         x2p=member.x2p, theta=member.theta, theta_prime=member.theta_prime,
         omega=member.omega, V=member.V_samples, Vp=member.V_prime,
-        m=member.m, epsilon=member.epsilon, U=member.U, space=member.space)
+        m=member.m, epsilon=member.epsilon, U=U or member.U,
+        space=member.space)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +158,46 @@ def test_isometry_report_equals_fd_first_form_loop(members, natural_surface,
         assert (rep.max_E_dev, rep.max_F_dev, rep.max_G_dev) == (
             maxima["E"], maxima["F"], maxima["G"])
         assert rep.worst == worst
+
+
+def _three_pairings(chart, member, s, t, h):
+    """(E, F, G) at the broadcast points (s, t) from one five-row map call,
+    with psi_t = (p(t + h) - p(t - h)) / 2h paired through the metric by
+    stacked matmuls as psi_s is: the pairing code the invariant first form
+    replaced, kept as its bit-for-bit reference."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    p = np.stack(member.map(np.stack([s, s + h, s - h, s, s]),
+                            np.stack([t, t, t, t + h, t - h])), axis=-1)
+    psi_s = (p[1] - p[2]) / (2 * h)
+    psi_t = (p[3] - p[4]) / (2 * h)
+    g = chart.metric_at((p[0][..., 0], p[0][..., 1]))
+    sg = psi_s[..., None, :] @ g
+    tg = psi_t[..., None, :] @ g
+    return ((sg @ psi_s[..., :, None])[..., 0, 0],
+            (sg @ psi_t[..., :, None])[..., 0, 0],
+            (tg @ psi_t[..., :, None])[..., 0, 0])
+
+
+def test_first_forms_equal_three_pairings_to_the_bit(
+        members, natural_surface, helicoidal_chart, helicoid_member):
+    # a product with the exact zeros of psi_t = (0, 0, x3_t) rounds as its
+    # matmul pairing does: re-solved BCV, helicoidal and rotational members,
+    # a frameless member with a table generatrix, and a reparametrized one
+    nodes = helicoid_member.s
+    table = bg.GeneratrixMetric.from_samples(nodes, helicoid_member.U(nodes))
+    tabled = _frameless(helicoid_member, table)
+    assert tabled.frame is None and tabled.U.representation == "table"
+    cases = [(bg.make_chart(m.space), m) for m in members[0:6:2]]
+    cases += [(helicoidal_chart, tabled), (helicoidal_chart, natural_surface)]
+    h = 1e-5
+    for chart, surface in cases:
+        lo, hi = surface.s_range
+        s = np.linspace(lo + 2 * h, hi - 2 * h, 17)[:, None]
+        t = np.linspace(-0.4, 1.3, 6)[None, :]
+        got = _first_forms(chart, surface, s, t, h)
+        want = _three_pairings(chart, surface, s, t, h)
+        assert all(a.shape == (17, 6) for a in got)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_isometry_worst_names_a_corrupted_point(catenoid_member,

@@ -19,6 +19,27 @@ def test_pullback_along_axis(helicoidal_chart):
     assert np.allclose(coeffs.G, coeffs.u**2 + 1.0, atol=1e-12)
 
 
+def test_pullback_equals_the_pairings_to_the_bit(rotational_frame, bcv_frame):
+    # F = (v g)_3 and G = g33 are the first form of the invariant map with
+    # x3_v = 1: the readback meridian u -> (cosh u, u, 0.2 u) of the
+    # rotational chart, and a curve of the BCV chart
+    u = np.linspace(-0.6, 1.4, 2001)
+    meridian = bg.LiftedCurve(u=u, x1=np.cosh(u), x2=u, x3=0.2 * u)
+    w = np.linspace(0.2, 1.5, 201)
+    bcv_curve = bg.LiftedCurve(u=w, x1=np.cos(w), x2=np.sin(2 * w),
+                               x3=0.3 * w)
+    for chart, curve in ((rotational_frame.chart, meridian),
+                         (bcv_frame.chart, bcv_curve)):
+        coeffs = bg.pullback_coefficients(chart, curve)
+        v = np.stack([np.gradient(x, curve.u, edge_order=2)
+                      for x in (curve.x1, curve.x2, curve.x3)], axis=-1)
+        g = chart.metric_at((curve.x1, curve.x2))
+        vg = v[:, None, :] @ g
+        assert coeffs.E.tobytes() == (vg @ v[:, :, None])[:, 0, 0].tobytes()
+        assert coeffs.F.tobytes() == vg[:, 0, 2].tobytes()
+        assert coeffs.G.tobytes() == g[:, 2, 2].tobytes()
+
+
 def test_pullback_orbit_curve(helicoidal_chart):
     # curve tangent to the symmetry field at x = (1, 0): E = F = G = |X|^2 = 2
     u = np.linspace(0.0, 1.0, 51)

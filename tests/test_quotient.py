@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 import bourgen as bg
 from bourgen.chart import invariant_pairing
 from bourgen.errors import (
+    BourgenError,
     DomainError,
     RankDeficiencyError,
     TransversalityError,
 )
-from bourgen.quotient import newton_invert
+from bourgen.quotient import _trace_kernel, newton_invert
 from conftest import (
     counting_chart,
     fd_invariant,
@@ -253,6 +255,28 @@ def test_circular_symmetry_theta_constant_on_rays():
         v2 = traced(1.3 * math.cos(phi), 1.3 * math.sin(phi))
         assert np.isclose(v1, v2, atol=1e-9)
         assert np.isclose(v1, phi + 0.75, atol=1e-9)
+
+
+def test_sol3_chart_traces_or_raises_a_typed_error():
+    # Sol3 in the chart of its x1-translations: omega = exp(x2), so the
+    # characteristics are the lines x1 = const and theta = x1 + 3 on the
+    # segment from (-3, 0); the flow dx2/dtau = exp(x2) blows up at flow
+    # time 1, and the compiled exp of the metric overflows at x2 > 354.9
+    chart = bg.chart_from_config({"g11": "exp(-2*x2)", "g12": "0", "g13": "0",
+                                  "g22": "1", "g23": "0", "g33": "exp(2*x2)",
+                                  "label": "sol3"})
+    field, _ = _trace_kernel(chart)
+    with pytest.raises(DomainError, match=r"at \(0, 400\): OverflowError"):
+        field(0.0, 400.0)
+    segment = bg.line_segment((-3.0, 0.0), (3.0, 0.0))
+    try:
+        traced = bg.solve_orthogonal_invariant(chart, segment,
+                                               np.linspace(0.0, 6.0, 31))
+    except BourgenError as exc:
+        assert re.search(r"at \(-?[0-9.e+-]+, -?[0-9.e+-]+\)", str(exc))
+    else:
+        for x1, x2 in ((0.5, 0.3), (-1.7, -2.0), (2.2, 1.5)):
+            assert traced(x1, x2) == pytest.approx(x1 + 3.0, abs=1e-12)
 
 
 def test_traced_outside_swept_region(traced_theta):

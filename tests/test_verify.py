@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bourgen as bg
-from bourgen.errors import GridMismatchError, RangeError
+from bourgen.errors import GridMismatchError, NotInvariantError, RangeError
 
 
 def test_fd_first_form_helicoid(helicoidal_chart, helicoid_member):
@@ -10,7 +10,31 @@ def test_fd_first_form_helicoid(helicoidal_chart, helicoid_member):
     assert np.isclose(sample.E, 1.0, atol=1e-6)
     assert np.isclose(sample.F, 0.0, atol=1e-6)
     assert np.isclose(sample.G, 2.0, atol=1e-6)  # g33 = s^2 + 1 at s = 1
-    assert sample.is_valid()
+
+
+class _Sheared:
+    """A member whose map moves x1 with t once t passes 0.4: not invariant
+    under the symmetry flow, which moves x3 only."""
+
+    def __init__(self, member):
+        self.member = member
+        self.s_range = member.s_range
+
+    def map(self, s, t):
+        x1, x2, x3 = self.member.map(s, t)
+        return x1 + 0.1 * np.maximum(t, 0.4), x2, x3
+
+
+def test_map_moving_x1_with_t_is_refused(helicoidal_chart, helicoid_member):
+    sheared = _Sheared(helicoid_member)
+    # the first point (s-major) whose t-stencil moves x1 is named
+    with pytest.raises(NotInvariantError, match=r"\(s, t\) = \(0\.8, 0\.5\)"):
+        bg.isometry_report(helicoidal_chart, sheared, helicoid_member.U,
+                           ([0.8, 1.0, 1.2], [0.0, 0.25, 0.5, 0.75]))
+    with pytest.raises(NotInvariantError, match=r"\(s, t\) = \(1, 0\.5\)"):
+        bg.fd_first_form(helicoidal_chart, sheared, 1.0, 0.5)
+    # below t = 0.4 the stencil sees an invariant map, which is measured
+    assert np.isfinite(bg.fd_first_form(helicoidal_chart, sheared, 1.0, 0.2).G)
 
 
 def test_isometry_report_makes_one_map_call(helicoidal_chart, helicoid_member,
