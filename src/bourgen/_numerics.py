@@ -88,15 +88,20 @@ def square(x):
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
-def distinct_values(x, other):
+def distinct_values(x):
     """Sorted distinct values of the array x, and for every element of x
-    broadcast against the array ``other`` the index of its value among
-    them (an index array of the broadcast shape).  The values are taken
-    before the broadcast, so each is found once however large ``other``
-    is."""
+    the index of its value among them (an index array of the shape of x):
+    a function evaluated at the values and gathered by the index is
+    evaluated once per distinct value, however often x repeats it."""
     values, index = np.unique(x, return_inverse=True)
-    shape = np.broadcast_shapes(np.shape(x), np.shape(other))
-    return values, np.broadcast_to(index.reshape(np.shape(x)), shape)
+    return values, index.reshape(np.shape(x))
+
+
+def all_close(a, b, rtol, atol):
+    """|a - b| <= atol + rtol |b| at every element: ``np.allclose`` on
+    finite arrays, in the same float operations but without its checks
+    and infinity handling; a NaN fails it."""
+    return bool((np.abs(a - b) <= atol + rtol * np.abs(b)).all())
 
 
 def require_s_in_range(s, s_range, label):

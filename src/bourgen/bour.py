@@ -32,6 +32,7 @@ from . import _documents, spaces
 from ._documents import NUMBER
 from ._numerics import (
     RADICAND_CLAMP,
+    all_close,
     cumulative_simpson_anchored,
     distinct_values,
     require_s_in_range,
@@ -358,10 +359,10 @@ def vertical_quadrature(profile, chart):
     """
     s = profile.s
     steps = np.diff(s)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+    if not all_close(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise GridMismatchError("profile grid must be uniform")
     m2U2 = profile.omega ** 2
-    _, _, g13, _, g23, _ = chart.metric(profile.x1, profile.x2)
+    _, _, g13, _, g23, _ = chart.coefficients(profile.x1, profile.x2)
     integrand = -(profile.x1p * g13 + profile.x2p * g23) / m2U2
     V = cumulative_simpson_anchored(integrand, s, profile.anchor_index)
     return VerticalShift(s=s, values=V, prime=integrand)
@@ -426,15 +427,17 @@ class SurfaceMember:
     def map(self, s, t):
         """psi_m(s, t) = (x1(s), x2(s), t/m + V(s)) at broadcastable s, t.
 
-        Returns the three components as arrays of the broadcast shape
-        (numpy scalars for scalar s and t).  Positions and V(s) are
-        evaluated once per distinct value of s, since they do not depend
-        on t.  Every s must lie in the member range, else RangeError.
+        x1 and x2 do not depend on t, so they are returned in the shape of
+        s; x3 is returned in the broadcast shape of s and t, against which
+        the first two broadcast (numpy scalars for scalar s and t).
+        Positions and V(s) are evaluated once per distinct value of s.
+        Every s must lie in the member range, else RangeError; s and t
+        that do not broadcast are a ValueError.
         """
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         require_s_in_range(s, self.s_range, "member range")
-        values, index = distinct_values(s, t)
+        values, index = distinct_values(s)
         p1, p2 = self.position(values)
         return (p1[index][()], p2[index][()],
                 (t / self.m + self._V_spline(values)[index])[()])
@@ -563,8 +566,8 @@ def _rebuilt_frame(space, prof):
 
 def assemble_member(profile, V, params, *, space=None):
     """Bundle a profile and its vertical quadrature into a SurfaceMember."""
-    if profile.s.shape != V.s.shape or not np.allclose(
-            profile.s, V.s, rtol=0, atol=1e-12):
+    if profile.s.shape != V.s.shape or not all_close(
+            profile.s, V.s, rtol=0.0, atol=1e-12):
         raise GridMismatchError("profile and V are on different s grids")
     meta = {"chart": profile.frame.chart.label,
             "integrator": params.integrator, "step": params.step,
@@ -624,7 +627,7 @@ def constant_volume_member(chart, profile_curve):
             raise ValueError(
                 f"input curve is not unit speed in the quotient metric "
                 f"(speed^2 = {speed:.4g} at s = {s[k]:.6g})")
-    _, _, g13, _, g23, _ = chart.metric(c1, c2)
+    _, _, g13, _, g23, _ = chart.coefficients(c1, c2)
     integrand = -(d1 * g13 + d2 * g23)
     V = cumulative_simpson_anchored(integrand, s, 0)
     U = GeneratrixMetric.from_callable(lambda _s: 1.0, (s[0], s[-1]),

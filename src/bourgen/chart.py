@@ -92,12 +92,36 @@ class AdaptedChart3:
             return
         raise DomainError(f"{self.label}: point {p!r} outside chart domain")
 
+    def coefficients(self, x1, x2):
+        """The six coefficients of ``metric`` at (x1, x2), floats or
+        arrays, from one call.  An ArithmeticError or ValueError of the
+        chart (a compiled exp that overflows, say) is a DomainError that
+        names a point where the chart fails: for arrays, the first one
+        (C order), found by calls per point on the error path only."""
+        try:
+            return self.metric(x1, x2)
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{self.label}: chart evaluation failed at "
+                              f"{self._first_failure(x1, x2)}: {exc!r}") from exc
+
+    def _first_failure(self, x1, x2):
+        """The first point (C order) of (x1, x2), floats or arrays, where
+        a call of ``metric`` on its floats fails, as text."""
+        points = np.broadcast_arrays(x1, x2)
+        for a, b in zip(*(x.ravel().tolist() for x in points)):
+            try:
+                self.metric(a, b)
+            except (ArithmeticError, ValueError):
+                return f"({a:.6g}, {b:.6g})"
+        return f"one of {points[0].size} points, though at none alone"
+
     def metric_at(self, p):
         """Symmetric 3x3 matrix [g_ij] at p = (x1, x2); for arrays x1, x2
-        of one shape, an array of that shape of 3x3 matrices."""
+        of one shape, an array of that shape of 3x3 matrices.  Raises
+        DomainError outside the domain and where the chart fails."""
         self.require_in_domain(p)
         x1, x2 = p
-        g11, g12, g13, g22, g23, g33 = self.metric(x1, x2)
+        g11, g12, g13, g22, g23, g33 = self.coefficients(x1, x2)
         m = np.empty(np.shape(x1) + (3, 3))
         m[..., 0, 0] = g11
         m[..., 0, 1] = m[..., 1, 0] = g12
@@ -113,7 +137,7 @@ class AdaptedChart3:
         point (C order) where g33 is not positive."""
         self.require_in_domain(p)
         x1, x2 = p
-        g33 = self.metric(x1, x2)[5]
+        g33 = self.coefficients(x1, x2)[5]
         first, where = g33, p
         if isinstance(x1, np.ndarray):
             g33 = np.broadcast_to(g33, x1.shape)
@@ -149,9 +173,9 @@ def quotient_metric(chart, x1, x2):
     q is the metric of the orbit space and the inverse of the upper 2x2
     block of the inverse metric.  Raises SingularMetricError where g33 is
     not positive, and where the metric determinant det g = g33 det q is
-    not.
+    not, and DomainError where the chart fails.
     """
-    g11, g12, g13, g22, g23, g33 = chart.metric(x1, x2)
+    g11, g12, g13, g22, g23, g33 = chart.coefficients(x1, x2)
     if g33 <= 0.0:
         raise SingularMetricError(
             f"{chart.label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
@@ -168,13 +192,14 @@ def quotient_metric(chart, x1, x2):
 
 def invariant_first_form(chart, p, v, c):
     """(E, F, G) of the invariant map (u, t) -> (x1(u), x2(u), x3(u) + c t)
-    at the foot points p = (x1, x2), arrays of one shape, where v (that
-    shape by 3) is the u-derivative and c, a float or an array of that
-    shape, the t-derivative of x3.  The map's t-derivative is (0, 0, c), so
-    E = (v g) v is one stacked matmul, F = (v g)_3 c and G = (c g33) c: a
-    product with the exact zeros of (0, 0, c) rounds as the matmul pairing
-    with it does, so these are its bits.  The metric comes from one array
-    call of ``chart.metric_at``.
+    at the foot points p = (x1, x2), arrays of one shape, where v (a shape
+    by 3) is the u-derivative and c, a float or an array, the t-derivative
+    of x3; the foot points, v's points and c broadcast together, so a foot
+    point that serves many t is given once.  The map's t-derivative is
+    (0, 0, c), so E = (v g) v is one stacked matmul, F = (v g)_3 c and
+    G = (c g33) c: a product with the exact zeros of (0, 0, c) rounds as
+    the matmul pairing with it does, so these are its bits.  The metric
+    comes from one array call of ``chart.metric_at`` at the foot points.
     """
     g = chart.metric_at(p)
     vg = v[..., None, :] @ g

@@ -234,14 +234,14 @@ def write_obj(member, space, path, t_range=(0.0, 1.0)):
 
     The grid takes OBJ_S_COUNT values of s over the member range and
     OBJ_T_COUNT values of t over t_range.  Vertices are laid out row-major
-    in s; each grid cell becomes two triangles.  x1 and x2 do not depend
-    on t, so they are embedded once per row of s.
+    in s; each grid cell becomes two triangles.  The map gives x1 and x2
+    once per row of s, since they do not depend on t, so they are
+    embedded once per row.
     """
     s_values = np.linspace(member.s_range[0], member.s_range[1], OBJ_S_COUNT)
     t_values = np.linspace(t_range[0], t_range[1], OBJ_T_COUNT)
-    x1, x2, x3 = member.map(s_values[:, None], t_values)
-    xyz = np.broadcast_arrays(*spaces.mesh_xyz(space,
-                                               (x1[:, :1], x2[:, :1], x3)))
+    xyz = np.broadcast_arrays(*spaces.mesh_xyz(
+        space, member.map(s_values[:, None], t_values)))
     with open(path, "w") as fh:
         fh.write(f"# bourgen member m={member.m:.17g}\n")
         fh.write(rows_text("v %.17g %.17g %.17g\n",

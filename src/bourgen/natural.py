@@ -261,12 +261,13 @@ class ReparametrizedSurface:
 
     def map(self, s, t):
         """The natural-coordinate map at broadcastable s, t, with the same
-        array protocol as SurfaceMember.map: interpolants are evaluated
-        once per distinct s."""
+        array protocol as SurfaceMember.map: x1 and x2 in the shape of s,
+        x3 in the broadcast shape of s and t, and the interpolants
+        evaluated once per distinct s."""
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         require_s_in_range(s, self.s_range, "surface range")
-        values, index = distinct_values(s, t)
+        values, index = distinct_values(s)
         u = self.nat.u_of_s(values)
         return (self._sx1(u)[index][()], self._sx2(u)[index][()],
                 (self._sx3(u)[index] + t - self.nat.t_shift(u)[index])[()])

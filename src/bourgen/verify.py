@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from ._numerics import square, unwrap_angles
+from ._numerics import all_close, square, unwrap_angles
 from .chart import invariant_first_form
 from .errors import GridMismatchError, NotInvariantError, RangeError
 
@@ -42,9 +42,10 @@ def _first_forms(chart, member, s, t, h):
     The whole stencil comes from one array call of ``member.map``, on the
     rows s, s + h, s - h (at t) and s (at t + h, t - h) stacked along a
     new first axis; s is not broadcast against t, so the map evaluates
-    each distinct s once.  The ambient metric at every foot point comes
-    from one array call of ``chart.metric_at``, treating the map
-    components as chart coordinates.
+    each distinct s once, and returns x1 and x2 in the shape of s.  Their
+    s-derivatives are taken on the rows of s only, those of x3 on the
+    grid, and the ambient metric comes from one array call of
+    ``chart.metric_at`` at the foot points of s, broadcast over t.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -60,18 +61,24 @@ def _first_forms(chart, member, s, t, h):
     rank = max(s.ndim, t.ndim)
     s = s.reshape((1,) * (rank - s.ndim) + s.shape)
     t = t.reshape((1,) * (rank - t.ndim) + t.shape)
-    p = np.stack(member.map(np.stack([s, s + h, s - h, s, s]),
-                            np.stack([t, t, t, t + h, t - h])), axis=-1)
-    # rows 1 - 2 and 3 - 4: the s- and t-derivatives
-    psi_s, psi_t = (p[1:4:2] - p[2:5:2]) / (2 * h)
-    moved = np.abs(psi_t[..., :2]).max(axis=-1) > 0.0
+    x1, x2, x3 = member.map(np.stack([s, s + h, s - h, s, s]),
+                            np.stack([t, t, t, t + h, t - h]))
+    # rows 1 - 2 and 3 - 4: the s- and t-derivatives, of x1 and x2 in the
+    # shape the map gives them, the shape of s for an invariant map
+    foot = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
+    foot_s, foot_t = (foot[1:4:2] - foot[2:5:2]) / (2 * h)
+    x3_s, x3_t = (x3[1:4:2] - x3[2:5:2]) / (2 * h)
+    moved = np.abs(foot_t).max(axis=-1) > 0.0
     if moved.any():
+        s, t, moved = np.broadcast_arrays(s, t, moved)
         k = np.argmax(moved)
-        s, t = np.broadcast_arrays(s, t)
         raise NotInvariantError(f"the member map moves x1 or x2 with t at "
                                 f"(s, t) = ({s.flat[k]:.6g}, {t.flat[k]:.6g})")
-    return invariant_first_form(chart, (p[0, ..., 0], p[0, ..., 1]), psi_s,
-                                psi_t[..., 2])
+    v = np.empty(x3_s.shape + (3,))
+    v[..., :2] = foot_s
+    v[..., 2] = x3_s
+    return invariant_first_form(chart, (foot[0, ..., 0], foot[0, ..., 1]), v,
+                                x3_t)
 
 
 def fd_first_form(chart, member, s, t, h=1e-5):
@@ -180,8 +187,8 @@ def cross_check(closed, generic):
     adapted-chart flow coordinate and the printed cylindrical display:
     flat screw spaces shift by +lam/a, BCV by -lam/a, rotational by 0.
     """
-    if closed.s_grid.shape != generic.s.shape or not np.allclose(
-            closed.s_grid, generic.s, rtol=0, atol=1e-12):
+    if closed.s_grid.shape != generic.s.shape or not all_close(
+            closed.s_grid, generic.s, rtol=0.0, atol=1e-12):
         raise GridMismatchError("closed-form family and member use different s grids")
     if closed.m != generic.m or closed.epsilon != generic.epsilon:
         raise GridMismatchError("closed-form family and member disagree on (m, epsilon)")

@@ -25,10 +25,13 @@ def _scalar_map(surface, S, T):
 
 
 def _assert_map_matches_scalar_calls(surface):
+    # x1 and x2 do not depend on t: they come in the shape of s, and x3 in
+    # the broadcast shape
     S, T = _grid(surface.s_range)
     x1, x2, x3 = surface.map(S, T)
-    assert x1.shape == x2.shape == x3.shape == (S.shape[0], T.shape[0])
-    assert np.array_equal(np.stack([x1, x2, x3], axis=-1),
+    assert x1.shape == x2.shape == S.shape
+    assert x3.shape == (S.shape[0], T.shape[0])
+    assert np.array_equal(np.stack(np.broadcast_arrays(x1, x2, x3), axis=-1),
                           _scalar_map(surface, S, T))
 
 
@@ -73,8 +76,8 @@ def test_member_map_arrays_equal_scalar_calls(members):
     for member, back in zip(members[0:6:2], members[1:6:2]):
         assert back.frame is not None
         S, T = _grid(member.s_range)
-        assert np.stack(back.map(S, T)).tobytes() == \
-            np.stack(member.map(S, T)).tobytes()
+        assert np.stack(np.broadcast_arrays(*back.map(S, T))).tobytes() == \
+            np.stack(np.broadcast_arrays(*member.map(S, T))).tobytes()
 
 
 def test_member_map_at_nodes_gives_the_samples(members):
@@ -166,8 +169,9 @@ def _three_pairings(chart, member, s, t, h):
     stacked matmuls as psi_s is: the pairing code the invariant first form
     replaced, kept as its bit-for-bit reference."""
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    p = np.stack(member.map(np.stack([s, s + h, s - h, s, s]),
-                            np.stack([t, t, t, t + h, t - h])), axis=-1)
+    p = np.stack(np.broadcast_arrays(*member.map(
+        np.stack([s, s + h, s - h, s, s]), np.stack([t, t, t, t + h, t - h]))),
+        axis=-1)
     psi_s = (p[1] - p[2]) / (2 * h)
     psi_t = (p[3] - p[4]) / (2 * h)
     g = chart.metric_at((p[0][..., 0], p[0][..., 1]))

@@ -69,7 +69,8 @@ def test_write_obj_vertices_match_points(tmp_path, bcv_member, bcv_spec):
     path = tmp_path / "m.obj"
     write_obj(bcv_member, bcv_spec, path, t_range=(-4.0, 4.0))
     s = np.linspace(*bcv_member.s_range, 41)
-    grid = bcv_member.map(s[:, None], np.linspace(-4.0, 4.0, 41))
+    grid = np.broadcast_arrays(
+        *bcv_member.map(s[:, None], np.linspace(-4.0, 4.0, 41)))
     ref = [_ref_mesh_xyz(bcv_spec, q)
            for q in zip(*(c.ravel().tolist() for c in grid))]
     lines = path.read_text().splitlines()

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bourgen as bg
+from bourgen._numerics import all_close
 from bourgen.bour import _stage_rhs
 from bourgen.errors import (
     ConfigError,
+    GridMismatchError,
     NonConstantVolumeError,
     RadicandNegativeError,
     RectExitError,
@@ -233,6 +236,66 @@ def test_vertical_shift_zero_for_helicoid(helicoid_member):
 
 def test_vertical_shift_zero_for_catenoid(catenoid_member):
     assert np.max(np.abs(catenoid_member.V_samples)) == 0.0
+
+
+@given(b=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+       k=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+       sign=st.sampled_from([-1.0, 1.0]), rtol=st.sampled_from([0.0, 1e-9]))
+def test_all_close_refuses_what_allclose_refuses(b, k, sign, rtol):
+    # grids that deviate by 0 to 2 times the bound, on both sides of it
+    n = min(len(b), len(k))
+    b = np.array(b[:n])
+    a = b + sign * np.array(k[:n]) * (1e-12 + rtol * np.abs(b))
+    assert all_close(a, b, rtol=rtol, atol=1e-12) == np.allclose(
+        a, b, rtol=rtol, atol=1e-12)
+    a[0] = np.nan
+    assert not all_close(a, b, rtol=rtol, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def helicoid_profile(helicoidal_frame):
+    """The profile of ``helicoid_member``, its vertical quadrature and
+    its parameters."""
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (0.5, 2.0))
+    params = bg.BourParams(m=1.0, s_range=(0.5, 2.0), step=0.005, epsilon=1)
+    profile = bg.integrate_profile(U, params, helicoidal_frame, 0.0)
+    return profile, bg.vertical_quadrature(profile, helicoidal_frame.chart), \
+        params
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_profile_grid_step_bound(helicoid_profile, helicoidal_frame, factor,
+                                 sign):
+    # the last step may differ from the first by 1e-12 + 1e-9 |step|
+    profile, _, _ = helicoid_profile
+    s = profile.s.copy()
+    step = s[1] - s[0]
+    bound = 1e-12 + 1e-9 * abs(step)
+    s[-1] = s[-2] + step + sign * factor * bound
+    assert (abs(s[-1] - s[-2] - step) > bound) == (factor > 1.0)
+    bent = dataclasses.replace(profile, s=s)
+    if factor > 1.0:
+        with pytest.raises(GridMismatchError, match="uniform"):
+            bg.vertical_quadrature(bent, helicoidal_frame.chart)
+    else:
+        bg.vertical_quadrature(bent, helicoidal_frame.chart)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_member_grid_match_bound(helicoid_profile, factor, sign):
+    # the quadrature's grid may differ from the profile's by 1e-12
+    profile, V, params = helicoid_profile
+    s = V.s.copy()
+    s[7] += sign * factor * 1e-12
+    assert (abs(s[7] - profile.s[7]) > 1e-12) == (factor > 1.0)
+    shifted = dataclasses.replace(V, s=s)
+    if factor > 1.0:
+        with pytest.raises(GridMismatchError, match="different s grids"):
+            bg.assemble_member(profile, shifted, params)
+    else:
+        bg.assemble_member(profile, shifted, params)
 
 
 def test_vertical_shift_against_direct_quadrature(bcv_member):

@@ -268,6 +268,22 @@ def test_sol3_chart_traces_or_raises_a_typed_error():
     field, _ = _trace_kernel(chart)
     with pytest.raises(DomainError, match=r"at \(0, 400\): OverflowError"):
         field(0.0, 400.0)
+    # the array evaluators raise the same typed error: at the point, and
+    # for arrays at the first point (C order) where the chart fails
+    s = np.linspace(0.0, 1.0, 5)
+    profile = bg.ProfileCurve(
+        s=s, x1=np.zeros(5), x2=np.array([0.0, 100.0, 400.0, 200.0, 500.0]),
+        x1p=np.zeros(5), x2p=np.ones(5), omega=np.ones(5), theta=np.zeros(5),
+        theta_prime=np.zeros(5), frame=None, U=None, anchor_index=0)
+    for evaluate in (lambda: bg.quotient_metric(chart, 0.0, 400.0),
+                     lambda: chart.metric_at((0.0, 400.0)),
+                     lambda: chart.volume_at((0.0, 400.0)),
+                     lambda: chart.metric_at((profile.x1, profile.x2)),
+                     lambda: bg.vertical_quadrature(profile, chart)):
+        with pytest.raises(DomainError,
+                           match=r"sol3: chart evaluation failed at "
+                                 r"\(0, 400\): OverflowError"):
+            evaluate()
     segment = bg.line_segment((-3.0, 0.0), (3.0, 0.0))
     try:
         traced = bg.solve_orthogonal_invariant(chart, segment,

@@ -254,8 +254,8 @@ def test_obj_vertices_equal_per_vertex_format(tmp_path, member):
     write_obj(member, member.space, tmp_path / "m.obj", t_range=(-0.3, 0.7))
     lines = (tmp_path / "m.obj").read_text().splitlines(keepends=True)
     s = np.linspace(*member.s_range, 41)
-    xyz = bg.spaces.mesh_xyz(member.space, member.map(
-        s[:, None], np.linspace(-0.3, 0.7, 41)))
+    xyz = np.broadcast_arrays(*bg.spaces.mesh_xyz(member.space, member.map(
+        s[:, None], np.linspace(-0.3, 0.7, 41))))
     expected = [f"v {x:.17g} {y:.17g} {z:.17g}\n"
                 for x, y, z in zip(*(c.ravel().tolist() for c in xyz))]
     assert lines[0] == f"# bourgen member m={member.m:.17g}\n"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,32 @@ def test_isometry_report_makes_one_map_call(helicoidal_chart, helicoid_member,
     assert calls == [((5, 7, 1), (5, 1, 4))]
     assert solved == [21]
     assert report.passed
+
+
+def test_isometry_report_evaluates_the_metric_at_the_foot_points(
+        helicoidal_chart, helicoid_member, monkeypatch):
+    # a 41 x 41 grid has 41 foot points: the member map returns x1 and x2
+    # once per s, and the chart's metric is evaluated there alone, in one
+    # call, not at the 1,681 grid points
+    maps, metric_shapes = [], []
+    member_map, metric = helicoid_member.map, helicoidal_chart.metric
+
+    def counted_map(s, t):
+        maps.append((np.shape(s), np.shape(t)))
+        return member_map(s, t)
+
+    def counted_metric(x1, x2):
+        metric_shapes.append((np.shape(x1), np.shape(x2)))
+        return metric(x1, x2)
+
+    monkeypatch.setattr(helicoid_member, "map", counted_map)
+    chart = dataclasses.replace(helicoidal_chart, metric=counted_metric)
+    grid = (np.linspace(0.6, 1.9, 41), np.linspace(0.0, 1.0, 41))
+    report = bg.isometry_report(chart, helicoid_member, helicoid_member.U,
+                                grid)
+    assert maps == [((5, 41, 1), (5, 1, 41))]
+    assert metric_shapes == [((41, 1), (41, 1))]
+    assert report.grid_shape == (41, 41) and report.passed
 
 
 def test_fd_first_form_catenoid_G(rotational_frame, catenoid_member):
@@ -155,6 +183,23 @@ def test_cross_check_grid_mismatch(helicoid_member):
     closed = bg.r3_closed_form(U, 1.0, 1, 1.0, helicoid_member.s[:-1])
     with pytest.raises(GridMismatchError):
         bg.cross_check(closed, helicoid_member)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_cross_check_grid_match_bound(helicoid_member, factor, sign):
+    # the closed form's grid may differ from the member's by 1e-12
+    closed = bg.r3_closed_form(helicoid_member.U, 1.0, 1, 1.0,
+                               helicoid_member.s)
+    s = closed.s_grid.copy()
+    s[-1] += sign * factor * 1e-12
+    assert (abs(s[-1] - helicoid_member.s[-1]) > 1e-12) == (factor > 1.0)
+    shifted = dataclasses.replace(closed, s_grid=s)
+    if factor > 1.0:
+        with pytest.raises(GridMismatchError, match="different s grids"):
+            bg.cross_check(shifted, helicoid_member)
+    else:
+        assert bg.cross_check(shifted, helicoid_member).passed(1e-6)
 
 
 def test_cross_check_epsilon_mismatch(helicoid_member):
