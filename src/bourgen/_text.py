@@ -10,8 +10,7 @@ A numpy kernel formats a whole block of floats in one of three
 conversions instead of one ``%`` or ``repr`` per value: ``%.17g`` and
 ``%.18e`` for the rows, and for every all-float list of a JSON payload
 (all of them in one call) Python's shortest round-trip ``repr``, which
-is what ``json.dumps`` prints for a float.  A payload of fewer floats
-than ``_KERNEL_MIN`` goes through the C encoder instead.
+is what ``json.dumps`` prints for a float.
 
 Each ``|x|`` is scaled by ``10**k``, with ``k`` from ``floor(log10|x|)``,
 so that its integer part ``N`` has P significant digits (17 for
@@ -581,10 +580,6 @@ def rows_text(fmt, columns):
     return _kernel_text(values, conv, before, after)
 
 
-# below this many floats a payload's lists go through the C encoder,
-# which takes about 0.75 us a float where the kernel takes 250-300 us
-# plus 0.2 us a float
-_KERNEL_MIN = 512
 # the kernel's transient memory is about 120 bytes a value, against the
 # C encoder's 95: blocks of at most this many values keep the peak of a
 # 751-node member file at or below the encoder's
@@ -596,14 +591,15 @@ def _float_lists_text(lists):
     """The body of each (list of floats or 1-D float64 array, indent) of
     ``lists``: its values as json.dumps prints them, each but the last
     followed by "," and the indent.  The kernel formats all of them
-    where every separator fits its separator word."""
-    n = sum(len(o) for o, _ in lists)
-    if n < _KERNEL_MIN or max(len(pad) for _, pad in lists) > 7:
+    where every separator fits its separator word, and the C encoder
+    where one does not."""
+    if max(len(pad) for _, pad in lists) > 7:
         return [json.dumps(o.tolist() if isinstance(o, np.ndarray) else o,
                            separators=(",", ":"))[1:-1].replace(",", "," + pad)
                 for o, pad in lists]
     values = np.concatenate([np.asarray(o, dtype=np.float64)
                              for o, _ in lists])
+    n = len(values)
     after = np.empty(n, dtype=np.int64)
     start = 0
     for o, pad in lists:

@@ -630,8 +630,7 @@ def constant_volume_member(chart, profile_curve):
     _, _, g13, _, g23, _ = chart.coefficients(c1, c2)
     integrand = -(d1 * g13 + d2 * g23)
     V = cumulative_simpson_anchored(integrand, s, 0)
-    U = GeneratrixMetric.from_callable(lambda _s: 1.0, (s[0], s[-1]),
-                                       dU=lambda _s: 0.0)
+    U = GeneratrixMetric.from_expression("1", (s[0], s[-1]))
     return SurfaceMember(
         s=s, x1=c1, x2=c2, x1p=d1, x2p=d2,
         theta=np.zeros_like(s), theta_prime=np.zeros_like(s),

@@ -98,22 +98,18 @@ class AdaptedChart3:
         chart (a compiled exp that overflows, say) is a DomainError that
         names a point where the chart fails: for arrays, the first one
         (C order), found by calls per point on the error path only."""
+        return self._typed(self.metric, x1, x2)
+
+    def _typed(self, fn, x1, x2):
+        """fn(x1, x2), one of the chart's callables, with an
+        ArithmeticError or ValueError turned into a DomainError that names
+        the first point (C order) where a call of fn on its floats
+        fails."""
         try:
-            return self.metric(x1, x2)
+            return fn(x1, x2)
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(f"{self.label}: chart evaluation failed at "
-                              f"{self._first_failure(x1, x2)}: {exc!r}") from exc
-
-    def _first_failure(self, x1, x2):
-        """The first point (C order) of (x1, x2), floats or arrays, where
-        a call of ``metric`` on its floats fails, as text."""
-        points = np.broadcast_arrays(x1, x2)
-        for a, b in zip(*(x.ravel().tolist() for x in points)):
-            try:
-                self.metric(a, b)
-            except (ArithmeticError, ValueError):
-                return f"({a:.6g}, {b:.6g})"
-        return f"one of {points[0].size} points, though at none alone"
+                              f"{_first_failure(fn, x1, x2)}: {exc!r}") from exc
 
     def metric_at(self, p):
         """Symmetric 3x3 matrix [g_ij] at p = (x1, x2); for arrays x1, x2
@@ -136,31 +132,51 @@ class AdaptedChart3:
         x1, x2, an array of their shape, and an error naming the first
         point (C order) where g33 is not positive."""
         self.require_in_domain(p)
-        x1, x2 = p
+        return np.sqrt(self._positive_g33(*p))
+
+    def _positive_g33(self, x1, x2):
+        """g33 at (x1, x2) from ``coefficients``, for arrays broadcast to
+        their shape; a SingularMetricError names the first point (C order)
+        where it is not positive."""
         g33 = self.coefficients(x1, x2)[5]
-        first, where = g33, p
-        if isinstance(x1, np.ndarray):
-            g33 = np.broadcast_to(g33, x1.shape)
+        first, where = g33, (x1, x2)
+        if isinstance(x1, np.ndarray) or isinstance(x2, np.ndarray):
+            g33, *points = np.broadcast_arrays(g33, x1, x2)
             k = np.argmax(g33 <= 0.0)  # the first nonpositive one, if any
             first = g33.flat[k]
-            where = tuple(np.broadcast_to(x, x1.shape).flat[k] for x in p)
+            where = tuple(x.flat[k] for x in points)
         if first <= 0.0:
             raise SingularMetricError(
                 f"{self.label}: g33 = {first:.3e} at {where!r} is not positive")
-        return np.sqrt(g33)
+        return g33
 
     def volume_fn(self):
         """The volume function omega = sqrt(g33) as an InvariantFunction,
-        with the analytic gradient d_g33 / (2 omega)."""
-        metric, d_g33 = self.metric, self.d_g33
+        with the analytic gradient d_g33 / (2 omega).  Both take floats or
+        arrays; where the chart's ``metric`` or ``d_g33`` fails they raise
+        the DomainError of ``coefficients``, and the gradient raises
+        SingularMetricError where g33 is not positive."""
 
         def grad(x1, x2):
-            d1, d2 = d_g33(x1, x2)
-            w = sqrt(metric(x1, x2)[5])
+            d1, d2 = self._typed(self.d_g33, x1, x2)
+            w = sqrt(self._positive_g33(x1, x2))
             return d1 / (2.0 * w), d2 / (2.0 * w)
 
         return InvariantFunction(
-            value=lambda x1, x2: np.sqrt(metric(x1, x2)[5]), gradient=grad)
+            value=lambda x1, x2: np.sqrt(self.coefficients(x1, x2)[5]),
+            gradient=grad)
+
+
+def _first_failure(fn, x1, x2):
+    """The first point (C order) of (x1, x2), floats or arrays, where a
+    call of fn on its floats fails, as text."""
+    points = np.broadcast_arrays(x1, x2)
+    for a, b in zip(*(x.ravel().tolist() for x in points)):
+        try:
+            fn(a, b)
+        except (ArithmeticError, ValueError):
+            return f"({a:.6g}, {b:.6g})"
+    return f"one of {points[0].size} points, though at none alone"
 
 
 def quotient_metric(chart, x1, x2):

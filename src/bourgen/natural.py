@@ -25,9 +25,6 @@ from .chart import invariant_first_form
 from .errors import DegenerateParametrizationError
 
 _POSITIVITY_PROBES = 256
-# GeneratrixMetric.from_callable: relative step of the central difference
-# that stands in for a missing U'
-_FD_STEP = 1e-6
 # GeneratrixMetric.to_csv: rows of the written table
 _CSV_ROWS = 201
 # to_natural: the smallest E - F^2/G accepted along the curve
@@ -106,15 +103,15 @@ def pullback_coefficients(chart, curve):
 class GeneratrixMetric:
     """The positive function U(s) defining the metric ds^2 + U(s)^2 dt^2.
 
-    Carries an exact or approximate derivative; sampled tables use
-    monotone-cubic (PCHIP) interpolation, so derivative-based radicand
-    checks are then approximate.  U and U' take a float or an array of s;
-    expression and table generatrices evaluate arrays in one call, with
-    the values of the float calls.  ``source`` is the text of an
-    expression generatrix, and None for any other.
+    ``representation`` is "expression" (an exact derivative) or "table"
+    (sampled values under monotone-cubic (PCHIP) interpolation, so
+    derivative-based radicand checks are then approximate).  U and U'
+    take a float or an array of s, and evaluate an array in one call,
+    with the values of the float calls.  ``source`` is the text of an
+    expression generatrix, and None for a table.
     """
 
-    def __init__(self, U, dU, s_range, representation="callable", source=None):
+    def __init__(self, U, dU, s_range, representation, source=None):
         self._U = U
         self._dU = dU
         self.s_range = (float(s_range[0]), float(s_range[1]))
@@ -124,7 +121,7 @@ class GeneratrixMetric:
         self.source = source
         probes = np.linspace(*self.s_range, _POSITIVITY_PROBES)
         try:
-            vals = self._array(self._U, probes)
+            vals = self._U(probes)
         except ArithmeticError as exc:  # an expression's division or power
             raise ValueError(f"U(s) must be positive and finite on s_range; "
                              f"{exc}") from exc
@@ -133,25 +130,18 @@ class GeneratrixMetric:
             raise ValueError(f"U(s) must be positive and finite on s_range; "
                              f"U({bad:.6g}) = {self(bad):.6g}")
 
-    def _array(self, fn, s):
-        """fn at every element of the array s: one call, unless U is a
-        plain callable, which is called per element."""
-        if self.representation != "callable":
-            return fn(s)
-        return np.array([fn(x) for x in s.ravel()]).reshape(s.shape)
-
     def __call__(self, s):
         # a float is tested by its class before np.ndim, as the compiled
         # expressions do: np.ndim of a float takes longer than a compiled
         # expression's value there
         if s.__class__ is float or np.ndim(s) == 0:
             return float(self._U(s))
-        return self._array(self._U, np.asarray(s, dtype=float)).astype(float)
+        return self._U(np.asarray(s, dtype=float)).astype(float)
 
     def derivative(self, s):
         if s.__class__ is float or np.ndim(s) == 0:
             return float(self._dU(s))
-        return self._array(self._dU, np.asarray(s, dtype=float)).astype(float)
+        return self._dU(np.asarray(s, dtype=float)).astype(float)
 
     @classmethod
     def from_expression(cls, expression, s_range):
@@ -160,16 +150,6 @@ class GeneratrixMetric:
                 else parse_expression(expression))
         return cls(U=expr, dU=expr.derivative, s_range=s_range,
                    representation="expression", source=expr.text)
-
-    @classmethod
-    def from_callable(cls, U, s_range, dU=None):
-        """A generatrix of the callable U(s); without dU, U' is the central
-        difference of step _FD_STEP max(1, |s|)."""
-        if dU is None:
-            def dU(s):
-                h = _FD_STEP * max(1.0, abs(s))
-                return (U(s + h) - U(s - h)) / (2.0 * h)
-        return cls(U=U, dU=dU, s_range=s_range, representation="callable")
 
     @classmethod
     def from_samples(cls, s, values):
@@ -195,8 +175,7 @@ class GeneratrixMetric:
     def table(self, s):
         """(U, U') at s: floats for a float s, arrays of its shape for an
         array, with the values of ``__call__`` and ``derivative``; an
-        expression gives both from one call of its dual function, and a
-        callable receives s as it is given."""
+        expression gives both from one call of its dual function."""
         if self.representation != "expression":
             return self(s), self.derivative(s)
         if s.__class__ is float or np.ndim(s) == 0:

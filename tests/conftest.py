@@ -179,3 +179,13 @@ def flat_chart():
     return bg.AdaptedChart3(
         metric=lambda x1, x2: (1.0, 0.0, 0.0, 1.0, 0.0, 1.0),
         d_g33=lambda x1, x2: (0.0, 0.0), label="flat")
+
+
+@pytest.fixture(scope="session")
+def nil_chart():
+    """Nil in a chart of unit volume function, whose g13 and g23 do not
+    vanish."""
+    return bg.AdaptedChart3(
+        metric=lambda x1, x2: (1.0 + x2 * x2 / 4.0, -x1 * x2 / 4.0, -x2 / 2.0,
+                               1.0 + x1 * x1 / 4.0, x1 / 2.0, 1.0 + 0.0 * x1),
+        d_g33=lambda x1, x2: (0.0, 0.0), label="nil")

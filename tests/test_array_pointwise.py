@@ -165,15 +165,9 @@ def test_omega_range_matches_scan():
 # constant-volume member
 # ---------------------------------------------------------------------------
 
-NIL = bg.AdaptedChart3(
-    metric=lambda x1, x2: (1.0 + x2 * x2 / 4.0, -x1 * x2 / 4.0, -x2 / 2.0,
-                           1.0 + x1 * x1 / 4.0, x1 / 2.0, 1.0 + 0.0 * x1),
-    d_g33=lambda x1, x2: (0.0, 0.0), label="nil")
-
-
 @pytest.mark.parametrize("chart_name", ["flat", "nil"])
-def test_constant_volume_member_matches_points(chart_name, flat_chart):
-    chart = {"flat": flat_chart, "nil": NIL}[chart_name]
+def test_constant_volume_member_matches_points(chart_name, request):
+    chart = request.getfixturevalue(f"{chart_name}_chart")
     s = np.linspace(0.0, np.pi, 2001)
     c1, c2 = np.cos(s), np.sin(s)
     member = bg.constant_volume_member(

@@ -173,8 +173,6 @@ _GENERATRICES = {
         "sqrt(s^2+2) + 0.1*sin(3*s)", (-2.0, 2.0)),
     "table": lambda: bg.GeneratrixMetric.from_samples(
         np.linspace(-2.0, 2.0, 41), np.sqrt(np.linspace(-2.0, 2.0, 41) ** 2 + 2)),
-    "callable": lambda: bg.GeneratrixMetric.from_callable(
-        lambda s: (s * s + 2.0) ** 0.5, (-2.0, 2.0)),
 }
 
 

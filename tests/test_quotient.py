@@ -275,10 +275,15 @@ def test_sol3_chart_traces_or_raises_a_typed_error():
         s=s, x1=np.zeros(5), x2=np.array([0.0, 100.0, 400.0, 200.0, 500.0]),
         x1p=np.zeros(5), x2p=np.ones(5), omega=np.ones(5), theta=np.zeros(5),
         theta_prime=np.zeros(5), frame=None, U=None, anchor_index=0)
+    omega = chart.volume_fn()
     for evaluate in (lambda: bg.quotient_metric(chart, 0.0, 400.0),
                      lambda: chart.metric_at((0.0, 400.0)),
                      lambda: chart.volume_at((0.0, 400.0)),
+                     lambda: omega(0.0, 400.0),
+                     lambda: omega.gradient_at(0.0, 400.0),
                      lambda: chart.metric_at((profile.x1, profile.x2)),
+                     lambda: omega(profile.x1, profile.x2),
+                     lambda: omega.gradient_at(profile.x1, profile.x2),
                      lambda: bg.vertical_quadrature(profile, chart)):
         with pytest.raises(DomainError,
                            match=r"sol3: chart evaluation failed at "
