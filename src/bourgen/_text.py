@@ -1,23 +1,28 @@
 """Artifact text in one pass: the exact bytes of the stdlib writers.
 
-``json_text`` is ``json.dumps(payload, indent=1)``, and prints a 1-D
-float64 array as the list of its values.  ``rows_text`` is the row text
-of the two row formats the exporters write, an OBJ vertex
+``json_bytes`` is ``json.dumps(payload, indent=1)`` as ASCII bytes, and
+prints a 1-D float64 array as the list of its values.  ``rows_bytes`` is
+the row text of the two row formats the exporters write, an OBJ vertex
 ``"v %.17g %.17g %.17g\\n"`` and a ``%.18e`` CSV row (``np.savetxt``'s
 text), and ``write_csv`` the CSV file every exporter writes with it.
+The writers put these bytes in their files as they are; ``json_text``
+and ``rows_text`` decode them.
 
 A numpy kernel formats a whole block of floats in one of three
 conversions instead of one ``%`` or ``repr`` per value: ``%.17g`` and
-``%.18e`` for the rows, and for every all-float list of a JSON payload
-(all of them in one call) Python's shortest round-trip ``repr``, which
-is what ``json.dumps`` prints for a float.
+``%.18e`` for the rows, and for the all-float lists of a JSON payload,
+joined and cut into equal blocks of at most ``_KERNEL_BLOCK`` values,
+Python's shortest round-trip ``repr``, which is what ``json.dumps``
+prints for a float.
 
-Each ``|x|`` is scaled by ``10**k``, with ``k`` from ``floor(log10|x|)``,
-so that its integer part ``N`` has P significant digits (17 for
-``%.17g`` and ``repr``, 19 for ``%.18e``).  The product is a
-double-double: ``10**k`` is an unevaluated sum ``hi + lo`` of doubles,
-each rounded from the exact power with ``int`` arithmetic at import, and
-``x * hi`` is split exactly by Dekker's product.  The error of
+Each ``|x|`` is scaled by ``10**k``, with ``k`` from ``floor(log10|x|)``
+(a table by the exponent field of x gives it or one less, and the
+field's next power of ten which), so that its integer part ``N`` has P
+significant digits (17 for ``%.17g`` and ``repr``, 19 for ``%.18e``).
+The product is a double-double: ``10**k`` is an unevaluated sum
+``hi + lo`` of doubles, each rounded from the exact power with ``int``
+arithmetic at import, and ``x * hi`` is split exactly by Dekker's
+product.  The error of
 ``N + fraction`` is below 1e-12 of the last place, and none where
 ``10**k`` is an integer below 2**53.
 
@@ -47,32 +52,44 @@ own, when:
 - the guessed exponent is off by one, so ``N`` has not P digits.
 
 Zeros of either sign are formatted by the kernel.  The digits of ``N``
-become ASCII words, and each value's row of words holds its text in
-order, with zero bytes where a character is absent: the sign and the
-"0.000" before the first digit of a small fixed-form value, the digits
-with the point inserted after the place its decimal exponent gives
-(``%g``'s and ``repr``'s choice between fixed and exponent form, and
-their stripping of trailing zeros; ``repr`` keeps ".0" after an
-integral value), the exponent, and the literal text after the value.
-The zero bytes are removed from the joined rows, so the text is exactly
-that of the stdlib writer.
+after the first P - 16 are four groups of 4, each looked up in a table
+of 10**4 words that holds its ASCII digits and the place of its last
+nonzero one.  Each value's row of words holds its text in order, with
+zero bytes where a character is absent: the sign and the "0.000" before
+the first digit of a small fixed-form value, the digits with the point
+inserted after the place its decimal exponent gives (``%g``'s and
+``repr``'s choice between fixed and exponent form, and their stripping
+of trailing zeros; ``repr`` keeps ".0" after an integral value), the
+exponent, and the literal text after the value.  Where the point goes
+and which digits stay come from one table index per value, for all
+three digit words; ``%.18e`` always has its point after the first
+digit, so its words are put together from the groups without either
+step.  The zero bytes are removed from the joined rows,
+so the text is exactly that of the stdlib writer.
 """
 import json
+import math
+from functools import cache
 from itertools import chain, repeat
 
 import numpy as np
 
 
-def json_text(payload):
-    """The text of ``json.dumps(payload, indent=1)``; a 1-D float64 array
-    prints as the list of its values."""
+def json_bytes(payload):
+    """The text of ``json.dumps(payload, indent=1)`` as ASCII bytes; a 1-D
+    float64 array prints as the list of its values."""
     lists = []
-    text = _encode(payload, 0, lists)
+    text = _encode(payload, 0, lists).encode()
     if not lists:
         return text
-    parts = text.split("\0")
+    parts = text.split(b"\0")
     bodies = _float_lists_text(lists)
-    return "".join(chain.from_iterable(zip(parts, bodies))) + parts[-1]
+    return b"".join(chain.from_iterable(zip(parts, bodies))) + parts[-1]
+
+
+def json_text(payload):
+    """The text of ``json_bytes(payload)``."""
+    return json_bytes(payload).decode("ascii")
 
 
 def _encode(o, level, lists):
@@ -118,7 +135,10 @@ def _key(k):
 # division (a multiply-and-shift or a float estimate stands in for it):
 # the first call of a numpy loop brings 64 KiB or more of numpy's code
 # into the process's resident memory, and a bourgen run calls these loops
-# anyway.
+# anyway.  Its tables are built at import from Python ints and strings,
+# float64 arithmetic and numpy's copying (slices, repeat, tile, take),
+# which every process loads, so one that writes no text pays for no
+# other loop.
 
 # the powers 10**k that scale a double in [1e-250, 1e250] to 17 or 19
 # digits, and the powers 10**e that bound it
@@ -156,25 +176,99 @@ def _pow10_table():
 
 
 _P10_HI, _P10_LO, _P10_HH, _P10_HL = _pow10_table()
-_P10_HALF = 0.5 * _P10_HI
+_P10_HALF_ULP = _P10_HI * 2.0 ** -53
 
-_ASCII_ZEROS = 0x3030303030303030  # "00000000"
 _EXP0 = 300  # tables by decimal exponent X are indexed by X + _EXP0
-_MINUS = ord("-") << 16  # the sign byte of word 0 (see _Conversion)
+
+
+def _field_tables():
+    """By the exponent field f of a double x in the normal range: _EXP0
+    plus floor(log10 x) where x is below the field's next power of ten,
+    and that power (the guess floor((f - 1023) log10 2) is right or one
+    low); clipped to [-251, 250] outside the range (the guesses rise by
+    0 or 1 from one field to the next)."""
+    e10 = [math.floor((f - 1023) * _LOG10_2) for f in range(2048)]
+    low, high = e10.index(-251), e10.index(251)
+    e10[:low] = repeat(-251, low)
+    e10[high:] = repeat(250, 2048 - high)
+    return (np.array([e + _EXP0 for e in e10]),
+            _P10_HI.take([e + 1 - _K0 for e in e10]))
+
+
+_FIELD_E10, _FIELD_NEXT = _field_tables()
 _SIGNIFICAND = (1 << 52) - 1  # the significand field of a double's bits
+_EXPONENT = 0x7FF << 52  # its exponent field
 _BITS_64 = 0x4050000000000000  # the bits of 64.0
-# _BYTE_MASKS[k] keeps a word's first k bytes
-_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)],
-                       dtype=np.uint64).view(np.int64)
-_NO_POINT = 24  # a point position past every digit: none is inserted
-# for a point after the first j digits, _POINT_MASKS[k, j] keeps the
-# bytes before it of digit word k, and _POINT_DOTS[k, j] is the "." where
-# it falls in that word
-_POINT_MASKS = np.array([[_BYTE_MASKS[min(max(j - 8 * k, 0), 8)]
-                          for j in range(_NO_POINT + 1)] for k in range(3)])
-_POINT_DOTS = np.array([[ord(".") << 8 * (j - 8 * k) if 0 <= j - 8 * k < 8
-                         else 0 for j in range(_NO_POINT + 1)]
-                        for k in range(3)], dtype=np.int64)
+
+
+def _digit_tables():
+    """_DIGITS4[q] for q < 10**4: bytes 0-3 are the 4 digit characters of
+    q, most significant first, and bits 32 and up hold 16 plus the number
+    of those digits up to q's last nonzero one, or 4 for q = 0;
+    _LEAD3[t] for t < 1000: t's 3 digit characters with a point after the
+    first.  They are put together byte by byte."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.zeros((10 ** 4, 8), dtype=np.uint8)
+    for j in range(4):  # the digit of 10**(3 - j)
+        digits[:, j] = np.tile(np.repeat(digit, 10 ** (3 - j)), 10 ** j)
+    # the place of the last nonzero digit of q = 100 h + l: that of l,
+    # plus 2, else that of h, else -12
+    pair = [2 if q % 10 else 1 if q else -12 for q in range(100)]
+    digits[:, 4] = np.tile(np.array([16 + 2 + last for last in pair],
+                                    dtype=np.uint8), 100)
+    digits[::100, 4] = np.array([16 + last for last in pair], dtype=np.uint8)
+    lead3 = np.zeros((1000, 8), dtype=np.uint8)
+    lead3[:, 0] = np.repeat(digit, 100)
+    lead3[:, 1] = ord(".")
+    lead3[:, 2:4] = np.tile(digits[:100, 2:4], (10, 1))
+    return digits.view("<i8").ravel(), lead3.view("<i8").ravel()
+
+
+_DIGITS4, _LEAD3 = _digit_tables()
+_LOW32 = (1 << 32) - 1
+
+
+def _insertion_tables():
+    """For the 17 digit characters D0-D16 of a %g or repr value in three
+    words, with the point after the first p of them (p = 0: none) and
+    those after D_keep stripped: by p * 17 + keep, the bytes of word k
+    that stay (_STAY[k]), those that move up one byte past the point
+    (_MOVE[k]), and the "." (_DOT[k])."""
+    stay, move, dot = [], [], []
+    for p in range(18):
+        for keep in range(17):
+            point = 1 <= p <= keep
+            stay.append(b"\xff" * (p if point else keep + 1))
+            move.append(b"\0" * p + b"\xff" * (keep + 1 - p) if point
+                        else b"")
+            dot.append(b"\0" * p + b"." if point else b"")
+    return (np.frombuffer(b"".join(m.ljust(24, b"\0") for m in masks),
+                          dtype="<i8").reshape(-1, 3).T.copy()
+            for masks in (stay, move, dot))
+
+
+_STAY, _MOVE, _DOT = _insertion_tables()
+
+
+def _exponent_texts():
+    """By X + _EXP0, the 5 bytes of the exponent "e+XX" or "e-XXX" of a
+    decimal exponent X: "e", the sign, the hundreds digit or a zero byte,
+    and two digits."""
+    texts = [f"e{X:+03d}" for X in range(-_EXP0, _EXP0 + 1)]
+    texts = "".join(e[:2] + e[2:].rjust(3, "\0") for e in texts)
+    return np.frombuffer(texts.encode(), dtype=np.uint8).reshape(-1, 5)
+
+
+_EXPONENT_TEXTS = _exponent_texts()
+
+
+def _exponent_words(chars, byte):
+    """By X + _EXP0, the int64 word with the exponent characters
+    ``_EXPONENT_TEXTS[:, chars]`` from byte ``byte`` on."""
+    words = np.zeros((2 * _EXP0 + 1, 8), dtype=np.uint8)
+    part = _EXPONENT_TEXTS[:, chars]
+    words[:, byte:byte + part.shape[1]] = part
+    return words.view("<i8").ravel()
 
 
 def _word(text, byte=0):
@@ -185,78 +279,86 @@ def _word(text, byte=0):
 
 
 class _Conversion:
-    """One float conversion, ``%.17g``, ``%.18e`` or ``repr``: its P
-    significant digits, its digit decision and per-value fallback, and
-    tables by decimal exponent X of where its text puts the point.
+    """One float conversion, ``%.17g``, ``%.18e`` or ``repr``: its digit
+    decision and per-value fallback, and tables by decimal exponent X of
+    its text around the digits.
 
     A value's row is ``words`` little-endian int64 words whose nonzero
     bytes, in order, are the value's text between its row literals; the
-    zero bytes are dropped when the rows are joined:
+    zero bytes are dropped when the rows are joined.  ``%.17g`` and
+    ``repr``:
 
     - word 0: two literal bytes, the sign, and in fixed form below 1 the
       "0." and zeros before the first digit;
-    - words 1 to 3: the P digit characters, the point inserted after the
+    - words 1 to 3: the 17 digit characters, the point inserted after the
       first ``point`` of them, and the trailing zeros that ``%g`` and
-      ``repr`` strip zeroed;
-    - the exponent ("e", its sign, a hundreds digit or a zero byte, two
-      digits) in bytes 2-6 of word 3 for P = 17, in word 4 for P = 19;
+      ``repr`` strip zeroed; the exponent ("e", its sign, a hundreds
+      digit or a zero byte, two digits) in bytes 2-6 of word 3;
     - the last byte, or with ``separator_word`` a last word of its own:
       the literal text after the value.
+
+    ``%.18e`` always has its point after the first digit: the sign, the
+    digits with the point, "e" and the exponent sign and hundreds digit
+    fill words 0 to 2 from byte 0, the exponent's two digits bytes 0-1 of
+    word 3, and its last byte is the literal after.
     """
 
-    def __init__(self, digits, fixed_below, decimal, fallback,
-                 point_zero=False, separator_word=False):
-        self.digits = P = digits
-        self.words = (4 if P == 17 else 5) + separator_word
-        # the value's text is in bytes 2 to text_end - 1 of its row
-        self.text_end = 8 * self.words - (8 if separator_word else 1)
+    def __init__(self, fixed_below, decimal, fallback, point_zero=False,
+                 separator_word=False):
         self.decimal = decimal  # |x| -> (top, mid, low, X, undecided)
         self.fallback = fallback  # a list of floats -> their texts
-        prefix, point, least, tail = [], [], [], []
-        for X in range(-_EXP0, _EXP0 + 1):
-            # fixed form for X from -4 to fixed_below - 1 (none for %e)
-            fixed = fixed_below is not None and -4 <= X < fixed_below
-            prefix.append(_word("0." + "0" * (-X - 1), 3)
-                          if fixed and X < 0 else 0)
-            point.append(_NO_POINT if fixed and X < 0
-                         else X + 1 if fixed else 1)
-            # the digits after the first that are never stripped: those
-            # before the point, and the one after it where point_zero
-            # keeps ".0" after an integral value
-            least.append(X + point_zero if fixed and X >= 0 else 0)
-            exponent = f"e{X:+03d}"
-            tail.append(0 if fixed else _word(
-                exponent[:2] + exponent[2:].rjust(3, "\0"),
-                2 if P == 17 else 0))
-        self.prefix, self.point, self.tail = (
-            np.array(t, dtype=np.int64) for t in (prefix, point, tail))
-        # %e keeps every digit; %g and repr strip trailing zeros
-        self.least = (np.array(least, dtype=np.int64)
-                      if fixed_below is not None else None)
+        self.separator_word = separator_word
+        if fixed_below is None:
+            self.words, self.text_start, self.text_end = 4, 0, 31
+            self.point17 = None
+            # "e", the sign and the hundreds digit or a zero byte in bytes
+            # 5-7 of word 2, the two digits in bytes 0-1 of word 3
+            self.exp_sign = _exponent_words(slice(0, 3), 5)
+            self.exp_digits = _exponent_words(slice(3, 5), 0)
+            return
+        self.words = 4 + separator_word
+        self.text_start = 2
+        # the value's text ends at the last byte, or the separator word
+        self.text_end = 32 if separator_word else 31
+        # fixed form for X from -4 to fixed_below - 1, with the point after
+        # X + 1 digits from X = 0 on; exponent form, with the point after
+        # the first digit, elsewhere
+        fixed = slice(_EXP0 - 4, _EXP0 + fixed_below)
+        whole = slice(_EXP0, _EXP0 + fixed_below)
+        self.prefix = np.zeros(2 * _EXP0 + 1, dtype=np.int64)
+        for X in range(-4, 0):
+            self.prefix[X + _EXP0] = _word("0." + "0" * (-X - 1), 3)
+        # the p of _insertion_tables, times 17
+        self.point17 = np.full(2 * _EXP0 + 1, 17)
+        self.point17[fixed] = 0
+        self.point17[whole] = np.arange(17, 17 * fixed_below + 1, 17)
+        # the digits after the first that are never stripped: those
+        # before the point, and the one after it where point_zero
+        # keeps ".0" after an integral value
+        self.least = np.zeros(2 * _EXP0 + 1, dtype=np.int64)
+        self.least[whole] = np.arange(point_zero, fixed_below + point_zero)
+        self.tail = _exponent_words(slice(0, 5), 2)
+        self.tail[fixed] = 0
 
 
 def _scaled(a, P):
-    """(top, rest, frac, X, undecided) for |x| = a: |x| times
-    10**(P - 1 - X) is the integer top * 10**16 + rest in
-    [10**(P-1), 10**P) plus frac in [0, 1), to within 1e-12; all are
-    garbage where ``undecided``.  Every integer is an int64.  The product
-    is exact where 10**(P - 1 - X) is an integer below 2**53."""
-    ok = (a >= 1e-250) & (a <= 1e250)
-    a = np.where(ok, a, 1.0)
-    # floor(log10 a): floor(E log10(2)) for the binary exponent E of a,
-    # or one more, as the table's next power tells (an exponent one off
-    # where the table's powers are rounded leaves N without P digits)
-    e10 = a.view(np.int64) >> 52
-    e10 -= 1023
-    e10 = np.floor(e10 * _LOG10_2).astype(np.int64)
-    e10 += a >= _P10_HI.take(e10 + 1 - _K0)
-    k = P - 1 - _K0 - e10
+    """(top, mid, low, frac, X, undecided) for |x| = a in [1e-250, 1e250]
+    (a zero gives garbage without a warning): |x| times 10**(P - 1 - E)
+    is the integer top * 10**16 + mid * 10**8 + low in [10**(P-1), 10**P)
+    plus frac in [0, 1), to within 1e-12, for the decimal exponent
+    E = X - _EXP0; all are garbage where ``undecided``.  Every integer is
+    an int64.  The product is exact where 10**(P - 1 - E) is an integer
+    below 2**53."""
+    field = a.view(np.int64) >> 52
+    X = _FIELD_E10.take(field)
+    X += a >= _FIELD_NEXT.take(field)
+    del field
+    k = (P - 1 - _K0 + _EXP0) - X
     p = a * _P10_HI.take(k)
     lo = a * _P10_LO.take(k)
     hh, hl = _P10_HH.take(k), _P10_HL.take(k)
     del k
     ah, al = _split(a)
-    del a
     # x * 10**k = p + t: p rounds the product, t holds its exact error
     # (Dekker, ((ah hh - p) + ah hl + al hh) + al hl) and x * lo, each
     # product formed in place of a factor
@@ -276,9 +378,10 @@ def _scaled(a, P):
     whole = np.floor(t)
     frac = t
     frac -= whole
-    # the integer part is p + whole, p an integer wherever it has P
-    # digits (10**(P-1) > 2**53): top from a float estimate, off by at
-    # most one, rest from p - top * 1e16, which is exact
+    # the integer part N = p + whole, p an integer wherever it has P
+    # digits (10**(P-1) > 2**53), in the 8-digit groups mid and low after
+    # the first P - 16 digits top: top from a float estimate, off by at
+    # most one, which the carry mends, and p - top * 1e16 is exact
     top = np.floor((p + whole) * 1e-16)
     p -= top * 1e16
     rest = p.astype(np.int64)
@@ -287,20 +390,20 @@ def _scaled(a, P):
     del whole
     top = top.astype(np.int64)
     _carry(top, rest, 10 ** 16)
-    undecided = ~ok | (top < 10 ** (P - 17)) | ~(top < 10 ** (P - 16))
-    return top, rest, frac, e10, undecided
+    mid, low = _groups(rest)
+    undecided = (top < 10 ** (P - 17)) | (top >= 10 ** (P - 16))
+    return top, mid, low, frac, X, undecided
 
 
 def _rounded(P):
     """The digit decision of %.17g or %.18e: |x| rounded to P
     significant digits, as (top, mid, low, X, undecided): the digits are
-    those of top, then mid and low with 8 each, and X is the decimal
-    exponent; undecided where the fraction is within 1e-6 of one
+    those of top, then mid and low with 8 each, and X - _EXP0 is the
+    decimal exponent; undecided where the fraction is within 1e-6 of one
     half."""
     def decimal(a):
-        top, rest, frac, X, undecided = _scaled(a, P)
+        top, mid, low, frac, X, undecided = _scaled(a, P)
         undecided |= np.abs(frac - 0.5) < 1e-6
-        mid, low = _groups(rest)
         low += frac > 0.5
         _carry_up(top, mid, low, X, P)
         return top, mid, low, X, undecided
@@ -315,11 +418,18 @@ def _groups(rest):
     return mid, rest
 
 
+def _quads(v):
+    """(high, low): each v < 10**8 as high * 10**4 + low, by
+    multiply-and-shift division, exact there."""
+    high = (v * 3518437209) >> 45
+    return high, v - high * 10000
+
+
 def _carry_up(top, mid, low, X, P):
     """Carry a low group of 10**8 or more (less than 2 * 10**8) into mid
     and top, in place; where the P digits reach 10**P, make them
     10**(P-1) and X one higher."""
-    over = ~(low < 10 ** 8)
+    over = low >= 10 ** 8
     if over.any():
         low[over] -= 10 ** 8
         mid += over
@@ -348,17 +458,13 @@ def _shortest(a):
     below are exact; elsewhere a value within 1e-9 of an endpoint is
     undecided, as is every value within 1e-9 of a tie.
     """
-    top, rest, frac, X, undecided = _scaled(a, 17)
-    mid, low = _groups(rest)
-    del rest
-    bits = np.where(undecided, 1.0, a).view(np.int64)
-    # the half gap above: half an ulp, 2**(E - 52) for a double of binary
-    # exponent E, the double whose exponent field is E's less 52
-    gap = bits >> 52
-    gap -= 52
-    gap <<= 52
-    gap = gap.view(np.float64)
-    gap *= _P10_HALF.take(16 - _K0 - X)
+    top, mid, low, frac, X, undecided = _scaled(a, 17)
+    bits = a.view(np.int64)
+    # the half gap above: half an ulp, 2**(E - 53) for a double of binary
+    # exponent E, scaled by 10**k: 2**E, the double of x's exponent field,
+    # times 2**-53 10**k
+    gap = (bits & _EXPONENT).view(np.float64)
+    gap *= _P10_HALF_ULP.take(16 - _K0 + _EXP0 - X)
     below = np.where((bits & _SIGNIFICAND) == 0, 0.5 * gap, gap)
     # an endpoint is inside for an even significand only: for an odd one
     # the largest distance inside is the double below the half gap
@@ -366,13 +472,13 @@ def _shortest(a):
     gap.view(np.int64)[...] -= odd
     below.view(np.int64)[...] -= odd
     del odd
-    exact = (bits >= _BITS_64) & (X <= 16)
+    exact = (bits >= _BITS_64) & (X <= 16 + _EXP0)
     del bits
     # o: the distance from |x| down to the multiple of 100 below it, r its
     # integer part; up: the distance up to the next; each is set against
     # the half gap on its side, and low moves to the multiple in the
     # interval (the steps below leave such values as they are)
-    r = low - np.floor((low + 0.5) * 0.01).astype(np.int64) * 100
+    r = low - ((low * 1374389535) >> 37) * 100  # low // 100, exact
     o = r + frac
     near = np.abs(o - below) < 1e-9
     down = o <= below
@@ -418,137 +524,149 @@ def _shortest(a):
 def _carry(high, low, base):
     """Move one unit between the int64 digit groups high and low, in
     place, where low is within one base outside [0, base)."""
-    step = (~(low < base)).astype(np.int64)
-    step -= (low < 0).astype(np.int64)
+    step = (low >= base).astype(np.int64)
+    step -= low < 0
     high += step
     low -= step * base
 
 
-def _ascii8(v):
-    """Turn each v < 10**8, in place, into the word whose little-endian
-    bytes are its 8 decimal digit characters, most significant first:
-    two 4-digit lanes, split into 2-digit and then 1-digit lanes by
-    multiply-and-shift division (exact for lanes below 10**4 and 100)."""
-    q = (v * 3518437209) >> 45  # v // 10000
-    v -= q * 10000
-    v <<= 32
-    v |= q
-    np.multiply(v, 5243, out=q)
-    q >>= 19
-    q &= 0x0000007F0000007F  # v // 100 per 32-bit lane
-    v -= q * 100
-    v <<= 16
-    v |= q
-    np.multiply(v, 103, out=q)
-    q >>= 10
-    q &= 0x000F000F000F000F  # v // 10 per 16-bit lane
-    v -= q * 10
-    v <<= 8
-    v |= q
-    v |= _ASCII_ZEROS
-    return v
-
-
-def _used_bytes(w):
-    """The number of bytes of each word w >= 0 up to its last nonzero
-    one, for words whose bytes are at most 9: from the binary exponent of
-    w as a double, which rounds w up to a power of 256 only from within
-    2**-53 of it."""
-    used = w.astype(np.float64).view(np.int64) >> 52
-    used -= 1023
-    used >>= 3
-    used += 1
-    return np.maximum(used, 0, out=used)
-
-
-_G17 = _Conversion(17, 17, _rounded(17), lambda v: ["%.17g" % x for x in v])
-_E18 = _Conversion(19, None, _rounded(19), lambda v: ["%.18e" % x for x in v])
-# json.dumps prints a finite float as repr does, and NaN and infinities
-# as NaN, Infinity and -Infinity
-_REPR = _Conversion(17, 16, _shortest,
-                    lambda v: json.dumps(v)[1:-1].split(", "),
-                    point_zero=True, separator_word=True)
+def _rows(n, words):
+    """A zeroed bytearray of n rows of ``words`` int64 words, and the rows
+    as a view of it."""
+    text = bytearray(8 * words * n)
+    return text, np.frombuffer(text, np.int64).reshape(n, words)
 
 
 def _kernel_text(x, conv, before, after):
     """The text of each float64 x[i] under ``conv``, between the row
     literals ``before`` (bytes 0-1 of a row's first word, or None) and
     ``after`` (its last byte, or its last word), one word per column of
-    the rows, joined.  Arrays are freed once used, since a block's
-    transient memory adds to the peak memory of every command that writes
-    one."""
-    minus = np.signbit(x)
+    the rows, joined, as bytes.  Arrays are freed once used, and words
+    built in place, since a block's transient memory adds to the peak
+    memory of every command that writes one."""
+    if not len(x):
+        return b""
     a = np.abs(x)
-    zero = a == 0.0
+    ok = (a >= 1e-250) & (a <= 1e250)
+    a = np.where(ok, a, 1.0)
     top, mid, low, X, undecided = conv.decimal(a)
     del a
+    # a zero's digits are those of 1.0 with the first one zeroed
+    zero = x == 0.0
+    undecided |= ~ok
     undecided &= ~zero
-    blank = zero | undecided
-    top[blank] = mid[blank] = low[blank] = X[blank] = 0
-    del blank
-    X += _EXP0
-    # D0 (P = 17) or D0-D2 (P = 19) in top, D1-D8 or D3-D10 in mid, the
-    # rest in low; each word's first digit in its first byte
-    lead = top | 0x30 if conv.digits == 17 else _ascii8(top) >> 40
-    del top
-    mid = _ascii8(mid)
-    low = _ascii8(low)
-    point = conv.point.take(X)
-    if conv.least is not None:
-        # L is the last nonzero digit after the first, counted in mid and
-        # low; the point goes where a digit after it is kept
-        L = _used_bytes(low ^ _ASCII_ZEROS)
-        L += 8 * (L > 0)
-        np.maximum(L, _used_bytes(mid ^ _ASCII_ZEROS), out=L)
-        keep = np.maximum(L, conv.least.take(X))
-        del L
-        mid &= _BYTE_MASKS.take(np.minimum(keep, 8))
-        low &= _BYTE_MASKS.take(np.maximum(keep - 8, 0))
-        point[keep < point] = _NO_POINT
-        del keep
-    text = bytearray(len(x) * conv.words * 8)
-    rows = np.frombuffer(text, np.int64).reshape(-1, conv.words)
-    rows[:, 0] = conv.prefix.take(X) | minus * _MINUS
-    del minus
-    if before is not None:
-        rows.reshape(-1, len(before), conv.words)[:, :, 0] |= before
-    # words 1-3: the digits from D0 on, with a "." inserted after the
-    # first ``point`` of them, moving the bytes after it up one
-    lead_bits = 8 * (conv.digits - 16)
-    digits = (lead | mid << lead_bits,
-              mid >> 64 - lead_bits | low << lead_bits,
-              low >> 64 - lead_bits)
-    del lead, mid, low
-    for k, w in enumerate(digits):
-        kept = w & _POINT_MASKS[k].take(point)
-        w ^= kept
-        moved = w >> 56
-        w <<= 8
-        w |= kept
-        w |= _POINT_DOTS[k].take(point)
-        if k:
-            w |= carry
-        rows[:, k + 1] = w
-        carry = moved
-    del digits, carry, kept, moved, w, point
-    rows[:, 3 if conv.digits == 17 else 4] |= conv.tail.take(X)
+    top[zero] = 0
+    del ok, zero
+    # the 4-digit groups of mid and low as _DIGITS4 words
+    d1, d2 = _quads(mid)
+    del mid
+    d1, d2 = _DIGITS4.take(d1), _DIGITS4.take(d2)
+    d3, d4 = _quads(low)
+    del low
+    d3, d4 = _DIGITS4.take(d3), _DIGITS4.take(d4)
+    if conv.point17 is None:
+        # %.18e: the point after D0, in _LEAD3
+        for d in (d1, d2, d3, d4):
+            d &= _LOW32
+        word = _LEAD3.take(top, mode="clip")
+        del top
+        word <<= 8
+        word |= x.view(np.int64) >> 63 & ord("-")
+        text, rows = _rows(len(x), conv.words)
+        rows[:, 0] = word | d1 << 40
+        d1 >>= 24
+        rows[:, 1] = d1 | d2 << 8 | d3 << 40
+        del d1, d2
+        d3 >>= 24
+        d3 |= d4 << 8
+        d3 |= conv.exp_sign.take(X)
+        rows[:, 2] = d3
+        del d3, d4
+        word = conv.exp_digits.take(X)
+    else:
+        # %g and repr: keep the digits D1-D16 up to the last nonzero one
+        # and those the form keeps
+        keep = d1 >> 32
+        part = np.empty_like(keep)  # room for a shifted word
+        for i, d in enumerate((d2, d3, d4), 1):
+            np.right_shift(d, 32, out=part)
+            part += 4 * i
+            np.maximum(keep, part, out=keep)
+        keep -= 16
+        np.maximum(keep, conv.least.take(X), out=keep)
+        keep += conv.point17.take(X)
+        for d in (d1, d2, d3, d4):
+            d &= _LOW32
+        # D0-D16 in three words, built in place of d1, d2 and d4
+        top += 0x30
+        d1 <<= 8
+        d1 |= top
+        del top
+        d1 |= np.left_shift(d2, 40, out=part)
+        d2 >>= 24
+        d3 <<= 8
+        d2 |= d3
+        del d3
+        d2 |= np.left_shift(d4, 40, out=part)
+        del part
+        d4 >>= 24
+        word = conv.prefix.take(X)
+        word |= x.view(np.int64) >> 63 & ord("-") << 16
+        if before is not None:
+            columns = word.reshape(-1, len(before))
+            columns |= before
+            del columns
+        text, rows = _rows(len(x), conv.words)
+        rows[:, 0] = word
+        # each digit word: the bytes before the point stay, the point goes
+        # after them, and the kept bytes after it move up one byte, the
+        # last into the next word
+        for k, word in enumerate((d1, d2, d4)):
+            moved = word & _MOVE[k].take(keep)
+            word &= _STAY[k].take(keep)
+            word |= _DOT[k].take(keep)
+            if k:
+                word |= carry
+            carry = moved >> 56
+            moved <<= 8
+            word |= moved
+            if k < 2:
+                rows[:, k + 1] = word
+        del d1, d2, d4, keep, moved, carry
+        word |= conv.tail.take(X)
     del X
-    rows.reshape(-1, len(after), conv.words)[:, :, -1] |= after
+    # the literal after each value
+    if conv.separator_word:
+        rows[:, -2] = word
+        rows[:, -1] = after
+    else:
+        columns = word.reshape(-1, len(after))
+        columns |= after
+        rows[:, -1] = word
+        del columns
+    del word
     todo = np.flatnonzero(undecided)
     if len(todo):
-        width = conv.text_end - 2  # from byte 2 to the literal after
-        rows.view(np.uint8)[todo, 2:conv.text_end] = np.array(
-            conv.fallback(x[todo].tolist()), dtype=f"S{width}").view(
-                np.uint8).reshape(len(todo), width)
+        start, end = conv.text_start, conv.text_end
+        rows.view(np.uint8)[todo, start:end] = np.array(
+            conv.fallback(x[todo].tolist()), dtype=f"S{end - start}").view(
+                np.uint8).reshape(len(todo), end - start)
     del rows
-    joined = text.translate(None, b"\0")
-    del text
-    return joined.decode("ascii")
+    return text.translate(None, b"\0")
+
+
+_G17 = _Conversion(17, _rounded(17), lambda v: ["%.17g" % x for x in v])
+_E18 = _Conversion(None, _rounded(19), lambda v: ["%.18e" % x for x in v])
+# json.dumps prints a finite float as repr does, and NaN and infinities
+# as NaN, Infinity and -Infinity
+_REPR = _Conversion(16, _shortest, lambda v: json.dumps(v)[1:-1].split(", "),
+                    point_zero=True, separator_word=True)
 
 
 _OBJ_VERTEX = "v %.17g %.17g %.17g\n"
 
 
+@cache
 def _row_format(fmt):
     """(conversion, before, after) of the two row formats in use: the
     literals before each column's value (bytes 0-1 of a word, or None)
@@ -568,10 +686,10 @@ def _row_format(fmt):
     return conv, before, np.array([_word(c, 7) for c in after])
 
 
-def rows_text(fmt, columns):
+def rows_bytes(fmt, columns):
     """``fmt % row`` for every row of the stacked columns, concatenated,
-    for ``fmt`` an OBJ vertex row or a row of comma-separated ``%.18e``;
-    other formats raise ``ValueError``."""
+    as ASCII bytes, for ``fmt`` an OBJ vertex row or a row of
+    comma-separated ``%.18e``; other formats raise ``ValueError``."""
     conv, before, after = _row_format(fmt)
     if len(columns) != len(after):
         raise ValueError(f"{fmt!r} formats {len(after)} columns, "
@@ -580,22 +698,29 @@ def rows_text(fmt, columns):
     return _kernel_text(values, conv, before, after)
 
 
+def rows_text(fmt, columns):
+    """The text of ``rows_bytes(fmt, columns)``."""
+    return rows_bytes(fmt, columns).decode("ascii")
+
+
 # the kernel's transient memory is about 120 bytes a value, against the
 # C encoder's 95: blocks of at most this many values keep the peak of a
 # 751-node member file at or below the encoder's
 _KERNEL_BLOCK = 4096
-_LIST_END = "\x1f"  # a byte that no float text or indent holds
+_LIST_END = b"\x1f"  # a byte that no float text or indent holds
 
 
 def _float_lists_text(lists):
     """The body of each (list of floats or 1-D float64 array, indent) of
-    ``lists``: its values as json.dumps prints them, each but the last
-    followed by "," and the indent.  The kernel formats all of them
-    where every separator fits its separator word, and the C encoder
-    where one does not."""
+    ``lists``, as bytes: its values as json.dumps prints them, each but
+    the last followed by "," and the indent.  The kernel formats all of
+    them, in equal blocks of at most _KERNEL_BLOCK values, where every
+    separator fits its separator word, and the C encoder where one does
+    not."""
     if max(len(pad) for _, pad in lists) > 7:
         return [json.dumps(o.tolist() if isinstance(o, np.ndarray) else o,
-                           separators=(",", ":"))[1:-1].replace(",", "," + pad)
+                           separators=(",", ":"))[1:-1].replace(
+                               ",", "," + pad).encode()
                 for o, pad in lists]
     values = np.concatenate([np.asarray(o, dtype=np.float64)
                              for o, _ in lists])
@@ -605,9 +730,9 @@ def _float_lists_text(lists):
     for o, pad in lists:
         start += len(o)
         after[start - len(o):start - 1] = _word("," + pad)
-        after[start - 1] = _word(_LIST_END)
+        after[start - 1] = _LIST_END[0]
     size = -(-n // -(-n // _KERNEL_BLOCK))  # equal blocks
-    return "".join(
+    return b"".join(
         _kernel_text(values[i:i + size], _REPR, None, after[i:i + size])
         for i in range(0, n, size)).split(_LIST_END)[:-1]
 
@@ -616,6 +741,6 @@ def write_csv(path, header, columns):
     """``np.savetxt(path, np.column_stack(columns), delimiter=",",
     header=header, comments="")``: a header line, then ``%.18e`` rows."""
     fmt = ",".join(["%.18e"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(rows_text(fmt, columns))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.write(rows_bytes(fmt, columns))

@@ -39,7 +39,7 @@ from ._numerics import (
     square,
 )
 from ._splines import HermiteSpline
-from ._text import json_text
+from ._text import json_bytes
 from .chart import quotient_metric
 from .errors import (
     ConfigError,
@@ -448,8 +448,8 @@ class SurfaceMember:
         return self._document(np.ndarray.tolist)
 
     def to_json(self, path):
-        # json_text prints a float64 array as the list of its values
-        Path(path).write_text(json_text(self._document(np.asarray)))
+        # json_bytes prints a float64 array as the list of its values
+        Path(path).write_bytes(json_bytes(self._document(np.asarray)))
 
     def _document(self, array):
         """The member file's document, each array passed through

@@ -139,15 +139,14 @@ class AdaptedChart3:
         their shape; a SingularMetricError names the first point (C order)
         where it is not positive."""
         g33 = self.coefficients(x1, x2)[5]
-        first, where = g33, (x1, x2)
+        first, a, b = g33, x1, x2
         if isinstance(x1, np.ndarray) or isinstance(x2, np.ndarray):
             g33, *points = np.broadcast_arrays(g33, x1, x2)
             k = np.argmax(g33 <= 0.0)  # the first nonpositive one, if any
-            first = g33.flat[k]
-            where = tuple(x.flat[k] for x in points)
+            first, a, b = g33.flat[k], *(x.flat[k] for x in points)
         if first <= 0.0:
-            raise SingularMetricError(
-                f"{self.label}: g33 = {first:.3e} at {where!r} is not positive")
+            raise SingularMetricError(f"{self.label}: g33 = {first:.3e} at "
+                                      f"({a:.6g}, {b:.6g}) is not positive")
         return g33
 
     def volume_fn(self):
@@ -194,7 +193,8 @@ def quotient_metric(chart, x1, x2):
     g11, g12, g13, g22, g23, g33 = chart.coefficients(x1, x2)
     if g33 <= 0.0:
         raise SingularMetricError(
-            f"{chart.label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
+            f"{chart.label}: g33 = {g33:.3e} at ({x1:.6g}, {x2:.6g}) is not "
+            f"positive")
     q11 = g11 - g13 * g13 / g33
     q12 = g12 - g13 * g23 / g33
     q22 = g22 - g23 * g23 / g33
@@ -202,7 +202,7 @@ def quotient_metric(chart, x1, x2):
     if not 0.0 < det < math.inf:
         raise SingularMetricError(
             f"{chart.label}: metric determinant {det:.3e} at "
-            f"({x1!r}, {x2!r}) is not positive")
+            f"({x1:.6g}, {x2:.6g}) is not positive")
     return q11, q12, q22
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _documents, bour, natural, spaces, verify
 from ._documents import NUMBER
-from ._text import rows_text, write_csv
+from ._text import rows_bytes, write_csv
 from .errors import BourgenError, ConfigError, SpecError
 from .expressions import Expression, parse_expression
 from .natural import GeneratrixMetric, LiftedCurve
@@ -242,18 +242,18 @@ def write_obj(member, space, path, t_range=(0.0, 1.0)):
     t_values = np.linspace(t_range[0], t_range[1], OBJ_T_COUNT)
     xyz = np.broadcast_arrays(*spaces.mesh_xyz(
         space, member.map(s_values[:, None], t_values)))
-    with open(path, "w") as fh:
-        fh.write(f"# bourgen member m={member.m:.17g}\n")
-        fh.write(rows_text("v %.17g %.17g %.17g\n",
-                           [c.ravel() for c in xyz]))
+    with open(path, "wb") as fh:
+        fh.write(f"# bourgen member m={member.m:.17g}\n".encode())
+        fh.write(rows_bytes("v %.17g %.17g %.17g\n",
+                            [c.ravel() for c in xyz]))
         fh.write(_obj_faces())
 
 
 @cache
 def _obj_faces():
     """The face lines of the row-major (OBJ_S_COUNT, OBJ_T_COUNT) vertex
-    grid, two triangles per cell, each line ending in a newline: the same
-    for every member, so built once."""
+    grid, two triangles per cell, each line ending in a newline, as bytes:
+    the same for every member, so built once."""
     lines = []
     for i in range(OBJ_S_COUNT - 1):
         for j in range(OBJ_T_COUNT - 1):
@@ -263,7 +263,7 @@ def _obj_faces():
             v01 = i * OBJ_T_COUNT + j + 2
             lines.append(f"f {v00} {v10} {v11}\n")
             lines.append(f"f {v00} {v11} {v01}\n")
-    return "".join(lines)
+    return "".join(lines).encode()
 
 
 def _write_json(payload, path):

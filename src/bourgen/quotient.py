@@ -493,7 +493,8 @@ def _trace_kernel(chart):
             g11, g12, g13, g22, g23, g33 = metric(x1, x2)
             if g33 <= 0.0:
                 raise SingularMetricError(
-                    f"{label}: g33 = {g33:.3e} at {(x1, x2)!r} is not positive")
+                    f"{label}: g33 = {g33:.3e} at ({x1:.6g}, {x2:.6g}) is "
+                    f"not positive")
             q11 = g11 - g13 * g13 / g33
             q12 = g12 - g13 * g23 / g33
             q22 = g22 - g23 * g23 / g33
@@ -502,7 +503,7 @@ def _trace_kernel(chart):
             if not 0.0 < det < math.inf:
                 raise SingularMetricError(
                     f"{label}: metric determinant {det:.3e} at "
-                    f"({x1!r}, {x2!r}) is not positive")
+                    f"({x1:.6g}, {x2:.6g}) is not positive")
             w = math.sqrt(g33)
             e1, e2 = d_g33(x1, x2)
         except (ArithmeticError, ValueError) as exc:

@@ -155,12 +155,12 @@ def test_write_csv_equals_savetxt(tmp_path):
 
 
 def _kernel_reprs(values):
-    """The repr kernel's text of each value, from a direct call (json_text
-    sends payloads of few floats to the C encoder)."""
+    """The repr kernel's text of each value, from a direct call with a
+    "," after every value."""
     values = np.asarray(values, dtype=np.float64)
     after = np.full(len(values), _text._word(","), dtype=np.int64)
-    return _text._kernel_text(values, _text._REPR, None, after).split(
-        ",")[:-1]
+    return _text._kernel_text(values, _text._REPR, None, after).decode(
+        "ascii").split(",")[:-1]
 
 
 def _json_reprs(values):
@@ -296,3 +296,147 @@ def test_member_floats_are_decided_by_the_kernel(member):
     values = np.abs(np.array(_float_values(member.to_dict())))
     undecided = _text._REPR.decimal(values)[-1]
     assert not (undecided & (values != 0.0)).any()
+
+
+# -- block boundaries of a member file's float lists -------------------------
+
+def _spread(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)).tolist()
+
+
+@pytest.mark.parametrize("sizes, on_a_list_end", [
+    ([9000], False),  # three blocks inside one list
+    ([4000, 300], False),  # a block boundary inside the first list
+    ([_text._KERNEL_BLOCK, _text._KERNEL_BLOCK], True),  # on the first's end
+    ([_text._KERNEL_BLOCK - 1, 1, _text._KERNEL_BLOCK], True),
+])
+def test_json_text_block_boundaries_equal_stdlib(sizes, on_a_list_end,
+                                                 monkeypatch):
+    lists = [_spread(n, seed) for seed, n in enumerate(sizes)]
+    payload = {"profile": {f"l{i}": v for i, v in enumerate(lists)},
+               "V": lists[-1]}
+    assert json_text(payload) == json.dumps(payload, indent=1)
+    blocks, kernel = [], _text._kernel_text
+
+    def recorded(x, *args):
+        blocks.append(len(x))
+        return kernel(x, *args)
+
+    monkeypatch.setattr(_text, "_kernel_text", recorded)
+    arrays = {"a": [np.array(v) for v in lists]}
+    assert json_text(arrays) == json.dumps(arrays, indent=1,
+                                           default=np.ndarray.tolist)
+    assert max(blocks) <= _text._KERNEL_BLOCK and sum(blocks) == sum(sizes)
+    inner_ends = set(np.cumsum(blocks)[:-1]) & set(np.cumsum(sizes))
+    assert bool(inner_ends) == on_a_list_end
+
+
+# -- every kernel branch, on both sides ---------------------------------------
+
+def _tie(P):
+    """A double exactly halfway between two P-digit decimals."""
+    j = 6
+    k = 10 ** P // 5 ** j + 1
+    k += 1 - k % 2
+    value = k / 2 ** j
+    digits = str(k * 5 ** j)
+    assert len(digits) == P + 1 and digits[-1] == "5"
+    return value
+
+
+_CONVERSIONS = {  # the stdlib text of each kernel conversion
+    "g17": (_text._G17, lambda v: "%.17g" % v),
+    "e18": (_text._E18, lambda v: "%.18e" % v),
+    "repr": (_text._REPR, json.dumps),
+}
+_SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300,
+             -1e300, 5e-324, 1e-250, 1e250, 9.9e-251, 1.1e250]
+
+
+def _kernel_texts(values, conv):
+    """The kernel's text of each value, each followed by a ","."""
+    values = np.asarray(values, dtype=np.float64)
+    if conv.separator_word:
+        after = np.full(len(values), _text._word(","), dtype=np.int64)
+    else:
+        after = np.array([_text._word(",", 7)])
+    return _text._kernel_text(values, conv, None, after).decode(
+        "ascii").split(",")[:-1]
+
+
+@pytest.mark.parametrize("name", sorted(_CONVERSIONS))
+@pytest.mark.parametrize("special", _SPECIALS + ["tie17", "tie19"])
+def test_kernel_special_values_at_every_position(name, special):
+    conv, stdlib = _CONVERSIONS[name]
+    s = _tie(int(special[3:])) if isinstance(special, str) else special
+    plain = [0.1, -2.5, 1234.5678, 3.0e-7, 6.02e23]
+    for values in ([s], [s] + plain, plain + [s], plain[:2] + [s] + plain):
+        assert _kernel_texts(values, conv) == [stdlib(v) for v in values]
+    # the same block without the value: every value in [1e-250, 1e250]
+    assert _kernel_texts(plain, conv) == [stdlib(v) for v in plain]
+
+
+@pytest.mark.parametrize("special", _SPECIALS + [_tie(17), _tie(19)])
+def test_writers_with_special_values_first_and_last(special):
+    plain = [0.5, -1.25, 7.0, 1e-5, 3.5e17, 2.0 / 3.0]
+    for values in ([special] + plain, plain + [special]):
+        columns = list(np.reshape(values, (-1, 7)).T)  # one row of 7
+        assert rows_text(",".join(["%.18e"] * 7) + "\n", columns) == (
+            _savetxt(columns))
+        assert rows_text("%.18e\n", [np.array(values)]) == _savetxt(
+            [np.array(values)])
+        columns, expected = _vertex_rows(values[:6])
+        assert rows_text("v %.17g %.17g %.17g\n", columns) == expected
+        assert json_text({"v": values}) == json.dumps({"v": values},
+                                                      indent=1)
+
+
+def test_digit_tables_hold_every_group():
+    texts = [f"{q:04d}" for q in range(10 ** 4)]
+    words = [int(w).to_bytes(8, "little") for w in _text._DIGITS4]
+    assert [w[:4].decode() for w in words] == texts
+    assert [int.from_bytes(w[4:], "little") - 16 for w in words] == [
+        len(t.rstrip("0")) or -12 for t in texts]
+    assert [int(w).to_bytes(8, "little").rstrip(b"\0").decode()
+            for w in _text._LEAD3] == [t[1] + "." + t[2:]
+                                       for t in texts[:1000]]
+
+
+def test_exponent_texts_spell_every_exponent():
+    assert [bytes(row).replace(b"\0", b"").decode()
+            for row in _text._EXPONENT_TEXTS] == [
+                f"e{X:+03d}" for X in range(-_text._EXP0, _text._EXP0 + 1)]
+
+
+def test_exponent_tables_bound_every_field():
+    # for the exponent field of every double in [1e-250, 1e250], the
+    # table's decimal exponent is floor(log10 x) or one below it, and its
+    # next power decides which
+    from fractions import Fraction
+    for field in range(1023 - 831, 1023 + 831):
+        low = Fraction(2) ** (field - 1023)  # its doubles are [low, 2 low)
+        high = 2 * low
+        e10 = int(_text._FIELD_E10[field]) - _text._EXP0
+        assert Fraction(10) ** e10 <= low and high <= Fraction(10) ** (e10 + 2)
+        assert _text._FIELD_NEXT[field] == _text._P10_HI[e10 + 1 - _text._K0]
+
+
+def test_insertion_tables_place_the_point_and_strip():
+    digits = "ABCDEFGHIJKLMNOPQ"  # D0-D16
+    words = [int.from_bytes(digits[8 * k:8 * k + 8].encode(), "little")
+             for k in range(3)]
+    for p in range(18):
+        for keep in range(17):
+            i = 17 * p + keep
+            out, carry = b"", 0
+            for k, w in enumerate(words):
+                moved = w & int(_text._MOVE[k, i])
+                w = (w & int(_text._STAY[k, i]) | int(_text._DOT[k, i])
+                     | moved << 8 & (1 << 64) - 1 | carry)
+                carry = moved >> 56
+                out += w.to_bytes(8, "little")
+            kept = digits[:keep + 1]
+            expected = (kept[:p] + "." + kept[p:] if 1 <= p <= keep
+                        else kept)
+            assert out.replace(b"\0", b"").decode() == expected, (p, keep)

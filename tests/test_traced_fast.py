@@ -296,8 +296,14 @@ def test_array_volume_names_first_nonpositive_g33():
     assert _same(chart.volume_at((x1, x2)),
                  [[chart.volume_at((a, b)) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(x1, x2)])
-    with pytest.raises(SingularMetricError, match=r"g33 = -3\.000e\+00 .*3\.0"):
+    with pytest.raises(SingularMetricError,
+                       match=r"g33 = -3\.000e\+00 at \(3, 0\) is not positive$"):
         shifted.volume_at((x1, x2))
+    # numpy scalars print as numbers, not as np.float64(...)
+    with pytest.raises(SingularMetricError) as info:
+        shifted.volume_at((np.float64(3.0), np.float64(0.0)))
+    assert "np.float64" not in str(info.value)
+    assert str(info.value).endswith("g33 = -3.000e+00 at (3, 0) is not positive")
 
 
 # ---------------------------------------------------------------------------
