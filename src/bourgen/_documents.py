@@ -15,6 +15,10 @@ import numpy as np
 from . import spaces
 
 NUMBER = (int, float)
+# the most values of s or of t in an isometry grid: at most 10^6 grid
+# points, some 0.3 GB at the verifier's 312 bytes a point, refused before
+# any array is built
+MAX_GRID_COUNT = 1000
 _KINDS = {str: "a string", dict: "an object", list: "a list",
           int: "an integer", bool: "true or false", NUMBER: "a number",
           (str, dict): "a string or an object"}

@@ -375,11 +375,17 @@ class SurfaceMember:
     generatrix attached, positions are re-solved exactly at any s; only a
     frameless member (see ``from_dict``) interpolates the stored samples,
     with cubic Hermite splines.  Both take arrays of s.
+
+    ``isometry_grid`` is None, or the grid on which ``family`` verified the
+    member, as its report.json entry states it: the ``s_range``,
+    ``grid_shape``, ``t_range``, ``fd_step`` and ``tol`` of
+    ``IsometryReport.to_dict``; ``verify`` measures it again and ``mesh``
+    takes its t window.
     """
 
     def __init__(self, s, x1, x2, x1p, x2p, theta, theta_prime, omega,
                  V, Vp, m, epsilon, U=None, frame=None, space=None,
-                 metadata=None):
+                 metadata=None, isometry_grid=None):
         self.s = np.asarray(s, dtype=float)
         self.x1 = np.asarray(x1, dtype=float)
         self.x2 = np.asarray(x2, dtype=float)
@@ -396,6 +402,7 @@ class SurfaceMember:
         self.frame = frame
         self.space = space
         self.metadata = dict(metadata or {})
+        self.isometry_grid = isometry_grid
         self.s_range = (float(self.s[0]), float(self.s[-1]))
         self._V_spline = HermiteSpline(self.s, self.V_samples, self.V_prime)
         self._theta_spline = HermiteSpline(self.s, self.theta,
@@ -456,7 +463,7 @@ class SurfaceMember:
         ``array``."""
         d = {
             "format": "bourgen-member",
-            "version": 1,
+            "version": 2,
             "m": self.m,
             "epsilon": self.epsilon,
             "metadata": self.metadata,
@@ -478,19 +485,27 @@ class SurfaceMember:
             d["generatrix"] = {"kind": "expression", "text": self.U.source,
                                "s_range": list(self.U.s_range)}
         elif self.U is not None:
-            d["generatrix"] = {"kind": "table", "s": array(self.s),
-                               "values": array(self.U(self.s))}
+            knots, values = self.U.source
+            d["generatrix"] = {"kind": "table", "s": array(knots),
+                               "values": array(values)}
+        if self.isometry_grid is not None:
+            d["isometry_grid"] = self.isometry_grid
         return d
 
     @classmethod
     def from_dict(cls, d):
-        """The member of a member file, with the built-in frame of its
-        space (as ``cli.run`` builds it) attached when its generatrix is
-        an expression and that frame inverts the stored (omega, theta) to
+        """The member of a member file, version 1 or 2, with the built-in
+        frame of its space (as ``cli.run`` builds it) attached when it has
+        a generatrix and that frame inverts the stored (omega, theta) to
         the stored x1 and x2 bit for bit; otherwise frameless (a
-        characteristic frame's member, a table generatrix's).  An entry of the
-        wrong type, an 'm' that is not a positive finite number and an
-        'epsilon' other than 1 or -1 are ValueErrors that name the entry."""
+        characteristic frame's member).  A version-2 file stores a table
+        generatrix's own knots and values, and may store the isometry grid
+        of ``family``; a version-1 file stores neither, and its table
+        samples the generatrix at the member's nodes, so that member stays
+        frameless, on its splines.  An entry of the wrong type, a version
+        other than 1 or 2, an 'm' that is not a positive finite number and
+        an 'epsilon' other than 1 or -1 are ValueErrors that name the
+        entry."""
         if not isinstance(d, dict):
             raise ValueError(f"the document must be a JSON object, not "
                              f"{type(d).__name__}")
@@ -507,6 +522,8 @@ class SurfaceMember:
                              "'V_prime' must have one length of 2 or more")
         m, epsilon = entry("m", NUMBER), entry("epsilon", NUMBER)
         require = partial(_documents.require, "member file")
+        version = entry("version", int, 1)
+        require(version in (1, 2), "version", "1 or 2", version)
         require(0.0 < m <= sys.float_info.max, "m", "a positive finite number",
                 m)
         require(epsilon in (1, -1), "epsilon", "1 or -1", epsilon)
@@ -515,14 +532,17 @@ class SurfaceMember:
         U = frame = None
         if d.get("generatrix") is not None:
             U = _generatrix(entry, samples)
-            if U.representation == "expression" and space is not None:
+            if space is not None and (version == 2
+                                      or U.representation == "expression"):
                 frame = _rebuilt_frame(space, prof)
+        grid = (None if d.get("isometry_grid") is None
+                else _isometry_grid(entry, samples))
         return cls(s=prof["s"], x1=prof["x1"], x2=prof["x2"],
                    x1p=prof["x1_prime"], x2p=prof["x2_prime"],
                    theta=prof["theta"], theta_prime=prof["theta_prime"],
                    omega=prof["omega"], V=V, Vp=Vp, m=m, epsilon=epsilon,
                    space=space, U=U, frame=frame,
-                   metadata=entry("metadata", dict, {}))
+                   metadata=entry("metadata", dict, {}), isometry_grid=grid)
 
     @classmethod
     def from_json(cls, path):
@@ -549,6 +569,27 @@ def _generatrix(entry, samples):
     except (ValueError, ParseError) as exc:
         raise ValueError(
             f"the member file's 'generatrix' entry: {exc}") from exc
+
+
+def _isometry_grid(entry, samples):
+    """The 'isometry_grid' entry of a member file, read through ``entry``
+    and ``samples``: two ranges of finite numbers, two counts from 1 to
+    MAX_GRID_COUNT, and a positive finite 'fd_step' and 'tol'."""
+    require = partial(_documents.require, "member file")
+    shape = entry("isometry_grid.grid_shape", list)
+    require(len(shape) == 2 and all(
+        type(n) is int and 1 <= n <= _documents.MAX_GRID_COUNT
+        for n in shape), "isometry_grid.grid_shape",
+        f"two counts from 1 to {_documents.MAX_GRID_COUNT}", shape)
+    grid = {"s_range": samples("isometry_grid.s_range", 2).tolist(),
+            "grid_shape": shape,
+            "t_range": samples("isometry_grid.t_range", 2).tolist()}
+    for name in ("fd_step", "tol"):
+        value = entry("isometry_grid." + name, NUMBER)
+        require(0.0 < value <= sys.float_info.max, "isometry_grid." + name,
+                "a positive finite number", value)
+        grid[name] = float(value)
+    return grid
 
 
 def _rebuilt_frame(space, prof):

@@ -59,12 +59,6 @@ DEMOS = {
 }
 
 
-# the most values of s or of t in the isometry grid: at most 10^6 grid
-# points, some 0.3 GB at the verifier's 312 bytes a point, refused before
-# any array is built
-_MAX_GRID_COUNT = 1000
-
-
 @dataclasses.dataclass
 class RunConfig:
     """Validated run configuration (see README for the JSON schema)."""
@@ -151,8 +145,8 @@ class RunConfig:
                 raise ConfigError(f"the {document}'s 'grid.{name}' entry is "
                                   f"{count!r}, but grid counts must be at "
                                   f"least 2")
-            require(count <= _MAX_GRID_COUNT, "grid." + name,
-                    f"at most {_MAX_GRID_COUNT}", count)
+            require(count <= _documents.MAX_GRID_COUNT, "grid." + name,
+                    f"at most {_documents.MAX_GRID_COUNT}", count)
         require(cfg.s_range[0] < cfg.s_range[1], "s_range", "increasing",
                 list(cfg.s_range))
         return cfg
@@ -244,8 +238,7 @@ def write_obj(member, space, path, t_range=(0.0, 1.0)):
         space, member.map(s_values[:, None], t_values)))
     with open(path, "wb") as fh:
         fh.write(f"# bourgen member m={member.m:.17g}\n".encode())
-        fh.write(rows_bytes("v %.17g %.17g %.17g\n",
-                            [c.ravel() for c in xyz]))
+        fh.write(rows_bytes([c.ravel() for c in xyz], " ", "v "))
         fh.write(_obj_faces())
 
 
@@ -322,6 +315,9 @@ def _process_member(cfg, U, frame, m, out_dir, strict=False):
                                     (s_grid, t_grid), tol=cfg.isometry_tol, h=h)
     result["isometry"] = report.to_dict()
     result["passed"] = bool(report.passed and result["cross_check_passed"])
+    # the member file stores the grid, for verify to measure it again
+    member.isometry_grid = {k: result["isometry"][k] for k in (
+        "s_range", "grid_shape", "t_range", "fd_step", "tol")}
 
     name = _member_name(m)
     write_profile_csv(member, out_dir / f"{name}_profile.csv")
@@ -430,7 +426,10 @@ def _cmd_natural(args):
 
 
 def _cmd_verify(args):
-    h = _given(args.fd_step, 1e-5)
+    """verify on the isometry grid that the member file stores, which
+    gives report.json's maxima; with --fd-step, or for a file that stores
+    no grid (version 1), on 15 x 7 points over the member range and t in
+    [0, 1], at a tolerance of 1e-5 unless --tol is given."""
     member = _load_member(args.member)
     if member.space is None:
         raise ConfigError("member file carries no space spec; cannot rebuild "
@@ -438,10 +437,21 @@ def _cmd_verify(args):
     if member.U is None:
         raise ConfigError("member file carries no generatrix")
     chart = spaces.make_chart(member.space)
-    s_grid = np.linspace(member.s_range[0] + 2 * h, member.s_range[1] - 2 * h, 15)
-    rep = verify.isometry_report(chart, member, member.U, (s_grid,
-                                                           np.linspace(0, 1, 7)),
-                                 tol=_given(args.tol, 1e-5), h=h)
+    grid = member.isometry_grid
+    if grid is None or args.fd_step is not None:
+        if grid is None:
+            sys.stderr.write("note: the member file stores no isometry grid; "
+                             "verifying on 15 x 7 points, t in [0, 1]\n")
+        h = _given(args.fd_step, 1e-5)
+        grid = {"s_range": [member.s_range[0] + 2 * h,
+                            member.s_range[1] - 2 * h],
+                "grid_shape": [15, 7], "t_range": [0.0, 1.0], "fd_step": h,
+                "tol": 1e-5}
+    (s0, s1), (s_count, t_count) = grid["s_range"], grid["grid_shape"]
+    rep = verify.isometry_report(
+        chart, member, member.U, (np.linspace(s0, s1, s_count),
+                                  np.linspace(*grid["t_range"], t_count)),
+        tol=_given(args.tol, grid["tol"]), h=grid["fd_step"])
     print(f"member m={member.m:g}: "
           f"{'pass' if rep.passed else 'FAIL'} "
           f"(max devs E {rep.max_E_dev:.3e}, F {rep.max_F_dev:.3e}, "
@@ -458,7 +468,10 @@ def _cmd_mesh(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / (Path(args.member).stem + ".obj")
-    write_obj(member, member.space, path)
+    # family's t window, which a version-1 file does not store
+    grid = member.isometry_grid
+    write_obj(member, member.space, path,
+              t_range=(0.0, 1.0) if grid is None else grid["t_range"])
     print(f"wrote {path}")
     return 0
 

@@ -108,7 +108,7 @@ class GeneratrixMetric:
     derivative-based radicand checks are then approximate).  U and U'
     take a float or an array of s, and evaluate an array in one call,
     with the values of the float calls.  ``source`` is the text of an
-    expression generatrix, and None for a table.
+    expression generatrix, and the (knots, values) arrays of a table.
     """
 
     def __init__(self, U, dU, s_range, representation, source=None):
@@ -161,7 +161,8 @@ class GeneratrixMetric:
             raise ValueError("sample grid must be strictly increasing")
         spline = pchip(s, values)
         return cls(U=spline, dU=spline.derivative(),
-                   s_range=(s[0], s[-1]), representation="table")
+                   s_range=(s[0], s[-1]), representation="table",
+                   source=(s, values))
 
     @classmethod
     def from_csv(cls, path):

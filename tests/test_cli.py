@@ -14,6 +14,7 @@ import bourgen as bg
 from bourgen.cli import DEMOS, RunConfig, main, run, write_obj
 from bourgen.errors import ConfigError, SpecError
 from bourgen.expressions import Expression
+from test_artifact_digests import FAMILIES
 
 
 def _family_config(**overrides):
@@ -101,32 +102,115 @@ def demo_outputs(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(DEMOS))
-def test_mesh_rewrites_the_family_obj(tmp_path, demo_outputs, name):
+@pytest.fixture(scope="module")
+def family_outputs(tmp_path_factory):
+    """The output directory of each two-member config of
+    test_artifact_digests.py, by "family_<kind>", run once; their t
+    windows are not [0, 1]."""
+    out = {}
+    for kind, cfg in FAMILIES.items():
+        directory = tmp_path_factory.mktemp(f"family_{kind}")
+        path = directory / "config.json"
+        path.write_text(json.dumps(cfg))
+        out[f"family_{kind}"] = directory / "out"
+        assert main(["family", "--config", str(path), "--out",
+                     str(out[f"family_{kind}"])]) == 0
+    return out
+
+
+_OUTPUTS = sorted(DEMOS) + [f"family_{kind}" for kind in FAMILIES]
+
+
+def _members(name, demo_outputs, family_outputs):
+    """(member file, report.json entry) of every member of the output
+    directory ``name``, a demo or a family config."""
+    out = {**demo_outputs, **family_outputs}[name]
+    report = json.loads((out / "report.json").read_text())
+    return [(out / entry["artifacts"][1], entry)
+            for entry in report["members"]]
+
+
+@pytest.mark.parametrize("name", _OUTPUTS)
+def test_mesh_rewrites_the_family_obj(tmp_path, demo_outputs, family_outputs,
+                                      name):
     # the reloaded member is re-solved through its space's frame: the map
-    # that family exported (the demos use the t window [0, 1] of mesh)
-    member = demo_outputs[name] / "member_m1.json"
-    assert main(["mesh", str(member), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "member_m1.obj").read_bytes() == \
-        (demo_outputs[name] / "member_m1.obj").read_bytes()
+    # that family exported, over the t window that the file stores
+    for member, entry in _members(name, demo_outputs, family_outputs):
+        assert main(["mesh", str(member), "--out", str(tmp_path)]) == 0
+        obj = member.with_suffix(".obj").name
+        assert (tmp_path / obj).read_bytes() == \
+            member.with_suffix(".obj").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(DEMOS))
-def test_reloaded_member_verifies_as_family_did(demo_outputs, name):
-    # the isometry report of the reloaded member, over the config's own
-    # grid, is the one in report.json
-    cfg = RunConfig.from_dict(DEMOS[name])
-    entry = json.loads((demo_outputs[name] / "report.json").read_text())[
-        "members"][0]
-    member = bg.SurfaceMember.from_json(demo_outputs[name] / "member_m1.json")
-    assert member.frame is not None
-    h = cfg.fd_step
-    lo, hi = entry["s_range"]
-    grid = (np.linspace(lo + 2 * h, hi - 2 * h, cfg.s_count),
-            np.linspace(*cfg.t_range, cfg.t_count))
-    rep = bg.isometry_report(bg.make_chart(member.space), member, member.U,
-                             grid, tol=cfg.isometry_tol, h=h)
-    assert rep.to_dict() == entry["isometry"]
+@pytest.mark.parametrize("name", _OUTPUTS)
+def test_reloaded_member_verifies_as_family_did(demo_outputs, family_outputs,
+                                                name, capsys):
+    # the isometry report of the reloaded member, over the grid that its
+    # file stores, is the one in report.json, and verify prints its maxima
+    for path, entry in _members(name, demo_outputs, family_outputs):
+        member = bg.SurfaceMember.from_json(path)
+        assert member.frame is not None
+        grid = member.isometry_grid
+        iso = entry["isometry"]
+        assert grid == {k: iso[k] for k in grid}
+        rep = bg.isometry_report(
+            bg.make_chart(member.space), member, member.U,
+            (np.linspace(*grid["s_range"], grid["grid_shape"][0]),
+             np.linspace(*grid["t_range"], grid["grid_shape"][1])),
+            tol=grid["tol"], h=grid["fd_step"])
+        assert rep.to_dict() == iso
+        capsys.readouterr()
+        assert main(["verify", str(path), "--strict"]) == 0
+        assert capsys.readouterr() == (
+            f"member m={member.m:g}: pass (max devs E {iso['max_E_dev']:.3e}, "
+            f"F {iso['max_F_dev']:.3e}, G {iso['max_G_dev']:.3e})\n", "")
+
+
+def test_version_1_member_file_verifies_on_its_old_grid(tmp_path, capsys,
+                                                       demo_outputs):
+    # a version-1 file stores no isometry grid and no t window: verify
+    # measures 15 x 7 points over t in [0, 1], says so, and mesh writes
+    # the t window [0, 1]
+    document = json.loads(
+        (demo_outputs["bcv"] / "member_m1.json").read_text())
+    del document["isometry_grid"]
+    document["version"] = 1
+    path = tmp_path / "member_m1.json"
+    path.write_text(json.dumps(document, indent=1))
+    member = bg.SurfaceMember.from_json(path)
+    assert member.isometry_grid is None and member.frame is not None
+    rep = bg.isometry_report(
+        bg.make_chart(member.space), member, member.U,
+        (np.linspace(member.s_range[0] + 2e-5, member.s_range[1] - 2e-5, 15),
+         np.linspace(0.0, 1.0, 7)), tol=1e-5, h=1e-5)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--strict"]) == 0
+    assert capsys.readouterr() == (
+        f"member m=1: pass (max devs E {rep.max_E_dev:.3e}, "
+        f"F {rep.max_F_dev:.3e}, G {rep.max_G_dev:.3e})\n",
+        "note: the member file stores no isometry grid; verifying on 15 x 7 "
+        "points, t in [0, 1]\n")
+    assert main(["mesh", str(path), "--out", str(tmp_path / "mesh")]) == 0
+    write_obj(member, member.space, tmp_path / "expected.obj")
+    assert (tmp_path / "mesh" / "member_m1.obj").read_bytes() == (
+        tmp_path / "expected.obj").read_bytes()
+
+
+def test_verify_fd_step_measures_the_default_grid(demo_outputs, monkeypatch):
+    # --fd-step measures 15 x 7 points over t in [0, 1] at that step, and
+    # --tol alone keeps the stored grid
+    seen = []
+    report = bg.verify.isometry_report
+
+    def spy(chart, member, U, grid, tol, h):
+        seen.append((len(grid[0]), len(grid[1]), grid[1][-1], tol, h))
+        return report(chart, member, U, grid, tol=tol, h=h)
+
+    monkeypatch.setattr(bg.verify, "isometry_report", spy)
+    member = str(demo_outputs["helicoid"] / "member_m1.json")
+    assert main(["verify", member, "--fd-step", "2e-5"]) == 0
+    assert main(["verify", member, "--tol", "1e-3"]) == 0
+    assert seen == [(15, 7, 1.0, 1e-5, 2e-5), (21, 21, 1.0, 1e-3, 1e-5)]
 
 
 def _write_cfg(tmp_path, cfg, tag):
@@ -291,7 +375,7 @@ def test_member_json_format_guard(tmp_path):
         bg.SurfaceMember.from_json(bad)
 
 
-def test_csv_generatrix_config(tmp_path):
+def test_csv_generatrix_config(tmp_path, capsys):
     # table generatrix: interpolated values and derivative, approximate
     # radicand checks (documented); the catenoid stays well inside the
     # feasible region so the run passes at the default tolerances
@@ -303,13 +387,32 @@ def test_csv_generatrix_config(tmp_path):
     code = main(["family", "--config", _write_cfg(tmp_path, cfg, "csv"),
                  "--out", str(tmp_path / "out"), "--strict"])
     assert code == 0
-    # the stored table samples the generatrix at the member's nodes, so the
-    # member reloads frameless, on its spline map
+    # the stored table holds the generatrix's own knots and values, so the
+    # member reloads with the same U, re-solved through its frame, and
+    # verifies to report.json's maxima
     member = bg.SurfaceMember.from_json(tmp_path / "out" / "member_m1.json")
     assert member.U.representation == "table"
-    assert member.frame is None
+    assert member.frame is not None
+    assert [a.tobytes() for a in member.U.source] == [
+        a.tobytes() for a in (s, np.sqrt(s * s + 1))]
+    iso = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "members"][0]["isometry"]
+    capsys.readouterr()
     assert main(["verify", str(tmp_path / "out" / "member_m1.json"),
                  "--strict"]) == 0
+    assert capsys.readouterr().out == (
+        f"member m=1: pass (max devs E {iso['max_E_dev']:.3e}, "
+        f"F {iso['max_F_dev']:.3e}, G {iso['max_G_dev']:.3e})\n")
+    # a version-1 file's table samples the generatrix at the member's
+    # nodes, not its knots: that member loads frameless, on its splines
+    document = json.loads((tmp_path / "out" / "member_m1.json").read_text())
+    del document["isometry_grid"]
+    document.update(version=1, generatrix={
+        "kind": "table", "s": member.s.tolist(),
+        "values": member.U(member.s).tolist()})
+    (tmp_path / "v1.json").write_text(json.dumps(document))
+    assert bg.SurfaceMember.from_json(tmp_path / "v1.json").frame is None
+    assert main(["verify", str(tmp_path / "v1.json"), "--strict"]) == 0
 
 
 def test_lower_end_cut_when_s0_infeasible(tmp_path):
@@ -464,6 +567,15 @@ def _catenoid_member_with(key, value):
     return edit
 
 
+def _catenoid_grid_with(key, value):
+    """A function that sets the entry ``key`` of a member document's
+    'isometry_grid' to ``value``."""
+    def edit(document):
+        document["isometry_grid"][key] = value
+        return document
+    return edit
+
+
 def _catenoid_space_with(key, value):
     """A function that sets the entry ``key`` of a member document's
     'space' to ``value``."""
@@ -499,6 +611,23 @@ def _catenoid_space_with(key, value):
      "euclidean_rotational needs a finite kappa, not inf"),
     (_catenoid_space_with("a", 1),
      "euclidean_rotational has no pitch; set a = 0"),
+    (_catenoid_member_with("version", 3),
+     "the member file's 'version' entry must be 1 or 2, not 3"),
+    (_catenoid_member_with("version", "2"),
+     "the member file's 'version' entry must be an integer, not str"),
+    # a stored isometry grid whose counts, ranges or steps cannot be
+    # measured
+    *[(_catenoid_grid_with("grid_shape", shape),
+       f"the member file's 'isometry_grid.grid_shape' entry must be two "
+       f"counts from 1 to 1000, not {shape!r}")
+      for shape in ([0, 5], [21], [21, 1001], [21, 2.0], [True, 5])],
+    *[(_catenoid_grid_with(key, value),
+       f"the member file's 'isometry_grid.{key}' entry must be a positive "
+       f"finite number, not {value!r}")
+      for key in ("fd_step", "tol") for value in (0, -1e-5)],
+    (_catenoid_grid_with("t_range", [0.0]),
+     "the member file's 'isometry_grid.t_range' entry must be a list of 2 "
+     "finite numbers"),
 ])
 def test_malformed_member_file_is_a_config_error(tmp_path, capsys, command,
                                                  document, message,

@@ -1,5 +1,5 @@
-"""The artifact writers give the bytes of the stdlib writers they replace."""
-import io
+"""The artifact writers print every float in one text, ``%.17g``, that
+the program's readers read back bit-equal."""
 import json
 import math
 
@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
 from bourgen import _text
-from bourgen._text import json_text, rows_text, write_csv
+from bourgen._text import json_bytes, rows_bytes, write_csv
 from bourgen.cli import _write_json, write_obj, write_profile_csv
+from bourgen.natural import _csv_columns
 
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                    2.225073858507201e-308, 1e-310, 1.7976931348623157e308,
@@ -28,25 +29,62 @@ payloads = st.recursive(
     max_leaves=30)
 
 
+def _number(v):
+    """The JSON text of one float: %.17g, except json.dumps's for the
+    non-finite values and -0.0."""
+    if not math.isfinite(v) or (v == 0.0 and math.copysign(1.0, v) < 0):
+        return json.dumps(v)
+    return "%.17g" % v
+
+
+def _reference(o, level=0):
+    """json_bytes's text, value by value: the layout of
+    ``json.dumps(o, indent=1)`` with each float as ``_number`` prints it."""
+    if isinstance(o, float):
+        return _number(o)
+    if isinstance(o, dict):
+        ends = "{}"
+        items = [f"{json.dumps(k)}: {_reference(v, level + 1)}"
+                 for k, v in o.items()]
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        ends = "[]"
+        items = [_reference(v, level + 1) for v in o]
+    else:
+        return json.dumps(o)
+    if not items:
+        return ends
+    pad = "\n" + " " * (level + 1)
+    return ends[0] + pad + ("," + pad).join(items) + pad[:-1] + ends[1]
+
+
+def json_text(payload):
+    return json_bytes(payload).decode("ascii")
+
+
+def rows_text(fmt, columns):
+    """The rows of the columns in the layout of the row format ``fmt``: an
+    OBJ vertex row, or comma-separated %.17g."""
+    lead, separator = ("v ", " ") if fmt.startswith("v ") else ("", ",")
+    return rows_bytes(columns, separator, lead).decode("ascii")
+
+
 @settings(max_examples=100, deadline=None)
 @given(payloads)
-def test_json_text_equals_stdlib(payload):
-    assert json_text(payload) == json.dumps(payload, indent=1)
+def test_json_text_equals_per_value_reference(payload):
+    assert json_text(payload) == _reference(payload)
 
 
 @pytest.mark.parametrize("payload", [
-    [], {}, [[]], {"a": []}, {"a": {}}, [1.0, 2, 3.0], [True, 1.0],
-    {"z": [1.0, math.nan], "a": [-math.inf, -0.0], "m": [1, "x, y", None]},
-    {1: 1.0, 2.5: [0.5], None: "n", False: []},
+    [], {}, [[]], {"a": []}, {"a": {}}, [1.0, 2, 3.0], [True, 1.0], 1.5,
+    -0.0, {"z": [1.0, math.nan], "a": [-math.inf, -0.0], "m": [1, "x, y", None]},
+    {"n": None, "f": False, "x": 0.1, "y": [1e17, 1e16, 123.0, 1e-5]},
 ])
 def test_json_text_edge_payloads(payload):
-    assert json_text(payload) == json.dumps(payload, indent=1)
+    assert json_text(payload) == _reference(payload)
 
 
-def test_json_text_rejects_what_the_stdlib_rejects():
-    for bad in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
-        with pytest.raises(TypeError):
-            json.dumps(bad, indent=1)
+def test_json_text_rejects_what_it_cannot_write():
+    for bad in ({(1, 2): 0}, {1: 1.0}, [object()], {"a": {1, 2}}):
         with pytest.raises(TypeError):
             json_text(bad)
 
@@ -81,36 +119,6 @@ def _ties(P):
     return tie()
 
 
-def _savetxt(columns, **kwargs):
-    buf = io.StringIO()
-    np.savetxt(buf, np.column_stack(columns), delimiter=",", **kwargs)
-    return buf.getvalue()
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**32 - 1))
-def test_rows_text_equals_savetxt(ncols, nrows, seed):
-    rng = np.random.default_rng(seed)
-    data = rng.normal(size=(nrows, ncols)) * 10.0 ** rng.integers(
-        -300, 300, size=(nrows, ncols))
-    data[rng.random(size=data.shape) < 0.05] = np.nan
-    data[rng.random(size=data.shape) < 0.05] = -np.inf
-    data[rng.random(size=data.shape) < 0.05] = -0.0
-    columns = list(data.T) if nrows else [np.empty(0)] * ncols
-    fmt = ",".join(["%.18e"] * ncols) + "\n"
-    assert rows_text(fmt, columns) == _savetxt(columns)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_raw_floats(12), st.lists(_ties(19), min_size=1, max_size=6))
-def test_rows_text_equals_savetxt_on_raw_bits_and_ties(raw, ties):
-    data = np.concatenate([raw, ties, [1e16, 1e17, 5e-324, -0.0]])
-    data = np.resize(data, (-(-len(data) // 4), 4))
-    columns = list(data.T)
-    assert rows_text("%.18e,%.18e,%.18e,%.18e\n", columns) == _savetxt(
-        columns)
-
-
 _G17_FIXED = [1000000000000000.25, 9.9999999999999995e-05, 1e16, 1e17,
               5e-324, 1.7976931348623157e308]
 
@@ -138,101 +146,81 @@ def test_obj_rows_equal_per_value_format(raw, ties, powers):
     assert rows_text("v %.17g %.17g %.17g\n", columns) == expected
 
 
-@pytest.mark.parametrize("fmt", ["v %.17g %.17g\n", "%.17g\n",
-                                 "%.18e;%.18e\n", "%.18e,%.18e", "%r\n",
-                                 "%.18e\n"])  # the last for one column
-def test_rows_text_refuses_other_formats_and_column_counts(fmt):
-    with pytest.raises(ValueError):
-        rows_text(fmt, [np.ones(2), np.ones(2)])
-
-
-def test_write_csv_equals_savetxt(tmp_path):
-    s = np.linspace(-1.0, 2.0, 37)
-    columns = [s, np.sqrt(s * s + 2.0), np.sin(s)]
-    write_csv(tmp_path / "t.csv", "s,a,b", columns)
-    assert (tmp_path / "t.csv").read_text() == _savetxt(
-        columns, header="s,a,b", comments="")
-
-
-def _kernel_reprs(values):
-    """The repr kernel's text of each value, from a direct call with a
-    "," after every value."""
-    values = np.asarray(values, dtype=np.float64)
-    after = np.full(len(values), _text._word(","), dtype=np.int64)
-    return _text._kernel_text(values, _text._REPR, None, after).decode(
-        "ascii").split(",")[:-1]
-
-
-def _json_reprs(values):
-    return [json.dumps(v) for v in np.asarray(values, dtype=float).tolist()]
-
-
-_REPR_FIXED = [  # (value, its repr) at repr's switch points and edges
-    (1e-05, "1e-05"), (0.0001, "0.0001"), (1e16, "1e+16"),
-    (9999999999999998.0, "9999999999999998.0"),
-    (1.2345678901234568e16, "1.2345678901234568e+16"),
-    (5e-324, "5e-324"), (1.7976931348623157e308, "1.7976931348623157e+308"),
-    (0.0, "0.0"), (-0.0, "-0.0"), (math.inf, "Infinity"),
-    (-math.inf, "-Infinity"), (math.nan, "NaN"),
-    (2.0**54 + 4, "1.8014398509481988e+16"),
-    (2.0**54 + 24, "1.801439850948201e+16"), (0.1, "0.1"), (1.5, "1.5"),
-    (123456.0, "123456.0"), (2.0 / 3.0, "0.6666666666666666"),
-]
-
-
-def test_repr_fixed_cases():
-    values = [v for v, _ in _REPR_FIXED]
-    values += [-v for v in values]
-    got = _kernel_reprs(values)
-    assert got == _json_reprs(values)
-    assert got[:len(_REPR_FIXED)] == [text for _, text in _REPR_FIXED]
-
-
-def test_repr_near_powers_of_two():
-    # the gap to the double below a power of two is half the gap above
-    powers = 2.0 ** np.arange(-1074, 1024)
-    values = np.concatenate([powers, np.nextafter(powers, 0.0),
-                             np.nextafter(powers, np.inf)])
-    assert _kernel_reprs(values) == _json_reprs(values)
-
-
-def test_repr_endpoints_count_for_even_significands_only():
-    # runs of consecutive doubles in [2**53, 2**57], where half the gap
-    # to a neighbour is an integer: some of them reach a multiple of 10
-    # exactly, which a shorter repr may take only for an even significand
-    values = np.concatenate([
-        2.0**e + 2.0**(e - 52) * np.arange(k, k + 400)
-        for e in range(53, 57) for k in (0, 123457, 2**51 - 400)])
-    assert _kernel_reprs(values) == _json_reprs(values)
-    ints = values.astype(np.int64)
-    half = 2 ** (np.log2(values).astype(np.int64) - 53)
-    hits = ((ints + half) % 10 == 0) | ((ints - half) % 10 == 0)
-    even = (ints // (2 * half)) % 2 == 0
-    assert (hits & even).any() and (hits & ~even).any()
-
-
 @settings(max_examples=100, deadline=None)
-@given(_raw_floats(24))
-def test_repr_kernel_equals_json_on_raw_bits(raw):
-    assert _kernel_reprs(raw) == _json_reprs(raw)
+@given(st.integers(1, 6), _raw_floats(12),
+       st.lists(_ties(17), min_size=1, max_size=6))
+def test_csv_rows_equal_per_value_format(ncols, raw, ties):
+    data = np.concatenate([raw, ties, _G17_FIXED])
+    data = np.resize(data, (-(-len(data) // ncols), ncols))
+    assert rows_text(",", list(data.T)) == "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in data.tolist())
+
+
+def test_rows_of_no_values():
+    assert rows_bytes([np.empty(0)] * 3, " ", "v ") == b""
+    assert rows_bytes([np.empty(0)]) == b""
+
+
+# -- every float re-reads bit-equal through the program's readers ------------
+
+def _tie(P):
+    """A double exactly halfway between two P-digit decimals."""
+    j = 6
+    k = 10 ** P // 5 ** j + 1
+    k += 1 - k % 2
+    value = k / 2 ** j
+    digits = str(k * 5 ** j)
+    assert len(digits) == P + 1 and digits[-1] == "5"
+    return value
+
+
+_ROUND_TRIP = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, _tie(17),
+               -_tie(17), _tie(19), -_tie(19), 1e16, 1e17, 0.1, 1.0, -2.0,
+               2.0**53 + 2, 1.7976931348623157e308, 2.225073858507201e-308]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _read_back_all_kinds(values, tmp_path, member):
+    """values written into each of the three member files and read back by
+    the program's own readers: the member file by ``from_json`` (its
+    metadata, which holds any float), the CSV by the reader of CSV
+    generatrices and curves, and the OBJ vertex rows by ``float``."""
+    values = np.asarray(values, dtype=np.float64)
+    bg.SurfaceMember(member.s, member.x1, member.x2, member.x1p, member.x2p,
+                     member.theta, member.theta_prime, member.omega,
+                     member.V_samples, member.V_prime, member.m,
+                     member.epsilon, metadata={"v": values.tolist(),
+                                               "a": values}).to_json(
+        tmp_path / "m.json")
+    back = bg.SurfaceMember.from_json(tmp_path / "m.json").metadata
+    write_csv(tmp_path / "v.csv", "a,b", [values, values[::-1]])
+    a, b = _csv_columns(tmp_path / "v.csv", "a,b")
+    columns = np.resize(values, (-(-len(values) // 3), 3)).T
+    (tmp_path / "v.obj").write_bytes(rows_bytes(columns, " ", "v "))
+    vertices = [float(t) for line in (tmp_path / "v.obj").read_text(
+    ).splitlines() for t in line.split()[1:]]
+    return ([(back[k], values) for k in ("v", "a")]
+            + [(a, values), (b[::-1], values),
+               (vertices, columns.T.ravel())])
+
+
+def test_special_values_re_read_bit_equal(tmp_path, bcv_member):
+    for got, want in _read_back_all_kinds(_ROUND_TRIP + _NON_FINITE,
+                                          tmp_path, bcv_member):
+        assert _bits([float(v) for v in got]) == _bits(want)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 300), min_size=1, max_size=6),
-       st.integers(0, 7), st.integers(0, 2**32 - 1))
-def test_json_text_float_kernel_equals_stdlib(sizes, depth, seed):
-    # more floats than one kernel block, so that a list spans two blocks;
-    # arrays and lists, at every depth up to 8, where an indent no longer
-    # fits the kernel's separator word
-    rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
-              for n in sizes] + [np.linspace(0.0, 1.0, 4500)]
-    payload = {"x": [a.tolist() for a in arrays[::2]], "y": 1.5,
-               "z": arrays[1::2]}
-    for _ in range(depth):
-        payload = {"d": payload}
-    assert json_text(payload) == json.dumps(payload, indent=1,
-                                            default=np.ndarray.tolist)
+@given(_raw_floats(24))
+def test_random_bits_re_read_bit_equal(tmp_path_factory, bcv_member, raw):
+    tmp_path = tmp_path_factory.mktemp("bits")
+    raw = np.where(np.isnan(raw), math.nan, raw)  # one NaN's bits
+    for got, want in _read_back_all_kinds(raw, tmp_path, bcv_member):
+        assert _bits([float(v) for v in got]) == _bits(want)
 
 
 @pytest.fixture(params=["catenoid", "helicoid", "bcv"])
@@ -240,14 +228,28 @@ def member(request):
     return request.getfixturevalue(f"{request.param}_member")
 
 
-def test_member_artifacts_equal_stdlib_writers(tmp_path, member):
+def test_member_files_re_read_bit_equal(tmp_path, member):
     member.to_json(tmp_path / "m.json")
-    assert (tmp_path / "m.json").read_text() == json.dumps(
-        member.to_dict(), indent=1)
+    back = bg.SurfaceMember.from_json(tmp_path / "m.json")
+    for name in ("s", "x1", "x2", "x1p", "x2p", "theta", "theta_prime",
+                 "omega", "V_samples", "V_prime"):
+        assert getattr(back, name).tobytes() == getattr(
+            member, name).tobytes(), name
     write_profile_csv(member, tmp_path / "p.csv")
-    assert (tmp_path / "p.csv").read_text() == _savetxt(
-        [member.s, member.x1, member.x2, member.omega, member.theta,
-         member.V_samples], header="s,x1,x2,omega,theta,V", comments="")
+    data = _csv_columns(tmp_path / "p.csv", "s,x1,x2,omega,theta,V")
+    for got, want in zip(data, (member.s, member.x1, member.x2, member.omega,
+                                member.theta, member.V_samples)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_member_artifacts_equal_per_value_writers(tmp_path, member):
+    member.to_json(tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text() == _reference(member.to_dict())
+    write_profile_csv(member, tmp_path / "p.csv")
+    rows = np.column_stack([member.s, member.x1, member.x2, member.omega,
+                            member.theta, member.V_samples]).tolist()
+    assert (tmp_path / "p.csv").read_text() == "s,x1,x2,omega,theta,V\n" + (
+        "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows))
 
 
 def test_obj_vertices_equal_per_vertex_format(tmp_path, member):
@@ -271,17 +273,17 @@ def test_report_json_equals_stdlib(tmp_path):
         payload, indent=1, sort_keys=True) + "\n"
 
 
-def test_curve_csvs_equal_savetxt(tmp_path):
+def test_curve_csvs_equal_per_value_format(tmp_path):
     u = np.linspace(0.5, 2.0, 23)
     curve = bg.LiftedCurve(u=u, x1=np.cosh(u), x2=u, x3=0.2 * u)
     curve.to_csv(tmp_path / "c.csv")
-    assert (tmp_path / "c.csv").read_text() == _savetxt(
-        [u, curve.x1, curve.x2, curve.x3], header="u,x1,x2,x3", comments="")
+    assert (tmp_path / "c.csv").read_text() == "u,x1,x2,x3\n" + rows_text(
+        ",", [u, curve.x1, curve.x2, curve.x3])
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (0.5, 2.0))
     U.to_csv(tmp_path / "U.csv")
     s = np.linspace(0.5, 2.0, 201)
-    assert (tmp_path / "U.csv").read_text() == _savetxt(
-        [s, U(s)], header="s,U", comments="")
+    assert (tmp_path / "U.csv").read_text() == "s,U\n" + "".join(
+        f"{a:.17g},{b:.17g}\n" for a, b in zip(s.tolist(), U(s).tolist()))
 
 
 def _float_values(o):
@@ -294,8 +296,8 @@ def _float_values(o):
 
 def test_member_floats_are_decided_by_the_kernel(member):
     values = np.abs(np.array(_float_values(member.to_dict())))
-    undecided = _text._REPR.decimal(values)[-1]
-    assert not (undecided & (values != 0.0)).any()
+    undecided = _text._decimal(np.where(values == 0.0, 1.0, values))[-1]
+    assert not undecided.any()
 
 
 # -- block boundaries of a member file's float lists -------------------------
@@ -311,12 +313,11 @@ def _spread(n, seed):
     ([_text._KERNEL_BLOCK, _text._KERNEL_BLOCK], True),  # on the first's end
     ([_text._KERNEL_BLOCK - 1, 1, _text._KERNEL_BLOCK], True),
 ])
-def test_json_text_block_boundaries_equal_stdlib(sizes, on_a_list_end,
-                                                 monkeypatch):
+def test_json_text_block_boundaries(sizes, on_a_list_end, monkeypatch):
     lists = [_spread(n, seed) for seed, n in enumerate(sizes)]
     payload = {"profile": {f"l{i}": v for i, v in enumerate(lists)},
                "V": lists[-1]}
-    assert json_text(payload) == json.dumps(payload, indent=1)
+    assert json_text(payload) == _reference(payload)
     blocks, kernel = [], _text._kernel_text
 
     def recorded(x, *args):
@@ -325,56 +326,47 @@ def test_json_text_block_boundaries_equal_stdlib(sizes, on_a_list_end,
 
     monkeypatch.setattr(_text, "_kernel_text", recorded)
     arrays = {"a": [np.array(v) for v in lists]}
-    assert json_text(arrays) == json.dumps(arrays, indent=1,
-                                           default=np.ndarray.tolist)
+    assert json_text(arrays) == _reference(arrays)
     assert max(blocks) <= _text._KERNEL_BLOCK and sum(blocks) == sum(sizes)
     inner_ends = set(np.cumsum(blocks)[:-1]) & set(np.cumsum(sizes))
     assert bool(inner_ends) == on_a_list_end
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       st.integers(0, 7), st.integers(0, 2**32 - 1))
+def test_json_text_float_kernel_at_every_depth(sizes, depth, seed):
+    # more floats than one kernel block, so that a list spans two blocks;
+    # arrays and lists, at every depth up to 8, where an indent no longer
+    # fits the word after a value
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+              for n in sizes] + [np.linspace(0.0, 1.0, 4500)]
+    payload = {"x": [a.tolist() for a in arrays[::2]], "y": 1.5,
+               "z": arrays[1::2]}
+    for _ in range(depth):
+        payload = {"d": payload}
+    assert json_text(payload) == _reference(payload)
+
+
 # -- every kernel branch, on both sides ---------------------------------------
 
-def _tie(P):
-    """A double exactly halfway between two P-digit decimals."""
-    j = 6
-    k = 10 ** P // 5 ** j + 1
-    k += 1 - k % 2
-    value = k / 2 ** j
-    digits = str(k * 5 ** j)
-    assert len(digits) == P + 1 and digits[-1] == "5"
-    return value
-
-
-_CONVERSIONS = {  # the stdlib text of each kernel conversion
-    "g17": (_text._G17, lambda v: "%.17g" % v),
-    "e18": (_text._E18, lambda v: "%.18e" % v),
-    "repr": (_text._REPR, json.dumps),
-}
 _SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300,
              -1e300, 5e-324, 1e-250, 1e250, 9.9e-251, 1.1e250]
 
 
-def _kernel_texts(values, conv):
-    """The kernel's text of each value, each followed by a ","."""
-    values = np.asarray(values, dtype=np.float64)
-    if conv.separator_word:
-        after = np.full(len(values), _text._word(","), dtype=np.int64)
-    else:
-        after = np.array([_text._word(",", 7)])
-    return _text._kernel_text(values, conv, None, after).decode(
-        "ascii").split(",")[:-1]
-
-
-@pytest.mark.parametrize("name", sorted(_CONVERSIONS))
+@pytest.mark.parametrize("json_numbers", [False, True])
 @pytest.mark.parametrize("special", _SPECIALS + ["tie17", "tie19"])
-def test_kernel_special_values_at_every_position(name, special):
-    conv, stdlib = _CONVERSIONS[name]
+def test_kernel_special_values_at_every_position(json_numbers, special):
     s = _tie(int(special[3:])) if isinstance(special, str) else special
     plain = [0.1, -2.5, 1234.5678, 3.0e-7, 6.02e23]
-    for values in ([s], [s] + plain, plain + [s], plain[:2] + [s] + plain):
-        assert _kernel_texts(values, conv) == [stdlib(v) for v in values]
-    # the same block without the value: every value in [1e-250, 1e250]
-    assert _kernel_texts(plain, conv) == [stdlib(v) for v in plain]
+    text = _number if json_numbers else "%.17g".__mod__
+    after = np.array([_text._word(",")])
+    for values in ([s], [s] + plain, plain + [s], plain[:2] + [s] + plain,
+                   plain):
+        got = _text._kernel_text(np.array(values), after, json_numbers)
+        assert got.decode("ascii").split(",")[:-1] == [text(v)
+                                                       for v in values]
 
 
 @pytest.mark.parametrize("special", _SPECIALS + [_tie(17), _tie(19)])
@@ -382,31 +374,32 @@ def test_writers_with_special_values_first_and_last(special):
     plain = [0.5, -1.25, 7.0, 1e-5, 3.5e17, 2.0 / 3.0]
     for values in ([special] + plain, plain + [special]):
         columns = list(np.reshape(values, (-1, 7)).T)  # one row of 7
-        assert rows_text(",".join(["%.18e"] * 7) + "\n", columns) == (
-            _savetxt(columns))
-        assert rows_text("%.18e\n", [np.array(values)]) == _savetxt(
-            [np.array(values)])
+        assert rows_text(",", columns) == ",".join(
+            "%.17g" % v for v in values) + "\n"
         columns, expected = _vertex_rows(values[:6])
         assert rows_text("v %.17g %.17g %.17g\n", columns) == expected
-        assert json_text({"v": values}) == json.dumps({"v": values},
-                                                      indent=1)
+        assert json_text({"v": values}) == _reference({"v": values})
 
 
-def test_digit_tables_hold_every_group():
+def test_digit_table_holds_every_group():
     texts = [f"{q:04d}" for q in range(10 ** 4)]
     words = [int(w).to_bytes(8, "little") for w in _text._DIGITS4]
     assert [w[:4].decode() for w in words] == texts
     assert [int.from_bytes(w[4:], "little") - 16 for w in words] == [
         len(t.rstrip("0")) or -12 for t in texts]
-    assert [int(w).to_bytes(8, "little").rstrip(b"\0").decode()
-            for w in _text._LEAD3] == [t[1] + "." + t[2:]
-                                       for t in texts[:1000]]
 
 
-def test_exponent_texts_spell_every_exponent():
-    assert [bytes(row).replace(b"\0", b"").decode()
-            for row in _text._EXPONENT_TEXTS] == [
-                f"e{X:+03d}" for X in range(-_text._EXP0, _text._EXP0 + 1)]
+def test_form_tables_spell_every_exponent():
+    X = np.arange(-_text._EXP0, _text._EXP0 + 1)
+    tails = [int(w).to_bytes(8, "little") for w in _text._TAIL]
+    fixed = (-4 <= X) & (X < 17)
+    assert [t[2:].replace(b"\0", b"").decode() for t in tails] == [
+        "" if f else f"e{x:+03d}" for x, f in zip(X.tolist(), fixed)]
+    assert not any(any(t[:2]) for t in tails)
+    prefixes = [int(w).to_bytes(8, "little") for w in _text._PREFIX]
+    assert [p.replace(b"\0", b"").decode() for p in prefixes] == [
+        "0." + "0" * (-x - 1) if -4 <= x < 0 else "" for x in X.tolist()]
+    assert not any(p[0] for p in prefixes)  # byte 0 holds the sign
 
 
 def test_exponent_tables_bound_every_field():
