@@ -3,10 +3,9 @@ member files, each named in messages as ``document`` ("config" or
 "member file").
 
 One rule holds for both: a number is an int or a float, never a bool; a
-count is an int; a flag is a JSON boolean; a list of numbers holds finite
-numbers only.  An entry that breaks it is a ValueError that names the
-document and the entry, as in "the config's 'grid.s_count' entry must be
-an integer, not float".
+count is an int; a list of numbers holds finite numbers only.  An entry
+that breaks it is a ValueError that names the document and the entry, as
+in "the config's 'grid.s_count' entry must be an integer, not float".
 """
 import struct
 
@@ -20,7 +19,7 @@ NUMBER = (int, float)
 # any array is built
 MAX_GRID_COUNT = 1000
 _KINDS = {str: "a string", dict: "an object", list: "a list",
-          int: "an integer", bool: "true or false", NUMBER: "a number",
+          int: "an integer", NUMBER: "a number",
           (str, dict): "a string or an object"}
 
 
@@ -41,9 +40,8 @@ def entry(d, document, name, kind, default=None):
                                  f"entry")
             return default
         value = value[key]
-    # a bool is an int to Python, but it is only ever a flag here
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(
-            value, kind):
+    # a bool is an int to Python, but no entry here is a bool
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"the {document}'s {name!r} entry must be "
                          f"{_KINDS[kind]}, not {type(value).__name__}")
     return value

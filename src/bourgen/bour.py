@@ -70,7 +70,6 @@ class BourParams:
     s_range: tuple
     step: float
     epsilon: int = 1
-    integrator: str = "rk4"
     anchor: Optional[float] = None
 
     def __post_init__(self):
@@ -89,8 +88,6 @@ class BourParams:
         if (s1 - s0) / self.step > _MAX_STEPS:
             raise ConfigError(f"step {self.step!r} takes more than "
                               f"{_MAX_STEPS} steps across s_range")
-        if self.integrator not in ("rk4", "euler"):
-            raise ConfigError("integrator must be 'rk4' or 'euler'")
         if self.anchor is not None and not (s0 <= self.anchor <= s1):
             raise ConfigError("anchor must lie inside s_range")
 
@@ -153,10 +150,12 @@ def _stage_rhs(s, theta, U, params, frame):
 
 
 def integrate_profile(U, params, frame, theta0=0.0):
-    """Integrate the profile ODE and lift the path to the orbit space.
+    """Integrate the profile ODE with classical RK4 of fixed step
+    ``params.step`` and lift the path to the orbit space.
 
     theta takes the value theta0 at the anchor (default: the lower end of
-    s_range); integration sweeps outward in both directions.  omega(s) is
+    s_range); integration sweeps outward in both directions, on the grid
+    of the anchor plus whole steps inside s_range.  omega(s) is
     imposed exactly as m U(s); omega and omega' at the nodes come from one
     ``U.table`` call: the right-hand sides' table for a theta-free frame,
     one on the nodes after the sweeps for any other.
@@ -217,13 +216,11 @@ def integrate_profile(U, params, frame, theta0=0.0):
 
 
 def _abscissae(s, ia, params):
-    """The s values at which the sweeps evaluate the right-hand side,
+    """The s values at which the RK4 sweeps evaluate the right-hand side,
     indexed [row, k] by the node k that a step reaches: row 0 is s[k],
-    and for RK4 rows 1 and 2 are the stage points s[k - d] + step / 2 and
+    and rows 1 and 2 are the stage points s[k - d] + step / 2 and
     s[k - d] + step of the step from k - d to k (d = +1 above the anchor,
     -1 below; column ia repeats s[ia])."""
-    if params.integrator == "euler":
-        return s[None, :]
     k = np.arange(len(s))
     direction = np.sign(k - ia)
     step = direction * params.step
@@ -233,8 +230,8 @@ def _abscissae(s, ia, params):
 
 def _sweeps(n, ia, theta0, rhs, params):
     """theta and theta' at the n nodes, sweeping outward from the anchor
-    one step at a time; rhs(row, k, theta) is the right-hand side at the
-    abscissa [row, k] of ``_abscissae``."""
+    one classical RK4 step at a time; rhs(row, k, theta) is the
+    right-hand side at the abscissa [row, k] of ``_abscissae``."""
     theta = [0.0] * n
     theta_p = [0.0] * n
     theta[ia] = float(theta0)
@@ -244,15 +241,11 @@ def _sweeps(n, ia, theta0, rhs, params):
         for k in range(ia + 1, n) if direction > 0 else range(ia - 1, -1, -1):
             yk = theta[k - direction]
             f1 = theta_p[k - direction]
-            if params.integrator == "euler":
-                y_next = yk + step * f1
-            else:
-                f2 = rhs(1, k, yk + step / 2 * f1)
-                f3 = rhs(1, k, yk + step / 2 * f2)
-                f4 = rhs(2, k, yk + step * f3)
-                y_next = yk + step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
-            theta[k] = y_next
-            theta_p[k] = rhs(0, k, y_next)
+            f2 = rhs(1, k, yk + step / 2 * f1)
+            f3 = rhs(1, k, yk + step / 2 * f2)
+            f4 = rhs(2, k, yk + step * f3)
+            theta[k] = yk + step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+            theta_p[k] = rhs(0, k, theta[k])
     return np.array(theta), np.array(theta_p)
 
 
@@ -298,23 +291,15 @@ def _prefix_sweeps(table, ia, theta0, params, frame):
     order (f3 = f2, since the stage value does not depend on theta), and
     ``np.add.accumulate`` sums each side from theta0 one addition at a
     time, as the loop does."""
-    Uv, dU = table
-    w = params.m * Uv
-    (w0, w1), (t0, t1) = frame.rect
-    inside = (w0 <= w) & (w <= w1)
-    go = np.ones_like(w)
+    w, usable, go, rad = _radicands(table, params.m, frame, theta0)
     gt = np.ones_like(w)
-    go[inside] = frame.grad_omega_sq(w[inside], 0.0)
-    gt[inside] = frame.grad_theta_sq(w[inside], 0.0)
-    rad = go - square(params.m * dU)
-    negative = rad <= -RADICAND_CLAMP
-    rad[(np.abs(rad) < RADICAND_CLAMP) | negative] = 0.0
+    gt[usable] = frame.grad_theta_sq(w[usable], theta0)
     values = (params.epsilon * frame.branch_sign
               * np.sqrt(gt) * np.sqrt(rad) / np.sqrt(go))
-    usable = inside & ~negative
     usable[1:, ia] = True  # the loop reads no stage at the anchor
     if not usable.all():
         return None
+    t0, t1 = frame.rect[1]
     theta_p = values[0]
     theta = np.empty_like(theta_p)
     n = len(theta)
@@ -322,21 +307,36 @@ def _prefix_sweeps(table, ia, theta0, params, frame):
         step = direction * params.step
         k = np.arange(ia + direction, n if direction > 0 else -1, direction)
         f1 = theta_p[k - direction]
-        if params.integrator == "euler":
-            side = np.add.accumulate(np.append(float(theta0), step * f1))
-            stages = ()
-        else:
-            f2, f4 = values[1, k], values[2, k]
-            side = np.add.accumulate(np.append(
-                float(theta0), step / 6 * (f1 + 2 * f2 + 2 * f2 + f4)))
-            yk = side[:-1]
-            stages = (yk + step / 2 * f1, yk + step / 2 * f2, yk + step * f2)
-        for y in (side, *stages):
+        f2, f4 = values[1, k], values[2, k]
+        side = np.add.accumulate(np.append(
+            float(theta0), step / 6 * (f1 + 2 * f2 + 2 * f2 + f4)))
+        yk = side[:-1]
+        for y in (side, yk + step / 2 * f1, yk + step / 2 * f2, yk + step * f2):
             if not ((t0 <= y) & (y <= t1)).all():
                 return None
         theta[k] = side[1:]
     theta[ia] = float(theta0)
     return theta, theta_p
+
+
+def _radicands(table, m, frame, theta):
+    """omega = m U on ``table``, the array (U, U') of a theta-free frame,
+    with the points that the profile may read, |grad omega|^2 and the
+    radicand |grad omega|^2 - m^2 U'^2, as ``ode_rhs`` takes them at
+    (omega, theta): a point may be read where (omega, theta) lies in the
+    frame's rectangle and the radicand is not below -RADICAND_CLAMP.  The
+    norm is evaluated at the points in the rectangle only, and is 1
+    elsewhere; the radicand is 0 where it may not be read and within
+    RADICAND_CLAMP of zero."""
+    Uv, dU = table
+    w = m * Uv
+    inside = frame.contains(w, theta)
+    go = np.ones_like(w)
+    go[inside] = frame.grad_omega_sq(w[inside], theta)
+    rad = go - square(m * dU)
+    negative = rad <= -RADICAND_CLAMP
+    rad[(np.abs(rad) < RADICAND_CLAMP) | negative] = 0.0
+    return w, inside & ~negative, go, rad
 
 
 @dataclass(frozen=True)
@@ -611,7 +611,7 @@ def assemble_member(profile, V, params, *, space=None):
             profile.s, V.s, rtol=0.0, atol=1e-12):
         raise GridMismatchError("profile and V are on different s grids")
     meta = {"chart": profile.frame.chart.label,
-            "integrator": params.integrator, "step": params.step,
+            "integrator": "rk4", "step": params.step,
             "epsilon": params.epsilon,
             "anchor": float(profile.s[profile.anchor_index])}
     return SurfaceMember(
@@ -679,20 +679,20 @@ def constant_volume_member(chart, profile_curve):
         U=U, metadata={"chart": chart.label, "kind": "constant-volume"})
 
 
-def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, step=None):
+def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, *, step):
     """First interval [s_lo, s_hi] of s_range on which the profile radicand
     |grad omega|^2(mU, theta_ref) - m^2 U'^2 stays nonnegative.
 
     Dense-grid scan of _SCAN_SAMPLES samples.  When s0 itself is
     feasible, s_lo = s0 and the interval is the largest feasible prefix;
-    otherwise s_lo moves up to the first feasible scan sample.  When an
-    end is cut and ``step`` is given, it is pulled inward _PULLBACK_STEPS
-    integrator steps from the radicand zero (onto the grid
-    s0 + k step): theta(s) has a
-    square-root branch point there, and a fixed-step integrator needs the
-    radicand bounded away from zero to keep its order.  U and U' are
-    evaluated on the whole scan in one array call, and so are the
-    gradient norms.
+    otherwise s_lo moves up to the first feasible scan sample.  An end
+    that is cut is pulled inward _PULLBACK_STEPS integrator steps of
+    ``step`` from the radicand zero (onto the grid s0 + k step): theta(s)
+    has a square-root branch point there, and RK4 of a fixed step needs
+    the radicand bounded away from zero to keep its order.  U and U' are
+    evaluated on the whole scan in one array call, and |grad omega|^2 on
+    the samples in the rectangle in one more (``_radicands``, as for a
+    profile's right-hand sides).
 
     The frame must be theta-free: its norms do not depend on theta, so
     those at theta_ref are the profile's.  Any other frame, as the
@@ -705,27 +705,16 @@ def feasible_s_range(U, m, frame, s_range, theta_ref=0.0, step=None):
                           "not theta-free, so theta_ref is not its profile")
     s0, s1 = s_range
     ss = np.linspace(s0, s1, _SCAN_SAMPLES)
-    Uv, dU = U.table(ss)
-    w = m * Uv
-    feasible = frame.contains(w, theta_ref)
-    part = np.flatnonzero(feasible)
-    go = frame.grad_omega_sq(w[part], theta_ref)
-    feasible[part] = ~(go - square(m * dU[part]) <= -RADICAND_CLAMP)
-    lo = hi = None
-    if feasible.any():
-        first = int(np.argmax(feasible))
-        run = np.append(feasible[first:], False)
-        lo, hi = ss[first], ss[first + int(np.argmin(run)) - 1]
-    if lo is None or hi <= lo:
+    _, feasible, _, _ = _radicands(U.table(ss), m, frame, theta_ref)
+    first = int(np.argmax(feasible))
+    run = np.append(feasible[first:], False)
+    lo, hi = ss[first], ss[first + int(np.argmin(run)) - 1]
+    if not feasible[first] or hi <= lo:  # no sample, or a single one
         raise RadicandNegativeError(
             f"no feasible s interval from {s0:.6g} at m = {m:g}", s=s0)
-    if lo > s0:
-        if step is not None:
-            lo = s0 + math.ceil((lo - s0) / step + _PULLBACK_STEPS) * step
-        lo = float(lo)
-    else:
-        lo = s0
-    if hi < s1 and step is not None:
+    lo = (float(s0 + math.ceil((lo - s0) / step + _PULLBACK_STEPS) * step)
+          if lo > s0 else s0)
+    if hi < s1:
         hi = s0 + math.floor((hi - s0) / step - _PULLBACK_STEPS) * step
     if hi <= lo:
         raise RadicandNegativeError(

@@ -59,6 +59,16 @@ DEMOS = {
 }
 
 
+# the entries of a family or demo config, by the object that holds them
+# ("" for the top level): RunConfig reads these, and refuses any other
+_CONFIG_ENTRIES = {
+    "": ("space", "generatrix", "m_values", "epsilon", "s_range", "step",
+         "anchor", "theta0", "grid", "tolerances", "seed"),
+    "grid": ("s_count", "t_count", "t_range"),
+    "tolerances": ("isometry", "cross_check", "fd_step"),
+}
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Validated run configuration (see README for the JSON schema)."""
@@ -71,14 +81,12 @@ class RunConfig:
     step: float = 0.005
     anchor: Optional[float] = None
     theta0: float = 0.0
-    integrator: str = "rk4"
     s_count: int = 21
     t_count: int = 21
     t_range: tuple = (0.0, 1.0)
     isometry_tol: float = 1e-5
     cross_tol: float = 1e-5
     fd_step: float = 1e-5
-    auto_shrink: bool = True
     seed: int = 20240901
 
     def __post_init__(self):
@@ -92,8 +100,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d):
         """The run configuration of a config document, each entry read by
-        ``_documents``; an entry that it or SpaceSpec refuses, and a value
-        out of its entry's range, are ConfigErrors that name the entry."""
+        ``_documents``; an entry that it or SpaceSpec refuses, a value out
+        of its entry's range, and an entry of the top level, of 'grid' or
+        of 'tolerances' that is not read (_CONFIG_ENTRIES) are ConfigErrors
+        that name the entry."""
         return _config(cls._read, d)
 
     @classmethod
@@ -106,6 +116,13 @@ class RunConfig:
 
         def pair(name):
             return tuple(samples(name, 2, (0.0, 1.0)).tolist())
+        for parent, keys in _CONFIG_ENTRIES.items():
+            node = d.get(parent) if parent else d
+            for key in node if isinstance(node, dict) else ():
+                if key not in keys:
+                    name = f"{parent}.{key}" if parent else key
+                    raise ValueError(f"the {document} has an unknown "
+                                     f"{name!r} entry")
         space = _documents.space(d, document)
         generatrix = entry("generatrix", (str, dict))
         if isinstance(generatrix, dict):
@@ -127,12 +144,10 @@ class RunConfig:
             step=entry("step", NUMBER, 0.005),
             anchor=None if d.get("anchor") is None else entry("anchor", NUMBER),
             theta0=entry("theta0", NUMBER, 0.0),
-            integrator=entry("integrator", str, "rk4"),
             s_count=entry("grid.s_count", int, 21),
             t_count=entry("grid.t_count", int, 21),
             t_range=pair("grid.t_range"), isometry_tol=tol["isometry"],
             cross_tol=tol["cross_check"], fd_step=tol["fd_step"],
-            auto_shrink=entry("auto_shrink", bool, True),
             seed=entry("seed", int, 20240901))
         require(cfg.epsilon in (1, -1), "epsilon", "1 or -1", cfg.epsilon)
         for name in ("theta0", "anchor"):
@@ -272,17 +287,14 @@ def _member_name(m):
 
 
 def _process_member(cfg, U, frame, m, out_dir, strict=False):
-    result = {"m": m, "requested_s_range": list(cfg.s_range)}
     # checked on the requested range before the feasibility scan reads
     # the step
     params = bour.BourParams(m=m, s_range=cfg.s_range, step=cfg.step,
-                             epsilon=cfg.epsilon, integrator=cfg.integrator)
-    s_range = cfg.s_range
-    if cfg.auto_shrink:
-        s_range = bour.feasible_s_range(U, m, frame, cfg.s_range,
-                                        theta_ref=cfg.theta0, step=cfg.step)
-        result["s_range"] = list(s_range)
-        result["shrunk"] = s_range != cfg.s_range
+                             epsilon=cfg.epsilon)
+    s_range = bour.feasible_s_range(U, m, frame, cfg.s_range,
+                                    theta_ref=cfg.theta0, step=cfg.step)
+    result = {"m": m, "requested_s_range": list(cfg.s_range),
+              "s_range": list(s_range), "shrunk": s_range != cfg.s_range}
     anchor = cfg.anchor
     if anchor is not None and not s_range[0] <= anchor <= s_range[1]:
         if strict:

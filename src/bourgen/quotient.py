@@ -412,30 +412,35 @@ _ROOT_GAP = 1e-8
 # so L/100 (_LEVEL_STEP_FLOOR) is the largest step that is safe on every
 # chart.  Where the characteristics are straight, as the rays of the flat
 # helicoidal and BCV charts and the lines of the rotational chart, a
-# level point at L/6.25 still meets the trace at L/1600 to 8.6e-15, so
-# each invariant measures its own step: it takes the first multiple of
-# _LEVEL_STEP_CANDIDATES (L/6.25, L/12.5, L/25, then L/50) whose probe
-# traces pass (``TracedInvariant._level_ratio``), and the floor
-# otherwise.  The probes are the traces, forward and backward over the
-# full reach, from at most _PROBE_COUNT arc values of the grid, each at
-# the candidate step and at half of it (Richardson's estimate of the step
-# error); a half-step trace is the next candidate's coarse trace, and is
-# kept for it (``_probe_passes``).  A candidate passes when every pair
-# stops at the same flow time, or neither stops, or both stop with the
-# fine trace half a step further (a trace that leaves the domain), and at
-# every common flow time the part of the difference across the fine
-# trace's flow is within _PROBE_TOL max(1, |x|).
+# level point at L/6.25 (_LEVEL_STEP) still meets the trace at L/1600 to
+# 8.6e-15, so each invariant measures its own step: it takes L/6.25
+# where its probe traces pass (``TracedInvariant._level_ratio``), and the
+# floor otherwise.  The probes are the traces, forward and backward over
+# the full reach, from at most _PROBE_COUNT arc values of the grid, each
+# at L/6.25 and at L/12.5 (Richardson's estimate of the step error,
+# ``_probe_passes``).  A probe trace stops at its first BourgenError and
+# before its first step that does not move omega along the flow, as a
+# level trace fails there.  A pair passes when both stop at the same flow
+# time, or neither stops, or both stop with the fine trace half a step
+# further (a trace that leaves the domain), and at every common flow time
+# the part of the difference across the fine trace's flow is within
+# _PROBE_TOL max(1, |x|).
 # The part along the flow is a phase error in the flow time (up to 1.2e-6
 # between L/6.25 and L/12.5 on the flat chart), which the landing step
 # takes out: level points there at L/6.25 are within 2.6e-15 of those at
 # L/1600.  A step longer than the floor that fails, as one that runs over
 # an edge of the domain, is halved (``level_point``), so that a longer
-# step reaches every level that a shorter one would.  No longer candidate
-# is tried: at L/3.125 a right-hand side of the traced_rhs benchmark would
-# make 28.7 field evaluations instead of 30.9 (seeds 1-10; 41.7 instead of
-# 42.4 when the landing re-stepped from the step's start), a saving not
-# yet weighed against that step's error on other charts.
-_LEVEL_STEP_CANDIDATES = (64, 32, 16, 8)
+# step reaches every level that a shorter one would.  No step between the
+# two is tried: with L/12.5, L/25 and L/50 as further candidates, every
+# invariant that the tests build (under their ci profile) still took
+# L/6.25 or the floor, and a chart that fails L/6.25, as the curved one
+# above, built with 804 field evaluations instead of 97.  No longer step
+# is tried either: at L/3.125 a right-hand side of the traced_rhs
+# benchmark would make 28.7 field evaluations instead of 30.9 (seeds
+# 1-10; 41.7 instead of 42.4 when the landing re-stepped from the step's
+# start), a saving not yet weighed against that step's error on other
+# charts.
+_LEVEL_STEP = 64
 _LEVEL_STEP_FLOOR = 4
 _PROBE_COUNT = 16
 _PROBE_TOL = 1e-11
@@ -571,9 +576,9 @@ class TracedInvariant:
     construction.  A level trace takes steps of ``level_step`` = k
     ``step``, ``step`` = (length of the Cauchy curve) / 400, at most
     ``level_n_steps`` = ceil(n_steps / k) of them, so that it reaches at
-    least as far in flow time as n_steps steps of ``step``; k is the first
-    of 64, 32, 16 and 8 where the probes of ``_level_ratio`` pass, and 4
-    otherwise (``_LEVEL_STEP_CANDIDATES`` records why).  It has no analytic
+    least as far in flow time as n_steps steps of ``step``; k is 64 where
+    the probes of ``_level_ratio`` pass, and 4 otherwise (the block
+    comment of ``_LEVEL_STEP`` records why).  It has no analytic
     gradient: ``as_invariant`` wraps it for pairings, which take central
     differences of its values (the characteristic frame differences its
     level traces instead).
@@ -620,51 +625,34 @@ class TracedInvariant:
     # -- level step -----------------------------------------------------------
 
     def _level_ratio(self):
-        """The multiple of ``step`` that level traces take: the first of
-        _LEVEL_STEP_CANDIDATES whose probes all pass, else
-        _LEVEL_STEP_FLOOR.  The probes start at most _PROBE_COUNT arc
-        values, evenly spread over the grid with both ends, and run both
-        ways.  Every chart is probed: its field takes omega's gradient from
-        the chart's exact ``d_g33``, so the probes differ by the step's
-        error and rounding alone."""
+        """The multiple of ``step`` that level traces take: _LEVEL_STEP
+        where its probes all pass, else _LEVEL_STEP_FLOOR.  The probes
+        start at most _PROBE_COUNT arc values, evenly spread over the grid
+        with both ends, and run both ways; the first that fails ends the
+        measurement.  Every chart is probed: its field takes omega's
+        gradient from the chart's exact ``d_g33``, so the probes differ by
+        the step's error and rounding alone."""
         # indices at least one apart, so rounding keeps them distinct
         # (np.unique is not needed, and its first call imports numpy.ma)
         count = min(_PROBE_COUNT, len(self.sigmas))
         picks = np.linspace(0, len(self.sigmas) - 1, count).round().astype(int)
+        h, n = _LEVEL_STEP * self.step, math.ceil(self.n_steps / _LEVEL_STEP)
         starts = [self.cauchy.point_at(s).tolist() for s in self.sigmas[picks]]
-        halves = {}
-        for ratio in _LEVEL_STEP_CANDIDATES:
-            h = ratio * self.step
-            n = math.ceil(self.n_steps / ratio)
-            if all(self._probe_passes(x1, x2, h, n, sign, halves)
-                   for x1, x2 in starts for sign in (1.0, -1.0)):
-                return ratio
+        if all(self._probe_passes(x1, x2, h, n, sign)
+               for x1, x2 in starts for sign in (1.0, -1.0)):
+            return _LEVEL_STEP
         return _LEVEL_STEP_FLOOR
 
-    def _probe_passes(self, x1, x2, h, n, sign, halves):
+    def _probe_passes(self, x1, x2, h, n, sign):
         """Whether the traces of n steps of h and of 2n steps of h/2 from
         (x1, x2) stop at the same flow time, or neither stops, or both
         stop with the fine trace one half step further, as where a trace
         leaves the domain, and agree across the flow to
         _PROBE_TOL max(1, |x|) at every common flow time.  The part of
         coarse - fine across the fine trace's velocity b is
-        |d1 b2 - d2 b1| / |b|.
-
-        ``halves`` maps (x1, x2, sign) to the step and the points of the
-        latest half-step trace probed from there, which this probe's
-        half-step trace replaces.  Where that step is h, the trace's first
-        n + 1 points are the coarse trace, to the bit, and it is not
-        traced again: the half step of candidate k is candidate k/2, as
-        0.5 (k step) == (k/2) step for the powers of two of
-        _LEVEL_STEP_CANDIDATES, and its 2 ceil(N / k) steps are at least
-        the ceil(2 N / k) of k/2."""
-        kept = halves.get((x1, x2, sign))
-        if kept is not None and kept[0] == h:
-            coarse = kept[1][:n + 1]
-        else:
-            coarse = self._probe_trace(x1, x2, h, n, sign)
+        |d1 b2 - d2 b1| / |b|."""
+        coarse = self._probe_trace(x1, x2, h, n, sign)
         fine = self._probe_trace(x1, x2, 0.5 * h, 2 * n, sign)
-        halves[x1, x2, sign] = (0.5 * h, fine)
         # fine steps beyond twice the coarse ones: 1 only where both stop
         if len(fine) - 1 - 2 * (len(coarse) - 1) not in (0, 1):
             return False
@@ -677,16 +665,21 @@ class TracedInvariant:
     def _probe_trace(self, x1, x2, h, n, sign):
         """The points of a trace of at most n RK4 steps of h from (x1, x2),
         each with the field's velocity there, as tuples (x1, x2, a1, a2):
-        the start and the end of each step, up to the first BourgenError."""
+        the start and the end of each step, up to the first BourgenError
+        and up to the first step that does not move omega in the flow's
+        direction (``level_point``'s wrong-way rule)."""
         field, rk4_step = self._field, self._rk4_step
         points = []
         try:
-            a1, a2 = field(x1, x2)[:2]
+            a1, a2, _, _, w_x, _, _, _ = field(x1, x2)
             points.append((x1, x2, a1, a2))
             for _ in range(n):
                 x1, x2 = rk4_step(x1, x2, a1, a2, h, sign)
-                a1, a2 = field(x1, x2)[:2]
+                a1, a2, _, _, w_y, _, _, _ = field(x1, x2)
+                if sign * (w_y - w_x) <= 0.0:
+                    break
                 points.append((x1, x2, a1, a2))
+                w_x = w_y
         except BourgenError:
             pass
         return points

@@ -26,7 +26,7 @@ def _report(number, description, passed, detail):
 def test_criterion_1_catenoid_recovery(rotational_spec, rotational_frame):
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (-2.0, 2.0))
     params = bg.BourParams(m=1.0, s_range=(-2.0, 2.0), step=0.01, epsilon=1,
-                           anchor=0.0, integrator="rk4")
+                           anchor=0.0)
     member = bg.generate_member(U, params, rotational_frame, 0.0,
                                 space=rotational_spec)
     rho = member.x1            # radius coordinate of the rotational chart

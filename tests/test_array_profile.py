@@ -128,13 +128,10 @@ def _reference_profile(U, params, frame, theta0):
             sk = s[k - direction]
             yk = theta[k - direction]
             f1 = theta_p[k - direction]
-            if params.integrator == "euler":
-                y_next = yk + step * f1
-            else:
-                f2 = _stage_rhs(sk + step / 2, yk + step / 2 * f1, U, params, frame)
-                f3 = _stage_rhs(sk + step / 2, yk + step / 2 * f2, U, params, frame)
-                f4 = _stage_rhs(sk + step, yk + step * f3, U, params, frame)
-                y_next = yk + step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+            f2 = _stage_rhs(sk + step / 2, yk + step / 2 * f1, U, params, frame)
+            f3 = _stage_rhs(sk + step / 2, yk + step / 2 * f2, U, params, frame)
+            f4 = _stage_rhs(sk + step, yk + step * f3, U, params, frame)
+            y_next = yk + step / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
             theta[k] = y_next
             theta_p[k] = ode_rhs(s[k], y_next, U, params, frame)
     omega = params.m * np.array([U(x) for x in s])
@@ -179,42 +176,41 @@ def _reference_feasible(U, m, frame, s_range, theta_ref, step):
     return lo, hi
 
 
-# (space, theta_free, generatrix, s_range, m, step, anchor, theta0,
-# integrator); theta_free=False evaluates the built-in frame one point at a
-# time, as the characteristic frame is, and feasible_s_range refuses it
+# (space, theta_free, generatrix, s_range, m, step, anchor, theta0);
+# theta_free=False evaluates the built-in frame one point at a time, as
+# the characteristic frame is, and feasible_s_range refuses it
 _CASES = [
     (bg.SpaceSpec("euclidean_rotational"), True, "sqrt(s^2+1)",
-     (-2.0, 2.0), 0.8, 0.01, 0.0, 0.2, "rk4"),
+     (-2.0, 2.0), 0.8, 0.01, 0.0, 0.2),
     (bg.SpaceSpec("euclidean_rotational"), True, "cosh(s)*exp(-s/4)",
-     (-1.0, 1.0), 0.5, 0.03, 0.305, -0.1, "rk4"),
+     (-1.0, 1.0), 0.5, 0.03, 0.305, -0.1),
     (bg.SpaceSpec("euclidean_helicoidal", a=1.0), True, "sqrt(s^2+2)",
-     (0.5, 1.5), 1.2, 0.005, None, 0.3, "rk4"),
+     (0.5, 1.5), 1.2, 0.005, None, 0.3),
     # anchored at the upper end: the upward sweep takes no step
     (bg.SpaceSpec("euclidean_helicoidal", a=1.0), True, "sqrt(s^2+2)",
-     (0.5, 1.5), 1.2, 0.005, 1.5, 0.3, "rk4"),
+     (0.5, 1.5), 1.2, 0.005, 1.5, 0.3),
     (bg.SpaceSpec("euclidean_helicoidal", a=1.0), False, "sqrt(s^2+2)",
-     (0.5, 2.0), 1.0, 0.01, None, 0.0, "rk4"),
+     (0.5, 2.0), 1.0, 0.01, None, 0.0),
     (bg.SpaceSpec("euclidean_helicoidal", a=-0.7), True,
-     "(2+s^2)^0.5 + 0.1*sin(s)", (0.3, 2.0), 1.0, 0.004, 1.0, 0.0, "rk4"),
+     "(2+s^2)^0.5 + 0.1*sin(s)", (0.3, 2.0), 1.0, 0.004, 1.0, 0.0),
     (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), True,
-     "sqrt(s^2+4)", (0.0, 1.0), 1.1, 0.005, None, 0.1, "rk4"),
+     "sqrt(s^2+4)", (0.0, 1.0), 1.1, 0.005, None, 0.1),
     (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-0.5, tau=0.5), True,
-     "s^1.5 + 2", (0.1, 1.0), 0.7, 0.003, 0.5, 0.0, "euler"),
+     "s^1.5 + 2", (0.1, 1.0), 0.7, 0.003, 0.5, 0.0),
     (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0), False,
-     "sqrt(s^2+4)", (0.0, 0.3), 1.0, 0.01, None, 0.0, "rk4"),
+     "sqrt(s^2+4)", (0.0, 0.3), 1.0, 0.01, None, 0.0),
 ]
 
 
 @pytest.fixture(scope="module", params=range(len(_CASES)))
 def case(request):
-    spec, theta_free, text, s_range, m, step, anchor, theta0, integrator = \
+    spec, theta_free, text, s_range, m, step, anchor, theta0 = \
         _CASES[request.param]
     frame = bg.builtin_frame(spec)
     if not theta_free:
         frame = dataclasses.replace(frame, theta_free=False)
     U = bg.GeneratrixMetric.from_expression(text, s_range)
-    params = bg.BourParams(m=m, s_range=s_range, step=step, anchor=anchor,
-                           integrator=integrator)
+    params = bg.BourParams(m=m, s_range=s_range, step=step, anchor=anchor)
     return frame, U, params, theta0
 
 
@@ -322,41 +318,36 @@ def _first_error(fn):
 
 
 @pytest.mark.parametrize(
-    "spec,omega_range,theta_range,text,s_range,m,anchor,integrator", [
+    "spec,omega_range,theta_range,text,s_range,m,anchor", [
         # the radicand 1 - m^2 U'^2 turns negative at |s| = 4/3; from the
         # anchor 0 both sweeps meet it, the forward one first
         (bg.SpaceSpec("euclidean_rotational"), None, (-100.0, 100.0),
-         "sqrt(s^2+1)", (-1.0, 2.0), 1.25, None, "rk4"),
+         "sqrt(s^2+1)", (-1.0, 2.0), 1.25, None),
         (bg.SpaceSpec("euclidean_rotational"), None, (-100.0, 100.0),
-         "sqrt(s^2+1)", (-2.0, 2.0), 1.25, 0.0, "rk4"),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.25, 0.0),
         (bg.SpaceSpec("euclidean_helicoidal", a=1.0), None, (-100.0, 100.0),
-         "sqrt(s^2+2)", (0.5, 2.0), 1.5, None, "rk4"),
+         "sqrt(s^2+2)", (0.5, 2.0), 1.5, None),
         # omega = U leaves the rectangle between two nodes
         (bg.SpaceSpec("euclidean_helicoidal", a=1.0), (1.01, 1.8),
-         (-100.0, 100.0), "sqrt(s^2+1)", (0.5, 2.0), 1.0, None, "rk4"),
+         (-100.0, 100.0), "sqrt(s^2+1)", (0.5, 2.0), 1.0, None),
         (bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0),
-         (1.05, 2.0), (-100.0, 100.0), "sqrt(s^2+4)", (0.0, 1.0), 0.98, 0.5,
-         "rk4"),
-        # theta leaves the rectangle: at a stage of RK4, at a node of Euler
+         (1.05, 2.0), (-100.0, 100.0), "sqrt(s^2+4)", (0.0, 1.0), 0.98, 0.5),
+        # theta leaves the rectangle at a stage of RK4
         (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 0.6),
-         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0, "rk4"),
-        (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 0.6),
-         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0, "euler"),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0),
         # theta, increasing with s, leaves the rectangle below the anchor
         # only, after the upward sweep has passed
         (bg.SpaceSpec("euclidean_rotational"), None, (-0.6, 100.0),
-         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0, "rk4"),
+         "sqrt(s^2+1)", (-2.0, 2.0), 1.0, 0.0),
     ])
 def test_failure_matches_sequential_order(spec, omega_range, theta_range,
-                                          text, s_range, m, anchor,
-                                          integrator):
+                                          text, s_range, m, anchor):
     # a narrower rectangle than the built-in frame's
     frame = bg.builtin_frame(spec)
     frame = dataclasses.replace(
         frame, rect=(omega_range or frame.rect[0], theta_range))
     U = bg.GeneratrixMetric.from_expression(text, s_range)
-    params = bg.BourParams(m=m, s_range=s_range, step=0.01, anchor=anchor,
-                           integrator=integrator)
+    params = bg.BourParams(m=m, s_range=s_range, step=0.01, anchor=anchor)
     got = _first_error(lambda: bg.integrate_profile(U, params, frame, 0.0))
     ref = _first_error(lambda: _reference_profile(U, params, frame, 0.0))
     assert type(got) is type(ref)
@@ -380,18 +371,24 @@ def test_failures_cover_radicand_and_stage_exits():
     assert 4 / 3 - 0.01 < exc.s < 4 / 3 + 0.01
 
 
-def test_family_without_auto_shrink_reports_the_sequential_failure(tmp_path):
+def test_family_reports_the_sequential_failure(tmp_path):
+    # theta = theta0 + arcsinh(s) - arcsinh(-1) passes 100, the top of the
+    # built-in theta window, near s = 1.37: the feasibility scan at theta0
+    # keeps the whole range, the array path finds the exit, and the run
+    # raises the sequential loop's first error
     cfg = {"space": {"kind": "euclidean_rotational"},
-           "generatrix": "sqrt(s^2+1)", "m_values": [1.25],
-           "s_range": [-1.0, 2.0], "step": 0.01, "auto_shrink": False}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+           "generatrix": "sqrt(s^2+1)", "m_values": [1.0],
+           "s_range": [-1.0, 2.0], "step": 0.01, "theta0": 98.0}
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+1)", (-1.0, 2.0))
-    params = bg.BourParams(m=1.25, s_range=(-1.0, 2.0), step=0.01)
-    ref = _first_error(lambda: _reference_profile(
-        U, params, bg.builtin_frame(bg.SpaceSpec("euclidean_rotational")), 0.0))
-    with pytest.raises(RadicandNegativeError, match=f"at s = {ref.s:.6g}:"):
+    frame = bg.builtin_frame(bg.SpaceSpec("euclidean_rotational"))
+    assert bg.feasible_s_range(U, 1.0, frame, (-1.0, 2.0), theta_ref=98.0,
+                               step=0.01) == (-1.0, 2.0)
+    params = bg.BourParams(m=1.0, s_range=(-1.0, 2.0), step=0.01)
+    ref = _first_error(lambda: _reference_profile(U, params, frame, 98.0))
+    assert isinstance(ref, StepTooLargeError)  # a stage leaves the window
+    with pytest.raises(StepTooLargeError) as exc:
         cli.run(cli.RunConfig.from_dict(cfg), tmp_path / "out")
+    assert str(exc.value) == str(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +411,12 @@ def test_position_derivatives_computed_once(monkeypatch):
     assert calls == [member.s.shape]
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "euler"])
-def test_theta_free_profile_tabulates_the_generatrix_once(integrator,
-                                                         monkeypatch):
+def test_theta_free_profile_tabulates_the_generatrix_once(monkeypatch):
     # U and U' at the nodes come from row 0 of the right-hand sides' table,
     # with the bits of a table on the nodes alone
     frame = bg.builtin_frame(bg.SpaceSpec("euclidean_helicoidal", a=1.0))
     U = bg.GeneratrixMetric.from_expression("sqrt(s^2+2)", (0.5, 1.5))
-    params = bg.BourParams(m=1.2, s_range=(0.5, 1.5), step=0.01,
-                           integrator=integrator)
+    params = bg.BourParams(m=1.2, s_range=(0.5, 1.5), step=0.01)
     calls = []
     table = bg.GeneratrixMetric.table
 
@@ -432,7 +426,7 @@ def test_theta_free_profile_tabulates_the_generatrix_once(integrator,
 
     monkeypatch.setattr(bg.GeneratrixMetric, "table", counted)
     profile = bg.integrate_profile(U, params, frame, 0.3)
-    assert calls == [(3 if integrator == "rk4" else 1, len(profile.s))]
+    assert calls == [(3, len(profile.s))]
     Us, dUs = table(U, profile.s)
     assert _same(profile.omega, 1.2 * Us)
     J = frame.invert_jacobian(profile.omega, profile.theta)

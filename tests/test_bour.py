@@ -183,17 +183,6 @@ def test_rk4_convergence_order(rotational_frame):
     assert 12.0 < ratio < 20.0
 
 
-def test_euler_integrator_first_order(rotational_frame):
-    U = U_catenoid()
-    errs = []
-    for step in (0.02, 0.01):
-        params = bg.BourParams(m=1.0, s_range=(-2.0, 2.0), step=step,
-                               epsilon=1, anchor=0.0, integrator="euler")
-        profile = bg.integrate_profile(U, params, rotational_frame, 0.0)
-        errs.append(np.max(np.abs(profile.theta - np.arcsinh(profile.s))))
-    assert 1.7 < errs[0] / errs[1] < 2.3
-
-
 def test_misaligned_anchor_keeps_grid_inside_range(rotational_frame):
     U = U_catenoid(-1.0, 1.0)
     params = bg.BourParams(m=1.0, s_range=(-1.0, 1.0), step=0.03, anchor=0.305)

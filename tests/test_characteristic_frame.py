@@ -218,7 +218,8 @@ def test_level_step_error_is_below_the_stencil_noise():
     # it.  On 1000 random points of the rect the largest differences were
     # 6.1e-12 for the point, 8.3e-13 for |grad omega|^2, 4.5e-10 relative
     # for |grad theta|^2 and 2.8e-10 for dx/dtheta; at L/50 they were
-    # 9.6e-11, 1.3e-11, 1.4e-9 and 9.1e-10 (quotient._LEVEL_STEP_CANDIDATES)
+    # 9.6e-11, 1.3e-11, 1.4e-9 and 9.1e-10 (the block comment of
+    # quotient._LEVEL_STEP)
     traced, frame = _curved_frame()
     fine_traced, fine = _curved_frame(level_ratio=0.25)
     assert fine_traced.level_step == traced.level_step / 16
@@ -235,10 +236,9 @@ def test_level_step_error_is_below_the_stencil_noise():
 
 
 def test_curved_chart_keeps_the_floor_step():
-    # its probes at L/6.25, L/12.5, L/25 and L/50 differ across the flow
-    # by up to 1.0e-6, 5.9e-8, 3.4e-9 and 2.2e-10, above the 1e-11
-    # tolerance, so it keeps L/100, and its frame is the frame of a tracer
-    # set to L/100, to the bit
+    # its probes at L/6.25 and L/12.5 differ across the flow by up to
+    # 1.0e-6, above the 1e-11 tolerance, so it keeps L/100, and its frame
+    # is the frame of a tracer set to L/100, to the bit
     traced, frame = _curved_frame()
     fixed_traced, fixed = _curved_frame(level_ratio=4)
     assert traced.level_step == 4 * traced.step
@@ -251,30 +251,17 @@ def test_curved_chart_keeps_the_floor_step():
                               fixed.invert_jacobian(w, t))
 
 
-def test_level_ratio_reuses_the_half_step_probes():
-    # the curved chart fails every candidate, so its build runs the probes
-    # of all four.  Each candidate's half-step probe traces are the next
-    # candidate's coarse ones up to its reach, and are not traced again:
-    # the probes make 793 field evaluations, and 1148 when every pair is
-    # traced afresh (an empty memo of half-step traces per probe), for
-    # the same step; the build adds one per arc value of the grid, where
-    # it checks transversality
+def test_curved_chart_build_stops_at_the_first_failed_probe():
+    # the build evaluates the field once per arc value of the grid, where
+    # it checks transversality (11), and then probes L/6.25 against
+    # L/12.5: the first pair, forward from arc length 0, fails (1 + 4 x 7
+    # and 1 + 4 x 14 evaluations), which ends the measurement
     chart, calls = counting_chart(bg.chart_from_config(CURVED))
     traced = bg.solve_orthogonal_invariant(
         chart, bg.line_segment((1.0, -0.5), (1.0, 0.5)),
         np.linspace(0.0, 1.0, 11))
-    built = calls["metric"]
-    counts = []
-    for afresh in (False, True):
-        if afresh:
-            probe = traced._probe_passes
-            traced._probe_passes = (lambda x1, x2, h, n, sign, halves:
-                                    probe(x1, x2, h, n, sign, {}))
-        calls["metric"] = 0
-        assert traced._level_ratio() == 4
-        counts.append(calls["metric"])
-    assert built == len(traced.sigmas) + counts[0]
-    assert counts == [793, 1148]
+    assert traced.level_step == 4 * traced.step
+    assert calls["metric"] == 11 + 29 + 57 == 97
 
 
 def _fine_steps_to_level(traced, w, sigma, most):
@@ -311,10 +298,11 @@ def test_level_points_on_ray_charts(bcv, a, a_sign, kappa, a_tau, c, u, f):
     # Over 996 valid seeded draws the largest distance from the ray was
     # 4.6e-16 and the largest radius error 4.0e-15 relative.  Over 400
     # valid draws of the same ranges by numpy (seed 1, one call per
-    # argument in order), 395 took L/6.25, 1 L/12.5, 2 L/25 and 2 L/100
-    # (BCV with kappa < 0: 68 of 72 took L/6.25), with largest errors of
-    # 2.6e-16 and 1.6e-15; when L/25 was the longest candidate, 395 took
-    # it, with 2.5e-16 and 1.8e-15.
+    # argument in order), 395 took L/6.25 and 5 L/100 (BCV with
+    # kappa < 0: 68 of 72 took L/6.25), with largest errors of 3.3e-16
+    # and 1.6e-15 relative; with L/12.5, L/25 and L/50 as candidates too,
+    # 3 of those 5 took L/12.5 or L/25, and when L/25 was the longest
+    # candidate, 395 took it, with 2.5e-16 and 1.8e-15.
     # The reach rule: a level within n_steps trace steps of flow time (by
     # the kernel at L/1600) is reached; one beyond the flow time of
     # level_n_steps level steps is the "does not reach" DomainError; in
@@ -751,18 +739,24 @@ def test_level_step_that_does_not_approach_the_level():
 def test_floor_step_that_does_not_approach_the_level():
     # on the radial chart with the smaller excluded disk r > 0.001, every
     # step from the Cauchy point (0.005, 0) toward the origin runs its
-    # stages across it and back, and ends at (0.005, 0) to the bit: the
-    # step is halved down to the floor L/100 = 0.015, which raises
-    chart = dataclasses.replace(_radial_chart(),
-                                domain=lambda a, b: a * a + b * b > 1e-6)
+    # stages across it and back, and ends at (0.005, 0) to the bit.  The
+    # probe traces stop before such a step, as a level trace fails at it,
+    # so the probes at L/6.25 and L/12.5 stop at different flow times and
+    # the invariant takes the floor L/100 = 0.015, whose step raises after
+    # 5 field evaluations (the start, 3 stages and the end), with no
+    # longer step to halve first
+    chart, calls = counting_chart(dataclasses.replace(
+        _radial_chart(), domain=lambda a, b: a * a + b * b > 1e-6))
     tr = bg.solve_orthogonal_invariant(
         chart, bg.line_segment((0.005, -0.75), (0.005, 0.75)),
         np.linspace(0, 1.5, 5), n_steps=400)
-    assert tr.level_step == 64 * tr.step
+    assert tr.level_step == 4 * tr.step
+    calls["metric"] = 0
     with pytest.raises(DomainError, match=r"^the level step 0\.015 from "
                        r"\(0\.005, 0\) does not move omega = 0\.005 toward "
                        r"0\.002$"):
         tr.level_point(0.002, 0.75)
+    assert calls["metric"] == 5
 
 
 def test_rect_exit_through_ode_rhs(frame):

@@ -794,12 +794,6 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
      "number, not -1e-05"),
     ("tolerances", {"cross_check": "x"},
      "the config's 'tolerances.cross_check' entry must be a number, not str"),
-    ("auto_shrink", "false",
-     "the config's 'auto_shrink' entry must be true or false, not str"),
-    ("auto_shrink", "no",
-     "the config's 'auto_shrink' entry must be true or false, not str"),
-    ("auto_shrink", [0],
-     "the config's 'auto_shrink' entry must be true or false, not list"),
     # values that int(), float() and str() bent into others, and ran
     ("epsilon", 1.7, "the config's 'epsilon' entry must be an integer, "
                      "not float"),
@@ -828,8 +822,6 @@ def test_one_row_csv_generatrix_is_refused_in_bourgens_words(tmp_path,
      "the config's 's_range' entry must be a list of 2 finite numbers"),
     # values that reached code which should never see them: a space
     # without a pitch, and np.loadtxt reading a list as lines of text
-    ("integrator", 4,
-     "the config's 'integrator' entry must be a string, not int"),
     ("space", {"kind": "euclidean_rotational", "a": True},
      "the config's 'space.a' entry must be a number, not bool"),
     ("generatrix", {"csv": 5},
@@ -865,6 +857,39 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, key,
         "--out", str(tmp_path / "out")])
     assert code == 1
     assert err == f"error: ConfigError: {message}\n"
+
+
+@pytest.mark.parametrize("key,value,name", [
+    # the retired integrator and feasibility-cut switches, whatever their
+    # value, and a misspelt step
+    ("integrator", "euler", "integrator"),
+    ("integrator", "rk4", "integrator"),
+    ("auto_shrink", False, "auto_shrink"),
+    ("stpe", 0.01, "stpe"),
+    ("grid", {"s_count": 9, "t_count": 5, "s_range": [0.0, 1.0]},
+     "grid.s_range"),
+    ("tolerances", {"isometry": 1e-5, "tol": 1e-5}, "tolerances.tol"),
+])
+def test_config_entry_that_is_not_read_is_a_config_error(tmp_path, capsys,
+                                                         key, value, name):
+    code, err = _exit_and_error(capsys, [
+        "family", "--config",
+        _write_cfg(tmp_path, _family_config(**{key: value}), "unread"),
+        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err == (f"error: ConfigError: the config has an unknown "
+                   f"{name!r} entry\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_every_entry_loads():
+    # every entry that a config may hold, seed among them, which only
+    # report.json reads
+    cfg = RunConfig.from_dict(_family_config(
+        theta0=0.1, seed=7,
+        tolerances={"isometry": 1e-6, "cross_check": 1e-6, "fd_step": 1e-4}))
+    assert (cfg.theta0, cfg.seed, cfg.isometry_tol, cfg.fd_step) == (
+        0.1, 7, 1e-6, 1e-4)
 
 
 @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
@@ -941,8 +966,8 @@ _CONFIG_ENTRIES = {
     "space.t_count": None, "grid.isometry": None, "tolerances.kind": None,
     "generatrix": "generatrix", "m_values": "m_values", "epsilon": "epsilon",
     "s_range": "s_range", "step": "step", "anchor": "anchor",
-    "theta0": "theta0", "integrator": "integrator",
-    "auto_shrink": "auto_shrink", "seed": "seed",
+    "theta0": "theta0", "integrator": None, "auto_shrink": None,
+    "seed": "seed",
     "grid.s_count": "s_count", "grid.t_count": "t_count",
     "grid.t_range": "t_range", "tolerances.isometry": "isometry_tol",
     "tolerances.cross_check": "cross_tol", "tolerances.fd_step": "fd_step",
