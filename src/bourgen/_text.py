@@ -3,14 +3,24 @@
 By IEEE 754-2008 §5.12.2, 17 significant digits read back every binary64
 exactly, so one conversion serves all three member files, and each float
 re-reads bit-equal through ``json.loads``, ``np.loadtxt`` and ``float``.
-``json_bytes`` writes a document as JSON with an indent of 1, in the
+A value's text is that of ``"%.17g" % x``, with two exceptions in JSON:
+the non-finite values are NaN, Infinity and -Infinity, as ``json.dumps``
+writes them, and -0.0 is "-0.0", since JSON reads "-0" as the int 0.
+JSON reads an integral text such as "1" as an int, whose float is the
+value written.
+
+``write_json`` writes a document as JSON with an indent of 1, in the
 layout of ``json.dumps(payload, indent=1)``, and ``rows_bytes`` writes
-rows of values, as the profile CSV (``write_csv``) and the OBJ vertices
-do.  A value's text is that of ``"%.17g" % x``, with two exceptions in
-JSON: the non-finite values are NaN, Infinity and -Infinity, as
-``json.dumps`` writes them, and -0.0 is "-0.0", since JSON reads "-0" as
-the int 0.  JSON reads an integral text such as "1" as an int, whose
-float is the value written.
+rows of values, as the OBJ vertices and the CSVs of curves and
+generatrices (``write_csv``) do.  A member's profile CSV holds six of its
+file's float lists, so it is written from the text of the file's pass:
+``write_json`` formats each distinct float list of a document once (a
+rotational member's x1 is its omega, one array), returns the words of
+the arrays it is asked to keep, and ``word_rows_bytes`` joins them into
+rows.  The kernel writes plain ``%.17g``; the JSON pass puts its own
+text in place of that of -0.0 and the non-finite values while it joins
+the file's text, and the plain words back after, so the CSV, from the
+same words, has "-0".
 
 A numpy kernel formats a whole block of floats in one pass instead of
 one ``%`` per value.  Each ``|x|`` is scaled by ``10**k``, with ``k``
@@ -25,7 +35,7 @@ below 2**53.  ``N`` is rounded by its fraction, which gives the correctly
 rounded digits whenever the fraction is not within 1e-6 of one half
 (Gay's test, with Ryu's table of powers of ten in place of bignums).
 
-A value is undecided, and gets the per-value text of its file kind, when:
+A value is undecided, and gets the per-value text of ``%``, when:
 
 - its fraction is within 1e-6 of one half, which holds every tie;
 - it is non-finite, or ``|x|`` is outside [1e-250, 1e250], where the
@@ -35,34 +45,80 @@ A value is undecided, and gets the per-value text of its file kind, when:
 Zeros of either sign are formatted by the kernel.  The digits of ``N``
 after the first are four groups of 4, each looked up
 in a table of 10**4 words that holds its ASCII digits and the place of
-its last nonzero one.  Each value's row of five int64 words holds its
-text in order, with zero bytes where a character is absent: the sign and
-the "0.000" before the first digit of a small fixed-form value, the
-digits with the point inserted after the place its decimal exponent gives
+its last nonzero one.  Each value's four int64 words hold its text in
+order, with zero bytes where a character is absent: the sign and the
+"0.000" before the first digit of a small fixed-form value, the digits
+with the point inserted after the place its decimal exponent gives
 (``%g``'s choice between fixed and exponent form, and its stripping of
-trailing zeros), the exponent, and a last word with the literal text
-after the value.  Where the point goes and which digits stay come from
-one table index per value, for all three digit words.  The zero bytes
-are removed from the joined rows.
+trailing zeros), and the exponent.  Where the point goes and which
+digits stay come from one table index per value, for all three digit
+words.  A writer puts each value's words in a row of five, the fifth
+holding the literal text after the value, and removes the zero bytes
+from the joined rows.
 """
 import json
 import math
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 
-def json_bytes(payload):
-    """``payload`` as JSON text with an indent of 1, as ASCII bytes, each
-    float and each value of a 1-D float64 array in ``%.17g``; dict keys
-    must be strings."""
+def write_json(fh, payload, keep=()):
+    """Write ``payload`` to the binary file ``fh`` as JSON text with an
+    indent of 1, in ASCII, each float and each value of a 1-D float64
+    array in ``%.17g``; return, for each array of ``keep``, which the
+    payload must hold (that object), the (n, 4) plain ``%.17g`` words of
+    its values, for ``word_rows_bytes``: views of the rows the file's text
+    was joined from, which they keep until they are dropped.  Dict keys
+    must be strings.  A list that the payload holds twice (by identity)
+    is formatted once, and its text written twice."""
     floats = []
-    text = _encode(payload, 0, floats).encode()
+    parts = _encode(payload, 0, floats).encode().split(b"\0")
     if not floats:
-        return text
-    parts = text.split(b"\0")
-    bodies = _float_lists_text(floats)
-    return b"".join(chain.from_iterable(zip(parts, bodies))) + parts[-1]
+        fh.write(parts[0])
+        return []
+    first, lists, n = {}, [], 0  # lists: (values, separator, first row)
+    for o, sep in floats:
+        if id(o) not in first:
+            first[id(o)] = len(lists)
+            lists.append((o, sep if len(sep) <= 8 else ",", n))
+            n += len(o)
+    values = np.concatenate([np.asarray(o, dtype=np.float64)
+                             for o, _, _ in lists])
+    buffer, rows = _row_buffer(n)
+    size = -(-n // -(-n // _KERNEL_BLOCK))  # equal blocks
+    for i in range(0, n, size):
+        _kernel_words(values[i:i + size], rows[i:i + size, :4])
+    for o, sep, start in lists:
+        rows[start:start + len(o), 4] = _word(sep)
+        rows[start + len(o) - 1, 4] = _LIST_END
+    # JSON's text of -0.0, whose plain words are "-" and "0", and of the
+    # non-finite values, in the file only
+    zero = np.flatnonzero(values.view(np.int64) == -1 << 63)
+    special = np.flatnonzero(~np.isfinite(values))
+    plain = rows[special, :4]
+    rows[zero, 1] = _word("0.0")
+    _put_text(rows[:, :4], special,
+              list(map(json.dumps, values[special].tolist())))
+    del values
+    text = buffer.translate(None, b"\0")
+    rows[zero, 1] = _word("0")
+    rows[special, :4] = plain
+    # the text cut at each list's end, and each list written at its places
+    bodies, cut = [], 0
+    for _ in lists:
+        end = text.index(_LIST_END, cut)
+        bodies.append(memoryview(text)[cut:end])
+        cut = end + 1
+    fh.write(parts[0])
+    for (o, sep), part in zip(floats, parts[1:]):
+        k = first[id(o)]
+        written = lists[k][1]
+        fh.write(bodies[k] if written == sep else bytes(bodies[k]).replace(
+            written.encode(), sep.encode()))
+        fh.write(part)
+    starts = [lists[first[id(a)]][2] for a in keep]
+    return [rows[i:i + len(a), :4] for i, a in zip(starts, keep)]
 
 
 def _encode(o, level, floats):
@@ -340,14 +396,12 @@ def _carry(high, low, base):
     low -= step * base
 
 
-def _kernel_text(x, after, json_numbers=False):
-    """The ``%.17g`` text of each float64 x[i], followed by the literal
-    word ``after[i % len(after)]`` (len(x) a multiple of len(after)), all
-    joined, as bytes; with ``json_numbers``, -0.0 is "-0.0" and the
-    non-finite values are JSON's names (see the module docstring).
-    Arrays are freed once used, and words built in place, since a block's
-    transient memory adds to the peak memory of every command that writes
-    one."""
+def _kernel_words(x, out):
+    """Write the ``%.17g`` text of each float64 x[i] into the four int64
+    words out[i] (``out`` an (n, 4) view, its rows possibly strided), in
+    order, with zero bytes where a character is absent.  Arrays are freed
+    once used, and words built in place, since a block's transient memory
+    adds to the peak memory of every command that writes one."""
     a = np.abs(x)
     ok = (a >= 1e-250) & (a <= 1e250)
     a = np.where(ok, a, 1.0)
@@ -377,9 +431,6 @@ def _kernel_text(x, after, json_numbers=False):
     keep -= 16
     np.maximum(keep, _LEAST.take(X), out=keep)
     keep += _POINT17.take(X)
-    bits = x.view(np.int64)
-    if json_numbers:  # "-0.0": the point after the first digit, and one more
-        keep[bits == -1 << 63] = 17 + 1
     for d in (d1, d2, d3, d4):
         d &= _LOW32
     # D0-D16 in three words, built in place of d1, d2 and d4
@@ -395,11 +446,9 @@ def _kernel_text(x, after, json_numbers=False):
     d2 |= np.left_shift(d4, 40, out=part)
     del part
     d4 >>= 24
-    text = bytearray(40 * len(x))
-    rows = np.frombuffer(text, np.int64).reshape(-1, 5)
     word = _PREFIX.take(X)
-    word |= bits >> 63 & ord("-")
-    rows[:, 0] = word
+    word |= x.view(np.int64) >> 63 & ord("-")
+    out[:, 0] = word
     # each digit word: the bytes before the point stay, the point goes
     # after them, and the kept bytes after it move up one byte, the last
     # into the next word
@@ -414,17 +463,36 @@ def _kernel_text(x, after, json_numbers=False):
         word |= moved
         if k == 2:
             word |= _TAIL.take(X)
-        rows[:, k + 1] = word
+        out[:, k + 1] = word
     del d1, d2, d4, keep, moved, carry, X, word
-    rows.reshape(-1, len(after), 5)[:, :, 4] = after
     todo = np.flatnonzero(undecided)
     if len(todo):
-        rows.view(np.uint8)[todo, :32] = np.array(
-            [json.dumps(v) if json_numbers and not math.isfinite(v)
-             else "%.17g" % v for v in x[todo].tolist()],
-            dtype="S32").view(np.uint8).reshape(len(todo), 32)
-    del rows
-    return text.translate(None, b"\0")
+        _put_text(out, todo, ["%.17g" % v for v in x[todo].tolist()])
+
+
+def _put_text(words, index, texts):
+    """Write each of ``texts``, ASCII of at most 32 characters, into the
+    four words of its row of ``index`` in ``words``."""
+    words.view(np.uint8)[index, :32] = np.array(
+        texts, dtype="S32").view(np.uint8).reshape(len(index), 32)
+
+
+def _row_buffer(n, head=b""):
+    """A zeroed bytearray of ``head``, zero bytes up to a multiple of 8,
+    and n rows of five int64 words; and the (n, 5) view of the rows."""
+    start = len(head) + -len(head) % 8
+    text = bytearray(start + 40 * n)
+    text[:len(head)] = head
+    return text, np.frombuffer(text, np.int64, offset=start).reshape(n, 5)
+
+
+def _end_rows(rows, separator, lead):
+    """Put ``separator`` after each value of the (rows, columns, 5) words
+    ``rows`` but the last of a row, and a newline and the next row's
+    ``lead`` after that, but no lead after the last row."""
+    rows[:, :-1, 4] = _word(separator)
+    rows[:, -1, 4] = _word("\n" + lead)
+    rows[-1, -1, 4] = _word("\n")
 
 
 def rows_bytes(columns, separator=",", lead=""):
@@ -434,39 +502,38 @@ def rows_bytes(columns, separator=",", lead=""):
     values = np.column_stack(columns).astype(np.float64, copy=False).ravel()
     if not len(values):
         return b""
-    after = [_word(separator)] * (len(columns) - 1) + [_word("\n" + lead)]
-    text = _kernel_text(values, np.array(after))
-    return lead.encode() + text[:len(text) - len(lead)]
+    text, rows = _row_buffer(len(values), lead.encode())
+    _kernel_words(values, rows[:, :4])
+    del values
+    _end_rows(rows.reshape(-1, len(columns), 5), separator, lead)
+    del rows
+    return text.translate(None, b"\0")
 
 
-# the kernel's transient memory is about 115 bytes a value, against the C
-# JSON encoder's 105 for a whole document: blocks of at most this many
-# values keep the peak of a 751-node member file below the encoder's
+def word_rows_bytes(columns):
+    """The rows of columns of (n, 4) words (``write_json`` keeps them) as
+    ASCII bytes: each row its values' text separated by ",", and a
+    newline, as ``rows_bytes`` writes the values."""
+    text, rows = _row_buffer(len(columns[0]) * len(columns))
+    rows = rows.reshape(-1, len(columns), 5)
+    for j, words in enumerate(columns):
+        rows[:, j, :4] = words
+    _end_rows(rows, ",", "")
+    del rows
+    return text.translate(None, b"\0")
+
+
+# The kernel's transient memory is about 75 bytes a value.  A member
+# file's floats are formatted in equal blocks of at most this many values,
+# into one buffer of rows of 40 bytes a value, and its text is joined from
+# that buffer at once; an OBJ's 5,043 values are formatted in one call.
+# Measured with tracemalloc for a 751-node member, counting what an
+# earlier writer still holds: 632 KB in to_json (the values, the rows and
+# one block's transients, then the rows and their text), 652 KB in
+# write_profile_csv (the file's rows, which its columns' words view, and
+# its own rows and text) and 644 KB in write_obj (its one kernel call).
 _KERNEL_BLOCK = 4096
-_LIST_END = b"\x1f"  # a byte that no float text or indent holds
-
-
-def _float_lists_text(floats):
-    """The body of each (values, separator) of ``floats``, as bytes: the
-    values in ``%.17g``, each but the last followed by the separator.  The
-    kernel formats all of them, in equal blocks of at most _KERNEL_BLOCK
-    values, with each separator in the word after its value, or a ","
-    that the separator replaces where it is longer than the word."""
-    values = np.concatenate([np.asarray(o, dtype=np.float64)
-                             for o, _ in floats])
-    n = len(values)
-    after = np.empty(n, dtype=np.int64)
-    end = 0
-    for o, sep in floats:
-        end += len(o)
-        after[end - len(o):end - 1] = _word(sep if len(sep) <= 8 else ",")
-        after[end - 1] = _LIST_END[0]
-    size = -(-n // -(-n // _KERNEL_BLOCK))  # equal blocks
-    bodies = b"".join(
-        _kernel_text(values[i:i + size], after[i:i + size], True)
-        for i in range(0, n, size)).split(_LIST_END)
-    return [body if len(sep) <= 8 else body.replace(b",", sep.encode())
-            for body, (_, sep) in zip(bodies, floats)]
+_LIST_END = 0x1F  # a byte that no float text or indent holds
 
 
 def write_csv(path, header, columns):

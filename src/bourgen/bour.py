@@ -23,7 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ from ._numerics import (
     square,
 )
 from ._splines import HermiteSpline
-from ._text import json_bytes
+from ._text import write_json
 from .chart import quotient_metric
 from .errors import (
     ConfigError,
@@ -455,8 +454,17 @@ class SurfaceMember:
         return self._document(np.ndarray.tolist)
 
     def to_json(self, path):
-        # json_bytes prints a float64 array as the list of its values
-        Path(path).write_bytes(json_bytes(self._document(np.asarray)))
+        """Write the member file; return the text of the profile CSV's
+        columns s, x1, x2, omega, theta and V, as (n, 4) views of the words
+        of the file's own pass, for ``cli.write_profile_csv``: each float
+        of the two files is formatted once, and each array once however
+        many lists of the file it fills.  The views hold the file's rows
+        of words until they are dropped."""
+        # write_json prints a float64 array as the list of its values
+        with open(path, "wb") as fh:
+            return write_json(fh, self._document(np.asarray), keep=(
+                self.s, self.x1, self.x2, self.omega, self.theta,
+                self.V_samples))
 
     def _document(self, array):
         """The member file's document, each array passed through

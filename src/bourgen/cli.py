@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _documents, bour, natural, spaces, verify
 from ._documents import NUMBER
-from ._text import rows_bytes, write_csv
+from ._text import rows_bytes, word_rows_bytes
 from .errors import BourgenError, ConfigError, SpecError
 from .expressions import Expression, parse_expression
 from .natural import GeneratrixMetric, LiftedCurve
@@ -227,10 +227,14 @@ def _positive(value, what):
 # exporters
 # ---------------------------------------------------------------------------
 
-def write_profile_csv(member, path):
-    write_csv(path, "s,x1,x2,omega,theta,V", [
-        member.s, member.x1, member.x2, member.omega, member.theta,
-        member.V_samples])
+def write_profile_csv(words, path):
+    """The profile CSV of a member: the header line, then s, x1, x2,
+    omega, theta and V at each node, from the text words of these columns
+    that ``SurfaceMember.to_json`` returns, so that each value is
+    formatted once for both files (-0.0 is "-0" here, "-0.0" there)."""
+    with open(path, "wb") as fh:
+        fh.write(b"s,x1,x2,omega,theta,V\n")
+        fh.write(word_rows_bytes(words))
 
 
 # the (s, t) vertex grid of an OBJ mesh
@@ -332,8 +336,9 @@ def _process_member(cfg, U, frame, m, out_dir, strict=False):
         "s_range", "grid_shape", "t_range", "fd_step", "tol")}
 
     name = _member_name(m)
-    write_profile_csv(member, out_dir / f"{name}_profile.csv")
-    member.to_json(out_dir / f"{name}.json")
+    # the CSV's text is the member file's, freed before the OBJ's is made
+    write_profile_csv(member.to_json(out_dir / f"{name}.json"),
+                      out_dir / f"{name}_profile.csv")
     write_obj(member, cfg.space, out_dir / f"{name}.obj",
               t_range=cfg.t_range)
     result["artifacts"] = [f"{name}_profile.csv", f"{name}.json", f"{name}.obj"]

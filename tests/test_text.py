@@ -1,5 +1,7 @@
 """The artifact writers print every float in one text, ``%.17g``, that
 the program's readers read back bit-equal."""
+import contextlib
+import io
 import json
 import math
 
@@ -8,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bourgen as bg
-from bourgen import _text
-from bourgen._text import json_bytes, rows_bytes, write_csv
-from bourgen.cli import _write_json, write_obj, write_profile_csv
+from bourgen import _text, bour
+from bourgen._text import rows_bytes, write_csv, write_json
+from bourgen.cli import (DEMOS, OBJ_S_COUNT, OBJ_T_COUNT, RunConfig,
+                         _write_json, main, run, write_obj, write_profile_csv)
 from bourgen.natural import _csv_columns
+from test_artifact_digests import FAMILIES
 
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                    2.225073858507201e-308, 1e-310, 1.7976931348623157e308,
@@ -38,7 +42,7 @@ def _number(v):
 
 
 def _reference(o, level=0):
-    """json_bytes's text, value by value: the layout of
+    """write_json's text, value by value: the layout of
     ``json.dumps(o, indent=1)`` with each float as ``_number`` prints it."""
     if isinstance(o, float):
         return _number(o)
@@ -58,7 +62,9 @@ def _reference(o, level=0):
 
 
 def json_text(payload):
-    return json_bytes(payload).decode("ascii")
+    fh = io.BytesIO()
+    write_json(fh, payload)
+    return fh.getvalue().decode("ascii")
 
 
 def rows_text(fmt, columns):
@@ -223,33 +229,108 @@ def test_random_bits_re_read_bit_equal(tmp_path_factory, bcv_member, raw):
         assert _bits([float(v) for v in got]) == _bits(want)
 
 
-@pytest.fixture(params=["catenoid", "helicoid", "bcv"])
+_DEMO_MEMBERS = ["catenoid", "helicoid", "bcv"]
+_FAMILY_MEMBERS = [f"{kind}_m{m:g}" for kind, cfg in FAMILIES.items()
+                   for m in cfg["m_values"]]
+
+
+@pytest.fixture(params=_DEMO_MEMBERS)
 def member(request):
     return request.getfixturevalue(f"{request.param}_member")
 
 
-def test_member_files_re_read_bit_equal(tmp_path, member):
-    member.to_json(tmp_path / "m.json")
-    back = bg.SurfaceMember.from_json(tmp_path / "m.json")
+@pytest.fixture(scope="module")
+def family_members(tmp_path_factory):
+    """The members of the two-member family configs of
+    test_artifact_digests.py, by "<kind>_m<m>", as ``bourgen family``
+    holds them when it writes their files: a rotational member's x1 is its
+    omega array, and its x2 its theta."""
+    members, generate = [], bour.generate_member
+
+    def kept(*args, **kwargs):
+        members.append(generate(*args, **kwargs))
+        return members[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bour, "generate_member", kept)
+        for kind, cfg in FAMILIES.items():
+            path = tmp_path_factory.mktemp(kind) / "config.json"
+            path.write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["family", "--config", str(path), "--out",
+                             str(path.parent / "out")]) == 0
+    assert len(members) == len(_FAMILY_MEMBERS)
+    return dict(zip(_FAMILY_MEMBERS, members))
+
+
+@pytest.fixture(params=_DEMO_MEMBERS + _FAMILY_MEMBERS)
+def every_member(request):
+    """Each demo member and each member of a family config."""
+    if request.param in _DEMO_MEMBERS:
+        return request.getfixturevalue(f"{request.param}_member")
+    return request.getfixturevalue("family_members")[request.param]
+
+
+def _profile_columns(member):
+    return [member.s, member.x1, member.x2, member.omega, member.theta,
+            member.V_samples]
+
+
+def _written(member, tmp_path):
+    """The member's file and profile CSV as ``bourgen family`` writes
+    them, the CSV from the file's own words."""
+    write_profile_csv(member.to_json(tmp_path / "m.json"), tmp_path / "p.csv")
+    return tmp_path / "m.json", tmp_path / "p.csv"
+
+
+def test_member_files_re_read_bit_equal(tmp_path, every_member):
+    member = every_member
+    path, csv = _written(member, tmp_path)
+    back = bg.SurfaceMember.from_json(path)
     for name in ("s", "x1", "x2", "x1p", "x2p", "theta", "theta_prime",
                  "omega", "V_samples", "V_prime"):
         assert getattr(back, name).tobytes() == getattr(
             member, name).tobytes(), name
-    write_profile_csv(member, tmp_path / "p.csv")
-    data = _csv_columns(tmp_path / "p.csv", "s,x1,x2,omega,theta,V")
-    for got, want in zip(data, (member.s, member.x1, member.x2, member.omega,
-                                member.theta, member.V_samples)):
+    data = _csv_columns(csv, "s,x1,x2,omega,theta,V")
+    for got, want in zip(data, _profile_columns(member)):
         assert got.tobytes() == want.tobytes()
 
 
-def test_member_artifacts_equal_per_value_writers(tmp_path, member):
-    member.to_json(tmp_path / "m.json")
-    assert (tmp_path / "m.json").read_text() == _reference(member.to_dict())
-    write_profile_csv(member, tmp_path / "p.csv")
-    rows = np.column_stack([member.s, member.x1, member.x2, member.omega,
-                            member.theta, member.V_samples]).tolist()
-    assert (tmp_path / "p.csv").read_text() == "s,x1,x2,omega,theta,V\n" + (
+def test_member_artifacts_equal_per_value_writers(tmp_path, every_member):
+    member = every_member
+    path, csv = _written(member, tmp_path)
+    assert path.read_text() == _reference(member.to_dict())
+    rows = np.column_stack(_profile_columns(member)).tolist()
+    assert csv.read_text() == "s,x1,x2,omega,theta,V\n" + (
         "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows))
+
+
+def test_profile_csv_of_json_special_values(tmp_path):
+    # -0.0, the least subnormal and a 17-digit tie in every CSV column; the
+    # CSV prints -0.0 as %.17g does, the file as JSON needs it, and both
+    # re-read bit-equal; x1 is omega and x2 theta, one array each
+    tie = _tie(17)
+    s = np.array([-1.0, -0.0, 1.0, 2.0, tie])
+    x1 = np.array([-0.0, 5e-324, tie, -tie, 0.0])
+    x2 = np.array([tie, -0.0, 1.0, 5e-324, -5e-324])
+    V = np.array([5e-324, tie, -0.0, 2.0, 0.5])
+    zeros = np.zeros(5)
+    member = bg.SurfaceMember(s, x1, x2, zeros, zeros, x2, zeros, x1, V,
+                              zeros, 1.0, 1)
+    path, csv = _written(member, tmp_path)
+    text = path.read_text()
+    assert text == _reference(member.to_dict())
+    assert '"s": [\n   -1,\n   -0.0,' in text
+    lines = csv.read_text().splitlines()
+    assert lines[2].startswith("-0,4.9406564584124654e-324,-0,"
+                               "4.9406564584124654e-324,-0,")
+    assert lines[1:] == [",".join("%.17g" % v for v in row) for row in
+                         np.column_stack(_profile_columns(member)).tolist()]
+    back = bg.SurfaceMember.from_json(path)
+    data = _csv_columns(csv, "s,x1,x2,omega,theta,V")
+    for got, again, want in zip(data, _profile_columns(back),
+                                _profile_columns(member)):
+        assert _bits(got) == _bits(again) == _bits(want)
 
 
 def test_obj_vertices_equal_per_vertex_format(tmp_path, member):
@@ -317,14 +398,16 @@ def test_json_text_block_boundaries(sizes, on_a_list_end, monkeypatch):
     lists = [_spread(n, seed) for seed, n in enumerate(sizes)]
     payload = {"profile": {f"l{i}": v for i, v in enumerate(lists)},
                "V": lists[-1]}
-    assert json_text(payload) == _reference(payload)
-    blocks, kernel = [], _text._kernel_text
+    blocks, kernel = [], _text._kernel_words
 
-    def recorded(x, *args):
+    def recorded(x, out):
         blocks.append(len(x))
-        return kernel(x, *args)
+        kernel(x, out)
 
-    monkeypatch.setattr(_text, "_kernel_text", recorded)
+    monkeypatch.setattr(_text, "_kernel_words", recorded)
+    assert json_text(payload) == _reference(payload)
+    assert sum(blocks) == sum(sizes)  # "V" is the last list again
+    blocks.clear()
     arrays = {"a": [np.array(v) for v in lists]}
     assert json_text(arrays) == _reference(arrays)
     assert max(blocks) <= _text._KERNEL_BLOCK and sum(blocks) == sum(sizes)
@@ -355,18 +438,28 @@ _SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300,
              -1e300, 5e-324, 1e-250, 1e250, 9.9e-251, 1.1e250]
 
 
-@pytest.mark.parametrize("json_numbers", [False, True])
+def _kernel_texts(values):
+    """The text of each value in the kernel's four words."""
+    words = np.empty((len(values), 4), dtype=np.int64)
+    _text._kernel_words(np.array(values), words)
+    return [w.tobytes().replace(b"\0", b"").decode("ascii") for w in words]
+
+
 @pytest.mark.parametrize("special", _SPECIALS + ["tie17", "tie19"])
-def test_kernel_special_values_at_every_position(json_numbers, special):
+def test_kernel_special_values_at_every_position(special):
     s = _tie(int(special[3:])) if isinstance(special, str) else special
     plain = [0.1, -2.5, 1234.5678, 3.0e-7, 6.02e23]
-    text = _number if json_numbers else "%.17g".__mod__
-    after = np.array([_text._word(",")])
     for values in ([s], [s] + plain, plain + [s], plain[:2] + [s] + plain,
                    plain):
-        got = _text._kernel_text(np.array(values), after, json_numbers)
-        assert got.decode("ascii").split(",")[:-1] == [text(v)
-                                                       for v in values]
+        assert _kernel_texts(values) == ["%.17g" % v for v in values]
+        # the file's own text of -0.0 and the non-finite values, over the
+        # kernel's, and the kept words plain
+        payload = {"v": np.array(values)}
+        fh = io.BytesIO()
+        words, = write_json(fh, payload, keep=[payload["v"]])
+        assert fh.getvalue().decode("ascii") == _reference(payload)
+        assert _text.word_rows_bytes([words]).decode("ascii") == "".join(
+            "%.17g\n" % v for v in values)
 
 
 @pytest.mark.parametrize("special", _SPECIALS + [_tie(17), _tie(19)])
@@ -433,3 +526,37 @@ def test_insertion_tables_place_the_point_and_strip():
             expected = (kept[:p] + "." + kept[p:] if 1 <= p <= keep
                         else kept)
             assert out.replace(b"\0", b"").decode() == expected, (p, keep)
+
+
+# -- how many values the kernel formats ---------------------------------------
+
+@pytest.mark.parametrize("config", [DEMOS["catenoid"], FAMILIES["rotational"]],
+                         ids=["catenoid_demo", "rotational_family"])
+def test_kernel_formats_each_member_array_once(config, tmp_path, monkeypatch):
+    counted, members = [], []
+    kernel, generate = _text._kernel_words, bour.generate_member
+
+    def counting(x, out):
+        counted.append(len(x))
+        kernel(x, out)
+
+    def kept(*args, **kwargs):
+        members.append(generate(*args, **kwargs))
+        return members[-1]
+
+    monkeypatch.setattr(_text, "_kernel_words", counting)
+    monkeypatch.setattr(bour, "generate_member", kept)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(RunConfig.from_dict(config), tmp_path, strict=True)[0] == 0
+    expected = 0
+    for member in members:
+        n = len(member.s)
+        # the member file's other floats: m, the metadata, the space, the
+        # generatrix range and the isometry grid
+        others = len(_float_values(member.to_dict())) - 10 * n
+        # its ten lists hold eight arrays, x1 being omega and x2 theta; the
+        # profile CSV adds none; the OBJ has three per vertex
+        expected += 8 * n + others + 3 * OBJ_S_COUNT * OBJ_T_COUNT
+        assert member.x1 is member.omega and member.x2 is member.theta
+        assert 0 < others < 20
+    assert sum(counted) == expected
