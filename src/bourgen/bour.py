@@ -367,6 +367,13 @@ def vertical_quadrature(profile, chart):
     return VerticalShift(s=s, values=V, prime=integrand)
 
 
+# the member file's profile lists in the file's order: each key and the
+# SurfaceMember attribute (and constructor argument) that it holds
+_PROFILE = {"s": "s", "x1": "x1", "x2": "x2", "x1_prime": "x1p",
+            "x2_prime": "x2p", "omega": "omega", "theta": "theta",
+            "theta_prime": "theta_prime"}
+
+
 class SurfaceMember:
     """One family member: map(s, t) = (x1(s), x2(s), t/m + V(s)).
 
@@ -468,7 +475,8 @@ class SurfaceMember:
 
     def _document(self, array):
         """The member file's document, each array passed through
-        ``array``."""
+        ``array``; its 'profile' lists are the attributes that ``_PROFILE``
+        names, in its order."""
         d = {
             "format": "bourgen-member",
             "version": 2,
@@ -476,16 +484,8 @@ class SurfaceMember:
             "epsilon": self.epsilon,
             "metadata": self.metadata,
             "space": self.space.to_dict() if self.space is not None else None,
-            "profile": {
-                "s": array(self.s),
-                "x1": array(self.x1),
-                "x2": array(self.x2),
-                "x1_prime": array(self.x1p),
-                "x2_prime": array(self.x2p),
-                "omega": array(self.omega),
-                "theta": array(self.theta),
-                "theta_prime": array(self.theta_prime),
-            },
+            "profile": {key: array(getattr(self, name))
+                        for key, name in _PROFILE.items()},
             "V": array(self.V_samples),
             "V_prime": array(self.V_prime),
         }
@@ -513,7 +513,8 @@ class SurfaceMember:
         frameless, on its splines.  An entry of the wrong type, a version
         other than 1 or 2, an 'm' that is not a positive finite number and
         an 'epsilon' other than 1 or -1 are ValueErrors that name the
-        entry."""
+        entry.  The 'profile' lists are read in the file's order, each
+        into the constructor argument that ``_PROFILE`` names."""
         if not isinstance(d, dict):
             raise ValueError(f"the document must be a JSON object, not "
                              f"{type(d).__name__}")
@@ -521,9 +522,8 @@ class SurfaceMember:
             raise ValueError("not a bourgen member file")
         entry = partial(_documents.entry, d, "member file")
         samples = partial(_documents.samples, d, "member file")
-        prof = {k: samples("profile." + k)
-                for k in ("s", "x1", "x2", "x1_prime", "x2_prime", "omega",
-                          "theta", "theta_prime")}
+        prof = {name: samples("profile." + key)
+                for key, name in _PROFILE.items()}
         V, Vp = samples("V"), samples("V_prime")
         if len({len(v) for v in (*prof.values(), V, Vp)}) > 1 or len(V) < 2:
             raise ValueError("the member file's profile lists, 'V' and "
@@ -545,12 +545,9 @@ class SurfaceMember:
                 frame = _rebuilt_frame(space, prof)
         grid = (None if d.get("isometry_grid") is None
                 else _isometry_grid(entry, samples))
-        return cls(s=prof["s"], x1=prof["x1"], x2=prof["x2"],
-                   x1p=prof["x1_prime"], x2p=prof["x2_prime"],
-                   theta=prof["theta"], theta_prime=prof["theta_prime"],
-                   omega=prof["omega"], V=V, Vp=Vp, m=m, epsilon=epsilon,
-                   space=space, U=U, frame=frame,
-                   metadata=entry("metadata", dict, {}), isometry_grid=grid)
+        return cls(**prof, V=V, Vp=Vp, m=m, epsilon=epsilon, space=space,
+                   U=U, frame=frame, metadata=entry("metadata", dict, {}),
+                   isometry_grid=grid)
 
     @classmethod
     def from_json(cls, path):

@@ -76,18 +76,18 @@ class RunConfig:
     space: spaces.SpaceSpec
     generatrix: object  # expression text, parsed on construction; or {"csv": path}
     m_values: list
-    epsilon: int = 1
-    s_range: tuple = (0.0, 1.0)
-    step: float = 0.005
-    anchor: Optional[float] = None
-    theta0: float = 0.0
-    s_count: int = 21
-    t_count: int = 21
-    t_range: tuple = (0.0, 1.0)
-    isometry_tol: float = 1e-5
-    cross_tol: float = 1e-5
-    fd_step: float = 1e-5
-    seed: int = 20240901
+    epsilon: int
+    s_range: tuple
+    step: float
+    anchor: Optional[float]
+    theta0: float
+    s_count: int
+    t_count: int
+    t_range: tuple
+    isometry_tol: float
+    cross_tol: float
+    fd_step: float
+    seed: int
 
     def __post_init__(self):
         # an expression is parsed here, once; report.json keeps its text
@@ -291,6 +291,9 @@ def _member_name(m):
 
 
 def _process_member(cfg, U, frame, m, out_dir, strict=False):
+    """Build the member m of ``cfg``, cross-check it against the closed
+    form of its space (``spaces.closed_form``), measure its isometry and
+    write its three artifacts; return its report.json entry."""
     # checked on the requested range before the feasibility scan reads
     # the step
     params = bour.BourParams(m=m, s_range=cfg.s_range, step=cfg.step,
@@ -311,15 +314,9 @@ def _process_member(cfg, U, frame, m, out_dir, strict=False):
     params = dataclasses.replace(params, s_range=s_range, anchor=anchor)
     member = bour.generate_member(U, params, frame, cfg.theta0, space=cfg.space)
 
-    # closed form + cross-check (every built-in space has one)
-    anchor_s = member.metadata["anchor"]
-    if cfg.space.kind == "bcv_helicoidal":
-        closed = spaces.bcv_closed_form(U, m, cfg.epsilon, cfg.space.kappa,
-                                        cfg.space.tau, cfg.space.a,
-                                        member.s, anchor=anchor_s)
-    else:
-        closed = spaces.r3_closed_form(U, m, cfg.epsilon, cfg.space.a,
-                                       member.s, anchor=anchor_s)
+    # every built-in space has a closed form, anchored where the member is
+    closed = spaces.closed_form(cfg.space, U, m, cfg.epsilon, member.s,
+                                member.metadata["anchor"])
     cross = verify.cross_check(closed, member)
     result["cross_check"] = cross.to_dict()
     result["cross_check_passed"] = cross.passed(cfg.cross_tol)

@@ -362,7 +362,7 @@ def line_segment(p0, p1):
 # the guess clamps to the full step while the level lies at a third of
 # it: short steps over such a length left level points of the kappa < 0
 # chart of
-# test_ray_chart_whose_traces_leave_the_domain_takes_the_longest_candidate
+# test_ray_chart_whose_traces_leave_the_domain_takes_the_long_step
 # 1.3e-13 off their rays.  On the 300 level traces of the right-hand sides
 # of the traced_rhs benchmark (seeds 1-10) the guess lands within 1.5e-6
 # relative (median; at most 7.4e-6) and one midpoint correction within

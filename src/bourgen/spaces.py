@@ -69,8 +69,8 @@ class SpaceSpec:
             raise SpecError("euclidean_rotational has no pitch; set a = 0")
 
     def to_dict(self):
-        return {"kind": self.kind, "a": self.a, "kappa": self.kappa,
-                "tau": self.tau}
+        """The fields by name, in field order."""
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +350,26 @@ class ClosedFormFamily:
     anchor_index: int = 0
 
 
-def _anchor_index(s_grid, anchor):
-    if anchor is None:
-        return 0
-    return int(np.argmin(np.abs(np.asarray(s_grid) - anchor)))
+def closed_form(spec, U, m, epsilon, s_grid, anchor=None):
+    """The closed-form member of the built-in space ``spec``:
+    ``bcv_closed_form`` for a BCV space, ``r3_closed_form`` for a flat
+    one."""
+    if spec.kind == "bcv_helicoidal":
+        return bcv_closed_form(U, m, epsilon, spec.kappa, spec.tau, spec.a,
+                               s_grid, anchor)
+    return r3_closed_form(U, m, epsilon, spec.a, s_grid, anchor)
+
+
+def _family(kind, a, m, epsilon, s_grid, rho, lam_prime, V_prime, anchor):
+    """The ClosedFormFamily of the samples of rho, lam' and V' on s_grid:
+    lam and V are their quadratures, anchored to zero at the sample
+    nearest ``anchor`` (the first sample for None)."""
+    k0 = 0 if anchor is None else int(np.argmin(np.abs(s_grid - anchor)))
+    return ClosedFormFamily(
+        kind=kind, a=a, m=m, epsilon=epsilon, s_grid=s_grid, rho_samples=rho,
+        lam_samples=cumulative_simpson_anchored(lam_prime, s_grid, k0),
+        V_samples=cumulative_simpson_anchored(V_prime, s_grid, k0),
+        anchor_index=k0)
 
 
 def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
@@ -363,6 +379,9 @@ def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
         rho = sqrt(m^2 U^2 - a^2)
         lam' = eps * m U sqrt(m^2 U^2 (1 - m^2 U'^2) - a^2) / (m^2 U^2 - a^2)
         V'   = -eps * a sqrt(m^2 U^2 (1 - m^2 U'^2) - a^2) / (m U (m^2 U^2 - a^2))
+
+    lam and V vanish at the sample of s_grid nearest ``anchor`` (the
+    first for None).  ``closed_form`` picks this family for the flat kinds.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     Uv, dUv = U.table(s_grid)
@@ -375,14 +394,9 @@ def r3_closed_form(U, m, epsilon, a, s_grid, anchor=None):
     rho = np.sqrt(gap)
     lam_prime = epsilon * m * Uv * sqrtR / gap
     V_prime = -epsilon * a * sqrtR / (m * Uv * gap)
-    k0 = _anchor_index(s_grid, anchor)
-    lam = cumulative_simpson_anchored(lam_prime, s_grid, k0)
-    V = cumulative_simpson_anchored(V_prime, s_grid, k0)
-    return ClosedFormFamily(
-        kind="euclidean_helicoidal" if a != 0.0 else "euclidean_rotational",
-        a=a, m=m, epsilon=epsilon, s_grid=s_grid,
-        rho_samples=rho, lam_samples=lam, V_samples=V,
-        anchor_index=k0)
+    return _family(
+        "euclidean_helicoidal" if a != 0.0 else "euclidean_rotational",
+        a, m, epsilon, s_grid, rho, lam_prime, V_prime, anchor)
 
 
 def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
@@ -392,7 +406,9 @@ def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
     4 tau^2 m^2 U^2)); the screw angle and flow quadratures share the
     inner radicand rho^2 - m^4 U^2 U'^2 (4 + kappa rho^2)^2 / (16 Delta).
     At kappa = tau = 0 this reduces to the flat family with rho and lam
-    identical and the flow quadrature at the opposite branch sign.
+    identical and the flow quadrature at the opposite branch sign.  lam
+    and V vanish at the sample of s_grid nearest ``anchor`` (the first for
+    None).  ``closed_form`` picks this family for a BCV space.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     Uv, dUv = U.table(s_grid)
@@ -414,11 +430,5 @@ def bcv_closed_form(U, m, epsilon, kappa, tau, a, s_grid, anchor=None):
     lam_prime = epsilon * m * Uv * (4.0 + kappa * rho2) / (4.0 * rho2) * sqrt_inner
     V_prime = -epsilon * ((4.0 * tau - a * kappa) * rho2 - 4.0 * a) \
         / (4.0 * m * Uv * rho2) * sqrt_inner
-    k0 = _anchor_index(s_grid, anchor)
-    lam = cumulative_simpson_anchored(lam_prime, s_grid, k0)
-    V = cumulative_simpson_anchored(V_prime, s_grid, k0)
-    rho = np.sqrt(rho2)
-    return ClosedFormFamily(
-        kind="bcv_helicoidal", a=a, m=m, epsilon=epsilon, s_grid=s_grid,
-        rho_samples=rho, lam_samples=lam, V_samples=V,
-        anchor_index=k0)
+    return _family("bcv_helicoidal", a, m, epsilon, s_grid, np.sqrt(rho2),
+                   lam_prime, V_prime, anchor)

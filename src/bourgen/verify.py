@@ -107,18 +107,9 @@ class IsometryReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "grid_shape": list(self.grid_shape),
-            "s_range": list(self.s_range),
-            "t_range": list(self.t_range),
-            "fd_step": self.fd_step,
-            "tol": self.tol,
-            "max_E_dev": self.max_E_dev,
-            "max_F_dev": self.max_F_dev,
-            "max_G_dev": self.max_G_dev,
-            "worst": self.worst,
-            "passed": bool(self.passed),
-        }
+        """The fields by name, in field order, each tuple as a list."""
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in vars(self).items()}
 
 
 def isometry_report(chart, member, U, grid, tol=1e-5, h=1e-5):
@@ -163,8 +154,8 @@ class CrossCheckReport:
     n_samples: int
 
     def to_dict(self):
-        return {"rho_dev": self.rho_dev, "angle_dev": self.angle_dev,
-                "v_dev": self.v_dev, "n_samples": self.n_samples}
+        """The fields by name, in field order."""
+        return dict(vars(self))
 
     def passed(self, tol):
         """Every deviation (radius, angle, vertical) within tol; a NaN

@@ -313,6 +313,18 @@ def test_member_json_roundtrip(tmp_path, bcv_member):
         assert back.map(s, 0.7) == bcv_member.map(s, 0.7)
 
 
+def test_rotational_member_dict_round_trip(catenoid_member):
+    # in a rotational member x1 is omega, one array that fills two of the
+    # file's lists; each list reads back into its own array, to the bit
+    assert catenoid_member.x1 is catenoid_member.omega
+    back = bg.SurfaceMember.from_dict(catenoid_member.to_dict())
+    assert back.frame is not None
+    for name in ("s", "x1", "x2", "x1p", "x2p", "omega", "theta",
+                 "theta_prime", "V_samples", "V_prime"):
+        got, want = getattr(back, name), getattr(catenoid_member, name)
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_member_not_inverted_by_its_frame_loads_frameless(bcv_member):
     d = bcv_member.to_dict()
     assert bg.SurfaceMember.from_dict(d).frame is not None

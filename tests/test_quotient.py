@@ -361,7 +361,7 @@ def test_traced_rhs_field_evaluations_per_rhs(helicoidal_chart):
     assert max(counts) <= 39
 
 
-def test_traced_rhs_chart_takes_the_longest_candidate(traced_theta):
+def test_traced_rhs_chart_takes_the_long_step(traced_theta):
     # the characteristics are rays, so the probes at L/6.25 agree with
     # their half-step traces across the flow to rounding
     assert traced_theta.level_step == 64 * traced_theta.step

@@ -221,6 +221,31 @@ def test_bcv_reference_case_discriminant():
     assert np.all(np.isfinite(fam.lam_samples))
 
 
+@pytest.mark.parametrize("spec", [
+    bg.SpaceSpec("euclidean_helicoidal", a=1.0),
+    bg.SpaceSpec("euclidean_helicoidal", a=-0.7),
+    bg.SpaceSpec("euclidean_rotational"),
+    bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=1.0, tau=1.0),
+    bg.SpaceSpec("bcv_helicoidal", a=1.0, kappa=-1.0, tau=0.5),
+], ids=lambda spec: f"{spec.kind}-{spec.a:g}-{spec.kappa:g}")
+@pytest.mark.parametrize("anchor", [None, 0.37])
+def test_closed_form_is_its_kind_s_family(spec, anchor):
+    # spaces.closed_form is r3_closed_form for the flat kinds (a = 0 for
+    # the rotational one) and bcv_closed_form for BCV, to the bit
+    U = bg.GeneratrixMetric.from_expression("sqrt(s^2+4)", (0.0, 1.0))
+    s = np.linspace(0.0, 1.0, 201)
+    got = bg.spaces.closed_form(spec, U, 1.0, -1, s, anchor)
+    want = (bg.bcv_closed_form(U, 1.0, -1, spec.kappa, spec.tau, spec.a, s,
+                               anchor=anchor)
+            if spec.kind == "bcv_helicoidal"
+            else bg.r3_closed_form(U, 1.0, -1, spec.a, s, anchor=anchor))
+    assert got.kind == want.kind == spec.kind
+    assert ((got.a, got.m, got.epsilon, got.anchor_index)
+            == (want.a, want.m, want.epsilon, want.anchor_index))
+    for name in ("s_grid", "rho_samples", "lam_samples", "V_samples"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_bcv_valid_omega_window():
     # for kappa = tau = a = 1 the inversion denominator vanishes at
     # omega = 3, so the valid window is (1, 3)

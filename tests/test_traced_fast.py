@@ -121,7 +121,7 @@ def _traced(name):
     return CASES[name]()
 
 
-def test_radial_chart_takes_the_longest_candidate():
+def test_radial_chart_takes_the_long_step():
     # with its exact d_g33 the radial chart is probed like every chart,
     # and its characteristics are rays, exact to rounding at L/6.25
     tr = _traced("arc")
